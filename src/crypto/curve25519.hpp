@@ -6,7 +6,9 @@
 // store y with the parity of x in the top bit.
 #pragma once
 
+#include <array>
 #include <optional>
+#include <vector>
 
 #include "crypto/u256.hpp"
 
@@ -39,7 +41,7 @@ U256 fe_sub(const U256& a, const U256& b);
 U256 fe_mul(const U256& a, const U256& b);
 U256 fe_sq(const U256& a);
 U256 fe_neg(const U256& a);
-U256 fe_pow(const U256& base, const U256& exponent);
+/// a^(p-2) by the standard addition chain (254 squarings + 11 multiplies).
 U256 fe_invert(const U256& a);
 /// sqrt(-1) mod p, i.e. 2^((p-1)/4).
 const U256& fe_sqrt_m1();
@@ -61,18 +63,39 @@ const Point& point_base();
 Point point_add(const Point& p, const Point& q);
 Point point_double(const Point& p);
 Point point_negate(const Point& p);
-/// scalar * p via double-and-add (not constant-time; see u256.hpp note).
+
+/// A point in the form the adders take: (Y+X, Y-X, Z, 2dT).
+struct CachedPoint {
+  U256 YplusX, YminusX, Z, T2d;
+};
+/// The odd multiples P, 3P, ..., 15P of one point: the lookup table of a
+/// width-5 signed-window (wNAF) multiplication. Build it once to multiply
+/// the same point by several scalars.
+using PointTable = std::array<CachedPoint, 8>;
+PointTable point_table(const Point& p);
+
+/// scalar * P by width-5 wNAF, starting at the scalar's top nonzero digit.
+/// Any 256-bit scalar, any point: the scalar is never reduced mod L, so a
+/// point carrying a torsion component comes out exact. Not constant-time
+/// (see u256.hpp).
+Point point_scalar_mul(const U256& scalar, const PointTable& table);
 Point point_scalar_mul(const U256& scalar, const Point& p);
-/// Σ scalar_i * p_i via Straus interleaving: the 256 doublings are shared
-/// across every term, so m-term sums cost ~256 doublings + Σ popcount(s_i)
-/// additions instead of m independent double-and-add ladders. This is what
-/// makes batch signature verification amortize (verification-only use; not
-/// constant-time).
+/// scalar * B from the precomputed fixed-base comb: 64 signed radix-16
+/// digits, at most 64 mixed additions and 4 doublings. B has order L, so
+/// the scalar is reduced mod L first.
+Point point_base_mul(const U256& scalar);
+
+/// base_scalar * B + Σ scalar_i * P_i by Straus interleaving: one shared
+/// chain of doublings from the highest nonzero digit of any scalar, B's
+/// digits (width 8) read from a static table, each P_i's (width 5) from a
+/// table built per call. Scalars are used as they are, never reduced.
+/// Verification-only use; not constant-time.
 struct ScalarPoint {
   U256 scalar;
   Point point;
 };
-Point point_multi_scalar_mul(const std::vector<ScalarPoint>& terms);
+Point point_multi_scalar_mul(const U256& base_scalar,
+                             const std::vector<ScalarPoint>& terms);
 /// Multiplies by the cofactor 8 (three doublings).
 Point point_mul_cofactor(const Point& p);
 
@@ -83,10 +106,12 @@ bool point_is_identity(const Point& p);
 /// RFC 8032 point compression: 32 bytes, y with sign(x) in bit 255.
 void point_compress(const Point& p, std::uint8_t out[32]);
 Bytes point_compress(const Point& p);
-/// Decompression; std::nullopt if the encoding is not a curve point.
+/// Decompression; std::nullopt if the encoding is not a curve point. The
+/// inversion and the square root share one exponentiation (RFC 8032
+/// 5.1.3).
 std::optional<Point> point_decompress(ByteSpan bytes32);
 
-// ---- Scalar (mod L) operations ----
+// ---- Scalar (mod L) operations (Barrett reduction) ----
 
 /// Reduces a 64-byte little-endian value mod L (for hash outputs).
 U256 sc_reduce_wide(ByteSpan bytes64);

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "crypto/curve25519.hpp"
+#include "crypto/ed25519.hpp"
 #include "crypto/sha512.hpp"
 
 namespace probft::crypto::ecvrf {
@@ -16,34 +17,6 @@ constexpr std::uint8_t kDomainHashToCurve = 0x01;
 constexpr std::uint8_t kDomainChallenge = 0x02;
 constexpr std::uint8_t kDomainProofToHash = 0x03;
 constexpr std::uint8_t kDomainBack = 0x00;
-
-struct ExpandedKey {
-  curve::U256 scalar;
-  std::array<std::uint8_t, 32> prefix;
-  Bytes public_key;
-};
-
-ExpandedKey expand(ByteSpan seed) {
-  if (seed.size() != 32) {
-    throw std::invalid_argument("ecvrf: seed must be 32 bytes");
-  }
-  const auto h = Sha512::hash(seed);
-  std::uint8_t scalar_bytes[32];
-  for (int i = 0; i < 32; ++i) scalar_bytes[i] = h[static_cast<std::size_t>(i)];
-  scalar_bytes[0] &= 248;
-  scalar_bytes[31] &= 127;
-  scalar_bytes[31] |= 64;
-
-  ExpandedKey out;
-  out.scalar = curve::sc_reduce(ByteSpan(scalar_bytes, 32));
-  for (int i = 0; i < 32; ++i) {
-    out.prefix[static_cast<std::size_t>(i)] =
-        h[static_cast<std::size_t>(32 + i)];
-  }
-  out.public_key = curve::point_compress(
-      curve::point_scalar_mul(out.scalar, curve::point_base()));
-  return out;
-}
 
 /// Try-and-increment hash-to-curve: hash (suite || 0x01 || Y || alpha || ctr)
 /// until the first 32 bytes decompress to a curve point; clear the cofactor.
@@ -69,15 +42,18 @@ std::optional<curve::Point> hash_to_curve(ByteSpan public_key,
   return std::nullopt;  // cryptographically unreachable
 }
 
-/// 16-byte challenge from four points.
-Bytes hash_points(const curve::Point& p1, const curve::Point& p2,
-                  const curve::Point& p3, const curve::Point& p4) {
+/// 16-byte challenge from four points; H and Gamma arrive already encoded.
+Bytes hash_points(ByteSpan h_enc, ByteSpan gamma_enc, const curve::Point& u,
+                  const curve::Point& v) {
   Sha512 h;
   const std::uint8_t head[2] = {kSuite, kDomainChallenge};
   h.update(ByteSpan(head, 2));
-  for (const auto* p : {&p1, &p2, &p3, &p4}) {
-    const Bytes compressed = curve::point_compress(*p);
-    h.update(ByteSpan(compressed.data(), compressed.size()));
+  h.update(h_enc);
+  h.update(gamma_enc);
+  for (const auto* p : {&u, &v}) {
+    std::uint8_t compressed[32];
+    curve::point_compress(*p, compressed);
+    h.update(ByteSpan(compressed, 32));
   }
   const std::uint8_t tail[1] = {kDomainBack};
   h.update(ByteSpan(tail, 1));
@@ -107,33 +83,34 @@ Bytes gamma_to_output(const curve::Point& gamma) {
 }  // namespace
 
 Proof prove(ByteSpan seed, ByteSpan alpha) {
-  const ExpandedKey key = expand(seed);
-  const auto h_opt =
-      hash_to_curve(ByteSpan(key.public_key.data(), key.public_key.size()),
-                    alpha);
+  const ed25519::ExpandedKey key = ed25519::expanded_key(seed);
+  const auto h_opt = hash_to_curve(
+      ByteSpan(key.public_key.data(), key.public_key.size()), alpha);
   if (!h_opt) throw std::runtime_error("ecvrf: hash_to_curve failed");
   const curve::Point& h = *h_opt;
+  const Bytes h_enc = curve::point_compress(h);
+  // Gamma = x*H and k*H share one table of H's odd multiples.
+  const curve::PointTable h_table = curve::point_table(h);
 
-  const curve::Point gamma = curve::point_scalar_mul(key.scalar, h);
+  const curve::Point gamma = curve::point_scalar_mul(key.scalar, h_table);
+  Proof out;
+  out.proof = curve::point_compress(gamma);
 
   // Deterministic nonce: SHA-512(prefix || H).
   Sha512 nonce_hash;
   nonce_hash.update(ByteSpan(key.prefix.data(), key.prefix.size()));
-  const Bytes h_compressed = curve::point_compress(h);
-  nonce_hash.update(ByteSpan(h_compressed.data(), h_compressed.size()));
+  nonce_hash.update(ByteSpan(h_enc.data(), h_enc.size()));
   const auto nonce_digest = nonce_hash.finalize();
   const curve::U256 k = curve::sc_reduce_wide(
       ByteSpan(nonce_digest.data(), nonce_digest.size()));
 
-  const curve::Point k_b = curve::point_scalar_mul(k, curve::point_base());
-  const curve::Point k_h = curve::point_scalar_mul(k, h);
-  const Bytes c16 = hash_points(h, gamma, k_b, k_h);
+  const Bytes c16 = hash_points(
+      ByteSpan(h_enc.data(), h_enc.size()), ByteSpan(out.proof.data(), 32),
+      curve::point_base_mul(k), curve::point_scalar_mul(k, h_table));
   const curve::U256 c = challenge_to_scalar(ByteSpan(c16.data(), c16.size()));
 
   const curve::U256 s = curve::sc_muladd(c, key.scalar, k);
 
-  Proof out;
-  out.proof = curve::point_compress(gamma);
   out.proof.insert(out.proof.end(), c16.begin(), c16.end());
   std::uint8_t s_bytes[32];
   curve::u256_to_le(s, s_bytes);
@@ -147,9 +124,10 @@ std::optional<Bytes> verify(ByteSpan public_key, ByteSpan alpha,
   if (public_key.size() != 32 || proof.size() != kProofSize) {
     return std::nullopt;
   }
-  const auto y_opt = curve::point_decompress(public_key);
+  const auto y_opt = ed25519::public_point(public_key);
   if (!y_opt) return std::nullopt;
-  const auto gamma_opt = curve::point_decompress(proof.subspan(0, 32));
+  const ByteSpan gamma_enc = proof.subspan(0, 32);
+  const auto gamma_opt = curve::point_decompress(gamma_enc);
   if (!gamma_opt) return std::nullopt;
 
   const ByteSpan c16 = proof.subspan(32, 16);
@@ -160,16 +138,19 @@ std::optional<Bytes> verify(ByteSpan public_key, ByteSpan alpha,
   const auto h_opt = hash_to_curve(public_key, alpha);
   if (!h_opt) return std::nullopt;
   const curve::Point& h = *h_opt;
+  const Bytes h_enc = curve::point_compress(h);
 
-  // U = s*B - c*Y ; V = s*H - c*Gamma.
-  const curve::Point u = curve::point_add(
-      curve::point_scalar_mul(s, curve::point_base()),
-      curve::point_negate(curve::point_scalar_mul(c, *y_opt)));
-  const curve::Point v = curve::point_add(
-      curve::point_scalar_mul(s, h),
-      curve::point_negate(curve::point_scalar_mul(c, *gamma_opt)));
+  // U = s*B - c*Y ; V = s*H - c*Gamma, each one Straus sum. Y and Gamma
+  // may carry torsion, so c is used as it is, never reduced.
+  const curve::Point u = curve::point_multi_scalar_mul(
+      s, {{c, curve::point_negate(*y_opt)}});
+  const curve::Point v = curve::point_multi_scalar_mul(
+      curve::u256_zero(), {{s, h}, {c, curve::point_negate(*gamma_opt)}});
 
-  const Bytes c_check = hash_points(h, *gamma_opt, u, v);
+  // A decompressed canonical encoding compresses back to itself, so the
+  // proof's own Gamma bytes stand in for compress(Gamma).
+  const Bytes c_check =
+      hash_points(ByteSpan(h_enc.data(), h_enc.size()), gamma_enc, u, v);
   if (!ct_equal(ByteSpan(c_check.data(), c_check.size()), c16)) {
     return std::nullopt;
   }

@@ -5,7 +5,11 @@
 // conforming implementation.
 #pragma once
 
+#include <array>
+#include <optional>
+
 #include "common/bytes.hpp"
+#include "crypto/curve25519.hpp"
 
 namespace probft::crypto::ed25519 {
 
@@ -46,5 +50,25 @@ struct SigCheck {
 /// no false rejections, and a false acceptance requires the adversary to
 /// hit a random 128-bit linear relation (negligible).
 [[nodiscard]] bool verify_batch(const std::vector<SigCheck>& checks);
+
+/// A seed's RFC 8032 expansion: the secret scalar a (clamped, then reduced
+/// mod L; aB is unchanged because B has order L), the nonce-derivation
+/// prefix, and the compressed public key A = aB. The ECVRF uses the same
+/// keypair.
+struct ExpandedKey {
+  curve::U256 scalar;
+  std::array<std::uint8_t, 32> prefix;
+  std::array<std::uint8_t, kPublicKeySize> public_key;
+};
+
+/// The expansion of `seed`, from a bounded per-thread cache keyed by the
+/// whole seed (a hit skips a base multiplication and a compression).
+/// Throws std::invalid_argument unless the seed is 32 bytes.
+[[nodiscard]] ExpandedKey expanded_key(ByteSpan seed);
+
+/// The decompressed public key, std::nullopt if the encoding is not a
+/// curve point; from a bounded per-thread cache keyed by the encoding
+/// (the directory holds n + 1 fixed keys).
+[[nodiscard]] std::optional<curve::Point> public_point(ByteSpan public_key);
 
 }  // namespace probft::crypto::ed25519

@@ -4,52 +4,6 @@
 
 namespace probft::crypto {
 
-using u128 = unsigned __int128;
-
-std::uint64_t u256_add(U256& out, const U256& a, const U256& b) {
-  std::uint64_t carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 sum = static_cast<u128>(a.w[i]) + b.w[i] + carry;
-    out.w[i] = static_cast<std::uint64_t>(sum);
-    carry = static_cast<std::uint64_t>(sum >> 64);
-  }
-  return carry;
-}
-
-std::uint64_t u256_sub(U256& out, const U256& a, const U256& b) {
-  std::uint64_t borrow = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 diff =
-        static_cast<u128>(a.w[i]) - b.w[i] - borrow;
-    out.w[i] = static_cast<std::uint64_t>(diff);
-    borrow = static_cast<std::uint64_t>((diff >> 64) & 1);
-  }
-  return borrow;
-}
-
-int u256_cmp(const U256& a, const U256& b) {
-  for (int i = 3; i >= 0; --i) {
-    if (a.w[i] < b.w[i]) return -1;
-    if (a.w[i] > b.w[i]) return 1;
-  }
-  return 0;
-}
-
-U512 u256_mul(const U256& a, const U256& b) {
-  U512 out{};
-  for (int i = 0; i < 4; ++i) {
-    std::uint64_t carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      const u128 cur = static_cast<u128>(a.w[i]) * b.w[j] +
-                       out.w[i + j] + carry;
-      out.w[i + j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    out.w[i + 4] = carry;
-  }
-  return out;
-}
-
 U256 u512_mod(const U512& x, const U256& m) {
   if (u256_is_zero(m)) throw std::invalid_argument("u512_mod: zero modulus");
   if (m.w[3] >> 63) {
@@ -80,17 +34,6 @@ U256 u512_mod(const U512& x, const U256& m) {
 
 U256 u256_mulmod(const U256& a, const U256& b, const U256& m) {
   return u512_mod(u256_mul(a, b), m);
-}
-
-U256 u256_addmod(const U256& a, const U256& b, const U256& m) {
-  U256 sum;
-  const std::uint64_t carry = u256_add(sum, a, b);
-  if (carry != 0 || u256_cmp(sum, m) >= 0) {
-    U256 tmp;
-    u256_sub(tmp, sum, m);
-    return tmp;
-  }
-  return sum;
 }
 
 U256 u256_from_le(ByteSpan bytes32) {
