@@ -4,8 +4,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
+#include "crypto/curve25519.hpp"
 #include "crypto/ecvrf.hpp"
 #include "crypto/ed25519.hpp"
 #include "crypto/sampler.hpp"
@@ -36,6 +39,92 @@ void BM_Sha512(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha512)->Arg(64)->Arg(1024)->Arg(65536);
 
+// ---- edwards25519 kernels ----
+
+curve::U256 bench_scalar(const char* domain) {
+  return curve::sc_reduce_wide(Sha512::hash(to_bytes(domain)));
+}
+
+void BM_FeMul(benchmark::State& state) {
+  curve::Fe a = curve::fe_from_u256(bench_scalar("fe-a"));
+  const curve::Fe b = curve::fe_from_u256(bench_scalar("fe-b"));
+  for (auto _ : state) {
+    a = curve::fe_mul(a, b);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FeMul);
+
+void BM_FeInvert(benchmark::State& state) {
+  curve::Fe a = curve::fe_from_u256(bench_scalar("fe-inv"));
+  for (auto _ : state) {
+    a = curve::fe_invert(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FeInvert);
+
+void BM_PointDecompress(benchmark::State& state) {
+  const Bytes enc = curve::point_compress(
+      curve::point_base_mul(bench_scalar("decompress")));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(curve::point_decompress(enc));
+  }
+}
+BENCHMARK(BM_PointDecompress);
+
+void BM_PointCompress(benchmark::State& state) {
+  const curve::Point p = curve::point_base_mul(bench_scalar("compress"));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(curve::point_compress(p));
+  }
+}
+BENCHMARK(BM_PointCompress);
+
+// k*B from the fixed-base comb.
+void BM_BaseMul(benchmark::State& state) {
+  const curve::U256 k = bench_scalar("base-mul");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(curve::point_base_mul(k));
+  }
+}
+BENCHMARK(BM_BaseMul);
+
+// k*P for a variable P by wNAF, table build included.
+void BM_VarBaseMul(benchmark::State& state) {
+  const curve::U256 k = bench_scalar("var-mul");
+  const curve::Point p = curve::point_base_mul(bench_scalar("var-point"));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(curve::point_scalar_mul(k, p));
+  }
+}
+BENCHMARK(BM_VarBaseMul);
+
+// s*B + k*P as one Straus sum: the shape of a signature check.
+void BM_DoubleScalarMul(benchmark::State& state) {
+  const curve::U256 s = bench_scalar("straus-s");
+  const curve::U256 k = bench_scalar("straus-k");
+  const curve::Point p = curve::point_base_mul(bench_scalar("straus-point"));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(curve::point_multi_scalar_mul(s, {{k, p}}));
+  }
+}
+BENCHMARK(BM_DoubleScalarMul);
+
+// ---- signatures and VRF ----
+
+// More keys than the per-thread key caches hold (ed25519.cpp), visited in
+// rotation, so every call of a cold-key benchmark misses the cache.
+constexpr std::size_t kColdKeys = 256;
+
+std::vector<Bytes> cold_seeds() {
+  std::vector<Bytes> seeds;
+  for (std::size_t i = 0; i < kColdKeys; ++i) {
+    seeds.push_back(sha256(to_bytes("cold-key-" + std::to_string(i))));
+  }
+  return seeds;
+}
+
 void BM_Ed25519Sign(benchmark::State& state) {
   const Bytes seed = from_hex(
       "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60");
@@ -57,6 +146,32 @@ void BM_Ed25519Verify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Ed25519Verify);
+
+void BM_Ed25519SignColdKey(benchmark::State& state) {
+  const std::vector<Bytes> seeds = cold_seeds();
+  const Bytes msg = to_bytes("propose view=3 value=batch");
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ed25519::sign(seeds[i++ % kColdKeys], msg));
+  }
+}
+BENCHMARK(BM_Ed25519SignColdKey);
+
+void BM_Ed25519VerifyColdKey(benchmark::State& state) {
+  const std::vector<Bytes> seeds = cold_seeds();
+  const Bytes msg = to_bytes("propose view=3 value=batch");
+  std::vector<Bytes> pks, sigs;
+  for (const auto& seed : seeds) {
+    pks.push_back(ed25519::derive_public(seed));
+    sigs.push_back(ed25519::sign(seed, msg));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t k = i++ % kColdKeys;
+    benchmark::DoNotOptimize(ed25519::verify(pks[k], msg, sigs[k]));
+  }
+}
+BENCHMARK(BM_Ed25519VerifyColdKey);
 
 void BM_EcvrfProve(benchmark::State& state) {
   const Bytes seed = from_hex(

@@ -25,106 +25,49 @@ constexpr std::uint64_t kMu[5] = {0xed9ce5a30a2c131bULL, 0x2106215d086329a7ULL,
                                   0x000000000000000fULL};
 
 /// d = -121665/121666, 2d and sqrt(-1) = 2^((p-1)/4), all mod p.
-constexpr U256 kD{{0x75eb4dca135978a3ULL, 0x00700a4d4141d8abULL,
-                   0x8cc740797779e898ULL, 0x52036cee2b6ffe73ULL}};
-constexpr U256 kD2{{0xebd69b9426b2f159ULL, 0x00e0149a8283b156ULL,
-                    0x198e80f2eef3d130ULL, 0x2406d9dc56dffce7ULL}};
-constexpr U256 kSqrtM1{{0xc4ee1b274a0ea0b0ULL, 0x2f431806ad2fe478ULL,
-                        0x2b4d00993dfbd7a7ULL, 0x2b8324804fc1df0bULL}};
+constexpr Fe kD = fe_from_u256(U256{{0x75eb4dca135978a3ULL, 0x00700a4d4141d8abULL,
+                                     0x8cc740797779e898ULL, 0x52036cee2b6ffe73ULL}});
+constexpr Fe kD2 = fe_from_u256(U256{{0xebd69b9426b2f159ULL, 0x00e0149a8283b156ULL,
+                                      0x198e80f2eef3d130ULL, 0x2406d9dc56dffce7ULL}});
+constexpr Fe kSqrtM1 =
+    fe_from_u256(U256{{0xc4ee1b274a0ea0b0ULL, 0x2f431806ad2fe478ULL,
+                       0x2b4d00993dfbd7a7ULL, 0x2b8324804fc1df0bULL}});
 
 /// The RFC 8032 base point (y = 4/5, x even) in extended coordinates.
 constexpr Point kBase{
-    {{0xc9562d608f25d51aULL, 0x692cc7609525a7b2ULL, 0xc0a4e231fdd6dc5cULL,
-      0x216936d3cd6e53feULL}},
-    {{0x6666666666666658ULL, 0x6666666666666666ULL, 0x6666666666666666ULL,
-      0x6666666666666666ULL}},
-    {{1, 0, 0, 0}},
-    {{0x6dde8ab3a5b7dda3ULL, 0x20f09f80775152f5ULL, 0x66ea4e8e64abe37dULL,
-      0x67875f0fd78b7665ULL}}};
-
-/// a^2 as a 512-bit value: the six cross products once, doubled, plus the
-/// four squares.
-inline U512 sq_wide(const U256& a) {
-  U512 out{};
-  for (int i = 0; i < 3; ++i) {
-    std::uint64_t carry = 0;
-    for (int j = i + 1; j < 4; ++j) {
-      const u128 cur = static_cast<u128>(a.w[i]) * a.w[j] + out.w[i + j] +
-                       carry;
-      out.w[i + j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    out.w[i + 4] = carry;
-  }
-  std::uint64_t top = 0;
-  for (int i = 0; i < 8; ++i) {
-    const std::uint64_t next = out.w[i] >> 63;
-    out.w[i] = (out.w[i] << 1) | top;
-    top = next;
-  }
-  u128 acc = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 sq = static_cast<u128>(a.w[i]) * a.w[i];
-    acc += static_cast<u128>(out.w[2 * i]) + static_cast<std::uint64_t>(sq);
-    out.w[2 * i] = static_cast<std::uint64_t>(acc);
-    acc >>= 64;
-    acc += static_cast<u128>(out.w[2 * i + 1]) +
-           static_cast<std::uint64_t>(sq >> 64);
-    out.w[2 * i + 1] = static_cast<std::uint64_t>(acc);
-    acc >>= 64;
-  }
-  return out;
-}
-
-/// Reduces a 512-bit value mod p: fold the top half with 2^256 == 38, then
-/// bit 255 and up with 2^255 == 19, which leaves less than 2p.
-inline U256 fe_reduce(const U512& t) {
-  U256 r;
-  u128 acc = 0;
-  for (int i = 0; i < 4; ++i) {
-    acc += static_cast<u128>(t.w[i]) + static_cast<u128>(t.w[i + 4]) * 38;
-    r.w[i] = static_cast<std::uint64_t>(acc);
-    acc >>= 64;
-  }
-  const std::uint64_t top =
-      (static_cast<std::uint64_t>(acc) << 1) | (r.w[3] >> 63);
-  r.w[3] &= 0x7fffffffffffffffULL;
-  acc = static_cast<u128>(top) * 19;
-  for (int i = 0; i < 4; ++i) {
-    acc += r.w[i];
-    r.w[i] = static_cast<std::uint64_t>(acc);
-    acc >>= 64;
-  }
-  if (u256_cmp(r, kP) >= 0) u256_sub(r, r, kP);
-  return r;
-}
+    fe_from_u256(U256{{0xc9562d608f25d51aULL, 0x692cc7609525a7b2ULL,
+                       0xc0a4e231fdd6dc5cULL, 0x216936d3cd6e53feULL}}),
+    fe_from_u256(U256{{0x6666666666666658ULL, 0x6666666666666666ULL,
+                       0x6666666666666666ULL, 0x6666666666666666ULL}}),
+    fe_one(),
+    fe_from_u256(U256{{0x6dde8ab3a5b7dda3ULL, 0x20f09f80775152f5ULL,
+                       0x66ea4e8e64abe37dULL, 0x67875f0fd78b7665ULL}})};
 
 /// z^(2^250 - 1), and z^11 on the side: the common prefix of the inversion
 /// and square-root addition chains.
-U256 fe_pow_2_250_1(const U256& z, U256& z11) {
-  auto sq_n = [](U256 a, int n) {
+Fe fe_pow_2_250_1(const Fe& z, Fe& z11) {
+  auto sq_n = [](Fe a, int n) {
     for (int i = 0; i < n; ++i) a = fe_sq(a);
     return a;
   };
-  const U256 z2 = fe_sq(z);
-  const U256 z9 = fe_mul(sq_n(z2, 2), z);
+  const Fe z2 = fe_sq(z);
+  const Fe z9 = fe_mul(sq_n(z2, 2), z);
   z11 = fe_mul(z9, z2);
-  const U256 z_5 = fe_mul(fe_sq(z11), z9);  // z^(2^5 - 1)
-  const U256 z_10 = fe_mul(sq_n(z_5, 5), z_5);
-  const U256 z_20 = fe_mul(sq_n(z_10, 10), z_10);
-  const U256 z_40 = fe_mul(sq_n(z_20, 20), z_20);
-  const U256 z_50 = fe_mul(sq_n(z_40, 10), z_10);
-  const U256 z_100 = fe_mul(sq_n(z_50, 50), z_50);
-  const U256 z_200 = fe_mul(sq_n(z_100, 100), z_100);
+  const Fe z_5 = fe_mul(fe_sq(z11), z9);  // z^(2^5 - 1)
+  const Fe z_10 = fe_mul(sq_n(z_5, 5), z_5);
+  const Fe z_20 = fe_mul(sq_n(z_10, 10), z_10);
+  const Fe z_40 = fe_mul(sq_n(z_20, 20), z_20);
+  const Fe z_50 = fe_mul(sq_n(z_40, 10), z_10);
+  const Fe z_100 = fe_mul(sq_n(z_50, 50), z_50);
+  const Fe z_200 = fe_mul(sq_n(z_100, 100), z_100);
   return fe_mul(sq_n(z_200, 50), z_50);  // z^(2^250 - 1)
 }
 
 /// z^((p-5)/8) = z^(2^252 - 3).
-U256 fe_pow22523(const U256& z) {
-  U256 z11;
-  U256 t = fe_pow_2_250_1(z, z11);
-  t = fe_sq(fe_sq(t));
-  return fe_mul(t, z);
+Fe fe_pow22523(const Fe& z) {
+  Fe z11;
+  const Fe t = fe_pow_2_250_1(z, z11);
+  return fe_mul(fe_sq(fe_sq(t)), z);
 }
 
 // ---- Point representations used inside the scalar multiplications ----
@@ -136,11 +79,11 @@ U256 fe_pow22523(const U256& z) {
 // the affine (Z = 1) variant kept in the static base-point tables.
 
 struct Completed {
-  U256 X, Y, Z, T;
+  Fe X, Y, Z, T;
 };
 
 struct Niels {
-  U256 YplusX, YminusX, T2d;
+  Fe YplusX, YminusX, T2d;
 };
 
 Point to_extended(const Completed& c) {
@@ -159,10 +102,10 @@ CachedPoint to_cached(const Point& p) {
 
 /// 2p, reading only X, Y, Z (4 squarings).
 Completed dbl(const Point& p) {
-  const U256 xx = fe_sq(p.X);
-  const U256 yy = fe_sq(p.Y);
-  const U256 zz = fe_sq(p.Z);
-  const U256 aa = fe_sq(fe_add(p.X, p.Y));
+  const Fe xx = fe_sq(p.X);
+  const Fe yy = fe_sq(p.Y);
+  const Fe zz = fe_sq(p.Z);
+  const Fe aa = fe_sq(fe_add(p.X, p.Y));
   Completed r;
   r.Y = fe_add(yy, xx);
   r.Z = fe_sub(yy, xx);
@@ -174,12 +117,12 @@ Completed dbl(const Point& p) {
 /// p + q, or p - q when `negate`; q is a CachedPoint or an affine Niels.
 template <class Q>
 Completed add(const Point& p, const Q& q, bool negate) {
-  const U256 a =
+  const Fe a =
       fe_mul(fe_add(p.Y, p.X), negate ? q.YminusX : q.YplusX);
-  const U256 b =
+  const Fe b =
       fe_mul(fe_sub(p.Y, p.X), negate ? q.YplusX : q.YminusX);
-  const U256 c = fe_mul(q.T2d, p.T);
-  U256 d;
+  const Fe c = fe_mul(q.T2d, p.T);
+  Fe d;
   if constexpr (std::is_same_v<Q, CachedPoint>) {
     d = fe_mul(p.Z, q.Z);
   } else {
@@ -234,7 +177,7 @@ Naf naf(const U256& k, int w) {
   return out;
 }
 
-/// Precomputed multiples of B, built once per process (30 KiB).
+/// Precomputed multiples of B, built once per process (37.5 KiB).
 struct BaseTables {
   /// comb[i][j] = (j + 1) * 256^i * B: the fixed-base comb, one row per
   /// pair of radix-16 digits.
@@ -263,19 +206,19 @@ const BaseTables& base_tables() {
       m = point_add(m, b2);
     }
     // Normalize to Z = 1 with one shared inversion (Montgomery's trick).
-    std::vector<U256> prefix(pts.size());
-    U256 run = u256_one();
+    std::vector<Fe> prefix(pts.size());
+    Fe run = fe_one();
     for (std::size_t i = 0; i < pts.size(); ++i) {
       prefix[i] = run;
       run = fe_mul(run, pts[i].Z);
     }
-    U256 inv = fe_invert(run);
+    Fe inv = fe_invert(run);
     std::vector<Niels> affine(pts.size());
     for (std::size_t i = pts.size(); i-- > 0;) {
-      const U256 zinv = fe_mul(inv, prefix[i]);
+      const Fe zinv = fe_mul(inv, prefix[i]);
       inv = fe_mul(inv, pts[i].Z);
-      const U256 x = fe_mul(pts[i].X, zinv);
-      const U256 y = fe_mul(pts[i].Y, zinv);
+      const Fe x = fe_mul(pts[i].X, zinv);
+      const Fe y = fe_mul(pts[i].Y, zinv);
       affine[i] = Niels{fe_add(y, x), fe_sub(y, x), fe_mul(fe_mul(x, y), kD2)};
     }
     BaseTables out;
@@ -337,33 +280,42 @@ U512 widen(const U256& x) {
 const U256& field_prime() { return kP; }
 const U256& group_order() { return kL; }
 
-U256 fe_add(const U256& a, const U256& b) { return u256_addmod(a, b, kP); }
-
-U256 fe_sub(const U256& a, const U256& b) {
-  U256 out;
-  if (u256_sub(out, a, b) != 0) u256_add(out, out, kP);
-  return out;
+bool operator==(const Fe& a, const Fe& b) {
+  return fe_to_u256(a) == fe_to_u256(b);
 }
 
-U256 fe_mul(const U256& a, const U256& b) { return fe_reduce(u256_mul(a, b)); }
+U256 fe_to_u256(const Fe& a) {
+  // Below 2^52 per limb the value is under 2p; q = 1 iff it is >= p,
+  // found by propagating the carry of value + 19 through the limbs.
+  Fe t = detail::fe_carry(a);
+  auto& l = t.v;
+  std::uint64_t q = (l[0] + 19) >> 51;
+  for (std::size_t i = 1; i < 5; ++i) q = (l[i] + q) >> 51;
+  l[0] += 19 * q;  // value - q*p = value + 19q - q*2^255
+  for (std::size_t i = 0; i < 4; ++i) {
+    l[i + 1] += l[i] >> 51;
+    l[i] &= detail::kMask51;
+  }
+  l[4] &= detail::kMask51;  // drops the q*2^255
+  return U256{{l[0] | (l[1] << 51), (l[1] >> 13) | (l[2] << 38),
+               (l[2] >> 26) | (l[3] << 25), (l[3] >> 39) | (l[4] << 12)}};
+}
 
-U256 fe_sq(const U256& a) { return fe_reduce(sq_wide(a)); }
+bool fe_is_zero(const Fe& a) { return u256_is_zero(fe_to_u256(a)); }
 
-U256 fe_neg(const U256& a) { return fe_sub(u256_zero(), a); }
-
-U256 fe_invert(const U256& a) {
-  U256 z11;
-  U256 t = fe_pow_2_250_1(a, z11);
+Fe fe_invert(const Fe& a) {
+  Fe z11;
+  Fe t = fe_pow_2_250_1(a, z11);
   for (int i = 0; i < 5; ++i) t = fe_sq(t);
   return fe_mul(t, z11);  // a^(2^255 - 21) = a^(p - 2)
 }
 
-const U256& fe_sqrt_m1() { return kSqrtM1; }
-const U256& fe_d() { return kD; }
-const U256& fe_2d() { return kD2; }
+const Fe& fe_sqrt_m1() { return kSqrtM1; }
+const Fe& fe_d() { return kD; }
+const Fe& fe_2d() { return kD2; }
 
 Point point_identity() {
-  return Point{u256_zero(), u256_one(), u256_one(), u256_zero()};
+  return Point{fe_zero(), fe_one(), fe_one(), fe_zero()};
 }
 
 const Point& point_base() { return kBase; }
@@ -494,14 +446,13 @@ bool point_eq(const Point& p, const Point& q) {
 }
 
 bool point_is_identity(const Point& p) {
-  return u256_is_zero(p.X) && p.Y == p.Z;
+  return fe_is_zero(p.X) && p.Y == p.Z;
 }
 
 void point_compress(const Point& p, std::uint8_t out[32]) {
-  const U256 zinv = fe_invert(p.Z);
-  const U256 x = fe_mul(p.X, zinv);
-  const U256 y = fe_mul(p.Y, zinv);
-  u256_to_le(y, out);
+  const Fe zinv = fe_invert(p.Z);
+  const U256 x = fe_to_u256(fe_mul(p.X, zinv));
+  u256_to_le(fe_to_u256(fe_mul(p.Y, zinv)), out);
   out[31] = static_cast<std::uint8_t>(out[31] |
                                       (static_cast<std::uint8_t>(x.w[0] & 1)
                                        << 7));
@@ -519,24 +470,26 @@ std::optional<Point> point_decompress(ByteSpan bytes32) {
   for (int i = 0; i < 32; ++i) buf[i] = bytes32[static_cast<std::size_t>(i)];
   const int sign = buf[31] >> 7;
   buf[31] &= 0x7f;
-  const U256 y = u256_from_le(ByteSpan(buf, 32));
-  if (u256_cmp(y, kP) >= 0) return std::nullopt;  // non-canonical
+  const U256 y_int = u256_from_le(ByteSpan(buf, 32));
+  if (u256_cmp(y_int, kP) >= 0) return std::nullopt;  // non-canonical
   // x^2 = u/v with u = y^2 - 1, v = dy^2 + 1; candidate root
   // x = (u/v)^((p+3)/8) = u v^3 (u v^7)^((p-5)/8), fixed up by sqrt(-1).
-  const U256 y2 = fe_sq(y);
-  const U256 u = fe_sub(y2, u256_one());
-  const U256 v = fe_add(fe_mul(kD, y2), u256_one());
-  const U256 v3 = fe_mul(fe_sq(v), v);
-  const U256 v7 = fe_mul(fe_sq(v3), v);
-  U256 x = fe_mul(fe_mul(u, v3), fe_pow22523(fe_mul(u, v7)));
-  const U256 vx2 = fe_mul(v, fe_sq(x));
+  const Fe y = fe_from_u256(y_int);
+  const Fe y2 = fe_sq(y);
+  const Fe u = fe_sub(y2, fe_one());
+  const Fe v = fe_add(fe_mul(kD, y2), fe_one());
+  const Fe v3 = fe_mul(fe_sq(v), v);
+  const Fe v7 = fe_mul(fe_sq(v3), v);
+  Fe x = fe_mul(fe_mul(u, v3), fe_pow22523(fe_mul(u, v7)));
+  const Fe vx2 = fe_mul(v, fe_sq(x));
   if (vx2 != u) {
     if (vx2 != fe_neg(u)) return std::nullopt;  // u/v is not a square
     x = fe_mul(x, kSqrtM1);
   }
-  if (u256_is_zero(x) && sign == 1) return std::nullopt;  // -0 is invalid
-  if (static_cast<int>(x.w[0] & 1) != sign) x = fe_neg(x);
-  return Point{x, y, u256_one(), fe_mul(x, y)};
+  const U256 x_int = fe_to_u256(x);
+  if (u256_is_zero(x_int) && sign == 1) return std::nullopt;  // -0
+  if (static_cast<int>(x_int.w[0] & 1) != sign) x = fe_neg(x);
+  return Point{x, y, fe_one(), fe_mul(x, y)};
 }
 
 U256 sc_reduce_wide(ByteSpan bytes64) {

@@ -1,6 +1,7 @@
-// edwards25519 curve arithmetic (field mod 2^255-19, scalars mod L, group
-// operations in extended twisted-Edwards coordinates), implemented from
-// scratch on top of U256. Shared by Ed25519 signatures and the ECVRF.
+// edwards25519 curve arithmetic (field mod 2^255-19 in 5x51-bit limbs,
+// scalars mod L on U256, group operations in extended twisted-Edwards
+// coordinates), implemented from scratch. Shared by Ed25519 signatures and
+// the ECVRF. Not constant-time (see u256.hpp).
 //
 // Conventions follow RFC 8032: little-endian encodings, compressed points
 // store y with the parity of x in the top bit.
@@ -34,25 +35,142 @@ const U256& field_prime();
 /// The group order L = 2^252 + 27742317777372353535851937790883648493.
 const U256& group_order();
 
-// ---- Field element operations (inputs/outputs fully reduced mod p) ----
+// ---- Field elements ----
 
-U256 fe_add(const U256& a, const U256& b);
-U256 fe_sub(const U256& a, const U256& b);
-U256 fe_mul(const U256& a, const U256& b);
-U256 fe_sq(const U256& a);
-U256 fe_neg(const U256& a);
+/// An element of GF(p) in five 51-bit limbs, little-endian (radix 2^51).
+/// Reduction is lazy: every operation accepts limbs below 2^52 and returns
+/// limbs below 2^52, so one value has several representations. The
+/// canonical value (< p) comes from fe_to_u256, which == and every
+/// encoding go through.
+struct Fe {
+  std::array<std::uint64_t, 5> v{};
+  /// Equal as field elements.
+  friend bool operator==(const Fe& a, const Fe& b);
+};
+
+namespace detail {
+
+inline constexpr std::uint64_t kMask51 = (std::uint64_t{1} << 51) - 1;
+
+/// One carry pass with the five carries taken in parallel: limbs below
+/// 2^64 come out below 2^52 (limb 0 absorbs 19 times the top carry).
+constexpr Fe fe_carry(const Fe& a) {
+  const auto& l = a.v;
+  return Fe{{(l[0] & kMask51) + 19 * (l[4] >> 51),
+             (l[1] & kMask51) + (l[0] >> 51), (l[2] & kMask51) + (l[1] >> 51),
+             (l[3] & kMask51) + (l[2] >> 51),
+             (l[4] & kMask51) + (l[3] >> 51)}};
+}
+
+/// Carries the five 128-bit column sums of a product into limbs. With
+/// inputs below 2^52 the columns stay below 2^112 and the top carry below
+/// 2^56, so 19 times it fits in limb 0.
+inline Fe fe_carry_wide(unsigned __int128 r0, unsigned __int128 r1,
+                        unsigned __int128 r2, unsigned __int128 r3,
+                        unsigned __int128 r4) {
+  Fe h;
+  r1 += static_cast<std::uint64_t>(r0 >> 51);
+  h.v[0] = static_cast<std::uint64_t>(r0) & kMask51;
+  r2 += static_cast<std::uint64_t>(r1 >> 51);
+  h.v[1] = static_cast<std::uint64_t>(r1) & kMask51;
+  r3 += static_cast<std::uint64_t>(r2 >> 51);
+  h.v[2] = static_cast<std::uint64_t>(r2) & kMask51;
+  r4 += static_cast<std::uint64_t>(r3 >> 51);
+  h.v[3] = static_cast<std::uint64_t>(r3) & kMask51;
+  h.v[4] = static_cast<std::uint64_t>(r4) & kMask51;
+  h.v[0] += 19 * static_cast<std::uint64_t>(r4 >> 51);
+  h.v[1] += h.v[0] >> 51;
+  h.v[0] &= kMask51;
+  return h;
+}
+
+inline unsigned __int128 mul64(std::uint64_t x, std::uint64_t y) {
+  return static_cast<unsigned __int128>(x) * y;
+}
+
+}  // namespace detail
+
+/// x mod p, for any 256-bit x.
+constexpr Fe fe_from_u256(const U256& x) {
+  using detail::kMask51;
+  return Fe{{x.w[0] & kMask51, ((x.w[0] >> 51) | (x.w[1] << 13)) & kMask51,
+             ((x.w[1] >> 38) | (x.w[2] << 26)) & kMask51,
+             ((x.w[2] >> 25) | (x.w[3] << 39)) & kMask51, x.w[3] >> 12}};
+}
+/// The canonical value, < p.
+U256 fe_to_u256(const Fe& a);
+
+constexpr Fe fe_zero() { return Fe{}; }
+constexpr Fe fe_one() { return Fe{{1, 0, 0, 0, 0}}; }
+bool fe_is_zero(const Fe& a);
+
+// The arithmetic is inline: the group operations are nothing but chains
+// of these calls.
+
+inline Fe fe_add(const Fe& a, const Fe& b) {
+  Fe out;
+  for (std::size_t i = 0; i < 5; ++i) out.v[i] = a.v[i] + b.v[i];
+  return detail::fe_carry(out);
+}
+
+inline Fe fe_sub(const Fe& a, const Fe& b) {
+  // a + 4p - b: 4p's limbs exceed any b limb (< 2^52), so none goes
+  // negative.
+  constexpr std::uint64_t k4p0 = 4 * (detail::kMask51 - 18);
+  constexpr std::uint64_t k4p = 4 * detail::kMask51;
+  Fe out;
+  out.v[0] = a.v[0] + k4p0 - b.v[0];
+  for (std::size_t i = 1; i < 5; ++i) out.v[i] = a.v[i] + k4p - b.v[i];
+  return detail::fe_carry(out);
+}
+
+inline Fe fe_neg(const Fe& a) { return fe_sub(fe_zero(), a); }
+
+inline Fe fe_mul(const Fe& f, const Fe& g) {
+  using detail::mul64;
+  const auto& a = f.v;
+  const auto& b = g.v;
+  // 2^255 == 19: the columns that wrap past limb 4 come back times 19.
+  const std::uint64_t b1 = 19 * b[1], b2 = 19 * b[2], b3 = 19 * b[3],
+                      b4 = 19 * b[4];
+  return detail::fe_carry_wide(
+      mul64(a[0], b[0]) + mul64(a[1], b4) + mul64(a[2], b3) +
+          mul64(a[3], b2) + mul64(a[4], b1),
+      mul64(a[0], b[1]) + mul64(a[1], b[0]) + mul64(a[2], b4) +
+          mul64(a[3], b3) + mul64(a[4], b2),
+      mul64(a[0], b[2]) + mul64(a[1], b[1]) + mul64(a[2], b[0]) +
+          mul64(a[3], b4) + mul64(a[4], b3),
+      mul64(a[0], b[3]) + mul64(a[1], b[2]) + mul64(a[2], b[1]) +
+          mul64(a[3], b[0]) + mul64(a[4], b4),
+      mul64(a[0], b[4]) + mul64(a[1], b[3]) + mul64(a[2], b[2]) +
+          mul64(a[3], b[1]) + mul64(a[4], b[0]));
+}
+
+inline Fe fe_sq(const Fe& f) {
+  using detail::mul64;
+  const auto& a = f.v;
+  const std::uint64_t a0_2 = 2 * a[0], a1_2 = 2 * a[1], a2_2 = 2 * a[2],
+                      a3_2 = 2 * a[3], a3_19 = 19 * a[3], a4_19 = 19 * a[4];
+  return detail::fe_carry_wide(
+      mul64(a[0], a[0]) + mul64(a1_2, a4_19) + mul64(a2_2, a3_19),
+      mul64(a0_2, a[1]) + mul64(a2_2, a4_19) + mul64(a[3], a3_19),
+      mul64(a0_2, a[2]) + mul64(a[1], a[1]) + mul64(a3_2, a4_19),
+      mul64(a0_2, a[3]) + mul64(a1_2, a[2]) + mul64(a[4], a4_19),
+      mul64(a0_2, a[4]) + mul64(a1_2, a[3]) + mul64(a[2], a[2]));
+}
+
 /// a^(p-2) by the standard addition chain (254 squarings + 11 multiplies).
-U256 fe_invert(const U256& a);
+Fe fe_invert(const Fe& a);
 /// sqrt(-1) mod p, i.e. 2^((p-1)/4).
-const U256& fe_sqrt_m1();
+const Fe& fe_sqrt_m1();
 /// Curve constant d = -121665/121666 mod p, and 2d.
-const U256& fe_d();
-const U256& fe_2d();
+const Fe& fe_d();
+const Fe& fe_2d();
 
 // ---- Group element operations (extended coordinates, a = -1) ----
 
 struct Point {
-  U256 X, Y, Z, T;
+  Fe X, Y, Z, T;
 };
 
 /// Neutral element (0 : 1 : 1 : 0).
@@ -66,7 +184,7 @@ Point point_negate(const Point& p);
 
 /// A point in the form the adders take: (Y+X, Y-X, Z, 2dT).
 struct CachedPoint {
-  U256 YplusX, YminusX, Z, T2d;
+  Fe YplusX, YminusX, Z, T2d;
 };
 /// The odd multiples P, 3P, ..., 15P of one point: the lookup table of a
 /// width-5 signed-window (wNAF) multiplication. Build it once to multiply

@@ -14,6 +14,8 @@ U256 from_u64(std::uint64_t v) {
   return out;
 }
 
+Fe fe_u64(std::uint64_t v) { return fe_from_u256(from_u64(v)); }
+
 TEST(U256, AddSubRoundtrip) {
   const U256 a{{0xffffffffffffffffULL, 1, 2, 3}};
   const U256 b{{5, 6, 7, 8}};
@@ -79,49 +81,49 @@ TEST(U256, ByteRoundtrip) {
 }
 
 TEST(Field, AddSubInverse) {
-  const U256 a = fe_mul(from_u64(12345), from_u64(67890));
-  const U256 b = fe_mul(from_u64(555), from_u64(777));
+  const Fe a = fe_mul(fe_u64(12345), fe_u64(67890));
+  const Fe b = fe_mul(fe_u64(555), fe_u64(777));
   EXPECT_EQ(fe_sub(fe_add(a, b), b), a);
 }
 
 TEST(Field, NegSumsToZero) {
-  const U256 a = from_u64(42);
-  EXPECT_TRUE(u256_is_zero(fe_add(a, fe_neg(a))));
+  const Fe a = fe_u64(42);
+  EXPECT_TRUE(fe_is_zero(fe_add(a, fe_neg(a))));
 }
 
 TEST(Field, MulCommutesAndDistributes) {
-  const U256 a = fe_mul(from_u64(0xdeadbeef), from_u64(0x12345678));
-  const U256 b = from_u64(0xcafebabe);
-  const U256 c = from_u64(0x87654321);
+  const Fe a = fe_mul(fe_u64(0xdeadbeef), fe_u64(0x12345678));
+  const Fe b = fe_u64(0xcafebabe);
+  const Fe c = fe_u64(0x87654321);
   EXPECT_EQ(fe_mul(a, b), fe_mul(b, a));
   EXPECT_EQ(fe_mul(a, fe_add(b, c)), fe_add(fe_mul(a, b), fe_mul(a, c)));
 }
 
 TEST(Field, InvertIsMultiplicativeInverse) {
-  const U256 a = fe_mul(from_u64(987654321), from_u64(123456789));
-  EXPECT_EQ(fe_mul(a, fe_invert(a)), u256_one());
+  const Fe a = fe_mul(fe_u64(987654321), fe_u64(123456789));
+  EXPECT_EQ(fe_mul(a, fe_invert(a)), fe_one());
 }
 
 TEST(Field, SqrtM1Squared) {
   // (sqrt(-1))^2 == p - 1.
-  const U256 m1 = fe_neg(u256_one());
+  const Fe m1 = fe_neg(fe_one());
   EXPECT_EQ(fe_sq(fe_sqrt_m1()), m1);
 }
 
 TEST(Field, FoldHandlesMaxProduct) {
   // (p-1)^2 mod p == 1.
-  const U256 p_minus_1 = fe_neg(u256_one());
-  EXPECT_EQ(fe_sq(p_minus_1), u256_one());
+  const Fe p_minus_1 = fe_neg(fe_one());
+  EXPECT_EQ(fe_sq(p_minus_1), fe_one());
 }
 
 TEST(Point, BasePointOnCurve) {
   // -x^2 + y^2 = 1 + d*x^2*y^2 for affine base point.
   const Point& b = point_base();
-  EXPECT_EQ(b.Z, u256_one());
-  const U256 x2 = fe_sq(b.X);
-  const U256 y2 = fe_sq(b.Y);
-  const U256 lhs = fe_sub(y2, x2);
-  const U256 rhs = fe_add(u256_one(), fe_mul(fe_d(), fe_mul(x2, y2)));
+  EXPECT_EQ(b.Z, fe_one());
+  const Fe x2 = fe_sq(b.X);
+  const Fe y2 = fe_sq(b.Y);
+  const Fe lhs = fe_sub(y2, x2);
+  const Fe rhs = fe_add(fe_one(), fe_mul(fe_d(), fe_mul(x2, y2)));
   EXPECT_EQ(lhs, rhs);
 }
 
