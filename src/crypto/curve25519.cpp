@@ -25,10 +25,12 @@ constexpr std::uint64_t kMu[5] = {0xed9ce5a30a2c131bULL, 0x2106215d086329a7ULL,
                                   0x000000000000000fULL};
 
 /// d = -121665/121666, 2d and sqrt(-1) = 2^((p-1)/4), all mod p.
-constexpr Fe kD = fe_from_u256(U256{{0x75eb4dca135978a3ULL, 0x00700a4d4141d8abULL,
-                                     0x8cc740797779e898ULL, 0x52036cee2b6ffe73ULL}});
-constexpr Fe kD2 = fe_from_u256(U256{{0xebd69b9426b2f159ULL, 0x00e0149a8283b156ULL,
-                                      0x198e80f2eef3d130ULL, 0x2406d9dc56dffce7ULL}});
+constexpr Fe kD =
+    fe_from_u256(U256{{0x75eb4dca135978a3ULL, 0x00700a4d4141d8abULL,
+                       0x8cc740797779e898ULL, 0x52036cee2b6ffe73ULL}});
+constexpr Fe kD2 =
+    fe_from_u256(U256{{0xebd69b9426b2f159ULL, 0x00e0149a8283b156ULL,
+                       0x198e80f2eef3d130ULL, 0x2406d9dc56dffce7ULL}});
 constexpr Fe kSqrtM1 =
     fe_from_u256(U256{{0xc4ee1b274a0ea0b0ULL, 0x2f431806ad2fe478ULL,
                        0x2b4d00993dfbd7a7ULL, 0x2b8324804fc1df0bULL}});
@@ -117,10 +119,8 @@ Completed dbl(const Point& p) {
 /// p + q, or p - q when `negate`; q is a CachedPoint or an affine Niels.
 template <class Q>
 Completed add(const Point& p, const Q& q, bool negate) {
-  const Fe a =
-      fe_mul(fe_add(p.Y, p.X), negate ? q.YminusX : q.YplusX);
-  const Fe b =
-      fe_mul(fe_sub(p.Y, p.X), negate ? q.YplusX : q.YminusX);
+  const Fe a = fe_mul(fe_add(p.Y, p.X), negate ? q.YminusX : q.YplusX);
+  const Fe b = fe_mul(fe_sub(p.Y, p.X), negate ? q.YplusX : q.YminusX);
   const Fe c = fe_mul(q.T2d, p.T);
   Fe d;
   if constexpr (std::is_same_v<Q, CachedPoint>) {
@@ -507,7 +507,9 @@ U256 sc_reduce_wide(ByteSpan bytes64) {
   return sc_barrett(x);
 }
 
-U256 sc_reduce(ByteSpan bytes32) { return sc_barrett(widen(u256_from_le(bytes32))); }
+U256 sc_reduce(ByteSpan bytes32) {
+  return sc_barrett(widen(u256_from_le(bytes32)));
+}
 
 U256 sc_mul(const U256& a, const U256& b) { return sc_barrett(u256_mul(a, b)); }
 

@@ -129,7 +129,8 @@ bool verify(ByteSpan public_key, ByteSpan message, ByteSpan signature) {
 
   const curve::U256 s = curve::u256_from_le(signature.subspan(32, 32));
   if (curve::u256_cmp(s, curve::group_order()) >= 0) return false;
-  const curve::U256 k = challenge(signature.subspan(0, 32), public_key, message);
+  const curve::U256 k =
+      challenge(signature.subspan(0, 32), public_key, message);
 
   // Cofactored check: [8](S*B - k*A - R) == 0, i.e. [8]S*B == [8](R + k*A).
   // RFC 8032 permits either the cofactored or cofactorless equation; the

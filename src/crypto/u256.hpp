@@ -8,7 +8,7 @@
 // products and special-form reductions, and the generic bit-serial
 // u512_mod here is kept as the simple reference they are tested against.
 // Operations are NOT constant-time — this library is a research/simulation
-// artifact, not a hardened crypto library (documented in README).
+// artifact, not a hardened crypto library (see docs/ARCHITECTURE.md).
 #pragma once
 
 #include <array>
@@ -79,8 +79,9 @@ inline U512 u256_mul(const U256& a, const U256& b) {
 }
 
 /// x mod m, via binary long division (512 iterations: the reference
-/// implementation; curve25519.cpp reduces mod L by Barrett instead). Requires m != 0 and m < 2^255 so the
-/// running remainder can be shifted without overflow.
+/// implementation; curve25519.cpp reduces mod L by Barrett instead).
+/// Requires m != 0 and m < 2^255 so the running remainder can be shifted
+/// without overflow.
 U256 u512_mod(const U512& x, const U256& m);
 
 /// (a * b) mod m. Requires m < 2^255.
