@@ -57,7 +57,8 @@ ExpandedKey expand(ByteSpan seed) {
   ExpandedKey out;
   out.scalar = curve::sc_reduce(ByteSpan(scalar_bytes, 32));
   for (int i = 0; i < 32; ++i) {
-    out.prefix[static_cast<std::size_t>(i)] = h[static_cast<std::size_t>(32 + i)];
+    out.prefix[static_cast<std::size_t>(i)] =
+        h[static_cast<std::size_t>(32 + i)];
   }
   curve::point_compress(curve::point_base_mul(out.scalar),
                         out.public_key.data());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "crypto/curve25519.hpp"
@@ -53,6 +54,32 @@ TEST(Ed25519, SignVerifyRoundtrip) {
   const Bytes msg = to_bytes("probft consensus message");
   const auto sig = sign(seed, msg);
   EXPECT_TRUE(verify(pk, msg, sig));
+}
+
+TEST(Ed25519, KeyCacheEvictionKeepsResults) {
+  // Passes over more keys than the per-thread caches hold: every pass
+  // re-expands evicted seeds and re-decompresses evicted public keys, and
+  // must reproduce the first pass exactly. A malformed key stays rejected
+  // whether or not its verdict is cached.
+  constexpr std::size_t kKeys = 150;
+  const Bytes msg = to_bytes("cache-eviction");
+  const Bytes bad_pk(32, 0xff);
+  std::vector<Bytes> seeds, pks, sigs;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    seeds.push_back(sha256(to_bytes("evict-" + std::to_string(i))));
+    pks.push_back(derive_public(seeds[i]));
+    sigs.push_back(sign(seeds[i], msg));
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < kKeys; ++i) {
+      ASSERT_EQ(derive_public(seeds[i]), pks[i]) << pass << "/" << i;
+      ASSERT_EQ(sign(seeds[i], msg), sigs[i]) << pass << "/" << i;
+      ASSERT_TRUE(verify(pks[i], msg, sigs[i])) << pass << "/" << i;
+      ASSERT_FALSE(verify(pks[(i + 1) % kKeys], msg, sigs[i]))
+          << pass << "/" << i;
+      ASSERT_FALSE(verify(bad_pk, msg, sigs[i])) << pass << "/" << i;
+    }
+  }
 }
 
 TEST(Ed25519, VerifyRejectsTamperedMessage) {
