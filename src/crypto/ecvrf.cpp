@@ -140,10 +140,13 @@ std::optional<Bytes> verify(ByteSpan public_key, ByteSpan alpha,
   const curve::Point& h = *h_opt;
   const Bytes h_enc = curve::point_compress(h);
 
-  // U = s*B - c*Y ; V = s*H - c*Gamma, each one Straus sum. Y and Gamma
-  // may carry torsion, so c is used as it is, never reduced.
-  const curve::Point u = curve::point_multi_scalar_mul(
-      s, {{c, curve::point_negate(*y_opt)}});
+  // U = s*B - c*Y ; V = s*H - c*Gamma. Y and Gamma may carry torsion, so
+  // c is used as it is, never reduced. c has 128 bits: the comb's s*B plus
+  // 128 doublings for c*Y beat one Straus sum's 253 shared doublings,
+  // while V's two variable bases share them.
+  const curve::Point u = curve::point_add(
+      curve::point_base_mul(s),
+      curve::point_negate(curve::point_scalar_mul(c, *y_opt)));
   const curve::Point v = curve::point_multi_scalar_mul(
       curve::u256_zero(), {{s, h}, {c, curve::point_negate(*gamma_opt)}});
 
