@@ -154,12 +154,7 @@ ShardedRun run_sharded_fleet(std::uint32_t n, std::uint32_t shards,
         }
       }
     }
-    Writer w;
-    w.raw(ByteSpan(reinterpret_cast<const std::uint8_t*>("DTX1"), 4));
-    w.vec(tx_keys, [](Writer& wr, const Bytes& key) {
-      wr.bytes(ByteSpan(key.data(), key.size()));
-    });
-    Bytes payload = std::move(w).take();
+    Bytes payload = shard::DtxCoordinator::encode_request(tx_keys);
     const std::uint64_t client = 88'000 + j;
     tx_index[shard::DtxCoordinator::txid_of(client, 1, payload)] = j;
     submitted[j] = sim.now();

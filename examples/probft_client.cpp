@@ -76,6 +76,7 @@
 #include "common/codec.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
+#include "shard/dtx.hpp"
 #include "shard/placement.hpp"
 
 namespace {
@@ -297,16 +298,11 @@ int main(int argc, char** argv) {
         }
       }
     }
-    Writer w;
-    w.raw(ByteSpan(reinterpret_cast<const std::uint8_t*>("DTX1"), 4));
-    w.vec(keys, [](Writer& wr, const Bytes& key) {
-      wr.bytes(ByteSpan(key.data(), key.size()));
-    });
     shard_for[seq] = shard::shard_of(map, span(keys.front()));
     if (opt.shards > 1) {
       primary[seq] = shard::lead_replica(shard_for[seq], n_replicas) - 1;
     }
-    payloads[seq] = std::move(w).take();
+    payloads[seq] = shard::DtxCoordinator::encode_request(keys);
   }
 
   const auto send_frame = [&servers](std::size_t server, std::uint8_t tag,

@@ -65,16 +65,12 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/verify_pool.hpp"
 #include "net/client.hpp"
 #include "net/tcp_transport.hpp"
 #include "shard/dtx.hpp"
-#include "shard/preverify.hpp"
 #include "shard/sharded_smr.hpp"
 #include "sim/node_factory.hpp"
 #include "sim/scenario.hpp"
-#include "smr/executor.hpp"
-#include "smr/preverify.hpp"
 #include "store/wal.hpp"
 
 namespace {
@@ -110,12 +106,6 @@ struct Options {
   /// WAL namespaces under --wal-dir/shard-<s>, and a cross-shard 2PC
   /// coordinator serving "DTX1" client requests.
   std::uint32_t shards = 1;
-  // ---- multi-core replica (docs/ARCHITECTURE.md "Threading model") ----
-  /// Signature-verification worker threads feeding a shared verdict
-  /// cache; 0 = verify inline on the network thread (single-threaded).
-  std::uint32_t verify_threads = 0;
-  /// Move client-reply serialization onto a dedicated executor thread.
-  bool exec_offload = false;
   /// Serve the linearizable read fast path (leader leases + quorum
   /// read-index, src/smr/reads.hpp) and answer kClientRead frames on the
   /// client port. Off by default: reads cost lease renewal broadcasts.
@@ -144,9 +134,7 @@ void usage() {
       "                   [--smr BOOL] [--client-port P] [--run-ms MS]\n"
       "                   [--expect-cmds N] [--window W] [--batch B]\n"
       "                   [--wal-dir DIR] [--checkpoint-interval SLOTS]\n"
-      "                   [--fsync BOOL] [--verify-threads N]\n"
-      "                   [--exec-offload BOOL] [--shards S]\n"
-      "                   [--reads BOOL]\n");
+      "                   [--fsync BOOL] [--shards S] [--reads BOOL]\n");
 }
 
 std::uint64_t parse_u64(const std::string& text) {
@@ -165,17 +153,21 @@ bool parse_bool(const std::string& text) {
   throw std::invalid_argument(text);
 }
 
+/// A TCP port, 0..65535; out-of-range values are rejected, not wrapped.
+std::uint16_t parse_port(const std::string& text) {
+  const std::uint64_t port = parse_u64(text);
+  if (port > 65535) throw std::invalid_argument("bad port " + text);
+  return static_cast<std::uint16_t>(port);
+}
+
 net::PeerAddress parse_host_port(const std::string& text) {
   const std::size_t colon = text.rfind(':');
   if (colon == std::string::npos || colon == 0) {
     throw std::invalid_argument("peer must be host:port: " + text);
   }
-  const std::uint64_t port = parse_u64(text.substr(colon + 1));
-  if (port == 0 || port > 65535) {
-    throw std::invalid_argument("bad port in " + text);
-  }
-  return net::PeerAddress{text.substr(0, colon),
-                          static_cast<std::uint16_t>(port)};
+  const std::uint16_t port = parse_port(text.substr(colon + 1));
+  if (port == 0) throw std::invalid_argument("bad port in " + text);
+  return net::PeerAddress{text.substr(0, colon), port};
 }
 
 std::vector<net::PeerAddress> parse_peers(const std::string& csv) {
@@ -223,7 +215,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (key == "--smr") {
       opt.smr = parse_bool(value);
     } else if (key == "--client-port") {
-      opt.client_port = static_cast<std::uint16_t>(parse_u64(value));
+      opt.client_port = parse_port(value);
       opt.smr = true;  // a client port only makes sense with the log
     } else if (key == "--run-ms") {
       opt.run_ms = parse_u64(value);
@@ -240,10 +232,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.checkpoint_interval = parse_u64(value);
     } else if (key == "--fsync") {
       opt.fsync = parse_bool(value);
-    } else if (key == "--verify-threads") {
-      opt.verify_threads = static_cast<std::uint32_t>(parse_u64(value));
-    } else if (key == "--exec-offload") {
-      opt.exec_offload = parse_bool(value);
     } else if (key == "--reads") {
       opt.reads = parse_bool(value);
       opt.smr = true;  // the read path answers against the replicated log
@@ -276,36 +264,12 @@ void print_stats(const net::TransportStats& stats) {
   std::fflush(stdout);
 }
 
-/// The cluster facts a VerifyPool's workers need; sample_size is derived
-/// through ReplicaConfig so it cannot drift from what the replica computes.
-core::PreverifyContext make_preverify_context(const sim::NodeParams& params) {
-  core::ReplicaConfig rc;
-  rc.n = params.n;
-  rc.f = params.f;
-  rc.o = params.o;
-  rc.l = params.l;
-  core::PreverifyContext ctx;
-  ctx.n = params.n;
-  ctx.sample_size = rc.sample_size();
-  ctx.suite = params.suite;
-  ctx.public_keys = params.public_keys;
-  return ctx;
-}
-
 int run_smr_node(const Options& opt, net::TcpTransport& transport,
                  sim::NodeParams params) {
   params.smr.window = opt.window;
   params.smr.batch_max_commands = opt.batch;
   params.smr.checkpoint_interval = opt.checkpoint_interval;
   params.smr.serve_reads = opt.reads;
-
-  // Multi-core front end (--verify-threads): workers pre-warm a shared
-  // thread-safe verdict cache that every per-slot instance then consumes.
-  std::shared_ptr<core::VerdictCache> verdicts;
-  if (opt.verify_threads > 0) {
-    verdicts = std::make_shared<core::VerdictCache>(/*thread_safe=*/true);
-    params.verdicts = verdicts;
-  }
 
   // Durability: the replica recovers from the WAL at construction and
   // appends decisions / stable checkpoints to it while running.
@@ -322,23 +286,14 @@ int run_smr_node(const Options& opt, net::TcpTransport& transport,
     params.wal = wal.get();
   }
 
-  // Reply-serialization offload (--exec-offload): the encode runs on the
-  // executor thread, and the resulting frame re-enters the loop thread
-  // via transport.post() — send_to_client itself is loop-thread-only.
-  std::unique_ptr<smr::AsyncExecutor> executor;
-  if (opt.exec_offload) executor = std::make_unique<smr::AsyncExecutor>();
-
-  std::unique_ptr<smr::SmrReplica> node;
-
   // Reply routing: (client, seq) → the connection awaiting the reply,
   // plus a per-client last-reply cache so an already-executed retry is
-  // re-answered without re-execution. Both maps are loop-thread-only.
+  // re-answered without re-execution.
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> waiting;
   std::map<std::uint64_t, net::ClientReply> last_reply;
 
-  smr::AsyncExecutor* exec = executor.get();
-  params.on_execute = [&transport, &waiting, &last_reply,
-                       exec](const smr::ExecutedCommand& cmd) {
+  params.on_execute = [&transport, &waiting,
+                       &last_reply](const smr::ExecutedCommand& cmd) {
     net::ClientReply reply;
     reply.client_id = cmd.client;
     reply.seq = cmd.seq;
@@ -346,54 +301,21 @@ int run_smr_node(const Options& opt, net::TcpTransport& transport,
     reply.result = cmd.payload;
     const auto it = waiting.find({cmd.client, cmd.seq});
     if (it != waiting.end()) {
-      const std::uint64_t conn = it->second;
+      transport.send_to_client(it->second, net::kClientReplyTag,
+                               reply.encode());
       waiting.erase(it);
-      if (exec != nullptr) {
-        exec->run_or_submit([&transport, conn, reply] {
-          Bytes frame = reply.encode();
-          transport.post([&transport, conn, frame = std::move(frame)] {
-            transport.send_to_client(conn, net::kClientReplyTag, frame);
-          });
-        });
-      } else {
-        transport.send_to_client(conn, net::kClientReplyTag, reply.encode());
-      }
     }
     last_reply[cmd.client] = std::move(reply);
   };
 
-  node = sim::make_smr_node(params, sim::transport_host(
-                                        transport, opt.id,
-                                        transport.timer_setter()));
+  const auto node = sim::make_smr_node(
+      params,
+      sim::transport_host(transport, opt.id, transport.timer_setter()));
 
-  // Inbound admission: with --verify-threads the expensive half of
-  // admission (decode + signature/VRF checks) runs on pool workers; the
-  // drain callback re-injects messages on the loop thread in submission
-  // order, so the replica sees the exact sequence it would have seen
-  // inline — just with its verdict cache already warm.
-  std::unique_ptr<core::VerifyPool> pool;
-  if (opt.verify_threads > 0) {
-    pool = std::make_unique<core::VerifyPool>(
-        make_preverify_context(params), verdicts, opt.verify_threads,
-        smr::preverify_tasks);
-    pool->set_ready_callback([&transport, &pool, &node] {
-      transport.post([&pool, &node] {
-        pool->drain(
-            [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-              node->on_message(from, tag, m);
-            });
+  transport.register_handler(
+      opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
+        node->on_message(from, tag, m);
       });
-    });
-    transport.register_handler(
-        opt.id, [&pool](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          pool->submit(from, tag, m);
-        });
-  } else {
-    transport.register_handler(
-        opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          node->on_message(from, tag, m);
-        });
-  }
   transport.set_client_handler([&transport, &node, &waiting, &last_reply](
                                    std::uint64_t conn, std::uint8_t tag,
                                    const Bytes& payload) {
@@ -505,9 +427,8 @@ int run_smr_node(const Options& opt, net::TcpTransport& transport,
 }
 
 /// --shards S: one process serves S consensus groups (shard::ShardedSmr)
-/// over the same transport. Mirrors run_smr_node's wiring — verdict
-/// cache, verify pool (shard::preverify_tasks, so signature batches span
-/// all groups), WAL durability, client reply routing — plus the dtx
+/// over the same transport. Mirrors run_smr_node's wiring — WAL
+/// durability, client reply routing — plus the dtx
 /// coordinator for cross-shard "DTX1" transactions. Prints one SMRLOG
 /// line per shard so harnesses assert per-shard digest agreement.
 int run_sharded_node(const Options& opt, net::TcpTransport& transport,
@@ -516,11 +437,6 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
   params.smr.batch_max_commands = opt.batch;
   params.smr.checkpoint_interval = opt.checkpoint_interval;
   params.smr.serve_reads = opt.reads;
-
-  std::shared_ptr<core::VerdictCache> verdicts;
-  if (opt.verify_threads > 0) {
-    verdicts = std::make_shared<core::VerdictCache>(/*thread_safe=*/true);
-  }
 
   // Durability: one WAL per group under its own directory, so each
   // group's decide/checkpoint stream has a private segment namespace.
@@ -540,32 +456,19 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
     }
   }
 
-  std::unique_ptr<smr::AsyncExecutor> executor;
-  if (opt.exec_offload) executor = std::make_unique<smr::AsyncExecutor>();
-
   std::unique_ptr<shard::ShardedSmr> node;
   std::unique_ptr<shard::DtxCoordinator> dtx;
 
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> waiting;
   std::map<std::uint64_t, net::ClientReply> last_reply;
 
-  smr::AsyncExecutor* exec = executor.get();
-  const auto route_reply = [&transport, &waiting, &last_reply,
-                            exec](const net::ClientReply& reply) {
+  const auto route_reply = [&transport, &waiting,
+                            &last_reply](const net::ClientReply& reply) {
     const auto it = waiting.find({reply.client_id, reply.seq});
     if (it != waiting.end()) {
-      const std::uint64_t conn = it->second;
+      transport.send_to_client(it->second, net::kClientReplyTag,
+                               reply.encode());
       waiting.erase(it);
-      if (exec != nullptr) {
-        exec->run_or_submit([&transport, conn, reply] {
-          Bytes frame = reply.encode();
-          transport.post([&transport, conn, frame = std::move(frame)] {
-            transport.send_to_client(conn, net::kClientReplyTag, frame);
-          });
-        });
-      } else {
-        transport.send_to_client(conn, net::kClientReplyTag, reply.encode());
-      }
     }
     last_reply[reply.client_id] = reply;
   };
@@ -581,7 +484,6 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
   sc.base.suite = params.suite;
   sc.base.secret_key = params.secret_key;
   sc.base.public_keys = params.public_keys;
-  sc.base.verdicts = verdicts;
   sc.base.sync = params.sync;
   sc.map.version = 1;
   sc.map.shard_count = opt.shards;
@@ -625,29 +527,10 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
     route_reply(reply);
   });
 
-  std::unique_ptr<core::VerifyPool> pool;
-  if (opt.verify_threads > 0) {
-    pool = std::make_unique<core::VerifyPool>(
-        make_preverify_context(params), verdicts, opt.verify_threads,
-        shard::preverify_tasks);
-    pool->set_ready_callback([&transport, &pool, &node] {
-      transport.post([&pool, &node] {
-        pool->drain(
-            [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-              node->on_message(from, tag, m);
-            });
+  transport.register_handler(
+      opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
+        node->on_message(from, tag, m);
       });
-    });
-    transport.register_handler(
-        opt.id, [&pool](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          pool->submit(from, tag, m);
-        });
-  } else {
-    transport.register_handler(
-        opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          node->on_message(from, tag, m);
-        });
-  }
   transport.set_client_handler([&transport, &node, &dtx, &waiting,
                                 &last_reply](std::uint64_t conn,
                                              std::uint8_t tag,
@@ -804,39 +687,12 @@ int run_single_shot(const Options& opt, net::TcpTransport& transport,
     std::fflush(stdout);
   };
 
-  // --verify-threads works here too, with the core-protocol extractor
-  // (no SMR slot envelope). PBFT/HotStuff tags extract zero tasks, so the
-  // pool degenerates to an ordered passthrough for those protocols.
-  std::shared_ptr<core::VerdictCache> verdicts;
-  if (opt.verify_threads > 0) {
-    verdicts = std::make_shared<core::VerdictCache>(/*thread_safe=*/true);
-    params.verdicts = verdicts;
-  }
-
   const auto node = sim::make_honest_node(params, std::move(host));
 
-  std::unique_ptr<core::VerifyPool> pool;
-  if (opt.verify_threads > 0) {
-    pool = std::make_unique<core::VerifyPool>(make_preverify_context(params),
-                                              verdicts, opt.verify_threads);
-    pool->set_ready_callback([&transport, &pool, &node] {
-      transport.post([&pool, &node] {
-        pool->drain(
-            [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-              node->on_message(from, tag, m);
-            });
+  transport.register_handler(
+      opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
+        node->on_message(from, tag, m);
       });
-    });
-    transport.register_handler(
-        opt.id, [&pool](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          pool->submit(from, tag, m);
-        });
-  } else {
-    transport.register_handler(
-        opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          node->on_message(from, tag, m);
-        });
-  }
 
   node->start();
   transport.run_until([&decided]() { return decided; },

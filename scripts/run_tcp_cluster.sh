@@ -59,8 +59,8 @@
 # identical log digests.
 #
 # NODE_EXTRA_FLAGS appends extra probft_node flags to every node in any
-# mode — e.g. NODE_EXTRA_FLAGS="--verify-threads 2 --exec-offload 1" runs
-# the cluster multi-core (the TSan CI job does exactly that).
+# mode — e.g. NODE_EXTRA_FLAGS="--window 16 --batch 32" runs every node
+# with a wider pipeline.
 #
 # This is the CI smoke test for the TCP backend (.github/workflows/ci.yml
 # job `tcp-smoke`, nightly `smr-smoke` and `restart-smoke`; job

@@ -13,10 +13,8 @@
 // zero-cost overlay, never a dependency.
 //
 // The annotated primitives live in common/mutex.hpp (probft::Mutex,
-// probft::SharedMutex, probft::MutexLock, probft::CondVar,
-// probft::ThreadRole); docs/STATIC_ANALYSIS.md covers how to run the
-// analysis and the suppression policy for the one construct it cannot
-// prove (single-owner mode of core::VerdictCache).
+// probft::MutexLock, probft::ThreadRole); docs/STATIC_ANALYSIS.md covers
+// how to run the analysis and the deviations it cannot prove.
 #pragma once
 
 #if defined(__clang__) && !defined(SWIG) && \
@@ -39,22 +37,16 @@
 /// Pointer members: the pointee (not the pointer) is guarded.
 #define PROBFT_PT_GUARDED_BY(x) PROBFT_THREAD_ANNOTATION(pt_guarded_by(x))
 
-/// Functions: caller must hold the capability exclusively / shared.
+/// Functions: caller must hold the capability.
 #define PROBFT_REQUIRES(...) \
   PROBFT_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define PROBFT_REQUIRES_SHARED(...) \
-  PROBFT_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 /// Functions: acquire/release the capability (lock(), unlock(), and the
 /// ctor/dtor of scoped lockers).
 #define PROBFT_ACQUIRE(...) \
   PROBFT_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define PROBFT_ACQUIRE_SHARED(...) \
-  PROBFT_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define PROBFT_RELEASE(...) \
   PROBFT_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define PROBFT_RELEASE_SHARED(...) \
-  PROBFT_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 #define PROBFT_TRY_ACQUIRE(...) \
   PROBFT_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
@@ -64,14 +56,10 @@
   PROBFT_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
 /// Asserts (to the analysis) that the capability is held here without
-/// acquiring it — the bridge for invariants enforced by something other
-/// than a lock: thread confinement ("loop thread only", checked at
-/// runtime by probft::ThreadRole in debug builds) or single-owner mode
-/// (core::VerdictCache with thread_safe == false).
+/// acquiring it — the bridge for thread confinement ("loop thread only"),
+/// which probft::ThreadRole checks at runtime in debug builds.
 #define PROBFT_ASSERT_CAPABILITY(x) \
   PROBFT_THREAD_ANNOTATION(assert_capability(x))
-#define PROBFT_ASSERT_SHARED_CAPABILITY(x) \
-  PROBFT_THREAD_ANNOTATION(assert_shared_capability(x))
 
 /// Functions returning a reference to a capability-guarding mutex.
 #define PROBFT_RETURN_CAPABILITY(x) \

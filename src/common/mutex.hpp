@@ -4,15 +4,11 @@
 // — std::mutex carries no annotations, so locking discipline written
 // against it is invisible to -Wthread-safety.
 //
-// Conventions used across the threaded surface (core/verify_pool,
-// core/verdict_cache, smr/executor, net/tcp_transport, store/wal,
-// sim/tcp_runner):
+// Conventions used across the threaded surface (net/tcp_transport,
+// store/wal, sim/tcp_runner):
 //   - every mutex-protected member is PROBFT_GUARDED_BY its Mutex;
 //   - scopes hold locks via MutexLock (scoped capability), never bare
 //     lock()/unlock() pairs;
-//   - condition waits are explicit `while (!cond) cv.wait(mu)` loops —
-//     a predicate lambda would hide the guarded-member reads from the
-//     analysis (capabilities do not propagate into lambda bodies);
 //   - thread-confined state ("loop thread only") is modeled by a
 //     ThreadRole capability: the owning loop acquires it, confined
 //     public entry points assert it (compile-time via
@@ -22,9 +18,7 @@
 
 #include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 
 #include "common/annotations.hpp"
@@ -44,34 +38,8 @@ class PROBFT_CAPABILITY("mutex") Mutex {
     return mu_.try_lock();
   }
 
-  /// Declares (without acquiring) that mutual exclusion holds here by
-  /// some means the analysis cannot see. Use sparingly; every call site
-  /// must be covered by docs/STATIC_ANALYSIS.md's suppression list.
-  void assert_held() const PROBFT_ASSERT_CAPABILITY(this) {}
-
  private:
-  friend class CondVar;
   std::mutex mu_;
-};
-
-/// Reader/writer mutex capability (wraps std::shared_mutex).
-class PROBFT_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() PROBFT_ACQUIRE() { mu_.lock(); }
-  void unlock() PROBFT_RELEASE() { mu_.unlock(); }
-  void lock_shared() PROBFT_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() PROBFT_RELEASE_SHARED() { mu_.unlock_shared(); }
-
-  /// See Mutex::assert_held. The exclusive assertion also satisfies
-  /// shared requirements downstream.
-  void assert_held() const PROBFT_ASSERT_CAPABILITY(this) {}
-
- private:
-  std::shared_mutex mu_;
 };
 
 /// Scoped exclusive lock (the only way code should hold a Mutex).
@@ -85,64 +53,6 @@ class PROBFT_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Scoped exclusive lock over a SharedMutex (writer side).
-class PROBFT_SCOPED_CAPABILITY SharedWriterLock {
- public:
-  explicit SharedWriterLock(SharedMutex& mu) PROBFT_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~SharedWriterLock() PROBFT_RELEASE() { mu_.unlock(); }
-
-  SharedWriterLock(const SharedWriterLock&) = delete;
-  SharedWriterLock& operator=(const SharedWriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Scoped shared lock over a SharedMutex (reader side).
-class PROBFT_SCOPED_CAPABILITY SharedReaderLock {
- public:
-  explicit SharedReaderLock(const SharedMutex& mu) PROBFT_ACQUIRE_SHARED(mu)
-      : mu_(const_cast<SharedMutex&>(mu)) {
-    mu_.lock_shared();
-  }
-  ~SharedReaderLock() PROBFT_RELEASE() { mu_.unlock_shared(); }
-
-  SharedReaderLock(const SharedReaderLock&) = delete;
-  SharedReaderLock& operator=(const SharedReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Condition variable bound to probft::Mutex. wait() takes the Mutex
-/// (which the caller must hold) rather than a std lock object, so the
-/// REQUIRES contract names the same capability the guarded members use.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Atomically releases `mu`, sleeps, and reacquires before returning
-  /// (the capability is held on entry and on exit, hence REQUIRES).
-  /// Spurious wakeups happen; callers loop on their condition.
-  void wait(Mutex& mu) PROBFT_REQUIRES(mu) {
-    // Adopt the already-held native mutex for the wait, then release
-    // ownership again so the caller's MutexLock remains the one owner.
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    cv_.wait(native);
-    native.release();
-  }
-
-  void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 /// A capability that is a thread identity, not a lock: "this state is

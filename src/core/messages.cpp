@@ -17,6 +17,18 @@ std::vector<ReplicaId> decode_id_list(Reader& r) {
   return r.vec<ReplicaId>([](Reader& in) { return in.u32(); });
 }
 
+/// Hashes one field exactly as Writer::bytes encodes it (u32-LE length ‖
+/// data), so a digest over encoded fields needs no intermediate buffer.
+void hash_field(crypto::Sha256& h, ByteSpan data) {
+  const auto len = static_cast<std::uint32_t>(data.size());
+  const std::uint8_t prefix[4] = {
+      static_cast<std::uint8_t>(len), static_cast<std::uint8_t>(len >> 8),
+      static_cast<std::uint8_t>(len >> 16),
+      static_cast<std::uint8_t>(len >> 24)};
+  h.update(ByteSpan(prefix, sizeof(prefix)));
+  h.update(data);
+}
+
 }  // namespace
 
 // ---------------- SignedProposal ----------------
@@ -183,14 +195,18 @@ NewLeaderMsg NewLeaderMsg::from_bytes(ByteSpan data) {
 const Bytes& NewLeaderMsg::content_digest() const {
   // signing_bytes() already binds every field (certs via their digests);
   // appending the sender signature makes the digest cover the full message
-  // without re-serializing the certificate payload.
+  // without re-serializing the certificate payload. The hash input is
+  // str(domain) ‖ bytes(signing_bytes()) ‖ bytes(sender_sig) in Writer
+  // encoding, streamed field by field.
   if (digest_memo_.empty()) {
-    Writer w;
-    w.str("probft/newleader-digest");
-    w.bytes(signing_bytes());
-    w.bytes(sender_sig);
-    const Bytes enc = std::move(w).take();
-    digest_memo_ = crypto::sha256(ByteSpan(enc.data(), enc.size()));
+    static const Bytes kDomain = probft::to_bytes("probft/newleader-digest");
+    crypto::Sha256 h;
+    hash_field(h, kDomain);
+    const Bytes signing = signing_bytes();
+    hash_field(h, signing);
+    hash_field(h, sender_sig);
+    const auto digest = h.finalize();
+    digest_memo_.assign(digest.begin(), digest.end());
   }
   return digest_memo_;
 }

@@ -7,44 +7,16 @@
 namespace probft::core {
 
 std::optional<bool> VerdictCache::lookup(const Bytes& key) const {
-  if (thread_safe_) {
-    SharedReaderLock lock(mu_);
-    return lookup_locked(key);
-  }
-  mu_.assert_held();  // single-owner mode: the owning thread is the lock
-  return lookup_locked(key);
-}
-
-bool VerdictCache::contains(const Bytes& key) const {
-  if (thread_safe_) {
-    SharedReaderLock lock(mu_);
-    return contains_locked(key);
-  }
-  mu_.assert_held();
-  return contains_locked(key);
-}
-
-void VerdictCache::store(Bytes key, bool ok) {
-  if (thread_safe_) {
-    SharedWriterLock lock(mu_);
-    store_locked(std::move(key), ok);
-    return;
-  }
-  mu_.assert_held();
-  store_locked(std::move(key), ok);
-}
-
-std::optional<bool> VerdictCache::lookup_locked(const Bytes& key) const {
   const auto it = map_.find(key);
   if (it == map_.end()) return std::nullopt;
   return it->second;
 }
 
-bool VerdictCache::contains_locked(const Bytes& key) const {
+bool VerdictCache::contains(const Bytes& key) const {
   return map_.contains(key);
 }
 
-void VerdictCache::store_locked(Bytes key, bool ok) {
+void VerdictCache::store(Bytes key, bool ok) {
   if (map_.size() >= kCap) map_.clear();
   map_.emplace(std::move(key), ok);
 }

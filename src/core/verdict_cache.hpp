@@ -1,7 +1,4 @@
-// Content-addressed signature/VRF verdict cache, extracted from
-// core::Replica so one cache can be shared between all per-slot SMR
-// replica instances AND a verification worker pool (core/verify_pool.hpp)
-// that pre-warms it off the protocol thread.
+// Content-addressed signature/VRF verdict cache, owned by one core::Replica.
 //
 // Keys are SHA-256 digests over domain-separated content INCLUDING the
 // signature bytes, so a Byzantine variant of an honest message can never
@@ -12,24 +9,13 @@
 //   'P' — full phase-message verdict (leader sig && sender sig && VRF),
 //         tagged with the phase (Prepare vs Commit VRF domain)
 //   'N' — a NewLeader message's sender signature
-//
-// Thread safety is opt-in per instance: the default-constructed cache is
-// unsynchronized (zero overhead — what the single-threaded simulator and
-// plain replicas use), while `VerdictCache(/*thread_safe=*/true)` guards
-// the map with a shared_mutex so pool workers can store verdicts while the
-// protocol thread looks them up. The verdict VALUES are deterministic
-// functions of the key, so racing writers are benign: both store the same
-// bit and lookups never observe a wrong verdict, only a miss.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 
-#include "common/annotations.hpp"
 #include "common/bytes.hpp"
-#include "common/mutex.hpp"
 
 namespace probft::core {
 
@@ -47,13 +33,6 @@ class VerdictCache {
     }
   };
 
-  explicit VerdictCache(bool thread_safe = false)
-      : thread_safe_(thread_safe) {}
-
-  /// True when this instance synchronizes map access internally and may
-  /// safely be shared across threads (e.g. handed to a VerifyPool).
-  [[nodiscard]] bool thread_safe() const noexcept { return thread_safe_; }
-
   [[nodiscard]] std::optional<bool> lookup(const Bytes& key) const;
   [[nodiscard]] bool contains(const Bytes& key) const;
   void store(Bytes key, bool ok);
@@ -62,8 +41,7 @@ class VerdictCache {
   /// LRU's behavior would depend on hash iteration order).
   static constexpr std::size_t kCap = 1 << 20;
 
-  // ---- key construction (shared by Replica and VerifyPool — the two
-  // sides MUST agree byte-for-byte or pre-warmed verdicts never hit) ----
+  // ---- key construction ----
 
   /// kind byte ‖ u64-LE message length ‖ message ‖ signature, hashed. The
   /// length prefix removes any message/sig boundary ambiguity; the kind
@@ -78,21 +56,7 @@ class VerdictCache {
                                         std::uint8_t tag);
 
  private:
-  // The map is touched only through these; the public entry points either
-  // really take mu_ (thread_safe_) or assert it (single-owner mode, where
-  // the sole owning thread IS the mutual exclusion — the one construct the
-  // thread-safety analysis cannot prove; see docs/STATIC_ANALYSIS.md).
-  [[nodiscard]] std::optional<bool> lookup_locked(const Bytes& key) const
-      PROBFT_REQUIRES_SHARED(mu_);
-  [[nodiscard]] bool contains_locked(const Bytes& key) const
-      PROBFT_REQUIRES_SHARED(mu_);
-  void store_locked(Bytes key, bool ok) PROBFT_REQUIRES(mu_);
-
-  const bool thread_safe_;
-  mutable SharedMutex mu_;  // really locked only when thread_safe_
-  std::unordered_map<Bytes, bool, DigestHash> map_ PROBFT_GUARDED_BY(mu_);
+  std::unordered_map<Bytes, bool, DigestHash> map_;
 };
-
-using VerdictCachePtr = std::shared_ptr<VerdictCache>;
 
 }  // namespace probft::core

@@ -13,7 +13,7 @@ namespace curve = probft::crypto::curve;
 namespace {
 
 /// A bounded map from 32-byte keys to values, replaced first in first out.
-/// Each thread owns its own (thread_local below), so the VerifyPool
+/// Each thread owns its own (thread_local below), so parallel sweep
 /// workers calling the suite concurrently share nothing and take no lock.
 template <class V>
 class KeyCache {

@@ -170,9 +170,9 @@ class TcpTransport final : public ITransport {
 
   /// Thread-safe: schedules `fn` to run on the loop thread at the top of
   /// its next iteration and wakes the loop if it is parked in poll(2).
-  /// This is how worker threads (verify pool, executor) re-enter the
-  /// single-threaded protocol world; everything else on this class stays
-  /// loop-thread-only.
+  /// This is how another thread (e.g. a test driving a running loop)
+  /// hands work to the single-threaded protocol world; everything else
+  /// on this class stays loop-thread-only.
   void post(std::function<void()> fn) PROBFT_EXCLUDES(posted_mu_);
 
   /// Observability for the write-batching path (tests/benches):

@@ -52,6 +52,13 @@ bool DtxCoordinator::is_dtx_request(const Bytes& payload) {
   return has_magic(payload, kRequestMagic);
 }
 
+Bytes DtxCoordinator::encode_request(const std::vector<Bytes>& keys) {
+  Writer w;
+  put_magic(w, kRequestMagic);
+  encode_keys(w, keys);
+  return std::move(w).take();
+}
+
 std::uint64_t DtxCoordinator::txid_of(std::uint64_t client,
                                       std::uint64_t seq,
                                       const Bytes& payload) {

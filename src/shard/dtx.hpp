@@ -74,6 +74,9 @@ class DtxCoordinator {
 
   /// A client payload is a dtx request iff it starts with "DTX1".
   [[nodiscard]] static bool is_dtx_request(const Bytes& payload);
+  /// The client payload for a transaction over `keys`: "DTX1" ‖ the keys
+  /// as a u32-counted vector of length-prefixed byte strings.
+  [[nodiscard]] static Bytes encode_request(const std::vector<Bytes>& keys);
   /// Deterministic tx id: first 8 bytes of SHA-256 over (client, seq,
   /// payload) — a client retry maps to the same tx and is absorbed by
   /// the engine's dedup.

@@ -4,16 +4,13 @@
 // checkpoints, view state and (optionally) WAL — constructed with
 // leader_offset = shard id so the S view-1 leaders spread round-robin
 // across the fleet. All groups of one physical replica share the node's
-// keypair, verdict cache and network connection: group traffic travels as
+// keypair and network connection: group traffic travels as
 //
 //   kShardTag (0x28):        u32 shard ‖ u8 inner-tag ‖ inner payload
 //
 // where the inner frame is any SMR-layer message (kSmrTag envelopes,
 // hints, pulls, checkpoint votes, state transfer). Demultiplexing is a
-// 5-byte peel on the network thread; a core::VerifyPool in front of the
-// node uses shard::preverify_tasks, which rewrites the context's
-// leader_offset per frame and recurses, so signature batches still
-// amortize the MSM across ALL shards, not per group.
+// 5-byte peel on the network thread.
 //
 // Request routing: submit_request hashes the payload through the
 // Placement layer and enqueues at the owning group. If this replica is
@@ -29,9 +26,7 @@
 //
 // Thread ownership: ShardedSmr has no locking of its own. Like the
 // SmrReplica it wraps, every entry point (on_message, submit_request,
-// timers) must run on the node's protocol thread; the verify pool is the
-// only other thread that touches shard frames, and it only warms the
-// shared verdict cache.
+// timers) must run on the node's protocol thread.
 #pragma once
 
 #include <cstdint>

@@ -171,7 +171,7 @@ ScenarioOutcome run_scenario_tcp(const ScenarioSpec& spec,
     outcome.terminated = book.correct_decided == correct_total;
     outcome.decided = book.correct_decided;
     for (const auto& d : book.decisions) {
-      values.insert(d.value);
+      values.emplace(d.value);  // not insert: see Cluster::decided_values
       outcome.max_view = std::max(outcome.max_view, d.view);
       outcome.last_decision_at = std::max(outcome.last_decision_at, d.at);
       transcript << d.replica << " " << d.view << " " << to_hex(d.value)

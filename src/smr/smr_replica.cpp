@@ -257,7 +257,6 @@ void SmrReplica::open_next_slot() {
   rc.suite = cfg_.suite;
   rc.secret_key = cfg_.secret_key;
   rc.public_keys = cfg_.public_keys;
-  rc.verdicts = cfg_.verdicts;  // shared across slots (and the verify pool)
 
   assigned_count_ += batch.size();
   assigned_.emplace(slot, std::move(batch));

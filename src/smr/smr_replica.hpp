@@ -183,14 +183,6 @@ struct SmrConfig {
   Bytes secret_key;
   crypto::PublicKeyDir public_keys;
 
-  /// Optional shared verdict cache handed to every per-slot instance
-  /// (see core::ReplicaConfig::verdicts). One multicast Prepare verified
-  /// for slot s is then free for every other slot that references the
-  /// same content, and a core::VerifyPool can pre-warm verdicts off the
-  /// network thread. Null = per-instance private caches (simulator
-  /// default; bit-identical to the pre-sharing behavior).
-  std::shared_ptr<core::VerdictCache> verdicts;
-
   /// Consensus pacing (per-slot synchronizer settings).
   sync::SyncConfig sync;
 

@@ -57,12 +57,10 @@ class TestBed {
   }
 
   /// Builds a ProBFT replica whose sends land in `outbox` and whose timers
-  /// land in `timers` (fire manually with fire_timers()). `verdicts`
-  /// optionally shares a verdict cache (e.g. one a VerifyPool pre-warms).
+  /// land in `timers` (fire manually with fire_timers()).
   std::unique_ptr<core::Replica> make_replica(
       ReplicaId id, Bytes my_value = to_bytes("own-value"),
-      bool fast_verify = true,
-      std::shared_ptr<core::VerdictCache> verdicts = nullptr) {
+      bool fast_verify = true) {
     core::ReplicaConfig rc;
     rc.id = id;
     rc.n = n_;
@@ -74,7 +72,6 @@ class TestBed {
     rc.suite = suite_.get();
     rc.secret_key = keys_[id].secret_key;
     rc.public_keys = public_keys_;
-    rc.verdicts = std::move(verdicts);
     core::ProtocolHost hooks;
     hooks.send = [this](ReplicaId to, std::uint8_t tag, const Bytes& m) {
       outbox.push_back({to, tag, m});

@@ -75,9 +75,8 @@ TEST(Codec, TruncatedBufferThrows) {
 }
 
 TEST(Codec, TruncatedBytesThrows) {
-  Writer w;
-  w.u32(100);  // claims 100 bytes follow, none do
-  Reader r(ByteSpan(w.data().data(), w.data().size()));
+  const std::uint8_t raw[] = {100, 0, 0, 0};  // u32 100: none of it follows
+  Reader r(ByteSpan(raw, sizeof(raw)));
   EXPECT_THROW((void)r.bytes(), CodecError);
 }
 

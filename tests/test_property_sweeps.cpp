@@ -3,6 +3,7 @@
 // correct leader after GST and honest-majority parameters.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <tuple>
 
@@ -87,10 +88,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AttackSweep,
 
 using SilentParams = std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>;
 
+// Parameter names are streamed, not built with string operator+: gcc 12
+// at -O3 reports a false -Wrestrict on "literal" + std::string chains.
 std::string silent_name(const ::testing::TestParamInfo<SilentParams>& info) {
-  return "n" + std::to_string(std::get<0>(info.param)) + "_f" +
-         std::to_string(std::get<1>(info.param)) + "_s" +
-         std::to_string(std::get<2>(info.param));
+  std::ostringstream name;
+  name << "n" << std::get<0>(info.param) << "_f" << std::get<1>(info.param)
+       << "_s" << std::get<2>(info.param);
+  return name.str();
 }
 
 class SilentSweep : public ::testing::TestWithParam<SilentParams> {};
@@ -128,10 +132,11 @@ INSTANTIATE_TEST_SUITE_P(
 using GridParams = std::tuple<std::int64_t, double, double>;
 
 std::string grid_name(const ::testing::TestParamInfo<GridParams>& info) {
-  return "n" + std::to_string(std::get<0>(info.param)) + "_f" +
-         std::to_string(static_cast<int>(std::get<1>(info.param) * 100)) +
-         "_o" +
-         std::to_string(static_cast<int>(std::get<2>(info.param) * 10));
+  std::ostringstream name;
+  name << "n" << std::get<0>(info.param) << "_f"
+       << static_cast<int>(std::get<1>(info.param) * 100) << "_o"
+       << static_cast<int>(std::get<2>(info.param) * 10);
+  return name.str();
 }
 
 class AnalysisSweep : public ::testing::TestWithParam<GridParams> {};
@@ -201,9 +206,11 @@ INSTANTIATE_TEST_SUITE_P(
 using OlParams = std::tuple<double, double, std::uint64_t>;
 
 std::string ol_name(const ::testing::TestParamInfo<OlParams>& info) {
-  return "o" + std::to_string(static_cast<int>(std::get<0>(info.param) * 10)) +
-         "_l" + std::to_string(static_cast<int>(std::get<1>(info.param) * 10)) +
-         "_s" + std::to_string(std::get<2>(info.param));
+  std::ostringstream name;
+  name << "o" << static_cast<int>(std::get<0>(info.param) * 10) << "_l"
+       << static_cast<int>(std::get<1>(info.param) * 10) << "_s"
+       << std::get<2>(info.param);
+  return name.str();
 }
 
 class OlGridSweep : public ::testing::TestWithParam<OlParams> {};

@@ -135,12 +135,7 @@ Bytes dtx_payload(const ShardMap& map, std::uint32_t shards,
       }
     }
   }
-  Writer w;
-  w.raw(ByteSpan(reinterpret_cast<const std::uint8_t*>("DTX1"), 4));
-  w.vec(keys, [](Writer& wr, const Bytes& key) {
-    wr.bytes(ByteSpan(key.data(), key.size()));
-  });
-  return std::move(w).take();
+  return DtxCoordinator::encode_request(keys);
 }
 
 // Requests submitted at ONE node must land in the group owning their
