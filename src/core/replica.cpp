@@ -105,6 +105,8 @@ Replica::Replica(ReplicaConfig config, sync::SyncConfig sync_config,
 
 void Replica::start() { synchronizer_->start(); }
 
+void Replica::start(View first) { synchronizer_->start(first); }
+
 // ---------------- Dispatch ----------------
 
 void Replica::on_message(ReplicaId from, std::uint8_t tag,

@@ -95,6 +95,10 @@ class Replica : public INode {
           ProtocolHost host);
 
   void start() override;
+  /// Starts directly in view `first` (see sync::Synchronizer::start). On
+  /// entering a view past 1 the replica sends NewLeader as after any view
+  /// change, so the leader still proposes only with a justification.
+  void start(View first);
   void on_message(ReplicaId from, std::uint8_t tag,
                   const Bytes& payload) override;
 

@@ -30,7 +30,15 @@ ShardedSmr::ShardedSmr(ShardedSmrConfig config, core::ProtocolHost host)
   for (ShardId s = 0; s < shards; ++s) {
     smr::SmrConfig gc = cfg_.base;
     gc.leader_offset = s;
-    gc.forward_submissions = false;  // this layer forwards (with version)
+    // Forwards carry the ShardMap version, so a receiver under another
+    // map drops them instead of committing to the wrong group's log.
+    gc.forward = [this, s](ReplicaId leader, const smr::Request& req) {
+      Writer w;
+      w.u64(cfg_.map.version);
+      w.u32(s);
+      req.encode(w);
+      host_.send(leader, kShardForwardTag, std::move(w).take());
+    };
     gc.wal = cfg_.wals.empty() ? nullptr : cfg_.wals[s];
     gc.on_execute = [this, s](const smr::ExecutedCommand& cmd) {
       if (cfg_.on_execute) cfg_.on_execute(s, cmd);
@@ -87,23 +95,7 @@ void ShardedSmr::submit_read(Bytes key, net::ReadConsistency consistency,
 bool ShardedSmr::submit_to_shard(ShardId s, std::uint64_t client,
                                  std::uint64_t seq, Bytes payload) {
   if (s >= shard_count()) return false;
-  const ReplicaId lead = lead_replica(s, cfg_.base.n);
-  Bytes forward;
-  if (lead != cfg_.base.id) {
-    Writer w;
-    w.u64(cfg_.map.version);
-    w.u32(s);
-    smr::Request{client, seq, payload}.encode(w);
-    forward = std::move(w).take();
-  }
-  // Local enqueue first (liveness fallback: if the remote leader never
-  // batches it, this replica's pacing timer eventually will).
-  const bool accepted = groups_[s]->submit_request(client, seq,
-                                                  std::move(payload));
-  if (accepted && !forward.empty()) {
-    host_.send(lead, kShardForwardTag, forward);
-  }
-  return accepted;
+  return groups_[s]->submit_request(client, seq, std::move(payload));
 }
 
 void ShardedSmr::handle_forward(ReplicaId from, const Bytes& payload) {

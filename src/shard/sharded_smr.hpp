@@ -14,15 +14,17 @@
 //
 // Request routing: submit_request hashes the payload through the
 // Placement layer and enqueues at the owning group. If this replica is
-// not that group's view-1 leader, the request is ALSO forwarded as
+// not that group's engine leader (smr::SmrReplica::engine_leader: the
+// leader of the view the group last decided in, view 1 until a view
+// change), the group forwards the request as
 //
 //   kShardForwardTag (0x29): u64 map-version ‖ u32 shard ‖ Request
 //
 // so it lands in the leader's next batch without waiting for a timeout;
 // the local enqueue stays as the liveness fallback (exactly the
-// single-group engine's behavior, hoisted one layer up so the frame can
-// carry the ShardMap version — a receiver under a different map drops the
-// frame instead of committing it to the wrong group's log).
+// single-group engine's behavior, with a frame that carries the ShardMap
+// version — a receiver under a different map drops the frame instead of
+// committing it to the wrong group's log).
 //
 // Thread ownership: ShardedSmr has no locking of its own. Like the
 // SmrReplica it wraps, every entry point (on_message, submit_request,
@@ -54,7 +56,7 @@ inline constexpr std::uint8_t kShardForwardTag = net::tags::kShardForward;
 struct ShardedSmrConfig {
   /// Template for every group: id/n/f/o/l, pipeline shape, crypto, sync,
   /// shared verdict cache. Per-group fields are overridden internally
-  /// (leader_offset, forward_submissions, wal, on_execute); base.wal and
+  /// (leader_offset, forward, wal, on_execute); base.wal and
   /// base.on_execute themselves are ignored.
   smr::SmrConfig base;
 
@@ -86,7 +88,7 @@ class ShardedSmr : public core::INode {
 
   /// Routes (client, seq, payload) to the group owning the payload bytes
   /// (the request payload IS the placement key) and forwards to that
-  /// group's view-1 leader when it is remote. Returns the local enqueue
+  /// group's engine leader when it is remote. Returns the local enqueue
   /// verdict — false for duplicates and unbatchable payloads, like the
   /// single-group engine.
   bool submit_request(std::uint64_t client, std::uint64_t seq, Bytes payload);

@@ -81,33 +81,43 @@ void SmrReplica::submit(Bytes command) {
     throw std::invalid_argument("submit: command exceeds the batch byte cap");
   }
   ++local_seq_;
-  const ReplicaId leader = leader_of(1 + cfg_.leader_offset, cfg_.n);
-  Bytes forward;
-  if (cfg_.forward_submissions && leader != cfg_.id) {
-    Writer w;
-    req.encode(w);
-    forward = std::move(w).take();
-  }
-  if (!enqueue(std::move(req))) {
+  if (!submit_request(req.client, req.seq, std::move(req.payload))) {
     // Local seqs are unique, so the only rejection is the intake cap.
     throw std::overflow_error("submit: request queue is full");
   }
-  if (!forward.empty()) host_.send(leader, kSmrForwardTag, forward);
 }
 
 bool SmrReplica::submit_request(std::uint64_t client, std::uint64_t seq,
                                 Bytes payload) {
   Request req{client, seq, std::move(payload)};
-  const ReplicaId leader = leader_of(1 + cfg_.leader_offset, cfg_.n);
-  Bytes forward;
-  if (cfg_.forward_submissions && leader != cfg_.id) {
-    Writer w;
-    req.encode(w);
-    forward = std::move(w).take();
-  }
+  std::optional<Request> forward;
+  if (engine_leader() != cfg_.id) forward = req;
   if (!enqueue(std::move(req))) return false;
-  if (!forward.empty()) host_.send(leader, kSmrForwardTag, forward);
+  if (forward) forward_to_leader(*forward);
   return true;
+}
+
+void SmrReplica::forward_to_leader(const Request& request) {
+  const ReplicaId leader = engine_leader();
+  if (leader == cfg_.id) return;
+  if (cfg_.forward) {
+    cfg_.forward(leader, request);
+    return;
+  }
+  Writer w;
+  request.encode(w);
+  host_.send(leader, kSmrForwardTag, std::move(w).take());
+}
+
+void SmrReplica::raise_engine_view(View view) {
+  if (view <= engine_view_) return;
+  const ReplicaId before = engine_leader();
+  engine_view_ = view;
+  if (engine_leader() == before) return;
+  // The queue was forwarded to the old leader (or is this replica's own
+  // from when it led): hand it to the new one, in order.
+  for (const Request& req : queue_) forward_to_leader(req);
+  for (const auto& [key, held] : held_) forward_to_leader(held.request);
 }
 
 bool SmrReplica::enqueue(Request request) {
@@ -115,20 +125,92 @@ bool SmrReplica::enqueue(Request request) {
       4 + request_wire_size(request) > limits_.max_bytes) {
     return false;
   }
-  if (queue_.size() >= cfg_.pipeline.max_pending_requests) {
+  if (queue_.size() + held_.size() >= cfg_.pipeline.max_pending_requests) {
     return false;  // backpressure: a forward flood must not grow memory
   }
-  const auto last = last_exec_.find(request.client);
-  if (last != last_exec_.end() && request.seq <= last->second) {
+  if (request.seq <= last_executed_seq(request.client)) {
     return false;  // already executed (or superseded): retry is a no-op
   }
   if (!pending_keys_.insert({request.client, request.seq}).second) {
-    return false;  // already queued or assigned to an in-flight slot
+    return false;  // already queued, held or assigned to an in-flight slot
   }
-  queue_bytes_ += request_wire_size(request);
-  queue_.push_back(std::move(request));
+  const std::uint64_t client = request.client;
+  if (predecessor_here(client, request.seq)) {
+    admit(std::move(request));
+    release_held(client);
+  } else {
+    // A pipelined client's forwards can cross on the link. Batching a
+    // later seq first would make dedup supersede the earlier ones, so
+    // the later seq waits for its predecessor.
+    const std::uint64_t seq = request.seq;
+    held_.emplace(std::make_pair(client, seq),
+                  HeldRequest{std::move(request)});
+  }
   maybe_open_slots(/*pace_expired=*/false);
   return true;
+}
+
+bool SmrReplica::predecessor_here(std::uint64_t client,
+                                  std::uint64_t seq) const {
+  if (seq <= last_executed_seq(client) + 1) return true;
+  return pending_keys_.count({client, seq - 1}) != 0 &&
+         held_.count({client, seq - 1}) == 0;
+}
+
+void SmrReplica::admit(Request request) {
+  queue_bytes_ += request_wire_size(request);
+  // Keep each client's queued requests in seq order: a request released
+  // late goes ahead of the client's later seqs already queued.
+  const auto later = pending_keys_.upper_bound({request.client, request.seq});
+  if (later != pending_keys_.end() && later->first == request.client) {
+    const auto pos = std::find_if(
+        queue_.begin(), queue_.end(), [&request](const Request& queued) {
+          return queued.client == request.client && queued.seq > request.seq;
+        });
+    queue_.insert(pos, std::move(request));
+    return;
+  }
+  queue_.push_back(std::move(request));
+}
+
+void SmrReplica::release_held(std::uint64_t client) {
+  auto it = held_.lower_bound({client, 0});
+  while (it != held_.end() && it->first.first == client) {
+    const std::uint64_t seq = it->first.second;
+    if (seq <= last_executed_seq(client)) {
+      pending_keys_.erase(it->first);
+      it = held_.erase(it);
+      continue;
+    }
+    if (!predecessor_here(client, seq)) return;
+    Request req = std::move(it->second.request);
+    it = held_.erase(it);
+    admit(std::move(req));
+  }
+}
+
+void SmrReplica::release_all_held() {
+  for (auto it = held_.begin(); it != held_.end();) {
+    const std::uint64_t client = it->first.first;
+    release_held(client);
+    it = held_.upper_bound({client, UINT64_MAX});
+  }
+}
+
+void SmrReplica::age_held() {
+  // The predecessor may never come here (the client skipped it, or it
+  // executed at peers we have not heard from): after a full pacing
+  // period, admit the request anyway.
+  for (auto it = held_.begin(); it != held_.end();) {
+    if (++it->second.expiries < 2) {
+      ++it;
+      continue;
+    }
+    Request req = std::move(it->second.request);
+    it = held_.erase(it);
+    admit(std::move(req));
+  }
+  release_all_held();
 }
 
 bool SmrReplica::has_committed(const Bytes& payload) const {
@@ -170,7 +252,8 @@ void SmrReplica::maybe_open_slots(bool pace_expired) {
     pace_expired = false;  // one partial batch per pacing expiry
     open_next_slot();
   }
-  if (!queue_.empty() && next_open_ < open_limit() && !pace_armed_) {
+  if ((!queue_.empty() || !held_.empty()) && next_open_ < open_limit() &&
+      !pace_armed_) {
     arm_pacing();
   }
   if (exec_slots() < next_open_) arm_catchup();
@@ -194,6 +277,7 @@ void SmrReplica::arm_pacing() {
   host_.set_timer(cfg_.pipeline.batch_timeout, [this] {
     collect_retired();
     pace_armed_ = false;
+    age_held();
     maybe_open_slots(/*pace_expired=*/true);
   });
 }
@@ -313,7 +397,7 @@ void SmrReplica::open_next_slot() {
 
   instances_.emplace(slot, std::make_unique<core::Replica>(
                                std::move(rc), cfg_.sync, slot_host));
-  instances_.at(slot)->start();
+  instances_.at(slot)->start(engine_view_);
 
   // Replay traffic that raced ahead of this slot.
   const auto it = buffered_.find(slot);
@@ -330,6 +414,7 @@ void SmrReplica::open_next_slot() {
 
 void SmrReplica::on_slot_decided(std::uint64_t slot, const Bytes& value,
                                  View view) {
+  raise_engine_view(view);
   // Lease poisoning: a decide at view > 1 proves a view change happened,
   // so the view-1 leader's "every decided write went through me" premise
   // is dead — it must stop serving lease reads AND every replica that saw
@@ -402,29 +487,11 @@ void SmrReplica::execute_ready_slots() {
     const auto ait = assigned_.find(slot);
     if (ait != assigned_.end()) {
       Batch mine = std::move(ait->second);
-      assigned_count_ -= mine.size();
       assigned_.erase(ait);
-      for (auto rit = mine.rbegin(); rit != mine.rend(); ++rit) {
-        const auto lit = last_exec_.find(rit->client);
-        if (lit != last_exec_.end() && rit->seq <= lit->second) {
-          pending_keys_.erase({rit->client, rit->seq});
-          continue;
-        }
-        queue_bytes_ += request_wire_size(*rit);
-        queue_.push_front(std::move(*rit));
-      }
+      requeue_lost(std::move(mine));
     }
     // Scrub queued requests another replica's batch just executed.
-    for (auto qit = queue_.begin(); qit != queue_.end();) {
-      const auto lit = last_exec_.find(qit->client);
-      if (lit != last_exec_.end() && qit->seq <= lit->second) {
-        pending_keys_.erase({qit->client, qit->seq});
-        queue_bytes_ -= request_wire_size(*qit);
-        qit = queue_.erase(qit);
-      } else {
-        ++qit;
-      }
-    }
+    scrub_executed();
 
     log_.push_back(std::move(value));
     chain_ = chain_digest(chain_, log_.back());
@@ -435,8 +502,45 @@ void SmrReplica::execute_ready_slots() {
   if (advanced) {
     drain_parked_reads();
     retire_executed_slots();
+    // Traffic that raced ahead of the window is replayed as soon as its
+    // slot fits: the sender may have nothing more to say until this
+    // replica answers (a slot that starts past view 1 opens with a
+    // single Wish).
+    const auto ahead = buffered_.lower_bound(open_limit());
+    if (ahead != buffered_.begin()) open_slots_through(std::prev(ahead)->first);
     maybe_open_slots(/*pace_expired=*/false);
   }
+}
+
+void SmrReplica::requeue_lost(Batch mine) {
+  assigned_count_ -= mine.size();
+  std::size_t requeued = 0;
+  for (auto rit = mine.rbegin(); rit != mine.rend(); ++rit) {
+    if (rit->seq <= last_executed_seq(rit->client)) {
+      pending_keys_.erase({rit->client, rit->seq});
+      continue;
+    }
+    queue_bytes_ += request_wire_size(*rit);
+    queue_.push_front(std::move(*rit));
+    ++requeued;
+  }
+  // A non-leader's batch only decides if this replica comes to lead; the
+  // leader may never have seen these requests (or saw them superseded by
+  // a slot it lost), so hand them over again. The leader drops repeats.
+  for (std::size_t i = 0; i < requeued; ++i) forward_to_leader(queue_[i]);
+}
+
+void SmrReplica::scrub_executed() {
+  for (auto qit = queue_.begin(); qit != queue_.end();) {
+    if (qit->seq <= last_executed_seq(qit->client)) {
+      pending_keys_.erase({qit->client, qit->seq});
+      queue_bytes_ -= request_wire_size(*qit);
+      qit = queue_.erase(qit);
+    } else {
+      ++qit;
+    }
+  }
+  release_all_held();
 }
 
 void SmrReplica::retire_executed_slots() {
@@ -562,34 +666,15 @@ void SmrReplica::install_checkpoint(CheckpointState state,
 
   // Our own in-flight assignments for skipped slots: requests the
   // checkpoint's dedup table does not cover go back to the queue head.
-  std::map<std::uint64_t, std::uint64_t> last_new(state.last_exec.begin(),
-                                                  state.last_exec.end());
+  last_exec_ = std::map<std::uint64_t, std::uint64_t>(
+      state.last_exec.begin(), state.last_exec.end());
   for (auto ait = assigned_.begin();
        ait != assigned_.end() && ait->first < slot;) {
     Batch mine = std::move(ait->second);
-    assigned_count_ -= mine.size();
     ait = assigned_.erase(ait);
-    for (auto rit = mine.rbegin(); rit != mine.rend(); ++rit) {
-      const auto lit = last_new.find(rit->client);
-      if (lit != last_new.end() && rit->seq <= lit->second) {
-        pending_keys_.erase({rit->client, rit->seq});
-        continue;
-      }
-      queue_bytes_ += request_wire_size(*rit);
-      queue_.push_front(std::move(*rit));
-    }
+    requeue_lost(std::move(mine));
   }
-  last_exec_ = std::move(last_new);
-  for (auto qit = queue_.begin(); qit != queue_.end();) {
-    const auto lit = last_exec_.find(qit->client);
-    if (lit != last_exec_.end() && qit->seq <= lit->second) {
-      pending_keys_.erase({qit->client, qit->seq});
-      queue_bytes_ -= request_wire_size(*qit);
-      qit = queue_.erase(qit);
-    } else {
-      ++qit;
-    }
-  }
+  scrub_executed();
 
   // Jump the log: everything below `slot` is summarized by the cert.
   // exec_payloads_ keeps only locally-executed payloads (documented gap).

@@ -17,10 +17,26 @@
 //  - Slot opening is demand-driven: a slot opens when this replica has a
 //    full batch ready, when its pacing timer (batch_timeout) expires with
 //    requests queued, or when consensus traffic for the slot arrives from
-//    a peer. An idle system opens no slots and burns no no-op fillers.
-//  - Submissions at a non-leader replica are forwarded to the round-robin
-//    view-1 leader so they land in the next batch without waiting for a
-//    view change; the local copy is kept as a liveness fallback.
+//    a peer (traffic that raced ahead of the window opens its slot once
+//    execution brings it inside). An idle system opens no slots and
+//    burns no no-op fillers.
+//  - Engine view: the highest view in which a slot decided here through
+//    consensus (hint adoption and WAL replay leave it alone). It only
+//    grows. Every new slot's instance starts in it, so once a view change
+//    passed a dead leader by, later slots go straight to the view that
+//    works instead of each waiting out the view-1 timeout. Entering a
+//    view past 1 broadcasts a Wish for it (which is how peers learn of
+//    the slot) and sends NewLeader; the leader still proposes only with a
+//    ⌈(n+f+1)/2⌉ NewLeader justification, so safety rests on that, not
+//    on where the slot started. Fault-free runs never leave view 1.
+//  - Submissions at a non-leader replica are forwarded to the engine
+//    view's leader so they land in its next batch; the local copy is kept
+//    as a liveness fallback. When the engine leader changes, the queue is
+//    forwarded again, in order, and so is a non-leader's own batch that
+//    lost its slot. A pipelined client's request whose predecessor seq is
+//    neither executed nor queued here is held until it is, or for at most
+//    two pacing periods, so crossing forwards cannot batch a later seq
+//    ahead of an earlier one (highest-seq dedup would drop the earlier).
 //  - Executed slots are retired: the per-slot core::Replica is destroyed
 //    once execution has moved `retire_tail` slots past it, so memory is
 //    O(window + tail) instead of O(log length).
@@ -102,8 +118,9 @@ struct SmrOptions {
   /// long (µs) instead of waiting for the batch to fill.
   Duration batch_timeout = 20'000;
   /// Executed slots keep their instance for this many further slots
-  /// before retirement (late NewLeader traffic lands there); beyond it,
-  /// traffic is answered with hints.
+  /// before retirement. The instance gets no more traffic:
+  /// handle_slot_envelope answers every executed slot with a signed
+  /// decided-value hint before it looks for an instance.
   std::uint32_t retire_tail = 2;
   /// While execution trails slots known to exist (opened locally, or
   /// merely observed in peer traffic — the gap may exceed the window),
@@ -112,9 +129,10 @@ struct SmrOptions {
   /// decided-value hints for a window's worth of slots (and a certified
   /// checkpoint when the asked slot is below their truncation point).
   Duration catchup_timeout = 250'000;
-  /// Cap on requests held in the intake queue (local submissions and
-  /// peer forwards combined); beyond it, enqueue rejects — backpressure
-  /// instead of unbounded memory under a forward flood.
+  /// Cap on requests in the intake queue plus those held for a missing
+  /// predecessor seq (local submissions and peer forwards combined);
+  /// beyond it, enqueue rejects — backpressure instead of unbounded
+  /// memory under a forward flood.
   std::size_t max_pending_requests = 8192;
   /// Hard cap on the number of slots this replica will open (bounds the
   /// simulation; a production deployment would run unbounded).
@@ -172,12 +190,12 @@ struct SmrConfig {
   /// offsets 0..S-1 so their view-1 leaders spread across the fleet.
   View leader_offset = 0;
 
-  /// Forward submissions at a non-leader to the view-1 leader over
-  /// kSmrForwardTag (the single-group default). shard::ShardedSmr turns
-  /// this off and forwards at its own layer (kShardForwardTag, which
-  /// carries the ShardMap version); the local enqueue stays either way
-  /// as the liveness fallback.
-  bool forward_submissions = true;
+  /// Sends a submission at a non-leader to the engine leader. Empty (the
+  /// single-group default): a kSmrForwardTag frame through the host.
+  /// shard::ShardedSmr sends its own kShardForwardTag frame, which carries
+  /// the ShardMap version. The local enqueue stays either way as the
+  /// liveness fallback.
+  std::function<void(ReplicaId leader, const Request& request)> forward;
 
   const crypto::CryptoSuite* suite = nullptr;
   Bytes secret_key;
@@ -282,14 +300,22 @@ class SmrReplica : public core::INode {
   [[nodiscard]] std::uint64_t next_unopened_slot() const {
     return next_open_;
   }
-  /// Requests queued or assigned to an in-flight slot, not yet executed.
+  /// Highest view in which a slot decided here through consensus (1
+  /// before any); new slots start in it.
+  [[nodiscard]] View engine_view() const { return engine_view_; }
+  /// Where submissions at a non-leader are forwarded.
+  [[nodiscard]] ReplicaId engine_leader() const {
+    return leader_of(engine_view_ + cfg_.leader_offset, cfg_.n);
+  }
+  /// Requests queued, held or assigned to an in-flight slot, not yet
+  /// executed.
   [[nodiscard]] std::size_t pending_commands() const {
-    return queue_.size() + assigned_count_;
+    return queue_.size() + held_.size() + assigned_count_;
   }
   [[nodiscard]] bool has_committed(const Bytes& payload) const;
   /// Last executed seq for `client` (0 if none) — the dedup table.
   [[nodiscard]] std::uint64_t last_executed_seq(std::uint64_t client) const;
-  /// Whether (client, seq) is queued or assigned to an in-flight slot —
+  /// Whether (client, seq) is queued, held or assigned to a slot —
   /// i.e. a submit_request(...) == false was a retry of live work, not a
   /// rejection. Serving nodes use this to keep reply routes alive.
   [[nodiscard]] bool has_pending(std::uint64_t client,
@@ -325,6 +351,26 @@ class SmrReplica : public core::INode {
   }
 
   [[nodiscard]] bool enqueue(Request request);
+  /// Whether seq - 1 of `client` executed or is queued/assigned here.
+  [[nodiscard]] bool predecessor_here(std::uint64_t client,
+                                      std::uint64_t seq) const;
+  /// Puts a request on the queue, behind the client's earlier seqs.
+  void admit(Request request);
+  /// Admits `client`'s held requests whose predecessor is now here (and
+  /// drops those that executed meanwhile).
+  void release_held(std::uint64_t client);
+  void release_all_held();
+  /// Pacing expiry: a request held through two of them is admitted.
+  void age_held();
+  void forward_to_leader(const Request& request);
+  /// A slot decided in `view`: grow the engine view and, when that moves
+  /// the leader elsewhere, forward the queue to the new one.
+  void raise_engine_view(View view);
+  /// This replica's batch for a slot that decided something else: its
+  /// unexecuted requests go back to the queue head and to the leader.
+  void requeue_lost(Batch mine);
+  /// Drops queued requests that executed, then releases held ones.
+  void scrub_executed();
   [[nodiscard]] bool full_batch_ready() const;
   void maybe_open_slots(bool pace_expired);
   void open_slots_through(std::uint64_t slot);
@@ -427,6 +473,13 @@ class SmrReplica : public core::INode {
 
   // -- request intake --
   std::deque<Request> queue_;   // not yet assigned to a slot
+  /// Requests waiting for their predecessor seq, keyed (client, seq);
+  /// `expiries` counts the pacing periods waited.
+  struct HeldRequest {
+    Request request;
+    std::uint32_t expiries = 0;
+  };
+  std::map<std::pair<std::uint64_t, std::uint64_t>, HeldRequest> held_;
   std::size_t queue_bytes_ = 0; // encoded size the queue would batch to
   std::set<std::pair<std::uint64_t, std::uint64_t>> pending_keys_;
   std::map<std::uint64_t, Batch> assigned_;  // slot → this replica's batch
@@ -443,6 +496,7 @@ class SmrReplica : public core::INode {
 
   // -- in-flight slots --
   std::uint64_t next_open_ = 0;  // lowest never-opened slot
+  View engine_view_ = 1;         // see engine_view()
   std::map<std::uint64_t, std::unique_ptr<core::Replica>> instances_;
   /// Retirement is deferred: an instance may be retired from inside its
   /// own decision callback, so it parks here and is destroyed at the next

@@ -20,7 +20,14 @@ Synchronizer::Synchronizer(ReplicaId self, SyncConfig config,
   }
 }
 
-void Synchronizer::start() { enter(1); }
+void Synchronizer::start(View first) {
+  if (first > 1) {
+    own_wish_ = first;
+    latest_wish_[self_] = first;
+    broadcast_wish_(first);
+  }
+  enter(first);
+}
 
 Duration Synchronizer::timeout_for(View v) const {
   double timeout = static_cast<double>(cfg_.base_timeout) *

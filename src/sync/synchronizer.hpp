@@ -40,8 +40,12 @@ class Synchronizer {
   Synchronizer(ReplicaId self, SyncConfig config, WishBroadcaster wish,
                ViewCallback enter_view, TimerSetter set_timer);
 
-  /// Enters view 1 and arms the first timer.
-  void start();
+  /// Enters view `first` (>= 1) and arms its timer. For first > 1 the
+  /// replica records and broadcasts its own Wish(first) before entering:
+  /// the owner already knows the earlier views are over (SMR starts a
+  /// new slot in the view that last decided), and the wish tells the
+  /// peers.
+  void start(View first = 1);
 
   /// Feeds a Wish received from `from` (Byzantine senders included).
   void on_wish(ReplicaId from, View v);

@@ -40,7 +40,8 @@ struct ShardedFleet {
   ShardedFleet(std::uint32_t n, std::uint32_t shards,
                smr::SmrOptions options = {}, std::uint64_t seed = 1,
                net::LatencyConfig latency = {},
-               const std::vector<std::vector<store::Wal*>>& wals = {}) {
+               const std::vector<std::vector<store::Wal*>>& wals = {},
+               std::uint32_t f = 0, double l = 2.0) {
     net = std::make_unique<net::Network>(sim, n, seed, latency);
     suite = crypto::make_sim_suite();
     keys.resize(n + 1);
@@ -56,7 +57,8 @@ struct ShardedFleet {
       ShardedSmrConfig cfg;
       cfg.base.id = id;
       cfg.base.n = n;
-      cfg.base.f = 0;
+      cfg.base.f = f;
+      cfg.base.l = l;
       cfg.base.pipeline = options;
       cfg.base.suite = suite.get();
       cfg.base.secret_key = keys[id].secret_key;
@@ -377,6 +379,51 @@ TEST(ShardedSmr, SilentShardZeroLeaderDoesNotStallSiblingShards) {
       << outcome.decided << "/" << outcome.correct << "\n"
       << outcome.transcript;
   EXPECT_TRUE(outcome.agreement);
+}
+
+// The engine view (the view new slots start in) is per group: shard 0's
+// view change past its silent leader must not move any sibling group off
+// view 1.
+TEST(ShardedSmr, SilentShardLeaderMovesOnlyItsOwnGroupsEngineView) {
+  constexpr std::uint32_t kShards = 4;
+  ShardedFleet fleet(4, kShards, {}, /*seed=*/1, {}, {}, /*f=*/1,
+                     /*l=*/1.5);  // q = 3 of 4
+  const ReplicaId silenced = lead_replica(0, 4);
+  fleet.net->set_payload_filter([silenced](ReplicaId from, ReplicaId,
+                                           std::uint8_t tag,
+                                           const Bytes& payload) {
+    if (from != silenced || tag != kShardTag) return false;
+    Reader r{ByteSpan(payload.data(), payload.size())};
+    return r.u32() == 0;
+  });
+  // Two requests per shard, all entered at shard 1's leader: shard 0's
+  // reach the silent leader as forwards, so that group has to change
+  // view to commit them.
+  const ReplicaId entry = lead_replica(1, 4);
+  const ShardMap& map = fleet.nodes[entry]->placement().map();
+  std::vector<int> per_shard(kShards, 0);
+  std::uint64_t submitted = 0;
+  for (std::uint64_t i = 0; submitted < 2 * kShards; ++i) {
+    Bytes payload = to_bytes("k-" + std::to_string(i));
+    const ShardId s = shard_of(map, ByteSpan(payload.data(), payload.size()));
+    if (per_shard[s] == 2) continue;
+    ++per_shard[s];
+    ASSERT_TRUE(fleet.nodes[entry]->submit_request(500 + i, 1, payload));
+    ++submitted;
+  }
+  fleet.start_all();
+  ASSERT_TRUE(fleet.run_until_executed(submitted));
+  fleet.expect_per_shard_agreement();
+  for (ReplicaId id = 1; id <= 4; ++id) {
+    for (ShardId s = 1; s < kShards; ++s) {
+      EXPECT_EQ(fleet.nodes[id]->group(s).engine_view(), 1U)
+          << "replica " << id << " shard " << s;
+    }
+    if (id != silenced) {
+      EXPECT_GT(fleet.nodes[id]->group(0).engine_view(), 1U)
+          << "replica " << id;
+    }
+  }
 }
 
 }  // namespace

@@ -24,7 +24,8 @@ struct Fleet {
   std::vector<std::vector<Bytes>> commits;            // per replica
 
   explicit Fleet(std::uint32_t n, SmrOptions options = {},
-                 std::uint64_t seed = 1) {
+                 std::uint64_t seed = 1, std::uint32_t f = 0,
+                 double l = 2.0) {
     net::LatencyConfig latency;
     latency.min_delay = 500;
     latency.max_delay_post = 4'000;
@@ -43,7 +44,8 @@ struct Fleet {
       SmrConfig cfg;
       cfg.id = id;
       cfg.n = n;
-      cfg.f = 0;
+      cfg.f = f;
+      cfg.l = l;
       cfg.pipeline = options;
       cfg.suite = suite.get();
       cfg.secret_key = keys[id].secret_key;
@@ -234,6 +236,76 @@ TEST(Smr, DuplicateSubmitRejectedLocally) {
   // Post-execution retry is also a no-op.
   EXPECT_FALSE(fleet.replicas[1]->submit_request(7, 3, to_bytes("x")));
   EXPECT_FALSE(fleet.replicas[1]->submit_request(7, 2, to_bytes("old")));
+}
+
+TEST(Smr, PipelinedForwardsAllExecute) {
+  // Regression: a pipelined client's requests submitted at a non-leader
+  // are forwarded one by one, and the forwards cross on the link. Dedup
+  // keeps only the highest executed seq per client, so a later seq that
+  // the leader batched first used to drop the earlier ones for good.
+  SmrOptions options;
+  options.batch_max_commands = 4;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Fleet fleet(4, options, seed);
+    fleet.start_all();
+    std::vector<Bytes> expected;
+    for (std::uint64_t seq = 1; seq <= 12; ++seq) {
+      expected.push_back(to_bytes("cmd-" + std::to_string(seq)));
+      ASSERT_TRUE(fleet.replicas[2]->submit_request(77, seq, expected.back()));
+    }
+    EXPECT_TRUE(fleet.run_until_executed(12, /*deadline=*/30'000'000))
+        << "seed " << seed << ": replica 1 executed "
+        << fleet.replicas[1]->executed_commands() << " of 12";
+    for (ReplicaId id = 1; id <= 4; ++id) {
+      EXPECT_EQ(fleet.commits[id], expected)
+          << "seed " << seed << " replica " << id;
+    }
+  }
+}
+
+TEST(Smr, NewSlotsStartInTheViewThatLastDecided) {
+  // Once a view change passed a silent leader by, later slots start in
+  // the view that decided instead of each waiting out the view-1 timeout
+  // at the dead leader (one timeout per slot before the engine view).
+  SmrOptions options;
+  options.window = 2;
+  options.batch_max_commands = 2;
+  Fleet fleet(4, options, /*seed=*/1, /*f=*/1, /*l=*/1.5);  // q = 3 of 4
+  const Duration base_timeout = 100'000;  // Fleet's sync.base_timeout
+  ASSERT_TRUE(fleet.replicas[2]->submit_request(77, 1, to_bytes("warm")));
+  fleet.start_all();
+  ASSERT_TRUE(fleet.run_until_executed(1));
+  for (ReplicaId id = 1; id <= 4; ++id) {
+    EXPECT_EQ(fleet.replicas[id]->engine_view(), 1U);
+  }
+
+  const TimePoint silenced_at = fleet.sim.now();
+  fleet.net->set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
+    return from == 1 || to == 1;
+  });
+  constexpr std::uint64_t kCommands = 12;  // 6 slots of 2
+  for (std::uint64_t seq = 2; seq <= kCommands + 1; ++seq) {
+    ASSERT_TRUE(fleet.replicas[2]->submit_request(
+        77, seq, to_bytes("cmd-" + std::to_string(seq))));
+  }
+  while (fleet.sim.now() < silenced_at + 60'000'000) {
+    bool all = true;
+    for (ReplicaId id = 2; id <= 4; ++id) {
+      all = all && fleet.replicas[id]->executed_commands() == kCommands + 1;
+    }
+    if (all || !fleet.sim.step()) break;
+  }
+  const Duration elapsed = fleet.sim.now() - silenced_at;
+  for (ReplicaId id = 2; id <= 4; ++id) {
+    EXPECT_EQ(fleet.replicas[id]->executed_commands(), kCommands + 1)
+        << "replica " << id;
+    EXPECT_EQ(fleet.replicas[id]->last_executed_seq(77), kCommands + 1);
+    EXPECT_GE(fleet.replicas[id]->committed_slots(), 1U + 6U);
+    EXPECT_GT(fleet.replicas[id]->engine_view(), 1U) << "replica " << id;
+    EXPECT_EQ(fleet.replicas[id]->log_digest(),
+              fleet.replicas[2]->log_digest());
+  }
+  EXPECT_LT(elapsed, 3 * base_timeout) << "silence to last execution";
 }
 
 TEST(Smr, RetirementBoundsLiveInstances) {

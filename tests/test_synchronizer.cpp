@@ -19,6 +19,7 @@ struct Fleet {
   std::vector<std::unique_ptr<Synchronizer>> nodes;  // 1-based
   std::vector<View> entered;                         // last view entered
   std::vector<std::vector<View>> history;
+  std::vector<std::vector<View>> wishes;             // broadcast, in order
   Duration wish_delay = 1'000;
   std::vector<bool> silent;
 
@@ -30,6 +31,7 @@ struct Fleet {
     }
     entered.assign(n + 1, 0);
     history.resize(n + 1);
+    wishes.resize(n + 1);
     silent.assign(n + 1, false);
     nodes.resize(n + 1);
     for (ReplicaId id = 1; id <= n; ++id) {
@@ -37,6 +39,7 @@ struct Fleet {
           id, base,
           /*wish=*/
           [this, id, n](View v) {
+            wishes[id].push_back(v);
             if (silent[id]) return;
             for (ReplicaId to = 1; to <= n; ++to) {
               if (to == id) continue;
@@ -122,6 +125,28 @@ TEST(Synchronizer, FPlusOneWishesAreAmplified) {
   for (ReplicaId id = 1; id <= 4; ++id) {
     EXPECT_EQ(fleet.entered[id], 2U) << "replica " << id;
   }
+}
+
+TEST(Synchronizer, StartPastViewOneWishesAndEntersDirectly) {
+  // SMR starts a new slot in the view its last slot decided in: start(v)
+  // enters v at once and broadcasts Wish(v), which is how peers still in
+  // view 1 learn to follow.
+  Fleet fleet(4, 1);
+  fleet.nodes[1]->start(3);
+  EXPECT_EQ(fleet.entered[1], 3U);
+  EXPECT_EQ(fleet.history[1], std::vector<View>{3});
+  EXPECT_EQ(fleet.wishes[1], std::vector<View>{3});
+  fleet.nodes[2]->start(3);
+  fleet.nodes[3]->start();
+  fleet.nodes[4]->start();
+  // f + 1 = 2 wishes for view 3 reach the view-1 peers: they amplify
+  // (2f + 1 wishes) and enter view 3 well before any timeout.
+  fleet.sim.run_until(10'000);
+  for (ReplicaId id = 3; id <= 4; ++id) {
+    EXPECT_EQ(fleet.history[id], (std::vector<View>{1, 3})) << "replica " << id;
+    EXPECT_EQ(fleet.wishes[id], std::vector<View>{3}) << "replica " << id;
+  }
+  EXPECT_EQ(fleet.history[1], std::vector<View>{3});
 }
 
 TEST(Synchronizer, FWishesAreNotEnough) {

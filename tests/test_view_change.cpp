@@ -5,8 +5,15 @@
 // and also exercise the full cluster path.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "net/network.hpp"
 #include "protocol_test_util.hpp"
 #include "sim/cluster.hpp"
+#include "sim/node_factory.hpp"
 
 namespace probft::core {
 namespace {
@@ -264,6 +271,86 @@ TEST(ViewChangeCluster, DecidedValuePersistsAcrossViews) {
     cluster.start();
     cluster.run_to_completion(/*deadline=*/120'000'000);
     EXPECT_TRUE(cluster.agreement_ok()) << "seed " << seed;
+  }
+}
+
+// SMR starts each new slot's instance in the view the previous slot
+// decided in (Replica::start(View)). A slot whose value x is already
+// prepared in view 1 at some replicas must still decide x when other
+// replicas join it with fresh instances started in view 2: their wishes
+// pull the prepared replicas into view 2, and the NewLeader justification
+// carries the lock to the new leader.
+TEST(ViewChangeFreshStart, PreparedValueSurvivesFreshInstancesInViewTwo) {
+  TestBed bed(4, 1, 1.7, 1.5);  // q = 3, samples cover all 4, det quorum 3
+  net::Simulator sim;
+  net::LatencyConfig latency;
+  latency.min_delay = 500;
+  latency.max_delay_post = 2'000;
+  net::Network network(sim, 4, /*seed=*/7, latency);
+  std::vector<std::unique_ptr<Replica>> replicas(5);
+  std::vector<std::unique_ptr<Replica>> replaced;  // keeps timers valid
+  std::vector<std::optional<Bytes>> decided(5);
+  const auto build = [&](ReplicaId id) {
+    ReplicaConfig rc;
+    rc.id = id;
+    rc.n = 4;
+    rc.f = 1;
+    rc.l = 1.5;
+    rc.my_value = to_bytes("own-" + std::to_string(id));
+    rc.suite = &bed.suite();
+    rc.secret_key = bed.secret(id);
+    rc.public_keys = bed.public_keys();
+    ProtocolHost host = sim::transport_host(
+        network, id, [&sim](Duration d, std::function<void()> fn) {
+          sim.schedule_after(d, std::move(fn));
+        });
+    host.on_decide = [&decided, id](View, const Bytes& value) {
+      decided[id] = value;
+    };
+    sync::SyncConfig sc;
+    sc.base_timeout = 10'000'000;  // no timeout fires during the test
+    if (replicas[id]) replaced.push_back(std::move(replicas[id]));
+    replicas[id] = std::make_unique<Replica>(std::move(rc), sc, host);
+    network.register_handler(
+        id, [&replicas, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
+          if (replicas[id]) replicas[id]->on_message(from, tag, m);
+        });
+  };
+
+  // View 1 without replica 4 and with every Commit dropped: replicas 1-3
+  // prepare the view-1 leader's value but nobody decides.
+  network.set_filter([](ReplicaId, ReplicaId, std::uint8_t tag) {
+    return tag == tag_byte(MsgTag::kCommit);
+  });
+  for (ReplicaId id = 1; id <= 3; ++id) {
+    build(id);
+    replicas[id]->start();
+  }
+  sim.run_until(200'000);
+  const Bytes x = to_bytes("own-1");
+  for (ReplicaId id = 2; id <= 3; ++id) {
+    ASSERT_EQ(replicas[id]->prepared_view(), 1U) << "replica " << id;
+    ASSERT_EQ(replicas[id]->prepared_value(), x) << "replica " << id;
+    ASSERT_FALSE(decided[id].has_value());
+  }
+
+  // Replica 1 comes back with a fresh instance and replica 4 joins; both
+  // start straight in view 2, whose leader is replica 2.
+  network.clear_filter();
+  build(1);
+  build(4);
+  replicas[1]->start(2);
+  replicas[4]->start(2);
+  EXPECT_EQ(replicas[1]->current_view(), 2U);
+  while (sim.now() < 5'000'000) {
+    bool all = true;
+    for (ReplicaId id = 1; id <= 4; ++id) all = all && decided[id].has_value();
+    if (all || !sim.step()) break;
+  }
+  for (ReplicaId id = 1; id <= 4; ++id) {
+    ASSERT_TRUE(decided[id].has_value()) << "replica " << id;
+    EXPECT_EQ(*decided[id], x) << "replica " << id;
+    EXPECT_EQ(replicas[id]->decided_view(), 2U) << "replica " << id;
   }
 }
 
