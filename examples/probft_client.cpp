@@ -22,13 +22,13 @@
 //   CLIENT ok requests=N replies=N retries=R duplicates=D wall_ms=...
 //   LATENCY p50_us=... p90_us=... p99_us=...
 //
-// --shards S enables client-side routing against a sharded cluster
-// (probft_node --shards S): the client computes each payload's owning
-// group through the same placement hash the replicas use and targets
-// that group's view-1 leader (lead_replica(s, n)) instead of server 1 —
-// --servers must then list every replica's client port in replica
-// order. Per-shard accounting is printed in stable ascending shard
-// order, one line per shard:
+// --shards S (default 1) matches probft_node --shards S: the client
+// computes each payload's owning group through the same placement hash
+// the replicas use and targets that group's view-1 leader
+// (lead_replica(s, n)) — server 1 when S = 1. With S > 1, --servers must
+// list every replica's client port in replica order, and per-shard
+// accounting is printed in stable ascending shard order, one line per
+// shard:
 //   SHARD s=<s> requests=... replies=... retries=... p50_us=...
 //
 // --dtx D appends D cross-shard transactions after the ordinary
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
   // hash to their owning shard via the placement layer; seqs past that
   // are cross-shard dtx requests carrying one mined key per shard, sent
   // to their coordinator shard's leader. With --shards 1 every primary
-  // is server 0 (the historical single-group behavior).
+  // is the one group's view-1 leader, server 0.
   const std::uint64_t n_requests = opt.requests;
   const std::uint64_t total = opt.requests + opt.dtx;
   const auto n_replicas = static_cast<std::uint32_t>(servers.size());
@@ -278,10 +278,8 @@ int main(int argc, char** argv) {
   for (std::uint64_t seq = 1; seq <= n_requests; ++seq) {
     payloads[seq] = to_bytes("req-" + std::to_string(opt.client_id) + "-" +
                              std::to_string(seq));
-    if (opt.shards > 1) {
-      shard_for[seq] = shard::shard_of(map, span(payloads[seq]));
-      primary[seq] = shard::lead_replica(shard_for[seq], n_replicas) - 1;
-    }
+    shard_for[seq] = shard::shard_of(map, span(payloads[seq]));
+    primary[seq] = shard::lead_replica(shard_for[seq], n_replicas) - 1;
   }
   for (std::uint64_t j = 0; j < opt.dtx; ++j) {
     const std::uint64_t seq = n_requests + 1 + j;
@@ -299,9 +297,7 @@ int main(int argc, char** argv) {
       }
     }
     shard_for[seq] = shard::shard_of(map, span(keys.front()));
-    if (opt.shards > 1) {
-      primary[seq] = shard::lead_replica(shard_for[seq], n_replicas) - 1;
-    }
+    primary[seq] = shard::lead_replica(shard_for[seq], n_replicas) - 1;
     payloads[seq] = shard::DtxCoordinator::encode_request(keys);
   }
 

@@ -19,40 +19,45 @@
 //    passes without a decision.
 //
 //  - SMR (--smr): a pipelined, batched replicated log (src/smr) serving
-//    real clients. --client-port opens the client listener (the wire
-//    format is net/client.hpp over net/frame.hpp); replies are sent after
-//    in-order execution, and duplicate (client, seq) retries are answered
-//    from the last-reply cache without re-executing. The process runs
-//    until --run-ms elapses — or exits early once --expect-cmds commands
-//    executed (plus --linger-ms for stragglers) — and prints
+//    real clients, run as a shard::ShardedSmr of --shards S consensus
+//    groups (default 1) over the same sockets. One group speaks the
+//    single-group wire (no shard envelope). --client-port opens the
+//    client listener (the wire format is net/client.hpp over
+//    net/frame.hpp). Requests route to the group that owns their key
+//    (the bytes before the first '='); replies are sent after in-order
+//    execution, and duplicate (client, seq) retries are answered from the
+//    last-reply cache without re-executing. A "DTX1"-prefixed request
+//    runs the cross-shard 2PC coordinator and is answered with
+//    dtx-committed / dtx-aborted (at S = 1 it commits as a
+//    one-participant transaction). --reads serves kClientRead frames.
+//    The process runs until --run-ms elapses — or exits early once
+//    --expect-cmds entries executed across all groups (dtx bookkeeping
+//    included: a D-participant tx commits exactly 2 + 2D entries), plus
+//    --linger-ms for stragglers — and prints one line per group
 //      SMRLOG id=<id> slots=<s> base=<b> cmds=<c> digest=<hex>
 //    (digest = the truncation-invariant chained log digest) so a harness
-//    can assert identical logs across the cluster.
+//    can assert identical logs across the cluster, then
+//      DTX id=<id> committed=<c> aborted=<a> in_flight=<i>
 //
 //    --wal-dir DIR makes the log durable: decisions and stable
-//    checkpoints are written to an fsync'd write-ahead log under DIR, and
-//    a restarted process recovers its executed prefix from it before
-//    rejoining (printing "RECOVERED id=<id> base=<b> slots=<s>" when it
-//    found state). kill -9 + restart must converge to the same digest as
-//    the peers — scripts/run_tcp_cluster.sh's restart mode asserts it.
+//    checkpoints are written to an fsync'd write-ahead log, and a
+//    restarted process recovers its executed prefix from it before
+//    rejoining, printing per group with recovered state
+//      RECOVERED id=<id> base=<b> slots=<s>
+//    kill -9 + restart must converge to the same digest as the peers —
+//    scripts/run_tcp_cluster.sh's restart mode asserts it.
 //
-//  - Sharded SMR (--shards S, implies --smr): the process serves S
-//    independent consensus groups (src/shard) over the same sockets.
-//    Client requests route to the group owning their payload hash; a
-//    "DTX1"-prefixed request runs the cross-shard 2PC coordinator and is
-//    answered with dtx-committed / dtx-aborted. --wal-dir splits into
-//    per-group directories (DIR/shard-<s>), SMRLOG/RECOVERED lines gain
-//    a shard=<s> field (one line per group), and a final
-//      DTX id=<id> committed=<c> aborted=<a> in_flight=<i>
-//    line reports transaction outcomes. --expect-cmds counts total
-//    executed entries across all groups, dtx bookkeeping entries
-//    included (a D-participant tx commits exactly 2 + 2D entries).
+//    With S > 1 the WAL splits into per-group directories
+//    (DIR/shard-<s>) and SMRLOG/RECOVERED lines gain a shard=<s> field
+//    after id=<id>. With S = 1 the WAL lives in DIR itself and the lines
+//    carry no shard field.
 //
 // SIGTERM/SIGINT stop the event loop gracefully in both modes: the WAL
 // is flushed and the final SMRLOG/--stats lines are still printed.
 // --stats prints per-tag TransportStats on shutdown in both modes.
 // scripts/run_tcp_cluster.sh drives all modes: agreement smoke (default),
-// client mode (`client` protocol argument), crash-restart (`restart`).
+// client mode (`client`), crash-restart (`restart`), reads (`reads`) and
+// the sharded smoke (`shard`).
 #include <cctype>
 #include <csignal>
 #include <cstdio>
@@ -100,11 +105,11 @@ struct Options {
   std::string wal_dir;                      // empty = no durability
   std::uint64_t checkpoint_interval = 16;   // slots; 0 disables
   bool fsync = true;                        // fsync WAL writes
-  /// Consensus groups (src/shard). 1 = the plain single-group log; > 1
-  /// runs a shard::ShardedSmr fleet — S groups multiplexed over this
-  /// process's one transport, requests routed by payload hash, per-shard
-  /// WAL namespaces under --wal-dir/shard-<s>, and a cross-shard 2PC
-  /// coordinator serving "DTX1" client requests.
+  /// Consensus groups of the shard::ShardedSmr this process serves,
+  /// multiplexed over its one transport; requests route by key. 1 = one
+  /// group on the single-group wire, WAL in --wal-dir itself; > 1 =
+  /// shard-enveloped traffic and per-shard WAL namespaces under
+  /// --wal-dir/shard-<s>.
   std::uint32_t shards = 1;
   /// Serve the linearizable read fast path (leader leases + quorum
   /// read-index, src/smr/reads.hpp) and answer kClientRead frames on the
@@ -264,27 +269,35 @@ void print_stats(const net::TransportStats& stats) {
   std::fflush(stdout);
 }
 
-int run_smr_node(const Options& opt, net::TcpTransport& transport,
-                 sim::NodeParams params) {
+/// --smr: one process serves the replicated log as shard::ShardedSmr
+/// with --shards S consensus groups (S = 1: one group, on the
+/// single-group wire) over the same transport. Wires WAL durability,
+/// client reply routing, the read path and the dtx coordinator for
+/// "DTX1" transactions; prints one SMRLOG line per group.
+int run_smr_service(const Options& opt, net::TcpTransport& transport,
+                    sim::NodeParams params) {
   params.smr.window = opt.window;
   params.smr.batch_max_commands = opt.batch;
   params.smr.checkpoint_interval = opt.checkpoint_interval;
   params.smr.serve_reads = opt.reads;
 
-  // Durability: the replica recovers from the WAL at construction and
+  // Durability: each group recovers from its WAL at construction and
   // appends decisions / stable checkpoints to it while running.
-  std::unique_ptr<store::Wal> wal;
+  shard::ShardedSmrConfig sc;
+  std::vector<std::unique_ptr<store::Wal>> wals;
   if (!opt.wal_dir.empty()) {
     try {
-      wal = std::make_unique<store::Wal>(
-          store::WalOptions{opt.wal_dir, opt.fsync});
+      wals = shard::open_group_wals(opt.wal_dir, opt.shards, opt.fsync);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "cannot open WAL at %s: %s\n",
+      std::fprintf(stderr, "cannot open WAL under %s: %s\n",
                    opt.wal_dir.c_str(), e.what());
       return 1;
     }
-    params.wal = wal.get();
+    for (const auto& wal : wals) sc.wals.push_back(wal.get());
   }
+
+  std::unique_ptr<shard::ShardedSmr> node;
+  std::unique_ptr<shard::DtxCoordinator> dtx;
 
   // Reply routing: (client, seq) → the connection awaiting the reply,
   // plus a per-client last-reply cache so an already-executed retry is
@@ -292,35 +305,72 @@ int run_smr_node(const Options& opt, net::TcpTransport& transport,
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> waiting;
   std::map<std::uint64_t, net::ClientReply> last_reply;
 
-  params.on_execute = [&transport, &waiting,
-                       &last_reply](const smr::ExecutedCommand& cmd) {
-    net::ClientReply reply;
-    reply.client_id = cmd.client;
-    reply.seq = cmd.seq;
-    reply.slot = cmd.slot;
-    reply.result = cmd.payload;
-    const auto it = waiting.find({cmd.client, cmd.seq});
+  const auto route_reply = [&transport, &waiting,
+                            &last_reply](net::ClientReply reply) {
+    const auto it = waiting.find({reply.client_id, reply.seq});
     if (it != waiting.end()) {
       transport.send_to_client(it->second, net::kClientReplyTag,
                                reply.encode());
       waiting.erase(it);
     }
-    last_reply[cmd.client] = std::move(reply);
+    last_reply[reply.client_id] = std::move(reply);
+  };
+  const auto dtx_reply = [](std::uint64_t client, std::uint64_t seq,
+                            bool committed) {
+    net::ClientReply reply;
+    reply.client_id = client;
+    reply.seq = seq;
+    reply.result = to_bytes(committed ? "dtx-committed" : "dtx-aborted");
+    return reply;
   };
 
-  const auto node = sim::make_smr_node(
-      params,
-      sim::transport_host(transport, opt.id, transport.timer_setter()));
+  sc.base = sim::smr_config(params);
+  sc.map.version = 1;
+  sc.map.shard_count = opt.shards;
+  sc.on_execute = [&dtx, &route_reply](shard::ShardId s,
+                                       const smr::ExecutedCommand& cmd) {
+    if (dtx) dtx->on_execute(s, cmd);
+    // Dtx bookkeeping is protocol state, not a client command: the
+    // client's reply comes from the coordinator's on_complete instead.
+    if (shard::DtxCoordinator::is_bookkeeping(s, cmd.client, cmd.payload)) {
+      return;
+    }
+    net::ClientReply reply;
+    reply.client_id = cmd.client;
+    reply.seq = cmd.seq;
+    reply.slot = cmd.slot;
+    reply.result = cmd.payload;
+    route_reply(std::move(reply));
+  };
+
+  try {
+    node = std::make_unique<shard::ShardedSmr>(
+        std::move(sc), sim::transport_host(transport, opt.id,
+                                           transport.timer_setter()));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "cannot start SMR service: %s\n", e.what());
+    return 1;
+  }
+  dtx = std::make_unique<shard::DtxCoordinator>(*node,
+                                                transport.timer_setter());
+  dtx->set_on_complete([&route_reply, &dtx_reply](
+                           std::uint64_t /*txid*/, bool committed,
+                           std::uint64_t origin_client,
+                           std::uint64_t origin_seq) {
+    if (origin_client == 0) return;  // learned via BEGIN, no local client
+    route_reply(dtx_reply(origin_client, origin_seq, committed));
+  });
 
   transport.register_handler(
       opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
         node->on_message(from, tag, m);
       });
-  transport.set_client_handler([&transport, &node, &waiting, &last_reply](
+  transport.set_client_handler([&transport, &node, &dtx, &dtx_reply,
+                                &waiting, &last_reply](
                                    std::uint64_t conn, std::uint8_t tag,
                                    const Bytes& payload) {
     if (tag == net::kClientReadTag) {
-      // Read path: the engine answers through its own state machine
+      // Read path: the owning group answers through its own state machine
       // (lease / read-index / parked min_index waits) and calls back on
       // the loop thread; with --reads off every mode answers kRejected,
       // which the reply carries back instead of leaving the client to
@@ -351,219 +401,14 @@ int run_smr_node(const Options& opt, net::TcpTransport& transport,
     try {
       const auto request =
           net::ClientRequest::decode(ByteSpan(payload.data(), payload.size()));
-      if (request.seq <= node->last_executed_seq(request.client_id)) {
-        // Already executed: answer the retry from the cache (only the
-        // client's latest request is cached, PBFT-style).
-        const auto cached = last_reply.find(request.client_id);
-        if (cached != last_reply.end() &&
-            cached->second.seq == request.seq) {
-          transport.send_to_client(conn, net::kClientReplyTag,
-                                   cached->second.encode());
-        }
-        return;
-      }
-      // Enqueue, then route the reply. A false return is either a retry
-      // of still-pending work (keep/redirect the route to the fresh
-      // connection) or an outright rejection (oversized payload, intake
-      // backpressure) — the latter answers an explicit kRejected so the
-      // client backs off instead of waiting out its timeout, and must
-      // not leave a route behind (the request will never execute, so a
-      // waiting entry would leak).
-      const bool accepted = node->submit_request(
-          request.client_id, request.seq, request.payload);
-      if (accepted || node->has_pending(request.client_id, request.seq)) {
-        waiting[{request.client_id, request.seq}] = conn;
-      } else {
-        net::ClientReply reject;
-        reject.client_id = request.client_id;
-        reject.seq = request.seq;
-        reject.status = net::ReplyStatus::kRejected;
-        transport.send_to_client(conn, net::kClientReplyTag,
-                                 reject.encode());
-      }
-    } catch (const CodecError&) {
-      // Malformed client request: drop (the framing layer already
-      // poisons truly corrupt streams).
-    }
-  });
-
-  if (node->recovered_slots() > 0) {
-    std::printf("RECOVERED id=%u base=%llu slots=%llu\n", opt.id,
-                static_cast<unsigned long long>(node->log_base()),
-                static_cast<unsigned long long>(node->recovered_slots()));
-    std::fflush(stdout);
-  }
-
-  node->start();
-  const std::uint64_t expect = opt.expect_cmds;
-  const auto caught_up = [&node, expect] {
-    return expect > 0 && node->executed_commands() >= expect;
-  };
-  const std::function<bool()> done =
-      expect > 0 ? std::function<bool()>(caught_up) : nullptr;
-  const bool reached = transport.run_until(done, opt.run_ms * 1000);
-  // Keep serving peers/clients so slower replicas reach the same log.
-  // (A stop signal makes both loops return immediately: stop() is sticky.)
-  transport.run_until(nullptr, opt.linger_ms * 1000);
-
-  if (wal) wal->sync();  // flush any buffered tail before reporting
-  std::printf("SMRLOG id=%u slots=%llu base=%llu cmds=%llu digest=%s\n",
-              opt.id,
-              static_cast<unsigned long long>(node->committed_slots()),
-              static_cast<unsigned long long>(node->log_base()),
-              static_cast<unsigned long long>(node->executed_commands()),
-              node->log_digest().c_str());
-  std::fflush(stdout);
-  if (opt.stats) print_stats(transport.stats());
-  if (g_signaled) return 0;  // clean stop on request, not a failure
-  if (expect > 0 && !reached) {
-    std::fprintf(stderr, "executed %llu/%llu commands within %llu ms\n",
-                 static_cast<unsigned long long>(node->executed_commands()),
-                 static_cast<unsigned long long>(expect),
-                 static_cast<unsigned long long>(opt.run_ms));
-    return 1;
-  }
-  return 0;
-}
-
-/// --shards S: one process serves S consensus groups (shard::ShardedSmr)
-/// over the same transport. Mirrors run_smr_node's wiring — WAL
-/// durability, client reply routing — plus the dtx
-/// coordinator for cross-shard "DTX1" transactions. Prints one SMRLOG
-/// line per shard so harnesses assert per-shard digest agreement.
-int run_sharded_node(const Options& opt, net::TcpTransport& transport,
-                     sim::NodeParams params) {
-  params.smr.window = opt.window;
-  params.smr.batch_max_commands = opt.batch;
-  params.smr.checkpoint_interval = opt.checkpoint_interval;
-  params.smr.serve_reads = opt.reads;
-
-  // Durability: one WAL per group under its own directory, so each
-  // group's decide/checkpoint stream has a private segment namespace.
-  std::vector<std::unique_ptr<store::Wal>> wals;
-  std::vector<store::Wal*> wal_ptrs;
-  if (!opt.wal_dir.empty()) {
-    for (shard::ShardId s = 0; s < opt.shards; ++s) {
-      try {
-        wals.push_back(std::make_unique<store::Wal>(store::WalOptions{
-            opt.wal_dir + "/shard-" + std::to_string(s), opt.fsync}));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "cannot open WAL for shard %u under %s: %s\n",
-                     s, opt.wal_dir.c_str(), e.what());
-        return 1;
-      }
-      wal_ptrs.push_back(wals.back().get());
-    }
-  }
-
-  std::unique_ptr<shard::ShardedSmr> node;
-  std::unique_ptr<shard::DtxCoordinator> dtx;
-
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> waiting;
-  std::map<std::uint64_t, net::ClientReply> last_reply;
-
-  const auto route_reply = [&transport, &waiting,
-                            &last_reply](const net::ClientReply& reply) {
-    const auto it = waiting.find({reply.client_id, reply.seq});
-    if (it != waiting.end()) {
-      transport.send_to_client(it->second, net::kClientReplyTag,
-                               reply.encode());
-      waiting.erase(it);
-    }
-    last_reply[reply.client_id] = reply;
-  };
-
-  shard::ShardedSmrConfig sc;
-  sc.base.id = params.id;
-  sc.base.n = params.n;
-  sc.base.f = params.f;
-  sc.base.o = params.o;
-  sc.base.l = params.l;
-  sc.base.pipeline = params.smr;
-  sc.base.fast_verify = params.fast_verify;
-  sc.base.suite = params.suite;
-  sc.base.secret_key = params.secret_key;
-  sc.base.public_keys = params.public_keys;
-  sc.base.sync = params.sync;
-  sc.map.version = 1;
-  sc.map.shard_count = opt.shards;
-  sc.wals = wal_ptrs;
-  sc.on_execute = [&dtx, &route_reply](shard::ShardId s,
-                                       const smr::ExecutedCommand& cmd) {
-    if (dtx) dtx->on_execute(s, cmd);
-    // Dtx-internal entries (DXB1/DXP1/DXD1/DXA1 under synthetic per-tx
-    // clients) are protocol bookkeeping, not client commands — the
-    // client's reply comes from the coordinator's on_complete instead.
-    if (cmd.payload.size() >= 4 && cmd.payload[0] == 'D' &&
-        cmd.payload[1] == 'X') {
-      return;
-    }
-    net::ClientReply reply;
-    reply.client_id = cmd.client;
-    reply.seq = cmd.seq;
-    reply.slot = cmd.slot;
-    reply.result = cmd.payload;
-    route_reply(reply);
-  };
-
-  try {
-    node = std::make_unique<shard::ShardedSmr>(
-        std::move(sc), sim::transport_host(transport, opt.id,
-                                           transport.timer_setter()));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "cannot start sharded service: %s\n", e.what());
-    return 1;
-  }
-  dtx = std::make_unique<shard::DtxCoordinator>(*node,
-                                                transport.timer_setter());
-  dtx->set_on_complete([&route_reply](std::uint64_t /*txid*/, bool committed,
-                                      std::uint64_t origin_client,
-                                      std::uint64_t origin_seq) {
-    if (origin_client == 0) return;  // learned via BEGIN, no local client
-    net::ClientReply reply;
-    reply.client_id = origin_client;
-    reply.seq = origin_seq;
-    reply.result = to_bytes(committed ? "dtx-committed" : "dtx-aborted");
-    route_reply(reply);
-  });
-
-  transport.register_handler(
-      opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-        node->on_message(from, tag, m);
-      });
-  transport.set_client_handler([&transport, &node, &dtx, &waiting,
-                                &last_reply](std::uint64_t conn,
-                                             std::uint8_t tag,
-                                             const Bytes& payload) {
-    if (tag == net::kClientReadTag) {
-      // Reads route to the group owning the key — writes place by
-      // read_view_key(payload), so key and writes meet the same group.
-      try {
-        const auto read =
-            net::ReadRequest::decode(ByteSpan(payload.data(), payload.size()));
-        node->submit_read(
-            read.key, read.consistency, read.min_index,
-            [&transport, conn, client_id = read.client_id,
-             read_id = read.read_id](const smr::SmrReplica::ReadResult& r) {
-              net::ReadReply reply;
-              reply.client_id = client_id;
-              reply.read_id = read_id;
-              reply.status = r.status;
-              reply.slot = r.slot;
-              reply.index = r.index;
-              reply.value = r.value;
-              transport.send_to_client(conn, net::kClientReadReplyTag,
-                                       reply.encode());
-            });
-      } catch (const CodecError&) {
-        // Malformed read: drop.
-      }
-      return;
-    }
-    if (tag != net::kClientRequestTag) return;
-    try {
-      const auto request =
-          net::ClientRequest::decode(ByteSpan(payload.data(), payload.size()));
+      // Live work routes its reply to this connection (a retry of
+      // still-pending work redirects the route). Anything else is an
+      // outright rejection (malformed transaction, oversized payload,
+      // intake backpressure): it answers an explicit kRejected so the
+      // client backs off instead of waiting out its timeout, and leaves
+      // no route behind (the request will never execute, so a waiting
+      // entry would leak).
+      bool live = false;
       if (shard::DtxCoordinator::is_dtx_request(request.payload)) {
         // Cross-shard transaction. A retry of a finished tx is answered
         // from the coordinator's outcome table (the origin (client, seq)
@@ -571,58 +416,62 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
         const std::uint64_t txid = shard::DtxCoordinator::txid_of(
             request.client_id, request.seq, request.payload);
         if (const auto done = dtx->completed_status(txid)) {
-          net::ClientReply reply;
-          reply.client_id = request.client_id;
-          reply.seq = request.seq;
-          reply.result = to_bytes(*done ? "dtx-committed" : "dtx-aborted");
-          transport.send_to_client(conn, net::kClientReplyTag,
-                                   reply.encode());
+          transport.send_to_client(
+              conn, net::kClientReplyTag,
+              dtx_reply(request.client_id, request.seq, *done).encode());
           return;
         }
-        if (dtx->submit(request.client_id, request.seq, request.payload)) {
-          waiting[{request.client_id, request.seq}] = conn;
-        }
-        return;
-      }
-      // Ordinary request: dedup against the OWNING group's tables (each
-      // group has its own per-client last-executed map).
-      const shard::ShardId s = node->placement().shard_of(
-          ByteSpan(request.payload.data(), request.payload.size()));
-      const smr::SmrReplica& group = node->group(s);
-      if (request.seq <= group.last_executed_seq(request.client_id)) {
-        const auto cached = last_reply.find(request.client_id);
-        if (cached != last_reply.end() &&
-            cached->second.seq == request.seq) {
-          transport.send_to_client(conn, net::kClientReplyTag,
-                                   cached->second.encode());
-        }
-        return;
-      }
-      const bool accepted = node->submit_request(
-          request.client_id, request.seq, request.payload);
-      if (accepted || group.has_pending(request.client_id, request.seq)) {
-        waiting[{request.client_id, request.seq}] = conn;
+        live = dtx->submit(request.client_id, request.seq, request.payload);
       } else {
-        net::ClientReply reject;
-        reject.client_id = request.client_id;
-        reject.seq = request.seq;
-        reject.status = net::ReplyStatus::kRejected;
-        transport.send_to_client(conn, net::kClientReplyTag,
-                                 reject.encode());
+        // Ordinary request: dedup against the tables of the group that
+        // orders it (each group has its own per-client last-executed
+        // map).
+        const smr::SmrReplica& group =
+            node->group(node->owner_of(request.payload));
+        if (request.seq <= group.last_executed_seq(request.client_id)) {
+          // Already executed: answer the retry from the cache (only the
+          // client's latest request is cached, PBFT-style).
+          const auto cached = last_reply.find(request.client_id);
+          if (cached != last_reply.end() &&
+              cached->second.seq == request.seq) {
+            transport.send_to_client(conn, net::kClientReplyTag,
+                                     cached->second.encode());
+          }
+          return;
+        }
+        live = node->submit_request(request.client_id, request.seq,
+                                    request.payload) ||
+               group.has_pending(request.client_id, request.seq);
       }
+      if (live) {
+        waiting[{request.client_id, request.seq}] = conn;
+        return;
+      }
+      net::ClientReply reject;
+      reject.client_id = request.client_id;
+      reject.seq = request.seq;
+      reject.status = net::ReplyStatus::kRejected;
+      transport.send_to_client(conn, net::kClientReplyTag, reject.encode());
     } catch (const CodecError&) {
-      // Malformed client request: drop.
+      // Malformed client request: drop (the framing layer already
+      // poisons truly corrupt streams).
     }
   });
 
+  // Per-group lines name their group only when there are several, so a
+  // one-group node prints the single-group formats.
+  const auto shard_field = [&opt](shard::ShardId s) {
+    return opt.shards > 1 ? " shard=" + std::to_string(s) : std::string();
+  };
   bool recovered = false;
   for (shard::ShardId s = 0; s < node->shard_count(); ++s) {
-    if (node->group(s).recovered_slots() == 0) continue;
+    const smr::SmrReplica& group = node->group(s);
+    if (group.recovered_slots() == 0) continue;
     recovered = true;
-    std::printf("RECOVERED id=%u shard=%u base=%llu slots=%llu\n", opt.id, s,
-                static_cast<unsigned long long>(node->group(s).log_base()),
-                static_cast<unsigned long long>(
-                    node->group(s).recovered_slots()));
+    std::printf("RECOVERED id=%u%s base=%llu slots=%llu\n", opt.id,
+                shard_field(s).c_str(),
+                static_cast<unsigned long long>(group.log_base()),
+                static_cast<unsigned long long>(group.recovered_slots()));
   }
   std::fflush(stdout);
 
@@ -643,14 +492,15 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
   const std::function<bool()> done =
       expect > 0 ? std::function<bool()>(caught_up) : nullptr;
   const bool reached = transport.run_until(done, opt.run_ms * 1000);
+  // Keep serving peers/clients so slower replicas reach the same log.
+  // (A stop signal makes both loops return immediately: stop() is sticky.)
   transport.run_until(nullptr, opt.linger_ms * 1000);
 
-  for (const auto& wal : wals) wal->sync();
+  for (const auto& wal : wals) wal->sync();  // flush any buffered tail
   for (shard::ShardId s = 0; s < node->shard_count(); ++s) {
     const smr::SmrReplica& group = node->group(s);
-    std::printf("SMRLOG id=%u shard=%u slots=%llu base=%llu cmds=%llu "
-                "digest=%s\n",
-                opt.id, s,
+    std::printf("SMRLOG id=%u%s slots=%llu base=%llu cmds=%llu digest=%s\n",
+                opt.id, shard_field(s).c_str(),
                 static_cast<unsigned long long>(group.committed_slots()),
                 static_cast<unsigned long long>(group.log_base()),
                 static_cast<unsigned long long>(group.executed_commands()),
@@ -662,7 +512,7 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
               static_cast<unsigned long long>(dtx->in_flight()));
   std::fflush(stdout);
   if (opt.stats) print_stats(transport.stats());
-  if (g_signaled) return 0;
+  if (g_signaled) return 0;  // clean stop on request, not a failure
   if (expect > 0 && !reached) {
     std::fprintf(stderr, "executed %llu/%llu entries within %llu ms\n",
                  static_cast<unsigned long long>(node->executed_commands()),
@@ -782,9 +632,6 @@ int main(int argc, char** argv) {
   // timer is generous compared to the simulator's 100 ms default.
   params.sync.base_timeout = 1'000'000;  // 1 s
 
-  if (opt.smr && opt.shards > 1) {
-    return run_sharded_node(opt, *transport, std::move(params));
-  }
-  return opt.smr ? run_smr_node(opt, *transport, std::move(params))
+  return opt.smr ? run_smr_service(opt, *transport, std::move(params))
                  : run_single_shot(opt, *transport, std::move(params));
 }

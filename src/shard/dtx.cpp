@@ -59,6 +59,23 @@ Bytes DtxCoordinator::encode_request(const std::vector<Bytes>& keys) {
   return std::move(w).take();
 }
 
+bool DtxCoordinator::is_bookkeeping(ShardId shard, std::uint64_t client,
+                                    const Bytes& payload) {
+  if (payload.size() < 12 || payload[0] != 'D' || payload[1] != 'X') {
+    return false;  // cheap reject for ordinary traffic
+  }
+  Reader r(span(payload));
+  (void)r.raw(4);
+  const std::uint64_t txid = r.u64();
+  if (has_magic(payload, kBeginMagic) || has_magic(payload, kDecideMagic)) {
+    return client == coord_client(txid);
+  }
+  if (has_magic(payload, kPrepareMagic) || has_magic(payload, kApplyMagic)) {
+    return client == part_client(txid, shard);
+  }
+  return false;
+}
+
 std::uint64_t DtxCoordinator::txid_of(std::uint64_t client,
                                       std::uint64_t seq,
                                       const Bytes& payload) {
@@ -207,10 +224,12 @@ void DtxCoordinator::complete(Tx& tx, bool committed) {
 }
 
 DtxCoordinator::Tx* DtxCoordinator::apply_entry(ShardId shard,
+                                                std::uint64_t client,
                                                 const Bytes& payload) {
-  if (payload.size() < 4 || payload[0] != 'D' || payload[1] != 'X') {
-    return nullptr;  // cheap reject for ordinary traffic
-  }
+  // Only the synthetic client that owns a phase can move a tx: the same
+  // bytes from an ordinary client (say a DECIDE(abort) for someone
+  // else's tx) are application data.
+  if (!is_bookkeeping(shard, client, payload)) return nullptr;
   try {
     if (has_magic(payload, kBeginMagic)) {
       Reader r(span(payload));
@@ -270,7 +289,7 @@ DtxCoordinator::Tx* DtxCoordinator::apply_entry(ShardId shard,
 
 void DtxCoordinator::on_execute(ShardId shard,
                                 const smr::ExecutedCommand& cmd) {
-  Tx* tx = apply_entry(shard, cmd.payload);
+  Tx* tx = apply_entry(shard, cmd.client, cmd.payload);
   if (tx == nullptr) return;
   drive(*tx);
   arm_pump();
@@ -278,8 +297,8 @@ void DtxCoordinator::on_execute(ShardId shard,
 
 void DtxCoordinator::rebuild_from_logs() {
   for (ShardId s = 0; s < service_.shard_count(); ++s) {
-    for (const Bytes& payload : service_.group(s).log()) {
-      (void)apply_entry(s, payload);
+    for (const smr::LogEntry& entry : service_.group(s).entries()) {
+      (void)apply_entry(s, entry.client, entry.payload);
     }
   }
   for (auto& [txid, tx] : txs_) {

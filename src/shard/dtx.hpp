@@ -27,6 +27,10 @@
 //           DECIDE(abort) wins, no honest replica ever submits APPLY —
 //           that is the all-or-nothing edge.
 //
+// An entry counts only under the synthetic client that owns its phase
+// (is_bookkeeping): any client can get the same bytes into a log, and
+// there they are ordinary data, answered like any other request.
+//
 // Idempotent recovery: a restarted replica replays its per-shard WALs
 // (rebuilding each group's log), then rebuild_from_logs() re-reads every
 // executed entry to reconstruct in-flight tx state and resumes driving.
@@ -77,6 +81,15 @@ class DtxCoordinator {
   /// The client payload for a transaction over `keys`: "DTX1" ‖ the keys
   /// as a u32-counted vector of length-prefixed byte strings.
   [[nodiscard]] static Bytes encode_request(const std::vector<Bytes>& keys);
+  /// Whether an executed entry of `shard` is dtx bookkeeping: a
+  /// BEGIN/PREPARE/DECIDE/APPLY payload under the synthetic client that
+  /// owns its phase (coord_client for BEGIN/DECIDE, part_client for
+  /// PREPARE/APPLY). The tracker applies only such entries, and the node
+  /// sends no client reply for them; the same bytes from any other client
+  /// are ordinary data.
+  [[nodiscard]] static bool is_bookkeeping(ShardId shard,
+                                           std::uint64_t client,
+                                           const Bytes& payload);
   /// Deterministic tx id: first 8 bytes of SHA-256 over (client, seq,
   /// payload) — a client retry maps to the same tx and is absorbed by
   /// the engine's dedup.
@@ -133,8 +146,8 @@ class DtxCoordinator {
   void drive(Tx& tx);
   void complete(Tx& tx, bool committed);
   /// Applies one executed entry to the tracker; returns the touched tx
-  /// (nullptr for non-dtx entries). No driving — callers decide.
-  Tx* apply_entry(ShardId shard, const Bytes& payload);
+  /// (nullptr unless is_bookkeeping). No driving — callers decide.
+  Tx* apply_entry(ShardId shard, std::uint64_t client, const Bytes& payload);
   void arm_pump();
 
   [[nodiscard]] static std::uint64_t coord_client(std::uint64_t txid);

@@ -53,6 +53,7 @@ std::uint64_t key_hash(ByteSpan key) {
 }
 
 ShardId shard_of(const ShardMap& map, ByteSpan key) {
+  if (map.shard_count == 1) return 0;  // one range: no hash needed
   // Multiply-shift range scaling: floor(h / 2^64 * shard_count). Uniform
   // over equal ranges and free of the modulo's bias toward low shards.
   const auto h = static_cast<unsigned __int128>(key_hash(key));

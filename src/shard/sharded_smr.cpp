@@ -31,20 +31,23 @@ ShardedSmr::ShardedSmr(ShardedSmrConfig config, core::ProtocolHost host)
     smr::SmrConfig gc = cfg_.base;
     gc.leader_offset = s;
     // Forwards carry the ShardMap version, so a receiver under another
-    // map drops them instead of committing to the wrong group's log.
-    gc.forward = [this, s](ReplicaId leader, const smr::Request& req) {
-      Writer w;
-      w.u64(cfg_.map.version);
-      w.u32(s);
-      req.encode(w);
-      host_.send(leader, kShardForwardTag, std::move(w).take());
-    };
+    // map drops them instead of committing to the wrong group's log. One
+    // group keeps the single-group forward (kSmrForwardTag).
+    if (shards > 1) {
+      gc.forward = [this, s](ReplicaId leader, const smr::Request& req) {
+        Writer w;
+        w.u64(cfg_.map.version);
+        w.u32(s);
+        req.encode(w);
+        host_.send(leader, kShardForwardTag, std::move(w).take());
+      };
+    }
     gc.wal = cfg_.wals.empty() ? nullptr : cfg_.wals[s];
     gc.on_execute = [this, s](const smr::ExecutedCommand& cmd) {
       if (cfg_.on_execute) cfg_.on_execute(s, cmd);
     };
-    groups_.push_back(
-        std::make_unique<smr::SmrReplica>(std::move(gc), group_host(s)));
+    groups_.push_back(std::make_unique<smr::SmrReplica>(
+        std::move(gc), shards == 1 ? host_ : group_host(s)));
   }
 }
 
@@ -76,12 +79,12 @@ void ShardedSmr::start() {
 
 bool ShardedSmr::submit_request(std::uint64_t client, std::uint64_t seq,
                                 Bytes payload) {
-  // Place by the payload's KEY (the bytes before the first '='), not the
-  // raw bytes, so a read of that key routes to the shard that owns its
-  // writes. Payloads without '=' key as the whole payload — placement for
-  // every historical opaque workload (and its pinned digests) unchanged.
-  const ShardId s = placement_.shard_of(smr::read_view_key(span(payload)));
+  const ShardId s = owner_of(payload);
   return submit_to_shard(s, client, seq, std::move(payload));
+}
+
+ShardId ShardedSmr::owner_of(const Bytes& payload) const {
+  return placement_.shard_of(smr::read_view_key(span(payload)));
 }
 
 void ShardedSmr::submit_read(Bytes key, net::ReadConsistency consistency,
@@ -117,6 +120,10 @@ void ShardedSmr::handle_forward(ReplicaId from, const Bytes& payload) {
 
 void ShardedSmr::on_message(ReplicaId from, std::uint8_t tag,
                             const Bytes& payload) {
+  if (shard_count() == 1) {  // no envelope: the single-group wire
+    groups_[0]->on_message(from, tag, payload);
+    return;
+  }
   try {
     switch (tag) {
       case kShardTag: {
@@ -149,6 +156,17 @@ std::uint64_t ShardedSmr::committed_slots() const {
   std::uint64_t total = 0;
   for (const auto& group : groups_) total += group->committed_slots();
   return total;
+}
+
+std::vector<std::unique_ptr<store::Wal>> open_group_wals(
+    const std::string& dir, std::uint32_t shard_count, bool fsync) {
+  std::vector<std::unique_ptr<store::Wal>> wals;
+  for (ShardId s = 0; s < shard_count; ++s) {
+    wals.push_back(std::make_unique<store::Wal>(store::WalOptions{
+        shard_count == 1 ? dir : dir + "/shard-" + std::to_string(s),
+        fsync}));
+  }
+  return wals;
 }
 
 }  // namespace probft::shard

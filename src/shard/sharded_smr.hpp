@@ -4,7 +4,7 @@
 // checkpoints, view state and (optionally) WAL — constructed with
 // leader_offset = shard id so the S view-1 leaders spread round-robin
 // across the fleet. All groups of one physical replica share the node's
-// keypair and network connection: group traffic travels as
+// keypair and network connection. With S > 1, group traffic travels as
 //
 //   kShardTag (0x28):        u32 shard ‖ u8 inner-tag ‖ inner payload
 //
@@ -12,19 +12,24 @@
 // hints, pulls, checkpoint votes, state transfer). Demultiplexing is a
 // 5-byte peel on the network thread.
 //
-// Request routing: submit_request hashes the payload through the
-// Placement layer and enqueues at the owning group. If this replica is
-// not that group's engine leader (smr::SmrReplica::engine_leader: the
-// leader of the view the group last decided in, view 1 until a view
-// change), the group forwards the request as
+// S = 1 has no envelope: the one group gets the outer host unchanged and
+// every inbound frame, so a one-group service is wire-identical to a bare
+// SmrReplica (same tags, same bytes, same forwards). This is the only
+// SMR serving path; the single-group deployment is its S = 1 case.
+//
+// Request routing: submit_request places the payload's key through the
+// Placement layer (owner_of) and enqueues at the owning group. If this
+// replica is not that group's engine leader (smr::SmrReplica::
+// engine_leader: the leader of the view the group last decided in, view 1
+// until a view change), the group forwards the request — with S > 1 as
 //
 //   kShardForwardTag (0x29): u64 map-version ‖ u32 shard ‖ Request
 //
 // so it lands in the leader's next batch without waiting for a timeout;
-// the local enqueue stays as the liveness fallback (exactly the
-// single-group engine's behavior, with a frame that carries the ShardMap
-// version — a receiver under a different map drops the frame instead of
-// committing it to the wrong group's log).
+// the local enqueue stays as the liveness fallback. The frame carries the
+// ShardMap version: a receiver under a different map drops it instead of
+// committing it to the wrong group's log. S = 1 forwards as the
+// single-group engine does (kSmrForwardTag).
 //
 // Thread ownership: ShardedSmr has no locking of its own. Like the
 // SmrReplica it wraps, every entry point (on_message, submit_request,
@@ -54,9 +59,9 @@ inline constexpr std::uint8_t kShardTag = net::tags::kShard;
 inline constexpr std::uint8_t kShardForwardTag = net::tags::kShardForward;
 
 struct ShardedSmrConfig {
-  /// Template for every group: id/n/f/o/l, pipeline shape, crypto, sync,
-  /// shared verdict cache. Per-group fields are overridden internally
-  /// (leader_offset, forward, wal, on_execute); base.wal and
+  /// Template for every group: id/n/f/o/l, pipeline shape, crypto, sync.
+  /// Per-group fields are overridden internally (leader_offset, wal,
+  /// on_execute, and forward when shard_count > 1); base.wal and
   /// base.on_execute themselves are ignored.
   smr::SmrConfig base;
 
@@ -65,8 +70,8 @@ struct ShardedSmrConfig {
 
   /// Optional per-shard WALs (index = shard id; empty = no durability,
   /// size must otherwise equal shard_count). Non-owning; must outlive
-  /// the service. Each group persists under its own segment namespace —
-  /// one directory per shard in the node binary.
+  /// the service. Each group persists under its own segment namespace
+  /// (open_group_wals).
   std::vector<store::Wal*> wals;
 
   /// Called once per executed request of any group, tagged with the
@@ -86,12 +91,18 @@ class ShardedSmr : public core::INode {
   void on_message(ReplicaId from, std::uint8_t tag,
                   const Bytes& payload) override;
 
-  /// Routes (client, seq, payload) to the group owning the payload bytes
-  /// (the request payload IS the placement key) and forwards to that
-  /// group's engine leader when it is remote. Returns the local enqueue
-  /// verdict — false for duplicates and unbatchable payloads, like the
-  /// single-group engine.
+  /// Routes (client, seq, payload) to owner_of(payload) and forwards to
+  /// that group's engine leader when it is remote. Returns the local
+  /// enqueue verdict — false for duplicates and unbatchable payloads,
+  /// like the single-group engine.
   bool submit_request(std::uint64_t client, std::uint64_t seq, Bytes payload);
+
+  /// The group that orders a request payload: placement by its KEY (the
+  /// bytes before the first '=', smr::read_view_key), so a read of that
+  /// key routes to the group that owns its writes. Payloads without '='
+  /// key as the whole payload. A serving node looks up a request's dedup
+  /// state in this group.
+  [[nodiscard]] ShardId owner_of(const Bytes& payload) const;
 
   /// Same, with the owning shard chosen by the caller (the dtx
   /// coordinator places its own entries).
@@ -123,7 +134,8 @@ class ShardedSmr : public core::INode {
   [[nodiscard]] std::uint64_t committed_slots() const;
 
  private:
-  /// Host handed to group `s`: wraps every frame in the shard envelope.
+  /// Host handed to group `s` when S > 1: wraps every frame in the shard
+  /// envelope.
   [[nodiscard]] core::ProtocolHost group_host(ShardId s);
   void handle_forward(ReplicaId from, const Bytes& payload);
 
@@ -132,5 +144,11 @@ class ShardedSmr : public core::INode {
   Placement placement_;
   std::vector<std::unique_ptr<smr::SmrReplica>> groups_;
 };
+
+/// Opens one WAL per group under `dir`: `dir` itself when shard_count is
+/// 1 (the single-group layout), `dir/shard-<s>` otherwise. Throws what
+/// store::Wal throws.
+[[nodiscard]] std::vector<std::unique_ptr<store::Wal>> open_group_wals(
+    const std::string& dir, std::uint32_t shard_count, bool fsync);
 
 }  // namespace probft::shard

@@ -54,10 +54,14 @@ struct NodeParams {
 [[nodiscard]] std::unique_ptr<core::INode> make_honest_node(
     const NodeParams& params, core::ProtocolHost host);
 
-/// Builds a pipelined SMR replica (ProBFT-backed log) against `host`,
-/// using the same key/suite/sync plumbing as the single-shot factory —
-/// `params.protocol` and `params.my_value` are ignored. Both deployment
-/// worlds (sim fleets, the TCP node binary) construct SMR nodes here.
+/// The SMR replica config for `params`: the same key/suite/sync plumbing
+/// as the single-shot factory — `params.protocol` and `params.my_value`
+/// are ignored. The serving paths (the node binary, the scenario runner)
+/// use it as shard::ShardedSmrConfig::base.
+[[nodiscard]] smr::SmrConfig smr_config(const NodeParams& params);
+
+/// Builds a bare pipelined SMR replica (ProBFT-backed log) from
+/// smr_config(params) against `host`.
 [[nodiscard]] std::unique_ptr<smr::SmrReplica> make_smr_node(
     const NodeParams& params, core::ProtocolHost host);
 

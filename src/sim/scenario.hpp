@@ -78,10 +78,10 @@ struct ScenarioSpec {
   /// partition or churn outage see fresh traffic after healing).
   smr::SmrOptions smr;
   std::uint64_t smr_commands = 12;
-  /// Consensus groups for the SMR workload. 1 = the plain SmrReplica
-  /// fleet (the historical shape every pinned transcript was captured
-  /// against); > 1 = a shard::ShardedSmr fleet with requests routed by
-  /// the placement layer and per-shard log agreement asserted.
+  /// Consensus groups of each node's shard::ShardedSmr. 1 = one group on
+  /// the single-group wire (the shape every pinned transcript was
+  /// captured against); > 1 = requests routed by the placement layer and
+  /// per-shard log agreement asserted.
   std::uint32_t shards = 1;
   std::vector<std::uint64_t> seeds = {1};
   TimePoint deadline = 120'000'000;      // virtual μs
@@ -187,16 +187,19 @@ bool workload_from_string(const std::string& text, Workload& out);
     const sync::SyncConfig& sync, const net::LatencyConfig& latency);
 
 /// Runs one (spec, seed) experiment to completion. Dispatches on
-/// spec.workload: kSingleShot builds a Cluster, kSmr an SmrReplica fleet.
+/// spec.workload: kSingleShot builds a Cluster, the SMR workloads run
+/// run_scenario_smr.
 [[nodiscard]] ScenarioOutcome run_scenario(const ScenarioSpec& spec,
                                            std::uint64_t seed);
 
-/// The SMR workload run path: n SmrReplicas over the simulated network,
-/// a two-wave client workload of spec.smr_commands requests (including a
-/// cross-replica retry that must execute once), fault filters from the
-/// spec. `terminated` means every correct replica executed the full
-/// workload; `agreement` means correct replicas' slot logs are
-/// prefix-consistent; the transcript is one per-replica log-digest line.
+/// The SMR workload run path: n shard::ShardedSmr nodes of spec.shards
+/// groups each over the simulated network, a two-wave client workload of
+/// spec.smr_commands requests (including a cross-replica retry that must
+/// execute once), fault filters from the spec. `terminated` means every
+/// correct replica executed the full workload across its groups;
+/// `agreement` means correct replicas' slot logs are prefix-consistent
+/// group by group; the transcript is one log-digest line per replica and
+/// group.
 [[nodiscard]] ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
                                                std::uint64_t seed);
 

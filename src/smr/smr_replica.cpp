@@ -213,9 +213,18 @@ void SmrReplica::age_held() {
   release_all_held();
 }
 
+std::vector<Bytes> SmrReplica::log() const {
+  std::vector<Bytes> payloads;
+  payloads.reserve(exec_log_.size());
+  for (const LogEntry& e : exec_log_) payloads.push_back(e.payload);
+  return payloads;
+}
+
 bool SmrReplica::has_committed(const Bytes& payload) const {
-  return std::find(exec_payloads_.begin(), exec_payloads_.end(), payload) !=
-         exec_payloads_.end();
+  return std::any_of(exec_log_.begin(), exec_log_.end(),
+                     [&payload](const LogEntry& e) {
+                       return e.payload == payload;
+                     });
 }
 
 std::uint64_t SmrReplica::last_executed_seq(std::uint64_t client) const {
@@ -474,7 +483,7 @@ void SmrReplica::execute_ready_slots() {
       exec.seq = req.seq;
       exec.payload = req.payload;
       ++exec_count_;
-      exec_payloads_.push_back(std::move(req.payload));
+      exec_log_.push_back({req.client, std::move(req.payload)});
       read_view_.apply(exec.slot, exec.index, exec.payload);
       if (!recovering_) {
         if (host_.on_commit) host_.on_commit(exec.index, exec.payload);
@@ -677,7 +686,7 @@ void SmrReplica::install_checkpoint(CheckpointState state,
   scrub_executed();
 
   // Jump the log: everything below `slot` is summarized by the cert.
-  // exec_payloads_ keeps only locally-executed payloads (documented gap).
+  // exec_log_ keeps only locally-executed requests (documented gap).
   // The ReadView misses every write in the skipped stretch, so reads are
   // permanently rejected here (the checkpoint carries the dedup table,
   // not the KV image); and slots we never drove may have decided at

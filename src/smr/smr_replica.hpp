@@ -173,6 +173,14 @@ struct ExecutedCommand {
   Bytes payload;
 };
 
+/// One locally executed request as the executed log keeps it: who asked,
+/// and what. The client id lets log readers (the dtx coordinator's
+/// recovery scan) tell protocol entries from client data.
+struct LogEntry {
+  std::uint64_t client = 0;
+  Bytes payload;
+};
+
 struct SmrConfig {
   ReplicaId id = 0;
   std::uint32_t n = 0;
@@ -266,11 +274,13 @@ class SmrReplica : public core::INode {
                   const Bytes& payload) override;
 
   // ---- inspection ----
-  /// Executed request payloads, in execution order. Locally-executed only:
-  /// a replica that adopted a certified checkpoint has a gap below it.
-  [[nodiscard]] const std::vector<Bytes>& log() const {
-    return exec_payloads_;
+  /// Executed requests, in execution order. Locally-executed only: a
+  /// replica that adopted a certified checkpoint has a gap below it.
+  [[nodiscard]] const std::vector<LogEntry>& entries() const {
+    return exec_log_;
   }
+  /// The payloads of entries(), in the same order.
+  [[nodiscard]] std::vector<Bytes> log() const;
   /// Decided batch encodings for the RETAINED slots [log_base(), exec);
   /// index i holds slot log_base() + i. Slots below the stable checkpoint
   /// are truncated away.
@@ -451,7 +461,7 @@ class SmrReplica : public core::INode {
   std::uint64_t log_base_ = 0;        // slots below are truncated
   Bytes chain_;                        // chained digest at exec_slots()
   std::uint64_t exec_count_ = 0;       // commands executed (incl. recovery)
-  std::vector<Bytes> exec_payloads_;  // locally executed payloads, in order
+  std::vector<LogEntry> exec_log_;     // locally executed, in order
   std::map<std::uint64_t, std::uint64_t> last_exec_;  // client → seq
 
   // -- checkpoints --

@@ -5,21 +5,27 @@
 // SmrReplica fleet run with the same leader offset — multiplexing is
 // scheduling, never content, (3) commit cross-shard transactions
 // atomically and reconstruct dtx state from the per-shard WALs after a
-// crash, and (4) keep sibling shards committing while shard 0's leader
-// goes silent (the view change is per group, not fleet-wide).
+// crash, (4) keep sibling shards committing while shard 0's leader
+// goes silent (the view change is per group, not fleet-wide), (5) speak
+// the single-group wire with one group, (6) ignore dtx bookkeeping bytes
+// from ordinary clients, and (7) find a retry's dedup state in the group
+// that ordered the request.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "net/network.hpp"
 #include "shard/dtx.hpp"
 #include "shard/sharded_smr.hpp"
 #include "sim/scenario.hpp"
+#include "smr/read_view.hpp"
 #include "smr/smr_replica.hpp"
 #include "store/wal.hpp"
 
@@ -122,6 +128,69 @@ struct ShardedFleet {
             << "shard " << s << " diverged at replica " << id;
       }
     }
+  }
+};
+
+/// n bare SmrReplica nodes (leader offset 0) over the simulated network,
+/// configured like one group of a ShardedFleet.
+struct PlainFleet {
+  net::Simulator sim;
+  std::unique_ptr<net::Network> net;
+  std::unique_ptr<crypto::CryptoSuite> suite;
+  std::vector<std::unique_ptr<smr::SmrReplica>> replicas;  // 1-based
+
+  PlainFleet(std::uint32_t n, std::uint64_t seed,
+             net::LatencyConfig latency) {
+    net = std::make_unique<net::Network>(sim, n, seed, latency);
+    suite = crypto::make_sim_suite();
+    std::vector<crypto::KeyPair> keys(n + 1);
+    std::vector<Bytes> key_table(n + 1);
+    for (ReplicaId id = 1; id <= n; ++id) {
+      keys[id] = suite->keygen(mix64(seed, id));
+      key_table[id] = keys[id].public_key;
+    }
+    const crypto::PublicKeyDir public_keys(std::move(key_table));
+    replicas.resize(n + 1);
+    for (ReplicaId id = 1; id <= n; ++id) {
+      smr::SmrConfig cfg;
+      cfg.id = id;
+      cfg.n = n;
+      cfg.suite = suite.get();
+      cfg.secret_key = keys[id].secret_key;
+      cfg.public_keys = public_keys;
+      cfg.sync.base_timeout = 100'000;
+      core::ProtocolHost host;
+      host.send = [this, id](ReplicaId to, std::uint8_t tag,
+                             const Bytes& m) {
+        net->send(id, to, tag, m);
+      };
+      host.broadcast = [this, id](std::uint8_t tag, const Bytes& m) {
+        net->broadcast(id, tag, m);
+      };
+      host.set_timer = [this](Duration d, std::function<void()> fn) {
+        sim.schedule_after(d, std::move(fn));
+      };
+      replicas[id] = std::make_unique<smr::SmrReplica>(std::move(cfg), host);
+      net->register_handler(
+          id, [this, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
+            replicas[id]->on_message(from, tag, m);
+          });
+    }
+  }
+
+  bool run_until_executed(std::uint64_t expect) {
+    while (sim.now() < 120'000'000) {
+      bool all = true;
+      for (std::size_t id = 1; id < replicas.size(); ++id) {
+        if (replicas[id]->executed_commands() < expect) {
+          all = false;
+          break;
+        }
+      }
+      if (all) return true;
+      if (!sim.step()) return false;
+    }
+    return false;
   }
 };
 
@@ -423,6 +492,159 @@ TEST(ShardedSmr, SilentShardLeaderMovesOnlyItsOwnGroupsEngineView) {
       EXPECT_GT(fleet.nodes[id]->group(0).engine_view(), 1U)
           << "replica " << id;
     }
+  }
+}
+
+// A one-group service is the single-group deployment: over a jittered
+// network it must send exactly the frames a bare SmrReplica fleet sends
+// (same tags, same bytes — no shard envelope, no versioned forward) and
+// decide the same log.
+TEST(ShardedSmr, OneShardSpeaksTheSingleGroupWire) {
+  const std::uint32_t n = 4;
+  const std::uint64_t seed = 7, commands = 12;
+  const net::LatencyConfig jitter;  // delays drawn from [1 ms, 10 ms]
+  ShardedFleet sharded(n, 1, {}, seed, jitter);
+  PlainFleet plain(n, seed, jitter);
+  for (std::uint64_t i = 1; i <= commands; ++i) {
+    // Half enter at the view-1 leader, half at a follower (forwarded).
+    const ReplicaId entry = i % 2 == 0 ? 1 : 3;
+    const Bytes payload = to_bytes("op-" + std::to_string(i));
+    ASSERT_TRUE(sharded.nodes[entry]->submit_request(9000 + i, 1, payload));
+    ASSERT_TRUE(plain.replicas[entry]->submit_request(9000 + i, 1, payload));
+  }
+  sharded.start_all();
+  for (ReplicaId id = 1; id <= n; ++id) plain.replicas[id]->start();
+  ASSERT_TRUE(sharded.run_until_executed(commands));
+  ASSERT_TRUE(plain.run_until_executed(commands));
+
+  const net::TransportStats& one = sharded.net->stats();
+  const net::TransportStats& bare = plain.net->stats();
+  EXPECT_EQ(one.sends_for(kShardTag), 0U);
+  EXPECT_EQ(one.sends_for(kShardForwardTag), 0U);
+  EXPECT_GT(one.sends_for(net::tags::kSmrForward), 0U)
+      << "the workload must exercise the forward path";
+  EXPECT_EQ(one.sends_by_tag, bare.sends_by_tag);
+  EXPECT_EQ(one.bytes_sent, bare.bytes_sent);
+  for (ReplicaId id = 1; id <= n; ++id) {
+    EXPECT_EQ(sharded.nodes[id]->log_digest(0),
+              plain.replicas[id]->log_digest())
+        << "replica " << id;
+  }
+}
+
+// Dtx bookkeeping is trusted only under the synthetic client that owns
+// its phase. An ordinary client's "DXD1 ‖ txid ‖ 0" executing in the
+// coordinator log ahead of the real DECIDE is data: the transaction
+// still commits, live and after a rebuild from the WAL.
+TEST(ShardedSmr, ForgedDtxDecideFromAnOrdinaryClientIsData) {
+  const std::uint32_t n = 4, shards = 2;
+  const std::uint64_t origin_client = 88'000, origin_seq = 1;
+  const std::uint64_t forger = 7'777;
+  const auto root = std::filesystem::temp_directory_path() /
+                    ("probft-forge-test-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  std::vector<std::unique_ptr<store::Wal>> wal_store =
+      open_group_wals(root.string(), shards, /*fsync=*/false);
+  std::vector<std::vector<store::Wal*>> wals(2);
+  for (const auto& wal : wal_store) wals[1].push_back(wal.get());
+
+  ShardedFleet fleet(n, shards, {}, /*seed=*/1, {}, wals);
+  const ShardMap map = fleet.nodes[1]->placement().map();
+  // Mine a transaction whose forged abort places in its coordinator
+  // group (the group owning the first key, shard 0), so the forgery is
+  // ordered against the real DECIDE in one log.
+  Bytes request;
+  Bytes forged;
+  Bytes real_decide;
+  for (int j = 0;; ++j) {
+    request = dtx_payload(map, shards, "victim-" + std::to_string(j));
+    const std::uint64_t txid =
+        DtxCoordinator::txid_of(origin_client, origin_seq, request);
+    const auto decide = [txid](std::uint8_t commit) {
+      Writer w;
+      w.raw(ByteSpan(reinterpret_cast<const std::uint8_t*>("DXD1"), 4));
+      w.u64(txid);
+      w.u8(commit);
+      return std::move(w).take();
+    };
+    forged = decide(0);
+    real_decide = decide(1);
+    const ByteSpan key = smr::read_view_key(ByteSpan(forged.data(), forged.size()));
+    if (shard_of(map, key) == 0) break;
+  }
+  EXPECT_FALSE(DtxCoordinator::is_bookkeeping(0, forger, forged));
+
+  ASSERT_TRUE(fleet.nodes[1]->submit_request(forger, 1, forged));
+  fleet.start_all();
+  ASSERT_TRUE(fleet.dtx[1]->submit(origin_client, origin_seq, request));
+  ASSERT_TRUE(fleet.run_until_executed(1 + 2 + 2 * shards));
+  fleet.expect_per_shard_agreement();
+
+  const std::vector<Bytes> coord_log = fleet.nodes[1]->group(0).log();
+  const auto at = [&coord_log](const Bytes& payload) {
+    return std::find(coord_log.begin(), coord_log.end(), payload) -
+           coord_log.begin();
+  };
+  ASSERT_LT(at(real_decide), static_cast<std::ptrdiff_t>(coord_log.size()))
+      << "the real commit DECIDE never executed";
+  EXPECT_LT(at(forged), at(real_decide))
+      << "the forgery must land before the real decide";
+  for (ReplicaId id = 1; id <= n; ++id) {
+    EXPECT_EQ(fleet.dtx[id]->committed(), 1U) << "replica " << id;
+    EXPECT_EQ(fleet.dtx[id]->aborted(), 0U) << "replica " << id;
+  }
+
+  // Rebuild replica 1's tracker from its WALs alone.
+  wal_store.clear();
+  std::vector<std::unique_ptr<store::Wal>> reopened =
+      open_group_wals(root.string(), shards, /*fsync=*/false);
+  ShardedSmrConfig cfg;
+  cfg.base.id = 1;
+  cfg.base.n = n;
+  cfg.base.suite = fleet.suite.get();
+  cfg.base.secret_key = fleet.keys[1].secret_key;
+  std::vector<Bytes> key_table(n + 1);
+  for (ReplicaId id = 1; id <= n; ++id) {
+    key_table[id] = fleet.keys[id].public_key;
+  }
+  cfg.base.public_keys = crypto::PublicKeyDir(std::move(key_table));
+  cfg.map = map;
+  for (const auto& wal : reopened) cfg.wals.push_back(wal.get());
+  core::ProtocolHost host;  // offline: no peers, no timers needed
+  host.send = [](ReplicaId, std::uint8_t, const Bytes&) {};
+  host.broadcast = [](std::uint8_t, const Bytes&) {};
+  host.set_timer = [](Duration, std::function<void()>) {};
+  ShardedSmr revived(std::move(cfg), host);
+  DtxCoordinator revived_dtx(revived, [](Duration, std::function<void()>) {});
+  revived_dtx.rebuild_from_logs();
+  EXPECT_EQ(revived_dtx.committed(), 1U);
+  EXPECT_EQ(revived_dtx.aborted(), 0U);
+  EXPECT_EQ(revived_dtx.in_flight(), 0U);
+  reopened.clear();
+  std::filesystem::remove_all(root);
+}
+
+// The group a serving node checks a retry against is the group
+// submit_request placed the request in: for a k=v payload that is the
+// key's group, not the raw payload's.
+TEST(ShardedSmr, RetryLookupFindsTheGroupThatExecutedTheRequest) {
+  const std::uint32_t n = 4, shards = 4;
+  ShardedFleet fleet(n, shards);
+  const ShardedSmr& entry = *fleet.nodes[1];
+  Bytes payload;
+  for (int i = 0;; ++i) {
+    payload = to_bytes("key-" + std::to_string(i) + "=value");
+    const ShardId raw =
+        entry.placement().shard_of(ByteSpan(payload.data(), payload.size()));
+    if (raw != entry.owner_of(payload)) break;
+  }
+  ASSERT_TRUE(fleet.nodes[1]->submit_request(4'242, 1, payload));
+  fleet.start_all();
+  ASSERT_TRUE(fleet.run_until_executed(1));
+  for (ReplicaId id = 1; id <= n; ++id) {
+    const ShardedSmr& node = *fleet.nodes[id];
+    EXPECT_EQ(node.group(node.owner_of(payload)).last_executed_seq(4'242), 1U)
+        << "replica " << id;
   }
 }
 
