@@ -2,7 +2,7 @@
 // per simulated second as the read ratio grows, against the all-writes
 // baseline — the "reads skip the ordered log" claim, measured.
 //
-// A fleet of SmrReplicas runs on the deterministic simulator in the
+// An S = 1 sim::SmrFleet runs on the deterministic simulator in the
 // slot-rate-bound regime (window 4, one command per slot — the same
 // shape bench_sharding uses, so ordering cost is per-operation, not
 // amortized away by batching). The workload is `total` operations at a
@@ -10,7 +10,7 @@
 // at the view-1 leader, and total - W reads of the first written key
 // submitted closed-loop at the leader once that key has executed.
 // Writes pay the full ordering pipeline; reads are answered through
-// SmrReplica::submit_read at the selected consistency — under a held
+// ShardedSmr::submit_read at the selected consistency — under a held
 // lease a linearizable read never touches the ordered log.
 //
 // Reported per row (ratio × consistency): served operations per virtual
@@ -34,14 +34,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "net/client.hpp"
-#include "net/network.hpp"
-#include "smr/smr_replica.hpp"
+#include "sim/smr_fleet.hpp"
 
 namespace {
 
@@ -71,72 +68,35 @@ struct ReadRun {
 ReadRun run_read_fleet(std::uint32_t n, std::uint32_t f, double ratio,
                        net::ReadConsistency consistency, std::uint64_t total,
                        std::uint64_t seed, bool serve_reads) {
-  net::Simulator sim;
-  net::LatencyConfig latency;  // defaults: synchronous, 1–10 ms delays
-  net::Network network(sim, n, seed, latency);
-  const auto suite = crypto::make_sim_suite();
-
-  std::vector<crypto::KeyPair> keys(n + 1);
-  std::vector<Bytes> key_table(n + 1);
-  for (ReplicaId id = 1; id <= n; ++id) {
-    keys[id] = suite->keygen(mix64(seed, id));
-    key_table[id] = keys[id].public_key;
-  }
-  const crypto::PublicKeyDir public_keys(std::move(key_table));
-
   ReadRun run;
   run.reads = static_cast<std::uint64_t>(
       ratio * static_cast<double>(total) + 0.5);
   run.writes = total - run.reads;
 
-  smr::SmrOptions options;
+  sim::SmrFleetConfig cfg;  // default latency: synchronous, 1–10 ms delays
+  cfg.n = n;
+  cfg.f = f;
+  cfg.seed = seed;
   // Slot-rate-bound regime (bench_sharding's): ordering costs one slot
   // per write, so the read path's savings are visible per operation.
-  options.window = 4;
-  options.batch_max_commands = 1;
-  options.max_slots = 1u << 20;
-  options.serve_reads = serve_reads;
+  cfg.smr.window = 4;
+  cfg.smr.batch_max_commands = 1;
+  cfg.smr.max_slots = 1u << 20;
+  cfg.smr.serve_reads = serve_reads;
   // Lease validity must be of the same order as the 100 ms sync timeout
   // (the defaults are wall-clock knobs); see src/sim/scenario.cpp.
-  options.lease_duration = 100'000;
-  options.lease_skew = 25'000;
-
-  std::vector<std::unique_ptr<smr::SmrReplica>> replicas(n + 1);
-  for (ReplicaId id = 1; id <= n; ++id) {
-    smr::SmrConfig cfg;
-    cfg.id = id;
-    cfg.n = n;
-    cfg.f = f;
-    cfg.pipeline = options;
-    cfg.suite = suite.get();
-    cfg.secret_key = keys[id].secret_key;
-    cfg.public_keys = public_keys;
-    cfg.sync.base_timeout = 100'000;
-    core::ProtocolHost host;
-    host.send = [&network, id](ReplicaId to, std::uint8_t tag,
-                               const Bytes& m) {
-      network.send(id, to, tag, m);
-    };
-    host.broadcast = [&network, id](std::uint8_t tag, const Bytes& m) {
-      network.broadcast(id, tag, m);
-    };
-    host.set_timer = [&sim](Duration d, std::function<void()> fn) {
-      sim.schedule_after(d, std::move(fn));
-    };
-    replicas[id] = std::make_unique<smr::SmrReplica>(std::move(cfg), host);
-    network.register_handler(
-        id, [&replicas, id](ReplicaId from, std::uint8_t tag,
-                            const Bytes& m) {
-          replicas[id]->on_message(from, tag, m);
-        });
-  }
+  cfg.smr.lease_duration = 100'000;
+  cfg.smr.lease_skew = 25'000;
+  sim::SmrFleet fleet(std::move(cfg));
+  net::Simulator& sim = fleet.sim();
+  shard::ShardedSmr& leader = fleet.node(1);
 
   // Distinct-client writes preloaded at the leader (one per slot).
   for (std::uint64_t i = 1; i <= run.writes; ++i) {
-    (void)replicas[1]->submit_request(9000 + i, 1,
-                                      to_bytes("op-" + std::to_string(i)));
+    (void)leader.submit_request(9000 + i, 1,
+                                to_bytes("op-" + std::to_string(i)));
   }
-  for (ReplicaId id = 1; id <= n; ++id) replicas[id]->start();
+  fleet.start();
 
   // The read chain: key and expected value are write 1's payload (a
   // payload with no '=' is both its own ReadView key and value).
@@ -168,46 +128,34 @@ ReadRun run_read_fleet(std::uint32_t n, std::uint32_t f, double ratio,
     }
     sim.schedule_after(10'000, [&] {
       sent_at = sim.now();
-      replicas[1]->submit_read(read_key, consistency, /*min_index=*/1,
-                               on_answer);
+      leader.submit_read(read_key, consistency, /*min_index=*/1, on_answer);
     });
   };
   issue_read = [&] {
     if (reads_done >= run.reads) return;
     attempts = 0;
     sent_at = sim.now();
-    replicas[1]->submit_read(read_key, consistency, /*min_index=*/1,
-                             on_answer);
+    leader.submit_read(read_key, consistency, /*min_index=*/1, on_answer);
   };
 
   bool reads_started = run.reads == 0;
   const auto t0 = std::chrono::steady_clock::now();
-  while (sim.now() < 600'000'000) {
-    if (!reads_started && replicas[1]->executed_commands() >= 1) {
-      reads_started = true;
-      issue_read();
-    }
-    bool all = reads_done >= run.reads;
-    for (ReplicaId id = 1; all && id <= n; ++id) {
-      if (replicas[id]->executed_commands() < run.writes) all = false;
-    }
-    if (all && reads_started) {
-      run.completed = true;
-      run.all_done = sim.now();
-      break;
-    }
-    if (!sim.step()) break;
-  }
+  run.completed = fleet.run_until(
+      [&] {
+        if (!reads_started && leader.executed_commands() >= 1) {
+          reads_started = true;
+          issue_read();
+        }
+        return reads_started && reads_done >= run.reads &&
+               fleet.all_executed(run.writes);
+      },
+      600'000'000);
+  if (run.completed) run.all_done = sim.now();
   run.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
-  run.agree = true;
-  for (ReplicaId id = 2; id <= n; ++id) {
-    if (replicas[id]->log_digest() != replicas[1]->log_digest()) {
-      run.agree = false;
-    }
-  }
-  run.digest = replicas[1]->log_digest();
+  run.agree = fleet.logs_identical();
+  run.digest = leader.log_digest(0);
   return run;
 }
 

@@ -31,14 +31,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "net/network.hpp"
-#include "shard/dtx.hpp"
-#include "shard/sharded_smr.hpp"
+#include "sim/smr_fleet.hpp"
 
 namespace {
 
@@ -63,74 +59,30 @@ struct ShardedRun {
 ShardedRun run_sharded_fleet(std::uint32_t n, std::uint32_t shards,
                              smr::SmrOptions options, std::uint64_t commands,
                              std::uint64_t dtx_count, std::uint64_t seed) {
-  net::Simulator sim;
-  net::LatencyConfig latency;  // defaults: synchronous, 1–10 ms delays
-  net::Network network(sim, n, seed, latency);
-  const auto suite = crypto::make_sim_suite();
-
-  std::vector<crypto::KeyPair> keys(n + 1);
-  std::vector<Bytes> key_table(n + 1);
-  for (ReplicaId id = 1; id <= n; ++id) {
-    keys[id] = suite->keygen(mix64(seed, id));
-    key_table[id] = keys[id].public_key;
-  }
-  const crypto::PublicKeyDir public_keys(std::move(key_table));
-
+  sim::SmrFleetConfig cfg;  // default latency: synchronous, 1–10 ms delays
+  cfg.n = n;
+  cfg.seed = seed;
+  cfg.shards = shards;
+  cfg.smr = options;
+  sim::SmrFleet fleet(std::move(cfg));
+  net::Simulator& sim = fleet.sim();
   ShardedRun run;
-  std::vector<std::unique_ptr<shard::ShardedSmr>> nodes(n + 1);
-  std::vector<std::unique_ptr<shard::DtxCoordinator>> dtx(n + 1);
-  for (ReplicaId id = 1; id <= n; ++id) {
-    shard::ShardedSmrConfig cfg;
-    cfg.base.id = id;
-    cfg.base.n = n;
-    cfg.base.f = 0;
-    cfg.base.pipeline = options;
-    cfg.base.suite = suite.get();
-    cfg.base.secret_key = keys[id].secret_key;
-    cfg.base.public_keys = public_keys;
-    cfg.base.sync.base_timeout = 100'000;
-    cfg.map.shard_count = shards;
-    cfg.on_execute = [&dtx, id](shard::ShardId s,
-                                const smr::ExecutedCommand& cmd) {
-      if (dtx[id]) dtx[id]->on_execute(s, cmd);
-    };
-    core::ProtocolHost host;
-    host.send = [&network, id](ReplicaId to, std::uint8_t tag,
-                               const Bytes& m) {
-      network.send(id, to, tag, m);
-    };
-    host.broadcast = [&network, id](std::uint8_t tag, const Bytes& m) {
-      network.broadcast(id, tag, m);
-    };
-    host.set_timer = [&sim](Duration d, std::function<void()> fn) {
-      sim.schedule_after(d, std::move(fn));
-    };
-    nodes[id] = std::make_unique<shard::ShardedSmr>(std::move(cfg), host);
-    dtx[id] = std::make_unique<shard::DtxCoordinator>(
-        *nodes[id], [&sim](Duration d, std::function<void()> fn) {
-          sim.schedule_after(d, std::move(fn));
-        });
-    network.register_handler(
-        id, [&nodes, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          nodes[id]->on_message(from, tag, m);
-        });
-  }
 
   // Workload: distinct clients, routed by payload hash at replica 1.
   for (std::uint64_t i = 1; i <= commands; ++i) {
-    (void)nodes[1]->submit_request(9000 + i, 1,
-                                   to_bytes("op-" + std::to_string(i)));
+    (void)fleet.node(1).submit_request(9000 + i, 1,
+                                       to_bytes("op-" + std::to_string(i)));
   }
-  for (ReplicaId id = 1; id <= n; ++id) nodes[id]->start();
+  fleet.start();
 
   // Cross-shard transactions: one mined key per shard, submitted at
   // replica 1, completion observed via replica 1's coordinator.
   std::map<std::uint64_t, std::size_t> tx_index;  // txid → latency slot
   std::vector<TimePoint> submitted(dtx_count, 0);
   run.dtx_latency.assign(dtx_count, 0);
-  dtx[1]->set_on_complete([&run, &sim, &tx_index, &submitted](
-                              std::uint64_t txid, bool committed,
-                              std::uint64_t, std::uint64_t) {
+  fleet.dtx(1).set_on_complete([&run, &sim, &tx_index, &submitted](
+                                   std::uint64_t txid, bool committed,
+                                   std::uint64_t, std::uint64_t) {
     if (committed) {
       ++run.dtx_committed;
     } else {
@@ -141,7 +93,7 @@ ShardedRun run_sharded_fleet(std::uint32_t n, std::uint32_t shards,
       run.dtx_latency[it->second] = sim.now() - submitted[it->second];
     }
   });
-  const shard::ShardMap map = nodes[1]->placement().map();
+  const shard::ShardMap map = fleet.node(1).placement().map();
   for (std::uint64_t j = 0; j < dtx_count; ++j) {
     std::vector<Bytes> tx_keys;
     for (shard::ShardId s = 0; s < shards; ++s) {
@@ -158,37 +110,25 @@ ShardedRun run_sharded_fleet(std::uint32_t n, std::uint32_t shards,
     const std::uint64_t client = 88'000 + j;
     tx_index[shard::DtxCoordinator::txid_of(client, 1, payload)] = j;
     submitted[j] = sim.now();
-    (void)dtx[1]->submit(client, 1, std::move(payload));
+    (void)fleet.dtx(1).submit(client, 1, std::move(payload));
   }
 
   // Every committed entry is deterministic: each S-participant tx adds
   // 2 + 2S entries on top of the client commands.
   const std::uint64_t expect = commands + dtx_count * (2 + 2 * shards);
   const auto t0 = std::chrono::steady_clock::now();
-  while (sim.now() < 600'000'000) {
-    bool all = run.dtx_committed + run.dtx_aborted >= dtx_count;
-    for (ReplicaId id = 1; all && id <= n; ++id) {
-      if (nodes[id]->executed_commands() < expect) all = false;
-    }
-    if (all) {
-      run.completed = true;
-      run.all_done = sim.now();
-      break;
-    }
-    if (!sim.step()) break;
-  }
+  run.completed = fleet.run_until(
+      [&] {
+        return run.dtx_committed + run.dtx_aborted >= dtx_count &&
+               fleet.all_executed(expect);
+      },
+      600'000'000);
+  if (run.completed) run.all_done = sim.now();
   run.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
-  run.agree = true;
-  for (shard::ShardId s = 0; s < shards; ++s) {
-    for (ReplicaId id = 2; id <= n; ++id) {
-      if (nodes[id]->log_digest(s) != nodes[1]->log_digest(s)) {
-        run.agree = false;
-      }
-    }
-  }
-  run.slots = nodes[1]->committed_slots();
+  run.agree = fleet.logs_identical();
+  run.slots = fleet.node(1).committed_slots();
   return run;
 }
 

@@ -3,7 +3,7 @@
 // serial single-command engine as the baseline row (W = 1, batch = 1
 // reproduces the old open-one-slot-at-a-time loop).
 //
-// A fleet of SmrReplicas runs on the deterministic simulator network;
+// An S = 1 sim::SmrFleet runs on the deterministic simulator network;
 // the workload (256 requests from one client) is preloaded at the
 // round-robin leader, so the measured time is the engine's, not the
 // arrival process's. Reported per row: virtual-time throughput, speedup
@@ -35,14 +35,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "net/network.hpp"
-#include "smr/smr_replica.hpp"
-#include "store/wal.hpp"
+#include "sim/smr_fleet.hpp"
 
 namespace {
 
@@ -58,101 +54,51 @@ struct FleetRun {
   std::vector<TimePoint> exec_at;  // per-command execution time (leader)
 };
 
+/// `leader_wal_dir`, when set, gives replica 1 a real fsync'd WAL there.
 FleetRun run_fleet(std::uint32_t n, smr::SmrOptions options,
                    std::uint64_t commands, std::uint64_t seed,
-                   store::Wal* leader_wal = nullptr) {
-  net::Simulator sim;
-  net::LatencyConfig latency;  // defaults: synchronous, 1–10 ms delays
-  net::Network network(sim, n, seed, latency);
-  const auto suite = crypto::make_sim_suite();
-
-  std::vector<crypto::KeyPair> keys(n + 1);
-  std::vector<Bytes> key_table(n + 1);
-  for (ReplicaId id = 1; id <= n; ++id) {
-    keys[id] = suite->keygen(mix64(seed, id));
-    key_table[id] = keys[id].public_key;
-  }
-  const crypto::PublicKeyDir public_keys(std::move(key_table));
-
-  std::vector<std::unique_ptr<smr::SmrReplica>> replicas(n + 1);
+                   const std::string& leader_wal_dir = {}) {
   FleetRun run;
   run.exec_at.resize(commands, 0);
-  for (ReplicaId id = 1; id <= n; ++id) {
-    smr::SmrConfig cfg;
-    cfg.id = id;
-    cfg.n = n;
-    cfg.f = 0;
-    cfg.pipeline = options;
-    cfg.suite = suite.get();
-    cfg.secret_key = keys[id].secret_key;
-    cfg.public_keys = public_keys;
-    cfg.sync.base_timeout = 100'000;
-    if (id == 1) cfg.wal = leader_wal;
-    core::ProtocolHost host;
-    host.send = [&network, id](ReplicaId to, std::uint8_t tag,
-                               const Bytes& m) {
-      network.send(id, to, tag, m);
-    };
-    host.broadcast = [&network, id](std::uint8_t tag, const Bytes& m) {
-      network.broadcast(id, tag, m);
-    };
-    host.set_timer = [&sim](Duration d, std::function<void()> fn) {
-      sim.schedule_after(d, std::move(fn));
-    };
-    host.on_commit = [&run, &sim, id](std::uint64_t index, const Bytes&) {
-      if (id == 1 && index < run.exec_at.size()) {
-        run.exec_at[index] = sim.now();
-      }
-    };
-    replicas[id] = std::make_unique<smr::SmrReplica>(std::move(cfg), host);
-    network.register_handler(
-        id, [&replicas, id](ReplicaId from, std::uint8_t tag,
-                            const Bytes& m) {
-          replicas[id]->on_message(from, tag, m);
-        });
+  sim::SmrFleetConfig cfg;  // default latency: synchronous, 1–10 ms delays
+  cfg.n = n;
+  cfg.seed = seed;
+  cfg.smr = options;
+  if (!leader_wal_dir.empty()) {
+    cfg.wal_dirs = {"", leader_wal_dir};
+    cfg.wal_fsync = true;
   }
+  cfg.on_execute = [&run](sim::SmrFleet& fleet, ReplicaId id,
+                          shard::ShardId, const smr::ExecutedCommand& cmd) {
+    if (id == 1 && cmd.index < run.exec_at.size()) {
+      run.exec_at[cmd.index] = fleet.sim().now();
+    }
+  };
+  sim::SmrFleet fleet(std::move(cfg));
 
   // Preloaded single-client workload at the leader.
   for (std::uint64_t i = 1; i <= commands; ++i) {
-    (void)replicas[1]->submit_request(9001, i,
-                                      to_bytes("op-" + std::to_string(i)));
+    (void)fleet.node(1).submit_request(9001, i,
+                                       to_bytes("op-" + std::to_string(i)));
   }
-  for (ReplicaId id = 1; id <= n; ++id) replicas[id]->start();
+  fleet.start();
 
   // A replica is done once its execution count covers the workload —
   // whether it executed every command itself or jumped ahead through a
   // certified state transfer (which installs exec_count without replaying
-  // the truncated commands, so counting on_commit calls undercounts).
+  // the truncated commands, so counting executions undercounts).
   const auto t0 = std::chrono::steady_clock::now();
-  while (sim.now() < 600'000'000) {
-    bool all = true;
-    for (ReplicaId id = 1; id <= n; ++id) {
-      if (replicas[id]->executed_commands() < commands) {
-        all = false;
-        break;
-      }
-    }
-    if (all) {
-      run.completed = true;
-      run.all_done = sim.now();
-      break;
-    }
-    if (!sim.step()) break;
-  }
+  run.completed = fleet.run_until_executed(commands, 600'000'000);
+  if (run.completed) run.all_done = fleet.sim().now();
   run.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
   // Chained log digest, not a digest of the retained slot window: stable
   // checkpoints truncate slot_log() at replica-dependent times, so only
   // the truncation-invariant chain identifies "same history".
-  run.identical = true;
-  for (ReplicaId id = 2; id <= n; ++id) {
-    if (replicas[id]->log_digest() != replicas[1]->log_digest()) {
-      run.identical = false;
-    }
-  }
-  run.slots = replicas[1]->committed_slots();
-  run.digest = replicas[1]->log_digest();
+  run.identical = fleet.logs_identical();
+  run.slots = fleet.node(1).committed_slots();
+  run.digest = fleet.node(1).log_digest(0);
   return run;
 }
 
@@ -316,10 +262,8 @@ int emit_json(const std::string& path, std::uint32_t n,
   bool completed = false;
   std::string precrash_digest;
   {
-    store::Wal wal(store::WalOptions{wal_dir.string(), /*fsync=*/true});
-    const FleetRun durable =
-        run_fleet(rec_n, durable_opts, commands, /*seed=*/1, &wal);
-    wal.sync();
+    const FleetRun durable = run_fleet(rec_n, durable_opts, commands,
+                                       /*seed=*/1, wal_dir.string());
     completed = durable.completed;
     durable_tput = kcmd_per_vsec(durable, commands);
     precrash_digest = durable.digest;
@@ -327,28 +271,21 @@ int emit_json(const std::string& path, std::uint32_t n,
   {
     // A crash-restarted process opens its own Wal: the timed span is the
     // whole cold path — segment scan + snapshot verification + replay.
-    // Same deterministic key material run_fleet derives for seed 1.
+    // Same config and key material run_fleet gives replica 1 at seed 1.
     const auto suite = crypto::make_sim_suite();
-    std::vector<crypto::KeyPair> keys(rec_n + 1);
-    std::vector<Bytes> key_table(rec_n + 1);
-    for (ReplicaId id = 1; id <= rec_n; ++id) {
-      keys[id] = suite->keygen(mix64(1, id));
-      key_table[id] = keys[id].public_key;
-    }
-    smr::SmrConfig cfg;
-    cfg.id = 1;
-    cfg.n = rec_n;
-    cfg.f = 0;
-    cfg.pipeline = durable_opts;
-    cfg.suite = suite.get();
-    cfg.secret_key = keys[1].secret_key;
-    cfg.public_keys = crypto::PublicKeyDir(std::move(key_table));
-    cfg.sync.base_timeout = 100'000;
+    const sim::FleetKeys keys = sim::derive_keys(*suite, rec_n, 1);
+    sim::NodeParams params;
+    params.id = 1;
+    params.n = rec_n;
+    params.smr = durable_opts;
+    params.suite = suite.get();
+    params.secret_key = keys.pairs[1].secret_key;
+    params.public_keys = keys.public_keys;
+    smr::SmrConfig cfg = sim::smr_config(params);
     core::ProtocolHost host;
     host.send = [](ReplicaId, std::uint8_t, const Bytes&) {};
     host.broadcast = [](std::uint8_t, const Bytes&) {};
     host.set_timer = [](Duration, std::function<void()>) {};
-    host.on_commit = [](std::uint64_t, const Bytes&) {};
 
     const auto t0 = std::chrono::steady_clock::now();
     store::Wal wal(store::WalOptions{wal_dir.string(), /*fsync=*/true});

@@ -56,8 +56,8 @@
 // is flushed and the final SMRLOG/--stats lines are still printed.
 // --stats prints per-tag TransportStats on shutdown in both modes.
 // scripts/run_tcp_cluster.sh drives all modes: agreement smoke (default),
-// client mode (`client`), crash-restart (`restart`), reads (`reads`) and
-// the sharded smoke (`shard`).
+// client mode (`client`), reads (`reads`) and crash-restart (`restart`;
+// with --shards S, the sharded crash-restart and dtx smoke).
 #include <cctype>
 #include <csignal>
 #include <cstdio>
@@ -69,7 +69,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "net/client.hpp"
 #include "net/tcp_transport.hpp"
 #include "shard/dtx.hpp"
@@ -579,17 +578,11 @@ int main(int argc, char** argv) {
   }
   const auto n = static_cast<std::uint32_t>(opt.peers.size());
 
-  // Deterministic cluster-wide key material, same derivation as the
-  // simulator: replica i's keypair is keygen(mix64(seed, i)).
+  // Deterministic cluster-wide key material, the simulator's scheme
+  // (sim::derive_keys).
   const auto suite = opt.suite == "ed25519" ? crypto::make_ed25519_suite()
                                             : crypto::make_sim_suite();
-  std::vector<Bytes> key_table(n + 1);
-  Bytes secret_key;
-  for (ReplicaId id = 1; id <= n; ++id) {
-    auto keys = suite->keygen(mix64(opt.seed, id));
-    key_table[id] = std::move(keys.public_key);
-    if (id == opt.id) secret_key = std::move(keys.secret_key);
-  }
+  sim::FleetKeys keys = sim::derive_keys(*suite, n, opt.seed);
 
   net::TcpTransportConfig tc;
   tc.self = opt.id;
@@ -625,8 +618,8 @@ int main(int argc, char** argv) {
                         ? sim::default_node_value({}, opt.id)
                         : opt.value;
   params.suite = suite.get();
-  params.secret_key = secret_key;
-  params.public_keys = crypto::PublicKeyDir(std::move(key_table));
+  params.secret_key = std::move(keys.pairs[opt.id].secret_key);
+  params.public_keys = std::move(keys.public_keys);
   // Real clusters need the first view to survive process startup and
   // connection establishment (dial retries run at 100 ms), so the view-1
   // timer is generous compared to the simulator's 100 ms default.

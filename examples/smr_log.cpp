@@ -1,19 +1,14 @@
-// Replicated log using the SMR module (src/smr) — in contrast to kv_smr,
-// which spins up a fresh cluster per slot, this example runs a single
-// long-lived fleet of SmrReplicas over one network: a window of slots
-// runs concurrently, commands ride in batches, and slots only open when
-// there is demand (no no-op filler).
+// Replicated log using the SMR module (src/smr): one long-lived
+// simulated fleet (sim::SmrFleet) decides a log of client commands — a
+// window of slots runs concurrently, commands ride in batches, and slots
+// only open when there is demand (no no-op filler).
 //
 //   $ ./examples/smr_log [n] [commands]
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "common/rng.hpp"
-#include "net/network.hpp"
-#include "smr/smr_replica.hpp"
+#include "sim/smr_fleet.hpp"
 
 int main(int argc, char** argv) {
   using namespace probft;
@@ -23,92 +18,47 @@ int main(int argc, char** argv) {
   const std::uint64_t commands =
       argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 6;
 
-  net::Simulator sim;
-  net::LatencyConfig latency;
-  latency.min_delay = 1'000;
-  latency.max_delay_post = 6'000;
-  net::Network network(sim, n, /*seed=*/2024, latency);
-  const auto suite = crypto::make_sim_suite();
-
-  std::vector<crypto::KeyPair> keys(n + 1);
-  std::vector<Bytes> key_table(n + 1);
-  for (ReplicaId id = 1; id <= n; ++id) {
-    keys[id] = suite->keygen(mix64(2024, id));
-    key_table[id] = keys[id].public_key;
-  }
-  const crypto::PublicKeyDir public_keys(std::move(key_table));
-
-  std::vector<std::unique_ptr<smr::SmrReplica>> replicas(n + 1);
-  for (ReplicaId id = 1; id <= n; ++id) {
-    smr::SmrConfig cfg;
-    cfg.id = id;
-    cfg.n = n;
-    cfg.f = 0;
-    cfg.pipeline.window = 4;
-    cfg.pipeline.batch_max_commands = 2;
-    cfg.suite = suite.get();
-    cfg.secret_key = keys[id].secret_key;
-    cfg.public_keys = public_keys;
-    core::ProtocolHost hooks;
-    hooks.send = [&network, id](ReplicaId to, std::uint8_t tag,
-                                const Bytes& m) {
-      network.send(id, to, tag, m);
-    };
-    hooks.broadcast = [&network, id](std::uint8_t tag, const Bytes& m) {
-      network.broadcast(id, tag, m);
-    };
-    hooks.set_timer = [&sim](Duration d, std::function<void()> fn) {
-      sim.schedule_after(d, std::move(fn));
-    };
-    hooks.on_commit = [id](std::uint64_t index, const Bytes& command) {
-      if (id == 1) {  // narrate once
-        std::printf("  command %2llu executed: %s\n",
-                    static_cast<unsigned long long>(index),
-                    std::string(command.begin(), command.end()).c_str());
-      }
-    };
-    replicas[id] = std::make_unique<smr::SmrReplica>(std::move(cfg), hooks);
-    network.register_handler(
-        id, [&replicas, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          replicas[id]->on_message(from, tag, m);
-        });
-  }
+  sim::SmrFleetConfig cfg;
+  cfg.n = n;
+  cfg.seed = 2024;
+  cfg.latency.min_delay = 1'000;
+  cfg.latency.max_delay_post = 6'000;
+  cfg.smr.window = 4;
+  cfg.smr.batch_max_commands = 2;
+  cfg.on_execute = [](sim::SmrFleet&, ReplicaId id, shard::ShardId,
+                      const smr::ExecutedCommand& cmd) {
+    if (id == 1) {  // narrate once
+      std::printf("  command %2llu executed: %s\n",
+                  static_cast<unsigned long long>(cmd.index),
+                  std::string(cmd.payload.begin(), cmd.payload.end()).c_str());
+    }
+  };
+  sim::SmrFleet fleet(std::move(cfg));
 
   // All commands are submitted at replica 1 (the round-robin leader of
   // every slot's first view), like a client talking to the current leader.
   std::printf("submitting %llu commands to an %u-replica ProBFT-SMR fleet\n",
               static_cast<unsigned long long>(commands), n);
-  for (std::uint64_t i = 0; i < commands; ++i) {
-    replicas[1]->submit(to_bytes("op-" + std::to_string(i)));
+  for (std::uint64_t i = 1; i <= commands; ++i) {
+    (void)fleet.node(1).submit_request(1, i,
+                                       to_bytes("op-" + std::to_string(i - 1)));
   }
-  for (ReplicaId id = 1; id <= n; ++id) replicas[id]->start();
-
-  // Run until every replica executed every submitted command.
-  while (sim.now() < 120'000'000) {
-    bool all_done = true;
-    for (ReplicaId id = 1; id <= n; ++id) {
-      if (replicas[id]->executed_commands() < commands) {
-        all_done = false;
-        break;
-      }
-    }
-    if (all_done || !sim.step()) break;
-  }
+  fleet.start();
+  (void)fleet.run_until_executed(commands, 120'000'000);
 
   std::printf("\nlogs after %.1f ms of simulated time:\n",
-              static_cast<double>(sim.now()) / 1000.0);
-  bool identical = true;
+              static_cast<double>(fleet.sim().now()) / 1000.0);
   for (ReplicaId id = 1; id <= n; ++id) {
     std::printf("  replica %2u: %llu commands in %llu slots\n", id,
                 static_cast<unsigned long long>(
-                    replicas[id]->executed_commands()),
+                    fleet.node(id).executed_commands()),
                 static_cast<unsigned long long>(
-                    replicas[id]->committed_slots()));
-    if (replicas[id]->log() != replicas[1]->log()) identical = false;
+                    fleet.node(id).committed_slots()));
   }
+  const bool identical = fleet.logs_identical();
   std::printf("\nall logs identical: %s\n", identical ? "yes" : "NO (BUG)");
   std::printf("total wire messages for %llu slots: %llu\n",
-              static_cast<unsigned long long>(replicas[1]->committed_slots()),
-              static_cast<unsigned long long>(network.stats().sends));
+              static_cast<unsigned long long>(fleet.node(1).committed_slots()),
+              static_cast<unsigned long long>(fleet.network().stats().sends));
   return identical ? 0 : 1;
 }

@@ -5,11 +5,11 @@
 #   usage: scripts/run_tcp_cluster.sh [BUILD_DIR] [PROTOCOL] [N] [--shards S]
 #
 #   BUILD_DIR  directory containing examples/probft_node (default: build)
-#   PROTOCOL   probft | pbft | hotstuff | client | restart | shard | reads
+#   PROTOCOL   probft | pbft | hotstuff | client | restart | reads
 #              (default: probft)
 #   N          cluster size                                (default: 4)
-#   --shards S consensus groups per node; anywhere on the command line.
-#              S > 1 selects the shard smoke (PROTOCOL=shard defaults S=4).
+#   --shards S consensus groups per node for the restart smoke; anywhere
+#              on the command line (default: 1)
 #
 # The consensus protocols run the single-shot smoke: exits 0 iff all N
 # processes printed a DECIDED line with one common value within the
@@ -29,23 +29,23 @@
 # 2f+1 checkpoint certificates with one replica down). Mid-load, replica
 # 2 is killed with SIGKILL — the one place this script uses an uncatchable
 # signal, because the point is surviving a crash with no shutdown path —
-# then restarted against the same WAL. The script asserts the restarted
-# process printed RECOVERED with a nonzero checkpoint base (it resumed
-# from its last stable checkpoint, not genesis) and that all four
-# replicas, the reborn one included, finish with identical chained log
-# digests. All intentional stops elsewhere use SIGTERM: probft_node
-# flushes its WAL and prints its final SMRLOG/STATS lines on the way out.
-#
-# PROTOCOL=shard runs the sharded-SMR smoke: every node serves S
-# consensus groups (--shards S), a sharded client routes $SHARD_REQUESTS
-# requests by placement hash, a second client submits cross-shard
-# transactions while replica 2 is SIGKILLed mid-load and restarted
-# against its per-shard WALs. The script asserts (a) every client
-# request and every dtx got its reply, with every dtx committed, (b)
-# the restarted victim printed per-shard RECOVERED lines, (c) all N
-# replicas agree per shard: for each s, the N "SMRLOG ... shard=s"
-# digests are identical, and (d) every replica's dtx tracker converged
-# to the same committed/aborted counts with nothing in flight.
+# then restarted against the same WAL. All intentional stops elsewhere
+# use SIGTERM: probft_node flushes its WAL and prints its final
+# SMRLOG/STATS lines on the way out.
+#   S = 1: a client submits 192 requests; the script asserts the
+#   restarted process printed RECOVERED with a nonzero checkpoint base
+#   (it resumed from its last stable checkpoint, not genesis) and that
+#   all N replicas, the reborn one included, executed 192 commands and
+#   finish with identical chained log digests.
+#   S > 1: every node serves S consensus groups, a sharded client routes
+#   96 requests by placement hash and a second client submits 2
+#   cross-shard transactions around the kill; the victim restarts
+#   against its per-shard WALs. The script asserts (a) every client
+#   request and every dtx got its reply, with every dtx committed, (b)
+#   the restarted victim printed per-shard RECOVERED lines, (c) all N
+#   replicas agree per shard: for each s, the N "SMRLOG ... shard=s"
+#   digests are identical, and (d) every replica's dtx tracker converged
+#   to the same committed/aborted counts with nothing in flight.
 #
 # PROTOCOL=reads runs the linearizable-read smoke: an SMR cluster with
 # the read fast path on (--reads 1, f=1 / l=1.5 so the leader needs real
@@ -64,11 +64,11 @@
 #
 # This is the CI smoke test for the TCP backend (.github/workflows/ci.yml
 # job `tcp-smoke`, nightly `smr-smoke` and `restart-smoke`; job
-# `shard-smoke` runs the shard mode).
+# `shard-smoke` runs `restart 4 --shards 4`).
 set -u
 
 # --shards S may appear anywhere; the remaining args stay positional.
-SHARDS=0
+SHARDS=1
 positional=()
 while (( $# )); do
   if [[ "$1" == "--shards" && $# -ge 2 ]]; then
@@ -82,11 +82,6 @@ done
 BUILD_DIR=${positional[0]:-build}
 PROTOCOL=${positional[1]:-probft}
 N=${positional[2]:-4}
-if [[ "$PROTOCOL" == shard ]]; then
-  (( SHARDS > 1 )) || SHARDS=4
-elif (( SHARDS > 1 )); then
-  PROTOCOL=shard
-fi
 NODE_BIN="$BUILD_DIR/examples/probft_node"
 CLIENT_BIN="$BUILD_DIR/examples/probft_client"
 DEADLINE_MS=${DEADLINE_MS:-30000}
@@ -99,8 +94,7 @@ if [[ ! -x "$NODE_BIN" ]]; then
   exit 2
 fi
 if [[ ( "$PROTOCOL" == client || "$PROTOCOL" == restart \
-        || "$PROTOCOL" == shard || "$PROTOCOL" == reads ) \
-      && ! -x "$CLIENT_BIN" ]]; then
+        || "$PROTOCOL" == reads ) && ! -x "$CLIENT_BIN" ]]; then
   echo "error: $CLIENT_BIN not found (build the examples first)" >&2
   exit 2
 fi
@@ -259,12 +253,22 @@ run_restart_mode() {
   local base_port=$1
   local peers=$2
   local victim=2
-  # Enough closed-loop requests that the SIGKILL at ~t+5s lands mid-load:
-  # the victim must then catch up (state transfer + per-slot proofs) after
-  # recovery, not merely replay a finished log. (REQUESTS has a global
-  # client-mode default of 16, hence the separate override knob.)
-  local reqs=${RESTART_REQUESTS:-192}
   local linger=8000  # survivors must outlive the victim's catch-up
+  # S = 1: enough closed-loop requests that the SIGKILL at ~t+5s lands
+  # mid-load, so the victim must catch up (state transfer + per-slot
+  # proofs) after recovery, not merely replay a finished log. S > 1: a
+  # second client keeps cross-shard transactions in flight around the
+  # kill. Every entry count is deterministic: the client mines one key
+  # per shard into each tx, so each tx commits exactly 2 + 2*SHARDS
+  # entries (BEGIN + DECIDE + per-participant PREPARE/APPLY) on top of
+  # the ordinary requests. --expect-cmds counts total executed entries.
+  local reqs=192 dtx=0 shard_flags=()
+  if (( SHARDS > 1 )); then
+    reqs=96
+    dtx=2
+    shard_flags=(--shards "$SHARDS")
+  fi
+  local expect=$(( reqs + dtx * (2 + 2 * SHARDS) ))
   local client_servers=""
   for (( i = 0; i < N; i++ )); do
     client_servers+="${client_servers:+,}127.0.0.1:$(( base_port + 100 + i ))"
@@ -276,10 +280,11 @@ run_restart_mode() {
   start_node() {  # id, outfile
     local id=$1 out=$2
     timeout $(( DEADLINE_MS / 1000 + linger / 1000 + 20 )) \
-      "$NODE_BIN" --id "$id" --peers "$peers" --smr 1 --f 1 --l 1.5 \
+      "$NODE_BIN" --id "$id" --peers "$peers" --smr 1 "${shard_flags[@]}" \
+        --f 1 --l 1.5 \
         --client-port $(( base_port + 100 + id - 1 )) \
         --wal-dir "$workdir/wal-$id" --checkpoint-interval 2 \
-        --expect-cmds "$reqs" --run-ms "$DEADLINE_MS" \
+        --expect-cmds "$expect" --run-ms "$DEADLINE_MS" \
         --linger-ms "$linger" --stats 1 $NODE_EXTRA_FLAGS \
         > "$workdir/$out" 2>> "$workdir/node-$id.err" &
     pids+=($!)
@@ -291,19 +296,34 @@ run_restart_mode() {
   done
 
   sleep 1
+  # Load client: closed-loop requests (routed by placement hash at S > 1).
   timeout $(( DEADLINE_MS / 1000 + 10 )) \
-    "$CLIENT_BIN" --servers "$client_servers" --requests "$reqs" \
-      --mode closed --retry-ms 2000 \
+    "$CLIENT_BIN" --servers "$client_servers" "${shard_flags[@]}" \
+      --requests "$reqs" --mode closed --retry-ms 2000 \
       --timeout-ms "$DEADLINE_MS" > "$workdir/client.out" 2>&1 &
   local client_pid=$!
   pids+=("$client_pid")
 
   # Crash the victim mid-load with an uncatchable SIGKILL: no WAL flush,
   # no goodbye — recovery must work from whatever fsync'd state is on
-  # disk. Then restart it against the same WAL directory. The pause
-  # first lets several checkpoint intervals stabilize, so the recovery
-  # base must be past genesis.
-  sleep 4
+  # disk. Then restart it against the same WAL directory. At S = 1 the
+  # pause first lets several checkpoint intervals stabilize, so the
+  # recovery base must be past genesis; at S > 1 the dtx client starts
+  # first, so atomicity is exercised against a crashing replica.
+  local dtx_pid=""
+  if (( dtx > 0 )); then
+    sleep 2
+    timeout $(( DEADLINE_MS / 1000 + 10 )) \
+      "$CLIENT_BIN" --servers "$client_servers" "${shard_flags[@]}" \
+        --requests 0 --dtx "$dtx" --client-id 88001 --mode open \
+        --retry-ms 1000 --timeout-ms "$DEADLINE_MS" \
+        > "$workdir/dtx.out" 2>&1 &
+    dtx_pid=$!
+    pids+=("$dtx_pid")
+    sleep 1
+  else
+    sleep 4
+  fi
   # The tracked pid is the timeout(1) wrapper; SIGKILL is not forwarded
   # to children, so kill the probft_node child first or it would survive
   # as an orphan still holding the victim's ports.
@@ -320,20 +340,38 @@ run_restart_mode() {
     wait "${pids[$((id - 1))]}" || failures=$((failures + 1))
   done
   wait "${pids[-1]}" || failures=$((failures + 1))  # restarted victim
-  if ! wait "$client_pid"; then
-    echo "FAIL: client did not complete" >&2
+  local client_ok=0
+  wait "$client_pid" || client_ok=1
+  if [[ -n "$dtx_pid" ]]; then wait "$dtx_pid" || client_ok=1; fi
+  pids=()
+  if (( client_ok != 0 )); then
+    echo "FAIL: a client did not complete" >&2
     cat "$workdir/client.out" >&2
-    pids=()
+    [[ -n "$dtx_pid" ]] && cat "$workdir/dtx.out" >&2
     return 1
   fi
-  pids=()
   if (( failures > 0 )); then
     if grep -lq "cannot start transport" "$workdir"/node-*.err 2>/dev/null; then
       return 2  # retryable port clash
     fi
-    echo "FAIL: $failures nodes did not reach $reqs commands" >&2
+    echo "FAIL: $failures nodes did not reach $expect executed entries" >&2
     cat "$workdir"/node-*.err >&2
     return 1
+  fi
+
+  # Final-state files: the survivors plus the victim's second life.
+  # (The victim's first life was SIGKILLed and printed nothing.)
+  local finals=()
+  for (( id = 1; id <= N; id++ )); do
+    if (( id == victim )); then continue; fi
+    finals+=("$workdir/node-$id.out")
+  done
+  finals+=("$workdir/node-$victim-restart.out")
+  if (( SHARDS > 1 )); then
+    check_sharded_restart "$victim" "$dtx" "${finals[@]}" || return 1
+    echo "OK: $N nodes x $SHARDS shards agreed per-shard through a SIGKILL" \
+         "restart; $dtx/$dtx cross-shard transactions committed atomically"
+    return 0
   fi
 
   grep -h "^RECOVERED\|^SMRLOG" "$workdir/node-$victim-restart.out"
@@ -343,15 +381,6 @@ run_restart_mode() {
     cat "$workdir/node-$victim-restart.out" >&2
     return 1
   fi
-
-  # Final-state files: the three survivors plus the victim's second life.
-  # (The victim's first life was SIGKILLed and printed nothing.)
-  local finals=()
-  for (( id = 1; id <= N; id++ )); do
-    if (( id == victim )); then continue; fi
-    finals+=("$workdir/node-$id.out")
-  done
-  finals+=("$workdir/node-$victim-restart.out")
   grep -h "^SMRLOG" "${finals[@]}"
   local digests cmds
   digests=$(grep -h "^SMRLOG" "${finals[@]}" \
@@ -366,96 +395,12 @@ run_restart_mode() {
   return 0
 }
 
-run_shard_mode() {
-  local base_port=$1
-  local peers=$2
-  local victim=2
-  local reqs=${SHARD_REQUESTS:-96}
-  local dtx=${SHARD_DTX:-2}
-  # Every entry count is deterministic: the client mines one key per
-  # shard into each tx, so each tx commits exactly 2 + 2*SHARDS entries
-  # (BEGIN + DECIDE + per-participant PREPARE/APPLY) on top of the
-  # ordinary requests. --expect-cmds counts total executed entries.
-  local expect=$(( reqs + dtx * (2 + 2 * SHARDS) ))
-  local linger=8000
-  local client_servers=""
-  for (( i = 0; i < N; i++ )); do
-    client_servers+="${client_servers:+,}127.0.0.1:$(( base_port + 100 + i ))"
-  done
-  rm -rf "$workdir"/wal-* "$workdir"/node-*.out "$workdir"/node-*.err
-
-  start_node() {  # id, outfile
-    local id=$1 out=$2
-    timeout $(( DEADLINE_MS / 1000 + linger / 1000 + 20 )) \
-      "$NODE_BIN" --id "$id" --peers "$peers" --smr 1 --shards "$SHARDS" \
-        --f 1 --l 1.5 \
-        --client-port $(( base_port + 100 + id - 1 )) \
-        --wal-dir "$workdir/wal-$id" --checkpoint-interval 2 \
-        --expect-cmds "$expect" --run-ms "$DEADLINE_MS" \
-        --linger-ms "$linger" --stats 1 $NODE_EXTRA_FLAGS \
-        > "$workdir/$out" 2>> "$workdir/node-$id.err" &
-    pids+=($!)
-  }
-
-  pids=()
-  for (( id = 1; id <= N; id++ )); do
-    start_node "$id" "node-$id.out"
-  done
-
-  sleep 1
-  # Load client: closed-loop sharded requests, routed by placement hash.
-  timeout $(( DEADLINE_MS / 1000 + 10 )) \
-    "$CLIENT_BIN" --servers "$client_servers" --shards "$SHARDS" \
-      --requests "$reqs" --mode closed --retry-ms 2000 \
-      --timeout-ms "$DEADLINE_MS" > "$workdir/client.out" 2>&1 &
-  local client_pid=$!
-  pids+=("$client_pid")
-
-  # Dtx client: cross-shard transactions in flight around the SIGKILL
-  # below, so atomicity is exercised against a crashing replica.
-  sleep 2
-  timeout $(( DEADLINE_MS / 1000 + 10 )) \
-    "$CLIENT_BIN" --servers "$client_servers" --shards "$SHARDS" \
-      --requests 0 --dtx "$dtx" --client-id 88001 --mode open \
-      --retry-ms 1000 --timeout-ms "$DEADLINE_MS" \
-      > "$workdir/dtx.out" 2>&1 &
-  local dtx_pid=$!
-  pids+=("$dtx_pid")
-
-  # Crash the victim mid-load (uncatchable SIGKILL — no WAL flush), then
-  # restart it against the same per-shard WAL directories.
-  sleep 1
-  local victim_pid=${pids[$((victim - 1))]}
-  pkill -KILL -P "$victim_pid" 2>/dev/null
-  kill -KILL "$victim_pid" 2>/dev/null
-  wait "$victim_pid" 2>/dev/null
-  sleep 1
-  start_node "$victim" "node-$victim-restart.out"
-
-  local failures=0
-  for (( id = 1; id <= N; id++ )); do
-    if (( id == victim )); then continue; fi
-    wait "${pids[$((id - 1))]}" || failures=$((failures + 1))
-  done
-  wait "${pids[-1]}" || failures=$((failures + 1))  # restarted victim
-  local client_ok=0
-  wait "$client_pid" || client_ok=1
-  wait "$dtx_pid" || client_ok=1
-  pids=()
-  if (( client_ok != 0 )); then
-    echo "FAIL: a client did not complete" >&2
-    cat "$workdir/client.out" "$workdir/dtx.out" >&2
-    return 1
-  fi
-  if (( failures > 0 )); then
-    if grep -lq "cannot start transport" "$workdir"/node-*.err 2>/dev/null; then
-      return 2  # retryable port clash
-    fi
-    echo "FAIL: $failures nodes did not reach $expect executed entries" >&2
-    cat "$workdir"/node-*.err >&2
-    return 1
-  fi
-
+# The S > 1 restart assertions: every dtx committed, per-shard RECOVERED
+# lines, per-shard digest agreement and converged dtx trackers.
+check_sharded_restart() {
+  local victim=$1 dtx=$2
+  shift 2
+  local finals=("$@")
   cat "$workdir/client.out" "$workdir/dtx.out"
   if ! grep -q "^DTXCLIENT requests=$dtx committed=$dtx aborted=0" \
       "$workdir/dtx.out"; then
@@ -468,13 +413,6 @@ run_shard_mode() {
     cat "$workdir/node-$victim-restart.out" >&2
     return 1
   fi
-
-  local finals=()
-  for (( id = 1; id <= N; id++ )); do
-    if (( id == victim )); then continue; fi
-    finals+=("$workdir/node-$id.out")
-  done
-  finals+=("$workdir/node-$victim-restart.out")
   grep -h "^RECOVERED" "$workdir/node-$victim-restart.out"
   grep -h "^SMRLOG\|^DTX " "${finals[@]}"
   # Per-shard agreement: for each group, the N digests must be identical.
@@ -505,9 +443,6 @@ run_shard_mode() {
     grep -h "^DTX " "${finals[@]}" >&2
     return 1
   fi
-  echo "OK: $N nodes x $SHARDS shards agreed per-shard through a SIGKILL" \
-       "restart; $dtx/$dtx cross-shard transactions committed atomically"
-  return 0
 }
 
 run_single_shot_mode() {
@@ -568,8 +503,6 @@ while (( attempt < 3 )); do
     run_reads_mode "$base_port" "$peers"
   elif [[ "$PROTOCOL" == restart ]]; then
     run_restart_mode "$base_port" "$peers"
-  elif [[ "$PROTOCOL" == shard ]]; then
-    run_shard_mode "$base_port" "$peers"
   else
     run_single_shot_mode "$peers"
   fi

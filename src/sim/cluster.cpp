@@ -25,10 +25,7 @@ Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
   }
   network_ = std::make_unique<net::Network>(sim_, cfg_.n, cfg_.seed,
                                             cfg_.latency);
-  keys_.resize(cfg_.n + 1);
-  for (ReplicaId id = 1; id <= cfg_.n; ++id) {
-    keys_[id] = suite_->keygen(mix64(cfg_.seed, id));
-  }
+  keys_ = derive_keys(*suite_, cfg_.n, cfg_.seed);
   decided_.assign(cfg_.n + 1, false);
   build_nodes();
 }
@@ -49,11 +46,7 @@ bool Cluster::is_byzantine(ReplicaId id) const {
 void Cluster::build_nodes() {
   // One shared key directory for the whole cluster (configs copy the
   // handle, not the n keys).
-  std::vector<Bytes> key_table(cfg_.n + 1);
-  for (ReplicaId id = 1; id <= cfg_.n; ++id) {
-    key_table[id] = keys_[id].public_key;
-  }
-  const crypto::PublicKeyDir public_keys(std::move(key_table));
+  const crypto::PublicKeyDir& public_keys = keys_.public_keys;
 
   // Attack plan (shared by equivocating leader and colluders).
   std::vector<bool> byz(cfg_.n + 1, false);
@@ -98,7 +91,7 @@ void Cluster::build_nodes() {
       params.stop_sync_on_decide = cfg_.stop_sync_on_decide;
       params.fast_verify = cfg_.fast_verify;
       params.suite = suite_;
-      params.secret_key = keys_[id].secret_key;
+      params.secret_key = keys_.pairs[id].secret_key;
       params.public_keys = public_keys;
       params.sync = cfg_.sync;
       core::ProtocolHost host = transport_host(transport, id, set_timer);
@@ -112,7 +105,7 @@ void Cluster::build_nodes() {
       env.o = cfg_.o;
       env.l = cfg_.l;
       env.suite = suite_;
-      env.secret_key = keys_[id].secret_key;
+      env.secret_key = keys_.pairs[id].secret_key;
       env.public_keys = public_keys;
       env.send = [transport_ptr, id](ReplicaId to, std::uint8_t tag,
                                      const Bytes& m) {

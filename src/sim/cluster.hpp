@@ -59,10 +59,6 @@ struct ClusterConfig {
   SplitStrategy split = SplitStrategy::kOptimal;
   Bytes attack_value_a;
   Bytes attack_value_b;
-  /// Pipeline/batching shape used when this config drives an SMR fleet
-  /// (scenario Workload::kSmr, the throughput bench); ignored by the
-  /// single-shot protocols.
-  smr::SmrOptions smr;
   /// Value proposed by honest replica `i` is value_prefix || i ...
   Bytes value_prefix;
   /// ... unless an explicit per-replica value is given here (1-based index
@@ -122,7 +118,7 @@ class Cluster {
 
   [[nodiscard]] const crypto::CryptoSuite& suite() const { return *suite_; }
   [[nodiscard]] const std::vector<crypto::KeyPair>& keys() const {
-    return keys_;
+    return keys_.pairs;
   }
 
  private:
@@ -134,7 +130,7 @@ class Cluster {
   const crypto::CryptoSuite* suite_ = nullptr;
   net::Simulator sim_;
   std::unique_ptr<net::Network> network_;
-  std::vector<crypto::KeyPair> keys_;          // 1-based
+  FleetKeys keys_;
   std::vector<std::unique_ptr<core::INode>> nodes_;  // 1-based
   std::shared_ptr<const AttackPlan> plan_;
   std::vector<DecisionRecord> decisions_;

@@ -1,5 +1,6 @@
 #include "sim/node_factory.hpp"
 
+#include "common/rng.hpp"
 #include "hotstuff/hotstuff_replica.hpp"
 #include "pbft/pbft_replica.hpp"
 
@@ -84,6 +85,19 @@ Bytes default_node_value(const Bytes& prefix, ReplicaId id) {
   value.push_back(static_cast<std::uint8_t>(id >> 8));
   value.push_back(static_cast<std::uint8_t>(id & 0xff));
   return value;
+}
+
+FleetKeys derive_keys(const crypto::CryptoSuite& suite, std::uint32_t n,
+                      std::uint64_t seed) {
+  FleetKeys keys;
+  keys.pairs.resize(n + 1);
+  std::vector<Bytes> table(n + 1);
+  for (ReplicaId id = 1; id <= n; ++id) {
+    keys.pairs[id] = suite.keygen(mix64(seed, id));
+    table[id] = keys.pairs[id].public_key;
+  }
+  keys.public_keys = crypto::PublicKeyDir(std::move(table));
+  return keys;
 }
 
 core::ProtocolHost transport_host(net::ITransport& transport, ReplicaId id,

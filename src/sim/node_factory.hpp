@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/types.hpp"
@@ -69,6 +70,19 @@ struct NodeParams {
 /// id suffix. Shared by the simulator cluster and the TCP runners so both
 /// worlds propose identical values for identical configurations.
 [[nodiscard]] Bytes default_node_value(const Bytes& prefix, ReplicaId id);
+
+/// One cluster's key material: the keypairs (1-based; index 0 unused) and
+/// the public-key directory every replica verifies against.
+struct FleetKeys {
+  std::vector<crypto::KeyPair> pairs;
+  crypto::PublicKeyDir public_keys;
+};
+
+/// The one key scheme the simulator and real processes share: replica i
+/// of an n-replica cluster holds the keypair `suite` generates from the
+/// seed mix64(seed, i).
+[[nodiscard]] FleetKeys derive_keys(const crypto::CryptoSuite& suite,
+                                    std::uint32_t n, std::uint64_t seed);
 
 /// Wires a ProtocolHost's I/O half to a transport: send/broadcast go to
 /// `transport` stamped with `id`; set_timer comes from `set_timer`. The

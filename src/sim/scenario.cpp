@@ -8,7 +8,7 @@
 
 #include "common/codec.hpp"
 #include "shard/sharded_smr.hpp"
-#include "store/wal.hpp"
+#include "sim/smr_fleet.hpp"
 
 namespace probft::sim {
 
@@ -249,7 +249,6 @@ ClusterConfig make_cluster_config(const ScenarioSpec& spec,
   cfg.l = spec.l;
   cfg.seed = seed;
   cfg.latency = make_latency_config(spec.latency);
-  cfg.smr = spec.smr;
   cfg.behaviors.assign(spec.n, Behavior::kHonest);
 
   switch (spec.fault) {
@@ -304,6 +303,16 @@ ClusterConfig make_cluster_config(const ScenarioSpec& spec,
 }
 
 namespace {
+
+/// Removes its directory (if set) when it goes out of scope — declared
+/// before whatever holds files open inside it.
+struct TempDir {
+  std::filesystem::path path;
+  ~TempDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+};
 
 /// The wire tag only a view leader emits, per protocol — what the adaptive
 /// adversary watches for.
@@ -416,17 +425,6 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, std::uint64_t seed) {
 ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
                                  std::uint64_t seed) {
   const ClusterConfig cfg = make_cluster_config(spec, seed);
-  net::Simulator sim;
-  net::Network network(sim, spec.n, seed, cfg.latency);
-  const auto suite = crypto::make_sim_suite();
-
-  std::vector<crypto::KeyPair> keys(spec.n + 1);
-  std::vector<Bytes> key_table(spec.n + 1);
-  for (ReplicaId id = 1; id <= spec.n; ++id) {
-    keys[id] = suite->keygen(mix64(seed, id));
-    key_table[id] = keys[id].public_key;
-  }
-  const crypto::PublicKeyDir public_keys(std::move(key_table));
 
   // Crash shape: the f highest ids never start and their links are dead
   // (the fleet has no Byzantine node kinds — network faults and crashes
@@ -445,17 +443,36 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
                                  ? shard::lead_replica(0, spec.n)
                                  : 0;
 
+  SmrFleetConfig fc;
+  fc.n = spec.n;
+  fc.f = spec.f;
+  fc.o = spec.o;
+  fc.l = spec.l;
+  fc.seed = seed;
+  fc.shards = spec.shards;
+  fc.smr = spec.smr;
+  fc.latency = cfg.latency;
+
   // Crash-restart shape: replica 2 is killed mid-run (node object
   // destroyed, exactly what a kill -9 looks like to the others) and later
-  // reconstructed from its write-ahead logs — one per consensus group, in
-  // the node binary's directory layout. A small checkpoint interval makes
-  // the fleet stabilize a checkpoint before the kill so recovery starts
-  // from it rather than from genesis.
+  // reconstructed from its write-ahead logs. A small checkpoint interval
+  // makes the fleet stabilize a checkpoint before the kill so recovery
+  // starts from it rather than from genesis. The simulator only fakes the
+  // crash (object teardown, not process death), so fsync buys nothing.
   const ReplicaId victim = spec.fault == Fault::kKillRestart ? 2 : 0;
+  TempDir wal_dir;
+  if (victim != 0) {
+    fc.smr.checkpoint_interval = 2;
+    wal_dir.path = std::filesystem::temp_directory_path() /
+                   ("probft-kr-" + std::to_string(::getpid()) + "-" +
+                    std::to_string(seed));
+    std::filesystem::remove_all(wal_dir.path);
+    fc.wal_dirs.resize(victim + 1);
+    fc.wal_dirs[victim] = wal_dir.path.string();
+  }
   const bool with_reads = spec.workload == Workload::kSmrReads;
-  smr::SmrOptions smr_opts = spec.smr;
   if (with_reads) {
-    smr_opts.serve_reads = true;
+    fc.smr.serve_reads = true;
     // Lease validity must be of the same order as the view-change
     // timeout: a promise defers wish/new-leader traffic for up to
     // duration + skew, and a deferral window far beyond the synchronizer
@@ -463,103 +480,36 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
     // batches execute first and the per-client dedup then supersedes the
     // stalled slot's requests). The defaults (2 s) are wall-clock knobs;
     // scale them to the harness's 100 ms virtual timeouts.
-    smr_opts.lease_duration = 100'000;
-    smr_opts.lease_skew = 25'000;
+    fc.smr.lease_duration = 100'000;
+    fc.smr.lease_skew = 25'000;
   }
-  // The simulator only fakes the crash (object teardown, not process
-  // death), so fsync buys nothing here — skip it for speed.
-  std::vector<std::unique_ptr<store::Wal>> victim_wals;
-  std::filesystem::path wal_dir;
-  if (victim != 0) {
-    smr_opts.checkpoint_interval = 2;
-    wal_dir = std::filesystem::temp_directory_path() /
-              ("probft-kr-" + std::to_string(::getpid()) + "-" +
-               std::to_string(seed));
-    std::filesystem::remove_all(wal_dir);
-    victim_wals = shard::open_group_wals(wal_dir.string(), spec.shards,
-                                         /*fsync=*/false);
-  }
-  // Timers scheduled by a killed node must not fire into freed memory:
-  // under kill-restart every node's timer callbacks are epoch-guarded and
-  // the victim's epoch is bumped at the kill.
-  std::vector<std::uint64_t> epochs(spec.n + 1, 0);
 
   const std::uint64_t target = spec.smr_commands;
   std::size_t correct_total = 0;
   std::size_t done = 0;  // correct replicas that executed the full workload
   TimePoint last_execution_at = 0;
-
-  std::vector<std::unique_ptr<shard::ShardedSmr>> nodes(spec.n + 1);
-  std::function<void(ReplicaId)> build_node = [&](ReplicaId id) {
-    NodeParams params;
-    params.id = id;
-    params.n = spec.n;
-    params.f = spec.f;
-    params.o = spec.o;
-    params.l = spec.l;
-    params.smr = smr_opts;
-    params.suite = suite.get();
-    params.secret_key = keys[id].secret_key;
-    params.public_keys = public_keys;
-    shard::ShardedSmrConfig sc;
-    sc.base = smr_config(params);
-    sc.map.shard_count = spec.shards;
-    if (id == victim) {
-      for (const auto& wal : victim_wals) sc.wals.push_back(wal.get());
+  fc.on_execute = [&done, &down, &last_execution_at, target, silenced](
+                      SmrFleet& fleet, ReplicaId id, shard::ShardId,
+                      const smr::ExecutedCommand&) {
+    last_execution_at = fleet.sim().now();
+    if (!down[id] && id != silenced &&
+        fleet.node(id).executed_commands() == target) {
+      ++done;
     }
-    sc.on_execute = [&nodes, &done, &down, &last_execution_at, &sim, target,
-                     silenced, id](shard::ShardId,
-                                   const smr::ExecutedCommand&) {
-      last_execution_at = sim.now();
-      if (!down[id] && id != silenced &&
-          nodes[id]->executed_commands() == target) {
-        ++done;
-      }
-    };
-    core::ProtocolHost host = transport_host(
-        network, id,
-        [&sim, &epochs, id, guarded = victim != 0](Duration d,
-                                                   std::function<void()> fn) {
-          if (!guarded) {
-            sim.schedule_after(d, std::move(fn));
-            return;
-          }
-          const std::uint64_t epoch = epochs[id];
-          sim.schedule_after(d, [&epochs, id, epoch, fn = std::move(fn)] {
-            if (epochs[id] == epoch) fn();
-          });
-        });
-    nodes[id] = std::make_unique<shard::ShardedSmr>(std::move(sc),
-                                                    std::move(host));
-    network.register_handler(
-        id, [&nodes, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          if (nodes[id]) nodes[id]->on_message(from, tag, m);
-        });
   };
+  SmrFleet fleet(std::move(fc));
+  net::Simulator& sim = fleet.sim();
+  net::Network& network = fleet.network();
   for (ReplicaId id = 1; id <= spec.n; ++id) {
     if (!down[id] && id != silenced) ++correct_total;
-    build_node(id);
   }
 
   if (victim != 0) {
     // Kill between the waves, restart before wave 2 lands: peers keep
     // deciding while the victim is gone, the restarted node recovers its
     // prefix from the WAL and backfills the rest via signed hints.
-    sim.schedule_after(250'000, [&epochs, &nodes, victim] {
-      ++epochs[victim];
-      nodes[victim].reset();
-    });
-    sim.schedule_after(450'000, [&build_node, &nodes, &victim_wals, &wal_dir,
-                                 &spec, victim] {
-      // A real restart re-opens the logs from disk; the Wal's recovery
-      // views are fixed at open, so reusing the pre-kill objects would
-      // hand the "recovered" replica an empty record list.
-      victim_wals.clear();
-      victim_wals = shard::open_group_wals(wal_dir.string(), spec.shards,
-                                           /*fsync=*/false);
-      build_node(victim);
-      nodes[victim]->start();
-    });
+    sim.schedule_after(250'000, [&fleet, victim] { fleet.kill(victim); });
+    sim.schedule_after(450'000, [&fleet, victim] { fleet.restart(victim); });
   }
 
   if (spec.fault == Fault::kSilentFollowers) {
@@ -614,40 +564,36 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   const auto wave_seq = [distinct_clients](std::uint64_t i) {
     return distinct_clients ? 1 : i;
   };
-  sim.schedule_after(1'000, [&nodes, wave1, entry1, wave_client, wave_seq] {
+  sim.schedule_after(1'000, [&fleet, wave1, entry1, wave_client, wave_seq] {
     for (std::uint64_t i = 1; i <= wave1; ++i) {
-      (void)nodes[entry1]->submit_request(
+      (void)fleet.node(entry1).submit_request(
           wave_client(i), wave_seq(i), to_bytes("cmd-" + std::to_string(i)));
     }
   });
-  sim.schedule_after(500'000, [&nodes, wave1, target, entry1, entry2, entry3,
+  sim.schedule_after(500'000, [&fleet, wave1, target, entry1, entry2, entry3,
                                wave_client, wave_seq] {
     // A client retry of the first request against another replica: the
     // dedup table must keep it from executing twice.
-    (void)nodes[entry3]->submit_request(wave_client(1), wave_seq(1),
-                                        to_bytes("cmd-1"));
+    (void)fleet.node(entry3).submit_request(wave_client(1), wave_seq(1),
+                                            to_bytes("cmd-1"));
     std::uint64_t next = wave1 + 1;
     if (next <= target) {
       // A second client entering at a non-leader replica (forwarded).
-      (void)nodes[entry2]->submit_request(9002, 1, to_bytes("cmd-w2"));
+      (void)fleet.node(entry2).submit_request(9002, 1, to_bytes("cmd-w2"));
       ++next;
     }
     for (; next <= target; ++next) {
-      (void)nodes[entry1]->submit_request(
+      (void)fleet.node(entry1).submit_request(
           wave_client(next - 1), wave_seq(next - 1),
           to_bytes("cmd-" + std::to_string(next - 1)));
     }
   });
 
   for (ReplicaId id = 1; id <= spec.n; ++id) {
-    if (!down[id]) nodes[id]->start();
+    if (!down[id]) fleet.node(id).start();
   }
-  std::size_t fired = 0;
-  while (done < correct_total && fired < spec.max_events &&
-         sim.now() < spec.deadline) {
-    if (!sim.step()) break;
-    ++fired;
-  }
+  (void)fleet.run_until([&] { return done >= correct_total; },
+                        spec.deadline, spec.max_events);
 
   // Read phase (Workload::kSmrReads): once the write workload completed,
   // every up replica answers the known first write at all three
@@ -655,44 +601,38 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   // reads, not universal service — a replica that recovered over a view
   // gap (WAL snapshot, adopted checkpoint) answers kRejected by design,
   // and that is counted but never stale.
-  std::uint64_t reads_attempted = 0;
-  std::uint64_t reads_executed = 0;
-  std::uint64_t reads_rejected = 0;
-  std::uint64_t stale_reads = 0;
+  ScenarioOutcome outcome;
   if (with_reads) {
     const Bytes expected = to_bytes("cmd-1");
     std::uint64_t reads_fired = 0;
     for (ReplicaId id = 1; id <= spec.n; ++id) {
-      if (down[id] || !nodes[id]) continue;
+      if (down[id] || !fleet.alive(id)) continue;
       for (const net::ReadConsistency mode :
            {net::ReadConsistency::kLinearizable,
             net::ReadConsistency::kSequential,
             net::ReadConsistency::kStaleOk}) {
-        ++reads_attempted;
-        nodes[id]->submit_read(
+        ++outcome.reads_attempted;
+        fleet.node(id).submit_read(
             to_bytes("cmd-1"), mode, 0,
-            [&reads_fired, &reads_executed, &reads_rejected, &stale_reads,
-             &expected, mode](const smr::SmrReplica::ReadResult& r) {
+            [&reads_fired, &outcome, &expected,
+             mode](const smr::SmrReplica::ReadResult& r) {
               ++reads_fired;
               if (r.status != net::ReplyStatus::kExecuted) {
-                ++reads_rejected;
+                ++outcome.reads_rejected;
                 return;
               }
-              ++reads_executed;
+              ++outcome.reads_executed;
               // Stale-ok makes no freshness promise; the other two do.
               if (mode != net::ReadConsistency::kStaleOk &&
                   r.value != expected) {
-                ++stale_reads;
+                ++outcome.stale_reads;
               }
             });
       }
     }
-    const TimePoint read_deadline = sim.now() + 5'000'000;
-    while (reads_fired < reads_attempted && fired < spec.max_events &&
-           sim.now() < read_deadline) {
-      if (!sim.step()) break;
-      ++fired;
-    }
+    (void)fleet.run_until(
+        [&] { return reads_fired >= outcome.reads_attempted; },
+        sim.now() + 5'000'000, spec.max_events);
   }
 
   // Recount completion from replica state rather than trusting the
@@ -701,11 +641,10 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   // saw the final count even though it holds the full workload.
   done = 0;
   for (ReplicaId id = 1; id <= spec.n; ++id) {
-    if (down[id] || id == silenced || !nodes[id]) continue;
-    if (nodes[id]->executed_commands() >= target) ++done;
+    if (down[id] || id == silenced || !fleet.alive(id)) continue;
+    if (fleet.node(id).executed_commands() >= target) ++done;
   }
 
-  ScenarioOutcome outcome;
   outcome.seed = seed;
   outcome.terminated = done == correct_total;
   outcome.decided = done;
@@ -714,67 +653,9 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   outcome.bytes = network.stats().bytes_sent;
   outcome.events = sim.events_fired();
   outcome.last_decision_at = last_execution_at;
-  outcome.reads_attempted = reads_attempted;
-  outcome.reads_executed = reads_executed;
-  outcome.reads_rejected = reads_rejected;
-  outcome.stale_reads = stale_reads;
-
-  // Agreement group by group: correct replicas' retained slot logs must
-  // agree wherever they overlap (logs may start at different bases once
-  // stable checkpoints truncate them). The reference is the replica that
-  // executed furthest. Transcript lines name their group only when there
-  // are several.
-  bool agreement = true;
-  std::ostringstream transcript;
-  for (shard::ShardId s = 0; s < spec.shards; ++s) {
-    const smr::SmrReplica* longest = nullptr;
-    for (ReplicaId id = 1; id <= spec.n; ++id) {
-      if (down[id] || !nodes[id]) continue;
-      const auto& g = nodes[id]->group(s);
-      if (longest == nullptr ||
-          g.committed_slots() > longest->committed_slots()) {
-        longest = &g;
-      }
-    }
-    for (ReplicaId id = 1; id <= spec.n; ++id) {
-      if (down[id] || !nodes[id]) {
-        if (s == 0) transcript << id << " down\n";
-        continue;
-      }
-      const auto& g = nodes[id]->group(s);
-      const auto& slot_log = g.slot_log();
-      const std::uint64_t base = g.log_base();
-      for (std::size_t i = 0; i < slot_log.size(); ++i) {
-        const std::uint64_t slot = base + i;
-        if (slot < longest->log_base() ||
-            slot >= longest->committed_slots()) {
-          continue;  // outside the reference's retained range
-        }
-        if (slot_log[i] !=
-            longest->slot_log()[slot - longest->log_base()]) {
-          agreement = false;
-        }
-      }
-      // Replicas that executed equally far must hold bit-identical logs:
-      // the chained digest covers truncated slots too.
-      if (g.committed_slots() == longest->committed_slots() &&
-          g.log_digest() != longest->log_digest()) {
-        agreement = false;
-      }
-      transcript << id;
-      if (spec.shards > 1) transcript << " s" << s;
-      transcript << " " << g.executed_commands() << " "
-                 << g.committed_slots() << " " << g.log_base() << " "
-                 << g.log_digest() << "\n";
-    }
-  }
-  outcome.agreement = agreement;
-  outcome.transcript = transcript.str();
-  if (victim != 0) {
-    std::error_code ec;
-    victim_wals.clear();
-    std::filesystem::remove_all(wal_dir, ec);
-  }
+  const FleetAgreement agreement = fleet.check_agreement(down);
+  outcome.agreement = agreement.ok;
+  outcome.transcript = agreement.transcript;
   return outcome;
 }
 

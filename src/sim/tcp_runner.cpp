@@ -10,7 +10,6 @@
 
 #include "common/annotations.hpp"
 #include "common/mutex.hpp"
-#include "common/rng.hpp"
 #include "net/tcp_transport.hpp"
 #include "sim/node_factory.hpp"
 
@@ -39,13 +38,7 @@ ScenarioOutcome run_scenario_tcp(const ScenarioSpec& spec,
 
   // Deterministic keys, exactly like sim::Cluster.
   const auto keygen_suite = crypto::make_sim_suite();
-  std::vector<crypto::KeyPair> keys(n + 1);
-  std::vector<Bytes> key_table(n + 1);
-  for (ReplicaId id = 1; id <= n; ++id) {
-    keys[id] = keygen_suite->keygen(mix64(seed, id));
-    key_table[id] = keys[id].public_key;
-  }
-  const crypto::PublicKeyDir public_keys(std::move(key_table));
+  const FleetKeys keys = derive_keys(*keygen_suite, n, seed);
 
   // Build every transport first (ephemeral binds), then cross-wire the
   // discovered ports — after this, each transport is touched only by its
@@ -117,8 +110,8 @@ ScenarioOutcome run_scenario_tcp(const ScenarioSpec& spec,
     params.my_value = default_node_value(cfg.value_prefix, id);
     params.stop_sync_on_decide = cfg.stop_sync_on_decide;
     params.suite = suites[id].get();
-    params.secret_key = keys[id].secret_key;
-    params.public_keys = public_keys;
+    params.secret_key = keys.pairs[id].secret_key;
+    params.public_keys = keys.public_keys;
     params.sync = cfg.sync;
 
     core::ProtocolHost host = transport_host(

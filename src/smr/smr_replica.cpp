@@ -1006,7 +1006,7 @@ void SmrReplica::drain_parked_reads() {
 
 void SmrReplica::request_lease() {
   if (!started_ || lease_poisoned_ || !cfg_.pipeline.serve_reads ||
-      !cfg_.pipeline.read_leases || !is_lease_leader()) {
+      !is_lease_leader()) {
     return;
   }
   const std::uint64_t epoch = ++lease_epoch_;
@@ -1030,7 +1030,7 @@ void SmrReplica::request_lease() {
 }
 
 void SmrReplica::handle_lease(ReplicaId from, const Bytes& payload) {
-  if (!cfg_.pipeline.serve_reads || !cfg_.pipeline.read_leases) return;
+  if (!cfg_.pipeline.serve_reads) return;
   const std::uint8_t kind = peek_read_msg_kind(span(payload));
   if (kind == kLeaseRequestKind) {
     const LeaseRequest req = LeaseRequest::decode(span(payload));

@@ -148,8 +148,6 @@ struct SmrOptions {
   /// and sends no read-path traffic, so the write path — and every
   /// pinned digest — is bit-identical to a build without reads.
   bool serve_reads = false;
-  /// Use leader leases for linearizable reads; off = read-index only.
-  bool read_leases = true;
   /// Leader-side lease validity (µs), clocked from the lease-request
   /// broadcast. Granters promise for lease_duration + lease_skew from
   /// the (strictly later) moment the request reaches them, so a deposed

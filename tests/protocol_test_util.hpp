@@ -17,6 +17,7 @@
 #include "crypto/sampler.hpp"
 #include "crypto/suite.hpp"
 #include "pbft/pbft_replica.hpp"
+#include "sim/node_factory.hpp"
 
 namespace probft::testutil {
 
@@ -38,13 +39,9 @@ class TestBed {
   TestBed(std::uint32_t n, std::uint32_t f, double o = 1.7, double l = 2.0,
           std::uint64_t seed = 1)
       : n_(n), f_(f), o_(o), l_(l), suite_(crypto::make_sim_suite()) {
-    keys_.resize(n + 1);
-    std::vector<Bytes> key_table(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      keys_[id] = suite_->keygen(mix64(seed, id));
-      key_table[id] = keys_[id].public_key;
-    }
-    public_keys_ = crypto::PublicKeyDir(std::move(key_table));
+    sim::FleetKeys keys = sim::derive_keys(*suite_, n, seed);
+    keys_ = std::move(keys.pairs);
+    public_keys_ = std::move(keys.public_keys);
   }
 
   [[nodiscard]] std::uint32_t n() const { return n_; }

@@ -11,10 +11,9 @@
 #include <algorithm>
 #include <memory>
 
-#include "common/rng.hpp"
 #include "crypto/sha256.hpp"
-#include "net/network.hpp"
 #include "sim/scenario.hpp"
+#include "sim/smr_fleet.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/smr_replica.hpp"
 
@@ -102,13 +101,9 @@ class CertTest : public ::testing::Test {
  protected:
   void SetUp() override {
     suite_ = crypto::make_sim_suite();
-    std::vector<Bytes> table(n_ + 1);
-    keys_.resize(n_ + 1);
-    for (ReplicaId id = 1; id <= n_; ++id) {
-      keys_[id] = suite_->keygen(mix64(7, id));
-      table[id] = keys_[id].public_key;
-    }
-    dir_ = crypto::PublicKeyDir(std::move(table));
+    sim::FleetKeys keys = sim::derive_keys(*suite_, n_, 7);
+    keys_ = std::move(keys.pairs);
+    dir_ = std::move(keys.public_keys);
     state_.slot = 8;
     state_.exec_count = 8;
     state_.log_digest = chain_digest(zero_digest(), to_bytes("b"));
@@ -173,77 +168,33 @@ TEST_F(CertTest, OutOfRangeSignerRejected) {
 
 // ---- fleet tests ----
 
-struct Fleet {
-  net::Simulator sim;
-  std::unique_ptr<net::Network> net;
-  std::unique_ptr<crypto::CryptoSuite> suite;
-  std::vector<crypto::KeyPair> keys;
-  std::vector<std::unique_ptr<SmrReplica>> replicas;  // 1-based
-
+/// An S = 1 sim::SmrFleet at l = 1.5 (q = 3 at n = 4: quorums survive
+/// one silent replica); tests drive each node's one group directly.
+struct Fleet : sim::SmrFleet {
   explicit Fleet(std::uint32_t n, std::uint32_t f, SmrOptions options = {},
-                 std::uint64_t seed = 1) {
-    net::LatencyConfig latency;
-    latency.min_delay = 500;
-    latency.max_delay_post = 4'000;
-    net = std::make_unique<net::Network>(sim, n, seed, latency);
-    suite = crypto::make_sim_suite();
-    keys.resize(n + 1);
-    std::vector<Bytes> key_table(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      keys[id] = suite->keygen(mix64(seed, id));
-      key_table[id] = keys[id].public_key;
-    }
-    const crypto::PublicKeyDir public_keys(std::move(key_table));
-    replicas.resize(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      SmrConfig cfg;
-      cfg.id = id;
-      cfg.n = n;
-      cfg.f = f;
-      cfg.l = 1.5;  // q = 3 at n = 4: quorums survive one silent replica
-      cfg.pipeline = options;
-      cfg.suite = suite.get();
-      cfg.secret_key = keys[id].secret_key;
-      cfg.public_keys = public_keys;
-      cfg.sync.base_timeout = 100'000;
-      core::ProtocolHost hooks;
-      hooks.send = [this, id](ReplicaId to, std::uint8_t tag, const Bytes& m) {
-        net->send(id, to, tag, m);
-      };
-      hooks.broadcast = [this, id](std::uint8_t tag, const Bytes& m) {
-        net->broadcast(id, tag, m);
-      };
-      hooks.set_timer = [this](Duration d, std::function<void()> fn) {
-        sim.schedule_after(d, std::move(fn));
-      };
-      replicas[id] = std::make_unique<SmrReplica>(std::move(cfg), hooks);
-      net->register_handler(
-          id, [this, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-            replicas[id]->on_message(from, tag, m);
-          });
-    }
-  }
+                 std::uint64_t seed = 1)
+      : sim::SmrFleet(make_config(n, f, options, seed)) {}
 
-  void start_all() {
-    for (std::size_t id = 1; id < replicas.size(); ++id) {
-      replicas[id]->start();
-    }
-  }
+  SmrReplica& replica(ReplicaId id) { return node(id).group(0); }
 
   bool run_until_executed(std::uint64_t commands,
                           TimePoint deadline = 300'000'000) {
-    while (sim.now() < deadline) {
-      bool all = true;
-      for (std::size_t id = 1; id < replicas.size(); ++id) {
-        if (replicas[id]->executed_commands() < commands) {
-          all = false;
-          break;
-        }
-      }
-      if (all) return true;
-      if (!sim.step()) break;
-    }
-    return false;
+    return sim::SmrFleet::run_until_executed(commands, deadline);
+  }
+
+ private:
+  static sim::SmrFleetConfig make_config(std::uint32_t n, std::uint32_t f,
+                                         SmrOptions options,
+                                         std::uint64_t seed) {
+    sim::SmrFleetConfig cfg;
+    cfg.n = n;
+    cfg.f = f;
+    cfg.l = 1.5;
+    cfg.seed = seed;
+    cfg.smr = options;
+    cfg.latency.min_delay = 500;
+    cfg.latency.max_delay_post = 4'000;
+    return cfg;
   }
 };
 
@@ -268,63 +219,65 @@ Bytes forge_hint(const crypto::CryptoSuite& suite, const Bytes& secret_key,
 TEST(CheckpointFleet, ForgedVoucherFloodCannotInjectUndecidedValue) {
   // n = 4, f = 1: adoption needs f+1 = 2 distinct VERIFIED vouchers.
   Fleet fleet(4, 1);
-  fleet.start_all();
+  fleet.start();
   const Bytes evil = one_request_batch("evil-undecided", 666, 1);
 
   // Replica 4 (one Byzantine keypair) floods replica 1 with vouchers for
   // an undecided slot-0 value, claiming every sender id on the channel —
   // exactly what a sender-spoofing TCP peer could do before the transport
   // bound connections. All carry signatures from 4's key.
-  const Bytes hint =
-      forge_hint(*fleet.suite, fleet.keys[4].secret_key, 0, evil);
+  const Bytes hint = forge_hint(fleet.suite(),
+                                fleet.keys().pairs[4].secret_key, 0, evil);
   for (ReplicaId claimed = 2; claimed <= 4; ++claimed) {
     for (int repeat = 0; repeat < 8; ++repeat) {
-      fleet.replicas[1]->on_message(claimed, kSmrHintTag, hint);
+      fleet.replica(1).on_message(claimed, kSmrHintTag, hint);
     }
   }
   // No adoption: the signature only verifies under key 4, so the forged
   // claims from 2 and 3 are discarded and the voucher count stays 1.
-  EXPECT_EQ(fleet.replicas[1]->committed_slots(), 0u);
-  EXPECT_EQ(fleet.replicas[1]->executed_commands(), 0u);
-  EXPECT_FALSE(fleet.replicas[1]->has_committed(to_bytes("evil-undecided")));
+  EXPECT_EQ(fleet.replica(1).committed_slots(), 0u);
+  EXPECT_EQ(fleet.replica(1).executed_commands(), 0u);
+  EXPECT_FALSE(fleet.replica(1).has_committed(to_bytes("evil-undecided")));
 
   // The cluster must still be able to decide slot 0 normally afterwards.
-  fleet.replicas[1]->submit(to_bytes("legit"));
+  fleet.replica(1).submit(to_bytes("legit"));
   ASSERT_TRUE(fleet.run_until_executed(1));
-  EXPECT_FALSE(fleet.replicas[1]->has_committed(to_bytes("evil-undecided")));
-  EXPECT_TRUE(fleet.replicas[1]->has_committed(to_bytes("legit")));
+  EXPECT_FALSE(fleet.replica(1).has_committed(to_bytes("evil-undecided")));
+  EXPECT_TRUE(fleet.replica(1).has_committed(to_bytes("legit")));
 }
 
 TEST(CheckpointFleet, ProperlySignedVouchersFromDistinctPeersAdopt) {
   Fleet fleet(4, 1);
-  fleet.start_all();
+  fleet.start();
   const Bytes value = one_request_batch("decided-elsewhere", 7, 1);
   // Two hints signed by the replicas they claim to come from: at least
   // one of f+1 = 2 distinct signers is correct, so adoption is sound.
-  fleet.replicas[1]->on_message(
+  fleet.replica(1).on_message(
       2, kSmrHintTag,
-      forge_hint(*fleet.suite, fleet.keys[2].secret_key, 0, value));
-  EXPECT_EQ(fleet.replicas[1]->committed_slots(), 0u);  // one is not enough
-  fleet.replicas[1]->on_message(
+      forge_hint(fleet.suite(), fleet.keys().pairs[2].secret_key, 0,
+                 value));
+  EXPECT_EQ(fleet.replica(1).committed_slots(), 0u);  // one is not enough
+  fleet.replica(1).on_message(
       3, kSmrHintTag,
-      forge_hint(*fleet.suite, fleet.keys[3].secret_key, 0, value));
-  EXPECT_EQ(fleet.replicas[1]->committed_slots(), 1u);
-  EXPECT_TRUE(fleet.replicas[1]->has_committed(to_bytes("decided-elsewhere")));
-  EXPECT_EQ(fleet.replicas[1]->last_executed_seq(7), 1u);
+      forge_hint(fleet.suite(), fleet.keys().pairs[3].secret_key, 0,
+                 value));
+  EXPECT_EQ(fleet.replica(1).committed_slots(), 1u);
+  EXPECT_TRUE(fleet.replica(1).has_committed(to_bytes("decided-elsewhere")));
+  EXPECT_EQ(fleet.replica(1).last_executed_seq(7), 1u);
 }
 
 TEST(CheckpointFleet, MismatchedChannelSenderVoucherIsDiscarded) {
   // A hint signed by 4 but delivered as from = 2 must verify under 2's
   // key (and fail) — the signature cannot be "borrowed".
   Fleet fleet(4, 1);
-  fleet.start_all();
+  fleet.start();
   const Bytes value = one_request_batch("x", 1, 1);
-  const Bytes signed_by_4 =
-      forge_hint(*fleet.suite, fleet.keys[4].secret_key, 0, value);
-  fleet.replicas[1]->on_message(2, kSmrHintTag, signed_by_4);
-  fleet.replicas[1]->on_message(3, kSmrHintTag, signed_by_4);
-  fleet.replicas[1]->on_message(4, kSmrHintTag, signed_by_4);  // 1 valid
-  EXPECT_EQ(fleet.replicas[1]->committed_slots(), 0u);
+  const Bytes signed_by_4 = forge_hint(
+      fleet.suite(), fleet.keys().pairs[4].secret_key, 0, value);
+  fleet.replica(1).on_message(2, kSmrHintTag, signed_by_4);
+  fleet.replica(1).on_message(3, kSmrHintTag, signed_by_4);
+  fleet.replica(1).on_message(4, kSmrHintTag, signed_by_4);  // 1 valid
+  EXPECT_EQ(fleet.replica(1).committed_slots(), 0u);
 }
 
 TEST(CheckpointFleet, CheckpointsStabilizeAndTruncateTheLog) {
@@ -333,16 +286,16 @@ TEST(CheckpointFleet, CheckpointsStabilizeAndTruncateTheLog) {
   options.checkpoint_interval = 2;
   Fleet fleet(4, 1, options);
   for (int i = 0; i < 8; ++i) {
-    fleet.replicas[1]->submit(to_bytes("op-" + std::to_string(i)));
+    fleet.replica(1).submit(to_bytes("op-" + std::to_string(i)));
   }
-  fleet.start_all();
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(8));
   // Let trailing checkpoint votes drain.
-  for (int i = 0; i < 20'000 && fleet.sim.step(); ++i) {
+  for (int i = 0; i < 20'000 && fleet.sim().step(); ++i) {
   }
-  const std::string reference = fleet.replicas[1]->log_digest();
+  const std::string reference = fleet.replica(1).log_digest();
   for (ReplicaId id = 1; id <= 4; ++id) {
-    auto& rep = *fleet.replicas[id];
+    auto& rep = fleet.replica(id);
     EXPECT_GE(rep.stable_checkpoint(), 2u) << "replica " << id;
     EXPECT_EQ(rep.stable_checkpoint() % 2, 0u);
     EXPECT_EQ(rep.log_base(), rep.stable_checkpoint());
@@ -357,7 +310,7 @@ TEST(CheckpointFleet, CertifiedStateTransferJumpsAStraggler) {
   // 2f+1 cert it must install the state; with a too-small or mismatched
   // cert it must not.
   Fleet fleet(4, 1);
-  fleet.start_all();
+  fleet.start();
 
   CheckpointState state;
   state.slot = 8;
@@ -372,7 +325,8 @@ TEST(CheckpointFleet, CertifiedStateTransferJumpsAStraggler) {
     cert.state_digest = digest;
     for (ReplicaId id : signers) {
       cert.signatures.emplace_back(
-          id, fleet.suite->sign(span(fleet.keys[id].secret_key), span(msg)));
+          id, fleet.suite().sign(span(fleet.keys().pairs[id].secret_key),
+                                 span(msg)));
     }
     return cert;
   };
@@ -384,21 +338,21 @@ TEST(CheckpointFleet, CertifiedStateTransferJumpsAStraggler) {
   };
 
   // f+1 signatures only: rejected, nothing installs.
-  fleet.replicas[1]->on_message(4, kSmrStateTag,
+  fleet.replica(1).on_message(4, kSmrStateTag,
                                 encode_state(cert_of({2, 4})));
-  EXPECT_EQ(fleet.replicas[1]->committed_slots(), 0u);
-  EXPECT_EQ(fleet.replicas[1]->stable_checkpoint(), 0u);
+  EXPECT_EQ(fleet.replica(1).committed_slots(), 0u);
+  EXPECT_EQ(fleet.replica(1).stable_checkpoint(), 0u);
 
   // 2f+1 distinct signers: installed, even when relayed by a single
   // (possibly Byzantine) peer — trust rides the cert, not the channel.
-  fleet.replicas[1]->on_message(4, kSmrStateTag,
+  fleet.replica(1).on_message(4, kSmrStateTag,
                                 encode_state(cert_of({1, 2, 3})));
-  EXPECT_EQ(fleet.replicas[1]->committed_slots(), 8u);
-  EXPECT_EQ(fleet.replicas[1]->executed_commands(), 11u);
-  EXPECT_EQ(fleet.replicas[1]->log_base(), 8u);
-  EXPECT_EQ(fleet.replicas[1]->stable_checkpoint(), 8u);
-  EXPECT_EQ(fleet.replicas[1]->last_executed_seq(3), 4u);
-  EXPECT_EQ(fleet.replicas[1]->log_digest(), to_hex(state.log_digest));
+  EXPECT_EQ(fleet.replica(1).committed_slots(), 8u);
+  EXPECT_EQ(fleet.replica(1).executed_commands(), 11u);
+  EXPECT_EQ(fleet.replica(1).log_base(), 8u);
+  EXPECT_EQ(fleet.replica(1).stable_checkpoint(), 8u);
+  EXPECT_EQ(fleet.replica(1).last_executed_seq(3), 4u);
+  EXPECT_EQ(fleet.replica(1).log_digest(), to_hex(state.log_digest));
 }
 
 // ---- scenario-level crash-restart (simulated kill -9 + WAL rejoin) ----

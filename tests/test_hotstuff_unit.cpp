@@ -4,8 +4,8 @@
 
 #include <memory>
 
-#include "common/rng.hpp"
 #include "hotstuff/hotstuff_replica.hpp"
+#include "sim/node_factory.hpp"
 
 namespace probft::hotstuff {
 namespace {
@@ -18,13 +18,9 @@ struct Bed {
   std::vector<std::pair<std::uint8_t, Bytes>> outbox;  // (tag, payload)
 
   Bed() {
-    keys.resize(n + 1);
-    std::vector<Bytes> key_table(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      keys[id] = suite->keygen(mix64(7, id));
-      key_table[id] = keys[id].public_key;
-    }
-    public_keys = crypto::PublicKeyDir(std::move(key_table));
+    sim::FleetKeys derived = sim::derive_keys(*suite, n, 7);
+    keys = std::move(derived.pairs);
+    public_keys = std::move(derived.public_keys);
   }
 
   std::unique_ptr<HotStuffReplica> make(ReplicaId id) {

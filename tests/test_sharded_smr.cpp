@@ -20,11 +20,11 @@
 #include <vector>
 
 #include "common/codec.hpp"
-#include "common/rng.hpp"
 #include "net/network.hpp"
 #include "shard/dtx.hpp"
 #include "shard/sharded_smr.hpp"
 #include "sim/scenario.hpp"
+#include "sim/smr_fleet.hpp"
 #include "smr/read_view.hpp"
 #include "smr/smr_replica.hpp"
 #include "store/wal.hpp"
@@ -35,99 +35,48 @@ namespace {
 /// n ShardedSmr nodes (each S groups) over the simulated network, with a
 /// DtxCoordinator per node driving off its execution stream — the same
 /// wiring the node binary uses, minus sockets.
-struct ShardedFleet {
-  net::Simulator sim;
-  std::unique_ptr<net::Network> net;
-  std::unique_ptr<crypto::CryptoSuite> suite;
-  std::vector<crypto::KeyPair> keys;
-  std::vector<std::unique_ptr<ShardedSmr>> nodes;       // 1-based
-  std::vector<std::unique_ptr<DtxCoordinator>> dtx;     // 1-based
-
+struct ShardedFleet : sim::SmrFleet {
   ShardedFleet(std::uint32_t n, std::uint32_t shards,
                smr::SmrOptions options = {}, std::uint64_t seed = 1,
                net::LatencyConfig latency = {},
-               const std::vector<std::vector<store::Wal*>>& wals = {},
-               std::uint32_t f = 0, double l = 2.0) {
-    net = std::make_unique<net::Network>(sim, n, seed, latency);
-    suite = crypto::make_sim_suite();
-    keys.resize(n + 1);
-    std::vector<Bytes> key_table(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      keys[id] = suite->keygen(mix64(seed, id));
-      key_table[id] = keys[id].public_key;
-    }
-    const crypto::PublicKeyDir public_keys(std::move(key_table));
-    nodes.resize(n + 1);
-    dtx.resize(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      ShardedSmrConfig cfg;
-      cfg.base.id = id;
-      cfg.base.n = n;
-      cfg.base.f = f;
-      cfg.base.l = l;
-      cfg.base.pipeline = options;
-      cfg.base.suite = suite.get();
-      cfg.base.secret_key = keys[id].secret_key;
-      cfg.base.public_keys = public_keys;
-      cfg.base.sync.base_timeout = 100'000;
-      cfg.map.shard_count = shards;
-      if (id < wals.size()) cfg.wals = wals[id];
-      cfg.on_execute = [this, id](ShardId s,
-                                  const smr::ExecutedCommand& cmd) {
-        if (dtx[id]) dtx[id]->on_execute(s, cmd);
-      };
-      core::ProtocolHost host;
-      host.send = [this, id](ReplicaId to, std::uint8_t tag,
-                             const Bytes& m) {
-        net->send(id, to, tag, m);
-      };
-      host.broadcast = [this, id](std::uint8_t tag, const Bytes& m) {
-        net->broadcast(id, tag, m);
-      };
-      host.set_timer = [this](Duration d, std::function<void()> fn) {
-        sim.schedule_after(d, std::move(fn));
-      };
-      nodes[id] = std::make_unique<ShardedSmr>(std::move(cfg), host);
-      dtx[id] = std::make_unique<DtxCoordinator>(
-          *nodes[id], [this](Duration d, std::function<void()> fn) {
-            sim.schedule_after(d, std::move(fn));
-          });
-      net->register_handler(
-          id, [this, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-            nodes[id]->on_message(from, tag, m);
-          });
-    }
-  }
-
-  void start_all() {
-    for (std::size_t id = 1; id < nodes.size(); ++id) nodes[id]->start();
-  }
+               std::vector<std::string> wal_dirs = {}, std::uint32_t f = 0,
+               double l = 2.0)
+      : sim::SmrFleet(make_config(n, shards, options, seed, latency,
+                                  std::move(wal_dirs), f, l)) {}
 
   /// Runs until every node's aggregate execution count reaches `expect`.
   bool run_until_executed(std::uint64_t expect,
                           TimePoint deadline = 120'000'000) {
-    while (sim.now() < deadline) {
-      bool all = true;
-      for (std::size_t id = 1; id < nodes.size(); ++id) {
-        if (nodes[id]->executed_commands() < expect) {
-          all = false;
-          break;
-        }
-      }
-      if (all) return true;
-      if (!sim.step()) return false;
-    }
-    return false;
+    return sim::SmrFleet::run_until_executed(expect, deadline);
   }
 
   void expect_per_shard_agreement() {
-    const std::uint32_t shards = nodes[1]->shard_count();
+    const std::uint32_t shards = node(1).shard_count();
     for (ShardId s = 0; s < shards; ++s) {
-      for (std::size_t id = 2; id < nodes.size(); ++id) {
-        EXPECT_EQ(nodes[id]->log_digest(s), nodes[1]->log_digest(s))
+      for (ReplicaId id = 2; id <= config().n; ++id) {
+        EXPECT_EQ(node(id).log_digest(s), node(1).log_digest(s))
             << "shard " << s << " diverged at replica " << id;
       }
     }
+  }
+
+ private:
+  static sim::SmrFleetConfig make_config(std::uint32_t n, std::uint32_t shards,
+                                         smr::SmrOptions options,
+                                         std::uint64_t seed,
+                                         net::LatencyConfig latency,
+                                         std::vector<std::string> wal_dirs,
+                                         std::uint32_t f, double l) {
+    sim::SmrFleetConfig cfg;
+    cfg.n = n;
+    cfg.f = f;
+    cfg.l = l;
+    cfg.seed = seed;
+    cfg.shards = shards;
+    cfg.smr = options;
+    cfg.latency = latency;
+    cfg.wal_dirs = std::move(wal_dirs);
+    return cfg;
   }
 };
 
@@ -143,21 +92,15 @@ struct PlainFleet {
              net::LatencyConfig latency) {
     net = std::make_unique<net::Network>(sim, n, seed, latency);
     suite = crypto::make_sim_suite();
-    std::vector<crypto::KeyPair> keys(n + 1);
-    std::vector<Bytes> key_table(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      keys[id] = suite->keygen(mix64(seed, id));
-      key_table[id] = keys[id].public_key;
-    }
-    const crypto::PublicKeyDir public_keys(std::move(key_table));
+    const sim::FleetKeys keys = sim::derive_keys(*suite, n, seed);
     replicas.resize(n + 1);
     for (ReplicaId id = 1; id <= n; ++id) {
       smr::SmrConfig cfg;
       cfg.id = id;
       cfg.n = n;
       cfg.suite = suite.get();
-      cfg.secret_key = keys[id].secret_key;
-      cfg.public_keys = public_keys;
+      cfg.secret_key = keys.pairs[id].secret_key;
+      cfg.public_keys = keys.public_keys;
       cfg.sync.base_timeout = 100'000;
       core::ProtocolHost host;
       host.send = [this, id](ReplicaId to, std::uint8_t tag,
@@ -216,19 +159,19 @@ TEST(ShardedSmr, DemuxRoutesEveryRequestToItsOwningGroup) {
   const std::uint32_t n = 4, shards = 4;
   const std::uint64_t commands = 24;
   ShardedFleet fleet(n, shards);
-  const Placement& placement = fleet.nodes[1]->placement();
+  const Placement& placement = fleet.node(1).placement();
   std::map<ShardId, std::uint64_t> owned;
   for (std::uint64_t i = 1; i <= commands; ++i) {
     Bytes payload = to_bytes("op-" + std::to_string(i));
     ++owned[placement.shard_of(ByteSpan(payload.data(), payload.size()))];
     ASSERT_TRUE(
-        fleet.nodes[1]->submit_request(9000 + i, 1, std::move(payload)));
+        fleet.node(1).submit_request(9000 + i, 1, std::move(payload)));
   }
-  fleet.start_all();
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(commands));
   for (ShardId s = 0; s < shards; ++s) {
     for (ReplicaId id = 1; id <= n; ++id) {
-      EXPECT_EQ(fleet.nodes[id]->group(s).executed_commands(), owned[s])
+      EXPECT_EQ(fleet.node(id).group(s).executed_commands(), owned[s])
           << "replica " << id << " shard " << s;
     }
   }
@@ -253,7 +196,7 @@ TEST(ShardedSmr, PerShardLogsBitIdenticalToPlainSingleGroupFleet) {
   options.batch_max_commands = 1;  // one slot per command: log = arrivals
 
   ShardedFleet fleet(n, shards, options, /*seed=*/1, fifo);
-  const ShardMap map = fleet.nodes[1]->placement().map();
+  const ShardMap map = fleet.node(1).placement().map();
   std::vector<std::vector<std::pair<std::uint64_t, Bytes>>> slice(shards);
   for (std::uint64_t i = 1; i <= commands; ++i) {
     Bytes payload = to_bytes("op-" + std::to_string(i));
@@ -261,9 +204,9 @@ TEST(ShardedSmr, PerShardLogsBitIdenticalToPlainSingleGroupFleet) {
         shard_of(map, ByteSpan(payload.data(), payload.size()));
     slice[s].emplace_back(9000 + i, payload);
     ASSERT_TRUE(
-        fleet.nodes[1]->submit_request(9000 + i, 1, std::move(payload)));
+        fleet.node(1).submit_request(9000 + i, 1, std::move(payload)));
   }
-  fleet.start_all();
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(commands));
   fleet.expect_per_shard_agreement();
 
@@ -273,13 +216,7 @@ TEST(ShardedSmr, PerShardLogsBitIdenticalToPlainSingleGroupFleet) {
     net::Simulator sim;
     net::Network plain_net(sim, n, /*seed=*/1, fifo);
     const auto suite = crypto::make_sim_suite();
-    std::vector<crypto::KeyPair> keys(n + 1);
-    std::vector<Bytes> key_table(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      keys[id] = suite->keygen(mix64(1, id));
-      key_table[id] = keys[id].public_key;
-    }
-    const crypto::PublicKeyDir public_keys(std::move(key_table));
+    const sim::FleetKeys keys = sim::derive_keys(*suite, n, 1);
     std::vector<std::unique_ptr<smr::SmrReplica>> replicas(n + 1);
     for (ReplicaId id = 1; id <= n; ++id) {
       smr::SmrConfig cfg;
@@ -289,8 +226,8 @@ TEST(ShardedSmr, PerShardLogsBitIdenticalToPlainSingleGroupFleet) {
       cfg.pipeline = options;
       cfg.leader_offset = s;
       cfg.suite = suite.get();
-      cfg.secret_key = keys[id].secret_key;
-      cfg.public_keys = public_keys;
+      cfg.secret_key = keys.pairs[id].secret_key;
+      cfg.public_keys = keys.public_keys;
       cfg.sync.base_timeout = 100'000;
       core::ProtocolHost host;
       host.send = [&plain_net, id](ReplicaId to, std::uint8_t tag,
@@ -320,7 +257,7 @@ TEST(ShardedSmr, PerShardLogsBitIdenticalToPlainSingleGroupFleet) {
     }
     ASSERT_GE(replicas[1]->executed_commands(), slice[s].size())
         << "plain fleet for shard " << s << " did not finish";
-    EXPECT_EQ(fleet.nodes[1]->log_digest(s), replicas[1]->log_digest())
+    EXPECT_EQ(fleet.node(1).log_digest(s), replicas[1]->log_digest())
         << "shard " << s
         << ": multiplexed log diverged from the single-group fleet";
   }
@@ -337,32 +274,24 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
                     ("probft-shard-test-" + std::to_string(::getpid()));
   std::filesystem::remove_all(root);
 
-  // Replica 1 runs durable; everyone else is memory-only.
-  std::vector<std::unique_ptr<store::Wal>> wal_store;
-  std::vector<std::vector<store::Wal*>> wals(2);
-  for (ShardId s = 0; s < shards; ++s) {
-    wal_store.push_back(std::make_unique<store::Wal>(store::WalOptions{
-        .dir = (root / ("shard-" + std::to_string(s))).string(),
-        .fsync = false}));
-    wals[1].push_back(wal_store.back().get());
-  }
-
   std::uint64_t committed_cb = 0;
   {
-    ShardedFleet fleet(n, shards, {}, /*seed=*/1, {}, wals);
-    const ShardMap map = fleet.nodes[1]->placement().map();
-    fleet.dtx[1]->set_on_complete(
+    // Replica 1 runs durable (root/shard-<s>); everyone else is
+    // memory-only.
+    ShardedFleet fleet(n, shards, {}, /*seed=*/1, {}, {"", root.string()});
+    const ShardMap map = fleet.node(1).placement().map();
+    fleet.dtx(1).set_on_complete(
         [&committed_cb](std::uint64_t, bool committed, std::uint64_t,
                         std::uint64_t) {
           if (committed) ++committed_cb;
         });
     for (std::uint64_t i = 1; i <= commands; ++i) {
-      ASSERT_TRUE(fleet.nodes[1]->submit_request(
+      ASSERT_TRUE(fleet.node(1).submit_request(
           9000 + i, 1, to_bytes("op-" + std::to_string(i))));
     }
-    fleet.start_all();
+    fleet.start();
     for (std::uint64_t j = 0; j < dtx_count; ++j) {
-      ASSERT_TRUE(fleet.dtx[1]->submit(
+      ASSERT_TRUE(fleet.dtx(1).submit(
           88'000 + j, 1,
           dtx_payload(map, shards, "dtx-" + std::to_string(j))));
     }
@@ -370,9 +299,9 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
     ASSERT_TRUE(fleet.run_until_executed(expect));
     fleet.expect_per_shard_agreement();
     for (ReplicaId id = 1; id <= n; ++id) {
-      EXPECT_EQ(fleet.dtx[id]->committed(), dtx_count) << "replica " << id;
-      EXPECT_EQ(fleet.dtx[id]->aborted(), 0u) << "replica " << id;
-      EXPECT_EQ(fleet.dtx[id]->in_flight(), 0u) << "replica " << id;
+      EXPECT_EQ(fleet.dtx(id).committed(), dtx_count) << "replica " << id;
+      EXPECT_EQ(fleet.dtx(id).aborted(), 0u) << "replica " << id;
+      EXPECT_EQ(fleet.dtx(id).in_flight(), 0u) << "replica " << id;
     }
     EXPECT_EQ(committed_cb, dtx_count);
 
@@ -380,10 +309,9 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
     // WALs keep replica 1's history).
     std::vector<std::string> digests(shards);
     for (ShardId s = 0; s < shards; ++s) {
-      digests[s] = fleet.nodes[1]->log_digest(s);
+      digests[s] = fleet.node(1).log_digest(s);
     }
-    for (auto& wal : wal_store) wal.reset();
-    wal_store.clear();
+    fleet.kill(1);
 
     // Restart: fresh WAL handles over the same directories, a fresh
     // service recovered from them, dtx state rebuilt from the logs.
@@ -392,13 +320,9 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
     cfg.base.id = 1;
     cfg.base.n = n;
     cfg.base.f = 0;
-    cfg.base.suite = fleet.suite.get();
-    cfg.base.secret_key = fleet.keys[1].secret_key;
-    std::vector<Bytes> key_table(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      key_table[id] = fleet.keys[id].public_key;
-    }
-    cfg.base.public_keys = crypto::PublicKeyDir(std::move(key_table));
+    cfg.base.suite = &fleet.suite();
+    cfg.base.secret_key = fleet.keys().pairs[1].secret_key;
+    cfg.base.public_keys = fleet.keys().public_keys;
     cfg.map.shard_count = shards;
     for (ShardId s = 0; s < shards; ++s) {
       reopened.push_back(std::make_unique<store::Wal>(store::WalOptions{
@@ -458,7 +382,7 @@ TEST(ShardedSmr, SilentShardLeaderMovesOnlyItsOwnGroupsEngineView) {
   ShardedFleet fleet(4, kShards, {}, /*seed=*/1, {}, {}, /*f=*/1,
                      /*l=*/1.5);  // q = 3 of 4
   const ReplicaId silenced = lead_replica(0, 4);
-  fleet.net->set_payload_filter([silenced](ReplicaId from, ReplicaId,
+  fleet.network().set_payload_filter([silenced](ReplicaId from, ReplicaId,
                                            std::uint8_t tag,
                                            const Bytes& payload) {
     if (from != silenced || tag != kShardTag) return false;
@@ -469,7 +393,7 @@ TEST(ShardedSmr, SilentShardLeaderMovesOnlyItsOwnGroupsEngineView) {
   // reach the silent leader as forwards, so that group has to change
   // view to commit them.
   const ReplicaId entry = lead_replica(1, 4);
-  const ShardMap& map = fleet.nodes[entry]->placement().map();
+  const ShardMap& map = fleet.node(entry).placement().map();
   std::vector<int> per_shard(kShards, 0);
   std::uint64_t submitted = 0;
   for (std::uint64_t i = 0; submitted < 2 * kShards; ++i) {
@@ -477,19 +401,19 @@ TEST(ShardedSmr, SilentShardLeaderMovesOnlyItsOwnGroupsEngineView) {
     const ShardId s = shard_of(map, ByteSpan(payload.data(), payload.size()));
     if (per_shard[s] == 2) continue;
     ++per_shard[s];
-    ASSERT_TRUE(fleet.nodes[entry]->submit_request(500 + i, 1, payload));
+    ASSERT_TRUE(fleet.node(entry).submit_request(500 + i, 1, payload));
     ++submitted;
   }
-  fleet.start_all();
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(submitted));
   fleet.expect_per_shard_agreement();
   for (ReplicaId id = 1; id <= 4; ++id) {
     for (ShardId s = 1; s < kShards; ++s) {
-      EXPECT_EQ(fleet.nodes[id]->group(s).engine_view(), 1U)
+      EXPECT_EQ(fleet.node(id).group(s).engine_view(), 1U)
           << "replica " << id << " shard " << s;
     }
     if (id != silenced) {
-      EXPECT_GT(fleet.nodes[id]->group(0).engine_view(), 1U)
+      EXPECT_GT(fleet.node(id).group(0).engine_view(), 1U)
           << "replica " << id;
     }
   }
@@ -509,15 +433,15 @@ TEST(ShardedSmr, OneShardSpeaksTheSingleGroupWire) {
     // Half enter at the view-1 leader, half at a follower (forwarded).
     const ReplicaId entry = i % 2 == 0 ? 1 : 3;
     const Bytes payload = to_bytes("op-" + std::to_string(i));
-    ASSERT_TRUE(sharded.nodes[entry]->submit_request(9000 + i, 1, payload));
+    ASSERT_TRUE(sharded.node(entry).submit_request(9000 + i, 1, payload));
     ASSERT_TRUE(plain.replicas[entry]->submit_request(9000 + i, 1, payload));
   }
-  sharded.start_all();
+  sharded.start();
   for (ReplicaId id = 1; id <= n; ++id) plain.replicas[id]->start();
   ASSERT_TRUE(sharded.run_until_executed(commands));
   ASSERT_TRUE(plain.run_until_executed(commands));
 
-  const net::TransportStats& one = sharded.net->stats();
+  const net::TransportStats& one = sharded.network().stats();
   const net::TransportStats& bare = plain.net->stats();
   EXPECT_EQ(one.sends_for(kShardTag), 0U);
   EXPECT_EQ(one.sends_for(kShardForwardTag), 0U);
@@ -526,7 +450,7 @@ TEST(ShardedSmr, OneShardSpeaksTheSingleGroupWire) {
   EXPECT_EQ(one.sends_by_tag, bare.sends_by_tag);
   EXPECT_EQ(one.bytes_sent, bare.bytes_sent);
   for (ReplicaId id = 1; id <= n; ++id) {
-    EXPECT_EQ(sharded.nodes[id]->log_digest(0),
+    EXPECT_EQ(sharded.node(id).log_digest(0),
               plain.replicas[id]->log_digest())
         << "replica " << id;
   }
@@ -543,13 +467,8 @@ TEST(ShardedSmr, ForgedDtxDecideFromAnOrdinaryClientIsData) {
   const auto root = std::filesystem::temp_directory_path() /
                     ("probft-forge-test-" + std::to_string(::getpid()));
   std::filesystem::remove_all(root);
-  std::vector<std::unique_ptr<store::Wal>> wal_store =
-      open_group_wals(root.string(), shards, /*fsync=*/false);
-  std::vector<std::vector<store::Wal*>> wals(2);
-  for (const auto& wal : wal_store) wals[1].push_back(wal.get());
-
-  ShardedFleet fleet(n, shards, {}, /*seed=*/1, {}, wals);
-  const ShardMap map = fleet.nodes[1]->placement().map();
+  ShardedFleet fleet(n, shards, {}, /*seed=*/1, {}, {"", root.string()});
+  const ShardMap map = fleet.node(1).placement().map();
   // Mine a transaction whose forged abort places in its coordinator
   // group (the group owning the first key, shard 0), so the forgery is
   // ordered against the real DECIDE in one log.
@@ -574,13 +493,13 @@ TEST(ShardedSmr, ForgedDtxDecideFromAnOrdinaryClientIsData) {
   }
   EXPECT_FALSE(DtxCoordinator::is_bookkeeping(0, forger, forged));
 
-  ASSERT_TRUE(fleet.nodes[1]->submit_request(forger, 1, forged));
-  fleet.start_all();
-  ASSERT_TRUE(fleet.dtx[1]->submit(origin_client, origin_seq, request));
+  ASSERT_TRUE(fleet.node(1).submit_request(forger, 1, forged));
+  fleet.start();
+  ASSERT_TRUE(fleet.dtx(1).submit(origin_client, origin_seq, request));
   ASSERT_TRUE(fleet.run_until_executed(1 + 2 + 2 * shards));
   fleet.expect_per_shard_agreement();
 
-  const std::vector<Bytes> coord_log = fleet.nodes[1]->group(0).log();
+  const std::vector<Bytes> coord_log = fleet.node(1).group(0).log();
   const auto at = [&coord_log](const Bytes& payload) {
     return std::find(coord_log.begin(), coord_log.end(), payload) -
            coord_log.begin();
@@ -590,24 +509,20 @@ TEST(ShardedSmr, ForgedDtxDecideFromAnOrdinaryClientIsData) {
   EXPECT_LT(at(forged), at(real_decide))
       << "the forgery must land before the real decide";
   for (ReplicaId id = 1; id <= n; ++id) {
-    EXPECT_EQ(fleet.dtx[id]->committed(), 1U) << "replica " << id;
-    EXPECT_EQ(fleet.dtx[id]->aborted(), 0U) << "replica " << id;
+    EXPECT_EQ(fleet.dtx(id).committed(), 1U) << "replica " << id;
+    EXPECT_EQ(fleet.dtx(id).aborted(), 0U) << "replica " << id;
   }
 
   // Rebuild replica 1's tracker from its WALs alone.
-  wal_store.clear();
+  fleet.kill(1);
   std::vector<std::unique_ptr<store::Wal>> reopened =
       open_group_wals(root.string(), shards, /*fsync=*/false);
   ShardedSmrConfig cfg;
   cfg.base.id = 1;
   cfg.base.n = n;
-  cfg.base.suite = fleet.suite.get();
-  cfg.base.secret_key = fleet.keys[1].secret_key;
-  std::vector<Bytes> key_table(n + 1);
-  for (ReplicaId id = 1; id <= n; ++id) {
-    key_table[id] = fleet.keys[id].public_key;
-  }
-  cfg.base.public_keys = crypto::PublicKeyDir(std::move(key_table));
+  cfg.base.suite = &fleet.suite();
+  cfg.base.secret_key = fleet.keys().pairs[1].secret_key;
+  cfg.base.public_keys = fleet.keys().public_keys;
   cfg.map = map;
   for (const auto& wal : reopened) cfg.wals.push_back(wal.get());
   core::ProtocolHost host;  // offline: no peers, no timers needed
@@ -630,7 +545,7 @@ TEST(ShardedSmr, ForgedDtxDecideFromAnOrdinaryClientIsData) {
 TEST(ShardedSmr, RetryLookupFindsTheGroupThatExecutedTheRequest) {
   const std::uint32_t n = 4, shards = 4;
   ShardedFleet fleet(n, shards);
-  const ShardedSmr& entry = *fleet.nodes[1];
+  const ShardedSmr& entry = fleet.node(1);
   Bytes payload;
   for (int i = 0;; ++i) {
     payload = to_bytes("key-" + std::to_string(i) + "=value");
@@ -638,11 +553,11 @@ TEST(ShardedSmr, RetryLookupFindsTheGroupThatExecutedTheRequest) {
         entry.placement().shard_of(ByteSpan(payload.data(), payload.size()));
     if (raw != entry.owner_of(payload)) break;
   }
-  ASSERT_TRUE(fleet.nodes[1]->submit_request(4'242, 1, payload));
-  fleet.start_all();
+  ASSERT_TRUE(fleet.node(1).submit_request(4'242, 1, payload));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   for (ReplicaId id = 1; id <= n; ++id) {
-    const ShardedSmr& node = *fleet.nodes[id];
+    const ShardedSmr& node = fleet.node(id);
     EXPECT_EQ(node.group(node.owner_of(payload)).last_executed_seq(4'242), 1U)
         << "replica " << id;
   }

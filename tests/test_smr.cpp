@@ -6,104 +6,59 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 
-#include "common/rng.hpp"
-#include "net/network.hpp"
+#include "sim/smr_fleet.hpp"
 #include "smr/smr_replica.hpp"
 
 namespace probft::smr {
 namespace {
 
-struct Fleet {
-  net::Simulator sim;
-  std::unique_ptr<net::Network> net;
-  std::unique_ptr<crypto::CryptoSuite> suite;
-  std::vector<crypto::KeyPair> keys;
-  std::vector<std::unique_ptr<SmrReplica>> replicas;  // 1-based
-  std::vector<std::vector<Bytes>> commits;            // per replica
+/// An S = 1 sim::SmrFleet; tests drive each node's one group directly
+/// and see every replica's executed payloads in order.
+struct Fleet : sim::SmrFleet {
+  std::vector<std::vector<Bytes>> commits;  // per replica
 
   explicit Fleet(std::uint32_t n, SmrOptions options = {},
                  std::uint64_t seed = 1, std::uint32_t f = 0,
-                 double l = 2.0) {
-    net::LatencyConfig latency;
-    latency.min_delay = 500;
-    latency.max_delay_post = 4'000;
-    net = std::make_unique<net::Network>(sim, n, seed, latency);
-    suite = crypto::make_sim_suite();
-    keys.resize(n + 1);
-    std::vector<Bytes> key_table(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      keys[id] = suite->keygen(mix64(seed, id));
-      key_table[id] = keys[id].public_key;
-    }
-    const crypto::PublicKeyDir public_keys(std::move(key_table));
-    commits.resize(n + 1);
-    replicas.resize(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      SmrConfig cfg;
-      cfg.id = id;
-      cfg.n = n;
-      cfg.f = f;
-      cfg.l = l;
-      cfg.pipeline = options;
-      cfg.suite = suite.get();
-      cfg.secret_key = keys[id].secret_key;
-      cfg.public_keys = public_keys;
-      cfg.sync.base_timeout = 100'000;
-      core::ProtocolHost hooks;
-      hooks.send = [this, id](ReplicaId to, std::uint8_t tag, const Bytes& m) {
-        net->send(id, to, tag, m);
-      };
-      hooks.broadcast = [this, id](std::uint8_t tag, const Bytes& m) {
-        net->broadcast(id, tag, m);
-      };
-      hooks.set_timer = [this](Duration d, std::function<void()> fn) {
-        sim.schedule_after(d, std::move(fn));
-      };
-      hooks.on_commit = [this, id](std::uint64_t, const Bytes& command) {
-        commits[id].push_back(command);
-      };
-      replicas[id] = std::make_unique<SmrReplica>(std::move(cfg), hooks);
-      net->register_handler(
-          id, [this, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-            replicas[id]->on_message(from, tag, m);
-          });
-    }
-  }
+                 double l = 2.0)
+      : sim::SmrFleet(make_config(this, n, options, seed, f, l)),
+        commits(n + 1) {}
 
-  void start_all() {
-    for (std::size_t id = 1; id < replicas.size(); ++id) {
-      replicas[id]->start();
-    }
-  }
+  SmrReplica& replica(ReplicaId id) { return node(id).group(0); }
 
-  /// Runs until every replica executed `commands` requests (or deadline).
   bool run_until_executed(std::uint64_t commands,
                           TimePoint deadline = 300'000'000) {
-    while (sim.now() < deadline) {
-      bool all = true;
-      for (std::size_t id = 1; id < replicas.size(); ++id) {
-        if (replicas[id]->executed_commands() < commands) {
-          all = false;
-          break;
-        }
-      }
-      if (all) return true;
-      if (!sim.step()) break;
-    }
-    return false;
+    return sim::SmrFleet::run_until_executed(commands, deadline);
+  }
+
+ private:
+  static sim::SmrFleetConfig make_config(Fleet* self, std::uint32_t n,
+                                         SmrOptions options, std::uint64_t seed,
+                                         std::uint32_t f, double l) {
+    sim::SmrFleetConfig cfg;
+    cfg.n = n;
+    cfg.f = f;
+    cfg.l = l;
+    cfg.seed = seed;
+    cfg.smr = options;
+    cfg.latency.min_delay = 500;
+    cfg.latency.max_delay_post = 4'000;
+    cfg.on_execute = [self](sim::SmrFleet&, ReplicaId id, shard::ShardId,
+                            const ExecutedCommand& cmd) {
+      self->commits[id].push_back(cmd.payload);
+    };
+    return cfg;
   }
 };
 
 TEST(Smr, SingleCommandCommitsEverywhere) {
   Fleet fleet(6);
-  fleet.replicas[1]->submit(to_bytes("cmd-1"));
-  fleet.start_all();
+  fleet.replica(1).submit(to_bytes("cmd-1"));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   for (ReplicaId id = 1; id <= 6; ++id) {
-    ASSERT_EQ(fleet.replicas[id]->log().size(), 1U);
-    EXPECT_EQ(fleet.replicas[id]->log()[0], to_bytes("cmd-1"));
+    ASSERT_EQ(fleet.replica(id).log().size(), 1U);
+    EXPECT_EQ(fleet.replica(id).log()[0], to_bytes("cmd-1"));
   }
 }
 
@@ -111,19 +66,19 @@ TEST(Smr, LogsAreIdenticalAcrossReplicas) {
   Fleet fleet(6);
   // Several clients submit to different replicas; non-leader submissions
   // are forwarded to the round-robin view-1 leader.
-  fleet.replicas[1]->submit(to_bytes("a"));
-  fleet.replicas[2]->submit(to_bytes("b"));
-  fleet.replicas[3]->submit(to_bytes("c"));
-  fleet.start_all();
+  fleet.replica(1).submit(to_bytes("a"));
+  fleet.replica(2).submit(to_bytes("b"));
+  fleet.replica(3).submit(to_bytes("c"));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(3));
-  const auto& reference = fleet.replicas[1]->log();
+  const auto& reference = fleet.replica(1).log();
   ASSERT_EQ(reference.size(), 3U);
   for (ReplicaId id = 2; id <= 6; ++id) {
-    EXPECT_EQ(fleet.replicas[id]->log(), reference) << "replica " << id;
-    EXPECT_EQ(fleet.replicas[id]->slot_log(), fleet.replicas[1]->slot_log())
+    EXPECT_EQ(fleet.replica(id).log(), reference) << "replica " << id;
+    EXPECT_EQ(fleet.replica(id).slot_log(), fleet.replica(1).slot_log())
         << "replica " << id;
   }
-  EXPECT_TRUE(fleet.replicas[4]->has_committed(to_bytes("b")));
+  EXPECT_TRUE(fleet.replica(4).has_committed(to_bytes("b")));
 }
 
 TEST(Smr, BatchingAmortizesSlots) {
@@ -132,13 +87,13 @@ TEST(Smr, BatchingAmortizesSlots) {
   options.window = 4;
   Fleet fleet(4, options);
   for (int i = 0; i < 32; ++i) {
-    fleet.replicas[1]->submit(to_bytes("op-" + std::to_string(i)));
+    fleet.replica(1).submit(to_bytes("op-" + std::to_string(i)));
   }
-  fleet.start_all();
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(32));
   // 32 commands in batches of 16: exactly 2 slots.
-  EXPECT_EQ(fleet.replicas[1]->committed_slots(), 2U);
-  EXPECT_EQ(fleet.replicas[1]->log().size(), 32U);
+  EXPECT_EQ(fleet.replica(1).committed_slots(), 2U);
+  EXPECT_EQ(fleet.replica(1).log().size(), 32U);
 }
 
 TEST(Smr, WindowRunsSlotsConcurrently) {
@@ -147,23 +102,23 @@ TEST(Smr, WindowRunsSlotsConcurrently) {
   options.batch_max_commands = 1;
   Fleet fleet(4, options);
   for (int i = 0; i < 8; ++i) {
-    fleet.replicas[1]->submit(to_bytes("op-" + std::to_string(i)));
+    fleet.replica(1).submit(to_bytes("op-" + std::to_string(i)));
   }
-  fleet.start_all();
+  fleet.start();
   // The leader must have slots 0..3 in flight before anything executed.
   bool saw_full_window = false;
-  while (fleet.sim.now() < 300'000'000) {
-    if (fleet.replicas[1]->next_unopened_slot() -
-            fleet.replicas[1]->committed_slots() >=
+  while (fleet.sim().now() < 300'000'000) {
+    if (fleet.replica(1).next_unopened_slot() -
+            fleet.replica(1).committed_slots() >=
         4) {
       saw_full_window = true;
       break;
     }
-    if (!fleet.sim.step()) break;
+    if (!fleet.sim().step()) break;
   }
   EXPECT_TRUE(saw_full_window);
   ASSERT_TRUE(fleet.run_until_executed(8));
-  EXPECT_EQ(fleet.replicas[1]->committed_slots(), 8U);
+  EXPECT_EQ(fleet.replica(1).committed_slots(), 8U);
 }
 
 TEST(Smr, SerialWindowMatchesPipelinedLog) {
@@ -175,11 +130,11 @@ TEST(Smr, SerialWindowMatchesPipelinedLog) {
     options.batch_max_commands = 4;
     Fleet fleet(5, options, /*seed=*/7);
     for (int i = 0; i < 16; ++i) {
-      fleet.replicas[1]->submit(to_bytes("cmd-" + std::to_string(i)));
+      fleet.replica(1).submit(to_bytes("cmd-" + std::to_string(i)));
     }
-    fleet.start_all();
+    fleet.start();
     EXPECT_TRUE(fleet.run_until_executed(16));
-    return fleet.replicas[1]->slot_log();
+    return fleet.replica(1).slot_log();
   };
   const auto serial = run(1);
   const auto pipelined = run(8);
@@ -188,15 +143,15 @@ TEST(Smr, SerialWindowMatchesPipelinedLog) {
 
 TEST(Smr, IdleFleetOpensNoSlots) {
   Fleet fleet(4);
-  fleet.start_all();  // nobody submits anything
-  fleet.sim.run_until(5'000'000);
+  fleet.start();  // nobody submits anything
+  fleet.sim().run_until(5'000'000);
   for (ReplicaId id = 1; id <= 4; ++id) {
-    EXPECT_EQ(fleet.replicas[id]->committed_slots(), 0U);
-    EXPECT_EQ(fleet.replicas[id]->next_unopened_slot(), 0U);
-    EXPECT_EQ(fleet.replicas[id]->open_instances(), 0U);
+    EXPECT_EQ(fleet.replica(id).committed_slots(), 0U);
+    EXPECT_EQ(fleet.replica(id).next_unopened_slot(), 0U);
+    EXPECT_EQ(fleet.replica(id).open_instances(), 0U);
   }
   // Demand-driven opening: an idle fleet sends nothing at all.
-  EXPECT_EQ(fleet.net->stats().sends, 0U);
+  EXPECT_EQ(fleet.network().stats().sends, 0U);
 }
 
 TEST(Smr, PacingTimerFlushesPartialBatch) {
@@ -204,10 +159,10 @@ TEST(Smr, PacingTimerFlushesPartialBatch) {
   options.batch_max_commands = 64;  // never fills
   options.batch_timeout = 10'000;
   Fleet fleet(4, options);
-  fleet.replicas[1]->submit(to_bytes("lonely"));
-  fleet.start_all();
+  fleet.replica(1).submit(to_bytes("lonely"));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
-  EXPECT_EQ(fleet.replicas[2]->log()[0], to_bytes("lonely"));
+  EXPECT_EQ(fleet.replica(2).log()[0], to_bytes("lonely"));
 }
 
 TEST(Smr, RetriedRequestExecutesExactlyOnce) {
@@ -215,27 +170,27 @@ TEST(Smr, RetriedRequestExecutesExactlyOnce) {
   const std::uint64_t client = 4242;
   // The client submits to replica 1, then retries the same request at
   // replica 2 (e.g. after a timeout): the request must execute once.
-  EXPECT_TRUE(fleet.replicas[1]->submit_request(client, 1, to_bytes("pay")));
-  EXPECT_TRUE(fleet.replicas[2]->submit_request(client, 1, to_bytes("pay")));
-  fleet.start_all();
+  EXPECT_TRUE(fleet.replica(1).submit_request(client, 1, to_bytes("pay")));
+  EXPECT_TRUE(fleet.replica(2).submit_request(client, 1, to_bytes("pay")));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
-  fleet.sim.run_until(fleet.sim.now() + 2'000'000);
+  fleet.sim().run_until(fleet.sim().now() + 2'000'000);
   for (ReplicaId id = 1; id <= 4; ++id) {
-    EXPECT_EQ(fleet.replicas[id]->executed_commands(), 1U) << "replica " << id;
-    EXPECT_EQ(fleet.replicas[id]->last_executed_seq(client), 1U);
+    EXPECT_EQ(fleet.replica(id).executed_commands(), 1U) << "replica " << id;
+    EXPECT_EQ(fleet.replica(id).last_executed_seq(client), 1U);
     EXPECT_EQ(fleet.commits[id].size(), 1U);
   }
 }
 
 TEST(Smr, DuplicateSubmitRejectedLocally) {
   Fleet fleet(4);
-  EXPECT_TRUE(fleet.replicas[1]->submit_request(7, 3, to_bytes("x")));
-  EXPECT_FALSE(fleet.replicas[1]->submit_request(7, 3, to_bytes("x")));
-  fleet.start_all();
+  EXPECT_TRUE(fleet.replica(1).submit_request(7, 3, to_bytes("x")));
+  EXPECT_FALSE(fleet.replica(1).submit_request(7, 3, to_bytes("x")));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   // Post-execution retry is also a no-op.
-  EXPECT_FALSE(fleet.replicas[1]->submit_request(7, 3, to_bytes("x")));
-  EXPECT_FALSE(fleet.replicas[1]->submit_request(7, 2, to_bytes("old")));
+  EXPECT_FALSE(fleet.replica(1).submit_request(7, 3, to_bytes("x")));
+  EXPECT_FALSE(fleet.replica(1).submit_request(7, 2, to_bytes("old")));
 }
 
 TEST(Smr, PipelinedForwardsAllExecute) {
@@ -247,15 +202,15 @@ TEST(Smr, PipelinedForwardsAllExecute) {
   options.batch_max_commands = 4;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Fleet fleet(4, options, seed);
-    fleet.start_all();
+    fleet.start();
     std::vector<Bytes> expected;
     for (std::uint64_t seq = 1; seq <= 12; ++seq) {
       expected.push_back(to_bytes("cmd-" + std::to_string(seq)));
-      ASSERT_TRUE(fleet.replicas[2]->submit_request(77, seq, expected.back()));
+      ASSERT_TRUE(fleet.replica(2).submit_request(77, seq, expected.back()));
     }
     EXPECT_TRUE(fleet.run_until_executed(12, /*deadline=*/30'000'000))
         << "seed " << seed << ": replica 1 executed "
-        << fleet.replicas[1]->executed_commands() << " of 12";
+        << fleet.replica(1).executed_commands() << " of 12";
     for (ReplicaId id = 1; id <= 4; ++id) {
       EXPECT_EQ(fleet.commits[id], expected)
           << "seed " << seed << " replica " << id;
@@ -272,38 +227,38 @@ TEST(Smr, NewSlotsStartInTheViewThatLastDecided) {
   options.batch_max_commands = 2;
   Fleet fleet(4, options, /*seed=*/1, /*f=*/1, /*l=*/1.5);  // q = 3 of 4
   const Duration base_timeout = 100'000;  // Fleet's sync.base_timeout
-  ASSERT_TRUE(fleet.replicas[2]->submit_request(77, 1, to_bytes("warm")));
-  fleet.start_all();
+  ASSERT_TRUE(fleet.replica(2).submit_request(77, 1, to_bytes("warm")));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   for (ReplicaId id = 1; id <= 4; ++id) {
-    EXPECT_EQ(fleet.replicas[id]->engine_view(), 1U);
+    EXPECT_EQ(fleet.replica(id).engine_view(), 1U);
   }
 
-  const TimePoint silenced_at = fleet.sim.now();
-  fleet.net->set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
+  const TimePoint silenced_at = fleet.sim().now();
+  fleet.network().set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
     return from == 1 || to == 1;
   });
   constexpr std::uint64_t kCommands = 12;  // 6 slots of 2
   for (std::uint64_t seq = 2; seq <= kCommands + 1; ++seq) {
-    ASSERT_TRUE(fleet.replicas[2]->submit_request(
+    ASSERT_TRUE(fleet.replica(2).submit_request(
         77, seq, to_bytes("cmd-" + std::to_string(seq))));
   }
-  while (fleet.sim.now() < silenced_at + 60'000'000) {
+  while (fleet.sim().now() < silenced_at + 60'000'000) {
     bool all = true;
     for (ReplicaId id = 2; id <= 4; ++id) {
-      all = all && fleet.replicas[id]->executed_commands() == kCommands + 1;
+      all = all && fleet.replica(id).executed_commands() == kCommands + 1;
     }
-    if (all || !fleet.sim.step()) break;
+    if (all || !fleet.sim().step()) break;
   }
-  const Duration elapsed = fleet.sim.now() - silenced_at;
+  const Duration elapsed = fleet.sim().now() - silenced_at;
   for (ReplicaId id = 2; id <= 4; ++id) {
-    EXPECT_EQ(fleet.replicas[id]->executed_commands(), kCommands + 1)
+    EXPECT_EQ(fleet.replica(id).executed_commands(), kCommands + 1)
         << "replica " << id;
-    EXPECT_EQ(fleet.replicas[id]->last_executed_seq(77), kCommands + 1);
-    EXPECT_GE(fleet.replicas[id]->committed_slots(), 1U + 6U);
-    EXPECT_GT(fleet.replicas[id]->engine_view(), 1U) << "replica " << id;
-    EXPECT_EQ(fleet.replicas[id]->log_digest(),
-              fleet.replicas[2]->log_digest());
+    EXPECT_EQ(fleet.replica(id).last_executed_seq(77), kCommands + 1);
+    EXPECT_GE(fleet.replica(id).committed_slots(), 1U + 6U);
+    EXPECT_GT(fleet.replica(id).engine_view(), 1U) << "replica " << id;
+    EXPECT_EQ(fleet.replica(id).log_digest(),
+              fleet.replica(2).log_digest());
   }
   EXPECT_LT(elapsed, 3 * base_timeout) << "silence to last execution";
 }
@@ -318,24 +273,24 @@ TEST(Smr, RetirementBoundsLiveInstances) {
   options.max_slots = 1024;
   Fleet fleet(4, options);
   for (int i = 0; i < 48; ++i) {
-    fleet.replicas[1]->submit(to_bytes("op-" + std::to_string(i)));
+    fleet.replica(1).submit(to_bytes("op-" + std::to_string(i)));
   }
-  fleet.start_all();
+  fleet.start();
   const std::size_t bound = options.window + options.retire_tail;
-  while (fleet.sim.now() < 300'000'000) {
+  while (fleet.sim().now() < 300'000'000) {
     bool all = true;
     for (ReplicaId id = 1; id <= 4; ++id) {
-      EXPECT_LE(fleet.replicas[id]->open_instances(), bound)
-          << "replica " << id << " at " << fleet.sim.now();
-      if (fleet.replicas[id]->executed_commands() < 48) all = false;
+      EXPECT_LE(fleet.replica(id).open_instances(), bound)
+          << "replica " << id << " at " << fleet.sim().now();
+      if (fleet.replica(id).executed_commands() < 48) all = false;
     }
     if (all) break;
-    if (!fleet.sim.step()) break;
+    if (!fleet.sim().step()) break;
   }
   for (ReplicaId id = 1; id <= 4; ++id) {
-    ASSERT_EQ(fleet.replicas[id]->executed_commands(), 48U);
-    EXPECT_EQ(fleet.replicas[id]->committed_slots(), 48U);
-    EXPECT_LE(fleet.replicas[id]->open_instances(), bound);
+    ASSERT_EQ(fleet.replica(id).executed_commands(), 48U);
+    EXPECT_EQ(fleet.replica(id).committed_slots(), 48U);
+    EXPECT_LE(fleet.replica(id).open_instances(), bound);
   }
 }
 
@@ -349,24 +304,24 @@ TEST(Smr, StragglerCatchesUpViaHints) {
   options.window = 2;
   options.retire_tail = 0;
   Fleet fleet(6, options);
-  fleet.net->set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
+  fleet.network().set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
     return from == 6 || to == 6;
   });
-  fleet.replicas[1]->submit(to_bytes("first"));
-  fleet.start_all();
-  while (fleet.sim.now() < 100'000'000 &&
-         (fleet.replicas[1]->executed_commands() < 1 ||
-          fleet.replicas[2]->executed_commands() < 1 ||
-          fleet.replicas[5]->executed_commands() < 1)) {
-    if (!fleet.sim.step()) break;
+  fleet.replica(1).submit(to_bytes("first"));
+  fleet.start();
+  while (fleet.sim().now() < 100'000'000 &&
+         (fleet.replica(1).executed_commands() < 1 ||
+          fleet.replica(2).executed_commands() < 1 ||
+          fleet.replica(5).executed_commands() < 1)) {
+    if (!fleet.sim().step()) break;
   }
-  ASSERT_EQ(fleet.replicas[1]->executed_commands(), 1U);
-  ASSERT_EQ(fleet.replicas[6]->executed_commands(), 0U);
+  ASSERT_EQ(fleet.replica(1).executed_commands(), 1U);
+  ASSERT_EQ(fleet.replica(6).executed_commands(), 0U);
 
-  fleet.net->clear_filter();
-  fleet.replicas[1]->submit(to_bytes("second"));
+  fleet.network().clear_filter();
+  fleet.replica(1).submit(to_bytes("second"));
   ASSERT_TRUE(fleet.run_until_executed(2));
-  EXPECT_EQ(fleet.replicas[6]->log(), fleet.replicas[1]->log());
+  EXPECT_EQ(fleet.replica(6).log(), fleet.replica(1).log());
 }
 
 TEST(Smr, StragglerCatchesUpFromBeyondTheWindow) {
@@ -380,25 +335,25 @@ TEST(Smr, StragglerCatchesUpFromBeyondTheWindow) {
   options.retire_tail = 0;
   options.catchup_timeout = 50'000;
   Fleet fleet(6, options);
-  fleet.net->set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
+  fleet.network().set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
     return from == 6 || to == 6;
   });
   for (int i = 0; i < 8; ++i) {
-    fleet.replicas[1]->submit(to_bytes("op-" + std::to_string(i)));
+    fleet.replica(1).submit(to_bytes("op-" + std::to_string(i)));
   }
-  fleet.start_all();
-  while (fleet.sim.now() < 150'000'000 &&
-         fleet.replicas[1]->executed_commands() < 8) {
-    if (!fleet.sim.step()) break;
+  fleet.start();
+  while (fleet.sim().now() < 150'000'000 &&
+         fleet.replica(1).executed_commands() < 8) {
+    if (!fleet.sim().step()) break;
   }
-  ASSERT_EQ(fleet.replicas[1]->executed_commands(), 8U);
-  ASSERT_EQ(fleet.replicas[6]->executed_commands(), 0U);
+  ASSERT_EQ(fleet.replica(1).executed_commands(), 8U);
+  ASSERT_EQ(fleet.replica(6).executed_commands(), 0U);
 
-  fleet.net->clear_filter();
-  fleet.replicas[1]->submit(to_bytes("after-heal"));
+  fleet.network().clear_filter();
+  fleet.replica(1).submit(to_bytes("after-heal"));
   ASSERT_TRUE(fleet.run_until_executed(9));
-  EXPECT_EQ(fleet.replicas[6]->log(), fleet.replicas[1]->log());
-  EXPECT_EQ(fleet.replicas[6]->committed_slots(), 9U);
+  EXPECT_EQ(fleet.replica(6).log(), fleet.replica(1).log());
+  EXPECT_EQ(fleet.replica(6).committed_slots(), 9U);
 }
 
 TEST(Smr, ForwardFloodIsBounded) {
@@ -410,15 +365,15 @@ TEST(Smr, ForwardFloodIsBounded) {
   for (std::uint64_t i = 0; i < 200; ++i) {
     Writer w;
     Request{/*client=*/100'000 + i, /*seq=*/1, to_bytes("flood")}.encode(w);
-    fleet.replicas[1]->on_message(2, kSmrForwardTag, std::move(w).take());
+    fleet.replica(1).on_message(2, kSmrForwardTag, std::move(w).take());
   }
-  EXPECT_LE(fleet.replicas[1]->pending_commands(), 16U);
+  EXPECT_LE(fleet.replica(1).pending_commands(), 16U);
   // Local submissions see the same backpressure, loudly.
   Fleet small(4, options);
   for (int i = 0; i < 16; ++i) {
-    small.replicas[1]->submit(to_bytes("fill-" + std::to_string(i)));
+    small.replica(1).submit(to_bytes("fill-" + std::to_string(i)));
   }
-  EXPECT_THROW(small.replicas[1]->submit(to_bytes("one-too-many")),
+  EXPECT_THROW(small.replica(1).submit(to_bytes("one-too-many")),
                std::overflow_error);
 }
 
@@ -426,11 +381,11 @@ TEST(Smr, RejectsEmptyAndOversizedCommands) {
   SmrOptions options;
   options.batch_max_bytes = 256;
   Fleet fleet(4, options);
-  EXPECT_THROW(fleet.replicas[1]->submit(Bytes{}), std::invalid_argument);
-  EXPECT_THROW(fleet.replicas[1]->submit(Bytes(512, 0xaa)),
+  EXPECT_THROW(fleet.replica(1).submit(Bytes{}), std::invalid_argument);
+  EXPECT_THROW(fleet.replica(1).submit(Bytes(512, 0xaa)),
                std::invalid_argument);
-  EXPECT_FALSE(fleet.replicas[1]->submit_request(1, 1, Bytes{}));
-  EXPECT_FALSE(fleet.replicas[1]->submit_request(1, 1, Bytes(512, 0xaa)));
+  EXPECT_FALSE(fleet.replica(1).submit_request(1, 1, Bytes{}));
+  EXPECT_FALSE(fleet.replica(1).submit_request(1, 1, Bytes(512, 0xaa)));
 }
 
 TEST(Smr, RejectsBadConfig) {
@@ -440,24 +395,24 @@ TEST(Smr, RejectsBadConfig) {
   SmrConfig zero_window;
   zero_window.id = 1;
   zero_window.n = 1;
-  zero_window.suite = fleet.suite.get();
-  zero_window.secret_key = fleet.keys[1].secret_key;
+  zero_window.suite = &fleet.suite();
+  zero_window.secret_key = fleet.keys().pairs[1].secret_key;
   zero_window.public_keys = crypto::PublicKeyDir(
-      std::vector<Bytes>{Bytes{}, fleet.keys[1].public_key});
+      std::vector<Bytes>{Bytes{}, fleet.keys().pairs[1].public_key});
   zero_window.pipeline.window = 0;
   EXPECT_THROW(SmrReplica(zero_window, {}), std::invalid_argument);
 }
 
 TEST(Smr, MalformedEnvelopesAreDropped) {
   Fleet fleet(4);
-  fleet.start_all();
-  fleet.replicas[1]->on_message(2, kSmrTag, Bytes{0x01});        // truncated
-  fleet.replicas[1]->on_message(2, kSmrHintTag, Bytes{0x01});    // truncated
-  fleet.replicas[1]->on_message(2, kSmrForwardTag, Bytes{0x01});  // truncated
-  fleet.replicas[1]->on_message(2, kSmrPullTag, Bytes{0x01});    // truncated
-  fleet.replicas[1]->on_message(2, 0x33, to_bytes("whatever"));  // wrong tag
-  EXPECT_EQ(fleet.replicas[1]->committed_slots(), 0U);
-  EXPECT_EQ(fleet.replicas[1]->next_unopened_slot(), 0U);
+  fleet.start();
+  fleet.replica(1).on_message(2, kSmrTag, Bytes{0x01});        // truncated
+  fleet.replica(1).on_message(2, kSmrHintTag, Bytes{0x01});    // truncated
+  fleet.replica(1).on_message(2, kSmrForwardTag, Bytes{0x01});  // truncated
+  fleet.replica(1).on_message(2, kSmrPullTag, Bytes{0x01});    // truncated
+  fleet.replica(1).on_message(2, 0x33, to_bytes("whatever"));  // wrong tag
+  EXPECT_EQ(fleet.replica(1).committed_slots(), 0U);
+  EXPECT_EQ(fleet.replica(1).next_unopened_slot(), 0U);
 }
 
 TEST(Smr, DeterministicAcrossRuns) {
@@ -466,12 +421,12 @@ TEST(Smr, DeterministicAcrossRuns) {
     options.window = 4;
     options.batch_max_commands = 2;
     Fleet fleet(5, options, seed);
-    fleet.replicas[1]->submit(to_bytes("p"));
-    fleet.replicas[2]->submit(to_bytes("q"));
-    fleet.replicas[1]->submit(to_bytes("r"));
-    fleet.start_all();
+    fleet.replica(1).submit(to_bytes("p"));
+    fleet.replica(2).submit(to_bytes("q"));
+    fleet.replica(1).submit(to_bytes("r"));
+    fleet.start();
     fleet.run_until_executed(3);
-    return fleet.replicas[1]->log();
+    return fleet.replica(1).log();
   };
   EXPECT_EQ(run_once(42), run_once(42));
 }

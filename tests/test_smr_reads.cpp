@@ -29,11 +29,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "net/client.hpp"
-#include "net/network.hpp"
 #include "net/tcp_transport.hpp"
 #include "sim/scenario.hpp"
+#include "sim/smr_fleet.hpp"
 #include "smr/read_view.hpp"
 #include "smr/reads.hpp"
 #include "smr/smr_replica.hpp"
@@ -236,13 +235,9 @@ TEST(ReadWire, PeekKindFailsClosed) {
 
 TEST(ReadWire, SignaturesAreDomainSeparatedAndVerified) {
   const auto suite = crypto::make_sim_suite();
-  std::vector<Bytes> key_table(5);
-  std::vector<crypto::KeyPair> keys(5);
-  for (ReplicaId id = 1; id <= 4; ++id) {
-    keys[id] = suite->keygen(mix64(99, id));
-    key_table[id] = keys[id].public_key;
-  }
-  const crypto::PublicKeyDir dir(std::move(key_table));
+  const sim::FleetKeys derived = sim::derive_keys(*suite, 4, 99);
+  const std::vector<crypto::KeyPair>& keys = derived.pairs;
+  const crypto::PublicKeyDir& dir = derived.public_keys;
 
   LeaseGrant grant;
   grant.epoch = 5;
@@ -381,86 +376,39 @@ TEST(ClientReadWire, ClientReplyStatusByteIsStrict) {
 
 // ---- fleet behavior on the simulated network ----
 
-struct ReadFleet {
-  net::Simulator sim;
-  std::unique_ptr<net::Network> net;
-  std::unique_ptr<crypto::CryptoSuite> suite;
-  std::vector<crypto::KeyPair> keys;
-  std::vector<std::unique_ptr<SmrReplica>> replicas;  // 1-based
-
+/// An S = 1 sim::SmrFleet; tests drive each node's one group directly.
+struct ReadFleet : sim::SmrFleet {
   ReadFleet(std::uint32_t n, std::uint32_t f, double l,
-            SmrOptions options = {}, std::uint64_t seed = 1) {
-    net::LatencyConfig latency;
-    latency.min_delay = 500;
-    latency.max_delay_post = 4'000;
-    net = std::make_unique<net::Network>(sim, n, seed, latency);
-    suite = crypto::make_sim_suite();
-    keys.resize(n + 1);
-    std::vector<Bytes> key_table(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      keys[id] = suite->keygen(mix64(seed, id));
-      key_table[id] = keys[id].public_key;
-    }
-    const crypto::PublicKeyDir public_keys(std::move(key_table));
-    replicas.resize(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      SmrConfig cfg;
-      cfg.id = id;
-      cfg.n = n;
-      cfg.f = f;
-      cfg.l = l;
-      cfg.pipeline = options;
-      cfg.suite = suite.get();
-      cfg.secret_key = keys[id].secret_key;
-      cfg.public_keys = public_keys;
-      cfg.sync.base_timeout = 100'000;
-      core::ProtocolHost hooks;
-      hooks.send = [this, id](ReplicaId to, std::uint8_t tag,
-                              const Bytes& m) {
-        net->send(id, to, tag, m);
-      };
-      hooks.broadcast = [this, id](std::uint8_t tag, const Bytes& m) {
-        net->broadcast(id, tag, m);
-      };
-      hooks.set_timer = [this](Duration d, std::function<void()> fn) {
-        sim.schedule_after(d, std::move(fn));
-      };
-      hooks.on_commit = [](std::uint64_t, const Bytes&) {};
-      replicas[id] = std::make_unique<SmrReplica>(std::move(cfg), hooks);
-      net->register_handler(
-          id, [this, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-            replicas[id]->on_message(from, tag, m);
-          });
-    }
-  }
+            SmrOptions options = {}, std::uint64_t seed = 1)
+      : sim::SmrFleet(make_config(n, f, l, options, seed)) {}
 
-  void start_all() {
-    for (std::size_t id = 1; id < replicas.size(); ++id) {
-      replicas[id]->start();
-    }
-  }
+  SmrReplica& replica(ReplicaId id) { return node(id).group(0); }
 
   /// Steps the simulation until `done()` (or deadline). Lease renewal
   /// timers re-arm forever, so every loop must be time-bounded.
   bool run_until(const std::function<bool()>& done,
                  TimePoint deadline = 300'000'000) {
-    while (sim.now() < deadline) {
-      if (done()) return true;
-      if (!sim.step()) break;
-    }
-    return done();
+    return sim::SmrFleet::run_until(done, deadline);
   }
 
   bool run_until_executed(std::uint64_t commands,
                           TimePoint deadline = 300'000'000) {
-    return run_until(
-        [this, commands] {
-          for (std::size_t id = 1; id < replicas.size(); ++id) {
-            if (replicas[id]->executed_commands() < commands) return false;
-          }
-          return true;
-        },
-        deadline);
+    return sim::SmrFleet::run_until_executed(commands, deadline);
+  }
+
+ private:
+  static sim::SmrFleetConfig make_config(std::uint32_t n, std::uint32_t f,
+                                         double l, SmrOptions options,
+                                         std::uint64_t seed) {
+    sim::SmrFleetConfig cfg;
+    cfg.n = n;
+    cfg.f = f;
+    cfg.l = l;
+    cfg.seed = seed;
+    cfg.smr = options;
+    cfg.latency.min_delay = 500;
+    cfg.latency.max_delay_post = 4'000;
+    return cfg;
   }
 };
 
@@ -477,34 +425,34 @@ using ReadResult = SmrReplica::ReadResult;
 
 TEST(SmrReads, DisabledConfigRejectsEveryRead) {
   ReadFleet fleet(4, 0, 2.0);  // default SmrOptions: serve_reads = false
-  fleet.replicas[1]->submit(to_bytes("k=v1"));
-  fleet.start_all();
+  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   for (const auto mode :
        {net::ReadConsistency::kLinearizable,
         net::ReadConsistency::kSequential, net::ReadConsistency::kStaleOk}) {
     std::optional<ReadResult> result;
-    fleet.replicas[1]->submit_read(to_bytes("k"), mode, 0,
+    fleet.replica(1).submit_read(to_bytes("k"), mode, 0,
                                    [&](const ReadResult& r) { result = r; });
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->status, net::ReplyStatus::kRejected);
   }
-  EXPECT_EQ(fleet.replicas[1]->reads_rejected(), 3U);
+  EXPECT_EQ(fleet.replica(1).reads_rejected(), 3U);
   // No read-path traffic at all: the write path of a reads-off build is
   // bit-identical to one without the feature.
-  EXPECT_EQ(fleet.net->stats().sends_for(kSmrLeaseTag), 0U);
-  EXPECT_EQ(fleet.net->stats().sends_for(kSmrReadIndexTag), 0U);
+  EXPECT_EQ(fleet.network().stats().sends_for(kSmrLeaseTag), 0U);
+  EXPECT_EQ(fleet.network().stats().sends_for(kSmrReadIndexTag), 0U);
 }
 
 TEST(SmrReads, StaleOkServesTheLocalView) {
   ReadFleet fleet(4, 0, 2.0, read_options());
-  fleet.replicas[1]->submit(to_bytes("k=v1"));
-  fleet.start_all();
+  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   // Every replica — leader or not — answers stale-ok immediately.
   for (ReplicaId id = 1; id <= 4; ++id) {
     std::optional<ReadResult> result;
-    fleet.replicas[id]->submit_read(to_bytes("k"),
+    fleet.replica(id).submit_read(to_bytes("k"),
                                     net::ReadConsistency::kStaleOk, 0,
                                     [&](const ReadResult& r) { result = r; });
     ASSERT_TRUE(result.has_value()) << "replica " << id;
@@ -514,7 +462,7 @@ TEST(SmrReads, StaleOkServesTheLocalView) {
   }
   // An unwritten key answers kExecuted with an empty value and slot 0.
   std::optional<ReadResult> miss;
-  fleet.replicas[2]->submit_read(to_bytes("unwritten"),
+  fleet.replica(2).submit_read(to_bytes("unwritten"),
                                  net::ReadConsistency::kStaleOk, 0,
                                  [&](const ReadResult& r) { miss = r; });
   ASSERT_TRUE(miss.has_value());
@@ -527,18 +475,18 @@ TEST(SmrReads, SequentialReadParksUntilMinIndex) {
   SmrOptions options = read_options();
   options.batch_max_commands = 1;
   ReadFleet fleet(4, 0, 2.0, options);
-  fleet.replicas[1]->submit(to_bytes("a=1"));
-  fleet.start_all();
+  fleet.replica(1).submit(to_bytes("a=1"));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
 
   // min_index = 2 is ahead of execution: the read parks.
   std::optional<ReadResult> result;
-  fleet.replicas[1]->submit_read(to_bytes("b"),
+  fleet.replica(1).submit_read(to_bytes("b"),
                                  net::ReadConsistency::kSequential, 2,
                                  [&](const ReadResult& r) { result = r; });
   EXPECT_FALSE(result.has_value());
   // The second write releases it — and the read observes that write.
-  fleet.replicas[1]->submit(to_bytes("b=2"));
+  fleet.replica(1).submit(to_bytes("b=2"));
   ASSERT_TRUE(fleet.run_until([&] { return result.has_value(); }));
   EXPECT_EQ(result->status, net::ReplyStatus::kExecuted);
   EXPECT_EQ(result->value, to_bytes("2"));
@@ -546,7 +494,7 @@ TEST(SmrReads, SequentialReadParksUntilMinIndex) {
 
   // A min_index already covered answers synchronously.
   std::optional<ReadResult> immediate;
-  fleet.replicas[1]->submit_read(to_bytes("a"),
+  fleet.replica(1).submit_read(to_bytes("a"),
                                  net::ReadConsistency::kSequential, 1,
                                  [&](const ReadResult& r) { immediate = r; });
   ASSERT_TRUE(immediate.has_value());
@@ -555,30 +503,30 @@ TEST(SmrReads, SequentialReadParksUntilMinIndex) {
 
 TEST(SmrReads, LeaseLeaderServesLinearizableReadsLocally) {
   ReadFleet fleet(4, 1, 1.5, read_options());
-  fleet.replicas[1]->submit(to_bytes("k=v1"));
-  fleet.start_all();
+  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   ASSERT_TRUE(
-      fleet.run_until([&] { return fleet.replicas[1]->lease_held(); }));
+      fleet.run_until([&] { return fleet.replica(1).lease_held(); }));
 
-  const auto lease_traffic = fleet.net->stats().sends_for(kSmrLeaseTag);
+  const auto lease_traffic = fleet.network().stats().sends_for(kSmrLeaseTag);
   EXPECT_GT(lease_traffic, 0U);
   std::optional<ReadResult> result;
-  fleet.replicas[1]->submit_read(to_bytes("k"),
+  fleet.replica(1).submit_read(to_bytes("k"),
                                  net::ReadConsistency::kLinearizable, 0,
                                  [&](const ReadResult& r) { result = r; });
   ASSERT_TRUE(fleet.run_until([&] { return result.has_value(); }));
   EXPECT_EQ(result->status, net::ReplyStatus::kExecuted);
   EXPECT_EQ(result->value, to_bytes("v1"));
-  EXPECT_GE(fleet.replicas[1]->lease_reads(), 1U);
+  EXPECT_GE(fleet.replica(1).lease_reads(), 1U);
   // A lease read never runs the quorum protocol.
-  EXPECT_EQ(fleet.net->stats().sends_for(kSmrReadIndexTag), 0U);
+  EXPECT_EQ(fleet.network().stats().sends_for(kSmrReadIndexTag), 0U);
 
   // Read-your-writes across a second write.
-  fleet.replicas[1]->submit(to_bytes("k=v2"));
+  fleet.replica(1).submit(to_bytes("k=v2"));
   ASSERT_TRUE(fleet.run_until_executed(2));
   std::optional<ReadResult> second;
-  fleet.replicas[1]->submit_read(to_bytes("k"),
+  fleet.replica(1).submit_read(to_bytes("k"),
                                  net::ReadConsistency::kLinearizable, 0,
                                  [&](const ReadResult& r) { second = r; });
   ASSERT_TRUE(fleet.run_until([&] { return second.has_value(); }));
@@ -589,12 +537,12 @@ TEST(SmrReads, LeaseLeaderServesLinearizableReadsLocally) {
 
 TEST(SmrReads, FollowerUsesQuorumReadIndex) {
   ReadFleet fleet(4, 1, 1.5, read_options());
-  fleet.replicas[1]->submit(to_bytes("k=v1"));
-  fleet.start_all();
+  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
 
   std::optional<ReadResult> result;
-  fleet.replicas[3]->submit_read(to_bytes("k"),
+  fleet.replica(3).submit_read(to_bytes("k"),
                                  net::ReadConsistency::kLinearizable, 0,
                                  [&](const ReadResult& r) { result = r; });
   ASSERT_TRUE(fleet.run_until([&] { return result.has_value(); }));
@@ -602,48 +550,48 @@ TEST(SmrReads, FollowerUsesQuorumReadIndex) {
   EXPECT_EQ(result->value, to_bytes("v1"));
   // The follower holds no lease: the answer came from the attestation
   // quorum, not a local shortcut.
-  EXPECT_EQ(fleet.replicas[3]->lease_reads(), 0U);
-  EXPECT_GT(fleet.net->stats().sends_for(kSmrReadIndexTag), 0U);
+  EXPECT_EQ(fleet.replica(3).lease_reads(), 0U);
+  EXPECT_GT(fleet.network().stats().sends_for(kSmrReadIndexTag), 0U);
 }
 
 TEST(SmrReads, LinearizableReadTimesOutWithoutAQuorum) {
   ReadFleet fleet(4, 1, 1.5, read_options());
-  fleet.replicas[1]->submit(to_bytes("k=v1"));
-  fleet.start_all();
+  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
 
   // Fully partition follower 3: its read-index broadcast reaches nobody,
   // so the read must answer kRejected at read_timeout — never hang, never
   // answer from the unproven local view.
-  fleet.net->set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
+  fleet.network().set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
     return from == 3 || to == 3;
   });
   std::optional<ReadResult> result;
-  fleet.replicas[3]->submit_read(to_bytes("k"),
+  fleet.replica(3).submit_read(to_bytes("k"),
                                  net::ReadConsistency::kLinearizable, 0,
                                  [&](const ReadResult& r) { result = r; });
-  const TimePoint probe_deadline = fleet.sim.now() + 3'000'000;
+  const TimePoint probe_deadline = fleet.sim().now() + 3'000'000;
   fleet.run_until([&] { return result.has_value(); }, probe_deadline);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->status, net::ReplyStatus::kRejected);
-  EXPECT_GE(fleet.replicas[3]->reads_rejected(), 1U);
+  EXPECT_GE(fleet.replica(3).reads_rejected(), 1U);
 }
 
 TEST(SmrReads, MalformedReadFramesAreDropped) {
   ReadFleet fleet(4, 0, 2.0, read_options());
-  fleet.start_all();
+  fleet.start();
   // Arbitrary garbage on both read-path tags must be swallowed.
   const Bytes garbage = {0xff, 0x00, 0x01, 0x02};
-  EXPECT_NO_THROW(fleet.replicas[1]->on_message(2, kSmrLeaseTag, garbage));
+  EXPECT_NO_THROW(fleet.replica(1).on_message(2, kSmrLeaseTag, garbage));
   EXPECT_NO_THROW(
-      fleet.replicas[1]->on_message(2, kSmrReadIndexTag, garbage));
+      fleet.replica(1).on_message(2, kSmrReadIndexTag, garbage));
   // Truncated but well-formed prefixes of real frames too.
   LeaseRequest request;
   request.epoch = 1;
   request.leader = 2;
   const Bytes wire = request.encode();
   for (std::size_t len = 0; len < wire.size(); ++len) {
-    EXPECT_NO_THROW(fleet.replicas[1]->on_message(
+    EXPECT_NO_THROW(fleet.replica(1).on_message(
         2, kSmrLeaseTag, Bytes(wire.begin(),
                                wire.begin() + static_cast<std::ptrdiff_t>(
                                                   len))));
@@ -655,9 +603,9 @@ TEST(SmrReads, MalformedReadFramesAreDropped) {
   stray.signer = 2;
   stray.signature = Bytes(64, 0x00);
   EXPECT_NO_THROW(
-      fleet.replicas[1]->on_message(2, kSmrReadIndexTag, stray.encode()));
+      fleet.replica(1).on_message(2, kSmrReadIndexTag, stray.encode()));
   // The fleet still makes progress afterwards.
-  fleet.replicas[1]->submit(to_bytes("k=v1"));
+  fleet.replica(1).submit(to_bytes("k=v1"));
   ASSERT_TRUE(fleet.run_until_executed(1));
 }
 
@@ -687,65 +635,65 @@ TEST(SmrReads, LeaseNeverServesStaleReadAcrossViewChange) {
   // l = 1.5 at n = 6 gives q = 4: one replica of slack among the 5 still
   // connected, so consensus proceeds behind the partition.
   ReadFleet fleet(6, 1, 1.5, read_options(), /*seed=*/7);
-  fleet.replicas[1]->submit(to_bytes("k=v1"));
-  fleet.start_all();
+  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   ASSERT_TRUE(
-      fleet.run_until([&] { return fleet.replicas[1]->lease_held(); }));
+      fleet.run_until([&] { return fleet.replica(1).lease_held(); }));
 
   std::optional<ReadResult> before;
-  fleet.replicas[1]->submit_read(to_bytes("k"),
+  fleet.replica(1).submit_read(to_bytes("k"),
                                  net::ReadConsistency::kLinearizable, 0,
                                  [&](const ReadResult& r) { before = r; });
   ASSERT_TRUE(fleet.run_until([&] { return before.has_value(); }));
   EXPECT_EQ(before->status, net::ReplyStatus::kExecuted);
   EXPECT_EQ(before->value, to_bytes("v1"));
-  EXPECT_GE(fleet.replicas[1]->lease_reads(), 1U);
+  EXPECT_GE(fleet.replica(1).lease_reads(), 1U);
 
   // Partition the lease holder and decide a conflicting write without it.
-  fleet.net->set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
+  fleet.network().set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
     return from == 1 || to == 1;
   });
-  fleet.replicas[2]->submit(to_bytes("k=v2"));
+  fleet.replica(2).submit(to_bytes("k=v2"));
   ASSERT_TRUE(fleet.run_until([&] {
     for (ReplicaId id = 2; id <= 6; ++id) {
-      if (fleet.replicas[id]->executed_commands() < 2) return false;
+      if (fleet.replica(id).executed_commands() < 2) return false;
     }
     return true;
   }));
   // The view-2 decide proves the lease premise wrong on every replica
   // that saw it.
   for (ReplicaId id = 2; id <= 6; ++id) {
-    EXPECT_TRUE(fleet.replicas[id]->lease_poisoned()) << "replica " << id;
+    EXPECT_TRUE(fleet.replica(id).lease_poisoned()) << "replica " << id;
   }
   // The deposed leader's validity ran out strictly before the wishes that
   // deposed it could flush: by the time "k=v2" exists, no lease is held.
-  EXPECT_FALSE(fleet.replicas[1]->lease_held());
+  EXPECT_FALSE(fleet.replica(1).lease_held());
 
   // THE invariant: a linearizable read at the deposed leader must not
   // return the stale "v1". Without a lease it needs an attestation
   // quorum, which the partition denies — so it answers kRejected.
   std::optional<ReadResult> stale_probe;
-  fleet.replicas[1]->submit_read(
+  fleet.replica(1).submit_read(
       to_bytes("k"), net::ReadConsistency::kLinearizable, 0,
       [&](const ReadResult& r) { stale_probe = r; });
-  const TimePoint probe_deadline = fleet.sim.now() + 3'000'000;
+  const TimePoint probe_deadline = fleet.sim().now() + 3'000'000;
   fleet.run_until([&] { return stale_probe.has_value(); }, probe_deadline);
   ASSERT_TRUE(stale_probe.has_value());
   EXPECT_EQ(stale_probe->status, net::ReplyStatus::kRejected);
 
   // Heal. Fresh traffic catches the old leader up via signed hints — a
   // decide with unknown view, which poisons its lease serving for good.
-  fleet.net->clear_filter();
-  fleet.replicas[2]->submit(to_bytes("k2=v3"));
+  fleet.network().clear_filter();
+  fleet.replica(2).submit(to_bytes("k2=v3"));
   ASSERT_TRUE(fleet.run_until_executed(3));
-  EXPECT_TRUE(fleet.replicas[1]->lease_poisoned());
-  EXPECT_FALSE(fleet.replicas[1]->lease_held());
+  EXPECT_TRUE(fleet.replica(1).lease_poisoned());
+  EXPECT_FALSE(fleet.replica(1).lease_held());
 
   // Its next linearizable read goes through the quorum read-index and
   // sees the post-view-change value.
   std::optional<ReadResult> fresh;
-  fleet.replicas[1]->submit_read(to_bytes("k"),
+  fleet.replica(1).submit_read(to_bytes("k"),
                                  net::ReadConsistency::kLinearizable, 0,
                                  [&](const ReadResult& r) { fresh = r; });
   ASSERT_TRUE(fleet.run_until([&] { return fresh.has_value(); }));
@@ -754,8 +702,8 @@ TEST(SmrReads, LeaseNeverServesStaleReadAcrossViewChange) {
 
   // And the write path stayed correct throughout: identical logs.
   for (ReplicaId id = 2; id <= 6; ++id) {
-    EXPECT_EQ(fleet.replicas[id]->log_digest(),
-              fleet.replicas[1]->log_digest())
+    EXPECT_EQ(fleet.replica(id).log_digest(),
+              fleet.replica(1).log_digest())
         << "replica " << id;
   }
 }
@@ -836,13 +784,7 @@ struct TcpReadCluster {
       }
     }
     suite = crypto::make_sim_suite();
-    std::vector<crypto::KeyPair> keys(kN + 1);
-    std::vector<Bytes> key_table(kN + 1);
-    for (ReplicaId id = 1; id <= kN; ++id) {
-      keys[id] = suite->keygen(mix64(17, id));
-      key_table[id] = keys[id].public_key;
-    }
-    const crypto::PublicKeyDir public_keys(std::move(key_table));
+    const sim::FleetKeys keys = sim::derive_keys(*suite, kN, 17);
     for (ReplicaId id = 1; id <= kN; ++id) {
       SmrConfig cfg;
       cfg.id = id;
@@ -851,8 +793,8 @@ struct TcpReadCluster {
       cfg.l = 1.5;
       cfg.pipeline = read_options();
       cfg.suite = suite.get();
-      cfg.secret_key = keys[id].secret_key;
-      cfg.public_keys = public_keys;
+      cfg.secret_key = keys.pairs[id].secret_key;
+      cfg.public_keys = keys.public_keys;
       cfg.sync.base_timeout = 100'000;
       net::TcpTransport* transport = transports[id].get();
       core::ProtocolHost hooks;
