@@ -229,10 +229,7 @@ void Replica::try_vote() {
   voted_ = true;
   proposal_ = msg;
 
-  const Bytes alpha = crypto::sample_alpha(cur_view_, "prepare");
-  auto sampled = crypto::vrf_sample(*cfg_.suite, cfg_.secret_key,
-                                    ByteSpan(alpha.data(), alpha.size()),
-                                    cfg_.n, cfg_.sample_size());
+  auto sampled = draw_sample("prepare");
   PhaseMsg prepare;
   prepare.proposal = proposal_->proposal;
   prepare.sample = std::move(sampled.sample);
@@ -351,10 +348,7 @@ void Replica::try_prepare_quorum() {
     prepared_cert_.push_back(std::make_shared<PhaseMsg>(msg));
   }
 
-  const Bytes alpha = crypto::sample_alpha(cur_view_, "commit");
-  auto sampled = crypto::vrf_sample(*cfg_.suite, cfg_.secret_key,
-                                    ByteSpan(alpha.data(), alpha.size()),
-                                    cfg_.n, cfg_.sample_size());
+  auto sampled = draw_sample("commit");
   PhaseMsg commit;
   commit.proposal = proposal_->proposal;
   commit.sample = std::move(sampled.sample);
@@ -473,10 +467,24 @@ bool Replica::verify_leader_sig(const SignedProposal& p) const {
 bool Replica::phase_vrf_ok(MsgTag tag, const PhaseMsg& m) const {
   const char* phase = tag == MsgTag::kPrepare ? "prepare" : "commit";
   const Bytes alpha = crypto::sample_alpha(m.proposal.view, phase);
+  const Bytes& pk = cfg_.public_keys[m.sender];
+  if (cfg_.fast_verify && cfg_.sample_memo != nullptr) {
+    return cfg_.sample_memo->verify(pk, alpha, cfg_.n, cfg_.sample_size(),
+                                    m.sample, m.vrf_proof);
+  }
   return crypto::vrf_sample_verify(
-      *cfg_.suite, cfg_.public_keys[m.sender],
-      ByteSpan(alpha.data(), alpha.size()), cfg_.n, cfg_.sample_size(),
-      m.sample, m.vrf_proof);
+      *cfg_.suite, pk, ByteSpan(alpha.data(), alpha.size()), cfg_.n,
+      cfg_.sample_size(), m.sample, m.vrf_proof);
+}
+
+crypto::SampleResult Replica::draw_sample(const char* phase) const {
+  const Bytes alpha = crypto::sample_alpha(cur_view_, phase);
+  if (cfg_.fast_verify && cfg_.sample_memo != nullptr) {
+    return cfg_.sample_memo->prove(alpha, cfg_.n, cfg_.sample_size());
+  }
+  return crypto::vrf_sample(*cfg_.suite, cfg_.secret_key,
+                            ByteSpan(alpha.data(), alpha.size()), cfg_.n,
+                            cfg_.sample_size());
 }
 
 bool Replica::phase_full_ok(MsgTag tag, const PhaseMsg& m) const {

@@ -79,6 +79,12 @@ struct ReplicaConfig {
   /// deterministic); disable to get the naive re-verify-everything path,
   /// e.g. for fast-vs-slow determinism checks and benches.
   bool fast_verify = true;
+  /// Optional VRF sample memo shared by every instance of one SMR replica
+  /// (non-owning; must outlive the replica). With fast_verify on, own
+  /// samples are proved and peer sample proofs verified through it, once
+  /// per distinct input across instances. It must hold this replica's
+  /// suite and key pair. Null: prove and verify every time.
+  crypto::SampleMemo* sample_memo = nullptr;
 
   const crypto::CryptoSuite* suite = nullptr;
   Bytes secret_key;
@@ -160,6 +166,8 @@ class Replica : public INode {
   /// message's content digest.
   [[nodiscard]] bool phase_full_ok(MsgTag tag, const PhaseMsg& m) const;
   [[nodiscard]] bool phase_vrf_ok(MsgTag tag, const PhaseMsg& m) const;
+  /// VRF_prove(K, cur_view_‖phase): this replica's sample for `phase`.
+  [[nodiscard]] crypto::SampleResult draw_sample(const char* phase) const;
   [[nodiscard]] bool new_leader_sig_ok(const NewLeaderMsg& m) const;
   /// Batch-resolves every signature check referenced by `msgs` that is not
   /// already cached (one suite verify_batch call), then caches per-item

@@ -54,6 +54,8 @@ SmrReplica::SmrReplica(SmrConfig config, core::ProtocolHost host)
   }
   limits_.max_commands = cfg_.pipeline.batch_max_commands;
   limits_.max_bytes = cfg_.pipeline.batch_max_bytes;
+  sample_memo_.emplace(*cfg_.suite, cfg_.secret_key,
+                       cfg_.public_keys[cfg_.id]);
   chain_ = zero_digest();
   if (cfg_.wal != nullptr) recover_from_wal();
 }
@@ -347,6 +349,7 @@ void SmrReplica::open_next_slot() {
   // decided-value hints, not via decided replicas' view changes.
   rc.stop_sync_on_decide = true;
   rc.fast_verify = cfg_.fast_verify;
+  rc.sample_memo = &*sample_memo_;
   rc.suite = cfg_.suite;
   rc.secret_key = cfg_.secret_key;
   rc.public_keys = cfg_.public_keys;

@@ -505,6 +505,10 @@ class SmrReplica : public core::INode {
   // -- in-flight slots --
   std::uint64_t next_open_ = 0;  // lowest never-opened slot
   View engine_view_ = 1;         // see engine_view()
+  /// VRF samples and sample verdicts, shared by every slot's instance:
+  /// samples are per (view, phase), so the slots of one view prove and
+  /// verify each one once (core::ReplicaConfig::sample_memo).
+  std::optional<crypto::SampleMemo> sample_memo_;
   std::map<std::uint64_t, std::unique_ptr<core::Replica>> instances_;
   /// Retirement is deferred: an instance may be retired from inside its
   /// own decision callback, so it parks here and is destroyed at the next

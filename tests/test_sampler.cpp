@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/bytes.hpp"
@@ -97,6 +98,113 @@ TEST_P(SamplerTest, ViewsProduceDifferentSamples) {
   const auto v2 =
       vrf_sample(*s, kp.secret_key, sample_alpha(2, "prepare"), 200, 30);
   EXPECT_NE(v1.sample, v2.sample);
+}
+
+TEST_P(SamplerTest, MemoProveMatchesVrfSample) {
+  const auto s = suite();
+  const auto kp = s->keygen(5);
+  SampleMemo memo(*s, kp.secret_key, kp.public_key);
+  for (const char* phase : {"prepare", "commit", "prepare"}) {
+    const auto alpha = sample_alpha(3, phase);
+    const auto direct = vrf_sample(*s, kp.secret_key, alpha, 50, 10);
+    const auto memoized = memo.prove(alpha, 50, 10);
+    EXPECT_EQ(memoized.sample, direct.sample) << phase;
+    EXPECT_EQ(memoized.proof, direct.proof) << phase;
+  }
+}
+
+TEST_P(SamplerTest, MemoVerifyMatchesVrfSampleVerify) {
+  const auto s = suite();
+  const auto kp1 = s->keygen(1);
+  const auto kp2 = s->keygen(2);
+  const auto prepare = sample_alpha(4, "prepare");
+  const auto commit = sample_alpha(4, "commit");
+  const auto r1 = vrf_sample(*s, kp1.secret_key, prepare, 50, 10);
+  const auto r2 = vrf_sample(*s, kp2.secret_key, prepare, 50, 10);
+  // The verifier's memo holds a third key, so nothing is pre-seeded.
+  const auto kp3 = s->keygen(3);
+  SampleMemo memo(*s, kp3.secret_key, kp3.public_key);
+  struct Case {
+    const char* what;
+    const Bytes& pk;
+    const Bytes& alpha;
+    const SampleResult& r;
+  };
+  const Case cases[] = {
+      {"valid", kp1.public_key, prepare, r1},
+      {"foreign proof", kp1.public_key, prepare, r2},
+      {"wrong-phase alpha", kp1.public_key, commit, r1},
+      {"wrong key", kp2.public_key, prepare, r1},
+  };
+  for (int pass = 0; pass < 2; ++pass) {  // computed, then memoized
+    for (const Case& c : cases) {
+      EXPECT_EQ(memo.verify(c.pk, c.alpha, 50, 10, c.r.sample, c.r.proof),
+                vrf_sample_verify(*s, c.pk, c.alpha, 50, 10, c.r.sample,
+                                  c.r.proof))
+          << c.what << " pass " << pass;
+    }
+  }
+  EXPECT_TRUE(memo.verify(kp1.public_key, prepare, 50, 10, r1.sample,
+                          r1.proof));
+  EXPECT_FALSE(memo.verify(kp2.public_key, prepare, 50, 10, r1.sample,
+                           r1.proof));
+}
+
+TEST_P(SamplerTest, MemoRejectsRealProofWithAlteredSample) {
+  const auto s = suite();
+  const auto kp = s->keygen(5);
+  const auto alpha = sample_alpha(3, "commit");
+  const auto real = vrf_sample(*s, kp.secret_key, alpha, 50, 10);
+  const auto kp6 = s->keygen(6);
+  SampleMemo verifier(*s, kp6.secret_key, kp6.public_key);
+  SampleMemo owner(*s, kp.secret_key, kp.public_key);
+  ASSERT_EQ(owner.prove(alpha, 50, 10).proof, real.proof);
+  // The valid tuple is cached first (computed by the verifier, seeded by
+  // proving in the owner); the fabricated sample must still be rejected.
+  ASSERT_TRUE(verifier.verify(kp.public_key, alpha, 50, 10, real.sample,
+                              real.proof));
+  ASSERT_TRUE(
+      owner.verify(kp.public_key, alpha, 50, 10, real.sample, real.proof));
+  std::vector<ReplicaId> forged = real.sample;
+  forged.back() = forged.back() == 50 ? 49 : 50;
+  std::sort(forged.begin(), forged.end());
+  ASSERT_NE(forged, real.sample);
+  EXPECT_FALSE(
+      verifier.verify(kp.public_key, alpha, 50, 10, forged, real.proof));
+  EXPECT_FALSE(owner.verify(kp.public_key, alpha, 50, 10, forged, real.proof));
+  // A sample of a different size is a different claim too.
+  const std::vector<ReplicaId> shorter(real.sample.begin(),
+                                       real.sample.end() - 1);
+  EXPECT_FALSE(
+      verifier.verify(kp.public_key, alpha, 50, 9, shorter, real.proof));
+}
+
+TEST_P(SamplerTest, MemoStaysExactAcrossCapClears) {
+  const auto s = suite();
+  const auto kp = s->keygen(5);
+  const auto other = s->keygen(8);
+  SampleMemo memo(*s, kp.secret_key, kp.public_key, /*cap=*/2);
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint64_t view = 1; view <= 3; ++view) {
+      const auto alpha = sample_alpha(view, "prepare");
+      const auto direct = vrf_sample(*s, kp.secret_key, alpha, 40, 8);
+      const auto memoized = memo.prove(alpha, 40, 8);
+      EXPECT_EQ(memoized.sample, direct.sample) << "view " << view;
+      EXPECT_EQ(memoized.proof, direct.proof) << "view " << view;
+      EXPECT_TRUE(
+          memo.verify(kp.public_key, alpha, 40, 8, direct.sample,
+                      direct.proof));
+      EXPECT_FALSE(memo.verify(other.public_key, alpha, 40, 8, direct.sample,
+                               direct.proof));
+      auto altered = direct.sample;
+      altered.front() = altered.front() == 1 ? 2 : 1;
+      std::sort(altered.begin(), altered.end());
+      if (altered != direct.sample) {
+        EXPECT_FALSE(
+            memo.verify(kp.public_key, alpha, 40, 8, altered, direct.proof));
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSuites, SamplerTest,

@@ -7,6 +7,10 @@
 
 #include <algorithm>
 
+#include "crypto/suite.hpp"
+#include "net/network.hpp"
+#include "net/simulator.hpp"
+#include "sim/node_factory.hpp"
 #include "sim/smr_fleet.hpp"
 #include "smr/smr_replica.hpp"
 
@@ -429,6 +433,131 @@ TEST(Smr, DeterministicAcrossRuns) {
     return fleet.replica(1).log();
   };
   EXPECT_EQ(run_once(42), run_once(42));
+}
+
+/// Passes every call through to `inner` and counts the VRF calls.
+class CountingSuite final : public crypto::CryptoSuite {
+ public:
+  explicit CountingSuite(std::unique_ptr<crypto::CryptoSuite> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] crypto::KeyPair keygen(std::uint64_t seed) const override {
+    return inner_->keygen(seed);
+  }
+  [[nodiscard]] Bytes sign(ByteSpan secret_key,
+                           ByteSpan message) const override {
+    return inner_->sign(secret_key, message);
+  }
+  [[nodiscard]] bool verify(ByteSpan public_key, ByteSpan message,
+                            ByteSpan signature) const override {
+    return inner_->verify(public_key, message, signature);
+  }
+  [[nodiscard]] bool verify_batch(
+      const std::vector<crypto::SigCheck>& checks) const override {
+    return inner_->verify_batch(checks);
+  }
+  [[nodiscard]] crypto::VrfResult vrf_prove(ByteSpan secret_key,
+                                            ByteSpan alpha) const override {
+    ++vrf_proves;
+    return inner_->vrf_prove(secret_key, alpha);
+  }
+  [[nodiscard]] std::optional<Bytes> vrf_verify(
+      ByteSpan public_key, ByteSpan alpha, ByteSpan proof) const override {
+    ++vrf_verifies;
+    return inner_->vrf_verify(public_key, alpha, proof);
+  }
+
+  mutable std::uint64_t vrf_proves = 0;
+  mutable std::uint64_t vrf_verifies = 0;
+
+ private:
+  std::unique_ptr<crypto::CryptoSuite> inner_;
+};
+
+/// n bare SmrReplicas built through sim::NodeParams (make_smr_node), each
+/// on its own CountingSuite, running one-command slots to completion.
+struct CountedRun {
+  static constexpr std::uint32_t kN = 4;
+  static constexpr std::uint64_t kCommands = 64;
+
+  net::Simulator sim;
+  net::Network network;
+  std::vector<std::unique_ptr<CountingSuite>> suites;
+  std::vector<std::unique_ptr<SmrReplica>> nodes;
+
+  explicit CountedRun(bool fast_verify)
+      : network(sim, kN, /*seed=*/3, latency()),
+        suites(kN + 1),
+        nodes(kN + 1) {
+    const auto keys = sim::derive_keys(*crypto::make_sim_suite(), kN, 3);
+    for (ReplicaId id = 1; id <= kN; ++id) {
+      suites[id] = std::make_unique<CountingSuite>(crypto::make_sim_suite());
+      sim::NodeParams params;
+      params.id = id;
+      params.n = kN;
+      params.smr.window = 4;
+      params.smr.batch_max_commands = 1;
+      params.fast_verify = fast_verify;
+      params.suite = suites[id].get();
+      params.secret_key = keys.pairs[id].secret_key;
+      params.public_keys = keys.public_keys;
+      nodes[id] = sim::make_smr_node(
+          params, sim::transport_host(
+                      network, id, [this](Duration d, std::function<void()> fn) {
+                        sim.schedule_after(d, std::move(fn));
+                      }));
+      network.register_handler(
+          id, [this, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
+            nodes[id]->on_message(from, tag, m);
+          });
+    }
+    for (std::uint64_t i = 0; i < kCommands; ++i) {
+      nodes[1]->submit(to_bytes("op-" + std::to_string(i)));
+    }
+    for (ReplicaId id = 1; id <= kN; ++id) nodes[id]->start();
+    const auto done = [this] {
+      for (ReplicaId id = 1; id <= kN; ++id) {
+        if (nodes[id]->executed_commands() < kCommands) return false;
+      }
+      return true;
+    };
+    while (!done() && sim.now() < 300'000'000 && sim.step()) {
+    }
+  }
+
+  static net::LatencyConfig latency() {
+    net::LatencyConfig cfg;
+    cfg.min_delay = 500;
+    cfg.max_delay_post = 4'000;
+    return cfg;
+  }
+};
+
+TEST(Smr, VrfSamplesProvedAndVerifiedOncePerView) {
+  // Samples are per (view, phase), so every slot of one view shares them:
+  // each replica proves its Prepare and Commit samples once, and verifies
+  // each peer's two proofs once (its own are known-good from proving).
+  const CountedRun fast(/*fast_verify=*/true);
+  const CountedRun slow(/*fast_verify=*/false);
+  constexpr std::uint32_t n = CountedRun::kN;
+  for (ReplicaId id = 1; id <= n; ++id) {
+    const SmrReplica& node = *fast.nodes[id];
+    ASSERT_EQ(node.executed_commands(), CountedRun::kCommands);
+    EXPECT_GE(node.committed_slots(), CountedRun::kCommands);
+    const View views = node.engine_view();  // views 1..v were entered
+    EXPECT_EQ(views, 1U) << "replica " << id;
+    EXPECT_LE(fast.suites[id]->vrf_proves, 2 * views) << "replica " << id;
+    EXPECT_LE(fast.suites[id]->vrf_verifies, 2 * (n - 1) * views)
+        << "replica " << id;
+    // Without the fast path every slot proves and verifies again...
+    EXPECT_GE(slow.suites[id]->vrf_proves, CountedRun::kCommands);
+    // ...and executes the byte-identical log.
+    const SmrReplica& naive = *slow.nodes[id];
+    EXPECT_EQ(naive.log(), node.log()) << "replica " << id;
+    EXPECT_EQ(naive.slot_log(), node.slot_log()) << "replica " << id;
+    EXPECT_EQ(naive.log_digest(), node.log_digest()) << "replica " << id;
+  }
 }
 
 }  // namespace
