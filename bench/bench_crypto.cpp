@@ -147,6 +147,31 @@ void BM_Ed25519Verify(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519Verify);
 
+// One verify_batch call over k signatures by k distinct keys on distinct
+// messages (a phase quorum's shape), reported per signature so the rows
+// read beside BM_Ed25519Verify.
+void BM_Ed25519VerifyBatch(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  std::vector<Bytes> pks, msgs, sigs;
+  for (std::size_t i = 0; i < k; ++i) {
+    const Bytes seed = sha256(to_bytes("batch-key-" + std::to_string(i)));
+    pks.push_back(ed25519::derive_public(seed));
+    msgs.push_back(to_bytes("prepare view=3 sender=" + std::to_string(i)));
+    sigs.push_back(ed25519::sign(seed, msgs.back()));
+  }
+  std::vector<ed25519::SigCheck> checks;
+  for (std::size_t i = 0; i < k; ++i) {
+    checks.push_back({pks[i], msgs[i], sigs[i]});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ed25519::verify_batch(checks));
+  }
+  state.counters["per_sig"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * k),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_Ed25519VerifyBatch)->Arg(2)->Arg(3)->Arg(4)->Arg(8);
+
 void BM_Ed25519SignColdKey(benchmark::State& state) {
   const std::vector<Bytes> seeds = cold_seeds();
   const Bytes msg = to_bytes("propose view=3 value=batch");

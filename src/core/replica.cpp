@@ -158,19 +158,7 @@ void Replica::enter_view(View v) {
   if (v == 1) {
     if (leader_for(v) == cfg_.id) {
       // Lines 2-3: first-view leader proposes its own value directly.
-      SignedProposal prop;
-      prop.view = v;
-      prop.value = cfg_.my_value;
-      prop.leader_sig = cfg_.suite->sign(
-          cfg_.secret_key, SignedProposal::signing_bytes(v, prop.value));
-      ProposeMsg msg;
-      msg.proposal = std::move(prop);
-      msg.sender = cfg_.id;
-      msg.sender_sig =
-          cfg_.suite->sign(cfg_.secret_key, msg.signing_bytes());
-      host_.broadcast(tag_byte(MsgTag::kPropose), msg.to_bytes());
-      proposed_this_view_ = true;
-      pending_proposes_.emplace(v, std::move(msg));  // self-delivery
+      propose(cfg_.my_value, {});
     }
   } else {
     // Line 5: report the latest prepared value to the new leader.
@@ -190,8 +178,33 @@ void Replica::send_new_leader() {
   msg.cert = prepared_cert_;
   msg.sender = cfg_.id;
   msg.sender_sig = cfg_.suite->sign(cfg_.secret_key, msg.signing_bytes());
+  // As the view's leader this replica receives its own report back.
+  vouch_for([&] { return VC::digest_key(msg.content_digest(), 'N', 0); });
   host_.send(leader_for(cur_view_), tag_byte(MsgTag::kNewLeader),
               msg.to_bytes());
+}
+
+void Replica::propose(const Bytes& value,
+                      std::vector<NewLeaderMsg> justification) {
+  SignedProposal prop;
+  prop.view = cur_view_;
+  prop.value = value;
+  const Bytes tuple = SignedProposal::signing_bytes(cur_view_, prop.value);
+  prop.leader_sig = cfg_.suite->sign(cfg_.secret_key, tuple);
+  // Every Prepare and Commit of the view carries this tuple back.
+  vouch_for([&] { return VC::signed_key('L', tuple, prop.leader_sig); });
+
+  ProposeMsg msg;
+  msg.proposal = std::move(prop);
+  msg.justification = std::move(justification);
+  msg.sender = cfg_.id;
+  const Bytes signing = msg.signing_bytes();
+  msg.sender_sig = cfg_.suite->sign(cfg_.secret_key, signing);
+  // A peer that detects equivocation gossips this Propose back.
+  vouch_for([&] { return VC::signed_key('R', signing, msg.sender_sig); });
+  host_.broadcast(tag_byte(MsgTag::kPropose), msg.to_bytes());
+  proposed_this_view_ = true;
+  pending_proposes_.emplace(cur_view_, std::move(msg));  // self-delivery
 }
 
 // ---------------- Propose path ----------------
@@ -229,15 +242,7 @@ void Replica::try_vote() {
   voted_ = true;
   proposal_ = msg;
 
-  auto sampled = draw_sample("prepare");
-  PhaseMsg prepare;
-  prepare.proposal = proposal_->proposal;
-  prepare.sample = std::move(sampled.sample);
-  prepare.vrf_proof = std::move(sampled.proof);
-  prepare.sender = cfg_.id;
-  prepare.sender_sig = cfg_.suite->sign(
-      cfg_.secret_key, prepare.signing_bytes(MsgTag::kPrepare));
-  multicast_phase(MsgTag::kPrepare, prepare.sample, prepare.to_bytes());
+  send_phase(MsgTag::kPrepare);
   // Early-arriving Prepares may already complete a quorum.
   try_prepare_quorum();
 }
@@ -290,21 +295,7 @@ void Replica::try_lead() {
   new_leader_msgs_.erase(it);
 
   const auto chosen = choose_value(m_set);
-  SignedProposal prop;
-  prop.view = cur_view_;
-  prop.value = chosen.value_or(cfg_.my_value);
-  prop.leader_sig = cfg_.suite->sign(
-      cfg_.secret_key,
-      SignedProposal::signing_bytes(cur_view_, prop.value));
-
-  ProposeMsg msg;
-  msg.proposal = std::move(prop);
-  msg.justification = std::move(m_set);
-  msg.sender = cfg_.id;
-  msg.sender_sig = cfg_.suite->sign(cfg_.secret_key, msg.signing_bytes());
-  host_.broadcast(tag_byte(MsgTag::kPropose), msg.to_bytes());
-  proposed_this_view_ = true;
-  pending_proposes_.emplace(cur_view_, std::move(msg));  // self-delivery
+  propose(chosen.value_or(cfg_.my_value), std::move(m_set));
   try_vote();
 }
 
@@ -319,6 +310,14 @@ void Replica::handle_phase(MsgTag tag, const Bytes& raw) {
     return;
   }
   if (msg.proposal.view < cur_view_) return;
+  // Past its quorum a current-view message can no longer count: its
+  // bucket is read only by try_prepare_quorum / try_commit_quorum, which
+  // return early in exactly these states. Drop it before paying for its
+  // signatures.
+  if (msg.proposal.view == cur_view_ &&
+      (tag == MsgTag::kPrepare ? committed_this_view_ : decided_.has_value())) {
+    return;
+  }
   if (!verify_phase_msg(tag, msg, cfg_.id)) return;
 
   const ValueKey key{msg.proposal.view, value_digest(msg.proposal.value)};
@@ -348,16 +347,8 @@ void Replica::try_prepare_quorum() {
     prepared_cert_.push_back(std::make_shared<PhaseMsg>(msg));
   }
 
-  auto sampled = draw_sample("commit");
-  PhaseMsg commit;
-  commit.proposal = proposal_->proposal;
-  commit.sample = std::move(sampled.sample);
-  commit.vrf_proof = std::move(sampled.proof);
-  commit.sender = cfg_.id;
-  commit.sender_sig = cfg_.suite->sign(
-      cfg_.secret_key, commit.signing_bytes(MsgTag::kCommit));
   committed_this_view_ = true;
-  multicast_phase(MsgTag::kCommit, commit.sample, commit.to_bytes());
+  send_phase(MsgTag::kCommit);
   try_commit_quorum();
 }
 
@@ -427,6 +418,11 @@ std::optional<bool> Replica::cache_lookup(const Bytes& key) const {
 
 void Replica::cache_store(Bytes key, bool ok) const {
   cache_.store(std::move(key), ok);
+}
+
+template <typename KeyFn>
+void Replica::vouch_for(KeyFn&& key) const {
+  if (cfg_.fast_verify) cache_store(key(), true);
 }
 
 bool Replica::propose_sender_sig_ok(const ProposeMsg& m) const {
@@ -665,10 +661,23 @@ Bytes Replica::value_digest(const Bytes& value) const {
   return crypto::sha256(ByteSpan(value.data(), value.size()));
 }
 
-void Replica::multicast_phase(MsgTag tag, const std::vector<ReplicaId>& sample,
-                              const Bytes& payload) {
-  for (const ReplicaId to : sample) {
-    host_.send(to, static_cast<std::uint8_t>(tag), payload);
+void Replica::send_phase(MsgTag tag) {
+  auto sampled = draw_sample(tag == MsgTag::kPrepare ? "prepare" : "commit");
+  PhaseMsg msg;
+  msg.proposal = proposal_->proposal;
+  msg.sample = std::move(sampled.sample);
+  msg.vrf_proof = std::move(sampled.proof);
+  msg.sender = cfg_.id;
+  msg.sender_sig = cfg_.suite->sign(cfg_.secret_key, msg.signing_bytes(tag));
+  // The sample may include this replica, whose copy comes back through the
+  // transport. The leader tuple was verified on accepting the proposal (or
+  // signed here), the rest was just produced.
+  vouch_for([&] {
+    return VC::digest_key(msg.content_digest(), 'P', tag_byte(tag));
+  });
+  const Bytes payload = msg.to_bytes();
+  for (const ReplicaId to : msg.sample) {
+    host_.send(to, tag_byte(tag), payload);
   }
 }
 

@@ -176,10 +176,19 @@ class Replica : public INode {
                             bool include_sender_sigs) const;
   [[nodiscard]] std::optional<bool> cache_lookup(const Bytes& key) const;
   void cache_store(Bytes key, bool ok) const;
+  /// With fast_verify on, caches a valid verdict under key() for a message
+  /// this replica just signed, so its own copy costs a lookup when it comes
+  /// back. The key covers the signature: a variant signed by anyone else
+  /// misses and is verified as usual.
+  template <typename KeyFn>
+  void vouch_for(KeyFn&& key) const;
   [[nodiscard]] Bytes value_digest(const Bytes& value) const;
   void send_new_leader();
-  void multicast_phase(MsgTag tag, const std::vector<ReplicaId>& sample,
-                       const Bytes& payload);
+  /// Signs and broadcasts ⟨Propose, ⟨cur_view_, value⟩, justification⟩.
+  void propose(const Bytes& value, std::vector<NewLeaderMsg> justification);
+  /// Draws this view's sample for `tag` and multicasts the signed
+  /// Prepare/Commit for the accepted proposal to it.
+  void send_phase(MsgTag tag);
 
   ReplicaConfig cfg_;
   ProtocolHost host_;

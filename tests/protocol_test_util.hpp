@@ -54,10 +54,11 @@ class TestBed {
   }
 
   /// Builds a ProBFT replica whose sends land in `outbox` and whose timers
-  /// land in `timers` (fire manually with fire_timers()).
+  /// land in `timers` (fire manually with fire_timers()). `suite` (null:
+  /// the bed's own) must accept the bed's keys.
   std::unique_ptr<core::Replica> make_replica(
       ReplicaId id, Bytes my_value = to_bytes("own-value"),
-      bool fast_verify = true) {
+      bool fast_verify = true, const crypto::CryptoSuite* suite = nullptr) {
     core::ReplicaConfig rc;
     rc.id = id;
     rc.n = n_;
@@ -66,7 +67,7 @@ class TestBed {
     rc.l = l_;
     rc.fast_verify = fast_verify;
     rc.my_value = std::move(my_value);
-    rc.suite = suite_.get();
+    rc.suite = suite != nullptr ? suite : suite_.get();
     rc.secret_key = keys_[id].secret_key;
     rc.public_keys = public_keys_;
     core::ProtocolHost hooks;

@@ -6,6 +6,9 @@
 // and at the cluster level on full view-change runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "counting_suite.hpp"
 #include "protocol_test_util.hpp"
 #include "sim/cluster.hpp"
 
@@ -104,6 +107,121 @@ TEST_F(FastVerifyTest, NegativeVerdictsAreCachedExactly) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_FALSE(fast_->safe_proposal(m));
     EXPECT_FALSE(slow_->safe_proposal(m));
+  }
+}
+
+/// The payload of the first message in `bed`'s outbox sent to `to` with
+/// `tag` (empty if none).
+Bytes sent_to(const TestBed& bed, ReplicaId to, MsgTag tag) {
+  const auto it = std::find_if(
+      bed.outbox.begin(), bed.outbox.end(), [&](const auto& sent) {
+        return sent.to == to && sent.tag == tag_byte(tag);
+      });
+  return it == bed.outbox.end() ? Bytes{} : it->payload;
+}
+
+// A replica vouches in its verdict cache for every message it signs, so
+// its own copy costs a lookup when the transport delivers it back. The
+// cache key covers the signature: anything else claiming the same content
+// is still verified.
+
+TEST(FastVerifyVouch, TamperedCopyOfOwnPrepareIsRejected) {
+  TestBed bed(9, 2, 1.7, 3.0);  // q == s == n: every Prepare is needed
+  auto replica = bed.make_replica(5);
+  replica->start();
+  const Bytes value = to_bytes("v");
+  replica->on_message(1, tag_byte(MsgTag::kPropose),
+                      bed.make_propose(1, value, 1).to_bytes());
+  const Bytes own = sent_to(bed, 5, MsgTag::kPrepare);
+  ASSERT_FALSE(own.empty());
+
+  // This replica's id and content under one flipped signature byte,
+  // relayed by a peer after the genuine Prepare was vouched for.
+  PhaseMsg forged = PhaseMsg::from_bytes(own);
+  forged.sender_sig[0] ^= 1;
+  replica->on_message(3, tag_byte(MsgTag::kPrepare), forged.to_bytes());
+  for (ReplicaId sender = 1; sender <= bed.n(); ++sender) {
+    if (sender == 5) continue;
+    replica->on_message(
+        sender, tag_byte(MsgTag::kPrepare),
+        bed.make_phase(MsgTag::kPrepare, 1, value, sender, 1).to_bytes());
+  }
+  EXPECT_EQ(replica->prepared_view(), 0U) << "forged copy was counted";
+  replica->on_message(5, tag_byte(MsgTag::kPrepare), own);
+  EXPECT_EQ(replica->prepared_view(), 1U);
+}
+
+TEST(FastVerifyVouch, ForgedLeaderSignatureIsRejectedAtTheLeader) {
+  TestBed bed(9, 2, 1.7, 3.0);
+  auto leader = bed.make_replica(1);  // view 1's leader proposes on start
+  leader->start();
+  const Bytes value = leader->config().my_value;
+  const Bytes own = sent_to(bed, 1, MsgTag::kPrepare);
+  ASSERT_FALSE(own.empty());
+  leader->on_message(1, tag_byte(MsgTag::kPrepare), own);
+
+  // The leader's own tuple under a forged leader signature, in a Prepare
+  // that peer 3 signed correctly.
+  PhaseMsg forged = bed.make_phase(MsgTag::kPrepare, 1, value, 3, 1);
+  forged.proposal.leader_sig[0] ^= 1;
+  forged.sender_sig = bed.suite().sign(
+      bed.secret(3), forged.signing_bytes(MsgTag::kPrepare));
+  leader->on_message(3, tag_byte(MsgTag::kPrepare), forged.to_bytes());
+  for (ReplicaId sender = 2; sender <= bed.n(); ++sender) {
+    if (sender == 3) continue;
+    leader->on_message(
+        sender, tag_byte(MsgTag::kPrepare),
+        bed.make_phase(MsgTag::kPrepare, 1, value, sender, 1).to_bytes());
+  }
+  EXPECT_EQ(leader->prepared_view(), 0U) << "forged tuple was counted";
+  EXPECT_FALSE(leader->view_blocked());
+  leader->on_message(
+      3, tag_byte(MsgTag::kPrepare),
+      bed.make_phase(MsgTag::kPrepare, 1, value, 3, 1).to_bytes());
+  EXPECT_EQ(leader->prepared_view(), 1U);
+}
+
+TEST(FastVerifyVouch, PhaseMessagesPastTheirQuorumAreNotVerified) {
+  // The Prepare and Commit buckets only feed the quorum checks, so once
+  // this replica has sent its Commit (resp. decided) a late Prepare
+  // (resp. Commit) is dropped unverified, with the fast path on or off.
+  for (const bool fast_verify : {true, false}) {
+    TestBed bed(9, 2, 1.7, 2.0);  // q = 6 < s = n = 9
+    testutil::CountingSuite counting(crypto::make_sim_suite());
+    auto replica =
+        bed.make_replica(5, to_bytes("own-value"), fast_verify, &counting);
+    replica->start();
+    const Bytes value = to_bytes("v");
+    const auto deliver = [&](MsgTag tag, ReplicaId sender) {
+      replica->on_message(
+          sender, tag_byte(tag),
+          bed.make_phase(tag, 1, value, sender, 1).to_bytes());
+    };
+    const auto verify_calls = [&] {
+      return counting.verifies + counting.vrf_verifies;
+    };
+    replica->on_message(1, tag_byte(MsgTag::kPropose),
+                        bed.make_propose(1, value, 1).to_bytes());
+    for (const ReplicaId sender : {1U, 2U, 3U, 4U, 6U, 7U}) {
+      deliver(MsgTag::kPrepare, sender);
+    }
+    ASSERT_EQ(replica->prepared_view(), 1U);
+    ASSERT_FALSE(sent_to(bed, 9, MsgTag::kCommit).empty());
+
+    auto before = verify_calls();
+    deliver(MsgTag::kPrepare, 8);
+    EXPECT_EQ(verify_calls(), before) << "fast_verify " << fast_verify;
+
+    for (const ReplicaId sender : {1U, 2U, 3U, 4U, 6U, 7U}) {
+      deliver(MsgTag::kCommit, sender);
+    }
+    ASSERT_TRUE(replica->decided());
+    before = verify_calls();
+    deliver(MsgTag::kCommit, 8);
+    deliver(MsgTag::kPrepare, 9);
+    EXPECT_EQ(verify_calls(), before) << "fast_verify " << fast_verify;
+    EXPECT_EQ(replica->decided_value(), value);
+    EXPECT_EQ(bed.decisions.size(), 1U);
   }
 }
 
