@@ -431,9 +431,9 @@ bool Replica::propose_sender_sig_ok(const ProposeMsg& m) const {
     return cfg_.suite->verify(cfg_.public_keys[m.sender],
                               ByteSpan(msg.data(), msg.size()), m.sender_sig);
   }
-  // Cached under 'R' so the verify pool can pre-warm it; the signing bytes
-  // are digest-based, so rebuilding them here is cheap even for a Propose
-  // carrying a large justification.
+  // Cached under 'R', where the leader vouches for its own Propose; the
+  // signing bytes are digest-based, so rebuilding them here is cheap even
+  // for a Propose carrying a large justification.
   Bytes key = VC::signed_key('R', ByteSpan(msg.data(), msg.size()),
                              m.sender_sig);
   if (const auto hit = cache_lookup(key)) return *hit;

@@ -157,7 +157,7 @@ class Replica : public INode {
   }
   [[nodiscard]] bool verify_leader_sig(const SignedProposal& p) const;
   /// The Propose sender signature, memoized under 'R' when fast_verify is
-  /// on (lets the verify pool pre-warm it).
+  /// on (the leader vouches for its own Propose there).
   [[nodiscard]] bool propose_sender_sig_ok(const ProposeMsg& m) const;
   [[nodiscard]] bool verify_phase_msg(MsgTag tag, const PhaseMsg& m,
                                       ReplicaId addressee) const;

@@ -21,10 +21,6 @@ constexpr char kApplyMagic[] = "DXA1";
 /// Keys per transaction (bounds tracker state against hostile requests).
 constexpr std::size_t kMaxDtxKeys = 64;
 
-[[nodiscard]] ByteSpan span(const Bytes& b) {
-  return ByteSpan(b.data(), b.size());
-}
-
 [[nodiscard]] bool has_magic(const Bytes& payload, const char* magic) {
   return payload.size() >= 4 && std::equal(magic, magic + 4, payload.begin());
 }
@@ -34,7 +30,7 @@ void put_magic(Writer& w, const char* magic) {
 }
 
 void encode_keys(Writer& w, const std::vector<Bytes>& keys) {
-  w.vec(keys, [](Writer& wr, const Bytes& key) { wr.bytes(span(key)); });
+  w.vec(keys, [](Writer& wr, const Bytes& key) { wr.bytes(key); });
 }
 
 [[nodiscard]] std::vector<Bytes> decode_keys(Reader& r) {
@@ -64,7 +60,7 @@ bool DtxCoordinator::is_bookkeeping(ShardId shard, std::uint64_t client,
   if (payload.size() < 12 || payload[0] != 'D' || payload[1] != 'X') {
     return false;  // cheap reject for ordinary traffic
   }
-  Reader r(span(payload));
+  Reader r(payload);
   (void)r.raw(4);
   const std::uint64_t txid = r.u64();
   if (has_magic(payload, kBeginMagic) || has_magic(payload, kDecideMagic)) {
@@ -82,9 +78,9 @@ std::uint64_t DtxCoordinator::txid_of(std::uint64_t client,
   Writer w;
   w.u64(client);
   w.u64(seq);
-  w.bytes(span(payload));
+  w.bytes(payload);
   const Bytes buf = std::move(w).take();
-  return key_hash(span(buf));
+  return key_hash(buf);
 }
 
 std::uint64_t DtxCoordinator::coord_client(std::uint64_t txid) {
@@ -92,7 +88,7 @@ std::uint64_t DtxCoordinator::coord_client(std::uint64_t txid) {
   put_magic(w, "dxtC");
   w.u64(txid);
   const Bytes buf = std::move(w).take();
-  return key_hash(span(buf));
+  return key_hash(buf);
 }
 
 std::uint64_t DtxCoordinator::part_client(std::uint64_t txid, ShardId shard) {
@@ -101,16 +97,16 @@ std::uint64_t DtxCoordinator::part_client(std::uint64_t txid, ShardId shard) {
   w.u64(txid);
   w.u32(shard);
   const Bytes buf = std::move(w).take();
-  return key_hash(span(buf));
+  return key_hash(buf);
 }
 
 void DtxCoordinator::place(Tx& tx, std::vector<Bytes> keys) {
   tx.keys = std::move(keys);
   tx.by_shard.clear();
   for (const Bytes& key : tx.keys) {
-    tx.by_shard[service_.placement().shard_of(span(key))].push_back(key);
+    tx.by_shard[service_.placement().shard_of(key)].push_back(key);
   }
-  tx.coord = service_.placement().shard_of(span(tx.keys.front()));
+  tx.coord = service_.placement().shard_of(tx.keys.front());
 }
 
 bool DtxCoordinator::submit(std::uint64_t client, std::uint64_t seq,
@@ -118,7 +114,7 @@ bool DtxCoordinator::submit(std::uint64_t client, std::uint64_t seq,
   if (!is_dtx_request(payload)) return false;
   std::vector<Bytes> keys;
   try {
-    Reader r(span(payload));
+    Reader r(payload);
     (void)r.raw(4);  // magic
     keys = decode_keys(r);
     r.expect_exhausted();
@@ -232,7 +228,7 @@ DtxCoordinator::Tx* DtxCoordinator::apply_entry(ShardId shard,
   if (!is_bookkeeping(shard, client, payload)) return nullptr;
   try {
     if (has_magic(payload, kBeginMagic)) {
-      Reader r(span(payload));
+      Reader r(payload);
       (void)r.raw(4);
       const std::uint64_t txid = r.u64();
       const std::uint64_t origin_client = r.u64();
@@ -254,7 +250,7 @@ DtxCoordinator::Tx* DtxCoordinator::apply_entry(ShardId shard,
     if (has_magic(payload, kPrepareMagic) ||
         has_magic(payload, kApplyMagic)) {
       const bool is_apply = has_magic(payload, kApplyMagic);
-      Reader r(span(payload));
+      Reader r(payload);
       (void)r.raw(4);
       const std::uint64_t txid = r.u64();
       const ShardId claimed = r.u32();
@@ -267,7 +263,7 @@ DtxCoordinator::Tx* DtxCoordinator::apply_entry(ShardId shard,
       return &tx;
     }
     if (has_magic(payload, kDecideMagic)) {
-      Reader r(span(payload));
+      Reader r(payload);
       (void)r.raw(4);
       const std::uint64_t txid = r.u64();
       const std::uint8_t commit = r.u8();

@@ -5,17 +5,9 @@
 
 #include "common/codec.hpp"
 #include "smr/batch.hpp"
-#include "smr/read_view.hpp"
+#include "smr/reads.hpp"
 
 namespace probft::shard {
-
-namespace {
-
-[[nodiscard]] ByteSpan span(const Bytes& b) {
-  return ByteSpan(b.data(), b.size());
-}
-
-}  // namespace
 
 ShardedSmr::ShardedSmr(ShardedSmrConfig config, core::ProtocolHost host)
     : cfg_(std::move(config)), host_(std::move(host)), placement_(cfg_.map) {
@@ -57,14 +49,14 @@ core::ProtocolHost ShardedSmr::group_host(ShardId s) {
     Writer w;
     w.u32(s);
     w.u8(tag);
-    w.raw(span(m));
+    w.raw(m);
     host_.send(to, kShardTag, std::move(w).take());
   };
   gh.broadcast = [this, s](std::uint8_t tag, const Bytes& m) {
     Writer w;
     w.u32(s);
     w.u8(tag);
-    w.raw(span(m));
+    w.raw(m);
     host_.broadcast(kShardTag, std::move(w).take());
   };
   // Groups are never destroyed before the service, so timers pass through
@@ -84,13 +76,13 @@ bool ShardedSmr::submit_request(std::uint64_t client, std::uint64_t seq,
 }
 
 ShardId ShardedSmr::owner_of(const Bytes& payload) const {
-  return placement_.shard_of(smr::read_view_key(span(payload)));
+  return placement_.shard_of(smr::read_view_key(payload));
 }
 
 void ShardedSmr::submit_read(Bytes key, net::ReadConsistency consistency,
                              std::uint64_t min_index,
                              smr::SmrReplica::ReadCallback cb) {
-  const ShardId s = placement_.shard_of(span(key));
+  const ShardId s = placement_.shard_of(key);
   groups_[s]->submit_read(std::move(key), consistency, min_index,
                           std::move(cb));
 }
@@ -103,7 +95,7 @@ bool ShardedSmr::submit_to_shard(ShardId s, std::uint64_t client,
 
 void ShardedSmr::handle_forward(ReplicaId from, const Bytes& payload) {
   (void)from;  // any replica may forward; dedup makes replays harmless
-  Reader r(span(payload));
+  Reader r(payload);
   const std::uint64_t version = r.u64();
   const ShardId s = r.u32();
   smr::Request req = smr::Request::decode(r);
@@ -127,7 +119,7 @@ void ShardedSmr::on_message(ReplicaId from, std::uint8_t tag,
   try {
     switch (tag) {
       case kShardTag: {
-        Reader r(span(payload));
+        Reader r(payload);
         const ShardId s = r.u32();
         const std::uint8_t inner_tag = r.u8();
         Bytes inner = r.raw(r.remaining());

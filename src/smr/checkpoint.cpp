@@ -142,9 +142,7 @@ bool verify_checkpoint_cert(const CheckpointCert& cert, std::uint32_t n,
   for (const auto& [signer, signature] : cert.signatures) {
     if (signer == 0 || signer > n) return false;
     if (!seen.insert(signer).second) return false;  // duplicate signer
-    if (!suite.verify(ByteSpan(keys[signer].data(), keys[signer].size()),
-                      ByteSpan(msg.data(), msg.size()),
-                      ByteSpan(signature.data(), signature.size()))) {
+    if (!suite.verify(keys[signer], msg, signature)) {
       return false;
     }
   }

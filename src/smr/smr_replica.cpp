@@ -32,19 +32,12 @@ constexpr std::size_t kMaxTrackedCkpts = 8;
 /// grow the tally unboundedly).
 constexpr std::size_t kMaxCkptDigests = 4;
 
-/// Cap on view-change frames deferred while lease promises are live (the
-/// synchronizer wishes at most once per view per slot, so this is far
-/// above any honest volume).
-constexpr std::size_t kMaxDeferredVc = 4096;
-
-[[nodiscard]] ByteSpan span(const Bytes& b) {
-  return ByteSpan(b.data(), b.size());
-}
-
 }  // namespace
 
 SmrReplica::SmrReplica(SmrConfig config, core::ProtocolHost host)
-    : cfg_(std::move(config)), host_(std::move(host)) {
+    : cfg_(std::move(config)),
+      host_(std::move(host)),
+      reads_(cfg_, host_, [this] { arm_catchup(); }) {
   if (cfg_.id == 0 || cfg_.id > cfg_.n || cfg_.suite == nullptr ||
       cfg_.public_keys.size() != cfg_.n + 1 ||
       cfg_.pipeline.max_slots == 0 || cfg_.pipeline.window == 0 ||
@@ -71,7 +64,7 @@ void SmrReplica::start() {
     host_.broadcast(kSmrPullTag, std::move(w).take());
   }
   maybe_open_slots(/*pace_expired=*/false);
-  request_lease();
+  reads_.start();
 }
 
 void SmrReplica::submit(Bytes command) {
@@ -362,37 +355,10 @@ void SmrReplica::open_next_slot() {
   core::ProtocolHost slot_host;
   slot_host.send = [this, slot](ReplicaId to, std::uint8_t tag,
                                 const Bytes& m) {
-    Writer w;
-    w.u64(slot);
-    w.u8(tag);
-    w.raw(m);
-    Bytes frame = std::move(w).take();
-    // Lease promise: while this replica has promised not to depose the
-    // lease holder, its own view-change traffic is deferred (NOT dropped
-    // — the synchronizer wishes once, so a drop would wedge liveness).
-    if (promise_live_ > 0 && (tag == net::tags::kNewLeader ||
-                              tag == net::tags::kWish)) {
-      if (deferred_vc_.size() < kMaxDeferredVc) {
-        deferred_vc_.push_back(DeferredFrame{to, std::move(frame)});
-      }
-      return;
-    }
-    host_.send(to, kSmrTag, std::move(frame));
+    send_slot(to, slot, tag, m);
   };
   slot_host.broadcast = [this, slot](std::uint8_t tag, const Bytes& m) {
-    Writer w;
-    w.u64(slot);
-    w.u8(tag);
-    w.raw(m);
-    Bytes frame = std::move(w).take();
-    if (promise_live_ > 0 && (tag == net::tags::kNewLeader ||
-                              tag == net::tags::kWish)) {
-      if (deferred_vc_.size() < kMaxDeferredVc) {
-        deferred_vc_.push_back(DeferredFrame{0, std::move(frame)});
-      }
-      return;
-    }
-    host_.broadcast(kSmrTag, std::move(frame));
+    send_slot(0, slot, tag, m);
   };
   // Retired instances are destroyed while their timers may still be in
   // flight; the wrapper drops a firing whose slot is gone.
@@ -424,20 +390,25 @@ void SmrReplica::open_next_slot() {
   }
 }
 
+void SmrReplica::send_slot(ReplicaId to, std::uint64_t slot,
+                           std::uint8_t tag, const Bytes& m) {
+  Writer w;
+  w.u64(slot);
+  w.u8(tag);
+  w.raw(m);
+  Bytes frame = std::move(w).take();
+  if (reads_.hold_back(to, tag, frame)) return;
+  if (to == 0) {
+    host_.broadcast(kSmrTag, std::move(frame));
+  } else {
+    host_.send(to, kSmrTag, std::move(frame));
+  }
+}
+
 void SmrReplica::on_slot_decided(std::uint64_t slot, const Bytes& value,
                                  View view) {
   raise_engine_view(view);
-  // Lease poisoning: a decide at view > 1 proves a view change happened,
-  // so the view-1 leader's "every decided write went through me" premise
-  // is dead — it must stop serving lease reads AND every replica that saw
-  // the decide must stop granting it fresh leases. A decide of unknown
-  // view (hint adoption, view = 0) poisons only the leader itself: a
-  // leader with a healthy lease never needs catch-up hints, and granters
-  // routinely do.
-  if (cfg_.pipeline.serve_reads &&
-      (view > 1 || (view == 0 && is_lease_leader()))) {
-    lease_poisoned_ = true;
-  }
+  reads_.on_decide(view);
   if (slot < exec_slots()) return;  // already executed
   decided_out_of_order_.emplace(slot, value);
   execute_ready_slots();
@@ -447,7 +418,7 @@ Bytes SmrReplica::encode_decide_record(std::uint64_t slot,
                                        const Bytes& value) {
   Writer w;
   w.u64(slot);
-  w.bytes(span(value));
+  w.bytes(value);
   return std::move(w).take();
 }
 
@@ -471,7 +442,7 @@ void SmrReplica::execute_ready_slots() {
 
     Batch batch;
     try {
-      batch = decode_batch(span(value), limits_);
+      batch = decode_batch(value, limits_);
     } catch (const CodecError&) {
       batch.clear();  // unreachable behind the validity predicate
     }
@@ -487,7 +458,7 @@ void SmrReplica::execute_ready_slots() {
       exec.payload = req.payload;
       ++exec_count_;
       exec_log_.push_back({req.client, std::move(req.payload)});
-      read_view_.apply(exec.slot, exec.index, exec.payload);
+      reads_.apply(exec.slot, exec.index, exec.payload);
       if (!recovering_) {
         if (host_.on_commit) host_.on_commit(exec.index, exec.payload);
         if (cfg_.on_execute) cfg_.on_execute(exec);
@@ -507,12 +478,12 @@ void SmrReplica::execute_ready_slots() {
 
     log_.push_back(std::move(value));
     chain_ = chain_digest(chain_, log_.back());
-    read_view_.set_watermark(exec_slots());
+    reads_.set_executed(exec_slots());
     advanced = true;
     maybe_checkpoint();
   }
   if (advanced) {
-    drain_parked_reads();
+    reads_.drain_parked_reads();
     retire_executed_slots();
     // Traffic that raced ahead of the window is replayed as soon as its
     // slot fits: the sender may have nothing more to say until this
@@ -589,7 +560,7 @@ void SmrReplica::maybe_checkpoint() {
   CheckpointState state = snapshot_state();
   Bytes digest = state.digest();
   const Bytes msg = checkpoint_signing_bytes(slot, digest);
-  Bytes sig = cfg_.suite->sign(span(cfg_.secret_key), span(msg));
+  Bytes sig = cfg_.suite->sign(cfg_.secret_key, msg);
   record_ckpt_vote(slot, digest, cfg_.id, sig);
   if (pending_states_.size() >= kMaxTrackedCkpts) {
     pending_states_.erase(pending_states_.begin());
@@ -648,28 +619,32 @@ void SmrReplica::try_stabilize(std::uint64_t slot) {
 void SmrReplica::stabilize(CheckpointState state, CheckpointCert cert) {
   const std::uint64_t slot = state.slot;
   if (slot <= stable_slot_ && stable_.has_value()) return;
-  // Persist before truncating memory: the WAL's new segment carries the
-  // retained tail, the snapshot record carries state + cert.
+  set_stable(std::move(state), std::move(cert));
+  log_.erase(log_.begin(),
+             log_.begin() + static_cast<std::ptrdiff_t>(slot - log_base_));
+  log_base_ = slot;
+}
+
+void SmrReplica::set_stable(CheckpointState state, CheckpointCert cert) {
+  const std::uint64_t slot = state.slot;
   if (cfg_.wal != nullptr && !recovering_) {
+    // Persist before truncating memory: the WAL's new segment carries the
+    // retained tail [slot, exec), the snapshot record carries state + cert.
     Writer w;
     state.encode(w);
     cert.encode(w);
     std::vector<Bytes> tail;
-    tail.reserve(log_.size() - (slot - log_base_));
-    for (std::size_t i = slot - log_base_; i < log_.size(); ++i) {
-      tail.push_back(encode_decide_record(log_base_ + i, log_[i]));
+    for (std::uint64_t s = slot; s < exec_slots(); ++s) {
+      tail.push_back(encode_decide_record(s, log_[s - log_base_]));
     }
     cfg_.wal->checkpoint(slot, std::move(w).take(), tail);
   }
-  log_.erase(log_.begin(),
-             log_.begin() + static_cast<std::ptrdiff_t>(slot - log_base_));
-  log_base_ = slot;
   hint_wire_.erase(hint_wire_.begin(), hint_wire_.lower_bound(slot));
-  stable_slot_ = slot;
-  stable_ = std::make_pair(std::move(state), std::move(cert));
   pending_states_.erase(pending_states_.begin(),
                         pending_states_.upper_bound(slot));
   ckpt_votes_.erase(ckpt_votes_.begin(), ckpt_votes_.upper_bound(slot));
+  stable_slot_ = slot;
+  stable_ = std::make_pair(std::move(state), std::move(cert));
 }
 
 void SmrReplica::install_checkpoint(CheckpointState state,
@@ -689,19 +664,14 @@ void SmrReplica::install_checkpoint(CheckpointState state,
   scrub_executed();
 
   // Jump the log: everything below `slot` is summarized by the cert.
-  // exec_log_ keeps only locally-executed requests (documented gap).
-  // The ReadView misses every write in the skipped stretch, so reads are
-  // permanently rejected here (the checkpoint carries the dedup table,
-  // not the KV image); and slots we never drove may have decided at
-  // view > 1, so lease serving/granting is poisoned too.
-  read_view_gap_ = true;
-  if (cfg_.pipeline.serve_reads) lease_poisoned_ = true;
-  read_view_.set_watermark(slot);
+  // exec_log_ keeps only locally-executed requests (documented gap), and
+  // the read path misses every write in the skipped stretch (the
+  // checkpoint carries the dedup table, not the KV image).
+  reads_.on_prefix_jump(slot);
   exec_count_ = state.exec_count;
   chain_ = state.log_digest;
   log_.clear();
   log_base_ = slot;
-  hint_wire_.erase(hint_wire_.begin(), hint_wire_.lower_bound(slot));
   next_open_ = std::max(next_open_, slot);
   max_seen_slot_ = std::max(max_seen_slot_, slot);
 
@@ -714,18 +684,7 @@ void SmrReplica::install_checkpoint(CheckpointState state,
                               decided_out_of_order_.lower_bound(slot));
   buffered_.erase(buffered_.begin(), buffered_.lower_bound(slot));
   hints_.erase(hints_.begin(), hints_.lower_bound(slot));
-  pending_states_.erase(pending_states_.begin(),
-                        pending_states_.upper_bound(slot));
-  ckpt_votes_.erase(ckpt_votes_.begin(), ckpt_votes_.upper_bound(slot));
-
-  stable_slot_ = slot;
-  stable_ = std::make_pair(std::move(state), std::move(cert));
-  if (cfg_.wal != nullptr && !recovering_) {
-    Writer w;
-    stable_->first.encode(w);
-    stable_->second.encode(w);
-    cfg_.wal->checkpoint(slot, std::move(w).take(), {});
-  }
+  set_stable(std::move(state), std::move(cert));
 
   execute_ready_slots();  // buffered decisions above the base may be ready
   maybe_open_slots(/*pace_expired=*/false);
@@ -735,28 +694,17 @@ void SmrReplica::recover_from_wal() {
   recovering_ = true;
   const auto& snap = cfg_.wal->snapshot();
   if (snap.has_value()) {
-    Reader r(span(*snap));
+    Reader r(*snap);
     CheckpointState state = CheckpointState::decode(r);
     CheckpointCert cert = CheckpointCert::decode(r);
     r.expect_exhausted();
-    if (cert.slot != state.slot || cert.state_digest != state.digest() ||
-        !verify_checkpoint_cert(cert, cfg_.n, cfg_.f, *cfg_.suite,
-                                cfg_.public_keys)) {
+    if (!certifies(state, cert)) {
       throw std::runtime_error("SmrReplica: WAL checkpoint fails its cert");
     }
-    log_base_ = state.slot;
-    chain_ = state.log_digest;
-    exec_count_ = state.exec_count;
-    last_exec_ =
-        std::map<std::uint64_t, std::uint64_t>(state.last_exec.begin(),
-                                               state.last_exec.end());
-    next_open_ = state.slot;
-    max_seen_slot_ = state.slot;
-    stable_slot_ = state.slot;
-    stable_ = std::make_pair(std::move(state), std::move(cert));
+    install_checkpoint(std::move(state), std::move(cert));
   }
   for (const Bytes& record : cfg_.wal->records()) {
-    Reader r(span(record));
+    Reader r(record);
     const std::uint64_t slot = r.u64();
     Bytes value = r.bytes();
     r.expect_exhausted();
@@ -769,18 +717,7 @@ void SmrReplica::recover_from_wal() {
   }
   recovered_slots_ = exec_slots();
   if (next_open_ < exec_slots()) next_open_ = exec_slots();
-  if (snap.has_value()) {
-    // The snapshot summarizes slots whose payloads are gone — the
-    // ReadView cannot be rebuilt, so reads are rejected here for good.
-    read_view_gap_ = true;
-    read_view_.set_watermark(exec_slots());
-  }
-  if (recovered_slots_ > 0 && cfg_.pipeline.serve_reads) {
-    // Replayed decides carry no view information: conservatively assume
-    // one of them went through a view change and keep this replica out
-    // of the lease protocol (serving and granting) after a restart.
-    lease_poisoned_ = true;
-  }
+  if (recovered_slots_ > 0) reads_.on_replay();
   recovering_ = false;
 }
 
@@ -794,13 +731,12 @@ void SmrReplica::send_hint(ReplicaId to, std::uint64_t slot) {
   auto it = hint_wire_.find(slot);
   if (it == hint_wire_.end()) {
     const Bytes& value = log_[slot - log_base_];
-    const Bytes value_digest = crypto::sha256(span(value));
-    const Bytes msg = hint_signing_bytes(slot, value_digest);
-    Bytes sig = cfg_.suite->sign(span(cfg_.secret_key), span(msg));
+    const Bytes msg = hint_signing_bytes(slot, crypto::sha256(value));
+    Bytes sig = cfg_.suite->sign(cfg_.secret_key, msg);
     Writer w;
     w.u64(slot);
-    w.bytes(span(value));
-    w.bytes(span(sig));
+    w.bytes(value);
+    w.bytes(sig);
     it = hint_wire_.emplace(slot, std::move(w).take()).first;
   }
   host_.send(to, kSmrHintTag, it->second);
@@ -815,7 +751,7 @@ void SmrReplica::send_state(ReplicaId to) {
 }
 
 void SmrReplica::handle_slot_envelope(ReplicaId from, const Bytes& payload) {
-  Reader r(span(payload));
+  Reader r(payload);
   const std::uint64_t slot = r.u64();
   const std::uint8_t inner_tag = r.u8();
   Bytes inner = r.raw(r.remaining());
@@ -857,14 +793,14 @@ void SmrReplica::handle_slot_envelope(ReplicaId from, const Bytes& payload) {
 
 void SmrReplica::handle_forward(ReplicaId from, const Bytes& payload) {
   (void)from;  // any replica may forward; dedup makes replays harmless
-  Reader r(span(payload));
+  Reader r(payload);
   Request req = Request::decode(r);
   r.expect_exhausted();
   (void)enqueue(std::move(req));
 }
 
 void SmrReplica::handle_hint(ReplicaId from, const Bytes& payload) {
-  Reader r(span(payload));
+  Reader r(payload);
   const std::uint64_t slot = r.u64();
   Bytes value = r.bytes();
   Bytes signature = r.bytes();
@@ -876,12 +812,8 @@ void SmrReplica::handle_hint(ReplicaId from, const Bytes& payload) {
   // A voucher only counts if the hint verifies under the claimed sender's
   // key: a peer that forges f+1 sender ids still commands one keypair, so
   // it can never assemble f+1 valid vouchers for an undecided value.
-  const Bytes value_digest = crypto::sha256(span(value));
-  const Bytes msg = hint_signing_bytes(slot, value_digest);
-  if (!cfg_.suite->verify(span(cfg_.public_keys[from]), span(msg),
-                          span(signature))) {
-    return;
-  }
+  const Bytes msg = hint_signing_bytes(slot, crypto::sha256(value));
+  if (!cfg_.suite->verify(cfg_.public_keys[from], msg, signature)) return;
   auto& slot_hints = hints_[slot];
   auto vit = std::find_if(
       slot_hints.begin(), slot_hints.end(),
@@ -901,7 +833,7 @@ void SmrReplica::handle_hint(ReplicaId from, const Bytes& payload) {
 }
 
 void SmrReplica::handle_pull(ReplicaId from, const Bytes& payload) {
-  Reader r(span(payload));
+  Reader r(payload);
   const std::uint64_t slot = r.u64();
   r.expect_exhausted();
   if (slot < log_base_) {
@@ -919,7 +851,7 @@ void SmrReplica::handle_pull(ReplicaId from, const Bytes& payload) {
 }
 
 void SmrReplica::handle_ckpt_vote(ReplicaId from, const Bytes& payload) {
-  Reader r(span(payload));
+  Reader r(payload);
   CheckpointVote vote = CheckpointVote::decode(r);
   r.expect_exhausted();
   const std::uint64_t interval = cfg_.pipeline.checkpoint_interval;
@@ -929,8 +861,8 @@ void SmrReplica::handle_ckpt_vote(ReplicaId from, const Bytes& payload) {
     return;
   }
   const Bytes msg = checkpoint_signing_bytes(vote.slot, vote.state_digest);
-  if (!cfg_.suite->verify(span(cfg_.public_keys[vote.signer]), span(msg),
-                          span(vote.signature))) {
+  if (!cfg_.suite->verify(cfg_.public_keys[vote.signer], msg,
+                          vote.signature)) {
     return;
   }
   // A boundary vote also tells a straggler the cluster reached that slot.
@@ -943,248 +875,22 @@ void SmrReplica::handle_ckpt_vote(ReplicaId from, const Bytes& payload) {
 
 void SmrReplica::handle_state(ReplicaId from, const Bytes& payload) {
   (void)from;  // trust comes from the cert, not the channel
-  Reader r(span(payload));
+  Reader r(payload);
   CheckpointState state = CheckpointState::decode(r);
   CheckpointCert cert = CheckpointCert::decode(r);
   r.expect_exhausted();
   if (state.slot <= exec_slots()) return;  // not ahead of us
   if (state.slot > cfg_.pipeline.max_slots) return;
-  if (cert.slot != state.slot || cert.state_digest != state.digest()) return;
-  if (!verify_checkpoint_cert(cert, cfg_.n, cfg_.f, *cfg_.suite,
-                              cfg_.public_keys)) {
-    return;
-  }
-  install_checkpoint(std::move(state), std::move(cert));
-}
-
-// ---- read fast path ----
-
-void SmrReplica::answer_read(const Bytes& key, const ReadCallback& cb) {
-  ReadResult result;
-  result.status = net::ReplyStatus::kExecuted;
-  result.index = read_view_.watermark();
-  if (const ReadViewEntry* entry = read_view_.lookup(span(key))) {
-    result.slot = entry->slot;
-    result.value = entry->value;
-  }
-  ++reads_served_;
-  if (cb) cb(result);
-}
-
-void SmrReplica::reject_read(const ReadCallback& cb) {
-  ++reads_rejected_;
-  if (cb) cb(ReadResult{});  // default-constructed = kRejected
-}
-
-void SmrReplica::park_read(Bytes key, std::uint64_t wait_slots,
-                           ReadCallback cb) {
-  if (exec_slots() >= wait_slots) {
-    answer_read(key, cb);
-    return;
-  }
-  const std::uint64_t token = ++next_read_token_;
-  parked_reads_.emplace(wait_slots,
-                        ParkedRead{token, std::move(key), std::move(cb)});
-  arm_catchup();  // the wait point may already exist at peers — pull
-  host_.set_timer(cfg_.pipeline.read_timeout, [this, token] {
-    collect_retired();
-    for (auto it = parked_reads_.begin(); it != parked_reads_.end(); ++it) {
-      if (it->second.token != token) continue;
-      const ReadCallback cb = std::move(it->second.cb);
-      parked_reads_.erase(it);
-      reject_read(cb);
-      return;
-    }
-  });
-}
-
-void SmrReplica::drain_parked_reads() {
-  while (!parked_reads_.empty() &&
-         parked_reads_.begin()->first <= exec_slots()) {
-    ParkedRead ready = std::move(parked_reads_.begin()->second);
-    parked_reads_.erase(parked_reads_.begin());
-    answer_read(ready.key, ready.cb);
+  if (certifies(state, cert)) {
+    install_checkpoint(std::move(state), std::move(cert));
   }
 }
 
-void SmrReplica::request_lease() {
-  if (!started_ || lease_poisoned_ || !cfg_.pipeline.serve_reads ||
-      !is_lease_leader()) {
-    return;
-  }
-  const std::uint64_t epoch = ++lease_epoch_;
-  lease_grants_.clear();
-  host_.broadcast(kSmrLeaseTag, LeaseRequest{epoch, cfg_.id}.encode());
-  // Validity clocks from the broadcast: every granter's promise starts
-  // strictly later and runs lease_skew longer, so this timer fires first.
-  host_.set_timer(cfg_.pipeline.lease_duration, [this, epoch] {
-    collect_retired();
-    lease_expired_epoch_ = std::max(lease_expired_epoch_, epoch);
-  });
-  if (cfg_.f == 0) {
-    lease_granted_epoch_ = std::max(lease_granted_epoch_, epoch);
-  }
-  // Renew at half the validity so a healthy leader never drops the lease.
-  host_.set_timer(std::max<Duration>(1, cfg_.pipeline.lease_duration / 2),
-                  [this] {
-                    collect_retired();
-                    request_lease();
-                  });
-}
-
-void SmrReplica::handle_lease(ReplicaId from, const Bytes& payload) {
-  if (!cfg_.pipeline.serve_reads) return;
-  const std::uint8_t kind = peek_read_msg_kind(span(payload));
-  if (kind == kLeaseRequestKind) {
-    const LeaseRequest req = LeaseRequest::decode(span(payload));
-    // Only the engine's fixed view-1 leader may hold a lease, the channel
-    // must agree with the claimed leader, and a replica that witnessed a
-    // view > 1 decide refuses for good (lease_poisoned_).
-    if (req.leader != from || from != lease_leader() || from == cfg_.id) {
-      return;
-    }
-    if (lease_poisoned_ || req.epoch <= last_granted_epoch_) return;
-    // A deferred frame means this replica already wants the leader
-    // deposed; extending the promise would contradict that and wedge the
-    // fleet (renewals at duration/2 would keep promise_live_ > 0 forever,
-    // so the held-back wishes would never flush). Refuse the renewal —
-    // refusing is always safe (grants only enable reads) — and let the
-    // existing promises lapse, which releases the view-change traffic.
-    if (!deferred_vc_.empty()) return;
-    last_granted_epoch_ = req.epoch;
-    // Promise window: strictly outlives the leader's validity (which
-    // started at the broadcast, before this message arrived).
-    ++promise_live_;
-    host_.set_timer(
-        cfg_.pipeline.lease_duration + cfg_.pipeline.lease_skew, [this] {
-          collect_retired();
-          if (--promise_live_ == 0 && !deferred_vc_.empty()) {
-            // Last promise gone: release the view-change traffic the
-            // promise window held back.
-            std::vector<DeferredFrame> pending = std::move(deferred_vc_);
-            deferred_vc_.clear();
-            for (DeferredFrame& d : pending) {
-              if (d.to == 0) {
-                host_.broadcast(kSmrTag, std::move(d.frame));
-              } else {
-                host_.send(d.to, kSmrTag, std::move(d.frame));
-              }
-            }
-          }
-        });
-    LeaseGrant grant;
-    grant.epoch = req.epoch;
-    grant.leader = req.leader;
-    grant.granter = cfg_.id;
-    const Bytes msg =
-        lease_signing_bytes(grant.epoch, grant.leader, grant.granter);
-    grant.signature = cfg_.suite->sign(span(cfg_.secret_key), span(msg));
-    host_.send(from, kSmrLeaseTag, grant.encode());
-  } else if (kind == kLeaseGrantKind) {
-    const LeaseGrant grant = LeaseGrant::decode(span(payload));
-    if (grant.leader != cfg_.id || grant.granter != from) return;
-    if (grant.epoch != lease_epoch_ || lease_poisoned_) return;
-    if (!grant.verify(*cfg_.suite, cfg_.public_keys, cfg_.n)) return;
-    lease_grants_.insert(grant.granter);
-    // 2f grants plus this leader itself = 2f+1 promises live.
-    if (lease_grants_.size() >= 2 * static_cast<std::size_t>(cfg_.f)) {
-      lease_granted_epoch_ = std::max(lease_granted_epoch_, grant.epoch);
-    }
-  }
-}
-
-void SmrReplica::begin_read_index(Bytes key, ReadCallback cb) {
-  const std::uint64_t rid = ++next_rid_;
-  ReadIndexWait& wait = read_index_waits_[rid];
-  wait.key = std::move(key);
-  wait.cb = std::move(cb);
-  wait.marks.emplace(cfg_.id, exec_slots());
-  ReadIndexRequest req;
-  req.rid = rid;
-  req.requester = cfg_.id;
-  host_.broadcast(kSmrReadIndexTag, req.encode());
-  host_.set_timer(cfg_.pipeline.read_timeout, [this, rid] {
-    collect_retired();
-    const auto it = read_index_waits_.find(rid);
-    if (it == read_index_waits_.end()) return;
-    const ReadCallback cb = std::move(it->second.cb);
-    read_index_waits_.erase(it);
-    reject_read(cb);
-  });
-  maybe_complete_read_index(rid);  // f = 0: the self-mark is the quorum
-}
-
-void SmrReplica::maybe_complete_read_index(std::uint64_t rid) {
-  const auto it = read_index_waits_.find(rid);
-  if (it == read_index_waits_.end()) return;
-  const std::size_t quorum = 2 * static_cast<std::size_t>(cfg_.f) + 1;
-  if (it->second.marks.size() < quorum) return;
-  std::uint64_t read_index = 0;
-  for (const auto& [signer, mark] : it->second.marks) {
-    read_index = std::max(read_index, mark);
-  }
-  ReadIndexWait wait = std::move(it->second);
-  read_index_waits_.erase(it);
-  park_read(std::move(wait.key), read_index, std::move(wait.cb));
-}
-
-void SmrReplica::handle_read_index(ReplicaId from, const Bytes& payload) {
-  if (!cfg_.pipeline.serve_reads) return;
-  const std::uint8_t kind = peek_read_msg_kind(span(payload));
-  if (kind == kReadIndexRequestKind) {
-    const ReadIndexRequest req = ReadIndexRequest::decode(span(payload));
-    if (req.requester != from) return;  // channel and claim must agree
-    ReadIndexAttest attest;
-    attest.rid = req.rid;
-    attest.requester = req.requester;
-    attest.watermark = exec_slots();
-    attest.signer = cfg_.id;
-    const Bytes msg = read_index_signing_bytes(attest.requester, attest.rid,
-                                               attest.watermark);
-    attest.signature = cfg_.suite->sign(span(cfg_.secret_key), span(msg));
-    host_.send(from, kSmrReadIndexTag, attest.encode());
-  } else if (kind == kReadIndexAttestKind) {
-    const ReadIndexAttest attest = ReadIndexAttest::decode(span(payload));
-    if (attest.requester != cfg_.id || attest.signer != from) return;
-    // Byzantine inflation bound: a watermark beyond the configured slot
-    // range could park the read forever; the timeout would clean it up,
-    // but there is no reason to even count it.
-    if (attest.watermark > cfg_.pipeline.max_slots) return;
-    if (read_index_waits_.count(attest.rid) == 0) return;
-    if (!attest.verify(*cfg_.suite, cfg_.public_keys, cfg_.n)) return;
-    read_index_waits_[attest.rid].marks.emplace(attest.signer,
-                                                attest.watermark);
-    maybe_complete_read_index(attest.rid);
-  }
-}
-
-void SmrReplica::submit_read(Bytes key, net::ReadConsistency consistency,
-                             std::uint64_t min_index, ReadCallback cb) {
-  if (!cfg_.pipeline.serve_reads || read_view_gap_) {
-    reject_read(cb);
-    return;
-  }
-  switch (consistency) {
-    case net::ReadConsistency::kStaleOk:
-      answer_read(key, cb);
-      return;
-    case net::ReadConsistency::kSequential:
-      park_read(std::move(key), min_index, std::move(cb));
-      return;
-    case net::ReadConsistency::kLinearizable:
-      if (lease_held()) {
-        // Every write decided so far rode a slot this leader proposed,
-        // and proposals only go out for slots below next_open_ — so
-        // executing through next_open_ covers every write linearized
-        // before this read arrived.
-        ++lease_reads_;
-        park_read(std::move(key), next_open_, std::move(cb));
-        return;
-      }
-      begin_read_index(std::move(key), std::move(cb));
-      return;
-  }
-  reject_read(cb);  // unreachable: decode validated the mode
+bool SmrReplica::certifies(const CheckpointState& state,
+                           const CheckpointCert& cert) const {
+  return cert.slot == state.slot && cert.state_digest == state.digest() &&
+         verify_checkpoint_cert(cert, cfg_.n, cfg_.f, *cfg_.suite,
+                                cfg_.public_keys);
 }
 
 void SmrReplica::on_message(ReplicaId from, std::uint8_t tag,
@@ -1211,10 +917,10 @@ void SmrReplica::on_message(ReplicaId from, std::uint8_t tag,
         handle_state(from, payload);
         break;
       case kSmrLeaseTag:
-        handle_lease(from, payload);
+        reads_.on_lease(from, payload);
         break;
       case kSmrReadIndexTag:
-        handle_read_index(from, payload);
+        reads_.on_read_index(from, payload);
         break;
       default:
         break;  // not SMR traffic

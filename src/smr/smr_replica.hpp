@@ -87,7 +87,6 @@
 #include "net/tags.hpp"
 #include "smr/batch.hpp"
 #include "smr/checkpoint.hpp"
-#include "smr/read_view.hpp"
 #include "smr/reads.hpp"
 #include "store/wal.hpp"
 
@@ -142,7 +141,7 @@ struct SmrOptions {
   /// below it, in memory and in the WAL.
   std::uint64_t checkpoint_interval = 16;
 
-  // ---- read fast path (smr/reads.hpp, smr/read_view.hpp) ----
+  // ---- read fast path (smr/reads.hpp) ----
   /// Serve reads from the local ReadView and participate in the lease /
   /// read-index protocols. Off (the default) rejects every submit_read
   /// and sends no read-path traffic, so the write path — and every
@@ -249,24 +248,16 @@ class SmrReplica : public core::INode {
   /// cannot fit a batch. Retries are therefore idempotent.
   bool submit_request(std::uint64_t client, std::uint64_t seq, Bytes payload);
 
-  /// Outcome of a read served off the ordered log.
-  struct ReadResult {
-    net::ReplyStatus status = net::ReplyStatus::kRejected;
-    std::uint64_t slot = 0;   // last-write slot of the key (0: unwritten)
-    std::uint64_t index = 0;  // exec-slot watermark the answer reflects
-    Bytes value;
-  };
-  using ReadCallback = std::function<void(const ReadResult&)>;
+  using ReadResult = smr::ReadResult;
+  using ReadCallback = smr::ReadCallback;
 
-  /// Read-path entry: answer `key`'s last write at the requested
-  /// consistency. kStaleOk answers immediately from the local ReadView;
-  /// kSequential waits until exec_slots() >= min_index; kLinearizable
-  /// serves locally under a held lease (read index = next_open_) or runs
-  /// the quorum read-index protocol. The callback fires exactly once —
-  /// possibly synchronously — with kRejected when reads are disabled,
-  /// the local view has a state-transfer gap, or the read times out.
+  /// Read-path entry (ReadPath::submit). A linearizable read served
+  /// locally waits until every slot opened so far executed.
   void submit_read(Bytes key, net::ReadConsistency consistency,
-                   std::uint64_t min_index, ReadCallback cb);
+                   std::uint64_t min_index, ReadCallback cb) {
+    reads_.submit(std::move(key), consistency, min_index, next_open_,
+                  std::move(cb));
+  }
 
   void on_message(ReplicaId from, std::uint8_t tag,
                   const Bytes& payload) override;
@@ -330,21 +321,14 @@ class SmrReplica : public core::INode {
                                  std::uint64_t seq) const {
     return pending_keys_.count({client, seq}) != 0;
   }
-  /// The KV projection reads are answered from.
-  [[nodiscard]] const ReadView& read_view() const { return read_view_; }
-  /// Whether this replica currently holds a live, unpoisoned lease.
-  [[nodiscard]] bool lease_held() const {
-    return lease_granted_epoch_ > lease_expired_epoch_ && !lease_poisoned_;
+  /// The read path, for its state and counters.
+  [[nodiscard]] const ReadPath& reads() const { return reads_; }
+  [[nodiscard]] std::uint64_t reads_served() const {
+    return reads_.reads_served();
   }
-  /// Whether lease serving has been permanently disabled (a decide at
-  /// view > 1, a state transfer, or WAL recovery broke the premise).
-  [[nodiscard]] bool lease_poisoned() const { return lease_poisoned_; }
-  [[nodiscard]] std::uint64_t reads_served() const { return reads_served_; }
-  [[nodiscard]] std::uint64_t reads_rejected() const {
-    return reads_rejected_;
+  [[nodiscard]] std::uint64_t lease_reads() const {
+    return reads_.lease_reads();
   }
-  /// Linearizable reads answered under the lease (no quorum round-trip).
-  [[nodiscard]] std::uint64_t lease_reads() const { return lease_reads_; }
 
  private:
   struct Buffered {
@@ -390,36 +374,16 @@ class SmrReplica : public core::INode {
   void handle_pull(ReplicaId from, const Bytes& payload);
   void handle_ckpt_vote(ReplicaId from, const Bytes& payload);
   void handle_state(ReplicaId from, const Bytes& payload);
-  void handle_lease(ReplicaId from, const Bytes& payload);
-  void handle_read_index(ReplicaId from, const Bytes& payload);
   void send_hint(ReplicaId to, std::uint64_t slot);
   void send_state(ReplicaId to);
   void arm_catchup();
   /// `view` is the consensus view the slot decided in; 0 when unknown
-  /// (hint adoption, WAL replay) — anything but view 1 poisons a lease.
+  /// (hint adoption).
   void on_slot_decided(std::uint64_t slot, const Bytes& value, View view);
   void execute_ready_slots();
-
-  // ---- read fast path ----
-  [[nodiscard]] ReplicaId lease_leader() const {
-    return leader_of(1 + cfg_.leader_offset, cfg_.n);
-  }
-  [[nodiscard]] bool is_lease_leader() const {
-    return lease_leader() == cfg_.id;
-  }
-  /// Answer `cb` from the local ReadView right now.
-  void answer_read(const Bytes& key, const ReadCallback& cb);
-  void reject_read(const ReadCallback& cb);
-  /// Park a read until exec_slots() >= wait_slots (answers immediately
-  /// when already satisfied); a read_timeout timer rejects stuck parks.
-  void park_read(Bytes key, std::uint64_t wait_slots, ReadCallback cb);
-  void drain_parked_reads();
-  /// Broadcast a lease request for the next epoch and arm validity +
-  /// renewal timers (leader only; re-arms itself at duration/2).
-  void request_lease();
-  /// Start the quorum read-index protocol for one read.
-  void begin_read_index(Bytes key, ReadCallback cb);
-  void maybe_complete_read_index(std::uint64_t rid);
+  /// Frames one slot's consensus message; `to` = 0 broadcasts.
+  void send_slot(ReplicaId to, std::uint64_t slot, std::uint8_t tag,
+                 const Bytes& m);
   void retire_executed_slots();
   void collect_retired();
   /// Upper bound (exclusive) on slots that may be open right now.
@@ -440,10 +404,16 @@ class SmrReplica : public core::INode {
   /// Installs a stable checkpoint this replica executed through: persists
   /// it (snapshot + retained tail) and truncates the log below it.
   void stabilize(CheckpointState state, CheckpointCert cert);
-  /// Adopts a VERIFIED checkpoint ahead of our execution (state
-  /// transfer): replaces the dedup table, jumps the log base, requeues
-  /// own still-unexecuted assignments from skipped slots.
+  /// Records a stable checkpoint and persists it with the retained log
+  /// above it.
+  void set_stable(CheckpointState state, CheckpointCert cert);
+  /// Adopts a VERIFIED checkpoint ahead of our execution (state transfer
+  /// or a WAL snapshot): replaces the dedup table, jumps the log base,
+  /// requeues own still-unexecuted assignments from skipped slots.
   void install_checkpoint(CheckpointState state, CheckpointCert cert);
+  /// Whether `cert` is a valid 2f+1 certificate for `state`.
+  [[nodiscard]] bool certifies(const CheckpointState& state,
+                               const CheckpointCert& cert) const;
   /// Restores state from cfg_.wal (constructor path).
   void recover_from_wal();
   [[nodiscard]] static Bytes encode_decide_record(std::uint64_t slot,
@@ -451,6 +421,7 @@ class SmrReplica : public core::INode {
 
   SmrConfig cfg_;
   core::ProtocolHost host_;
+  ReadPath reads_;
   BatchLimits limits_;
 
   // -- executed state --
@@ -528,58 +499,6 @@ class SmrReplica : public core::INode {
   /// stragglers ask for the same stretch — encode + sign once, reuse the
   /// buffer. Entries below the stable checkpoint are erased with the log.
   std::map<std::uint64_t, Bytes> hint_wire_;
-
-  // -- read fast path --
-  ReadView read_view_;
-  /// True once the executed prefix was jumped over (state transfer /
-  /// WAL snapshot recovery): the ReadView is missing the skipped writes,
-  /// so every read is rejected rather than answered from a partial view.
-  bool read_view_gap_ = false;
-  std::uint64_t reads_served_ = 0;
-  std::uint64_t reads_rejected_ = 0;
-  std::uint64_t lease_reads_ = 0;
-  /// Reads waiting for execution to reach their read index, keyed by the
-  /// exec-slot count that releases them.
-  struct ParkedRead {
-    std::uint64_t token = 0;  // timeout identity
-    Bytes key;
-    ReadCallback cb;
-  };
-  std::multimap<std::uint64_t, ParkedRead> parked_reads_;
-  std::uint64_t next_read_token_ = 0;
-  /// In-flight quorum read-index rounds: rid → collected watermarks.
-  struct ReadIndexWait {
-    Bytes key;
-    ReadCallback cb;
-    std::map<ReplicaId, std::uint64_t> marks;  // signer → watermark
-  };
-  std::map<std::uint64_t, ReadIndexWait> read_index_waits_;
-  std::uint64_t next_rid_ = 0;
-  // Leader-side lease state. The lease of epoch e is held while
-  // lease_granted_epoch_ >= e > lease_expired_epoch_; validity clocks
-  // from the request broadcast, so it is strictly shorter than any
-  // granter's promise.
-  std::uint64_t lease_epoch_ = 0;          // latest requested epoch
-  std::uint64_t lease_granted_epoch_ = 0;  // latest epoch with 2f+1 grants
-  std::uint64_t lease_expired_epoch_ = 0;  // latest epoch timed out
-  bool lease_poisoned_ = false;
-  std::set<ReplicaId> lease_grants_;  // granters of lease_epoch_
-  // Granter-side promise state: while promise_live_ > 0 this replica
-  // suppresses its own outgoing view-change traffic (kNewLeader/kWish)
-  // for this engine — with 2f+1 promises live no view-change quorum can
-  // form, which is exactly what makes the leader's lease sound.
-  std::uint64_t promise_live_ = 0;
-  std::uint64_t last_granted_epoch_ = 0;
-  /// View-change frames generated while promises were live. The
-  /// synchronizer broadcasts each wish exactly once (its view timer does
-  /// not re-arm), so a suppressed frame must be DEFERRED, not dropped —
-  /// it is flushed when the last promise expires, which is what lets a
-  /// view change eventually depose a dead lease holder.
-  struct DeferredFrame {
-    ReplicaId to = 0;  // 0 = broadcast
-    Bytes frame;
-  };
-  std::vector<DeferredFrame> deferred_vc_;
 };
 
 }  // namespace probft::smr

@@ -25,7 +25,7 @@
 #include "shard/sharded_smr.hpp"
 #include "sim/scenario.hpp"
 #include "sim/smr_fleet.hpp"
-#include "smr/read_view.hpp"
+#include "smr/reads.hpp"
 #include "smr/smr_replica.hpp"
 #include "store/wal.hpp"
 

@@ -1,6 +1,6 @@
-// Read fast path tests (smr/read_view.hpp, smr/reads.hpp, the
-// submit_read paths in smr/smr_replica.cpp and the client read wire
-// messages in net/client.hpp):
+// Read fast path tests (smr/reads.hpp: the ReadView, the read messages
+// and smr::ReadPath behind SmrReplica::submit_read; and the client read
+// wire messages in net/client.hpp):
 //
 //  - ReadView projection: key/value split, overwrite, watermark.
 //  - Hostile buffers for every new wire message — LeaseRequest,
@@ -14,6 +14,9 @@
 //    pinned regression — a deposed, partitioned lease holder must NEVER
 //    serve a stale linearizable read after a view change decides a
 //    conflicting write behind its back.
+//  - The rules around it: a state transfer rejects parked reads, a
+//    granter holding a Wish refuses renewals until its promise lapses,
+//    and a WAL-restarted leader reads through read-index.
 //  - The same regression over real TCP sockets (thread-per-transport
 //    loopback cluster, sender/receiver-side partition filter).
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -29,11 +33,15 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
+#include "crypto/sha256.hpp"
 #include "net/client.hpp"
 #include "net/tcp_transport.hpp"
 #include "sim/scenario.hpp"
 #include "sim/smr_fleet.hpp"
-#include "smr/read_view.hpp"
+#include "smr/batch.hpp"
+#include "smr/checkpoint.hpp"
 #include "smr/reads.hpp"
 #include "smr/smr_replica.hpp"
 
@@ -379,8 +387,10 @@ TEST(ClientReadWire, ClientReplyStatusByteIsStrict) {
 /// An S = 1 sim::SmrFleet; tests drive each node's one group directly.
 struct ReadFleet : sim::SmrFleet {
   ReadFleet(std::uint32_t n, std::uint32_t f, double l,
-            SmrOptions options = {}, std::uint64_t seed = 1)
-      : sim::SmrFleet(make_config(n, f, l, options, seed)) {}
+            SmrOptions options = {}, std::uint64_t seed = 1,
+            std::vector<std::string> wal_dirs = {})
+      : sim::SmrFleet(make_config(n, f, l, options, seed,
+                                  std::move(wal_dirs))) {}
 
   SmrReplica& replica(ReplicaId id) { return node(id).group(0); }
 
@@ -399,13 +409,15 @@ struct ReadFleet : sim::SmrFleet {
  private:
   static sim::SmrFleetConfig make_config(std::uint32_t n, std::uint32_t f,
                                          double l, SmrOptions options,
-                                         std::uint64_t seed) {
+                                         std::uint64_t seed,
+                                         std::vector<std::string> wal_dirs) {
     sim::SmrFleetConfig cfg;
     cfg.n = n;
     cfg.f = f;
     cfg.l = l;
     cfg.seed = seed;
     cfg.smr = options;
+    cfg.wal_dirs = std::move(wal_dirs);
     cfg.latency.min_delay = 500;
     cfg.latency.max_delay_post = 4'000;
     return cfg;
@@ -437,7 +449,7 @@ TEST(SmrReads, DisabledConfigRejectsEveryRead) {
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->status, net::ReplyStatus::kRejected);
   }
-  EXPECT_EQ(fleet.replica(1).reads_rejected(), 3U);
+  EXPECT_EQ(fleet.replica(1).reads().reads_rejected(), 3U);
   // No read-path traffic at all: the write path of a reads-off build is
   // bit-identical to one without the feature.
   EXPECT_EQ(fleet.network().stats().sends_for(kSmrLeaseTag), 0U);
@@ -507,7 +519,7 @@ TEST(SmrReads, LeaseLeaderServesLinearizableReadsLocally) {
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   ASSERT_TRUE(
-      fleet.run_until([&] { return fleet.replica(1).lease_held(); }));
+      fleet.run_until([&] { return fleet.replica(1).reads().lease_held(); }));
 
   const auto lease_traffic = fleet.network().stats().sends_for(kSmrLeaseTag);
   EXPECT_GT(lease_traffic, 0U);
@@ -574,7 +586,7 @@ TEST(SmrReads, LinearizableReadTimesOutWithoutAQuorum) {
   fleet.run_until([&] { return result.has_value(); }, probe_deadline);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->status, net::ReplyStatus::kRejected);
-  EXPECT_GE(fleet.replica(3).reads_rejected(), 1U);
+  EXPECT_GE(fleet.replica(3).reads().reads_rejected(), 1U);
 }
 
 TEST(SmrReads, MalformedReadFramesAreDropped) {
@@ -639,7 +651,7 @@ TEST(SmrReads, LeaseNeverServesStaleReadAcrossViewChange) {
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   ASSERT_TRUE(
-      fleet.run_until([&] { return fleet.replica(1).lease_held(); }));
+      fleet.run_until([&] { return fleet.replica(1).reads().lease_held(); }));
 
   std::optional<ReadResult> before;
   fleet.replica(1).submit_read(to_bytes("k"),
@@ -664,11 +676,11 @@ TEST(SmrReads, LeaseNeverServesStaleReadAcrossViewChange) {
   // The view-2 decide proves the lease premise wrong on every replica
   // that saw it.
   for (ReplicaId id = 2; id <= 6; ++id) {
-    EXPECT_TRUE(fleet.replica(id).lease_poisoned()) << "replica " << id;
+    EXPECT_TRUE(fleet.replica(id).reads().lease_poisoned()) << "replica " << id;
   }
   // The deposed leader's validity ran out strictly before the wishes that
   // deposed it could flush: by the time "k=v2" exists, no lease is held.
-  EXPECT_FALSE(fleet.replica(1).lease_held());
+  EXPECT_FALSE(fleet.replica(1).reads().lease_held());
 
   // THE invariant: a linearizable read at the deposed leader must not
   // return the stale "v1". Without a lease it needs an attestation
@@ -687,8 +699,8 @@ TEST(SmrReads, LeaseNeverServesStaleReadAcrossViewChange) {
   fleet.network().clear_filter();
   fleet.replica(2).submit(to_bytes("k2=v3"));
   ASSERT_TRUE(fleet.run_until_executed(3));
-  EXPECT_TRUE(fleet.replica(1).lease_poisoned());
-  EXPECT_FALSE(fleet.replica(1).lease_held());
+  EXPECT_TRUE(fleet.replica(1).reads().lease_poisoned());
+  EXPECT_FALSE(fleet.replica(1).reads().lease_held());
 
   // Its next linearizable read goes through the quorum read-index and
   // sees the post-view-change value.
@@ -706,6 +718,180 @@ TEST(SmrReads, LeaseNeverServesStaleReadAcrossViewChange) {
               fleet.replica(1).log_digest())
         << "replica " << id;
   }
+}
+
+// A read parked before a certified state transfer must not be answered
+// from the gapped view once execution passes its wait point: the
+// ReadView never saw the skipped writes, so "k" would read as unwritten.
+TEST(SmrReads, ParkedReadIsRejectedWhenStateTransferJumpsThePrefix) {
+  ReadFleet fleet(4, 1, 1.5, read_options());
+  fleet.start();
+
+  std::optional<ReadResult> parked;
+  int answers = 0;
+  fleet.replica(1).submit_read(to_bytes("k"),
+                               net::ReadConsistency::kSequential, 9,
+                               [&](const ReadResult& r) {
+                                 parked = r;
+                                 ++answers;
+                               });
+  EXPECT_FALSE(parked.has_value());
+
+  // A 2f+1-certified checkpoint for slot 8 that wrote "k" somewhere in
+  // the skipped stretch.
+  CheckpointState state;
+  state.slot = 8;
+  state.exec_count = 8;
+  state.log_digest = chain_digest(zero_digest(), to_bytes("k=v-skipped"));
+  const Bytes digest = state.digest();
+  const Bytes msg = checkpoint_signing_bytes(state.slot, digest);
+  CheckpointCert cert;
+  cert.slot = state.slot;
+  cert.state_digest = digest;
+  for (ReplicaId id : {2, 3, 4}) {
+    cert.signatures.emplace_back(
+        id, fleet.suite().sign(
+                ByteSpan(fleet.keys().pairs[id].secret_key.data(),
+                         fleet.keys().pairs[id].secret_key.size()),
+                ByteSpan(msg.data(), msg.size())));
+  }
+  Writer w;
+  state.encode(w);
+  cert.encode(w);
+  fleet.replica(1).on_message(4, kSmrStateTag, std::move(w).take());
+  ASSERT_EQ(fleet.replica(1).committed_slots(), 8U);
+
+  // A fresh read is refused outright on the gapped view.
+  std::optional<ReadResult> fresh;
+  fleet.replica(1).submit_read(to_bytes("k"),
+                               net::ReadConsistency::kSequential, 9,
+                               [&](const ReadResult& r) { fresh = r; });
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(fresh->status, net::ReplyStatus::kRejected);
+
+  // f+1 signed hints decide slot 8, which passes the parked read's wait
+  // point. It must answer kRejected, exactly once.
+  const Bytes value =
+      encode_batch({Request{77, 1, to_bytes("other=x")}});
+  const Bytes value_digest =
+      crypto::sha256(ByteSpan(value.data(), value.size()));
+  const Bytes hint_msg = hint_signing_bytes(8, value_digest);
+  for (ReplicaId id : {2, 3}) {
+    const Bytes& sk = fleet.keys().pairs[id].secret_key;
+    const Bytes sig = fleet.suite().sign(
+        ByteSpan(sk.data(), sk.size()),
+        ByteSpan(hint_msg.data(), hint_msg.size()));
+    Writer hint;
+    hint.u64(8);
+    hint.bytes(ByteSpan(value.data(), value.size()));
+    hint.bytes(ByteSpan(sig.data(), sig.size()));
+    fleet.replica(1).on_message(id, kSmrHintTag, std::move(hint).take());
+  }
+  ASSERT_EQ(fleet.replica(1).committed_slots(), 9U);
+  ASSERT_TRUE(parked.has_value());
+  EXPECT_EQ(parked->status, net::ReplyStatus::kRejected);
+  fleet.run_until([] { return false; }, fleet.sim().now() + 2'000'000);
+  EXPECT_EQ(answers, 1);
+}
+
+// Lease rule 2 (docs/ARCHITECTURE.md, "Read fast path"): a granter that
+// holds back a Wish refuses the next renewal, so its promises lapse and
+// the held-back Wish goes out when the last one expires.
+TEST(SmrReads, GranterWithDeferredWishRefusesRenewalUntilItsPromiseLapses) {
+  const SmrOptions options = read_options();
+  ReadFleet fleet(4, 1, 1.5, options);
+  // The filter records the lease traffic at replica 3 from the start.
+  // Once `deaf` is set, 3 stops hearing consensus traffic, so the slot it
+  // opens for its own request times out into a Wish while it still
+  // promises the leader; lease and catch-up frames keep flowing.
+  constexpr ReplicaId kGranter = 3;
+  std::vector<std::pair<TimePoint, std::uint64_t>> grants;  // (at, epoch)
+  std::vector<std::pair<TimePoint, std::uint64_t>> requests;
+  TimePoint first_wish = 0;
+  bool deaf = false;
+  fleet.network().set_payload_filter([&](ReplicaId from, ReplicaId to,
+                                         std::uint8_t tag,
+                                         const Bytes& payload) {
+    const ByteSpan bytes(payload.data(), payload.size());
+    if (tag == kSmrLeaseTag && from == kGranter) {
+      grants.emplace_back(fleet.sim().now(), LeaseGrant::decode(bytes).epoch);
+    }
+    if (tag == kSmrLeaseTag && to == kGranter) {
+      requests.emplace_back(fleet.sim().now(),
+                            LeaseRequest::decode(bytes).epoch);
+    }
+    if (tag == kSmrTag && from == kGranter && first_wish == 0 &&
+        payload.size() > 8 && payload[8] == net::tags::kWish) {
+      first_wish = fleet.sim().now();
+    }
+    return deaf && tag == kSmrTag && to == kGranter;
+  });
+  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.start();
+  ASSERT_TRUE(fleet.run_until_executed(1));
+  ASSERT_TRUE(
+      fleet.run_until([&] { return fleet.replica(1).reads().lease_held(); }));
+  ASSERT_FALSE(grants.empty());
+
+  deaf = true;
+  fleet.replica(kGranter).submit(to_bytes("k=v2"));
+  ASSERT_TRUE(fleet.run_until([&] { return first_wish != 0; },
+                              fleet.sim().now() + 5'000'000));
+
+  // The held-back Wish left exactly when the last promise expired.
+  ASSERT_FALSE(grants.empty());
+  const auto [last_grant_at, last_epoch] = grants.back();
+  EXPECT_EQ(first_wish,
+            last_grant_at + options.lease_duration + options.lease_skew);
+  // And in between, the leader asked to renew and was refused.
+  bool refused = false;
+  for (const auto& [at, epoch] : requests) {
+    if (at > last_grant_at && at < first_wish && epoch > last_epoch) {
+      refused = true;
+    }
+  }
+  EXPECT_TRUE(refused);
+  // The leader kept its lease on the other two grants throughout.
+  EXPECT_TRUE(fleet.replica(1).reads().lease_held());
+}
+
+// A lease leader restarted from its WAL cannot know whether a replayed
+// decide went through a view change, so it comes back poisoned and
+// answers linearizable reads through the quorum read-index.
+TEST(SmrReads, WalRestartedLeaseLeaderReadsThroughReadIndex) {
+  const auto root = std::filesystem::temp_directory_path() /
+                    ("probft-reads-wal-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  SmrOptions options = read_options();
+  options.checkpoint_interval = 0;  // no snapshot: the view rebuilds whole
+  {
+    ReadFleet fleet(4, 1, 1.5, options, /*seed=*/1, {"", root.string()});
+    fleet.replica(1).submit(to_bytes("k=v1"));
+    fleet.start();
+    ASSERT_TRUE(fleet.run_until_executed(1));
+    ASSERT_TRUE(
+        fleet.run_until([&] { return fleet.replica(1).reads().lease_held(); }));
+
+    fleet.kill(1);
+    fleet.restart(1);
+    EXPECT_EQ(fleet.replica(1).recovered_slots(), 1U);
+    EXPECT_TRUE(fleet.replica(1).reads().lease_poisoned());
+    EXPECT_FALSE(fleet.replica(1).reads().lease_held());
+
+    const auto index_sends =
+        fleet.network().stats().sends_for(kSmrReadIndexTag);
+    std::optional<ReadResult> result;
+    fleet.replica(1).submit_read(to_bytes("k"),
+                                 net::ReadConsistency::kLinearizable, 0,
+                                 [&](const ReadResult& r) { result = r; });
+    ASSERT_TRUE(fleet.run_until([&] { return result.has_value(); }));
+    EXPECT_EQ(result->status, net::ReplyStatus::kExecuted);
+    EXPECT_EQ(result->value, to_bytes("v1"));
+    EXPECT_EQ(fleet.replica(1).lease_reads(), 0U);
+    EXPECT_GT(fleet.network().stats().sends_for(kSmrReadIndexTag),
+              index_sends);
+  }
+  std::filesystem::remove_all(root);
 }
 
 // ---- the Workload::kSmrReads scenario dimension ----
@@ -919,7 +1105,7 @@ TEST(TcpSmrReads, LeaseNeverServesStaleReadAcrossViewChangeOverTcp) {
   ASSERT_TRUE(cluster.wait_executed(1));
   ASSERT_TRUE(TcpReadCluster::wait_wall([&] {
     return cluster.probe_flag(
-        1, [](const SmrReplica& r) { return r.lease_held(); });
+        1, [](const SmrReplica& r) { return r.reads().lease_held(); });
   }));
 
   auto before = cluster.read(1, "k", net::ReadConsistency::kLinearizable);
@@ -935,7 +1121,7 @@ TEST(TcpSmrReads, LeaseNeverServesStaleReadAcrossViewChangeOverTcp) {
   // Real time passed the 400ms validity bound long ago; the deposed
   // leader must reject — not serve the stale "v1".
   EXPECT_FALSE(cluster.probe_flag(
-      1, [](const SmrReplica& r) { return r.lease_held(); }));
+      1, [](const SmrReplica& r) { return r.reads().lease_held(); }));
   auto stale = cluster.read(1, "k", net::ReadConsistency::kLinearizable);
   ASSERT_TRUE(TcpReadCluster::wait_wall([&] { return stale->ready(); }));
   EXPECT_EQ(stale->get().status, net::ReplyStatus::kRejected);
@@ -946,7 +1132,7 @@ TEST(TcpSmrReads, LeaseNeverServesStaleReadAcrossViewChangeOverTcp) {
   cluster.submit(2, "k2=v3");
   ASSERT_TRUE(cluster.wait_executed(3));
   EXPECT_TRUE(cluster.probe_flag(
-      1, [](const SmrReplica& r) { return r.lease_poisoned(); }));
+      1, [](const SmrReplica& r) { return r.reads().lease_poisoned(); }));
   auto fresh = cluster.read(1, "k", net::ReadConsistency::kLinearizable);
   ASSERT_TRUE(TcpReadCluster::wait_wall([&] { return fresh->ready(); }));
   EXPECT_EQ(fresh->get().status, net::ReplyStatus::kExecuted);

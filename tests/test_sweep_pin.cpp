@@ -9,8 +9,13 @@
 //
 // The pinned shapes mirror the nightly n = 500 sweep (o = 1.7, l = 2.0,
 // f = n/10) plus the SMR fleet workload, covering the happy path, a forced
-// view change, and the windowed SMR engine.
+// view change, and the windowed SMR engine. The reads pin covers the lease
+// and read-index traffic, which the SMR fleet pin (serve_reads off) never
+// sends.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
 
 #include "common/bytes.hpp"
 #include "crypto/sha256.hpp"
@@ -60,6 +65,25 @@ TEST(SweepPin, N500ViewChangeTranscriptUnchanged) {
       "84bc39c7d269931d9c9d6527623e6a83cdbc45ce43cc521c313907ea47ebaf9f");
 }
 
+/// Digest of a reads-workload run: the transcript plus the traffic and
+/// read counters, so a change to lease or read-index traffic shows even
+/// when the decisions do not move.
+std::string reads_sha256(const ScenarioSpec& spec, std::uint64_t seed) {
+  const ScenarioOutcome out = run_scenario(spec, seed);
+  EXPECT_TRUE(out.terminated) << scenario_name(spec) << " seed " << seed;
+  const std::string text =
+      out.transcript + "messages=" + std::to_string(out.messages) +
+      " bytes=" + std::to_string(out.bytes) +
+      " events=" + std::to_string(out.events) +
+      " reads_executed=" + std::to_string(out.reads_executed) +
+      " reads_rejected=" + std::to_string(out.reads_rejected);
+  crypto::Sha256 h;
+  h.update(ByteSpan(reinterpret_cast<const std::uint8_t*>(text.data()),
+                    text.size()));
+  const auto digest = h.finalize();
+  return to_hex(Bytes(digest.begin(), digest.end()));
+}
+
 TEST(SweepPin, SmrFleetTranscriptUnchanged) {
   ScenarioSpec spec;
   spec.protocol = Protocol::kProbft;
@@ -70,6 +94,31 @@ TEST(SweepPin, SmrFleetTranscriptUnchanged) {
   EXPECT_EQ(
       transcript_sha256(spec, 1),
       "69f2fe25f46c75cbc6ed649e632473d8d57423ea023c38b9e582a3dc36273bcf");
+}
+
+// The three shapes of SmrReadsScenario.NoStaleReadsUnderSupportedFaults.
+TEST(SweepPin, SmrReadsTranscriptUnchanged) {
+  const std::pair<Fault, const char*> pins[] = {
+      {Fault::kNone,
+       "087a4e94d62e89dfcfbc8b6036a742a446b659bb8ef4ad3d3d2539a9dbfd6bee"},
+      {Fault::kPartitionUntilGst,
+       "e52c36807d33386bfaecb12004a676140a577a98cdee1ae5526040e85b5aff97"},
+      {Fault::kKillRestart,
+       "65f0d2beef7be1d892afbafb14c40a81b1af8e9c2691affccf7c1461e803657f"},
+  };
+  for (const auto& [fault, digest] : pins) {
+    ScenarioSpec spec;
+    spec.n = 6;
+    spec.f = 1;
+    spec.l = 1.5;
+    spec.workload = Workload::kSmrReads;
+    spec.fault = fault;
+    spec.latency = fault == Fault::kPartitionUntilGst
+                       ? LatencyModel::kPartialSynchrony
+                       : LatencyModel::kSynchronous;
+    spec.smr_commands = 6;
+    EXPECT_EQ(reads_sha256(spec, 1), digest) << to_string(fault);
+  }
 }
 
 }  // namespace
