@@ -11,7 +11,8 @@
 // f = n/10) plus the SMR fleet workload, covering the happy path, a forced
 // view change, and the windowed SMR engine. The reads pin covers the lease
 // and read-index traffic, which the SMR fleet pin (serve_reads off) never
-// sends.
+// sends. The catch-up pin covers signed hints, checkpoint votes, certified
+// state transfer and WAL-snapshot recovery, which neither of those reaches.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -65,23 +66,37 @@ TEST(SweepPin, N500ViewChangeTranscriptUnchanged) {
       "84bc39c7d269931d9c9d6527623e6a83cdbc45ce43cc521c313907ea47ebaf9f");
 }
 
+std::string traffic_text(const ScenarioOutcome& out) {
+  return out.transcript + "messages=" + std::to_string(out.messages) +
+         " bytes=" + std::to_string(out.bytes) +
+         " events=" + std::to_string(out.events);
+}
+
+std::string sha256_hex(const std::string& text) {
+  crypto::Sha256 h;
+  h.update(ByteSpan(reinterpret_cast<const std::uint8_t*>(text.data()),
+                    text.size()));
+  const auto digest = h.finalize();
+  return to_hex(Bytes(digest.begin(), digest.end()));
+}
+
 /// Digest of a reads-workload run: the transcript plus the traffic and
 /// read counters, so a change to lease or read-index traffic shows even
 /// when the decisions do not move.
 std::string reads_sha256(const ScenarioSpec& spec, std::uint64_t seed) {
   const ScenarioOutcome out = run_scenario(spec, seed);
   EXPECT_TRUE(out.terminated) << scenario_name(spec) << " seed " << seed;
-  const std::string text =
-      out.transcript + "messages=" + std::to_string(out.messages) +
-      " bytes=" + std::to_string(out.bytes) +
-      " events=" + std::to_string(out.events) +
-      " reads_executed=" + std::to_string(out.reads_executed) +
-      " reads_rejected=" + std::to_string(out.reads_rejected);
-  crypto::Sha256 h;
-  h.update(ByteSpan(reinterpret_cast<const std::uint8_t*>(text.data()),
-                    text.size()));
-  const auto digest = h.finalize();
-  return to_hex(Bytes(digest.begin(), digest.end()));
+  return sha256_hex(traffic_text(out) +
+                    " reads_executed=" + std::to_string(out.reads_executed) +
+                    " reads_rejected=" + std::to_string(out.reads_rejected));
+}
+
+/// Digest of an SMR run's transcript plus its traffic counters, so a
+/// change to catch-up traffic shows even when the decisions do not move.
+std::string traffic_sha256(const ScenarioSpec& spec, std::uint64_t seed) {
+  const ScenarioOutcome out = run_scenario(spec, seed);
+  EXPECT_TRUE(out.terminated) << scenario_name(spec) << " seed " << seed;
+  return sha256_hex(traffic_text(out));
 }
 
 TEST(SweepPin, SmrFleetTranscriptUnchanged) {
@@ -118,6 +133,36 @@ TEST(SweepPin, SmrReadsTranscriptUnchanged) {
                        : LatencyModel::kSynchronous;
     spec.smr_commands = 6;
     EXPECT_EQ(reads_sha256(spec, 1), digest) << to_string(fault);
+  }
+}
+
+// Churn with a short checkpoint interval drives signed hints, checkpoint
+// stabilization and certified state transfer; kill-restart (whose harness
+// checkpoints every 2 slots) drives WAL-snapshot recovery.
+TEST(SweepPin, SmrCatchUpTranscriptUnchanged) {
+  struct Shape {
+    Fault fault;
+    std::uint64_t commands;
+    std::uint64_t checkpoint_interval;
+    const char* digest;
+  };
+  const Shape pins[] = {
+      {Fault::kChurnRecovery, 300, 4,
+       "1c74293f58222f23efc86f4b7a63a8bb11969d2977c4db0e7bb816229acb210e"},
+      {Fault::kKillRestart, 100, 16,
+       "e39462862c9e255ef1488360bbe74fede8b8f96e99377e989b2801bb7c0e2417"},
+  };
+  for (const Shape& pin : pins) {
+    ScenarioSpec spec;
+    spec.n = 7;
+    spec.f = 2;
+    spec.l = 1.5;
+    spec.workload = Workload::kSmr;
+    spec.fault = pin.fault;
+    spec.smr.batch_max_commands = 4;
+    spec.smr.checkpoint_interval = pin.checkpoint_interval;
+    spec.smr_commands = pin.commands;
+    EXPECT_EQ(traffic_sha256(spec, 1), pin.digest) << to_string(pin.fault);
   }
 }
 
