@@ -2,8 +2,8 @@
 //
 // A replica is a pure message-driven state machine: everything it does to
 // the outside world goes through this one struct — point-to-point sends,
-// broadcasts, timer arming for the view synchronizer, and the
-// decision/commit upcalls. The host decides what those callbacks mean:
+// broadcasts, timer arming for the view synchronizer, and the decision
+// upcall. The host decides what those callbacks mean:
 // the simulation harness wires them to the deterministic in-process
 // network, the TCP backend wires them to real sockets and the monotonic
 // clock, and unit tests wire them to in-memory outboxes. Protocol code is
@@ -34,9 +34,6 @@ struct ProtocolHost {
   /// Single-shot decision callback (view, value); optional. Used by the
   /// consensus protocols (ProBFT / PBFT / HotStuff).
   std::function<void(View, const Bytes&)> on_decide;
-  /// Log commit callback (slot, command), called in slot order; optional.
-  /// Used by the SMR layer instead of on_decide.
-  std::function<void(std::uint64_t, const Bytes&)> on_commit;
 };
 
 }  // namespace probft::core

@@ -41,26 +41,10 @@
 //    once execution has moved `retire_tail` slots past it, so memory is
 //    O(window + tail) instead of O(log length).
 //
-// Certified catch-up and durability (smr/checkpoint.hpp, store/wal.hpp):
-//
-//  - Late traffic for an executed slot is answered with a decided-value
-//    hint SIGNED over (slot, value digest); a replica adopts a hinted
-//    value once f + 1 hints verify against f + 1 distinct replicas' public
-//    keys (at least one correct), so vouchers cannot be forged by a peer
-//    that spoofs sender ids.
-//  - Every `checkpoint_interval` executed slots the replica broadcasts a
-//    signed vote over its state digest (chained log digest + dedup table
-//    + next-exec slot); 2f + 1 matching votes form a CheckpointCert. The
-//    stable checkpoint truncates the retained slot log (memory and, with
-//    a WAL, disk stay O(interval + window) instead of O(log length)).
-//  - A straggler whose gap starts below a peer's truncation point adopts
-//    the peer's checkpoint only after verifying its 2f + 1 cert, then
-//    fills the remaining slots from signed hints — state transfer needs
-//    no channel trust at all.
-//  - With a `store::Wal` attached, every decide is appended (CRC-framed,
-//    fsync'd) before client-visible execution, and stable checkpoints
-//    atomically replace the log's tail on disk; a kill -9'd replica
-//    rejoins from its last stable checkpoint instead of genesis.
+// Certified catch-up and durability (signed hints, pulls, checkpoint
+// votes, state transfer and the WAL) live in smr::CatchUp
+// (smr/checkpoint.hpp), reads in smr::ReadPath (smr/reads.hpp); the
+// replica owns one of each and drives them through hooks.
 //
 // Because each slot is a full ProBFT instance, the probabilistic agreement
 // guarantee applies per slot, and the SMR inherits safety with probability
@@ -97,9 +81,7 @@ namespace probft::smr {
 /// re-exports so call sites keep their historical names.
 inline constexpr std::uint8_t kSmrTag = net::tags::kSmr;
 inline constexpr std::uint8_t kSmrForwardTag = net::tags::kSmrForward;
-inline constexpr std::uint8_t kSmrHintTag = net::tags::kSmrHint;
-inline constexpr std::uint8_t kSmrPullTag = net::tags::kSmrPull;
-// kSmrCkptTag and kSmrStateTag live in smr/checkpoint.hpp.
+// Catch-up tags live in smr/checkpoint.hpp, read tags in smr/reads.hpp.
 
 /// Pipeline shape: how many instances run in flight, how requests batch,
 /// and how long executed instances linger. Plumbed through
@@ -215,20 +197,19 @@ struct SmrConfig {
   /// must outlive the replica.
   store::Wal* wal = nullptr;
 
-  /// Called once per executed request, in execution order (after the
-  /// host's coarser on_commit). This is where a serving node sends client
-  /// replies. Not called for requests replayed from the WAL at recovery.
+  /// Called once per executed request, in execution order. This is where
+  /// a serving node sends client replies. Not called for requests
+  /// replayed from the WAL at recovery.
   std::function<void(const ExecutedCommand&)> on_execute;
 };
 
 class SmrReplica : public core::INode {
  public:
-  /// The host's `on_commit` is called once per executed request as
-  /// (global execution index, payload); `on_decide` is unused at this
-  /// layer (per-slot decisions are internal). If `config.wal` holds a
-  /// recoverable state (snapshot and/or decide records), it is installed
-  /// here — before start() — and throws std::runtime_error when the
-  /// snapshot fails certificate verification.
+  /// The host's `on_decide` is unused at this layer (per-slot decisions
+  /// are internal; executions go to `config.on_execute`). If `config.wal`
+  /// holds a recoverable state (snapshot and/or decide records), it is
+  /// installed here — before start() — and throws std::runtime_error when
+  /// the snapshot fails certificate verification.
   SmrReplica(SmrConfig config, core::ProtocolHost host);
 
   /// Demand-driven: nothing happens until a request is submitted or peer
@@ -273,24 +254,30 @@ class SmrReplica : public core::INode {
   /// Decided batch encodings for the RETAINED slots [log_base(), exec);
   /// index i holds slot log_base() + i. Slots below the stable checkpoint
   /// are truncated away.
-  [[nodiscard]] const std::vector<Bytes>& slot_log() const { return log_; }
+  [[nodiscard]] const std::vector<Bytes>& slot_log() const {
+    return catchup_.log();
+  }
   /// First retained slot (== the stable checkpoint slot).
-  [[nodiscard]] std::uint64_t log_base() const { return log_base_; }
+  [[nodiscard]] std::uint64_t log_base() const {
+    return catchup_.log_base();
+  }
   /// Executed slots, counting truncated ones.
   [[nodiscard]] std::uint64_t committed_slots() const { return exec_slots(); }
   [[nodiscard]] std::uint64_t executed_commands() const { return exec_count_; }
   /// Hex chained digest over ALL executed slots (truncation-invariant):
   /// d0 = 0^32, d_{i+1} = SHA-256(d_i ‖ len ‖ batch_i). The log identity
   /// every harness compares across replicas.
-  [[nodiscard]] std::string log_digest() const { return to_hex(chain_); }
+  [[nodiscard]] std::string log_digest() const {
+    return to_hex(catchup_.chain());
+  }
   /// Slot of the stable (2f+1-certified) checkpoint; 0 before the first.
   [[nodiscard]] std::uint64_t stable_checkpoint() const {
-    return stable_slot_;
+    return catchup_.stable_checkpoint();
   }
   /// Executed slots restored from the WAL at construction (checkpoint
   /// base + replayed decide records); 0 when starting fresh.
   [[nodiscard]] std::uint64_t recovered_slots() const {
-    return recovered_slots_;
+    return catchup_.recovered_slots();
   }
   /// Live per-slot consensus instances (bounded by window + tail).
   [[nodiscard]] std::size_t open_instances() const {
@@ -337,9 +324,8 @@ class SmrReplica : public core::INode {
     Bytes payload;
   };
 
-  /// Executed slots: the retained log plus everything truncated below it.
   [[nodiscard]] std::uint64_t exec_slots() const {
-    return log_base_ + log_.size();
+    return catchup_.exec_slots();
   }
 
   [[nodiscard]] bool enqueue(Request request);
@@ -370,13 +356,6 @@ class SmrReplica : public core::INode {
   void arm_pacing();
   void handle_slot_envelope(ReplicaId from, const Bytes& payload);
   void handle_forward(ReplicaId from, const Bytes& payload);
-  void handle_hint(ReplicaId from, const Bytes& payload);
-  void handle_pull(ReplicaId from, const Bytes& payload);
-  void handle_ckpt_vote(ReplicaId from, const Bytes& payload);
-  void handle_state(ReplicaId from, const Bytes& payload);
-  void send_hint(ReplicaId to, std::uint64_t slot);
-  void send_state(ReplicaId to);
-  void arm_catchup();
   /// `view` is the consensus view the slot decided in; 0 when unknown
   /// (hint adoption).
   void on_slot_decided(std::uint64_t slot, const Bytes& value, View view);
@@ -388,67 +367,22 @@ class SmrReplica : public core::INode {
   void collect_retired();
   /// Upper bound (exclusive) on slots that may be open right now.
   [[nodiscard]] std::uint64_t open_limit() const;
-  /// Horizon for buffering/hint state: slots beyond it are dropped.
-  [[nodiscard]] std::uint64_t horizon() const;
 
-  // ---- checkpoints / durability ----
-  /// Deterministic summary of the executed prefix right now.
-  [[nodiscard]] CheckpointState snapshot_state() const;
-  /// At a checkpoint-interval boundary: snapshot, sign, broadcast a vote.
-  void maybe_checkpoint();
-  /// Books a verified vote; caller already checked signer and signature.
-  void record_ckpt_vote(std::uint64_t slot, const Bytes& digest,
-                        ReplicaId signer, Bytes signature);
-  /// Promotes `slot` to stable if our own state there has 2f+1 votes.
-  void try_stabilize(std::uint64_t slot);
-  /// Installs a stable checkpoint this replica executed through: persists
-  /// it (snapshot + retained tail) and truncates the log below it.
-  void stabilize(CheckpointState state, CheckpointCert cert);
-  /// Records a stable checkpoint and persists it with the retained log
-  /// above it.
-  void set_stable(CheckpointState state, CheckpointCert cert);
-  /// Adopts a VERIFIED checkpoint ahead of our execution (state transfer
-  /// or a WAL snapshot): replaces the dedup table, jumps the log base,
-  /// requeues own still-unexecuted assignments from skipped slots.
-  void install_checkpoint(CheckpointState state, CheckpointCert cert);
-  /// Whether `cert` is a valid 2f+1 certificate for `state`.
-  [[nodiscard]] bool certifies(const CheckpointState& state,
-                               const CheckpointCert& cert) const;
-  /// Restores state from cfg_.wal (constructor path).
-  void recover_from_wal();
-  [[nodiscard]] static Bytes encode_decide_record(std::uint64_t slot,
-                                                  const Bytes& value);
+  /// CatchUp's jump hook: the executed prefix moved to `state`. Replaces
+  /// the dedup table, requeues own still-unexecuted assignments from
+  /// skipped slots and retires their instances.
+  void on_prefix_jump(const CheckpointState& state);
 
   SmrConfig cfg_;
   core::ProtocolHost host_;
   ReadPath reads_;
+  CatchUp catchup_;
   BatchLimits limits_;
 
-  // -- executed state --
-  /// Decided batch per RETAINED slot: log_[i] is slot log_base_ + i.
-  std::vector<Bytes> log_;
-  std::uint64_t log_base_ = 0;        // slots below are truncated
-  Bytes chain_;                        // chained digest at exec_slots()
+  // -- executed state (the decided log itself lives in catchup_) --
   std::uint64_t exec_count_ = 0;       // commands executed (incl. recovery)
   std::vector<LogEntry> exec_log_;     // locally executed, in order
   std::map<std::uint64_t, std::uint64_t> last_exec_;  // client → seq
-
-  // -- checkpoints --
-  /// Own state snapshots at interval boundaries, awaiting 2f+1 votes:
-  /// slot → (state, state digest).
-  std::map<std::uint64_t, std::pair<CheckpointState, Bytes>> pending_states_;
-  /// Verified votes per boundary slot; few distinct digests (linear scan).
-  struct CkptTally {
-    Bytes digest;
-    std::map<ReplicaId, Bytes> sigs;  // signer → signature
-  };
-  std::map<std::uint64_t, std::vector<CkptTally>> ckpt_votes_;
-  std::uint64_t stable_slot_ = 0;
-  std::optional<std::pair<CheckpointState, CheckpointCert>> stable_;
-
-  // -- recovery --
-  bool recovering_ = false;       // replaying the WAL: no sends, no appends
-  std::uint64_t recovered_slots_ = 0;
 
   // -- request intake --
   std::deque<Request> queue_;   // not yet assigned to a slot
@@ -465,13 +399,7 @@ class SmrReplica : public core::INode {
   std::size_t assigned_count_ = 0;
   std::uint64_t local_seq_ = 0;
   bool pace_armed_ = false;
-  bool catchup_armed_ = false;
   bool started_ = false;
-  /// Exclusive upper bound on slots known to exist somewhere in the
-  /// cluster (from peer traffic and hints). While exec_slots() is below
-  /// it, this replica is behind and the catch-up pull keeps running —
-  /// including when the gap is wider than the open window.
-  std::uint64_t max_seen_slot_ = 0;
 
   // -- in-flight slots --
   std::uint64_t next_open_ = 0;  // lowest never-opened slot
@@ -487,18 +415,6 @@ class SmrReplica : public core::INode {
   std::vector<std::unique_ptr<core::Replica>> retired_;
   std::map<std::uint64_t, Bytes> decided_out_of_order_;
   std::map<std::uint64_t, std::vector<Buffered>> buffered_;
-  // slot → hinted values with their vouching peers (few distinct values,
-  // linear scan); f+1 distinct SIGNATURE-VERIFIED vouchers adopt.
-  struct HintEntry {
-    Bytes value;
-    std::set<ReplicaId> vouchers;
-  };
-  std::map<std::uint64_t, std::vector<HintEntry>> hints_;
-  /// Memoized signed hint wire encodings per retained slot: handle_pull
-  /// answers a window's worth of slots per straggler, and several
-  /// stragglers ask for the same stretch — encode + sign once, reuse the
-  /// buffer. Entries below the stable checkpoint are erased with the log.
-  std::map<std::uint64_t, Bytes> hint_wire_;
 };
 
 }  // namespace probft::smr

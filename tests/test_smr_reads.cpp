@@ -982,6 +982,9 @@ struct TcpReadCluster {
       cfg.secret_key = keys.pairs[id].secret_key;
       cfg.public_keys = keys.public_keys;
       cfg.sync.base_timeout = 100'000;
+      cfg.on_execute = [this, id](const ExecutedCommand&) {
+        executed[id].fetch_add(1, std::memory_order_relaxed);
+      };
       net::TcpTransport* transport = transports[id].get();
       core::ProtocolHost hooks;
       // Sender-side partition filter; broadcast fans out through the
@@ -1000,9 +1003,6 @@ struct TcpReadCluster {
         }
       };
       hooks.set_timer = transport->timer_setter();
-      hooks.on_commit = [this, id](std::uint64_t, const Bytes&) {
-        executed[id].fetch_add(1, std::memory_order_relaxed);
-      };
       replicas[id] = std::make_unique<SmrReplica>(std::move(cfg), hooks);
       transports[id]->register_handler(
           id, [this, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
