@@ -23,6 +23,7 @@
 // runs are reported either way), and `--json FILE` writes the aggregate
 // stats report. Per-run RESULT lines print in deterministic (spec, seed)
 // order after the sweep finishes, so output is stable under any --jobs.
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -75,8 +76,8 @@ void usage() {
       "\n"
       "--workload smr drives a pipelined SMR fleet through a client\n"
       "workload instead of one single-shot decision; outcomes assert\n"
-      "identical logs. SMR supports the crash/churn/partition/reorder\n"
-      "faults (simulator transport only).\n"
+      "identical logs. SMR runs ProBFT only and supports the crash/churn/\n"
+      "partition/reorder faults (simulator transport only).\n"
       "\n"
       "--shards S (with --workload smr) multiplexes S consensus groups\n"
       "per replica behind the placement layer; outcomes assert per-shard\n"
@@ -294,6 +295,16 @@ int main(int argc, char** argv) {
   // mode (probft_node --smr + probft_client).
   if (opt.tcp && opt.spec.workload == sim::Workload::kSmr) {
     std::fprintf(stderr, "--workload smr requires --transport sim\n");
+    return 2;
+  }
+  const auto not_probft = [](sim::Protocol p) {
+    return p != sim::Protocol::kProbft;
+  };
+  if (opt.spec.workload != sim::Workload::kSingleShot &&
+      (not_probft(opt.spec.protocol) ||
+       std::any_of(opt.protocols.begin(), opt.protocols.end(), not_probft))) {
+    std::fprintf(stderr, "--workload %s runs ProBFT only\n",
+                 sim::to_string(opt.spec.workload));
     return 2;
   }
   if (opt.spec.shards > 1 && opt.spec.workload != sim::Workload::kSmr) {

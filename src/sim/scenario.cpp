@@ -160,8 +160,10 @@ bool smr_fault_supported(Fault fault) {
 }
 
 bool fault_applicable(const ScenarioSpec& spec) {
+  // The SMR engine is ProBFT's; an SMR run ignores spec.protocol.
   if (spec.workload != Workload::kSingleShot &&
-      !smr_fault_supported(spec.fault)) {
+      (spec.protocol != Protocol::kProbft ||
+       !smr_fault_supported(spec.fault))) {
     return false;
   }
   switch (spec.fault) {

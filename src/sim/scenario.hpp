@@ -155,8 +155,8 @@ bool workload_from_string(const std::string& text, Workload& out);
 
 /// Whether a fault can be injected under a protocol (equivocate/flood craft
 /// ProBFT-format messages, so they only apply there) and cluster shape
-/// (silent-followers and equivocate need f ≥ 1). For the SMR workload the
-/// fault must additionally be realizable against a fleet
+/// (silent-followers and equivocate need f ≥ 1). An SMR workload runs
+/// ProBFT only, and its fault must be realizable against a fleet
 /// (smr_fault_supported).
 [[nodiscard]] bool fault_applicable(const ScenarioSpec& spec);
 

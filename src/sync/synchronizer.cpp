@@ -45,7 +45,11 @@ void Synchronizer::on_wish(ReplicaId from, View v) {
 
 void Synchronizer::advance() {
   if (stopped_) return;
-  if (own_wish_ <= current_) wish_for(current_ + 1);
+  if (own_wish_ <= current_) {
+    wish_for(current_ + 1);
+  } else {
+    broadcast_wish_(own_wish_);  // the first copy may have been lost
+  }
 }
 
 void Synchronizer::stop() { stopped_ = true; }
@@ -89,6 +93,8 @@ void Synchronizer::arm_timer() {
   set_timer_(timeout_for(current_), [this, generation] {
     if (stopped_ || generation != generation_) return;
     advance();
+    // No view entered: keep firing, or a lost wish would stall for good.
+    if (!stopped_ && generation == generation_) arm_timer();
   });
 }
 

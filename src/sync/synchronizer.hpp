@@ -6,7 +6,8 @@
 //   - the (f+1)-th highest wish is adopted and re-broadcast (amplification:
 //     at least one correct replica wants it), and
 //   - the (2f+1)-th highest wish is entered (a quorum of replicas is there).
-// A per-view timer with exponential back-off generates local wishes, which
+// A per-view timer with exponential back-off generates local wishes, and
+// repeats them until a view is entered (a partition may drop a wish), which
 // after GST guarantees all correct replicas eventually overlap in a view
 // with a correct leader for long enough to decide.
 //
@@ -50,8 +51,10 @@ class Synchronizer {
   /// Feeds a Wish received from `from` (Byzantine senders included).
   void on_wish(ReplicaId from, View v);
 
-  /// Local request to leave the current view (timeout already does this;
-  /// protocols call it when they block a view on leader equivocation).
+  /// Local request to leave the current view; the view timer calls it at
+  /// every timeout until a view is entered. Wishes for the next view, or
+  /// repeats the wish already made past the current one (a partition may
+  /// have dropped it).
   void advance();
 
   /// Freezes the synchronizer once the replica decided.

@@ -8,6 +8,8 @@
 //     (asserted for every benign-fault combination).
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "sim/scenario.hpp"
 
 namespace probft::sim {
@@ -112,6 +114,34 @@ TEST(ScenarioMatrix, SmrWorkloadKeepsLogsIdenticalUnderFaults) {
   }
 }
 
+TEST(ScenarioMatrix, SmrPartitionsTerminateWithDefaultOptions) {
+  // Default SmrOptions: every view-1 wish sent during the partition is
+  // dropped, so progress after it heals rests on the synchronizer
+  // repeating its wish at each timeout.
+  for (const auto& [n, f] : {std::pair<std::uint32_t, std::uint32_t>{4, 1},
+                             std::pair<std::uint32_t, std::uint32_t>{7, 2}}) {
+    for (const std::uint32_t shards : {1U, 4U}) {
+      ScenarioSpec base = matrix_base();
+      base.workload = Workload::kSmr;
+      base.n = n;
+      base.f = f;
+      base.shards = shards;
+      const auto specs = expand_matrix(
+          {Protocol::kProbft},
+          {Fault::kPartitionUntilGst, Fault::kAsymmetricPartition}, {1, 2, 3},
+          base);
+      ASSERT_EQ(specs.size(), 2U);
+      for (const auto& result : run_matrix(specs)) {
+        for (const auto& outcome : result.outcomes) {
+          EXPECT_TRUE(outcome.agreement && outcome.terminated)
+              << scenario_name(result.spec) << " seed " << outcome.seed
+              << ": " << outcome.decided << "/" << outcome.correct;
+        }
+      }
+    }
+  }
+}
+
 TEST(ScenarioMatrix, SmrWorkloadIsSeedDeterministic) {
   ScenarioSpec spec = matrix_base();
   spec.workload = Workload::kSmr;
@@ -159,6 +189,20 @@ TEST(ScenarioSpecTest, FaultApplicability) {
   spec.fault = Fault::kAdaptiveLeader;
   EXPECT_FALSE(fault_applicable(spec));
   EXPECT_FALSE(smr_fault_supported(Fault::kFlood));
+
+  // The SMR engine runs ProBFT only: no other protocol has an SMR run.
+  for (const Workload workload : {Workload::kSmr, Workload::kSmrReads}) {
+    spec.workload = workload;
+    spec.fault = Fault::kNone;
+    spec.protocol = Protocol::kProbft;
+    EXPECT_TRUE(fault_applicable(spec));
+    spec.protocol = Protocol::kPbft;
+    EXPECT_FALSE(fault_applicable(spec));
+    spec.protocol = Protocol::kHotStuff;
+    EXPECT_FALSE(fault_applicable(spec));
+  }
+  spec.workload = Workload::kSingleShot;
+  EXPECT_TRUE(fault_applicable(spec));
 }
 
 TEST(ScenarioSpecTest, MakeClusterConfigDerivesBehaviors) {

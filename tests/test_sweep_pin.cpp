@@ -116,8 +116,10 @@ TEST(SweepPin, SmrReadsTranscriptUnchanged) {
   const std::pair<Fault, const char*> pins[] = {
       {Fault::kNone,
        "087a4e94d62e89dfcfbc8b6036a742a446b659bb8ef4ad3d3d2539a9dbfd6bee"},
+      // Re-captured when the synchronizer began repeating a wish at every
+      // timeout until a view is entered.
       {Fault::kPartitionUntilGst,
-       "e52c36807d33386bfaecb12004a676140a577a98cdee1ae5526040e85b5aff97"},
+       "20d80f7c0abc7ef8caf023419d6817399ee8f98404cd0f51c325250d43e8a1eb"},
       {Fault::kKillRestart,
        "65f0d2beef7be1d892afbafb14c40a81b1af8e9c2691affccf7c1461e803657f"},
   };
@@ -147,8 +149,9 @@ TEST(SweepPin, SmrCatchUpTranscriptUnchanged) {
     const char* digest;
   };
   const Shape pins[] = {
+      // Re-captured with the repeated wish (events 9033 → 9036).
       {Fault::kChurnRecovery, 300, 4,
-       "1c74293f58222f23efc86f4b7a63a8bb11969d2977c4db0e7bb816229acb210e"},
+       "5fdece70854757351ce7dd7860034aae5fd4ddcfc73a5cb82d4f16c51c083d77"},
       {Fault::kKillRestart, 100, 16,
        "e39462862c9e255ef1488360bbe74fede8b8f96e99377e989b2801bb7c0e2417"},
   };

@@ -160,6 +160,26 @@ TEST(Synchronizer, FWishesAreNotEnough) {
   EXPECT_EQ(fleet.entered[4], 1U);
 }
 
+TEST(Synchronizer, DroppedWishIsResentAtTheNextTimeout) {
+  // A partition drops every wish of the first timeout. No view is
+  // entered, so the timer must keep running and repeat the wish once the
+  // links heal — otherwise the fleet stalls in view 1 for good.
+  Fleet fleet(4, 1);
+  for (ReplicaId id = 1; id <= 4; ++id) fleet.silent[id] = true;
+  fleet.start_all();
+  fleet.sim.run_until(60'000);  // past the 50 ms view-1 timeout
+  for (ReplicaId id = 1; id <= 4; ++id) {
+    EXPECT_EQ(fleet.wishes[id], std::vector<View>{2}) << "replica " << id;
+    EXPECT_EQ(fleet.entered[id], 1U) << "replica " << id;
+  }
+  for (ReplicaId id = 1; id <= 4; ++id) fleet.silent[id] = false;
+  fleet.sim.run_until(110'000);  // the next timeout, plus delivery
+  for (ReplicaId id = 1; id <= 4; ++id) {
+    EXPECT_EQ(fleet.wishes[id], (std::vector<View>{2, 2})) << "replica " << id;
+    EXPECT_EQ(fleet.entered[id], 2U) << "replica " << id;
+  }
+}
+
 TEST(Synchronizer, ByzantineWishesAloneCannotForceViewChange) {
   // A single Byzantine replica (f=1) wishes an enormous view; correct
   // replicas must not jump: one wish is below the f+1 amplification bar.
