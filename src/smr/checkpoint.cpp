@@ -72,14 +72,12 @@ CheckpointState CheckpointState::decode(Reader& r) {
   if (state.log_digest.size() != crypto::Sha256::kDigestSize) {
     throw CodecError("checkpoint state: bad digest size");
   }
-  state.last_exec =
-      r.vec<std::pair<std::uint64_t, std::uint64_t>>(
-          [](Reader& rr) {
-            const std::uint64_t client = rr.u64();
-            const std::uint64_t seq = rr.u64();
-            return std::pair<std::uint64_t, std::uint64_t>{client, seq};
-          },
-          kMaxDedupEntries);
+  state.last_exec = r.vec<std::pair<std::uint64_t, std::uint64_t>>(
+      [](Reader& rr) {
+        const std::uint64_t client = rr.u64();
+        return std::pair<std::uint64_t, std::uint64_t>{client, rr.u64()};
+      },
+      kMaxDedupEntries);
   for (std::size_t i = 1; i < state.last_exec.size(); ++i) {
     if (state.last_exec[i - 1].first >= state.last_exec[i].first) {
       throw CodecError("checkpoint state: dedup table not strictly sorted");
@@ -149,8 +147,7 @@ CheckpointCert CheckpointCert::decode(Reader& r) {
   cert.signatures = r.vec<std::pair<ReplicaId, Bytes>>(
       [](Reader& rr) {
         const ReplicaId signer = rr.u32();
-        Bytes sig = rr.bytes();
-        return std::pair<ReplicaId, Bytes>{signer, std::move(sig)};
+        return std::pair<ReplicaId, Bytes>{signer, rr.bytes()};
       },
       /*max_items=*/4096);
   return cert;
@@ -219,7 +216,7 @@ void CatchUp::recover(
     if (!certifies(state, cert)) {
       throw std::runtime_error("SmrReplica: WAL checkpoint fails its cert");
     }
-    install(std::move(state), std::move(cert));
+    install(state, cert);
   }
   for (const Bytes& record : cfg_.wal->records()) {
     Reader r(record);
@@ -234,10 +231,6 @@ void CatchUp::recover(
   }
   recovered_slots_ = exec_slots();
   recovering_ = false;
-}
-
-void CatchUp::start() {
-  if (recovered_slots_ > 0) broadcast_pull();
 }
 
 void CatchUp::persist(std::uint64_t slot, const Bytes& value) {
@@ -292,11 +285,6 @@ bool CatchUp::on_slot_frame(ReplicaId from, std::uint64_t slot) {
     send_hint(from, slot);
   }
   return true;
-}
-
-void CatchUp::pull_while_behind(std::uint64_t opened) {
-  max_seen_slot_ = std::max(max_seen_slot_, opened);
-  arm_pull();
 }
 
 void CatchUp::arm_pull() {
@@ -365,11 +353,7 @@ void CatchUp::send_hint(ReplicaId to, std::uint64_t slot) {
 }
 
 void CatchUp::send_state(ReplicaId to) {
-  if (!stable_.has_value()) return;
-  Writer w;
-  stable_->first.encode(w);
-  stable_->second.encode(w);
-  host_.send(to, kSmrStateTag, std::move(w).take());
+  if (!stable_.empty()) host_.send(to, kSmrStateTag, stable_);
 }
 
 void CatchUp::handle_hint(ReplicaId from, const Bytes& payload) {
@@ -445,7 +429,7 @@ void CatchUp::handle_state(const Bytes& payload) {
   r.expect_exhausted();
   if (state.slot <= exec_slots()) return;  // not ahead of us
   if (state.slot > cfg_.pipeline.max_slots) return;
-  if (certifies(state, cert)) install(std::move(state), std::move(cert));
+  if (certifies(state, cert)) install(state, cert);
 }
 
 void CatchUp::try_stabilize(std::uint64_t slot,
@@ -456,27 +440,29 @@ void CatchUp::try_stabilize(std::uint64_t slot,
   if (pit == pending_states_.end() || votes->value != pit->second.second) {
     return;
   }
-  if (slot <= stable_slot_ && stable_.has_value()) return;
+  if (slot <= stable_slot_) return;  // already stable
   CheckpointCert cert;
   cert.slot = slot;
   cert.state_digest = votes->value;
   cert.signatures.assign(votes->sigs.begin(), votes->sigs.end());
-  set_stable(pit->second.first, std::move(cert));
+  set_stable(pit->second.first, cert);
 }
 
-void CatchUp::set_stable(CheckpointState state, CheckpointCert cert) {
+void CatchUp::set_stable(const CheckpointState& state,
+                         const CheckpointCert& cert) {
   const std::uint64_t slot = state.slot;
+  Writer w;
+  state.encode(w);
+  cert.encode(w);
+  stable_ = std::move(w).take();
   if (cfg_.wal != nullptr && !recovering_) {
     // Persist before truncating memory: the WAL's new segment carries the
     // retained tail [slot, exec), the snapshot record carries state + cert.
-    Writer w;
-    state.encode(w);
-    cert.encode(w);
     std::vector<Bytes> tail;
     for (std::uint64_t s = slot; s < exec_slots(); ++s) {
       tail.push_back(encode_decide_record(s, log_[s - log_base_]));
     }
-    cfg_.wal->checkpoint(slot, std::move(w).take(), tail);
+    cfg_.wal->checkpoint(slot, stable_, tail);
   }
   // Truncate below the checkpoint: all of the log when it is ahead of
   // our execution (state transfer).
@@ -489,16 +475,16 @@ void CatchUp::set_stable(CheckpointState state, CheckpointCert cert) {
                         pending_states_.upper_bound(slot));
   votes_.erase_below(slot + 1);
   stable_slot_ = slot;
-  stable_ = std::make_pair(std::move(state), std::move(cert));
 }
 
-void CatchUp::install(CheckpointState state, CheckpointCert cert) {
+void CatchUp::install(const CheckpointState& state,
+                      const CheckpointCert& cert) {
   // Jump the log: everything below `slot` is summarized by the cert.
   const std::uint64_t slot = state.slot;  // > exec_slots(), caller-checked
   chain_ = state.log_digest;
   max_seen_slot_ = std::max(max_seen_slot_, slot);
   hints_.erase_below(slot);
-  set_stable(state, std::move(cert));
+  set_stable(state, cert);
   jump_(state);
 }
 

@@ -36,10 +36,10 @@
 // forward from the checkpoint's digest and stays comparable with peers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -162,6 +162,8 @@ class CatchUp {
   /// `cfg` and `host` are the owning replica's and must outlive this.
   CatchUp(const SmrConfig& cfg, const core::ProtocolHost& host,
           AdoptFn adopt, JumpFn jump);
+  CatchUp(const CatchUp&) = delete;  // the pull timer captures `this`
+  CatchUp& operator=(const CatchUp&) = delete;
 
   // ---- hooks ----
   /// Restores cfg.wal, if any: installs its snapshot once its cert
@@ -170,7 +172,9 @@ class CatchUp {
   void recover(const std::function<void(std::uint64_t, Bytes)>& replay);
   /// After a non-empty recovery, one pull asks the peers for whatever
   /// this replica missed while down.
-  void start();
+  void start() {
+    if (recovered_slots_ > 0) broadcast_pull();
+  }
   /// Durability point: the decide of `slot` reaches the WAL (and disk,
   /// when fsync is on) before any client-visible execution effect.
   void persist(std::uint64_t slot, const Bytes& value);
@@ -183,7 +187,10 @@ class CatchUp {
   bool on_slot_frame(ReplicaId from, std::uint64_t slot);
   /// Slots below `opened` exist: the pull runs while execution trails
   /// any slot known to exist.
-  void pull_while_behind(std::uint64_t opened);
+  void pull_while_behind(std::uint64_t opened) {
+    max_seen_slot_ = std::max(max_seen_slot_, opened);
+    arm_pull();
+  }
   /// A kSmrHintTag / kSmrPullTag / kSmrCkptTag / kSmrStateTag frame
   /// (other tags are ignored); throws CodecError.
   void on_message(ReplicaId from, std::uint8_t tag, const Bytes& payload);
@@ -225,9 +232,9 @@ class CatchUp {
   void try_stabilize(std::uint64_t slot, const SignedTally::Entry* votes);
   /// Persists a stable checkpoint with the retained log above it, then
   /// truncates the log below it.
-  void set_stable(CheckpointState state, CheckpointCert cert);
+  void set_stable(const CheckpointState& state, const CheckpointCert& cert);
   /// Adopts a VERIFIED checkpoint ahead of our execution.
-  void install(CheckpointState state, CheckpointCert cert);
+  void install(const CheckpointState& state, const CheckpointCert& cert);
   [[nodiscard]] bool certifies(const CheckpointState& state,
                                const CheckpointCert& cert) const;
 
@@ -248,7 +255,7 @@ class CatchUp {
   std::map<std::uint64_t, std::pair<CheckpointState, Bytes>> pending_states_;
   SignedTally votes_;  // boundary slot → state digest → signers
   std::uint64_t stable_slot_ = 0;
-  std::optional<std::pair<CheckpointState, CheckpointCert>> stable_;
+  Bytes stable_;  // the stable (state, cert) as encoded; empty before one
 
   SignedTally hints_;  // slot → hinted value → vouchers; f + 1 adopt
   /// Memoized signed hint wire encodings per retained slot: handle_pull

@@ -324,11 +324,10 @@ class ReadPath {
   // form, which is exactly what makes the leader's lease sound.
   std::uint64_t promise_live_ = 0;
   std::uint64_t last_granted_epoch_ = 0;
-  /// View-change frames generated while promises were live. The
-  /// synchronizer broadcasts each wish exactly once (its view timer does
-  /// not re-arm), so a held frame must be DEFERRED, not dropped — it is
-  /// flushed when the last promise expires, which is what lets a view
-  /// change eventually depose a dead lease holder.
+  /// View-change frames generated while promises were live. A NewLeader
+  /// is sent once per view, so a held frame must be DEFERRED, not
+  /// dropped — it is flushed when the last promise expires, which is
+  /// what lets a view change eventually depose a dead lease holder.
   struct DeferredFrame {
     ReplicaId to = 0;  // 0 = broadcast
     Bytes frame;

@@ -478,8 +478,6 @@ void SmrReplica::retire_executed_slots() {
   buffered_.erase(buffered_.begin(), buffered_.lower_bound(exec));
 }
 
-void SmrReplica::collect_retired() { retired_.clear(); }
-
 void SmrReplica::on_prefix_jump(const CheckpointState& state) {
   const std::uint64_t slot = state.slot;
 

@@ -364,7 +364,7 @@ class SmrReplica : public core::INode {
   void send_slot(ReplicaId to, std::uint64_t slot, std::uint8_t tag,
                  const Bytes& m);
   void retire_executed_slots();
-  void collect_retired();
+  void collect_retired() { retired_.clear(); }
   /// Upper bound (exclusive) on slots that may be open right now.
   [[nodiscard]] std::uint64_t open_limit() const;
 
