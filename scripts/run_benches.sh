@@ -67,47 +67,29 @@ for bench in "${builddir}"/bench/bench_*; do
 \"txt\": \"${name}.txt\"}"
 done
 
-# Machine-readable SMR summary: committed-commands/sec plus checkpoint
-# and WAL-recovery timings. The repo keeps a committed copy of this file
-# (BENCH_smr.json at the repo root) as the durability baseline.
-if [ -x "${builddir}/bench/bench_smr_throughput" ]; then
-  echo "== BENCH_smr.json (throughput + checkpoint/recovery timings)"
-  if ! "${builddir}/bench/bench_smr_throughput" \
-      --emit-json="${outdir}/BENCH_smr.json"; then
-    echo "   FAILED: bench_smr_throughput --emit-json" >&2
+# Machine-readable summaries; the repo keeps a committed copy of each at
+# its root as a baseline, and CI's gcc leg checks they are current:
+#   BENCH_smr.json      committed-commands/sec plus checkpoint and
+#                       WAL-recovery timings (the durability baseline);
+#   BENCH_sharding.json aggregate throughput for S in {1,2,4,8} groups
+#                       plus cross-shard tx latency (CI gates S=4 >= 2.5x
+#                       S=1 via --smoke);
+#   BENCH_reads.json    served ops/sec across read ratio x consistency
+#                       for the n=4 and n=32 fleets, plus the write-path
+#                       digest pin (CI gates linearizable reads at ratio
+#                       0.99 >= 5x all-writes via --smoke).
+for summary in smr:bench_smr_throughput sharding:bench_sharding \
+               reads:bench_reads; do
+  json="BENCH_${summary%%:*}.json"
+  bin="${summary#*:}"
+  [ -x "${builddir}/bench/${bin}" ] || continue
+  echo "== ${json}"
+  if ! "${builddir}/bench/${bin}" --emit-json="${outdir}/${json}"; then
+    echo "   FAILED: ${bin} --emit-json" >&2
     status=1
     failed=$((failed + 1))
   fi
-fi
-
-# Machine-readable sharding summary: aggregate throughput for S in
-# {1,2,4,8} consensus groups plus cross-shard tx latency. The repo keeps
-# a committed copy (BENCH_sharding.json at the repo root) as the scaling
-# baseline; CI gates on S=4 >= 2.5x S=1 via --smoke.
-if [ -x "${builddir}/bench/bench_sharding" ]; then
-  echo "== BENCH_sharding.json (shard scaling + dtx latency)"
-  if ! "${builddir}/bench/bench_sharding" \
-      --emit-json="${outdir}/BENCH_sharding.json"; then
-    echo "   FAILED: bench_sharding --emit-json" >&2
-    status=1
-    failed=$((failed + 1))
-  fi
-fi
-
-# Machine-readable read-path summary: served ops/sec across read ratio x
-# consistency for the n=4 and n=32 fleets, plus the write-path digest
-# pin. The repo keeps a committed copy (BENCH_reads.json at the repo
-# root) as the read fast-path baseline; CI gates on linearizable reads
-# at ratio 0.99 >= 5x all-writes via --smoke.
-if [ -x "${builddir}/bench/bench_reads" ]; then
-  echo "== BENCH_reads.json (read ratio x consistency sweep)"
-  if ! "${builddir}/bench/bench_reads" \
-      --emit-json="${outdir}/BENCH_reads.json"; then
-    echo "   FAILED: bench_reads --emit-json" >&2
-    status=1
-    failed=$((failed + 1))
-  fi
-fi
+done
 
 # Provenance: pin the manifest to the exact tree and wall-clock moment
 # the numbers came from, so archived bench-results stay comparable.

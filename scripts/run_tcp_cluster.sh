@@ -112,85 +112,61 @@ cleanup() {
 }
 trap cleanup EXIT
 
-run_client_mode() {
-  local base_port=$1
-  local peers=$2
-  local client_servers=""
+# client_servers BASE_PORT: the nodes' client ports, comma-separated.
+client_servers() {
+  local list="" i
   for (( i = 0; i < N; i++ )); do
-    client_servers+="${client_servers:+,}127.0.0.1:$(( base_port + 100 + i ))"
+    list+="${list:+,}127.0.0.1:$(( $1 + 100 + i ))"
   done
-
-  pids=()
-  for (( id = 1; id <= N; id++ )); do
-    timeout $(( DEADLINE_MS / 1000 + LINGER_MS / 1000 + 15 )) \
-      "$NODE_BIN" --id "$id" --peers "$peers" --smr 1 \
-        --client-port $(( base_port + 100 + id - 1 )) \
-        --expect-cmds "$REQUESTS" --run-ms "$DEADLINE_MS" \
-        --linger-ms "$LINGER_MS" --stats 1 $NODE_EXTRA_FLAGS \
-        > "$workdir/node-$id.out" 2> "$workdir/node-$id.err" &
-    pids+=($!)
-  done
-
-  sleep 1
-  if ! timeout $(( DEADLINE_MS / 1000 + 10 )) \
-      "$CLIENT_BIN" --servers "$client_servers" --requests "$REQUESTS" \
-        --mode closed --force-retry 1 --retry-ms 3000 \
-        --timeout-ms "$DEADLINE_MS" > "$workdir/client.out" 2>&1; then
-    echo "FAIL: client did not complete" >&2
-    cat "$workdir/client.out" >&2
-    return 1
-  fi
-
-  local failures=0
-  for (( id = 1; id <= N; id++ )); do
-    wait "${pids[$((id - 1))]}" || failures=$((failures + 1))
-  done
-  pids=()
-  if (( failures > 0 )); then
-    if grep -lq "cannot start transport" "$workdir"/node-*.err 2>/dev/null; then
-      return 2  # retryable port clash
-    fi
-    echo "FAIL: $failures/$N SMR nodes did not reach $REQUESTS commands" >&2
-    cat "$workdir"/node-*.err >&2
-    return 1
-  fi
-
-  cat "$workdir/client.out"
-  grep -h "^SMRLOG" "$workdir"/node-*.out
-  local digests cmds
-  digests=$(grep -h "^SMRLOG" "$workdir"/node-*.out \
-              | sed 's/.*digest=//' | sort -u | wc -l)
-  cmds=$(grep -h "^SMRLOG" "$workdir"/node-*.out \
-           | grep -c "cmds=$REQUESTS ")
-  if [[ "$digests" -ne 1 || "$cmds" -ne "$N" ]]; then
-    echo "FAIL: logs diverged or a retry double-executed" >&2
-    return 1
-  fi
-  if ! grep -q "^CLIENT ok requests=$REQUESTS replies=$REQUESTS" \
-      "$workdir/client.out"; then
-    echo "FAIL: client reply accounting is off" >&2
-    return 1
-  fi
-  echo "OK: $N/$N replicas executed $REQUESTS client commands with identical logs"
-  return 0
+  echo "$list"
 }
 
-run_reads_mode() {
-  local base_port=$1
-  local peers=$2
+# wait_nodes WHAT: waits for every process in pids. Returns 0 when all
+# exited 0, 2 on a port clash (retryable), else 1 after reporting WHAT
+# and the nodes' stderr.
+wait_nodes() {
+  local failures=0 pid
+  for pid in "${pids[@]}"; do
+    wait "$pid" || failures=$((failures + 1))
+  done
+  pids=()
+  (( failures == 0 )) && return 0
+  # A bind failure (port stolen between attempts) is retryable; anything
+  # else is a real failure — tell them apart by stderr content.
+  if grep -lq "cannot start transport" "$workdir"/node-*.err 2>/dev/null; then
+    return 2
+  fi
+  echo "FAIL: $failures/$N $1" >&2
+  cat "$workdir"/node-*.err >&2
+  return 1
+}
+
+# logs_agree PATTERN FILE...: exactly N lines in FILEs match PATTERN, all
+# with one log digest.
+logs_agree() {
+  local pattern=$1
+  shift
+  [[ $(grep -h "$pattern" "$@" | wc -l) -eq "$N"
+     && $(grep -h "$pattern" "$@" | sed 's/.*digest=//' | sort -u | wc -l) -eq 1 ]]
+}
+
+# The client path (READS=0: the first request is retried and must not
+# execute twice) and the read smoke (READS=1: reads on, f=1 / l=1.5).
+run_serving_mode() {
+  local base_port=$1 peers=$2 reads=$3
   local ratio=${READ_RATIO:-0.9}
   local consistency=${READ_CONSISTENCY:-linearizable}
-  local client_servers=""
-  for (( i = 0; i < N; i++ )); do
-    client_servers+="${client_servers:+,}127.0.0.1:$(( base_port + 100 + i ))"
-  done
+  local node_flags=() client_flags=(--force-retry 1)
+  if (( reads )); then
+    node_flags=(--f 1 --l 1.5 --reads 1)
+    client_flags=(--read-ratio "$ratio" --consistency "$consistency")
+  fi
   rm -rf "$workdir"/node-*.out "$workdir"/node-*.err
 
   pids=()
   for (( id = 1; id <= N; id++ )); do
     timeout $(( DEADLINE_MS / 1000 + LINGER_MS / 1000 + 15 )) \
-      "$NODE_BIN" --id "$id" --peers "$peers" --smr 1 --f 1 --l 1.5 \
-        --reads 1 \
+      "$NODE_BIN" --id "$id" --peers "$peers" --smr 1 "${node_flags[@]}" \
         --client-port $(( base_port + 100 + id - 1 )) \
         --expect-cmds "$REQUESTS" --run-ms "$DEADLINE_MS" \
         --linger-ms "$LINGER_MS" --stats 1 $NODE_EXTRA_FLAGS \
@@ -200,38 +176,20 @@ run_reads_mode() {
 
   sleep 1
   if ! timeout $(( DEADLINE_MS / 1000 + 10 )) \
-      "$CLIENT_BIN" --servers "$client_servers" --requests "$REQUESTS" \
-        --mode closed --read-ratio "$ratio" --consistency "$consistency" \
+      "$CLIENT_BIN" --servers "$(client_servers "$base_port")" \
+        --requests "$REQUESTS" --mode closed "${client_flags[@]}" \
         --retry-ms 3000 --timeout-ms "$DEADLINE_MS" \
         > "$workdir/client.out" 2>&1; then
-    echo "FAIL: client did not complete its writes and reads" >&2
+    echo "FAIL: client did not complete" >&2
     cat "$workdir/client.out" >&2
     return 1
   fi
-
-  local failures=0
-  for (( id = 1; id <= N; id++ )); do
-    wait "${pids[$((id - 1))]}" || failures=$((failures + 1))
-  done
-  pids=()
-  if (( failures > 0 )); then
-    if grep -lq "cannot start transport" "$workdir"/node-*.err 2>/dev/null; then
-      return 2  # retryable port clash
-    fi
-    echo "FAIL: $failures/$N SMR nodes did not reach $REQUESTS commands" >&2
-    cat "$workdir"/node-*.err >&2
-    return 1
-  fi
+  wait_nodes "SMR nodes did not reach $REQUESTS commands" || return $?
 
   cat "$workdir/client.out"
   grep -h "^SMRLOG" "$workdir"/node-*.out
-  local digests cmds
-  digests=$(grep -h "^SMRLOG" "$workdir"/node-*.out \
-              | sed 's/.*digest=//' | sort -u | wc -l)
-  cmds=$(grep -h "^SMRLOG" "$workdir"/node-*.out \
-           | grep -c "cmds=$REQUESTS ")
-  if [[ "$digests" -ne 1 || "$cmds" -ne "$N" ]]; then
-    echo "FAIL: logs diverged under the read workload" >&2
+  if ! logs_agree "^SMRLOG .*cmds=$REQUESTS " "$workdir"/node-*.out; then
+    echo "FAIL: logs diverged or a request executed twice" >&2
     return 1
   fi
   if ! grep -q "^CLIENT ok requests=$REQUESTS replies=$REQUESTS" \
@@ -239,13 +197,15 @@ run_reads_mode() {
     echo "FAIL: client reply accounting is off" >&2
     return 1
   fi
+  echo "OK: $N/$N replicas executed $REQUESTS client commands with" \
+       "identical logs"
+  (( reads )) || return 0
   if ! grep -q "^READS ok consistency=$consistency .*stale=0 " \
       "$workdir/client.out"; then
     echo "FAIL: reads incomplete or stale" >&2
     return 1
   fi
-  echo "OK: $N/$N replicas executed $REQUESTS writes with identical logs;" \
-       "$consistency reads at ratio $ratio all answered, none stale"
+  echo "OK: $consistency reads at ratio $ratio all answered, none stale"
   return 0
 }
 
@@ -269,10 +229,8 @@ run_restart_mode() {
     shard_flags=(--shards "$SHARDS")
   fi
   local expect=$(( reqs + dtx * (2 + 2 * SHARDS) ))
-  local client_servers=""
-  for (( i = 0; i < N; i++ )); do
-    client_servers+="${client_servers:+,}127.0.0.1:$(( base_port + 100 + i ))"
-  done
+  local servers
+  servers=$(client_servers "$base_port")
   # A port-clash retry must not inherit the previous attempt's WALs or
   # stale stderr (the retryable-failure grep reads node-*.err).
   rm -rf "$workdir"/wal-* "$workdir"/node-*.out "$workdir"/node-*.err
@@ -298,7 +256,7 @@ run_restart_mode() {
   sleep 1
   # Load client: closed-loop requests (routed by placement hash at S > 1).
   timeout $(( DEADLINE_MS / 1000 + 10 )) \
-    "$CLIENT_BIN" --servers "$client_servers" "${shard_flags[@]}" \
+    "$CLIENT_BIN" --servers "$servers" "${shard_flags[@]}" \
       --requests "$reqs" --mode closed --retry-ms 2000 \
       --timeout-ms "$DEADLINE_MS" > "$workdir/client.out" 2>&1 &
   local client_pid=$!
@@ -314,7 +272,7 @@ run_restart_mode() {
   if (( dtx > 0 )); then
     sleep 2
     timeout $(( DEADLINE_MS / 1000 + 10 )) \
-      "$CLIENT_BIN" --servers "$client_servers" "${shard_flags[@]}" \
+      "$CLIENT_BIN" --servers "$servers" "${shard_flags[@]}" \
         --requests 0 --dtx "$dtx" --client-id 88001 --mode open \
         --retry-ms 1000 --timeout-ms "$DEADLINE_MS" \
         > "$workdir/dtx.out" 2>&1 &
@@ -334,30 +292,18 @@ run_restart_mode() {
   sleep 1
   start_node "$victim" "node-$victim-restart.out"
 
-  local failures=0
-  for (( id = 1; id <= N; id++ )); do
-    if (( id == victim )); then continue; fi
-    wait "${pids[$((id - 1))]}" || failures=$((failures + 1))
-  done
-  wait "${pids[-1]}" || failures=$((failures + 1))  # restarted victim
   local client_ok=0
   wait "$client_pid" || client_ok=1
   if [[ -n "$dtx_pid" ]]; then wait "$dtx_pid" || client_ok=1; fi
-  pids=()
   if (( client_ok != 0 )); then
     echo "FAIL: a client did not complete" >&2
     cat "$workdir/client.out" >&2
     [[ -n "$dtx_pid" ]] && cat "$workdir/dtx.out" >&2
     return 1
   fi
-  if (( failures > 0 )); then
-    if grep -lq "cannot start transport" "$workdir"/node-*.err 2>/dev/null; then
-      return 2  # retryable port clash
-    fi
-    echo "FAIL: $failures nodes did not reach $expect executed entries" >&2
-    cat "$workdir"/node-*.err >&2
-    return 1
-  fi
+  # The survivors and the restarted victim (the last pid).
+  pids=("${pids[@]:0:victim-1}" "${pids[@]:victim:N-victim}" "${pids[-1]}")
+  wait_nodes "nodes did not reach $expect executed entries" || return $?
 
   # Final-state files: the survivors plus the victim's second life.
   # (The victim's first life was SIGKILLed and printed nothing.)
@@ -382,11 +328,7 @@ run_restart_mode() {
     return 1
   fi
   grep -h "^SMRLOG" "${finals[@]}"
-  local digests cmds
-  digests=$(grep -h "^SMRLOG" "${finals[@]}" \
-              | sed 's/.*digest=//' | sort -u | wc -l)
-  cmds=$(grep -h "^SMRLOG" "${finals[@]}" | grep -c "cmds=$reqs ")
-  if [[ "$digests" -ne 1 || "$cmds" -ne "$N" ]]; then
+  if ! logs_agree "^SMRLOG .*cmds=$reqs " "${finals[@]}"; then
     echo "FAIL: logs diverged after crash-restart" >&2
     return 1
   fi
@@ -416,12 +358,9 @@ check_sharded_restart() {
   grep -h "^RECOVERED" "$workdir/node-$victim-restart.out"
   grep -h "^SMRLOG\|^DTX " "${finals[@]}"
   # Per-shard agreement: for each group, the N digests must be identical.
-  local s digests lines
+  local s
   for (( s = 0; s < SHARDS; s++ )); do
-    digests=$(grep -h "^SMRLOG id=[0-9]* shard=$s " "${finals[@]}" \
-                | sed 's/.*digest=//' | sort -u | wc -l)
-    lines=$(grep -h "^SMRLOG id=[0-9]* shard=$s " "${finals[@]}" | wc -l)
-    if [[ "$digests" -ne 1 || "$lines" -ne "$N" ]]; then
+    if ! logs_agree "^SMRLOG id=[0-9]* shard=$s " "${finals[@]}"; then
       echo "FAIL: shard $s logs diverged across the fleet" >&2
       return 1
     fi
@@ -456,22 +395,7 @@ run_single_shot_mode() {
         > "$workdir/node-$id.out" 2> "$workdir/node-$id.err" &
     pids+=($!)
   done
-
-  local failures=0
-  for (( id = 1; id <= N; id++ )); do
-    wait "${pids[$((id - 1))]}" || failures=$((failures + 1))
-  done
-  pids=()
-  if (( failures > 0 )); then
-    # A bind failure (port stolen between attempts) is retryable; anything
-    # else is a real failure — tell them apart by stderr content.
-    if grep -lq "cannot start transport" "$workdir"/node-*.err 2>/dev/null; then
-      return 2
-    fi
-    echo "FAIL: $failures/$N nodes did not decide" >&2
-    cat "$workdir"/node-*.err >&2
-    return 1
-  fi
+  wait_nodes "nodes did not decide" || return $?
 
   local values count
   values=$(grep -h "^DECIDED" "$workdir"/node-*.out \
@@ -498,9 +422,9 @@ while (( attempt < 3 )); do
   echo "attempt $attempt: protocol=$PROTOCOL n=$N peers=$peers"
 
   if [[ "$PROTOCOL" == client ]]; then
-    run_client_mode "$base_port" "$peers"
+    run_serving_mode "$base_port" "$peers" 0
   elif [[ "$PROTOCOL" == reads ]]; then
-    run_reads_mode "$base_port" "$peers"
+    run_serving_mode "$base_port" "$peers" 1
   elif [[ "$PROTOCOL" == restart ]]; then
     run_restart_mode "$base_port" "$peers"
   else
