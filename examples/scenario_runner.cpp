@@ -297,9 +297,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--workload smr requires --transport sim\n");
     return 2;
   }
-  const auto not_probft = [](sim::Protocol p) {
-    return p != sim::Protocol::kProbft;
-  };
+  auto not_probft = [](sim::Protocol p) { return p != sim::Protocol::kProbft; };
   if (opt.spec.workload != sim::Workload::kSingleShot &&
       (not_probft(opt.spec.protocol) ||
        std::any_of(opt.protocols.begin(), opt.protocols.end(), not_probft))) {
