@@ -170,9 +170,9 @@ bool verify_checkpoint_cert(const CheckpointCert& cert, std::uint32_t n,
   return true;
 }
 
-const SignedTally::Entry* SignedTally::add(std::uint64_t slot,
-                                           const Bytes& value,
-                                           ReplicaId signer, Bytes signature) {
+const CatchUp::SignedTally::Entry* CatchUp::SignedTally::add(
+    std::uint64_t slot, const Bytes& value, ReplicaId signer,
+    Bytes signature) {
   auto it = slots.find(slot);
   if (it == slots.end()) {
     if (slots.size() >= max_slots) {
@@ -182,8 +182,9 @@ const SignedTally::Entry* SignedTally::add(std::uint64_t slot,
     it = slots.emplace(slot, std::vector<Entry>{}).first;
   }
   auto& entries = it->second;
-  auto eit = std::find_if(entries.begin(), entries.end(),
-                          [&value](const Entry& e) { return e.value == value; });
+  auto eit = std::find_if(
+      entries.begin(), entries.end(),
+      [&value](const Entry& e) { return e.value == value; });
   if (eit == entries.end()) {
     if (entries.size() >= max_values) return nullptr;
     eit = entries.insert(entries.end(), Entry{value, {}});

@@ -120,29 +120,6 @@ struct CheckpointCert {
                                           const crypto::CryptoSuite& suite,
                                           const crypto::PublicKeyDir& keys);
 
-/// Per slot, a bounded set of distinct values, each with its distinct
-/// signers' signatures: the tally behind hint adoption (f + 1 signers)
-/// and checkpoint certificates (2f + 1). The caps keep Byzantine votes
-/// from growing it; callers verify each signature before booking it.
-struct SignedTally {
-  struct Entry {
-    Bytes value;
-    std::map<ReplicaId, Bytes> sigs;  // signer → signature
-  };
-  std::size_t max_values;  // per slot; values are few (linear scan)
-  std::size_t max_slots;
-  std::map<std::uint64_t, std::vector<Entry>> slots;
-
-  /// Books `signer`'s signature on `value` for `slot` (a signer's first
-  /// signature stands) and returns the value's entry; nullptr when a cap
-  /// dropped it. A full table evicts its lowest slot for a higher one.
-  const Entry* add(std::uint64_t slot, const Bytes& value, ReplicaId signer,
-                   Bytes signature);
-  void erase_below(std::uint64_t slot) {
-    slots.erase(slots.begin(), slots.lower_bound(slot));
-  }
-};
-
 struct SmrConfig;
 
 /// Certified catch-up and durability of one SMR engine (see the top of
@@ -218,6 +195,29 @@ class CatchUp {
   [[nodiscard]] std::uint64_t horizon() const;
 
  private:
+  /// Per slot, a bounded set of distinct values, each with its distinct
+  /// signers' signatures: the tally behind hint adoption (f + 1 signers)
+  /// and checkpoint certificates (2f + 1). The caps keep Byzantine votes
+  /// from growing it; callers verify each signature before booking it.
+  struct SignedTally {
+    struct Entry {
+      Bytes value;
+      std::map<ReplicaId, Bytes> sigs;  // signer → signature
+    };
+    std::size_t max_values;  // per slot; values are few (linear scan)
+    std::size_t max_slots;
+    std::map<std::uint64_t, std::vector<Entry>> slots;
+
+    /// Books `signer`'s signature on `value` for `slot` (a signer's first
+    /// signature stands) and returns the value's entry; nullptr when a cap
+    /// dropped it. A full table evicts its lowest slot for a higher one.
+    const Entry* add(std::uint64_t slot, const Bytes& value, ReplicaId signer,
+                     Bytes signature);
+    void erase_below(std::uint64_t slot) {
+      slots.erase(slots.begin(), slots.lower_bound(slot));
+    }
+  };
+
   void handle_hint(ReplicaId from, const Bytes& payload);
   void handle_pull(ReplicaId from, const Bytes& payload);
   void handle_ckpt_vote(ReplicaId from, const Bytes& payload);
