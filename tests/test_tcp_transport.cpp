@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -177,11 +179,16 @@ TEST(TcpTransport, OversizePayloadIsDroppedAtTheSender) {
 
 // ---- sender binding (anti-spoofing) ----
 
-// Dials the node's peer listener with a raw socket, as a hostile process
-// that is not a well-behaved TcpTransport would.
-int raw_dial(std::uint16_t port) {
+// Dials one of the node's listeners with a raw socket, as a hostile
+// process or a client that is not a TcpTransport would. `rcvbuf` > 0
+// shrinks the receive buffer before connecting (a client that never reads
+// then stalls the sender after a few KiB).
+int raw_dial(std::uint16_t port, int rcvbuf = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -442,6 +449,285 @@ TEST(TcpBatching, PostWakesTheLoopFromAnotherThread) {
   poster.join();
   EXPECT_TRUE(done);
   EXPECT_TRUE(ran.load());
+}
+
+// ---- client port (the SMR service listener) ----
+
+std::unique_ptr<TcpTransport> make_client_node(ReplicaId self,
+                                               std::uint32_t n) {
+  TcpTransportConfig cfg;
+  cfg.self = self;
+  cfg.n = n;
+  cfg.client_port_enabled = true;  // ephemeral; read back with client_port()
+  return std::make_unique<TcpTransport>(std::move(cfg));
+}
+
+void send_frame(int fd, std::uint8_t tag, const Bytes& payload) {
+  const Bytes frame =
+      net::encode_frame(77, tag, ByteSpan(payload.data(), payload.size()));
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+}
+
+// Reads until `count` frames decoded, EOF, an error or the 5 s receive
+// timeout; returns what arrived.
+std::vector<net::Frame> read_frames(int fd, std::size_t count) {
+  net::FrameDecoder decoder;
+  std::vector<net::Frame> frames;
+  std::uint8_t buf[64 * 1024];
+  while (frames.size() < count) {
+    const ssize_t got = ::recv(fd, buf, sizeof(buf), 0);
+    if (got <= 0) break;
+    decoder.feed(ByteSpan(buf, static_cast<std::size_t>(got)));
+    net::Frame frame;
+    while (decoder.next(frame) == net::FrameDecoder::Status::kFrame) {
+      frames.push_back(std::move(frame));
+    }
+  }
+  return frames;
+}
+
+// True once the transport has hung up on `fd`: recv sees EOF or a reset
+// rather than the receive timeout. Drains whatever was sent before.
+bool hung_up(int fd) {
+  std::uint8_t buf[64 * 1024];
+  while (true) {
+    const ssize_t got = ::recv(fd, buf, sizeof(buf), 0);
+    if (got > 0) continue;
+    return got == 0 || errno == ECONNRESET;
+  }
+}
+
+// Runs a transport's loop on its own thread until stop(); the test thread
+// meanwhile speaks to it through raw sockets only.
+class LoopThread {
+ public:
+  explicit LoopThread(TcpTransport& node)
+      : node_(node), thread_([this]() {
+          node_.run_until(nullptr, /*max_wall=*/30'000'000);
+        }) {}
+  ~LoopThread() { stop(); }
+  void stop() {
+    if (!thread_.joinable()) return;
+    node_.stop();
+    thread_.join();
+  }
+
+ private:
+  TcpTransport& node_;
+  std::thread thread_;
+};
+
+struct ClientRequest {
+  std::uint64_t conn;
+  std::uint8_t tag;
+  Bytes payload;
+};
+
+// Records every client request and echoes it back with tag + 1.
+void echo_clients(TcpTransport& node, std::vector<ClientRequest>& log) {
+  node.set_client_handler(
+      [&node, &log](std::uint64_t conn, std::uint8_t tag,
+                    const Bytes& payload) {
+        log.push_back(ClientRequest{conn, tag, payload});
+        node.send_to_client(conn, static_cast<std::uint8_t>(tag + 1),
+                            payload);
+      });
+}
+
+TEST(TcpClientPort, RequestsReachTheHandlerWithTheirConnectionId) {
+  auto node = make_client_node(1, 1);
+  ASSERT_NE(node->client_port(), 0);
+  std::vector<ClientRequest> log;
+  echo_clients(*node, log);
+  LoopThread loop(*node);
+
+  const int a = raw_dial(node->client_port());
+  const int b = raw_dial(node->client_port());
+  ASSERT_GE(a, 0);
+  ASSERT_GE(b, 0);
+  // One request at a time, each answered before the next, so the handler
+  // sees them in this order.
+  const auto round_trip = [](int fd, std::uint8_t tag, const char* text) {
+    send_frame(fd, tag, to_bytes(text));
+    const auto echo = read_frames(fd, 1);
+    ASSERT_EQ(echo.size(), 1U) << text;
+    EXPECT_EQ(echo[0].sender, 1U) << text;
+    EXPECT_EQ(echo[0].tag, tag + 1) << text;
+    EXPECT_EQ(echo[0].payload, to_bytes(text));
+  };
+  round_trip(a, 10, "a-1");
+  round_trip(b, 20, "b-1");
+  round_trip(a, 30, "a-2");
+  loop.stop();
+  ::close(a);
+  ::close(b);
+
+  ASSERT_EQ(log.size(), 3U);
+  EXPECT_EQ(log[0].tag, 10);
+  EXPECT_EQ(log[0].payload, to_bytes("a-1"));
+  EXPECT_EQ(log[1].tag, 20);
+  EXPECT_EQ(log[1].payload, to_bytes("b-1"));
+  EXPECT_EQ(log[2].tag, 30);
+  EXPECT_EQ(log[2].payload, to_bytes("a-2"));
+  EXPECT_NE(log[0].conn, 0U);
+  EXPECT_EQ(log[0].conn, log[2].conn);  // same socket, same id
+  EXPECT_NE(log[0].conn, log[1].conn);
+  EXPECT_EQ(node->stats().delivered, 3U);
+  EXPECT_EQ(node->stats().dropped, 0U);
+}
+
+TEST(TcpClientPort, RepliesArriveWholeAndInOrder) {
+  // One request fans out into many replies of mixed sizes (up to 64 KiB,
+  // ~6 MiB in all), queued inside one callback: each must arrive intact,
+  // in the order send_to_client was called.
+  constexpr std::size_t kReplies = 200;
+  const auto reply = [](std::size_t i) {
+    Bytes payload(1 + (i * 7919) % 65536);
+    for (std::size_t j = 0; j < payload.size(); ++j) {
+      payload[j] = static_cast<std::uint8_t>(i * 13 + j);
+    }
+    return payload;
+  };
+  auto node = make_client_node(1, 1);
+  node->set_client_handler(
+      [&](std::uint64_t conn, std::uint8_t, const Bytes&) {
+        for (std::size_t i = 0; i < kReplies; ++i) {
+          node->send_to_client(conn, static_cast<std::uint8_t>(i & 0xff),
+                               reply(i));
+        }
+      });
+  LoopThread loop(*node);
+
+  const int fd = raw_dial(node->client_port());
+  ASSERT_GE(fd, 0);
+  send_frame(fd, 1, to_bytes("go"));
+  const auto frames = read_frames(fd, kReplies);
+  loop.stop();
+  ::close(fd);
+
+  ASSERT_EQ(frames.size(), kReplies);
+  for (std::size_t i = 0; i < kReplies; ++i) {
+    EXPECT_EQ(frames[i].sender, 1U) << i;
+    EXPECT_EQ(frames[i].tag, static_cast<std::uint8_t>(i & 0xff)) << i;
+    EXPECT_TRUE(frames[i].payload == reply(i)) << "reply " << i;
+  }
+  EXPECT_EQ(node->stats().dropped, 0U);
+}
+
+TEST(TcpClientPort, ReplyToAGoneConnectionIsCountedDropped) {
+  auto node = make_client_node(1, 1);
+  std::uint64_t conn = 0;
+  node->set_client_handler(
+      [&](std::uint64_t c, std::uint8_t, const Bytes&) { conn = c; });
+  const int fd = raw_dial(node->client_port());
+  ASSERT_GE(fd, 0);
+  send_frame(fd, 1, to_bytes("hello"));
+  ASSERT_TRUE(node->run_until([&]() { return conn != 0; }, 10'000'000));
+
+  // A live connection takes the reply; an id never handed out drops it.
+  node->send_to_client(conn, 2, to_bytes("live"));
+  EXPECT_EQ(node->stats().dropped, 0U);
+  node->send_to_client(conn + 1000, 2, to_bytes("nobody"));
+  EXPECT_EQ(node->stats().dropped, 1U);
+
+  // The client hangs up; once the transport notices, a reply counts as
+  // dropped instead of reaching anyone. Keep replying until it does.
+  ::close(fd);
+  std::function<void()> reply_again = [&]() {
+    node->send_to_client(conn, 2, to_bytes("late"));
+    if (node->stats().dropped < 2) node->set_timer(1'000, reply_again);
+  };
+  node->set_timer(0, reply_again);
+  EXPECT_TRUE(node->run_until([&]() { return node->stats().dropped >= 2; },
+                              10'000'000));
+  EXPECT_EQ(node->stats().delivered, 1U);
+}
+
+TEST(TcpClientPort, NonReadingClientIsCutLooseWhilePeersKeepDelivering) {
+  // A client that sends one request and never reads: 8 MiB replies pile
+  // up past the 16 MiB unsent-bytes cap and the transport disconnects it.
+  // Replica traffic into the same transport keeps flowing throughout.
+  std::vector<std::unique_ptr<TcpTransport>> nodes(3);
+  nodes[1] = make_client_node(1, 2);
+  nodes[2] = make_node(2, 2);
+  cross_wire(nodes);
+  TcpTransport& server = *nodes[1];
+  TcpTransport& peer = *nodes[2];
+
+  // Node 2 sends node 1 a small frame every 5 ms.
+  std::function<void()> tick = [&]() {
+    peer.send(2, 1, 3, to_bytes("tick"));
+    peer.set_timer(5'000, tick);
+  };
+  peer.set_timer(0, tick);
+  LoopThread peer_loop(peer);
+
+  int ticks_after_cut = 0;
+  server.register_handler(1, [&](ReplicaId from, std::uint8_t, const Bytes&) {
+    EXPECT_EQ(from, 2U);
+    if (server.stats().dropped >= 1) ++ticks_after_cut;
+  });
+  // One 8 MiB reply every 10 ms, at most 12, until the cut.
+  int replies = 0;
+  std::function<void(std::uint64_t)> big_reply = [&](std::uint64_t conn) {
+    server.send_to_client(conn, 4, Bytes(8u << 20, 0x5a));
+    if (server.stats().dropped == 0 && ++replies < 12) {
+      server.set_timer(10'000, [&big_reply, conn]() { big_reply(conn); });
+    }
+  };
+  server.set_client_handler(
+      [&](std::uint64_t conn, std::uint8_t, const Bytes&) { big_reply(conn); });
+
+  const int fd = raw_dial(server.client_port(), /*rcvbuf=*/4096);
+  ASSERT_GE(fd, 0);
+  send_frame(fd, 1, to_bytes("flood me"));
+  const bool done = server.run_until(
+      [&]() { return server.stats().dropped >= 1 && ticks_after_cut >= 3; },
+      20'000'000);
+  peer_loop.stop();
+
+  EXPECT_TRUE(done) << "dropped=" << server.stats().dropped
+                    << " ticks_after_cut=" << ticks_after_cut;
+  EXPECT_EQ(server.stats().dropped, 1U);
+  EXPECT_GE(replies, 2);  // the first two fit under the cap
+  EXPECT_TRUE(hung_up(fd));
+  ::close(fd);
+}
+
+TEST(TcpClientPort, BadVersionByteClosesOnlyThatClient) {
+  auto node = make_client_node(1, 1);
+  std::vector<ClientRequest> log;
+  echo_clients(*node, log);
+  LoopThread loop(*node);
+
+  const int bad = raw_dial(node->client_port());
+  const int good = raw_dial(node->client_port());
+  ASSERT_GE(bad, 0);
+  ASSERT_GE(good, 0);
+  send_frame(good, 1, to_bytes("before"));
+  ASSERT_EQ(read_frames(good, 1).size(), 1U);
+
+  const Bytes payload = to_bytes("corrupt");
+  Bytes frame =
+      net::encode_frame(77, 1, ByteSpan(payload.data(), payload.size()));
+  frame[4] = net::kFrameVersion + 1;  // the byte after the length prefix
+  ASSERT_EQ(::send(bad, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  EXPECT_TRUE(hung_up(bad));
+
+  send_frame(good, 1, to_bytes("after"));
+  const auto echo = read_frames(good, 1);
+  ASSERT_EQ(echo.size(), 1U);
+  EXPECT_EQ(echo[0].payload, to_bytes("after"));
+  loop.stop();
+  ::close(bad);
+  ::close(good);
+
+  ASSERT_EQ(log.size(), 2U);
+  EXPECT_EQ(log[0].payload, to_bytes("before"));
+  EXPECT_EQ(log[1].payload, to_bytes("after"));
+  EXPECT_EQ(log[0].conn, log[1].conn);
 }
 
 }  // namespace
