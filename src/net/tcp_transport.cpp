@@ -26,6 +26,13 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/// Every connection socket: nonblocking, and no Nagle delay on frames.
+void set_stream_options(int fd) {
+  set_nonblocking(fd);
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 [[noreturn]] void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
 }
@@ -107,16 +114,19 @@ TcpTransport::TcpTransport(TcpTransportConfig config)
   if (cfg_.self == 0 || cfg_.n == 0 || cfg_.self > cfg_.n) {
     throw std::invalid_argument("TcpTransport: bad self/n");
   }
-  if (cfg_.reconnect_delay == 0) cfg_.reconnect_delay = 1'000;
-  outbound_.resize(cfg_.n + 1);
   for (ReplicaId id = 1; id <= cfg_.n; ++id) {
     if (id == cfg_.self) continue;
-    outbound_[id] = std::make_unique<OutboundConn>();
-    outbound_[id]->peer = id;
-    outbound_[id]->decoder = FrameDecoder(cfg_.max_frame_payload);
+    conns_.push_back(std::make_unique<Conn>(Conn::Role::kDialed, -1,
+                                            cfg_.max_frame_payload));
+    conns_.back()->peer = id;
   }
-  open_listener();
-  if (cfg_.client_port_enabled) open_client_listener();
+  listen_fd_ =
+      listen_on(PeerAddress{cfg_.listen_host, cfg_.listen_port}, listen_port_);
+  if (cfg_.client_port_enabled) {
+    client_listen_fd_ = listen_on(
+        PeerAddress{cfg_.client_listen_host, cfg_.client_listen_port},
+        client_port_);
+  }
   if (::pipe(wake_pipe_) != 0) throw_errno("pipe");
   set_nonblocking(wake_pipe_[0]);
   set_nonblocking(wake_pipe_[1]);
@@ -127,26 +137,9 @@ TcpTransport::~TcpTransport() {
   if (wake_pipe_[1] >= 0) ::close(wake_pipe_[1]);
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (client_listen_fd_ >= 0) ::close(client_listen_fd_);
-  for (auto& conn : outbound_) {
-    if (conn && conn->fd >= 0) ::close(conn->fd);
+  for (auto& conn : conns_) {
+    if (conn->fd >= 0) ::close(conn->fd);
   }
-  for (auto& conn : inbound_) {
-    if (conn.fd >= 0) ::close(conn.fd);
-  }
-  for (auto& conn : clients_) {
-    if (conn.fd >= 0) ::close(conn.fd);
-  }
-}
-
-void TcpTransport::open_listener() {
-  listen_fd_ =
-      listen_on(PeerAddress{cfg_.listen_host, cfg_.listen_port}, listen_port_);
-}
-
-void TcpTransport::open_client_listener() {
-  client_listen_fd_ = listen_on(
-      PeerAddress{cfg_.client_listen_host, cfg_.client_listen_port},
-      client_port_);
 }
 
 void TcpTransport::register_handler(ReplicaId id, Handler handler) {
@@ -168,22 +161,26 @@ void TcpTransport::set_timer(Duration delay, std::function<void()> fn) {
   timers_.push(Timer{now_us() + delay, timer_seq_++, std::move(fn)});
 }
 
+bool TcpTransport::count_send(std::uint8_t tag, std::size_t payload_size) {
+  ++stats_.sends;
+  ++stats_.sends_by_tag[tag];
+  stats_.bytes_sent += payload_size;
+  stats_.bytes_by_tag[tag] += payload_size;
+  // A frame the receiver's decoder would reject as oversize must never hit
+  // the wire: the receiver would poison the connection, we would rewind
+  // and redial, and the identical frame would livelock the link forever.
+  if (payload_size > cfg_.max_frame_payload) {
+    ++stats_.dropped;
+    return false;
+  }
+  return true;
+}
+
 void TcpTransport::send_one(ReplicaId to, std::uint8_t tag,
                             const Bytes& payload,
                             std::shared_ptr<const Bytes>& frame) {
   if (to == 0 || to > cfg_.n) throw std::out_of_range("send: bad recipient");
-  ++stats_.sends;
-  ++stats_.sends_by_tag[tag];
-  stats_.bytes_sent += payload.size();
-  stats_.bytes_by_tag[tag] += payload.size();
-
-  // A frame the receiver's decoder would reject as oversize must never hit
-  // the wire: the receiver would poison the connection, we would rewind
-  // and redial, and the identical frame would livelock the link forever.
-  if (payload.size() > cfg_.max_frame_payload) {
-    ++stats_.dropped;
-    return;
-  }
+  if (!count_send(tag, payload.size())) return;
 
   if (to == cfg_.self) {
     // Self-sends stay asynchronous (like the simulator's minimum delay):
@@ -199,8 +196,8 @@ void TcpTransport::send_one(ReplicaId to, std::uint8_t tag,
     return;
   }
 
-  OutboundConn& conn = *outbound_[to];
-  if (conn.pending_bytes >= cfg_.max_pending_bytes) {
+  Conn& conn = dialed(to);
+  if (conn.pending_bytes >= kMaxPendingBytes) {
     ++stats_.dropped;  // backpressure: peer unreachable for too long
     return;
   }
@@ -211,21 +208,7 @@ void TcpTransport::send_one(ReplicaId to, std::uint8_t tag,
     frame = std::make_shared<const Bytes>(encode_frame(
         cfg_.self, tag, ByteSpan(payload.data(), payload.size())));
   }
-  conn.pending_bytes += frame->size();
-  conn.pending.push_back(frame);
-  if (conn.fd < 0 && !conn.connecting && !conn.retry_armed) {
-    start_dial(conn);
-  } else if (conn.fd >= 0 && !conn.connecting) {
-    if (cfg_.flush_watermark == 0 ||
-        conn.pending_bytes >= cfg_.flush_watermark) {
-      // Eager mode, or a burst crossed the watermark mid-iteration: write
-      // now rather than let the queue grow until the loop turns.
-      flush(conn);
-    } else if (!conn.dirty) {
-      conn.dirty = true;  // coalesced into one sendmsg by flush_dirty()
-      dirty_.push_back(to);
-    }
-  }
+  enqueue(conn, frame);
 }
 
 void TcpTransport::send(ReplicaId from, ReplicaId to, std::uint8_t tag,
@@ -262,7 +245,49 @@ void TcpTransport::multicast(ReplicaId from,
   for (const ReplicaId to : recipients) send_one(to, tag, payload, frame);
 }
 
-void TcpTransport::start_dial(OutboundConn& conn) {
+void TcpTransport::send_to_client(std::uint64_t conn_id, std::uint8_t tag,
+                                  const Bytes& payload) {
+  loop_thread_.assert_held();
+  if (!count_send(tag, payload.size())) return;
+  const auto it = std::find_if(conns_.begin(), conns_.end(), [&](auto& c) {
+    return c->role == Conn::Role::kClient && c->client_id == conn_id &&
+           c->fd >= 0;
+  });
+  if (it == conns_.end()) {
+    ++stats_.dropped;  // connection gone; the client will retry elsewhere
+    return;
+  }
+  Conn& conn = **it;
+  auto frame = std::make_shared<const Bytes>(
+      encode_frame(cfg_.self, tag, ByteSpan(payload.data(), payload.size())));
+  if (conn.pending_bytes - conn.front_off + frame->size() >
+      kMaxClientPendingBytes) {
+    // The client stopped reading: cut it loose rather than buffer
+    // without bound. It can reconnect and retry.
+    close_conn(conn);
+    ++stats_.dropped;
+    return;
+  }
+  enqueue(conn, std::move(frame));
+}
+
+void TcpTransport::enqueue(Conn& conn, std::shared_ptr<const Bytes> frame) {
+  conn.pending_bytes += frame->size();
+  conn.pending.push_back(std::move(frame));
+  if (conn.fd < 0) {
+    // Only a dialed connection is queued onto without a socket.
+    if (!conn.retry_armed) start_dial(conn);
+  } else if (conn.connecting) {
+    // finish_dial() flushes.
+  } else if (conn.pending_bytes >= kFlushWatermark) {
+    flush(conn);  // a burst crossed the watermark mid-iteration
+  } else if (!conn.dirty) {
+    conn.dirty = true;  // coalesced into one sendmsg by flush_dirty()
+    dirty_.push_back(&conn);
+  }
+}
+
+void TcpTransport::start_dial(Conn& conn) {
   const auto it = cfg_.peers.find(conn.peer);
   if (it == cfg_.peers.end() || it->second.port == 0) {
     // Address not configured (yet): retry later, the harness may still be
@@ -281,54 +306,60 @@ void TcpTransport::start_dial(OutboundConn& conn) {
     fail_dial(conn);
     return;
   }
-  set_nonblocking(conn.fd);
-  const int one = 1;
-  ::setsockopt(conn.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  set_stream_options(conn.fd);
   const int rc =
       ::connect(conn.fd, reinterpret_cast<sockaddr*>(&addr), addr_len);
   if (rc == 0) {
-    conn.connecting = false;
     ++connects_;
     flush(conn);
   } else if (errno == EINPROGRESS) {
     conn.connecting = true;
   } else {
-    ::close(conn.fd);
-    conn.fd = -1;
-    fail_dial(conn);
+    close_conn(conn);
   }
 }
 
-void TcpTransport::finish_dial(OutboundConn& conn) {
+void TcpTransport::finish_dial(Conn& conn) {
   int err = 0;
   socklen_t len = sizeof(err);
   ::getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &err, &len);
   conn.connecting = false;
   if (err != 0) {
-    ::close(conn.fd);
-    conn.fd = -1;
-    fail_dial(conn);
+    close_conn(conn);
     return;
   }
   ++connects_;
   flush(conn);
 }
 
-void TcpTransport::fail_dial(OutboundConn& conn) {
+void TcpTransport::fail_dial(Conn& conn) {
   if (conn.retry_armed) return;
   conn.retry_armed = true;
   const ReplicaId peer = conn.peer;
-  set_timer(cfg_.reconnect_delay, [this, peer]() {
+  set_timer(kReconnectDelay, [this, peer]() {
     loop_thread_.assert_held();  // timers fire on the loop thread
-    OutboundConn& c = *outbound_[peer];
+    Conn& c = dialed(peer);
     c.retry_armed = false;
-    if (c.fd < 0 && !c.connecting && !c.pending.empty()) {
-      start_dial(c);
-    }
+    if (c.fd < 0 && !c.pending.empty()) start_dial(c);
   });
 }
 
-void TcpTransport::flush(OutboundConn& conn) {
+void TcpTransport::close_conn(Conn& conn) {
+  ::close(conn.fd);
+  conn.fd = -1;
+  if (conn.role != Conn::Role::kDialed) return;  // reaped by the loop
+  // Rewind to the front frame's first byte and redial. The receiver
+  // discards any partial frame with the dead stream, so retransmitting the
+  // whole frame on the fresh connection delivers it exactly once (or not
+  // at all if the peer stays down — protocols tolerate loss under partial
+  // synchrony).
+  conn.connecting = false;
+  conn.front_off = 0;
+  conn.decoder = FrameDecoder(cfg_.max_frame_payload);
+  fail_dial(conn);
+}
+
+void TcpTransport::flush(Conn& conn) {
   // One sendmsg(2) per gather of up to kMaxIov queued frames (the front
   // frame enters from its unsent offset) instead of one send(2) per
   // frame — the syscall count per burst drops from O(frames) to O(1).
@@ -379,16 +410,7 @@ void TcpTransport::flush(OutboundConn& conn) {
     if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       return;  // kernel buffer full; POLLOUT will resume
     }
-    // Connection lost mid-write: rewind to the front frame's first byte
-    // and redial. The receiver discards any partial frame with the dead
-    // stream, so retransmitting the whole frame on the fresh connection
-    // delivers it exactly once (or not at all if the peer stays down —
-    // protocols tolerate loss under partial synchrony).
-    ::close(conn.fd);
-    conn.fd = -1;
-    conn.connecting = false;
-    conn.front_off = 0;
-    fail_dial(conn);
+    close_conn(conn);  // connection lost mid-write
     return;
   }
 }
@@ -397,13 +419,12 @@ void TcpTransport::flush_dirty() {
   if (dirty_.empty()) return;
   // Swap out first: flush() can fail a dial whose retry path re-arms
   // timers, and future sends must be able to re-mark connections dirty.
-  std::vector<ReplicaId> dirty;
+  std::vector<Conn*> dirty;
   dirty.swap(dirty_);
-  for (const ReplicaId id : dirty) {
-    OutboundConn& conn = *outbound_[id];
-    conn.dirty = false;
-    if (conn.fd >= 0 && !conn.connecting && !conn.pending.empty()) {
-      flush(conn);
+  for (Conn* conn : dirty) {
+    conn->dirty = false;
+    if (conn->fd >= 0 && !conn->connecting && !conn->pending.empty()) {
+      flush(*conn);
     }
   }
 }
@@ -438,153 +459,75 @@ void TcpTransport::run_posted() {
   }
 }
 
-void TcpTransport::send_to_client(std::uint64_t conn, std::uint8_t tag,
-                                  const Bytes& payload) {
-  loop_thread_.assert_held();
-  ++stats_.sends;
-  ++stats_.sends_by_tag[tag];
-  stats_.bytes_sent += payload.size();
-  stats_.bytes_by_tag[tag] += payload.size();
-  if (payload.size() > cfg_.max_frame_payload) {
-    ++stats_.dropped;
-    return;
-  }
-  for (auto& client : clients_) {
-    if (client.id != conn || client.fd < 0) continue;
-    const Bytes frame = encode_frame(cfg_.self, tag,
-                                     ByteSpan(payload.data(), payload.size()));
-    if (client.outbuf.size() - client.out_off + frame.size() >
-        cfg_.max_client_pending_bytes) {
-      // The client stopped reading: cut it loose rather than buffer
-      // without bound. It can reconnect and retry.
-      ::close(client.fd);
-      client.fd = -1;
-      ++stats_.dropped;
-      return;
-    }
-    client.outbuf.insert(client.outbuf.end(), frame.begin(), frame.end());
-    // Opportunistic flush so a reply does not wait out a poll timeout;
-    // whatever the socket buffer rejects drains via POLLOUT.
-    bool close_me = false;
-    flush_client(client, close_me);
-    if (close_me) {
-      ::close(client.fd);
-      client.fd = -1;  // reaped by the loop's erase pass
-    }
-    return;
-  }
-  ++stats_.dropped;  // connection gone; the client will retry elsewhere
-}
-
-void TcpTransport::accept_clients() {
+void TcpTransport::accept_all(int listen_fd, Conn::Role role) {
   while (true) {
-    const int fd = ::accept(client_listen_fd_, nullptr, nullptr);
-    if (fd < 0) break;
-    if (clients_.size() >= cfg_.max_client_conns) {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    if (role == Conn::Role::kClient &&
+        static_cast<std::size_t>(std::count_if(
+            conns_.begin(), conns_.end(), [](const auto& c) {
+              return c->role == Conn::Role::kClient && c->fd >= 0;
+            })) >= kMaxClientConns) {
       ::close(fd);  // full house: shed load instead of exhausting fds
       ++stats_.dropped;
       continue;
     }
-    set_nonblocking(fd);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    ClientConn conn;
-    conn.id = next_client_conn_++;
-    conn.fd = fd;
-    conn.decoder = FrameDecoder(cfg_.max_frame_payload);
-    clients_.push_back(std::move(conn));
+    set_stream_options(fd);
+    conns_.push_back(
+        std::make_unique<Conn>(role, fd, cfg_.max_frame_payload));
+    if (role == Conn::Role::kClient) {
+      conns_.back()->client_id = next_client_conn_++;
+    }
   }
 }
 
-void TcpTransport::read_client_ready(ClientConn& conn, bool& close_me) {
+void TcpTransport::receive(Conn& conn) {
   std::uint8_t buf[64 * 1024];
-  while (true) {
+  // A handler may close `conn` (a failed flush of its own reply), so the
+  // socket is re-checked after every frame.
+  while (conn.fd >= 0) {
     const ssize_t got = ::recv(conn.fd, buf, sizeof(buf), 0);
-    if (got > 0) {
-      conn.decoder.feed(ByteSpan(buf, static_cast<std::size_t>(got)));
-      Frame frame;
-      while (true) {
-        const auto status = conn.decoder.next(frame);
-        if (status == FrameDecoder::Status::kFrame) {
-          if (client_handler_) {
-            ++stats_.delivered;
-            client_handler_(conn.id, frame.tag, frame.payload);
-          }
-          continue;
-        }
-        if (status == FrameDecoder::Status::kError) close_me = true;
-        break;
-      }
-      if (close_me) return;
-      continue;
-    }
     if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    close_me = true;  // EOF or hard error
-    return;
-  }
-}
-
-void TcpTransport::flush_client(ClientConn& conn, bool& close_me) {
-  while (conn.out_off < conn.outbuf.size()) {
-    const ssize_t wrote =
-        ::send(conn.fd, conn.outbuf.data() + conn.out_off,
-               conn.outbuf.size() - conn.out_off, MSG_NOSIGNAL);
-    if (wrote > 0) {
-      conn.out_off += static_cast<std::size_t>(wrote);
-      continue;
+    bool ok = got > 0;  // otherwise EOF or a hard error
+    if (ok) conn.decoder.feed(ByteSpan(buf, static_cast<std::size_t>(got)));
+    Frame frame;
+    while (ok && conn.fd >= 0) {
+      const auto status = conn.decoder.next(frame);
+      if (status == FrameDecoder::Status::kNeedMore) break;
+      ok = status == FrameDecoder::Status::kFrame && dispatch(conn, frame);
     }
-    if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    close_me = true;  // a lost client connection is not retried
-    return;
+    if (!ok) {
+      close_conn(conn);
+      return;
+    }
   }
-  conn.outbuf.clear();
-  conn.out_off = 0;
 }
 
-void TcpTransport::dispatch(const Frame& frame) {
+bool TcpTransport::dispatch(Conn& conn, const Frame& frame) {
+  if (conn.role == Conn::Role::kClient) {
+    if (client_handler_) {
+      ++stats_.delivered;
+      client_handler_(conn.client_id, frame.tag, frame.payload);
+    }
+    return true;
+  }
+  // Sender pinning: a connection speaks for exactly one replica.
+  // Out-of-range ids, this node's own id (we never dial ourselves) and
+  // mismatches against an established binding are hostile — poison the
+  // stream rather than let one socket impersonate many "distinct
+  // senders".
+  if (frame.sender == 0 || frame.sender > cfg_.n ||
+      frame.sender == cfg_.self ||
+      (conn.peer != 0 && frame.sender != conn.peer)) {
+    ++stats_.dropped;
+    return false;
+  }
+  conn.peer = frame.sender;
   if (handler_) {
     ++stats_.delivered;
     handler_(frame.sender, frame.tag, frame.payload);
   }
-}
-
-void TcpTransport::read_ready(int fd, FrameDecoder& decoder, ReplicaId& bound,
-                              bool& close_me) {
-  std::uint8_t buf[64 * 1024];
-  while (true) {
-    const ssize_t got = ::recv(fd, buf, sizeof(buf), 0);
-    if (got > 0) {
-      decoder.feed(ByteSpan(buf, static_cast<std::size_t>(got)));
-      Frame frame;
-      while (true) {
-        const auto status = decoder.next(frame);
-        if (status == FrameDecoder::Status::kFrame) {
-          // Sender pinning: a connection speaks for exactly one replica.
-          // Out-of-range ids, this node's own id (we never dial ourselves)
-          // and mismatches against an established binding are hostile —
-          // poison the stream rather than let one socket impersonate many
-          // "distinct senders".
-          if (frame.sender == 0 || frame.sender > cfg_.n ||
-              frame.sender == cfg_.self ||
-              (bound != 0 && frame.sender != bound)) {
-            ++stats_.dropped;
-            close_me = true;
-            break;
-          }
-          bound = frame.sender;
-          dispatch(frame);
-          continue;
-        }
-        if (status == FrameDecoder::Status::kError) close_me = true;
-        break;
-      }
-      if (close_me) return;
-      continue;
-    }
-    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    close_me = true;  // EOF or hard error
-    return;
-  }
+  return true;
 }
 
 void TcpTransport::fire_due_timers() {
@@ -613,150 +556,68 @@ bool TcpTransport::run_until(const std::function<bool()>& done,
     fire_due_timers();
     run_posted();
     // Coalesced write-out of everything queued since the last poll —
-    // protocol callbacks, timers and posted tasks alike — so each
-    // connection gets at most one sendmsg before the loop parks (and
-    // nothing is left unwritten if done() ends the run below).
+    // protocol callbacks, timers, posted tasks and client replies alike —
+    // so each connection gets at most one sendmsg before the loop parks
+    // (and nothing is left unwritten if done() ends the run below).
     flush_dirty();
+    // dirty_ is empty now, so closed accepted and client connections can
+    // go; dialed ones outlive their sockets and keep their queues.
+    std::erase_if(conns_, [](const auto& c) {
+      return c->fd < 0 && c->role != Conn::Role::kDialed;
+    });
     if (done && done()) return true;
     if (now_us() >= deadline) break;
 
-    std::vector<pollfd> fds;
-    // Index bookkeeping: fds[0] is the listener, fds[1] the post() wake
-    // pipe, then outbound, then inbound connections in container order.
-    fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    const std::size_t wake_idx = fds.size();
-    fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-    const std::size_t out_base = fds.size();
-    std::vector<OutboundConn*> polled_out;
-    for (auto& conn : outbound_) {
-      if (!conn || conn->fd < 0) continue;
-      short events = 0;
-      if (conn->connecting) {
-        events = POLLOUT;
-      } else {
+    // fds[0..2]: peer listener, post() wake pipe, client listener (-1
+    // when disabled, which poll(2) ignores); then one entry per open
+    // connection in conns_ order.
+    std::vector<pollfd> fds = {{listen_fd_, POLLIN, 0},
+                               {wake_pipe_[0], POLLIN, 0},
+                               {client_listen_fd_, POLLIN, 0}};
+    constexpr std::size_t kConnBase = 3;
+    std::vector<Conn*> polled;
+    for (auto& conn : conns_) {
+      if (conn->fd < 0) continue;
+      short events = POLLOUT;  // a connect in flight completes as POLLOUT
+      if (!conn->connecting) {
         events = POLLIN;
         if (!conn->pending.empty()) events |= POLLOUT;
       }
       fds.push_back(pollfd{conn->fd, events, 0});
-      polled_out.push_back(conn.get());
-    }
-    const std::size_t inbound_base = fds.size();
-    const std::size_t inbound_polled = inbound_.size();
-    for (auto& conn : inbound_) {
-      fds.push_back(pollfd{conn.fd, POLLIN, 0});
-    }
-    std::size_t client_listen_idx = 0;
-    const bool poll_client_listener = client_listen_fd_ >= 0;
-    if (poll_client_listener) {
-      client_listen_idx = fds.size();
-      fds.push_back(pollfd{client_listen_fd_, POLLIN, 0});
-    }
-    const std::size_t client_base = fds.size();
-    const std::size_t clients_polled = clients_.size();
-    for (auto& conn : clients_) {
-      short events = POLLIN;
-      if (conn.out_off < conn.outbuf.size()) events |= POLLOUT;
-      fds.push_back(pollfd{conn.fd, events, 0});
+      polled.push_back(conn.get());
     }
 
     const int rc = ::poll(fds.data(), fds.size(), poll_timeout_ms());
     if (rc < 0 && errno != EINTR) break;
     if (rc <= 0) continue;
 
-    // Listener first: accept everything pending.
-    if (fds[0].revents & POLLIN) {
-      while (true) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) break;
-        set_nonblocking(fd);
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        inbound_.push_back(
-            InboundConn{fd, FrameDecoder(cfg_.max_frame_payload)});
-      }
-    }
-
-    if (fds[wake_idx].revents & POLLIN) {
+    // Listeners first; new connections are polled from the next turn.
+    if (fds[0].revents & POLLIN) accept_all(listen_fd_, Conn::Role::kAccepted);
+    if (fds[1].revents & POLLIN) {
       std::uint8_t buf[256];
       while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
       }
     }
+    if (fds[2].revents & POLLIN) {
+      accept_all(client_listen_fd_, Conn::Role::kClient);
+    }
 
-    for (std::size_t i = 0; i < polled_out.size(); ++i) {
-      OutboundConn& conn = *polled_out[i];
-      const short revents = fds[out_base + i].revents;
+    for (std::size_t i = 0; i < polled.size(); ++i) {
+      Conn& conn = *polled[i];
+      const short revents = fds[kConnBase + i].revents;
       if (revents == 0 || conn.fd < 0) continue;
       if (conn.connecting) {
         if (revents & (POLLOUT | POLLERR | POLLHUP)) finish_dial(conn);
         continue;
       }
-      bool close_me = false;
+      // Read before honoring HUP: a peer may flush data and close.
       if (revents & POLLIN) {
-        // Read before honoring HUP: a peer may flush data and close. A
-        // dialed connection is bound to its peer from the start: anything
-        // the peer writes back must speak as itself.
-        ReplicaId bound = conn.peer;
-        read_ready(conn.fd, conn.decoder, bound, close_me);
+        receive(conn);
       } else if (revents & (POLLERR | POLLHUP)) {
-        close_me = true;
+        close_conn(conn);
       }
-      if (close_me) {
-        ::close(conn.fd);
-        conn.fd = -1;
-        conn.front_off = 0;
-        conn.decoder = FrameDecoder(cfg_.max_frame_payload);
-        fail_dial(conn);
-        continue;
-      }
-      if (revents & POLLOUT) flush(conn);
+      if (conn.fd >= 0 && (revents & POLLOUT)) flush(conn);
     }
-
-    for (std::size_t i = 0; i < inbound_polled; ++i) {
-      const short revents = fds[inbound_base + i].revents;
-      if (revents == 0) continue;
-      bool close_me = false;
-      if (revents & POLLIN) {
-        read_ready(inbound_[i].fd, inbound_[i].decoder, inbound_[i].bound,
-                   close_me);
-      } else if (revents & (POLLERR | POLLHUP)) {
-        close_me = true;
-      }
-      if (close_me) {
-        ::close(inbound_[i].fd);
-        inbound_[i].fd = -1;
-      }
-    }
-    inbound_.erase(std::remove_if(inbound_.begin(), inbound_.end(),
-                                  [](const InboundConn& c) {
-                                    return c.fd < 0;
-                                  }),
-                   inbound_.end());
-
-    if (poll_client_listener &&
-        (fds[client_listen_idx].revents & POLLIN) != 0) {
-      accept_clients();  // appends; new conns are polled next iteration
-    }
-    for (std::size_t i = 0; i < clients_polled; ++i) {
-      ClientConn& conn = clients_[i];
-      const short revents = fds[client_base + i].revents;
-      if (revents == 0 || conn.fd < 0) continue;
-      bool close_me = false;
-      if (revents & POLLIN) {
-        read_client_ready(conn, close_me);
-      } else if (revents & (POLLERR | POLLHUP)) {
-        close_me = true;
-      }
-      if (!close_me && (revents & POLLOUT)) flush_client(conn, close_me);
-      if (close_me) {
-        ::close(conn.fd);
-        conn.fd = -1;
-      }
-    }
-    clients_.erase(std::remove_if(clients_.begin(), clients_.end(),
-                                  [](const ClientConn& c) {
-                                    return c.fd < 0;
-                                  }),
-                   clients_.end());
   }
   return done ? done() : false;
 }

@@ -18,10 +18,17 @@
 //    single-threaded discipline the simulator enforces.
 //  - Timers use CLOCK_MONOTONIC and a min-heap; set_timer() satisfies the
 //    sync::Synchronizer::TimerSetter contract (delays in microseconds).
-//  - A failed or reset dial is retried after `reconnect_delay` for as long
+//  - A failed or reset dial is retried after kReconnectDelay for as long
 //    as the loop runs; outbound messages queue (bounded) while a peer is
 //    down, so a cluster whose processes start at different times still
 //    converges.
+//  - Dialed peers, accepted peers and clients are one connection type
+//    (Conn) with one receive, one sendmsg flush, one accept and one close
+//    path. Only the edges branch on its role: which handler a frame
+//    reaches and which sender it may claim, what a lost socket does (a
+//    dialed peer rewinds its front frame and redials; the others close),
+//    and what a full queue does (a peer frame is dropped; a client is
+//    disconnected).
 //
 // The wire format is the length-prefixed framing in net/frame.hpp; a
 // malformed stream (bad version, oversize length) poisons that connection
@@ -52,6 +59,22 @@ struct PeerAddress {
   std::uint16_t port = 0;
 };
 
+/// Redial delay after a failed or lost peer connection (µs, monotonic).
+inline constexpr Duration kReconnectDelay = 100'000;
+/// Per-peer cap on bytes queued while the peer is unreachable; frames
+/// beyond it are counted as dropped (backpressure, not unbounded memory).
+inline constexpr std::size_t kMaxPendingBytes = 64u << 20;
+/// Frames queued during one loop iteration leave in one sendmsg(iovec)
+/// per connection when it ends; a queue past this watermark is flushed at
+/// once, so a burst inside one callback cannot grow it unboundedly.
+inline constexpr std::size_t kFlushWatermark = 256u << 10;
+/// Cap on unsent reply bytes per client connection; a client that stops
+/// reading is disconnected instead of buffering without bound.
+inline constexpr std::size_t kMaxClientPendingBytes = 16u << 20;
+/// Cap on concurrently open client connections; beyond it, new ones are
+/// closed immediately (fd-exhaustion resistance on a public-facing port).
+inline constexpr std::size_t kMaxClientConns = 1024;
+
 struct TcpTransportConfig {
   ReplicaId self = 0;
   std::uint32_t n = 0;
@@ -62,22 +85,8 @@ struct TcpTransportConfig {
   /// Peer addresses, 1-based by replica id; the own entry may be empty.
   /// May be filled after construction with set_peer() (ephemeral ports).
   std::map<ReplicaId, PeerAddress> peers;
-  /// Redial delay after a failed or lost connection (µs, monotonic).
-  Duration reconnect_delay = 100'000;
   /// Per-frame payload cap fed to the decoder.
   std::size_t max_frame_payload = kDefaultMaxFramePayload;
-  /// Per-peer cap on bytes queued while the peer is unreachable; messages
-  /// beyond it are counted as dropped (backpressure, not unbounded memory).
-  std::size_t max_pending_bytes = 64u << 20;
-
-  /// Write batching: frames queued by send()/broadcast() during one loop
-  /// iteration are coalesced into a single sendmsg(iovec) per connection
-  /// when the iteration ends (instead of one send(2) per frame as they
-  /// arrive). A connection whose queue crosses this watermark is flushed
-  /// immediately so a burst inside one protocol callback cannot grow the
-  /// queue unboundedly before the loop turns. 0 = flush every send
-  /// eagerly (the historical behavior).
-  std::size_t flush_watermark = 256u << 10;
 
   /// Optional client-facing listener (the SMR service port). When
   /// enabled, the transport also accepts connections on this address;
@@ -88,13 +97,6 @@ struct TcpTransportConfig {
   bool client_port_enabled = false;
   std::string client_listen_host = "127.0.0.1";
   std::uint16_t client_listen_port = 0;
-  /// Cap on unsent reply bytes per client connection; a client that stops
-  /// reading is disconnected instead of buffering without bound.
-  std::size_t max_client_pending_bytes = 16u << 20;
-  /// Cap on concurrently accepted client connections; beyond it, new
-  /// connections are closed immediately (fd-exhaustion resistance on a
-  /// public-facing port).
-  std::size_t max_client_conns = 1024;
 };
 
 class TcpTransport final : public ITransport {
@@ -139,8 +141,10 @@ class TcpTransport final : public ITransport {
     loop_thread_.assert_held();
     client_handler_ = std::move(handler);
   }
-  /// Queues one frame to a client connection; silently drops if the
-  /// connection is gone (the client retries against any replica).
+  /// Queues one frame to a client connection; it leaves with the
+  /// connection's coalesced flush at the end of the loop iteration. Counts
+  /// it dropped if the connection is gone (the client retries against any
+  /// replica) or disconnects a client past kMaxClientPendingBytes.
   void send_to_client(std::uint64_t conn, std::uint8_t tag,
                       const Bytes& payload);
   /// The actually-bound client port (0 when the listener is disabled).
@@ -176,8 +180,9 @@ class TcpTransport final : public ITransport {
   void post(std::function<void()> fn) PROBFT_EXCLUDES(posted_mu_);
 
   /// Observability for the write-batching path (tests/benches):
-  /// cumulative sendmsg(2) calls and frames they carried. Coalescing =
-  /// frames_flushed() >> flush_syscalls() under load.
+  /// cumulative sendmsg(2) calls and frames they carried, peer and client
+  /// connections alike. Coalescing = frames_flushed() >> flush_syscalls()
+  /// under load.
   [[nodiscard]] std::uint64_t flush_syscalls() const {
     loop_thread_.assert_held();
     return flush_syscalls_;
@@ -195,37 +200,35 @@ class TcpTransport final : public ITransport {
   }
 
  private:
-  struct OutboundConn {
+  struct Conn {
+    enum class Role : std::uint8_t {
+      kDialed,    // this node → peer; carries our traffic, redialed on loss
+      kAccepted,  // peer → this node; receive-only
+      kClient,    // client port; requests in, replies out
+    };
+    Conn(Role r, int socket, std::size_t max_frame_payload)
+        : role(r), fd(socket), decoder(max_frame_payload) {}
+
+    Role role;
+    int fd;
+    FrameDecoder decoder;
+    /// kDialed: the dialed peer; kAccepted: the sender pinned by the first
+    /// valid frame (0 = unbound). Frames claiming another id close it.
     ReplicaId peer = 0;
-    int fd = -1;
-    bool connecting = false;   // nonblocking connect in flight
-    bool retry_armed = false;  // reconnect timer pending
+    std::uint64_t client_id = 0;  // kClient: the id the handler sees
+    bool connecting = false;      // kDialed: nonblocking connect in flight
+    bool retry_armed = false;     // kDialed: reconnect timer pending
     /// Unsent traffic, one encoded frame per entry. Kept at frame
-    /// granularity so a connection lost mid-frame can restart the front
-    /// frame from byte 0 on the next connection — the receiver discarded
-    /// the partial frame with the dead stream, and splicing a frame tail
-    /// into a fresh stream would poison its decoder. Frames are shared
-    /// across a broadcast's whole fan-out (encoded once, like the
+    /// granularity so a dialed connection lost mid-frame can restart the
+    /// front frame from byte 0 on the next connection — the receiver
+    /// discarded the partial frame with the dead stream, and splicing a
+    /// frame tail into a fresh stream would poison its decoder. Frames are
+    /// shared across a broadcast's whole fan-out (encoded once, like the
     /// simulator network's shared payload buffers).
     std::deque<std::shared_ptr<const Bytes>> pending;
     std::size_t front_off = 0;      // sent prefix of pending.front()
     std::size_t pending_bytes = 0;  // sum of pending sizes
     bool dirty = false;  // queued frames await the end-of-iteration flush
-    FrameDecoder decoder;  // peers normally never write here; tolerate
-  };
-  struct InboundConn {
-    int fd = -1;
-    FrameDecoder decoder;
-    /// Claimed sender id, fixed by the first valid frame; 0 = not yet
-    /// bound. Frames claiming a different id close the connection.
-    ReplicaId bound = 0;
-  };
-  struct ClientConn {
-    std::uint64_t id = 0;
-    int fd = -1;
-    FrameDecoder decoder;
-    Bytes outbuf;             // unsent reply bytes
-    std::size_t out_off = 0;  // sent prefix of outbuf
   };
   struct Timer {
     TimePoint at = 0;
@@ -241,18 +244,30 @@ class TcpTransport final : public ITransport {
   // All of these run with the loop_thread_ role held (clang enforces it;
   // the constructor is the one unchecked caller, which is fine — nothing
   // else can reach the object during construction).
-  void open_listener() PROBFT_REQUIRES(loop_thread_);
-  void open_client_listener() PROBFT_REQUIRES(loop_thread_);
-  void accept_clients() PROBFT_REQUIRES(loop_thread_);
-  void read_client_ready(ClientConn& conn, bool& close_me)
+  /// The dialed connection to `peer`: conns_ opens with one per other
+  /// replica, in id order, and never reaps them.
+  Conn& dialed(ReplicaId peer) PROBFT_REQUIRES(loop_thread_) {
+    return *conns_[peer < cfg_.self ? peer - 1 : peer - 2];
+  }
+  /// Accepts everything pending on `listen_fd` as `role` connections.
+  void accept_all(int listen_fd, Conn::Role role)
       PROBFT_REQUIRES(loop_thread_);
-  void flush_client(ClientConn& conn, bool& close_me)
+  void start_dial(Conn& conn) PROBFT_REQUIRES(loop_thread_);
+  void finish_dial(Conn& conn) PROBFT_REQUIRES(loop_thread_);
+  void fail_dial(Conn& conn) PROBFT_REQUIRES(loop_thread_);
+  /// A dialed connection keeps its queue, rewinds and redials; any other
+  /// is reaped by the loop.
+  void close_conn(Conn& conn) PROBFT_REQUIRES(loop_thread_);
+  /// Counts one logical send; false (counted dropped) when the payload
+  /// exceeds the frame cap.
+  bool count_send(std::uint8_t tag, std::size_t payload_size)
       PROBFT_REQUIRES(loop_thread_);
-  void start_dial(OutboundConn& conn) PROBFT_REQUIRES(loop_thread_);
-  void finish_dial(OutboundConn& conn) PROBFT_REQUIRES(loop_thread_);
-  void fail_dial(OutboundConn& conn) PROBFT_REQUIRES(loop_thread_);
-  void flush(OutboundConn& conn) PROBFT_REQUIRES(loop_thread_);
-  /// End-of-iteration pass over connections send_one() marked dirty.
+  /// Appends `frame` to the queue: flushed now past kFlushWatermark,
+  /// otherwise marked dirty for flush_dirty(); dials an idle peer.
+  void enqueue(Conn& conn, std::shared_ptr<const Bytes> frame)
+      PROBFT_REQUIRES(loop_thread_);
+  void flush(Conn& conn) PROBFT_REQUIRES(loop_thread_);
+  /// End-of-iteration pass over connections enqueue() marked dirty.
   void flush_dirty() PROBFT_REQUIRES(loop_thread_);
   /// Runs callbacks queued by post() (loop thread, top of iteration).
   void run_posted() PROBFT_REQUIRES(loop_thread_) PROBFT_EXCLUDES(posted_mu_);
@@ -262,14 +277,12 @@ class TcpTransport final : public ITransport {
   void send_one(ReplicaId to, std::uint8_t tag, const Bytes& payload,
                 std::shared_ptr<const Bytes>& frame)
       PROBFT_REQUIRES(loop_thread_);
-  /// Drains `fd` into `decoder` and dispatches complete frames. `bound`
-  /// pins the connection's sender id: 0 means unbound (an accepted
-  /// connection before its first frame) and is set from the first valid
-  /// frame; any frame whose sender mismatches a nonzero binding — or
-  /// claims an out-of-range id or this node's own id — sets `close_me`.
-  void read_ready(int fd, FrameDecoder& decoder, ReplicaId& bound,
-                  bool& close_me) PROBFT_REQUIRES(loop_thread_);
-  void dispatch(const Frame& frame) PROBFT_REQUIRES(loop_thread_);
+  /// Drains the socket into the decoder and dispatches complete frames;
+  /// closes the connection on EOF, a hard error or a poisoned stream.
+  void receive(Conn& conn) PROBFT_REQUIRES(loop_thread_);
+  /// Hands one frame to the client or the replica handler; false (counted
+  /// dropped) when a peer frame claims an id the connection may not.
+  bool dispatch(Conn& conn, const Frame& frame) PROBFT_REQUIRES(loop_thread_);
   void fire_due_timers() PROBFT_REQUIRES(loop_thread_);
   [[nodiscard]] int poll_timeout_ms() const PROBFT_REQUIRES(loop_thread_);
 
@@ -285,13 +298,13 @@ class TcpTransport final : public ITransport {
 
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
-  std::vector<std::unique_ptr<OutboundConn>> outbound_
-      PROBFT_GUARDED_BY(loop_thread_);  // index 0 unused
-  std::vector<InboundConn> inbound_ PROBFT_GUARDED_BY(loop_thread_);
-
-  int client_listen_fd_ = -1;
+  int client_listen_fd_ = -1;  // -1 when the client port is disabled
   std::uint16_t client_port_ = 0;
-  std::vector<ClientConn> clients_ PROBFT_GUARDED_BY(loop_thread_);
+  /// Every connection: the dialed ones first (see dialed()), then accepted
+  /// and client ones in accept order. Closed accepted and client
+  /// connections are reaped right after flush_dirty(), when no pointer to
+  /// them is left in dirty_.
+  std::vector<std::unique_ptr<Conn>> conns_ PROBFT_GUARDED_BY(loop_thread_);
   std::uint64_t next_client_conn_ PROBFT_GUARDED_BY(loop_thread_) = 1;
   ClientHandler client_handler_ PROBFT_GUARDED_BY(loop_thread_);
 
@@ -302,8 +315,8 @@ class TcpTransport final : public ITransport {
   std::atomic<bool> stop_{false};
   std::uint64_t connects_ PROBFT_GUARDED_BY(loop_thread_) = 0;
 
-  // peers with frames awaiting flush_dirty()
-  std::vector<ReplicaId> dirty_ PROBFT_GUARDED_BY(loop_thread_);
+  // connections with frames awaiting flush_dirty()
+  std::vector<Conn*> dirty_ PROBFT_GUARDED_BY(loop_thread_);
   std::uint64_t flush_syscalls_ PROBFT_GUARDED_BY(loop_thread_) = 0;
   std::uint64_t frames_flushed_ PROBFT_GUARDED_BY(loop_thread_) = 0;
 
