@@ -138,9 +138,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
         const std::string entry = value.substr(pos, comma - pos);
         const std::size_t colon = entry.rfind(':');
         if (colon == std::string::npos || colon == 0) return false;
-        opt.servers.emplace_back(
-            entry.substr(0, colon),
-            static_cast<std::uint16_t>(parse_u64(entry.substr(colon + 1))));
+        const std::uint64_t port = parse_u64(entry.substr(colon + 1));
+        if (port == 0 || port > 65535) {
+          throw std::invalid_argument("bad port in " + entry);
+        }
+        opt.servers.emplace_back(entry.substr(0, colon),
+                                 static_cast<std::uint16_t>(port));
         if (comma == std::string::npos) break;
         pos = comma + 1;
       }

@@ -1,6 +1,7 @@
-# Runs probft_node with the arguments in ARGS (a ;-list) and requires the
-# usage exit: status 2 and "bad argument" on stderr. Used by ctest to pin
-# that malformed command lines are rejected rather than silently adjusted.
+# Runs NODE (probft_node or probft_client) with the arguments in ARGS (a
+# ;-list) and requires the usage exit: status 2 and "bad argument" on
+# stderr. Used by ctest to pin that malformed command lines are rejected
+# rather than silently adjusted.
 #   cmake -DNODE=path/to/probft_node -DARGS="--id;1;..." -P probft_node_cli.cmake
 execute_process(COMMAND ${NODE} ${ARGS}
   RESULT_VARIABLE status
