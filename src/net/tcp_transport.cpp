@@ -249,10 +249,11 @@ void TcpTransport::send_to_client(std::uint64_t conn_id, std::uint8_t tag,
                                   const Bytes& payload) {
   loop_thread_.assert_held();
   if (!count_send(tag, payload.size())) return;
-  const auto it = std::find_if(conns_.begin(), conns_.end(), [&](auto& c) {
-    return c->role == Conn::Role::kClient && c->client_id == conn_id &&
-           c->fd >= 0;
-  });
+  const auto it =
+      std::find_if(conns_.begin(), conns_.end(), [&](const auto& c) {
+        return c->role == Conn::Role::kClient && c->client_id == conn_id &&
+               c->fd >= 0;
+      });
   if (it == conns_.end()) {
     ++stats_.dropped;  // connection gone; the client will retry elsewhere
     return;
