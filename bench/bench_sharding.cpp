@@ -47,7 +47,6 @@ struct ShardedRun {
   double wall_ms = 0.0;
   std::uint64_t slots = 0;  // aggregate committed slots at replica 1
   std::uint64_t dtx_committed = 0;
-  std::uint64_t dtx_aborted = 0;
   std::vector<TimePoint> dtx_latency;  // per-tx submit → complete, virtual µs
 };
 
@@ -81,26 +80,21 @@ ShardedRun run_sharded_fleet(std::uint32_t n, std::uint32_t shards,
   std::vector<TimePoint> submitted(dtx_count, 0);
   run.dtx_latency.assign(dtx_count, 0);
   fleet.dtx(1).set_on_complete([&run, &sim, &tx_index, &submitted](
-                                   std::uint64_t txid, bool committed,
-                                   std::uint64_t, std::uint64_t) {
-    if (committed) {
-      ++run.dtx_committed;
-    } else {
-      ++run.dtx_aborted;
-    }
+                                   std::uint64_t txid, std::uint64_t,
+                                   std::uint64_t) {
+    ++run.dtx_committed;
     const auto it = tx_index.find(txid);
     if (it != tx_index.end()) {
       run.dtx_latency[it->second] = sim.now() - submitted[it->second];
     }
   });
-  const shard::ShardMap map = fleet.node(1).placement().map();
   for (std::uint64_t j = 0; j < dtx_count; ++j) {
     std::vector<Bytes> tx_keys;
     for (shard::ShardId s = 0; s < shards; ++s) {
       for (std::uint64_t nonce = 0;; ++nonce) {
         Bytes key = to_bytes("dtx-" + std::to_string(j) + "-" +
                              std::to_string(nonce));
-        if (shard::shard_of(map, ByteSpan(key.data(), key.size())) == s) {
+        if (shard::shard_of(shards, ByteSpan(key.data(), key.size())) == s) {
           tx_keys.push_back(std::move(key));
           break;
         }
@@ -114,12 +108,12 @@ ShardedRun run_sharded_fleet(std::uint32_t n, std::uint32_t shards,
   }
 
   // Every committed entry is deterministic: each S-participant tx adds
-  // 2 + 2S entries on top of the client commands.
-  const std::uint64_t expect = commands + dtx_count * (2 + 2 * shards);
+  // 1 + S entries (BEGIN, one APPLY per shard) on top of the commands.
+  const std::uint64_t expect = commands + dtx_count * (1 + shards);
   const auto t0 = std::chrono::steady_clock::now();
   run.completed = fleet.run_until(
       [&] {
-        return run.dtx_committed + run.dtx_aborted >= dtx_count &&
+        return run.dtx_committed >= dtx_count &&
                fleet.all_executed(expect);
       },
       600'000'000);
@@ -221,8 +215,7 @@ int run_smoke(std::uint32_t n, std::uint64_t commands, double bound_x) {
                  base.completed, wide.completed, base.agree, wide.agree);
     return 2;
   }
-  if (base.dtx_committed != 2 || wide.dtx_committed != 2 ||
-      base.dtx_aborted + wide.dtx_aborted != 0) {
+  if (base.dtx_committed != 2 || wide.dtx_committed != 2) {
     std::fprintf(stderr, "shard smoke: cross-shard transactions did not "
                          "all commit\n");
     return 2;
@@ -270,8 +263,7 @@ int emit_json(const std::string& path, std::uint32_t n,
     const double tput = kcmd_per_vsec(run, commands);
     const double speedup = base_t > 0 ? tput / base_t : 0.0;
     if (shards == 4) s4_x = speedup;
-    ok = ok && run.completed && run.agree &&
-         run.dtx_committed == dtx_count && run.dtx_aborted == 0;
+    ok = ok && run.completed && run.agree && run.dtx_committed == dtx_count;
     std::fprintf(
         out,
         "    {\"shards\": %u, \"kcmd_per_vsec\": %.2f, \"speedup_x\": "

@@ -35,8 +35,8 @@
 // requests: each is a "DTX1" request carrying one key per shard (keys
 // are mined so placement scatters them across ALL S groups), sent to
 // the coordinator shard's leader, and counts as completed when the
-// cluster answers dtx-committed or dtx-aborted. Summary:
-//   DTXCLIENT requests=D committed=C aborted=A
+// cluster answers dtx-committed. Summary:
+//   DTXCLIENT requests=D committed=C
 //
 // --read-ratio R (0 ≤ R < 1, against probft_node --reads) interleaves
 // reads so that reads make up fraction R of all operations: after each
@@ -270,8 +270,6 @@ int main(int argc, char** argv) {
   const std::uint64_t n_requests = opt.requests;
   const std::uint64_t total = opt.requests + opt.dtx;
   const auto n_replicas = static_cast<std::uint32_t>(servers.size());
-  shard::ShardMap map;
-  map.shard_count = opt.shards;
   const auto span = [](const Bytes& b) {
     return ByteSpan(b.data(), b.size());
   };
@@ -281,7 +279,7 @@ int main(int argc, char** argv) {
   for (std::uint64_t seq = 1; seq <= n_requests; ++seq) {
     payloads[seq] = to_bytes("req-" + std::to_string(opt.client_id) + "-" +
                              std::to_string(seq));
-    shard_for[seq] = shard::shard_of(map, span(payloads[seq]));
+    shard_for[seq] = shard::shard_of(opt.shards, span(payloads[seq]));
     primary[seq] = shard::lead_replica(shard_for[seq], n_replicas) - 1;
   }
   for (std::uint64_t j = 0; j < opt.dtx; ++j) {
@@ -293,13 +291,13 @@ int main(int argc, char** argv) {
       for (std::uint64_t nonce = 0;; ++nonce) {
         Bytes key = to_bytes("dtx-" + std::to_string(opt.client_id) + "-" +
                              std::to_string(j) + "-" + std::to_string(nonce));
-        if (shard::shard_of(map, span(key)) == s) {
+        if (shard::shard_of(opt.shards, span(key)) == s) {
           keys.push_back(std::move(key));
           break;
         }
       }
     }
-    shard_for[seq] = shard::shard_of(map, span(keys.front()));
+    shard_for[seq] = shard::shard_of(opt.shards, span(keys.front()));
     primary[seq] = shard::lead_replica(shard_for[seq], n_replicas) - 1;
     payloads[seq] = shard::DtxCoordinator::encode_request(keys);
   }
@@ -350,7 +348,7 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> write_slot(total + 1, 0);
   std::vector<std::uint64_t> latencies;
   std::uint64_t replies = 0, retries = 0, duplicates = 0;
-  std::uint64_t dtx_committed = 0, dtx_aborted = 0;
+  std::uint64_t dtx_committed = 0;
   // An explicit kRejected/kRedirect write reply pulls the retry timer
   // forward instead of waiting out --retry-ms; earliest_retry floors the
   // hinted retries at 100 ms so a rejecting server cannot spin the client.
@@ -452,14 +450,9 @@ int main(int argc, char** argv) {
           ShardStats& shard_stats = per_shard[shard_for[reply.seq]];
           ++shard_stats.replies;
           shard_stats.latencies.push_back(latency);
-          if (reply.seq > n_requests) {
-            const std::string outcome(reply.result.begin(),
-                                      reply.result.end());
-            if (outcome == "dtx-committed") {
-              ++dtx_committed;
-            } else {
-              ++dtx_aborted;
-            }
+          if (reply.seq > n_requests &&
+              reply.result == to_bytes("dtx-committed")) {
+            ++dtx_committed;
           }
         } catch (const CodecError&) {
           // Hostile/garbled reply: ignore.
@@ -633,10 +626,9 @@ int main(int argc, char** argv) {
                 quantile_of(read_latencies, 0.50));
   }
   if (opt.dtx > 0) {
-    std::printf("DTXCLIENT requests=%llu committed=%llu aborted=%llu\n",
+    std::printf("DTXCLIENT requests=%llu committed=%llu\n",
                 static_cast<unsigned long long>(opt.dtx),
-                static_cast<unsigned long long>(dtx_committed),
-                static_cast<unsigned long long>(dtx_aborted));
+                static_cast<unsigned long long>(dtx_committed));
   }
   for (auto& conn : servers) {
     if (conn.fd >= 0) ::close(conn.fd);

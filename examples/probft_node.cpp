@@ -27,17 +27,18 @@
 //    (the bytes before the first '='); replies are sent after in-order
 //    execution, and duplicate (client, seq) retries are answered from the
 //    last-reply cache without re-executing. A "DTX1"-prefixed request
-//    runs the cross-shard 2PC coordinator and is answered with
-//    dtx-committed / dtx-aborted (at S = 1 it commits as a
-//    one-participant transaction). --reads serves kClientRead frames.
+//    runs the cross-shard transaction tracker and is answered with
+//    dtx-committed (at S = 1 it commits as a one-participant
+//    transaction). Client ids with bit 63 set are reserved for the
+//    tracker and answered kRejected. --reads serves kClientRead frames.
 //    The process runs until --run-ms elapses — or exits early once
 //    --expect-cmds entries executed across all groups (dtx bookkeeping
-//    included: a D-participant tx commits exactly 2 + 2D entries), plus
+//    included: a D-participant tx commits exactly 1 + D entries), plus
 //    --linger-ms for stragglers — and prints one line per group
 //      SMRLOG id=<id> slots=<s> base=<b> cmds=<c> digest=<hex>
 //    (digest = the truncation-invariant chained log digest) so a harness
 //    can assert identical logs across the cluster, then
-//      DTX id=<id> committed=<c> aborted=<a> in_flight=<i>
+//      DTX id=<id> committed=<c> in_flight=<i>
 //
 //    --wal-dir DIR makes the log durable: decisions and stable
 //    checkpoints are written to an fsync'd write-ahead log, and a
@@ -59,7 +60,9 @@
 // client mode (`client`), reads (`reads`) and crash-restart (`restart`;
 // with --shards S, the sharded crash-restart and dtx smoke).
 #include <cctype>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -151,6 +154,24 @@ std::uint64_t parse_u64(const std::string& text) {
   return value;
 }
 
+/// A 32-bit count or id; values above 2^32 - 1 are rejected, not
+/// truncated.
+std::uint32_t parse_u32(const std::string& text) {
+  const std::uint64_t value = parse_u64(text);
+  if (value > UINT32_MAX) throw std::invalid_argument("out of range " + text);
+  return static_cast<std::uint32_t>(value);
+}
+
+/// A ProBFT factor (--o, --l): finite, positive, no trailing characters.
+double parse_factor(const std::string& text) {
+  std::size_t consumed = 0;
+  const double value = std::stod(text, &consumed);
+  if (consumed != text.size() || !std::isfinite(value) || value <= 0) {
+    throw std::invalid_argument("bad factor " + text);
+  }
+  return value;
+}
+
 bool parse_bool(const std::string& text) {
   if (text == "1" || text == "true" || text == "yes") return true;
   if (text == "0" || text == "false" || text == "no") return false;
@@ -192,17 +213,17 @@ bool parse_args(int argc, char** argv, Options& opt) {
     if (i + 1 >= argc) return false;
     const std::string value = argv[++i];
     if (key == "--id") {
-      opt.id = static_cast<ReplicaId>(parse_u64(value));
+      opt.id = parse_u32(value);
     } else if (key == "--peers") {
       opt.peers = parse_peers(value);
     } else if (key == "--protocol") {
       if (!sim::protocol_from_string(value, opt.protocol)) return false;
     } else if (key == "--f") {
-      opt.f = static_cast<std::uint32_t>(parse_u64(value));
+      opt.f = parse_u32(value);
     } else if (key == "--o") {
-      opt.o = std::stod(value);
+      opt.o = parse_factor(value);
     } else if (key == "--l") {
-      opt.l = std::stod(value);
+      opt.l = parse_factor(value);
     } else if (key == "--seed") {
       opt.seed = parse_u64(value);
     } else if (key == "--suite") {
@@ -226,9 +247,9 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (key == "--expect-cmds") {
       opt.expect_cmds = parse_u64(value);
     } else if (key == "--window") {
-      opt.window = static_cast<std::uint32_t>(parse_u64(value));
+      opt.window = parse_u32(value);
     } else if (key == "--batch") {
-      opt.batch = static_cast<std::uint32_t>(parse_u64(value));
+      opt.batch = parse_u32(value);
     } else if (key == "--wal-dir") {
       opt.wal_dir = value;
       opt.smr = true;  // durability only applies to the log
@@ -314,18 +335,16 @@ int run_smr_service(const Options& opt, net::TcpTransport& transport,
     }
     last_reply[reply.client_id] = std::move(reply);
   };
-  const auto dtx_reply = [](std::uint64_t client, std::uint64_t seq,
-                            bool committed) {
+  const auto dtx_reply = [](std::uint64_t client, std::uint64_t seq) {
     net::ClientReply reply;
     reply.client_id = client;
     reply.seq = seq;
-    reply.result = to_bytes(committed ? "dtx-committed" : "dtx-aborted");
+    reply.result = to_bytes("dtx-committed");
     return reply;
   };
 
   sc.base = sim::smr_config(params);
-  sc.map.version = 1;
-  sc.map.shard_count = opt.shards;
+  sc.shard_count = opt.shards;
   sc.on_execute = [&dtx, &route_reply](shard::ShardId s,
                                        const smr::ExecutedCommand& cmd) {
     if (dtx) dtx->on_execute(s, cmd);
@@ -353,11 +372,10 @@ int run_smr_service(const Options& opt, net::TcpTransport& transport,
   dtx = std::make_unique<shard::DtxCoordinator>(*node,
                                                 transport.timer_setter());
   dtx->set_on_complete([&route_reply, &dtx_reply](
-                           std::uint64_t /*txid*/, bool committed,
-                           std::uint64_t origin_client,
+                           std::uint64_t /*txid*/, std::uint64_t origin_client,
                            std::uint64_t origin_seq) {
     if (origin_client == 0) return;  // learned via BEGIN, no local client
-    route_reply(dtx_reply(origin_client, origin_seq, committed));
+    route_reply(dtx_reply(origin_client, origin_seq));
   });
 
   transport.register_handler(
@@ -408,16 +426,18 @@ int run_smr_service(const Options& opt, net::TcpTransport& transport,
       // no route behind (the request will never execute, so a waiting
       // entry would leak).
       bool live = false;
-      if (shard::DtxCoordinator::is_dtx_request(request.payload)) {
+      if ((request.client_id & shard::kReservedClientBit) != 0) {
+        // A dtx tracker's id: rejected before any dedup state is read.
+      } else if (shard::DtxCoordinator::is_dtx_request(request.payload)) {
         // Cross-shard transaction. A retry of a finished tx is answered
         // from the coordinator's outcome table (the origin (client, seq)
         // never enters any group's log, so the dedup tables can't).
         const std::uint64_t txid = shard::DtxCoordinator::txid_of(
             request.client_id, request.seq, request.payload);
-        if (const auto done = dtx->completed_status(txid)) {
+        if (dtx->completed_status(txid)) {
           transport.send_to_client(
               conn, net::kClientReplyTag,
-              dtx_reply(request.client_id, request.seq, *done).encode());
+              dtx_reply(request.client_id, request.seq).encode());
           return;
         }
         live = dtx->submit(request.client_id, request.seq, request.payload);
@@ -482,7 +502,7 @@ int run_smr_service(const Options& opt, net::TcpTransport& transport,
 
   // --expect-cmds counts TOTAL executed entries across all groups,
   // dtx bookkeeping included (every entry count is deterministic: a
-  // D-participant tx commits exactly 2 + 2D entries), because the
+  // D-participant tx commits exactly 1 + D entries), because the
   // aggregate survives recovery where a client-only counter would not.
   const std::uint64_t expect = opt.expect_cmds;
   const auto caught_up = [&node, expect] {
@@ -505,9 +525,8 @@ int run_smr_service(const Options& opt, net::TcpTransport& transport,
                 static_cast<unsigned long long>(group.executed_commands()),
                 group.log_digest().c_str());
   }
-  std::printf("DTX id=%u committed=%llu aborted=%llu in_flight=%llu\n",
-              opt.id, static_cast<unsigned long long>(dtx->committed()),
-              static_cast<unsigned long long>(dtx->aborted()),
+  std::printf("DTX id=%u committed=%llu in_flight=%llu\n", opt.id,
+              static_cast<unsigned long long>(dtx->committed()),
               static_cast<unsigned long long>(dtx->in_flight()));
   std::fflush(stdout);
   if (opt.stats) print_stats(transport.stats());

@@ -10,16 +10,18 @@ namespace probft::shard {
 namespace {
 
 /// Entry magics, 4 raw bytes in front of every dtx payload. The client
-/// request and the four log-entry kinds each get their own so a log scan
+/// request and the two log-entry kinds each get their own so a log scan
 /// can classify entries without context.
 constexpr char kRequestMagic[] = "DTX1";
 constexpr char kBeginMagic[] = "DXB1";
-constexpr char kPrepareMagic[] = "DXP1";
-constexpr char kDecideMagic[] = "DXD1";
 constexpr char kApplyMagic[] = "DXA1";
 
 /// Keys per transaction (bounds tracker state against hostile requests).
 constexpr std::size_t kMaxDtxKeys = 64;
+
+/// Pump period: incomplete transactions re-drive their pending
+/// transitions at this cadence (covers lost forwards and restarts).
+constexpr Duration kPumpPeriod = 100'000;  // 100 ms
 
 [[nodiscard]] bool has_magic(const Bytes& payload, const char* magic) {
   return payload.size() >= 4 && std::equal(magic, magic + 4, payload.begin());
@@ -40,9 +42,8 @@ void encode_keys(Writer& w, const std::vector<Bytes>& keys) {
 }  // namespace
 
 DtxCoordinator::DtxCoordinator(ShardedSmr& service,
-                               sync::Synchronizer::TimerSetter set_timer,
-                               DtxOptions opts)
-    : service_(service), set_timer_(std::move(set_timer)), opts_(opts) {}
+                               sync::Synchronizer::TimerSetter set_timer)
+    : service_(service), set_timer_(std::move(set_timer)) {}
 
 bool DtxCoordinator::is_dtx_request(const Bytes& payload) {
   return has_magic(payload, kRequestMagic);
@@ -63,10 +64,8 @@ bool DtxCoordinator::is_bookkeeping(ShardId shard, std::uint64_t client,
   Reader r(payload);
   (void)r.raw(4);
   const std::uint64_t txid = r.u64();
-  if (has_magic(payload, kBeginMagic) || has_magic(payload, kDecideMagic)) {
-    return client == coord_client(txid);
-  }
-  if (has_magic(payload, kPrepareMagic) || has_magic(payload, kApplyMagic)) {
+  if (has_magic(payload, kBeginMagic)) return client == coord_client(txid);
+  if (has_magic(payload, kApplyMagic)) {
     return client == part_client(txid, shard);
   }
   return false;
@@ -88,7 +87,7 @@ std::uint64_t DtxCoordinator::coord_client(std::uint64_t txid) {
   put_magic(w, "dxtC");
   w.u64(txid);
   const Bytes buf = std::move(w).take();
-  return key_hash(buf);
+  return key_hash(buf) | kReservedClientBit;
 }
 
 std::uint64_t DtxCoordinator::part_client(std::uint64_t txid, ShardId shard) {
@@ -97,16 +96,16 @@ std::uint64_t DtxCoordinator::part_client(std::uint64_t txid, ShardId shard) {
   w.u64(txid);
   w.u32(shard);
   const Bytes buf = std::move(w).take();
-  return key_hash(buf);
+  return key_hash(buf) | kReservedClientBit;
 }
 
 void DtxCoordinator::place(Tx& tx, std::vector<Bytes> keys) {
   tx.keys = std::move(keys);
   tx.by_shard.clear();
   for (const Bytes& key : tx.keys) {
-    tx.by_shard[service_.placement().shard_of(key)].push_back(key);
+    tx.by_shard[service_.shard_of(key)].push_back(key);
   }
-  tx.coord = service_.placement().shard_of(tx.keys.front());
+  tx.coord = service_.shard_of(tx.keys.front());
 }
 
 bool DtxCoordinator::submit(std::uint64_t client, std::uint64_t seq,
@@ -136,11 +135,9 @@ bool DtxCoordinator::submit(std::uint64_t client, std::uint64_t seq,
   return true;
 }
 
-std::optional<bool> DtxCoordinator::completed_status(
-    std::uint64_t txid) const {
+bool DtxCoordinator::completed_status(std::uint64_t txid) const {
   const auto it = txs_.find(txid);
-  if (it == txs_.end() || !it->second.completed) return std::nullopt;
-  return it->second.decision == 1;
+  return it != txs_.end() && it->second.completed;
 }
 
 void DtxCoordinator::drive(Tx& tx) {
@@ -161,70 +158,33 @@ void DtxCoordinator::drive(Tx& tx) {
     }
     return;
   }
-  if (tx.decision < 0) {
-    for (const auto& [p, keys] : tx.by_shard) {
-      if (tx.prepared.count(p) != 0) continue;
-      Writer w;
-      put_magic(w, kPrepareMagic);
-      w.u64(tx.txid);
-      w.u32(p);
-      encode_keys(w, keys);
-      (void)service_.submit_to_shard(p, part_client(tx.txid, p), 1,
-                                     std::move(w).take());
-    }
-    const bool all_prepared = tx.prepared.size() == tx.by_shard.size();
-    const bool timed_out = opts_.abort_after_ticks != 0 &&
-                           tx.ticks >= opts_.abort_after_ticks;
-    if (all_prepared || timed_out) {
-      // Commit and abort race on the SAME (client, seq): the coordinator
-      // log's total order picks one, dedup drops the other.
-      Writer w;
-      put_magic(w, kDecideMagic);
-      w.u64(tx.txid);
-      w.u8(all_prepared ? 1 : 0);
-      (void)service_.submit_to_shard(tx.coord, coord_client(tx.txid), 2,
-                                     std::move(w).take());
-    }
-    return;
-  }
-  if (tx.decision == 0) {
-    complete(tx, /*committed=*/false);
-    return;
-  }
+  bool all_applied = true;
   for (const auto& [p, keys] : tx.by_shard) {
     if (tx.applied.count(p) != 0) continue;
+    all_applied = false;
     Writer w;
     put_magic(w, kApplyMagic);
     w.u64(tx.txid);
     w.u32(p);
     encode_keys(w, keys);
-    (void)service_.submit_to_shard(p, part_client(tx.txid, p), 2,
+    (void)service_.submit_to_shard(p, part_client(tx.txid, p), 1,
                                    std::move(w).take());
   }
-  if (tx.applied.size() == tx.by_shard.size()) {
-    complete(tx, /*committed=*/true);
-  }
+  if (all_applied) complete(tx);
 }
 
-void DtxCoordinator::complete(Tx& tx, bool committed) {
-  if (tx.completed) return;
+void DtxCoordinator::complete(Tx& tx) {
   tx.completed = true;
-  if (committed) {
-    ++committed_;
-  } else {
-    ++aborted_;
-  }
-  if (on_complete_) {
-    on_complete_(tx.txid, committed, tx.origin_client, tx.origin_seq);
-  }
+  ++committed_;
+  if (on_complete_) on_complete_(tx.txid, tx.origin_client, tx.origin_seq);
 }
 
 DtxCoordinator::Tx* DtxCoordinator::apply_entry(ShardId shard,
                                                 std::uint64_t client,
                                                 const Bytes& payload) {
   // Only the synthetic client that owns a phase can move a tx: the same
-  // bytes from an ordinary client (say a DECIDE(abort) for someone
-  // else's tx) are application data.
+  // bytes from an ordinary client (say an APPLY for someone else's tx)
+  // are application data.
   if (!is_bookkeeping(shard, client, payload)) return nullptr;
   try {
     if (has_magic(payload, kBeginMagic)) {
@@ -247,9 +207,7 @@ DtxCoordinator::Tx* DtxCoordinator::apply_entry(ShardId shard,
       tx.begun = true;
       return &tx;
     }
-    if (has_magic(payload, kPrepareMagic) ||
-        has_magic(payload, kApplyMagic)) {
-      const bool is_apply = has_magic(payload, kApplyMagic);
+    if (has_magic(payload, kApplyMagic)) {
       Reader r(payload);
       (void)r.raw(4);
       const std::uint64_t txid = r.u64();
@@ -259,22 +217,7 @@ DtxCoordinator::Tx* DtxCoordinator::apply_entry(ShardId shard,
       if (claimed != shard) return nullptr;  // committed to the wrong log
       Tx& tx = txs_[txid];
       tx.txid = txid;
-      (is_apply ? tx.applied : tx.prepared).insert(shard);
-      return &tx;
-    }
-    if (has_magic(payload, kDecideMagic)) {
-      Reader r(payload);
-      (void)r.raw(4);
-      const std::uint64_t txid = r.u64();
-      const std::uint8_t commit = r.u8();
-      r.expect_exhausted();
-      if (commit > 1) return nullptr;
-      Tx& tx = txs_[txid];
-      tx.txid = txid;
-      // The coordinator log totally orders decides and the engine's
-      // (client, seq) dedup admits exactly one, so the first observed
-      // decision is THE decision.
-      if (tx.decision < 0) tx.decision = commit;
+      tx.applied.insert(shard);
       return &tx;
     }
   } catch (const CodecError&) {
@@ -297,9 +240,7 @@ void DtxCoordinator::rebuild_from_logs() {
       (void)apply_entry(s, entry.client, entry.payload);
     }
   }
-  for (auto& [txid, tx] : txs_) {
-    if (!tx.completed) drive(tx);
-  }
+  for (auto& [txid, tx] : txs_) drive(tx);
   arm_pump();
 }
 
@@ -314,13 +255,9 @@ std::uint64_t DtxCoordinator::in_flight() const {
 void DtxCoordinator::arm_pump() {
   if (pump_armed_ || in_flight() == 0) return;
   pump_armed_ = true;
-  set_timer_(opts_.retry_period, [this] {
+  set_timer_(kPumpPeriod, [this] {
     pump_armed_ = false;
-    for (auto& [txid, tx] : txs_) {
-      if (tx.completed) continue;
-      if (tx.begun && tx.decision < 0) ++tx.ticks;
-      drive(tx);
-    }
+    for (auto& [txid, tx] : txs_) drive(tx);
     arm_pump();
   });
 }

@@ -1,13 +1,14 @@
-// Deterministic placement/directory layer for the sharded SMR service.
+// Deterministic placement for the sharded SMR service.
 //
 // The keyspace is split into `shard_count` equal hash ranges: a key's owner
 // is derived from the first 8 bytes of SHA-256(key), scaled into
 // [0, shard_count) with a 128-bit multiply — no modulo bias, and the
-// assignment for a given (key, shard_count) pair is stable across map
-// versions, processes, and architectures. Clients and replicas each hold a
-// `ShardMap` (version + shard count) and attach the version to forwarded
-// requests (shard::kShardForwardTag), so a frame routed under a stale map
-// is detected and dropped instead of landing in the wrong group's log.
+// assignment for a given (key, shard_count) pair is stable across
+// processes and architectures. The shard count is the whole directory:
+// clients and replicas compute placement from it alone, and forwarded
+// requests carry it (shard::kShardForwardTag), so a frame routed by a
+// node started with another --shards is dropped instead of landing in
+// the wrong group's log.
 //
 // This mirrors how partitioned storage systems (DAOS pool/object placement)
 // scale: placement is a pure function both sides compute, never a lookup
@@ -17,7 +18,6 @@
 #include <cstdint>
 
 #include "common/bytes.hpp"
-#include "common/codec.hpp"
 #include "common/types.hpp"
 
 namespace probft::shard {
@@ -25,34 +25,15 @@ namespace probft::shard {
 /// 0-based consensus-group identifier.
 using ShardId = std::uint32_t;
 
-/// Upper bound on shard_count a decoded map may claim (a hostile buffer
-/// must not make a node allocate per-shard state for 2^32 groups).
+/// Upper bound on the shard count a node accepts (per-shard state must
+/// not grow to 2^32 groups).
 inline constexpr std::uint32_t kMaxShards = 1024;
-
-/// The versioned directory clients and replicas agree on. Deliberately
-/// tiny: placement is pure hashing, so the map only has to pin the range
-/// count and a version to detect stale routing.
-struct ShardMap {
-  std::uint64_t version = 1;   // bumped on every reconfiguration
-  std::uint32_t shard_count = 1;
-
-  void encode(Writer& w) const;
-  /// Strict: rejects unknown wire versions, shard_count of 0 or beyond
-  /// kMaxShards. Callers add expect_exhausted() when the map is the whole
-  /// buffer.
-  static ShardMap decode(Reader& r);
-
-  [[nodiscard]] Bytes to_bytes() const;
-  static ShardMap from_bytes(ByteSpan raw);
-
-  bool operator==(const ShardMap& other) const = default;
-};
 
 /// Stable 64-bit key hash: the first 8 bytes of SHA-256(key), big-endian.
 [[nodiscard]] std::uint64_t key_hash(ByteSpan key);
 
-/// key → owning shard under `map`: hash scaled into [0, shard_count).
-[[nodiscard]] ShardId shard_of(const ShardMap& map, ByteSpan key);
+/// key → owning shard: hash scaled into [0, shard_count).
+[[nodiscard]] ShardId shard_of(std::uint32_t shard_count, ByteSpan key);
 
 /// The view-1 leader of shard `s` in an n-replica fleet. Groups run with
 /// core::ReplicaConfig::leader_offset = s, so the S view-1 leaders spread
@@ -60,20 +41,5 @@ struct ShardMap {
 [[nodiscard]] inline ReplicaId lead_replica(ShardId s, std::uint32_t n) {
   return leader_of(1 + s, n);
 }
-
-/// Convenience wrapper bundling a map with its lookups.
-class Placement {
- public:
-  explicit Placement(ShardMap map) : map_(map) {}
-
-  [[nodiscard]] const ShardMap& map() const { return map_; }
-  [[nodiscard]] std::uint32_t shard_count() const { return map_.shard_count; }
-  [[nodiscard]] ShardId shard_of(ByteSpan key) const {
-    return shard::shard_of(map_, key);
-  }
-
- private:
-  ShardMap map_;
-};
 
 }  // namespace probft::shard

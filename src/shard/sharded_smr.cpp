@@ -10,8 +10,8 @@
 namespace probft::shard {
 
 ShardedSmr::ShardedSmr(ShardedSmrConfig config, core::ProtocolHost host)
-    : cfg_(std::move(config)), host_(std::move(host)), placement_(cfg_.map) {
-  const std::uint32_t shards = cfg_.map.shard_count;
+    : cfg_(std::move(config)), host_(std::move(host)) {
+  const std::uint32_t shards = cfg_.shard_count;
   if (shards == 0 || shards > kMaxShards) {
     throw std::invalid_argument("ShardedSmr: bad shard_count");
   }
@@ -22,13 +22,13 @@ ShardedSmr::ShardedSmr(ShardedSmrConfig config, core::ProtocolHost host)
   for (ShardId s = 0; s < shards; ++s) {
     smr::SmrConfig gc = cfg_.base;
     gc.leader_offset = s;
-    // Forwards carry the ShardMap version, so a receiver under another
-    // map drops them instead of committing to the wrong group's log. One
+    // Forwards carry the shard count, so a receiver started with another
+    // one drops them instead of committing to the wrong group's log. One
     // group keeps the single-group forward (kSmrForwardTag).
     if (shards > 1) {
       gc.forward = [this, s](ReplicaId leader, const smr::Request& req) {
         Writer w;
-        w.u64(cfg_.map.version);
+        w.u32(cfg_.shard_count);
         w.u32(s);
         req.encode(w);
         host_.send(leader, kShardForwardTag, std::move(w).take());
@@ -71,18 +71,23 @@ void ShardedSmr::start() {
 
 bool ShardedSmr::submit_request(std::uint64_t client, std::uint64_t seq,
                                 Bytes payload) {
+  if ((client & kReservedClientBit) != 0) return false;
   const ShardId s = owner_of(payload);
   return submit_to_shard(s, client, seq, std::move(payload));
 }
 
 ShardId ShardedSmr::owner_of(const Bytes& payload) const {
-  return placement_.shard_of(smr::read_view_key(payload));
+  return shard_of(smr::read_view_key(payload));
+}
+
+ShardId ShardedSmr::shard_of(ByteSpan key) const {
+  return shard::shard_of(cfg_.shard_count, key);
 }
 
 void ShardedSmr::submit_read(Bytes key, net::ReadConsistency consistency,
                              std::uint64_t min_index,
                              smr::SmrReplica::ReadCallback cb) {
-  const ShardId s = placement_.shard_of(key);
+  const ShardId s = shard_of(key);
   groups_[s]->submit_read(std::move(key), consistency, min_index,
                           std::move(cb));
 }
@@ -96,16 +101,14 @@ bool ShardedSmr::submit_to_shard(ShardId s, std::uint64_t client,
 void ShardedSmr::handle_forward(ReplicaId from, const Bytes& payload) {
   (void)from;  // any replica may forward; dedup makes replays harmless
   Reader r(payload);
-  const std::uint64_t version = r.u64();
+  const std::uint32_t shards = r.u32();
   const ShardId s = r.u32();
   smr::Request req = smr::Request::decode(r);
   r.expect_exhausted();
-  // A mis-versioned forward was routed under a different ShardMap: the
-  // sender's placement may disagree with ours, so committing it here
-  // could write the key to the wrong group's log. Drop; the client
-  // retries after refreshing its map.
-  if (version != cfg_.map.version) return;
-  if (s >= shard_count()) return;
+  // A sender with another shard count places keys differently, so
+  // committing its forward here could write the key to the wrong
+  // group's log. Drop; the request's own enqueue at the sender stays.
+  if (shards != shard_count() || s >= shard_count()) return;
   (void)groups_[s]->submit_request(req.client, req.seq,
                                    std::move(req.payload));
 }
@@ -123,7 +126,7 @@ void ShardedSmr::on_message(ReplicaId from, std::uint8_t tag,
         const ShardId s = r.u32();
         const std::uint8_t inner_tag = r.u8();
         Bytes inner = r.raw(r.remaining());
-        if (s >= shard_count()) return;  // stale map or garbage: drop
+        if (s >= shard_count()) return;  // garbage: drop
         groups_[s]->on_message(from, inner_tag, inner);
         break;
       }

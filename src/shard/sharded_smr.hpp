@@ -17,19 +17,19 @@
 // SmrReplica (same tags, same bytes, same forwards). This is the only
 // SMR serving path; the single-group deployment is its S = 1 case.
 //
-// Request routing: submit_request places the payload's key through the
-// Placement layer (owner_of) and enqueues at the owning group. If this
-// replica is not that group's engine leader (smr::SmrReplica::
-// engine_leader: the leader of the view the group last decided in, view 1
-// until a view change), the group forwards the request — with S > 1 as
+// Request routing: submit_request places the payload's key (owner_of)
+// and enqueues at the owning group. If this replica is not that group's
+// engine leader (smr::SmrReplica::engine_leader: the leader of the view
+// the group last decided in, view 1 until a view change), the group
+// forwards the request — with S > 1 as
 //
-//   kShardForwardTag (0x29): u64 map-version ‖ u32 shard ‖ Request
+//   kShardForwardTag (0x29): u32 shard_count ‖ u32 shard ‖ Request
 //
 // so it lands in the leader's next batch without waiting for a timeout;
-// the local enqueue stays as the liveness fallback. The frame carries the
-// ShardMap version: a receiver under a different map drops it instead of
-// committing it to the wrong group's log. S = 1 forwards as the
-// single-group engine does (kSmrForwardTag).
+// the local enqueue stays as the liveness fallback. A receiver started
+// with another shard count places keys differently, so it drops the
+// frame instead of committing it to the wrong group's log. S = 1
+// forwards as the single-group engine does (kSmrForwardTag).
 //
 // Thread ownership: ShardedSmr has no locking of its own. Like the
 // SmrReplica it wraps, every entry point (on_message, submit_request,
@@ -58,6 +58,11 @@ namespace probft::shard {
 inline constexpr std::uint8_t kShardTag = net::tags::kShard;
 inline constexpr std::uint8_t kShardForwardTag = net::tags::kShardForward;
 
+/// Client ids with bit 63 set are reserved for the dtx tracker's
+/// synthetic clients (DtxCoordinator::coord_client / part_client);
+/// submit_request refuses them, so no client can speak for a tracker.
+inline constexpr std::uint64_t kReservedClientBit = std::uint64_t{1} << 63;
+
 struct ShardedSmrConfig {
   /// Template for every group: id/n/f/o/l, pipeline shape, crypto, sync.
   /// Per-group fields are overridden internally (leader_offset, wal,
@@ -65,8 +70,8 @@ struct ShardedSmrConfig {
   /// base.on_execute themselves are ignored.
   smr::SmrConfig base;
 
-  /// The directory this replica serves under; shard_count = S.
-  ShardMap map;
+  /// S: the number of consensus groups, 1..kMaxShards.
+  std::uint32_t shard_count = 1;
 
   /// Optional per-shard WALs (index = shard id; empty = no durability,
   /// size must otherwise equal shard_count). Non-owning; must outlive
@@ -94,7 +99,8 @@ class ShardedSmr : public core::INode {
   /// Routes (client, seq, payload) to owner_of(payload) and forwards to
   /// that group's engine leader when it is remote. Returns the local
   /// enqueue verdict — false for duplicates and unbatchable payloads,
-  /// like the single-group engine.
+  /// like the single-group engine, and for reserved client ids
+  /// (kReservedClientBit).
   bool submit_request(std::uint64_t client, std::uint64_t seq, Bytes payload);
 
   /// The group that orders a request payload: placement by its KEY (the
@@ -103,9 +109,11 @@ class ShardedSmr : public core::INode {
   /// key as the whole payload. A serving node looks up a request's dedup
   /// state in this group.
   [[nodiscard]] ShardId owner_of(const Bytes& payload) const;
+  /// The group that owns `key` (placement by hash, shard::shard_of).
+  [[nodiscard]] ShardId shard_of(ByteSpan key) const;
 
-  /// Same, with the owning shard chosen by the caller (the dtx
-  /// coordinator places its own entries).
+  /// Enqueues at group `s`, chosen by the caller: the dtx coordinator
+  /// places its own entries under its reserved client ids.
   bool submit_to_shard(ShardId s, std::uint64_t client, std::uint64_t seq,
                        Bytes payload);
 
@@ -117,10 +125,7 @@ class ShardedSmr : public core::INode {
                    std::uint64_t min_index, smr::SmrReplica::ReadCallback cb);
 
   // ---- inspection ----
-  [[nodiscard]] const Placement& placement() const { return placement_; }
-  [[nodiscard]] std::uint32_t shard_count() const {
-    return placement_.shard_count();
-  }
+  [[nodiscard]] std::uint32_t shard_count() const { return cfg_.shard_count; }
   [[nodiscard]] smr::SmrReplica& group(ShardId s) { return *groups_.at(s); }
   [[nodiscard]] const smr::SmrReplica& group(ShardId s) const {
     return *groups_.at(s);
@@ -141,7 +146,6 @@ class ShardedSmr : public core::INode {
 
   ShardedSmrConfig cfg_;
   core::ProtocolHost host_;
-  Placement placement_;
   std::vector<std::unique_ptr<smr::SmrReplica>> groups_;
 };
 

@@ -55,7 +55,7 @@ void SmrFleet::build(ReplicaId id) {
   params.public_keys = keys_.public_keys;
   shard::ShardedSmrConfig sc;
   sc.base = smr_config(params);
-  sc.map.shard_count = cfg_.shards;
+  sc.shard_count = cfg_.shards;
   for (const auto& wal : wals_[id]) sc.wals.push_back(wal.get());
   sc.on_execute = [this, id](shard::ShardId s,
                              const smr::ExecutedCommand& cmd) {

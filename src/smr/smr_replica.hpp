@@ -180,7 +180,7 @@ struct SmrConfig {
   /// Sends a submission at a non-leader to the engine leader. Empty (the
   /// single-group default): a kSmrForwardTag frame through the host.
   /// shard::ShardedSmr sends its own kShardForwardTag frame, which carries
-  /// the ShardMap version. The local enqueue stays either way as the
+  /// the shard count. The local enqueue stays either way as the
   /// liveness fallback.
   std::function<void(ReplicaId leader, const Request& request)> forward;
 

@@ -1,15 +1,11 @@
 // Placement layer (src/shard/placement): key → shard assignment must be
-// a pure, pinned function — stable across processes, architectures and
-// map versions — and the ShardMap codec must reject every hostile buffer
-// shape instead of letting a peer under a different (or forged) map land
-// frames in the wrong group.
+// a pure, pinned function of (key, shard count) — stable across
+// processes and architectures.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
-#include <vector>
 
-#include "common/codec.hpp"
 #include "shard/placement.hpp"
 
 namespace probft::shard {
@@ -30,46 +26,33 @@ TEST(Placement, KeyHashIsPinned) {
 }
 
 TEST(Placement, ShardOfIsPinnedAcrossShardCounts) {
-  const ShardMap s4{.version = 1, .shard_count = 4};
-  EXPECT_EQ(shard_of(s4, span_of(key("alpha"))), 2u);
-  EXPECT_EQ(shard_of(s4, span_of(key("bravo"))), 3u);
-  EXPECT_EQ(shard_of(s4, span_of(key("probft-key"))), 1u);
+  EXPECT_EQ(shard_of(4, span_of(key("alpha"))), 2u);
+  EXPECT_EQ(shard_of(4, span_of(key("bravo"))), 3u);
+  EXPECT_EQ(shard_of(4, span_of(key("probft-key"))), 1u);
 
-  const ShardMap s8{.version = 1, .shard_count = 8};
-  EXPECT_EQ(shard_of(s8, span_of(key("alpha"))), 4u);
-  EXPECT_EQ(shard_of(s8, span_of(key("bravo"))), 7u);
-  EXPECT_EQ(shard_of(s8, span_of(key("probft-key"))), 3u);
+  EXPECT_EQ(shard_of(8, span_of(key("alpha"))), 4u);
+  EXPECT_EQ(shard_of(8, span_of(key("bravo"))), 7u);
+  EXPECT_EQ(shard_of(8, span_of(key("probft-key"))), 3u);
 
-  const ShardMap wide{.version = 1, .shard_count = kMaxShards};
-  EXPECT_EQ(shard_of(wide, span_of(key("alpha"))), 571u);
-  EXPECT_EQ(shard_of(wide, span_of(key("bravo"))), 965u);
-  EXPECT_EQ(shard_of(wide, span_of(key("probft-key"))), 454u);
-}
-
-// Placement depends only on (key, shard_count): the map version — bumped
-// on every reconfiguration — must never perturb routing.
-TEST(Placement, VersionDoesNotAffectPlacement) {
-  for (std::uint64_t version : {1ULL, 2ULL, 999ULL}) {
-    const ShardMap map{.version = version, .shard_count = 4};
-    EXPECT_EQ(shard_of(map, span_of(key("alpha"))), 2u);
-  }
+  EXPECT_EQ(shard_of(kMaxShards, span_of(key("alpha"))), 571u);
+  EXPECT_EQ(shard_of(kMaxShards, span_of(key("bravo"))), 965u);
+  EXPECT_EQ(shard_of(kMaxShards, span_of(key("probft-key"))), 454u);
 }
 
 TEST(Placement, EveryKeyLandsInRangeAndEveryShardIsHit) {
-  const ShardMap map{.version = 1, .shard_count = 8};
+  const std::uint32_t shards = 8;
   std::set<ShardId> hit;
   for (int i = 0; i < 512; ++i) {
-    const ShardId s = shard_of(map, span_of(key("k-" + std::to_string(i))));
-    ASSERT_LT(s, map.shard_count);
+    const ShardId s = shard_of(shards, span_of(key("k-" + std::to_string(i))));
+    ASSERT_LT(s, shards);
     hit.insert(s);
   }
-  EXPECT_EQ(hit.size(), map.shard_count);
+  EXPECT_EQ(hit.size(), shards);
 }
 
 TEST(Placement, SingleShardMapOwnsEverything) {
-  const ShardMap map{.version = 1, .shard_count = 1};
   for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(shard_of(map, span_of(key("k-" + std::to_string(i)))), 0u);
+    EXPECT_EQ(shard_of(1, span_of(key("k-" + std::to_string(i)))), 0u);
   }
 }
 
@@ -88,67 +71,6 @@ TEST(Placement, LeadReplicasSpreadRoundRobin) {
   EXPECT_EQ(leaders.size(), n) << "4 shards on 4 replicas: distinct leaders";
   // Wraps past n: shard n takes the same leader as shard 0.
   EXPECT_EQ(lead_replica(n, n), lead_replica(0, n));
-}
-
-TEST(ShardMapCodec, RoundTrip) {
-  for (const ShardMap map :
-       {ShardMap{.version = 1, .shard_count = 1},
-        ShardMap{.version = 42, .shard_count = 7},
-        ShardMap{.version = ~0ULL, .shard_count = kMaxShards}}) {
-    EXPECT_EQ(ShardMap::from_bytes(span_of(map.to_bytes())), map);
-  }
-}
-
-TEST(ShardMapCodec, RejectsEveryTruncation) {
-  const Bytes full = ShardMap{.version = 3, .shard_count = 5}.to_bytes();
-  ASSERT_EQ(full.size(), 13u);  // u8 wire ‖ u64 version ‖ u32 count
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    EXPECT_THROW((void)ShardMap::from_bytes(ByteSpan(full.data(), len)),
-                 CodecError)
-        << "prefix of " << len << " bytes must not decode";
-  }
-}
-
-TEST(ShardMapCodec, RejectsTrailingBytes) {
-  Bytes raw = ShardMap{.version = 3, .shard_count = 5}.to_bytes();
-  raw.push_back(0x00);
-  EXPECT_THROW((void)ShardMap::from_bytes(span_of(raw)), CodecError);
-}
-
-TEST(ShardMapCodec, RejectsUnknownWireVersion) {
-  Bytes raw = ShardMap{.version = 3, .shard_count = 5}.to_bytes();
-  raw[0] = 2;  // future wire version
-  EXPECT_THROW((void)ShardMap::from_bytes(span_of(raw)), CodecError);
-}
-
-TEST(ShardMapCodec, RejectsZeroShards) {
-  Writer w;
-  w.u8(1);
-  w.u64(7);
-  w.u32(0);
-  const Bytes raw = std::move(w).take();
-  EXPECT_THROW((void)ShardMap::from_bytes(span_of(raw)), CodecError);
-}
-
-TEST(ShardMapCodec, RejectsShardCountBeyondLimit) {
-  Writer w;
-  w.u8(1);
-  w.u64(7);
-  w.u32(kMaxShards + 1);
-  const Bytes raw = std::move(w).take();
-  EXPECT_THROW((void)ShardMap::from_bytes(span_of(raw)), CodecError);
-
-  Writer hostile;
-  hostile.u8(1);
-  hostile.u64(7);
-  hostile.u32(0xffffffffu);  // 2^32 groups: must not allocate, must throw
-  const Bytes worst = std::move(hostile).take();
-  EXPECT_THROW((void)ShardMap::from_bytes(span_of(worst)), CodecError);
-}
-
-TEST(ShardMapCodec, AcceptsExactlyMaxShards) {
-  const ShardMap map{.version = 9, .shard_count = kMaxShards};
-  EXPECT_EQ(ShardMap::from_bytes(span_of(map.to_bytes())), map);
 }
 
 }  // namespace

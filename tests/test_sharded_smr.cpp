@@ -3,13 +3,15 @@
 // group owning its payload bytes and agree per shard across the fleet,
 // (2) produce per-shard logs bit-identical to an S = 1-equivalent plain
 // SmrReplica fleet run with the same leader offset — multiplexing is
-// scheduling, never content, (3) commit cross-shard transactions
-// atomically and reconstruct dtx state from the per-shard WALs after a
-// crash, (4) keep sibling shards committing while shard 0's leader
-// goes silent (the view change is per group, not fleet-wide), (5) speak
-// the single-group wire with one group, (6) ignore dtx bookkeeping bytes
-// from ordinary clients, and (7) find a retry's dedup state in the group
-// that ordered the request.
+// scheduling, never content, (3) commit cross-shard transactions in
+// exactly 1 + D entries and reconstruct dtx state from the per-shard
+// WALs after a crash, also with an APPLY still pending at the kill,
+// (4) keep sibling shards committing while shard 0's leader goes silent
+// (the view change is per group, not fleet-wide), (5) speak the
+// single-group wire with one group, (6) ignore dtx bookkeeping bytes
+// from ordinary clients and refuse the trackers' reserved client ids,
+// (7) find a retry's dedup state in the group that ordered the request,
+// and (8) drop a forward sent under another shard count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -137,19 +139,56 @@ struct PlainFleet {
   }
 };
 
-Bytes dtx_payload(const ShardMap& map, std::uint32_t shards,
-                  const std::string& stem) {
+/// One mined key per shard: keys[s] places in shard s.
+std::vector<Bytes> dtx_keys(std::uint32_t shards, const std::string& stem) {
   std::vector<Bytes> keys;
   for (ShardId s = 0; s < shards; ++s) {
     for (std::uint64_t nonce = 0;; ++nonce) {
       Bytes key = to_bytes(stem + "-" + std::to_string(nonce));
-      if (shard_of(map, ByteSpan(key.data(), key.size())) == s) {
+      if (shard_of(shards, ByteSpan(key.data(), key.size())) == s) {
         keys.push_back(std::move(key));
         break;
       }
     }
   }
-  return DtxCoordinator::encode_request(keys);
+  return keys;
+}
+
+Bytes dtx_payload(std::uint32_t shards, const std::string& stem) {
+  return DtxCoordinator::encode_request(dtx_keys(shards, stem));
+}
+
+/// The dtx log-entry wire: magic ‖ txid ‖ fields ‖ u32-counted keys.
+Bytes begin_entry(std::uint64_t txid, std::uint64_t origin_client,
+                  std::uint64_t origin_seq, const std::vector<Bytes>& keys) {
+  Writer w;
+  w.raw(to_bytes("DXB1"));
+  w.u64(txid);
+  w.u64(origin_client);
+  w.u64(origin_seq);
+  w.vec(keys, [](Writer& wr, const Bytes& key) { wr.bytes(key); });
+  return std::move(w).take();
+}
+
+Bytes apply_entry(std::uint64_t txid, ShardId shard,
+                  const std::vector<Bytes>& slice) {
+  Writer w;
+  w.raw(to_bytes("DXA1"));
+  w.u64(txid);
+  w.u32(shard);
+  w.vec(slice, [](Writer& wr, const Bytes& key) { wr.bytes(key); });
+  return std::move(w).take();
+}
+
+/// Positions of `group`'s retained log entries submitted by `client`.
+std::vector<std::size_t> entries_by(const smr::SmrReplica& group,
+                                    std::uint64_t client) {
+  std::vector<std::size_t> at;
+  const std::vector<smr::LogEntry>& log = group.entries();
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    if (log[i].client == client) at.push_back(i);
+  }
+  return at;
 }
 
 // Requests submitted at ONE node must land in the group owning their
@@ -159,11 +198,10 @@ TEST(ShardedSmr, DemuxRoutesEveryRequestToItsOwningGroup) {
   const std::uint32_t n = 4, shards = 4;
   const std::uint64_t commands = 24;
   ShardedFleet fleet(n, shards);
-  const Placement& placement = fleet.node(1).placement();
   std::map<ShardId, std::uint64_t> owned;
   for (std::uint64_t i = 1; i <= commands; ++i) {
     Bytes payload = to_bytes("op-" + std::to_string(i));
-    ++owned[placement.shard_of(ByteSpan(payload.data(), payload.size()))];
+    ++owned[fleet.node(1).shard_of(ByteSpan(payload.data(), payload.size()))];
     ASSERT_TRUE(
         fleet.node(1).submit_request(9000 + i, 1, std::move(payload)));
   }
@@ -196,12 +234,11 @@ TEST(ShardedSmr, PerShardLogsBitIdenticalToPlainSingleGroupFleet) {
   options.batch_max_commands = 1;  // one slot per command: log = arrivals
 
   ShardedFleet fleet(n, shards, options, /*seed=*/1, fifo);
-  const ShardMap map = fleet.node(1).placement().map();
   std::vector<std::vector<std::pair<std::uint64_t, Bytes>>> slice(shards);
   for (std::uint64_t i = 1; i <= commands; ++i) {
     Bytes payload = to_bytes("op-" + std::to_string(i));
     const ShardId s =
-        shard_of(map, ByteSpan(payload.data(), payload.size()));
+        shard_of(shards, ByteSpan(payload.data(), payload.size()));
     slice[s].emplace_back(9000 + i, payload);
     ASSERT_TRUE(
         fleet.node(1).submit_request(9000 + i, 1, std::move(payload)));
@@ -264,9 +301,9 @@ TEST(ShardedSmr, PerShardLogsBitIdenticalToPlainSingleGroupFleet) {
 }
 
 // Cross-shard transactions: every participant group commits the APPLY
-// entry (2 + 2S entries per tx, fleet-wide agreement), and a replica
-// rebuilt from its per-shard WALs reconstructs both the logs and the
-// coordinator's view of every finished transaction.
+// entry (exactly 1 + S entries per tx, fleet-wide agreement), and a
+// replica rebuilt from its per-shard WALs reconstructs both the logs and
+// the coordinator's view of every finished transaction.
 TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
   const std::uint32_t n = 4, shards = 2;
   const std::uint64_t commands = 8, dtx_count = 2;
@@ -279,11 +316,9 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
     // Replica 1 runs durable (root/shard-<s>); everyone else is
     // memory-only.
     ShardedFleet fleet(n, shards, {}, /*seed=*/1, {}, {"", root.string()});
-    const ShardMap map = fleet.node(1).placement().map();
     fleet.dtx(1).set_on_complete(
-        [&committed_cb](std::uint64_t, bool committed, std::uint64_t,
-                        std::uint64_t) {
-          if (committed) ++committed_cb;
+        [&committed_cb](std::uint64_t, std::uint64_t, std::uint64_t) {
+          ++committed_cb;
         });
     for (std::uint64_t i = 1; i <= commands; ++i) {
       ASSERT_TRUE(fleet.node(1).submit_request(
@@ -293,14 +328,15 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
     for (std::uint64_t j = 0; j < dtx_count; ++j) {
       ASSERT_TRUE(fleet.dtx(1).submit(
           88'000 + j, 1,
-          dtx_payload(map, shards, "dtx-" + std::to_string(j))));
+          dtx_payload(shards, "dtx-" + std::to_string(j))));
     }
-    const std::uint64_t expect = commands + dtx_count * (2 + 2 * shards);
+    const std::uint64_t expect = commands + dtx_count * (1 + shards);
     ASSERT_TRUE(fleet.run_until_executed(expect));
     fleet.expect_per_shard_agreement();
     for (ReplicaId id = 1; id <= n; ++id) {
+      EXPECT_EQ(fleet.node(id).executed_commands(), expect)
+          << "replica " << id;
       EXPECT_EQ(fleet.dtx(id).committed(), dtx_count) << "replica " << id;
-      EXPECT_EQ(fleet.dtx(id).aborted(), 0u) << "replica " << id;
       EXPECT_EQ(fleet.dtx(id).in_flight(), 0u) << "replica " << id;
     }
     EXPECT_EQ(committed_cb, dtx_count);
@@ -323,7 +359,7 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
     cfg.base.suite = &fleet.suite();
     cfg.base.secret_key = fleet.keys().pairs[1].secret_key;
     cfg.base.public_keys = fleet.keys().public_keys;
-    cfg.map.shard_count = shards;
+    cfg.shard_count = shards;
     for (ShardId s = 0; s < shards; ++s) {
       reopened.push_back(std::make_unique<store::Wal>(store::WalOptions{
           .dir = (root / ("shard-" + std::to_string(s))).string(),
@@ -343,7 +379,6 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
         revived, [](Duration, std::function<void()>) {});
     revived_dtx.rebuild_from_logs();
     EXPECT_EQ(revived_dtx.committed(), dtx_count);
-    EXPECT_EQ(revived_dtx.aborted(), 0u);
     EXPECT_EQ(revived_dtx.in_flight(), 0u);
   }
   std::filesystem::remove_all(root);
@@ -393,12 +428,12 @@ TEST(ShardedSmr, SilentShardLeaderMovesOnlyItsOwnGroupsEngineView) {
   // reach the silent leader as forwards, so that group has to change
   // view to commit them.
   const ReplicaId entry = lead_replica(1, 4);
-  const ShardMap& map = fleet.node(entry).placement().map();
   std::vector<int> per_shard(kShards, 0);
   std::uint64_t submitted = 0;
   for (std::uint64_t i = 0; submitted < 2 * kShards; ++i) {
     Bytes payload = to_bytes("k-" + std::to_string(i));
-    const ShardId s = shard_of(map, ByteSpan(payload.data(), payload.size()));
+    const ShardId s =
+        shard_of(kShards, ByteSpan(payload.data(), payload.size()));
     if (per_shard[s] == 2) continue;
     ++per_shard[s];
     ASSERT_TRUE(fleet.node(entry).submit_request(500 + i, 1, payload));
@@ -421,7 +456,7 @@ TEST(ShardedSmr, SilentShardLeaderMovesOnlyItsOwnGroupsEngineView) {
 
 // A one-group service is the single-group deployment: over a jittered
 // network it must send exactly the frames a bare SmrReplica fleet sends
-// (same tags, same bytes — no shard envelope, no versioned forward) and
+// (same tags, same bytes — no shard envelope, no kShardForwardTag) and
 // decide the same log.
 TEST(ShardedSmr, OneShardSpeaksTheSingleGroupWire) {
   const std::uint32_t n = 4;
@@ -457,60 +492,72 @@ TEST(ShardedSmr, OneShardSpeaksTheSingleGroupWire) {
 }
 
 // Dtx bookkeeping is trusted only under the synthetic client that owns
-// its phase. An ordinary client's "DXD1 ‖ txid ‖ 0" executing in the
-// coordinator log ahead of the real DECIDE is data: the transaction
-// still commits, live and after a rebuild from the WAL.
-TEST(ShardedSmr, ForgedDtxDecideFromAnOrdinaryClientIsData) {
+// its phase. An ordinary client's BEGIN (naming other keys) and APPLY
+// for someone else's transaction, executing ahead of the real ones, are
+// data: the real BEGIN and every real APPLY still commit, live and after
+// a rebuild from the WAL. Were the forged APPLY trusted, no replica
+// would submit the real shard-0 APPLY.
+TEST(ShardedSmr, ForgedDtxBookkeepingFromAnOrdinaryClientIsData) {
   const std::uint32_t n = 4, shards = 2;
   const std::uint64_t origin_client = 88'000, origin_seq = 1;
-  const std::uint64_t forger = 7'777;
+  const std::uint64_t begin_forger = 7'777, apply_forger = 7'778;
   const auto root = std::filesystem::temp_directory_path() /
                     ("probft-forge-test-" + std::to_string(::getpid()));
   std::filesystem::remove_all(root);
   ShardedFleet fleet(n, shards, {}, /*seed=*/1, {}, {"", root.string()});
-  const ShardMap map = fleet.node(1).placement().map();
-  // Mine a transaction whose forged abort places in its coordinator
-  // group (the group owning the first key, shard 0), so the forgery is
-  // ordered against the real DECIDE in one log.
+  // Mine a transaction whose two forgeries both place in shard 0 — its
+  // coordinator group and one of its participants — so each forgery is
+  // ordered against its real counterpart in one log.
+  std::vector<Bytes> keys;
   Bytes request;
-  Bytes forged;
-  Bytes real_decide;
+  Bytes forged_begin;
+  Bytes forged_apply;
+  std::uint64_t txid = 0;
   for (int j = 0;; ++j) {
-    request = dtx_payload(map, shards, "victim-" + std::to_string(j));
-    const std::uint64_t txid =
-        DtxCoordinator::txid_of(origin_client, origin_seq, request);
-    const auto decide = [txid](std::uint8_t commit) {
-      Writer w;
-      w.raw(ByteSpan(reinterpret_cast<const std::uint8_t*>("DXD1"), 4));
-      w.u64(txid);
-      w.u8(commit);
-      return std::move(w).take();
-    };
-    forged = decide(0);
-    real_decide = decide(1);
-    const ByteSpan key = smr::read_view_key(ByteSpan(forged.data(), forged.size()));
-    if (shard_of(map, key) == 0) break;
+    keys = dtx_keys(shards, "victim-" + std::to_string(j));
+    request = DtxCoordinator::encode_request(keys);
+    txid = DtxCoordinator::txid_of(origin_client, origin_seq, request);
+    forged_begin = begin_entry(txid, begin_forger, 1,
+                               dtx_keys(shards, "forged-" + std::to_string(j)));
+    forged_apply = apply_entry(txid, 0, {keys[0]});
+    if (fleet.node(1).owner_of(forged_begin) == 0 &&
+        fleet.node(1).owner_of(forged_apply) == 0) {
+      break;
+    }
   }
-  EXPECT_FALSE(DtxCoordinator::is_bookkeeping(0, forger, forged));
+  EXPECT_FALSE(DtxCoordinator::is_bookkeeping(0, begin_forger, forged_begin));
+  EXPECT_FALSE(DtxCoordinator::is_bookkeeping(0, apply_forger, forged_apply));
 
-  ASSERT_TRUE(fleet.node(1).submit_request(forger, 1, forged));
+  ASSERT_TRUE(fleet.node(1).submit_request(begin_forger, 1, forged_begin));
+  ASSERT_TRUE(fleet.node(1).submit_request(apply_forger, 1, forged_apply));
   fleet.start();
   ASSERT_TRUE(fleet.dtx(1).submit(origin_client, origin_seq, request));
-  ASSERT_TRUE(fleet.run_until_executed(1 + 2 + 2 * shards));
+  const std::uint64_t expect = 2 + 1 + shards;
+  ASSERT_TRUE(fleet.run_until_executed(expect));
   fleet.expect_per_shard_agreement();
 
-  const std::vector<Bytes> coord_log = fleet.node(1).group(0).log();
-  const auto at = [&coord_log](const Bytes& payload) {
-    return std::find(coord_log.begin(), coord_log.end(), payload) -
-           coord_log.begin();
-  };
-  ASSERT_LT(at(real_decide), static_cast<std::ptrdiff_t>(coord_log.size()))
-      << "the real commit DECIDE never executed";
-  EXPECT_LT(at(forged), at(real_decide))
-      << "the forgery must land before the real decide";
+  const std::uint64_t coord = DtxCoordinator::coord_client(txid);
   for (ReplicaId id = 1; id <= n; ++id) {
+    const ShardedSmr& node = fleet.node(id);
+    const smr::SmrReplica& group0 = node.group(0);
+    const std::vector<std::size_t> begins = entries_by(group0, coord);
+    ASSERT_EQ(begins.size(), 1U) << "replica " << id;
+    EXPECT_EQ(group0.entries()[begins[0]].payload,
+              begin_entry(txid, origin_client, origin_seq, keys));
+    EXPECT_LT(entries_by(group0, begin_forger).at(0), begins[0])
+        << "the forged BEGIN must land before the real one";
+    for (ShardId p = 0; p < shards; ++p) {
+      const std::vector<std::size_t> applies =
+          entries_by(node.group(p), DtxCoordinator::part_client(txid, p));
+      ASSERT_EQ(applies.size(), 1U) << "replica " << id << " shard " << p;
+      EXPECT_EQ(node.group(p).entries()[applies[0]].payload,
+                apply_entry(txid, p, {keys[p]}));
+    }
+    EXPECT_LT(entries_by(group0, apply_forger).at(0),
+              entries_by(group0, DtxCoordinator::part_client(txid, 0)).at(0))
+        << "the forged APPLY must land before the real one";
+    EXPECT_EQ(node.executed_commands(), expect) << "replica " << id;
     EXPECT_EQ(fleet.dtx(id).committed(), 1U) << "replica " << id;
-    EXPECT_EQ(fleet.dtx(id).aborted(), 0U) << "replica " << id;
   }
 
   // Rebuild replica 1's tracker from its WALs alone.
@@ -523,7 +570,7 @@ TEST(ShardedSmr, ForgedDtxDecideFromAnOrdinaryClientIsData) {
   cfg.base.suite = &fleet.suite();
   cfg.base.secret_key = fleet.keys().pairs[1].secret_key;
   cfg.base.public_keys = fleet.keys().public_keys;
-  cfg.map = map;
+  cfg.shard_count = shards;
   for (const auto& wal : reopened) cfg.wals.push_back(wal.get());
   core::ProtocolHost host;  // offline: no peers, no timers needed
   host.send = [](ReplicaId, std::uint8_t, const Bytes&) {};
@@ -533,10 +580,129 @@ TEST(ShardedSmr, ForgedDtxDecideFromAnOrdinaryClientIsData) {
   DtxCoordinator revived_dtx(revived, [](Duration, std::function<void()>) {});
   revived_dtx.rebuild_from_logs();
   EXPECT_EQ(revived_dtx.committed(), 1U);
-  EXPECT_EQ(revived_dtx.aborted(), 0U);
   EXPECT_EQ(revived_dtx.in_flight(), 0U);
   reopened.clear();
   std::filesystem::remove_all(root);
+}
+
+// A replica killed after BEGIN executed there but before any APPLY
+// executed anywhere rebuilds the transaction from its WALs, drives its
+// APPLYs again and completes it. The re-driven APPLYs are absorbed by
+// dedup: every replica, the restarted one included, ends with exactly
+// 1 + S entries and one APPLY per participant.
+TEST(ShardedSmr, PendingApplyCompletesAfterRestart) {
+  const std::uint32_t n = 4, shards = 2;
+  const ReplicaId victim = 4;  // leads neither group
+  const auto root = std::filesystem::temp_directory_path() /
+                    ("probft-pending-test-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  std::vector<std::string> wal_dirs(n + 1);
+  wal_dirs[victim] = root.string();
+  ShardedFleet fleet(n, shards, {}, /*seed=*/1, {}, wal_dirs, /*f=*/1,
+                     /*l=*/1.5);  // q = 3 of 4: the survivors commit
+  const std::vector<Bytes> keys = dtx_keys(shards, "pending");
+  const Bytes request = DtxCoordinator::encode_request(keys);
+  const std::uint64_t txid = DtxCoordinator::txid_of(88'000, 1, request);
+  const auto applied = [&fleet, txid](ReplicaId id, ShardId p) {
+    return fleet.node(id).group(p).last_executed_seq(
+        DtxCoordinator::part_client(txid, p));
+  };
+  fleet.start();
+  ASSERT_TRUE(fleet.dtx(1).submit(88'000, 1, request));
+  ASSERT_TRUE(fleet.run_until(
+      [&] {
+        return fleet.node(victim).group(0).last_executed_seq(
+                   DtxCoordinator::coord_client(txid)) == 1;
+      },
+      120'000'000));
+  for (ReplicaId id = 1; id <= n; ++id) {
+    for (ShardId p = 0; p < shards; ++p) {
+      ASSERT_EQ(applied(id, p), 0U) << "replica " << id << " shard " << p
+                                    << ": an APPLY executed before the kill";
+    }
+  }
+
+  fleet.kill(victim);
+  ASSERT_TRUE(fleet.run_until(
+      [&] {
+        for (ReplicaId id = 1; id <= n; ++id) {
+          if (id != victim && fleet.dtx(id).committed() != 1) return false;
+        }
+        return true;
+      },
+      240'000'000));
+  fleet.restart(victim);
+  ASSERT_TRUE(fleet.run_until(
+      [&] {
+        return fleet.dtx(victim).committed() == 1 &&
+               fleet.all_executed(1 + shards);
+      },
+      480'000'000));
+  fleet.expect_per_shard_agreement();
+  for (ReplicaId id = 1; id <= n; ++id) {
+    EXPECT_EQ(fleet.node(id).executed_commands(), 1 + shards)
+        << "replica " << id;
+    EXPECT_EQ(fleet.dtx(id).committed(), 1U) << "replica " << id;
+    EXPECT_EQ(fleet.dtx(id).in_flight(), 0U) << "replica " << id;
+    for (ShardId p = 0; p < shards; ++p) {
+      EXPECT_EQ(entries_by(fleet.node(id).group(p),
+                           DtxCoordinator::part_client(txid, p))
+                    .size(),
+                1U)
+          << "replica " << id << " shard " << p;
+    }
+  }
+  std::filesystem::remove_all(root);
+}
+
+// Client ids with bit 63 set belong to the dtx trackers. A client that
+// knows a victim's DTX1 request can compute its coordinator id, but
+// submit_request refuses that id (and every other reserved one), so
+// nothing it sends under them executes.
+TEST(ShardedSmr, ReservedClientIdsAreRefused) {
+  const std::uint32_t n = 4, shards = 2;
+  ShardedFleet fleet(n, shards);
+  const std::vector<Bytes> keys = dtx_keys(shards, "victim");
+  const std::uint64_t txid = DtxCoordinator::txid_of(
+      88'000, 1, DtxCoordinator::encode_request(keys));
+  const std::uint64_t coord = DtxCoordinator::coord_client(txid);
+  const Bytes forged = begin_entry(txid, 7'777, 1, {keys[0]});
+  ASSERT_TRUE(DtxCoordinator::is_bookkeeping(0, coord, forged));
+  for (ShardId p = 0; p < shards; ++p) {
+    EXPECT_NE(DtxCoordinator::part_client(txid, p) & kReservedClientBit, 0U);
+  }
+
+  EXPECT_FALSE(fleet.node(1).submit_request(coord, 1, forged));
+  EXPECT_FALSE(
+      fleet.node(1).submit_request(kReservedClientBit | 9'001, 1,
+                                   to_bytes("reserved")));
+  ASSERT_TRUE(fleet.node(1).submit_request(9'001, 1, to_bytes("op-1")));
+  fleet.start();
+  ASSERT_TRUE(fleet.run_until_executed(1));
+  for (ReplicaId id = 1; id <= n; ++id) {
+    EXPECT_EQ(fleet.node(id).executed_commands(), 1U) << "replica " << id;
+    EXPECT_EQ(fleet.dtx(id).in_flight(), 0U) << "replica " << id;
+  }
+}
+
+// kShardForwardTag carries the sender's shard count. A node started with
+// another --shards places keys differently, so its forward is dropped;
+// one under the same count is enqueued.
+TEST(ShardedSmr, ForwardUnderAnotherShardCountIsDropped) {
+  const std::uint32_t shards = 2;
+  ShardedFleet fleet(4, shards);
+  const auto forward = [](std::uint32_t shard_count, std::uint64_t client) {
+    Writer w;
+    w.u32(shard_count);
+    w.u32(0);
+    smr::Request{client, 1, to_bytes("op")}.encode(w);
+    return std::move(w).take();
+  };
+  ShardedSmr& leader = fleet.node(lead_replica(0, 4));
+  leader.on_message(2, kShardForwardTag, forward(4, 501));
+  leader.on_message(2, kShardForwardTag, forward(shards, 502));
+  EXPECT_FALSE(leader.group(0).has_pending(501, 1));
+  EXPECT_TRUE(leader.group(0).has_pending(502, 1));
 }
 
 // The group a serving node checks a retry against is the group
@@ -550,7 +716,7 @@ TEST(ShardedSmr, RetryLookupFindsTheGroupThatExecutedTheRequest) {
   for (int i = 0;; ++i) {
     payload = to_bytes("key-" + std::to_string(i) + "=value");
     const ShardId raw =
-        entry.placement().shard_of(ByteSpan(payload.data(), payload.size()));
+        entry.shard_of(ByteSpan(payload.data(), payload.size()));
     if (raw != entry.owner_of(payload)) break;
   }
   ASSERT_TRUE(fleet.node(1).submit_request(4'242, 1, payload));
