@@ -360,4 +360,22 @@ WishMsg WishMsg::from_bytes(ByteSpan data) {
   return out;
 }
 
+Bytes WishMsg::sign(View view, ReplicaId sender,
+                    const crypto::CryptoSuite& suite, const Bytes& secret_key) {
+  WishMsg wish{view, sender, {}};
+  wish.sender_sig = suite.sign(secret_key, wish.signing_bytes());
+  return wish.to_bytes();
+}
+
+std::optional<View> WishMsg::verify(ReplicaId from, ByteSpan raw,
+                                    const crypto::CryptoSuite& suite,
+                                    const crypto::PublicKeyDir& keys) {
+  const WishMsg msg = from_bytes(raw);
+  if (msg.sender == 0 || msg.sender >= keys.size() || msg.sender != from ||
+      !suite.verify(keys[msg.sender], msg.signing_bytes(), msg.sender_sig)) {
+    return std::nullopt;
+  }
+  return msg.view;
+}
+
 }  // namespace probft::core

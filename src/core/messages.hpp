@@ -23,6 +23,7 @@
 #include "common/bytes.hpp"
 #include "common/codec.hpp"
 #include "common/types.hpp"
+#include "crypto/suite.hpp"
 #include "net/tags.hpp"
 
 namespace probft::core {
@@ -138,6 +139,15 @@ struct WishMsg {
   [[nodiscard]] Bytes signing_bytes() const;
   [[nodiscard]] Bytes to_bytes() const;
   static WishMsg from_bytes(ByteSpan data);
+
+  /// The wire bytes of `sender`'s Wish for `view`, signed with its key.
+  static Bytes sign(View view, ReplicaId sender,
+                    const crypto::CryptoSuite& suite, const Bytes& secret_key);
+  /// The view a Wish frame asks for, when replica `from` (of `keys`)
+  /// signed it itself; nullopt otherwise. Throws CodecError.
+  static std::optional<View> verify(ReplicaId from, ByteSpan raw,
+                                    const crypto::CryptoSuite& suite,
+                                    const crypto::PublicKeyDir& keys);
 };
 
 }  // namespace probft::core

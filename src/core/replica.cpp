@@ -76,7 +76,8 @@ std::uint32_t ReplicaConfig::det_quorum() const { return (n + f + 2) / 2; }
 
 // ---------------- Construction ----------------
 
-Replica::Replica(ReplicaConfig config, sync::SyncConfig sync_config,
+Replica::Replica(ReplicaConfig config,
+                 std::optional<sync::SyncConfig> sync_config,
                  ProtocolHost host)
     : cfg_(std::move(config)), host_(std::move(host)) {
   if (cfg_.id == 0 || cfg_.id > cfg_.n || cfg_.suite == nullptr ||
@@ -86,18 +87,14 @@ Replica::Replica(ReplicaConfig config, sync::SyncConfig sync_config,
   if (!cfg_.valid) {
     cfg_.valid = [](const Bytes& v) { return !v.empty(); };
   }
-  sync_config.n = cfg_.n;
-  sync_config.f = cfg_.f;
+  if (!sync_config) return;  // views come from move_to
   synchronizer_ = std::make_unique<sync::Synchronizer>(
-      cfg_.id, sync_config,
+      cfg_.id, cfg_.n, cfg_.f, *sync_config,
       /*wish=*/
       [this](View v) {
-        WishMsg wish;
-        wish.view = v;
-        wish.sender = cfg_.id;
-        wish.sender_sig = cfg_.suite->sign(cfg_.secret_key,
-                                           wish.signing_bytes());
-        host_.broadcast(tag_byte(MsgTag::kWish), wish.to_bytes());
+        host_.broadcast(tag_byte(MsgTag::kWish),
+                        WishMsg::sign(v, cfg_.id, *cfg_.suite,
+                                      cfg_.secret_key));
       },
       /*enter_view=*/[this](View v) { enter_view(v); },
       /*set_timer=*/host_.set_timer);
@@ -105,7 +102,9 @@ Replica::Replica(ReplicaConfig config, sync::SyncConfig sync_config,
 
 void Replica::start() { synchronizer_->start(); }
 
-void Replica::start(View first) { synchronizer_->start(first); }
+void Replica::move_to(View v) {
+  if (v > cur_view_) enter_view(v);
+}
 
 // ---------------- Dispatch ----------------
 
@@ -367,7 +366,6 @@ void Replica::decide(const Bytes& value) {
   decided_ = Decision{cur_view_, value};
   log::debug("replica %u decided in view %llu", cfg_.id,
              static_cast<unsigned long long>(cur_view_));
-  if (cfg_.stop_sync_on_decide) synchronizer_->stop();
   if (host_.on_decide) host_.on_decide(cur_view_, value);
 }
 
@@ -401,13 +399,9 @@ bool Replica::check_equivocation(const SignedProposal& p, std::uint8_t tag,
 // ---------------- Wishes ----------------
 
 void Replica::handle_wish(ReplicaId from, const Bytes& raw) {
-  WishMsg msg = WishMsg::from_bytes(raw);
-  if (msg.sender == 0 || msg.sender > cfg_.n || msg.sender != from) return;
-  if (!cfg_.suite->verify(cfg_.public_keys[msg.sender], msg.signing_bytes(),
-                          msg.sender_sig)) {
-    return;
-  }
-  synchronizer_->on_wish(msg.sender, msg.view);
+  if (!synchronizer_) return;  // the owner tallies wishes
+  const auto view = WishMsg::verify(from, raw, *cfg_.suite, cfg_.public_keys);
+  if (view) synchronizer_->on_wish(from, *view);
 }
 
 // ---------------- Predicates ----------------

@@ -71,8 +71,6 @@ struct ReplicaConfig {
   Bytes my_value;  // myValue(): this replica's own proposal
   /// Application-level valid() predicate; default accepts non-empty values.
   std::function<bool(const Bytes&)> valid;
-  /// Freeze the synchronizer after deciding (lets simulations drain).
-  bool stop_sync_on_decide = false;
   /// Verification fast path: memoize signature/VRF verdicts by content
   /// digest and resolve justification certificates through the suite's
   /// batch verifier. Semantically transparent (verdicts are content-
@@ -97,14 +95,16 @@ struct ReplicaConfig {
 
 class Replica : public INode {
  public:
-  Replica(ReplicaConfig config, sync::SyncConfig sync_config,
+  /// Without `sync_config` the owner drives the views with move_to (an
+  /// SMR slot, paced by its group's synchronizer): the replica then sets
+  /// no timers and ignores Wish messages.
+  Replica(ReplicaConfig config, std::optional<sync::SyncConfig> sync_config,
           ProtocolHost host);
 
+  /// Starts the synchronizer (owner-driven replicas start with move_to).
   void start() override;
-  /// Starts directly in view `first` (see sync::Synchronizer::start). On
-  /// entering a view past 1 the replica sends NewLeader as after any view
-  /// change, so the leader still proposes only with a justification.
-  void start(View first);
+  /// Enters view `v` if it is past the current one (past 1: NewLeader).
+  void move_to(View v);
   void on_message(ReplicaId from, std::uint8_t tag,
                   const Bytes& payload) override;
 

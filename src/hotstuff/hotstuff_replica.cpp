@@ -203,18 +203,12 @@ HotStuffReplica::HotStuffReplica(HotStuffConfig config,
   if (!cfg_.valid) {
     cfg_.valid = [](const Bytes& v) { return !v.empty(); };
   }
-  sync_config.n = cfg_.n;
-  sync_config.f = cfg_.f;
   synchronizer_ = std::make_unique<sync::Synchronizer>(
-      cfg_.id, sync_config,
+      cfg_.id, cfg_.n, cfg_.f, sync_config,
       [this](View v) {
-        WishMsg wish;
-        wish.view = v;
-        wish.sender = cfg_.id;
-        wish.sender_sig =
-            cfg_.suite->sign(cfg_.secret_key, wish.signing_bytes());
         host_.broadcast(static_cast<std::uint8_t>(HsTag::kWish),
-                         wish.to_bytes());
+                        WishMsg::sign(v, cfg_.id, *cfg_.suite,
+                                      cfg_.secret_key));
       },
       [this](View v) { enter_view(v); },
       host_.set_timer);
@@ -434,7 +428,6 @@ void HotStuffReplica::handle_qc(const Bytes& raw) {
     case HsPhase::kCommit:
       if (!decided_) {
         decided_ = Decision{cur_view_, msg.qc.value};
-        if (cfg_.stop_sync_on_decide) synchronizer_->stop();
         if (host_.on_decide) host_.on_decide(cur_view_, msg.qc.value);
       }
       break;
@@ -442,13 +435,8 @@ void HotStuffReplica::handle_qc(const Bytes& raw) {
 }
 
 void HotStuffReplica::handle_wish(ReplicaId from, const Bytes& raw) {
-  WishMsg msg = WishMsg::from_bytes(raw);
-  if (msg.sender == 0 || msg.sender > cfg_.n || msg.sender != from) return;
-  if (!cfg_.suite->verify(cfg_.public_keys[msg.sender], msg.signing_bytes(),
-                          msg.sender_sig)) {
-    return;
-  }
-  synchronizer_->on_wish(msg.sender, msg.view);
+  const auto view = WishMsg::verify(from, raw, *cfg_.suite, cfg_.public_keys);
+  if (view) synchronizer_->on_wish(from, *view);
 }
 
 bool HotStuffReplica::verify_qc(const QuorumCert& qc) const {

@@ -117,7 +117,6 @@ struct HotStuffConfig {
   std::uint32_t f = 0;
   Bytes my_value;
   std::function<bool(const Bytes&)> valid;
-  bool stop_sync_on_decide = false;
 
   const crypto::CryptoSuite* suite = nullptr;
   Bytes secret_key;

@@ -38,17 +38,12 @@ PbftReplica::PbftReplica(PbftConfig config, sync::SyncConfig sync_config,
   if (!cfg_.valid) {
     cfg_.valid = [](const Bytes& v) { return !v.empty(); };
   }
-  sync_config.n = cfg_.n;
-  sync_config.f = cfg_.f;
   synchronizer_ = std::make_unique<sync::Synchronizer>(
-      cfg_.id, sync_config,
+      cfg_.id, cfg_.n, cfg_.f, sync_config,
       [this](View v) {
-        WishMsg wish;
-        wish.view = v;
-        wish.sender = cfg_.id;
-        wish.sender_sig =
-            cfg_.suite->sign(cfg_.secret_key, wish.signing_bytes());
-        host_.broadcast(core::tag_byte(MsgTag::kWish), wish.to_bytes());
+        host_.broadcast(core::tag_byte(MsgTag::kWish),
+                        WishMsg::sign(v, cfg_.id, *cfg_.suite,
+                                      cfg_.secret_key));
       },
       [this](View v) { enter_view(v); },
       host_.set_timer);
@@ -272,18 +267,12 @@ void PbftReplica::try_commit_quorum() {
   const auto it = commits_.find(key);
   if (it == commits_.end() || it->second.size() < cfg_.quorum()) return;
   decided_ = Decision{cur_view_, prepared_value_};
-  if (cfg_.stop_sync_on_decide) synchronizer_->stop();
   if (host_.on_decide) host_.on_decide(cur_view_, prepared_value_);
 }
 
 void PbftReplica::handle_wish(ReplicaId from, const Bytes& raw) {
-  WishMsg msg = WishMsg::from_bytes(raw);
-  if (msg.sender == 0 || msg.sender > cfg_.n || msg.sender != from) return;
-  if (!cfg_.suite->verify(cfg_.public_keys[msg.sender], msg.signing_bytes(),
-                          msg.sender_sig)) {
-    return;
-  }
-  synchronizer_->on_wish(msg.sender, msg.view);
+  const auto view = WishMsg::verify(from, raw, *cfg_.suite, cfg_.public_keys);
+  if (view) synchronizer_->on_wish(from, *view);
 }
 
 bool PbftReplica::verify_leader_sig(const SignedProposal& p) const {

@@ -40,7 +40,6 @@ struct PbftConfig {
   std::uint32_t f = 0;
   Bytes my_value;
   std::function<bool(const Bytes&)> valid;
-  bool stop_sync_on_decide = false;
 
   const crypto::CryptoSuite* suite = nullptr;
   Bytes secret_key;

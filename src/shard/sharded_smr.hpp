@@ -19,8 +19,8 @@
 //
 // Request routing: submit_request places the payload's key (owner_of)
 // and enqueues at the owning group. If this replica is not that group's
-// engine leader (smr::SmrReplica::engine_leader: the leader of the view
-// the group last decided in, view 1 until a view change), the group
+// leader (smr::SmrReplica::leader: the leader of the group's view, which
+// its one synchronizer keeps, view 1 until a view change), the group
 // forwards the request — with S > 1 as
 //
 //   kShardForwardTag (0x29): u32 shard_count ‖ u32 shard ‖ Request

@@ -88,7 +88,6 @@ void Cluster::build_nodes() {
       params.o = cfg_.o;
       params.l = cfg_.l;
       params.my_value = default_value_for(cfg_, id);
-      params.stop_sync_on_decide = cfg_.stop_sync_on_decide;
       params.fast_verify = cfg_.fast_verify;
       params.suite = suite_;
       params.secret_key = keys_.pairs[id].secret_key;

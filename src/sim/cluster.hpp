@@ -42,11 +42,7 @@ struct ClusterConfig {
   double l = 2.0;          // ProBFT quorum factor
   std::uint64_t seed = 1;
   net::LatencyConfig latency;
-  sync::SyncConfig sync;   // n/f filled in automatically
-  /// Decided replicas keep participating in later views by default: with a
-  /// probabilistic quorum a minority of correct replicas can fail to decide
-  /// in a view and needs the others' NewLeader messages to finish later.
-  bool stop_sync_on_decide = false;
+  sync::SyncConfig sync;
   /// Crypto suite; nullptr selects the fast SimSuite.
   const crypto::CryptoSuite* suite = nullptr;
   /// ProBFT verification fast path (content-addressed verdict cache +

@@ -17,7 +17,6 @@ std::unique_ptr<core::INode> make_honest_node(const NodeParams& params,
       rc.o = params.o;
       rc.l = params.l;
       rc.my_value = params.my_value;
-      rc.stop_sync_on_decide = params.stop_sync_on_decide;
       rc.fast_verify = params.fast_verify;
       rc.suite = params.suite;
       rc.secret_key = params.secret_key;
@@ -31,7 +30,6 @@ std::unique_ptr<core::INode> make_honest_node(const NodeParams& params,
       rc.n = params.n;
       rc.f = params.f;
       rc.my_value = params.my_value;
-      rc.stop_sync_on_decide = params.stop_sync_on_decide;
       rc.suite = params.suite;
       rc.secret_key = params.secret_key;
       rc.public_keys = params.public_keys;
@@ -44,7 +42,6 @@ std::unique_ptr<core::INode> make_honest_node(const NodeParams& params,
       rc.n = params.n;
       rc.f = params.f;
       rc.my_value = params.my_value;
-      rc.stop_sync_on_decide = params.stop_sync_on_decide;
       rc.suite = params.suite;
       rc.secret_key = params.secret_key;
       rc.public_keys = params.public_keys;

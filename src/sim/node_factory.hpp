@@ -33,14 +33,13 @@ struct NodeParams {
   double o = 1.7;  // ProBFT sample factor
   double l = 2.0;  // ProBFT quorum factor
   Bytes my_value;
-  bool stop_sync_on_decide = false;
   /// ProBFT verification fast path (digest cache + batch verify); off =
   /// naive per-reference re-verification (determinism checks, benches).
   bool fast_verify = true;
   const crypto::CryptoSuite* suite = nullptr;
   Bytes secret_key;
   crypto::PublicKeyDir public_keys;
-  sync::SyncConfig sync;  // n/f filled in by the replica constructors
+  sync::SyncConfig sync;
   /// Pipeline/batching shape for SMR nodes (make_smr_node); ignored by
   /// the single-shot protocols.
   smr::SmrOptions smr;

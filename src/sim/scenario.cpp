@@ -148,7 +148,7 @@ bool smr_fault_supported(Fault fault) {
     case Fault::kKillRestart:
     case Fault::kShardSilentLeader:
       return true;
-    case Fault::kSilentLeader:  // per-slot views rotate internally; the
+    case Fault::kSilentLeader:  // group views rotate internally; the
                                 // "view-1 leader" crash is silent-followers
                                 // shaped at the fleet level
     case Fault::kEquivocate:

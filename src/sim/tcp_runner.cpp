@@ -108,7 +108,6 @@ ScenarioOutcome run_scenario_tcp(const ScenarioSpec& spec,
     params.o = cfg.o;
     params.l = cfg.l;
     params.my_value = default_node_value(cfg.value_prefix, id);
-    params.stop_sync_on_decide = cfg.stop_sync_on_decide;
     params.suite = suites[id].get();
     params.secret_key = keys.pairs[id].secret_key;
     params.public_keys = keys.public_keys;

@@ -274,12 +274,14 @@ void CatchUp::on_executed(
   try_stabilize(slot, votes_.add(slot, digest, cfg_.id, std::move(sig)));
 }
 
-bool CatchUp::on_slot_frame(ReplicaId from, std::uint64_t slot) {
+bool CatchUp::on_slot_frame(ReplicaId from, std::uint64_t slot,
+                            std::uint8_t tag) {
   max_seen_slot_ = std::max(max_seen_slot_, slot + 1);
   if (slot >= exec_slots()) return false;
-  // Executed here: the sender is behind — answer with the outcome instead
-  // of replaying a retired instance. Below our stable checkpoint the
-  // certified summary is the only answer we still have.
+  if (tag != net::tags::kWish && tag != net::tags::kNewLeader) return true;
+  // Executed here and the sender is stuck on it: answer with the outcome
+  // instead of replaying a retired instance. Below our stable checkpoint
+  // the certified summary is the only answer we still have.
   if (slot < log_base_) {
     send_state(from);
   } else {

@@ -159,9 +159,10 @@ class CatchUp {
   /// executed and the dedup table `last_exec`; votes at a boundary.
   void on_executed(Bytes value, std::uint64_t exec_count,
                    const std::map<std::uint64_t, std::uint64_t>& last_exec);
-  /// A consensus frame for `slot` arrived. True when the slot executed
-  /// here already: the sender is behind and got a hint or our state.
-  bool on_slot_frame(ReplicaId from, std::uint64_t slot);
+  /// A consensus frame (inner `tag`) for `slot` arrived. True when the
+  /// slot executed here: the frame is spent, and a Wish or NewLeader (the
+  /// sender is stuck) draws a hint or our state; a late Commit does not.
+  bool on_slot_frame(ReplicaId from, std::uint64_t slot, std::uint8_t tag);
   /// Slots below `opened` exist: the pull runs while execution trails
   /// any slot known to exist.
   void pull_while_behind(std::uint64_t opened) {

@@ -16,8 +16,8 @@ constexpr std::string_view kLeaseDomain = "probft-lease-v1";
 constexpr std::string_view kReadIndexDomain = "probft-readidx-v1";
 
 /// Cap on view-change frames deferred while lease promises are live (the
-/// synchronizer wishes at most once per view timeout per slot, so this
-/// is far above any honest volume).
+/// group wishes at most once per view timeout, plus once per slot opened
+/// past view 1, so this is far above any honest volume).
 constexpr std::size_t kMaxDeferredVc = 4096;
 
 const std::uint8_t* find_eq(ByteSpan payload) {

@@ -30,7 +30,11 @@ SmrReplica::SmrReplica(SmrConfig config, core::ProtocolHost host)
           [this](std::uint64_t slot, const Bytes& value) {
             on_slot_decided(slot, value, /*view=*/0);
           },
-          [this](const CheckpointState& state) { on_prefix_jump(state); }) {
+          [this](const CheckpointState& state) { on_prefix_jump(state); }),
+      sync_(
+          cfg_.id, cfg_.n, cfg_.f, cfg_.sync,
+          [this](View view) { broadcast_wish(view); },
+          [this](View view) { enter_view(view); }, host_.set_timer) {
   if (cfg_.id == 0 || cfg_.id > cfg_.n || cfg_.suite == nullptr ||
       cfg_.public_keys.size() != cfg_.n + 1 ||
       cfg_.pipeline.max_slots == 0 || cfg_.pipeline.window == 0 ||
@@ -48,6 +52,9 @@ SmrReplica::SmrReplica(SmrConfig config, core::ProtocolHost host)
   });
   next_open_ = std::max(next_open_, exec_slots());
   if (recovered_slots() > 0) reads_.on_replay();
+  // Idle until a slot opens: view 1, no timer.
+  sync_.restart_timer(false);
+  sync_.start();
 }
 
 void SmrReplica::start() {
@@ -76,33 +83,42 @@ bool SmrReplica::submit_request(std::uint64_t client, std::uint64_t seq,
                                 Bytes payload) {
   Request req{client, seq, std::move(payload)};
   std::optional<Request> forward;
-  if (engine_leader() != cfg_.id) forward = req;
+  if (leader() != cfg_.id) forward = req;
   if (!enqueue(std::move(req))) return false;
   if (forward) forward_to_leader(*forward);
   return true;
 }
 
 void SmrReplica::forward_to_leader(const Request& request) {
-  const ReplicaId leader = engine_leader();
-  if (leader == cfg_.id) return;
+  const ReplicaId to = leader();
+  if (to == cfg_.id) return;
   if (cfg_.forward) {
-    cfg_.forward(leader, request);
+    cfg_.forward(to, request);
     return;
   }
   Writer w;
   request.encode(w);
-  host_.send(leader, kSmrForwardTag, std::move(w).take());
+  host_.send(to, kSmrForwardTag, std::move(w).take());
 }
 
-void SmrReplica::raise_engine_view(View view) {
-  if (view <= engine_view_) return;
-  const ReplicaId before = engine_leader();
-  engine_view_ = view;
-  if (engine_leader() == before) return;
+void SmrReplica::enter_view(View view) {
+  // A decide on the way may execute and retire slots: look each one up.
+  for (std::uint64_t slot = exec_slots(); slot < next_open_; ++slot) {
+    const auto it = instances_.find(slot);
+    if (it != instances_.end()) it->second->move_to(view);
+  }
   // The queue was forwarded to the old leader (or is this replica's own
   // from when it led): hand it to the new one, in order.
   for (const Request& req : queue_) forward_to_leader(req);
   for (const auto& [key, held] : held_) forward_to_leader(held.request);
+}
+
+void SmrReplica::broadcast_wish(View view) {
+  if (wish_view_ != view) {
+    wish_view_ = view;
+    wish_ = core::WishMsg::sign(view, cfg_.id, *cfg_.suite, cfg_.secret_key);
+  }
+  send_slot(0, exec_slots(), net::tags::kWish, wish_);
 }
 
 bool SmrReplica::enqueue(Request request) {
@@ -297,9 +313,6 @@ void SmrReplica::open_next_slot() {
   rc.valid = [limits = limits_](const Bytes& value) {
     return is_valid_batch(value, limits);
   };
-  // A decided instance freezes its synchronizer; stragglers catch up via
-  // decided-value hints, not via decided replicas' view changes.
-  rc.stop_sync_on_decide = true;
   rc.fast_verify = cfg_.fast_verify;
   rc.sample_memo = &*sample_memo_;
   rc.suite = cfg_.suite;
@@ -319,22 +332,18 @@ void SmrReplica::open_next_slot() {
   slot_host.broadcast = [this, slot](std::uint8_t tag, const Bytes& m) {
     send_slot(0, slot, tag, m);
   };
-  // Retired instances are destroyed while their timers may still be in
-  // flight; the wrapper drops a firing whose slot is gone.
-  slot_host.set_timer = [this, slot](Duration delay,
-                                     std::function<void()> fn) {
-    host_.set_timer(delay, [this, slot, fn = std::move(fn)] {
-      collect_retired();  // top-level event: no instance frame is live
-      if (instances_.count(slot) != 0) fn();
-    });
-  };
   slot_host.on_decide = [this, slot](View view, const Bytes& value) {
     on_slot_decided(slot, value, view);
   };
 
-  instances_.emplace(slot, std::make_unique<core::Replica>(
-                               std::move(rc), cfg_.sync, slot_host));
-  instances_.at(slot)->start(engine_view_);
+  instances_.emplace(
+      slot, std::make_unique<core::Replica>(std::move(rc), std::nullopt,
+                                            slot_host));
+  if (slot == exec_slots()) sync_.restart_timer(true);  // was idle
+  // Past view 1 the group's Wish announces the slot: peers open it and
+  // send their NewLeader for it.
+  if (view() > 1) send_slot(0, slot, net::tags::kWish, wish_);
+  instances_.at(slot)->move_to(view());
 
   // Replay traffic that raced ahead of this slot.
   const auto it = buffered_.find(slot);
@@ -366,7 +375,6 @@ void SmrReplica::send_slot(ReplicaId to, std::uint64_t slot,
 
 void SmrReplica::on_slot_decided(std::uint64_t slot, const Bytes& value,
                                  View view) {
-  raise_engine_view(view);
   reads_.on_decide(view);
   if (slot < exec_slots()) return;  // already executed
   decided_out_of_order_.emplace(slot, value);
@@ -423,12 +431,13 @@ void SmrReplica::execute_ready_slots() {
     advanced = true;
   }
   if (advanced) {
+    restart_view_timer();
     reads_.drain_parked_reads();
     retire_executed_slots();
     // Traffic that raced ahead of the window is replayed as soon as its
     // slot fits: the sender may have nothing more to say until this
-    // replica answers (a slot that starts past view 1 opens with a
-    // single Wish).
+    // replica answers (a slot that starts past view 1 opens with the
+    // group's Wish).
     const auto ahead = buffered_.lower_bound(open_limit());
     if (ahead != buffered_.begin()) open_slots_through(std::prev(ahead)->first);
     maybe_open_slots(/*pace_expired=*/false);
@@ -467,15 +476,12 @@ void SmrReplica::scrub_executed() {
 }
 
 void SmrReplica::retire_executed_slots() {
-  const std::uint64_t exec = exec_slots();
-  const std::uint64_t keep_from =
-      exec > cfg_.pipeline.retire_tail ? exec - cfg_.pipeline.retire_tail : 0;
-  const auto end = instances_.lower_bound(keep_from);
+  const auto end = instances_.lower_bound(exec_slots());
   for (auto it = instances_.begin(); it != end; ++it) {
     retired_.push_back(std::move(it->second));
   }
   instances_.erase(instances_.begin(), end);
-  buffered_.erase(buffered_.begin(), buffered_.lower_bound(exec));
+  buffered_.erase(buffered_.begin(), buffered_.lower_bound(exec_slots()));
 }
 
 void SmrReplica::on_prefix_jump(const CheckpointState& state) {
@@ -509,6 +515,7 @@ void SmrReplica::on_prefix_jump(const CheckpointState& state) {
                               decided_out_of_order_.lower_bound(slot));
   buffered_.erase(buffered_.begin(), buffered_.lower_bound(slot));
 
+  restart_view_timer();
   execute_ready_slots();  // buffered decisions above the base may be ready
   maybe_open_slots(/*pace_expired=*/false);
 }
@@ -519,7 +526,14 @@ void SmrReplica::handle_slot_envelope(ReplicaId from, const Bytes& payload) {
   const std::uint8_t inner_tag = r.u8();
   Bytes inner = r.raw(r.remaining());
   if (slot >= cfg_.pipeline.max_slots) return;  // out of configured range
-  if (catchup_.on_slot_frame(from, slot)) return;  // sender is behind
+  // The group tallies a Wish whatever its slot; the slot's instance
+  // ignores it, but the frame still opens or buffers the slot.
+  if (inner_tag == net::tags::kWish) {
+    const auto view =
+        core::WishMsg::verify(from, inner, *cfg_.suite, cfg_.public_keys);
+    if (view) sync_.on_wish(from, *view);
+  }
+  if (catchup_.on_slot_frame(from, slot, inner_tag)) return;  // executed
 
   auto it = instances_.find(slot);
   if (it == instances_.end() && slot >= next_open_ && slot < open_limit()) {

@@ -20,26 +20,26 @@
 //    a peer (traffic that raced ahead of the window opens its slot once
 //    execution brings it inside). An idle system opens no slots and
 //    burns no no-op fillers.
-//  - Engine view: the highest view in which a slot decided here through
-//    consensus (hint adoption and WAL replay leave it alone). It only
-//    grows. Every new slot's instance starts in it, so once a view change
-//    passed a dead leader by, later slots go straight to the view that
-//    works instead of each waiting out the view-1 timeout. Entering a
-//    view past 1 broadcasts a Wish for it (which is how peers learn of
-//    the slot) and sends NewLeader; the leader still proposes only with a
-//    ⌈(n+f+1)/2⌉ NewLeader justification, so safety rests on that, not
-//    on where the slot started. Fault-free runs never leave view 1.
-//  - Submissions at a non-leader replica are forwarded to the engine
+//  - Group view: one sync::Synchronizer paces every slot (one PBFT view
+//    covers every sequence number); slot instances have no timers. Its
+//    timer runs only while an opened slot is unexecuted and restarts when
+//    execution advances; an idle group still follows peers' wishes. Its
+//    Wish rides the envelope of the lowest unexecuted slot. Entering a
+//    view moves every open unexecuted slot there, and new slots start in
+//    it (announced by the group's Wish past view 1). Each instance sends
+//    its own NewLeader, so safety rests on the leader's ⌈(n+f+1)/2⌉
+//    justification, not on where the slot started.
+//  - Submissions at a non-leader replica are forwarded to the group
 //    view's leader so they land in its next batch; the local copy is kept
-//    as a liveness fallback. When the engine leader changes, the queue is
-//    forwarded again, in order, and so is a non-leader's own batch that
-//    lost its slot. A pipelined client's request whose predecessor seq is
+//    as a liveness fallback. On entering a view the queue is forwarded
+//    again, in order, and so is a non-leader's own batch that lost its
+//    slot. A pipelined client's request whose predecessor seq is
 //    neither executed nor queued here is held until it is, or for at most
 //    two pacing periods, so crossing forwards cannot batch a later seq
 //    ahead of an earlier one (highest-seq dedup would drop the earlier).
 //  - Executed slots are retired: the per-slot core::Replica is destroyed
-//    once execution has moved `retire_tail` slots past it, so memory is
-//    O(window + tail) instead of O(log length).
+//    once its slot executes, so memory is O(window) instead of O(log
+//    length). Frames for an executed slot never reach an instance.
 //
 // Certified catch-up and durability (signed hints, pulls, checkpoint
 // votes, state transfer and the WAL) live in smr::CatchUp
@@ -98,11 +98,6 @@ struct SmrOptions {
   /// Pacing: with a non-empty but not-full queue, a slot opens after this
   /// long (µs) instead of waiting for the batch to fill.
   Duration batch_timeout = 20'000;
-  /// Executed slots keep their instance for this many further slots
-  /// before retirement. The instance gets no more traffic:
-  /// handle_slot_envelope answers every executed slot with a signed
-  /// decided-value hint before it looks for an instance.
-  std::uint32_t retire_tail = 2;
   /// While execution trails slots known to exist (opened locally, or
   /// merely observed in peer traffic — the gap may exceed the window),
   /// the replica broadcasts a pull for the oldest unexecuted slot at
@@ -177,7 +172,7 @@ struct SmrConfig {
   /// offsets 0..S-1 so their view-1 leaders spread across the fleet.
   View leader_offset = 0;
 
-  /// Sends a submission at a non-leader to the engine leader. Empty (the
+  /// Sends a submission at a non-leader to the group leader. Empty (the
   /// single-group default): a kSmrForwardTag frame through the host.
   /// shard::ShardedSmr sends its own kShardForwardTag frame, which carries
   /// the shard count. The local enqueue stays either way as the
@@ -188,7 +183,7 @@ struct SmrConfig {
   Bytes secret_key;
   crypto::PublicKeyDir public_keys;
 
-  /// Consensus pacing (per-slot synchronizer settings).
+  /// Consensus pacing (the group synchronizer's settings).
   sync::SyncConfig sync;
 
   /// Optional durability: decides are appended (and fsync'd) here before
@@ -279,19 +274,18 @@ class SmrReplica : public core::INode {
   [[nodiscard]] std::uint64_t recovered_slots() const {
     return catchup_.recovered_slots();
   }
-  /// Live per-slot consensus instances (bounded by window + tail).
+  /// Live per-slot consensus instances (bounded by the window).
   [[nodiscard]] std::size_t open_instances() const {
     return instances_.size();
   }
   [[nodiscard]] std::uint64_t next_unopened_slot() const {
     return next_open_;
   }
-  /// Highest view in which a slot decided here through consensus (1
-  /// before any); new slots start in it.
-  [[nodiscard]] View engine_view() const { return engine_view_; }
-  /// Where submissions at a non-leader are forwarded.
-  [[nodiscard]] ReplicaId engine_leader() const {
-    return leader_of(engine_view_ + cfg_.leader_offset, cfg_.n);
+  /// The group's view: new slots start in it.
+  [[nodiscard]] View view() const { return sync_.view(); }
+  /// The group view's leader, where submissions at a non-leader go.
+  [[nodiscard]] ReplicaId leader() const {
+    return leader_of(view() + cfg_.leader_offset, cfg_.n);
   }
   /// Requests queued, held or assigned to an in-flight slot, not yet
   /// executed.
@@ -341,9 +335,12 @@ class SmrReplica : public core::INode {
   /// Pacing expiry: a request held through two of them is admitted.
   void age_held();
   void forward_to_leader(const Request& request);
-  /// A slot decided in `view`: grow the engine view and, when that moves
-  /// the leader elsewhere, forward the queue to the new one.
-  void raise_engine_view(View view);
+  /// The group entered `view`: open unexecuted slots and the queue follow.
+  void enter_view(View view);
+  /// Signed once per view; rides the lowest unexecuted slot's envelope.
+  void broadcast_wish(View view);
+  /// Execution advanced: the view timer runs on while a slot is open.
+  void restart_view_timer() { sync_.restart_timer(exec_slots() < next_open_); }
   /// This replica's batch for a slot that decided something else: its
   /// unexecuted requests go back to the queue head and to the leader.
   void requeue_lost(Batch mine);
@@ -357,7 +354,7 @@ class SmrReplica : public core::INode {
   void handle_slot_envelope(ReplicaId from, const Bytes& payload);
   void handle_forward(ReplicaId from, const Bytes& payload);
   /// `view` is the consensus view the slot decided in; 0 when unknown
-  /// (hint adoption).
+  /// (hint adoption); the read path's lease watches it.
   void on_slot_decided(std::uint64_t slot, const Bytes& value, View view);
   void execute_ready_slots();
   /// Frames one slot's consensus message; `to` = 0 broadcasts.
@@ -403,7 +400,9 @@ class SmrReplica : public core::INode {
 
   // -- in-flight slots --
   std::uint64_t next_open_ = 0;  // lowest never-opened slot
-  View engine_view_ = 1;         // see engine_view()
+  sync::Synchronizer sync_;      // the group's view
+  View wish_view_ = 0;           // the view wish_ asks for
+  Bytes wish_;                   // this replica's signed WishMsg
   /// VRF samples and sample verdicts, shared by every slot's instance:
   /// samples are per (view, phase), so the slots of one view prove and
   /// verify each one once (core::ReplicaConfig::sample_memo).

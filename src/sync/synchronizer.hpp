@@ -9,7 +9,9 @@
 // A per-view timer with exponential back-off generates local wishes, and
 // repeats them until a view is entered (a partition may drop a wish), which
 // after GST guarantees all correct replicas eventually overlap in a view
-// with a correct leader for long enough to decide.
+// with a correct leader for long enough to decide. An owner with nothing
+// to decide may stop the timer (restart_timer): it then wishes nothing of
+// its own but still tallies and follows its peers' wishes.
 //
 // The synchronizer is transport-agnostic: the owner wires `broadcast_wish`
 // to the network and feeds incoming wishes back via on_wish().
@@ -24,8 +26,6 @@
 namespace probft::sync {
 
 struct SyncConfig {
-  std::uint32_t n = 0;
-  std::uint32_t f = 0;
   Duration base_timeout = 100'000;   // first view timeout (us)
   double backoff = 1.5;              // multiplicative per-view growth
   Duration max_timeout = 30'000'000; // cap
@@ -38,15 +38,13 @@ class Synchronizer {
   /// Schedules a callback after a delay (wired to the simulator).
   using TimerSetter = std::function<void(Duration, std::function<void()>)>;
 
-  Synchronizer(ReplicaId self, SyncConfig config, WishBroadcaster wish,
+  /// `self` is one of replicas 1..n, of which at most f are faulty.
+  Synchronizer(ReplicaId self, std::uint32_t n, std::uint32_t f,
+               SyncConfig config, WishBroadcaster wish,
                ViewCallback enter_view, TimerSetter set_timer);
 
-  /// Enters view `first` (>= 1) and arms its timer. For first > 1 the
-  /// replica records and broadcasts its own Wish(first) before entering:
-  /// the owner already knows the earlier views are over (SMR starts a
-  /// new slot in the view that last decided), and the wish tells the
-  /// peers.
-  void start(View first = 1);
+  /// Enters view 1 and arms its timer (unless the timer is stopped).
+  void start();
 
   /// Feeds a Wish received from `from` (Byzantine senders included).
   void on_wish(ReplicaId from, View v);
@@ -57,11 +55,12 @@ class Synchronizer {
   /// have dropped it).
   void advance();
 
-  /// Freezes the synchronizer once the replica decided.
-  void stop();
+  /// Restarts the view timer for a full timeout of the current view, or
+  /// (run = false) stops it until the next restart, across view entries.
+  /// An SMR group runs it only while some opened slot is unexecuted.
+  void restart_timer(bool run);
 
   [[nodiscard]] View view() const { return current_; }
-  [[nodiscard]] bool stopped() const { return stopped_; }
   [[nodiscard]] Duration timeout_for(View v) const;
 
  private:
@@ -73,6 +72,7 @@ class Synchronizer {
   [[nodiscard]] View kth_highest_wish(std::uint32_t k) const;
 
   ReplicaId self_;
+  std::uint32_t f_;
   SyncConfig cfg_;
   WishBroadcaster broadcast_wish_;
   ViewCallback enter_view_;
@@ -81,7 +81,7 @@ class Synchronizer {
   View current_ = 0;
   View own_wish_ = 0;
   std::uint64_t generation_ = 0;  // invalidates stale timers
-  bool stopped_ = false;
+  bool timer_on_ = true;
   std::vector<View> latest_wish_;  // per replica, index 0 unused
 };
 

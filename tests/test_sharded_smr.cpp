@@ -444,11 +444,11 @@ TEST(ShardedSmr, SilentShardLeaderMovesOnlyItsOwnGroupsEngineView) {
   fleet.expect_per_shard_agreement();
   for (ReplicaId id = 1; id <= 4; ++id) {
     for (ShardId s = 1; s < kShards; ++s) {
-      EXPECT_EQ(fleet.node(id).group(s).engine_view(), 1U)
+      EXPECT_EQ(fleet.node(id).group(s).view(), 1U)
           << "replica " << id << " shard " << s;
     }
     if (id != silenced) {
-      EXPECT_GT(fleet.node(id).group(0).engine_view(), 1U)
+      EXPECT_GT(fleet.node(id).group(0).view(), 1U)
           << "replica " << id;
     }
   }

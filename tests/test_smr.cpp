@@ -1,7 +1,7 @@
 // Pipelined, batched state machine replication over ProBFT (src/smr): a
 // fleet of SmrReplicas on the simulated network must produce identical
 // logs, execute each (client, seq) exactly once, keep at most
-// window + retire_tail consensus instances alive, and open no slots while
+// a window's worth of consensus instances alive, and open no slots while
 // idle.
 #include <gtest/gtest.h>
 
@@ -225,8 +225,9 @@ TEST(Smr, PipelinedForwardsAllExecute) {
 
 TEST(Smr, NewSlotsStartInTheViewThatLastDecided) {
   // Once a view change passed a silent leader by, later slots start in
-  // the view that decided instead of each waiting out the view-1 timeout
-  // at the dead leader (one timeout per slot before the engine view).
+  // the group's view instead of each waiting out the view-1 timeout at
+  // the dead leader. A replica that missed the view change follows the
+  // view its peers announce in the new slots' envelopes.
   SmrOptions options;
   options.window = 2;
   options.batch_max_commands = 2;
@@ -236,7 +237,7 @@ TEST(Smr, NewSlotsStartInTheViewThatLastDecided) {
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   for (ReplicaId id = 1; id <= 4; ++id) {
-    EXPECT_EQ(fleet.replica(id).engine_view(), 1U);
+    EXPECT_EQ(fleet.replica(id).view(), 1U);
   }
 
   const TimePoint silenced_at = fleet.sim().now();
@@ -261,11 +262,73 @@ TEST(Smr, NewSlotsStartInTheViewThatLastDecided) {
         << "replica " << id;
     EXPECT_EQ(fleet.replica(id).last_executed_seq(77), kCommands + 1);
     EXPECT_GE(fleet.replica(id).committed_slots(), 1U + 6U);
-    EXPECT_GT(fleet.replica(id).engine_view(), 1U) << "replica " << id;
+    EXPECT_GT(fleet.replica(id).view(), 1U) << "replica " << id;
     EXPECT_EQ(fleet.replica(id).log_digest(),
               fleet.replica(2).log_digest());
   }
   EXPECT_LT(elapsed, 3 * base_timeout) << "silence to last execution";
+
+  // Replica 1 returns idle (no timer, so no wish of its own). Peers
+  // announce their view with the Wish in a new slot's envelope, and f + 1
+  // of them pull replica 1 into it well within one timeout.
+  fleet.network().clear_filter();
+  const TimePoint healed_at = fleet.sim().now();
+  ASSERT_TRUE(fleet.replica(2).submit_request(77, kCommands + 2,
+                                              to_bytes("after")));
+  const View view = fleet.replica(2).view();
+  EXPECT_TRUE(fleet.run_until(
+      [&] { return fleet.replica(1).view() == view; },
+      healed_at + base_timeout));
+  ASSERT_TRUE(fleet.run_until_executed(kCommands + 2, healed_at + 60'000'000));
+  for (ReplicaId id = 1; id <= 4; ++id) {
+    EXPECT_EQ(fleet.replica(id).view(), view) << "replica " << id;
+    EXPECT_EQ(fleet.replica(id).log_digest(), fleet.replica(2).log_digest());
+  }
+}
+
+TEST(Smr, IdleGroupIsQuietAfterAViewChange) {
+  // The group's view timer runs only while an opened slot is unexecuted:
+  // once a leader crash was passed by and every command executed, the
+  // fleet schedules nothing more, no timer and no frame.
+  SmrOptions options;
+  options.batch_max_commands = 2;
+  Fleet fleet(4, options, /*seed=*/1, /*f=*/1, /*l=*/1.5);  // q = 3 of 4
+  const Duration base_timeout = 100'000;  // Fleet's sync.base_timeout
+  fleet.start();
+  fleet.kill(1);  // the view-1 leader
+  for (std::uint64_t seq = 1; seq <= 6; ++seq) {
+    ASSERT_TRUE(fleet.replica(2).submit_request(
+        77, seq, to_bytes("cmd-" + std::to_string(seq))));
+  }
+  ASSERT_TRUE(fleet.run_until_executed(6, 60'000'000));
+  for (ReplicaId id = 2; id <= 4; ++id) {
+    EXPECT_GT(fleet.replica(id).view(), 1U) << "replica " << id;
+  }
+  net::Simulator& sim = fleet.sim();
+  // Every event is fired, pending or never scheduled: the sum grows only
+  // with what the quiet period schedules.
+  const auto scheduled = [&sim] { return sim.events_fired() + sim.pending(); };
+  const std::uint64_t sends = fleet.network().stats().sends;
+  const std::uint64_t before = scheduled();
+  sim.run_until(sim.now() + 10 * base_timeout);
+  EXPECT_EQ(fleet.network().stats().sends, sends);
+  EXPECT_EQ(scheduled(), before);
+}
+
+TEST(Smr, FaultFreeFleetSendsNoHints) {
+  // A signed hint answers only a sender stuck on a slot (its Wish or
+  // NewLeader). The Commits that arrive past a replica's quorum, after it
+  // executed the slot, draw none.
+  SmrOptions options;
+  options.batch_max_commands = 2;
+  Fleet fleet(4, options, /*seed=*/1, /*f=*/1, /*l=*/1.5);  // q = 3 of 4
+  for (int i = 0; i < 24; ++i) {
+    fleet.replica(1 + i % 4).submit(to_bytes("op-" + std::to_string(i)));
+  }
+  fleet.start();
+  ASSERT_TRUE(fleet.run_until_executed(24));
+  fleet.sim().run_until(fleet.sim().now() + 1'000'000);
+  EXPECT_EQ(fleet.network().stats().sends_for(kSmrHintTag), 0U);
 }
 
 TEST(Smr, RetirementBoundsLiveInstances) {
@@ -274,14 +337,13 @@ TEST(Smr, RetirementBoundsLiveInstances) {
   SmrOptions options;
   options.window = 4;
   options.batch_max_commands = 1;
-  options.retire_tail = 2;
   options.max_slots = 1024;
   Fleet fleet(4, options);
   for (int i = 0; i < 48; ++i) {
     fleet.replica(1).submit(to_bytes("op-" + std::to_string(i)));
   }
   fleet.start();
-  const std::size_t bound = options.window + options.retire_tail;
+  const std::size_t bound = options.window;
   while (fleet.sim().now() < 300'000'000) {
     bool all = true;
     for (ReplicaId id = 1; id <= 4; ++id) {
@@ -302,12 +364,11 @@ TEST(Smr, RetirementBoundsLiveInstances) {
 TEST(Smr, StragglerCatchesUpViaHints) {
   // Replica 6 is partitioned while the first command decides (at n = 6
   // the q = ⌈2√6⌉ = 5 quorum is reachable without it); the others
-  // execute, retire the slot, and freeze its instance. New traffic after
-  // the heal makes replica 6 open the missed slot, and decided-value
-  // hints from its peers let it catch up.
+  // execute and retire the slot. New traffic after the heal makes replica
+  // 6 open the missed slot, and decided-value hints from its peers let it
+  // catch up.
   SmrOptions options;
   options.window = 2;
-  options.retire_tail = 0;
   Fleet fleet(6, options);
   fleet.network().set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
     return from == 6 || to == 6;
@@ -337,7 +398,6 @@ TEST(Smr, StragglerCatchesUpFromBeyondTheWindow) {
   SmrOptions options;
   options.window = 2;
   options.batch_max_commands = 1;
-  options.retire_tail = 0;
   options.catchup_timeout = 50'000;
   Fleet fleet(6, options);
   fleet.network().set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
@@ -514,7 +574,7 @@ TEST(Smr, VrfSamplesProvedAndVerifiedOncePerView) {
     const SmrReplica& node = *fast.nodes[id];
     ASSERT_EQ(node.executed_commands(), CountedRun::kCommands);
     EXPECT_GE(node.committed_slots(), CountedRun::kCommands);
-    const View views = node.engine_view();  // views 1..v were entered
+    const View views = node.view();  // views 1..v were entered
     EXPECT_EQ(views, 1U) << "replica " << id;
     EXPECT_LE(fast.suites[id]->vrf_proves, 2 * views) << "replica " << id;
     EXPECT_LE(fast.suites[id]->vrf_verifies, 2 * (n - 1) * views)

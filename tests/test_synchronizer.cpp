@@ -24,8 +24,6 @@ struct Fleet {
   std::vector<bool> silent;
 
   Fleet(std::uint32_t n, std::uint32_t f, SyncConfig base = {}) {
-    base.n = n;
-    base.f = f;
     if (base.base_timeout == 100'000 && base.backoff == 1.5) {
       base.base_timeout = 50'000;
     }
@@ -36,7 +34,7 @@ struct Fleet {
     nodes.resize(n + 1);
     for (ReplicaId id = 1; id <= n; ++id) {
       nodes[id] = std::make_unique<Synchronizer>(
-          id, base,
+          id, n, f, base,
           /*wish=*/
           [this, id, n](View v) {
             wishes[id].push_back(v);
@@ -94,13 +92,32 @@ TEST(Synchronizer, ViewsAreMonotonic) {
   }
 }
 
-TEST(Synchronizer, StoppedNodeDoesNotAdvance) {
+TEST(Synchronizer, StoppedTimerWishesNothingButFollowsPeers) {
+  // An SMR group with no unexecuted slot stops its timer: it never wishes
+  // on its own, yet f + 1 peers' wishes still pull it into their view.
   Fleet fleet(4, 1);
+  for (ReplicaId id = 1; id <= 4; ++id) fleet.nodes[id]->restart_timer(false);
   fleet.start_all();
-  fleet.nodes[1]->stop();
+  fleet.sim.run_until(1'000'000);
+  for (ReplicaId id = 1; id <= 4; ++id) {
+    EXPECT_TRUE(fleet.wishes[id].empty()) << "replica " << id;
+    EXPECT_EQ(fleet.entered[id], 1U) << "replica " << id;
+  }
+  fleet.nodes[2]->advance();
+  fleet.nodes[3]->advance();
   fleet.sim.run_until(2'000'000);
-  EXPECT_EQ(fleet.entered[1], 1U);
-  EXPECT_TRUE(fleet.nodes[1]->stopped());
+  for (ReplicaId id = 1; id <= 4; ++id) {
+    EXPECT_EQ(fleet.entered[id], 2U) << "replica " << id;
+  }
+  EXPECT_EQ(fleet.wishes[1], std::vector<View>{2});  // amplified, once
+  // Restarted, the timer wishes after a full timeout of the current view.
+  const TimePoint restarted = fleet.sim.now();
+  fleet.nodes[1]->restart_timer(true);
+  const Duration timeout = fleet.nodes[1]->timeout_for(2);
+  fleet.sim.run_until(restarted + timeout - 1);
+  EXPECT_EQ(fleet.wishes[1], std::vector<View>{2});
+  fleet.sim.run_until(restarted + timeout + 1);
+  EXPECT_EQ(fleet.wishes[1], (std::vector<View>{2, 3}));
 }
 
 TEST(Synchronizer, AdvanceTriggersWishAndEventualEntry) {
@@ -125,28 +142,6 @@ TEST(Synchronizer, FPlusOneWishesAreAmplified) {
   for (ReplicaId id = 1; id <= 4; ++id) {
     EXPECT_EQ(fleet.entered[id], 2U) << "replica " << id;
   }
-}
-
-TEST(Synchronizer, StartPastViewOneWishesAndEntersDirectly) {
-  // SMR starts a new slot in the view its last slot decided in: start(v)
-  // enters v at once and broadcasts Wish(v), which is how peers still in
-  // view 1 learn to follow.
-  Fleet fleet(4, 1);
-  fleet.nodes[1]->start(3);
-  EXPECT_EQ(fleet.entered[1], 3U);
-  EXPECT_EQ(fleet.history[1], std::vector<View>{3});
-  EXPECT_EQ(fleet.wishes[1], std::vector<View>{3});
-  fleet.nodes[2]->start(3);
-  fleet.nodes[3]->start();
-  fleet.nodes[4]->start();
-  // f + 1 = 2 wishes for view 3 reach the view-1 peers: they amplify
-  // (2f + 1 wishes) and enter view 3 well before any timeout.
-  fleet.sim.run_until(10'000);
-  for (ReplicaId id = 3; id <= 4; ++id) {
-    EXPECT_EQ(fleet.history[id], (std::vector<View>{1, 3})) << "replica " << id;
-    EXPECT_EQ(fleet.wishes[id], std::vector<View>{3}) << "replica " << id;
-  }
-  EXPECT_EQ(fleet.history[1], std::vector<View>{3});
 }
 
 TEST(Synchronizer, FWishesAreNotEnough) {
@@ -208,8 +203,6 @@ TEST(Synchronizer, SilentMinorityDoesNotBlockProgress) {
 
 TEST(Synchronizer, TimeoutsGrowExponentially) {
   SyncConfig cfg;
-  cfg.n = 4;
-  cfg.f = 1;
   cfg.base_timeout = 1000;
   cfg.backoff = 2.0;
   cfg.max_timeout = 100'000;
@@ -230,9 +223,8 @@ TEST(Synchronizer, WishesFromUnknownRepilcasIgnored) {
 }
 
 TEST(Synchronizer, RejectsBadConfig) {
-  SyncConfig cfg;
-  cfg.n = 0;
-  EXPECT_THROW(Synchronizer(1, cfg, nullptr, nullptr, nullptr),
+  EXPECT_THROW(Synchronizer(1, /*n=*/0, /*f=*/0, SyncConfig{}, nullptr,
+                            nullptr, nullptr),
                std::invalid_argument);
 }
 

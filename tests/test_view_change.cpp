@@ -274,12 +274,12 @@ TEST(ViewChangeCluster, DecidedValuePersistsAcrossViews) {
   }
 }
 
-// SMR starts each new slot's instance in the view the previous slot
-// decided in (Replica::start(View)). A slot whose value x is already
-// prepared in view 1 at some replicas must still decide x when other
-// replicas join it with fresh instances started in view 2: their wishes
-// pull the prepared replicas into view 2, and the NewLeader justification
-// carries the lock to the new leader.
+// SMR slot instances have no synchronizer: the group's synchronizer moves
+// every open slot's instance to the view it enters (Replica::move_to), and
+// new slots start there. A slot whose value x is already prepared in view
+// 1 at some replicas must still decide x when the group moves them to
+// view 2 and other replicas join with fresh instances started in view 2:
+// the NewLeader justification carries the lock to the new leader.
 TEST(ViewChangeFreshStart, PreparedValueSurvivesFreshInstancesInViewTwo) {
   TestBed bed(4, 1, 1.7, 1.5);  // q = 3, samples cover all 4, det quorum 3
   net::Simulator sim;
@@ -288,7 +288,6 @@ TEST(ViewChangeFreshStart, PreparedValueSurvivesFreshInstancesInViewTwo) {
   latency.max_delay_post = 2'000;
   net::Network network(sim, 4, /*seed=*/7, latency);
   std::vector<std::unique_ptr<Replica>> replicas(5);
-  std::vector<std::unique_ptr<Replica>> replaced;  // keeps timers valid
   std::vector<std::optional<Bytes>> decided(5);
   const auto build = [&](ReplicaId id) {
     ReplicaConfig rc;
@@ -307,10 +306,7 @@ TEST(ViewChangeFreshStart, PreparedValueSurvivesFreshInstancesInViewTwo) {
     host.on_decide = [&decided, id](View, const Bytes& value) {
       decided[id] = value;
     };
-    sync::SyncConfig sc;
-    sc.base_timeout = 10'000'000;  // no timeout fires during the test
-    if (replicas[id]) replaced.push_back(std::move(replicas[id]));
-    replicas[id] = std::make_unique<Replica>(std::move(rc), sc, host);
+    replicas[id] = std::make_unique<Replica>(std::move(rc), std::nullopt, host);
     network.register_handler(
         id, [&replicas, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
           if (replicas[id]) replicas[id]->on_message(from, tag, m);
@@ -324,7 +320,7 @@ TEST(ViewChangeFreshStart, PreparedValueSurvivesFreshInstancesInViewTwo) {
   });
   for (ReplicaId id = 1; id <= 3; ++id) {
     build(id);
-    replicas[id]->start();
+    replicas[id]->move_to(1);
   }
   sim.run_until(200'000);
   const Bytes x = to_bytes("own-1");
@@ -334,14 +330,15 @@ TEST(ViewChangeFreshStart, PreparedValueSurvivesFreshInstancesInViewTwo) {
     ASSERT_FALSE(decided[id].has_value());
   }
 
-  // Replica 1 comes back with a fresh instance and replica 4 joins; both
-  // start straight in view 2, whose leader is replica 2.
+  // The group enters view 2, whose leader is replica 2: replicas 2 and 3
+  // move their prepared instances there, replica 1 comes back with a
+  // fresh instance and replica 4 joins, both started straight in view 2.
   network.clear_filter();
   build(1);
   build(4);
-  replicas[1]->start(2);
-  replicas[4]->start(2);
+  for (ReplicaId id = 1; id <= 4; ++id) replicas[id]->move_to(2);
   EXPECT_EQ(replicas[1]->current_view(), 2U);
+  EXPECT_EQ(replicas[2]->current_view(), 2U);
   while (sim.now() < 5'000'000) {
     bool all = true;
     for (ReplicaId id = 1; id <= 4; ++id) all = all && decided[id].has_value();
