@@ -112,16 +112,18 @@ TEST(SweepPin, SmrFleetTranscriptUnchanged) {
 }
 
 // The three shapes of SmrReadsScenario.NoStaleReadsUnderSupportedFaults.
+// All three re-captured when each SMR group got one view synchronizer
+// (slot instances set no timers; the group wishes only while an opened
+// slot is unexecuted) and an executed slot began drawing a hint only for
+// a Wish or NewLeader: late Commits no longer draw hints.
 TEST(SweepPin, SmrReadsTranscriptUnchanged) {
   const std::pair<Fault, const char*> pins[] = {
       {Fault::kNone,
-       "087a4e94d62e89dfcfbc8b6036a742a446b659bb8ef4ad3d3d2539a9dbfd6bee"},
-      // Re-captured when the synchronizer began repeating a wish at every
-      // timeout until a view is entered.
+       "427448e44700c7121e37056d70c9222d1e3058b3fbf9dd60aba67fab626059a4"},
       {Fault::kPartitionUntilGst,
-       "20d80f7c0abc7ef8caf023419d6817399ee8f98404cd0f51c325250d43e8a1eb"},
+       "afef64170f25a4d9a8db135986b31390a2dc81616a87d317d57ff312638c02c6"},
       {Fault::kKillRestart,
-       "65f0d2beef7be1d892afbafb14c40a81b1af8e9c2691affccf7c1461e803657f"},
+       "e001c1d81f4ccf12c510865e88c2e2a03a38d83e19d47cbfeb8d857a9060202c"},
   };
   for (const auto& [fault, digest] : pins) {
     ScenarioSpec spec;
@@ -148,12 +150,13 @@ TEST(SweepPin, SmrCatchUpTranscriptUnchanged) {
     std::uint64_t checkpoint_interval;
     const char* digest;
   };
+  // Both re-captured with the group synchronizer and hints for stuck
+  // senders only (see SmrReadsTranscriptUnchanged).
   const Shape pins[] = {
-      // Re-captured with the repeated wish (events 9033 → 9036).
       {Fault::kChurnRecovery, 300, 4,
-       "5fdece70854757351ce7dd7860034aae5fd4ddcfc73a5cb82d4f16c51c083d77"},
+       "c5ff22a700bec3dc77107dcc53dd36d2cd0b14d3fbd0a4f3f3505332d14093e7"},
       {Fault::kKillRestart, 100, 16,
-       "e39462862c9e255ef1488360bbe74fede8b8f96e99377e989b2801bb7c0e2417"},
+       "058c16fe032d38a94c54ec2fd41c2f5804a1dcb93ecde71feb88a63f9501e82c"},
   };
   for (const Shape& pin : pins) {
     ScenarioSpec spec;
