@@ -97,7 +97,7 @@ class ShardedSmr : public core::INode {
                   const Bytes& payload) override;
 
   /// Routes (client, seq, payload) to owner_of(payload) and forwards to
-  /// that group's engine leader when it is remote. Returns the local
+  /// that group's leader when it is remote. Returns the local
   /// enqueue verdict — false for duplicates and unbatchable payloads,
   /// like the single-group engine, and for reserved client ids
   /// (kReservedClientBit).

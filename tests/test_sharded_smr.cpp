@@ -409,10 +409,10 @@ TEST(ShardedSmr, SilentShardZeroLeaderDoesNotStallSiblingShards) {
   EXPECT_TRUE(outcome.agreement);
 }
 
-// The engine view (the view new slots start in) is per group: shard 0's
+// The group view (the view new slots start in) is per group: shard 0's
 // view change past its silent leader must not move any sibling group off
 // view 1.
-TEST(ShardedSmr, SilentShardLeaderMovesOnlyItsOwnGroupsEngineView) {
+TEST(ShardedSmr, SilentShardLeaderMovesOnlyItsOwnGroupsView) {
   constexpr std::uint32_t kShards = 4;
   ShardedFleet fleet(4, kShards, {}, /*seed=*/1, {}, {}, /*f=*/1,
                      /*l=*/1.5);  // q = 3 of 4
