@@ -305,8 +305,9 @@ TEST(Smr, IdleGroupIsQuietAfterAViewChange) {
     EXPECT_GT(fleet.replica(id).view(), 1U) << "replica " << id;
   }
   net::Simulator& sim = fleet.sim();
-  // Every event is fired, pending or never scheduled: the sum grows only
-  // with what the quiet period schedules.
+  // An event scheduled in the quiet period (a timer, or a frame's
+  // delivery) raises fired + pending; one scheduled before it only moves
+  // from pending to fired.
   const auto scheduled = [&sim] { return sim.events_fired() + sim.pending(); };
   const std::uint64_t sends = fleet.network().stats().sends;
   const std::uint64_t before = scheduled();
