@@ -29,6 +29,11 @@ void hash_field(crypto::Sha256& h, ByteSpan data) {
   h.update(data);
 }
 
+/// The signer's instance tag, after the domain string; none when empty.
+void put_instance(Writer& w, ByteSpan instance) {
+  if (!instance.empty()) w.bytes(instance);
+}
+
 }  // namespace
 
 // ---------------- SignedProposal ----------------
@@ -47,9 +52,11 @@ SignedProposal SignedProposal::decode(Reader& r) {
   return out;
 }
 
-Bytes SignedProposal::signing_bytes(View view, ByteSpan value) {
+Bytes SignedProposal::signing_bytes(View view, ByteSpan value,
+                                    ByteSpan instance) {
   Writer w;
   w.str("probft/proposal");
+  put_instance(w, instance);
   w.u64(view);
   w.bytes(value);
   return std::move(w).take();
@@ -75,9 +82,10 @@ PhaseMsg PhaseMsg::decode(Reader& r) {
   return out;
 }
 
-Bytes PhaseMsg::signing_bytes(MsgTag tag) const {
+Bytes PhaseMsg::signing_bytes(MsgTag tag, ByteSpan instance) const {
   Writer w;
   w.str(tag == MsgTag::kPrepare ? "probft/prepare" : "probft/commit");
+  put_instance(w, instance);
   proposal.encode(w);
   encode_id_list(w, sample);
   w.bytes(vrf_proof);
@@ -159,7 +167,7 @@ NewLeaderMsg NewLeaderMsg::decode(Reader& r) {
   return decode_new_leader_body(r, decode_cert_inline);
 }
 
-Bytes NewLeaderMsg::signing_bytes() const {
+Bytes NewLeaderMsg::signing_bytes(ByteSpan instance) const {
   // The certificate is covered through its members' content digests, not
   // the flat encoding: the digests are memoized on the PhaseMsg objects,
   // so building (and hashing) the signed string is O(q·32) bytes instead
@@ -168,6 +176,7 @@ Bytes NewLeaderMsg::signing_bytes() const {
   // hot spot. Collision resistance of SHA-256 keeps the signature binding.
   Writer w;
   w.str("probft/newleader");
+  put_instance(w, instance);
   w.u64(view);
   w.u64(prepared_view);
   w.bytes(prepared_value);
@@ -295,12 +304,13 @@ ProposeMsg ProposeMsg::decode(Reader& r) {
   return out;
 }
 
-Bytes ProposeMsg::signing_bytes() const {
+Bytes ProposeMsg::signing_bytes(ByteSpan instance) const {
   // As with NewLeaderMsg: the justification is bound through per-message
   // content digests, so signing/verifying a Propose is O(|M|·32) bytes
   // instead of re-serializing every embedded certificate.
   Writer w;
   w.str("probft/propose");
+  put_instance(w, instance);
   proposal.encode(w);
   w.vec(justification, [](Writer& out, const NewLeaderMsg& m) {
     const Bytes& d = m.content_digest();
@@ -339,9 +349,10 @@ WishMsg WishMsg::decode(Reader& r) {
   return out;
 }
 
-Bytes WishMsg::signing_bytes() const {
+Bytes WishMsg::signing_bytes(ByteSpan instance) const {
   Writer w;
   w.str("probft/wish");
+  put_instance(w, instance);
   w.u64(view);
   w.u32(sender);
   return std::move(w).take();
@@ -361,18 +372,21 @@ WishMsg WishMsg::from_bytes(ByteSpan data) {
 }
 
 Bytes WishMsg::sign(View view, ReplicaId sender,
-                    const crypto::CryptoSuite& suite, const Bytes& secret_key) {
+                    const crypto::CryptoSuite& suite, const Bytes& secret_key,
+                    ByteSpan instance) {
   WishMsg wish{view, sender, {}};
-  wish.sender_sig = suite.sign(secret_key, wish.signing_bytes());
+  wish.sender_sig = suite.sign(secret_key, wish.signing_bytes(instance));
   return wish.to_bytes();
 }
 
 std::optional<View> WishMsg::verify(ReplicaId from, ByteSpan raw,
                                     const crypto::CryptoSuite& suite,
-                                    const crypto::PublicKeyDir& keys) {
+                                    const crypto::PublicKeyDir& keys,
+                                    ByteSpan instance) {
   const WishMsg msg = from_bytes(raw);
   if (msg.sender == 0 || msg.sender >= keys.size() || msg.sender != from ||
-      !suite.verify(keys[msg.sender], msg.signing_bytes(), msg.sender_sig)) {
+      !suite.verify(keys[msg.sender], msg.signing_bytes(instance),
+                    msg.sender_sig)) {
     return std::nullopt;
   }
   return msg.view;

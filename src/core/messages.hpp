@@ -9,7 +9,10 @@
 //   Wish      — synchronizer view wishes.
 //
 // Every message is signed by its sender over a domain-separated encoding of
-// its content; the proposal tuple ⟨v,x⟩ additionally carries the leader's
+// its content and of the signer's instance tag: an SMR slot's instance
+// names its (group, slot), so a message signed for one slot does not
+// verify in another. The empty tag (single-shot runs) adds no byte. The
+// proposal tuple ⟨v,x⟩ additionally carries the leader's
 // signature so that any replica relaying a Prepare/Commit transports
 // transferable evidence of what the leader proposed (this is what makes the
 // equivocation check of Alg. 1 lines 23-25 work on relayed messages).
@@ -45,7 +48,8 @@ struct SignedProposal {
   void encode(Writer& w) const;
   static SignedProposal decode(Reader& r);
   /// The byte string the leader signs.
-  [[nodiscard]] static Bytes signing_bytes(View view, ByteSpan value);
+  [[nodiscard]] static Bytes signing_bytes(View view, ByteSpan value,
+                                           ByteSpan instance = {});
 
   friend bool operator==(const SignedProposal&,
                          const SignedProposal&) = default;
@@ -72,7 +76,7 @@ struct PhaseMsg {
 
   void encode(Writer& w) const;
   static PhaseMsg decode(Reader& r);
-  [[nodiscard]] Bytes signing_bytes(MsgTag tag) const;
+  [[nodiscard]] Bytes signing_bytes(MsgTag tag, ByteSpan instance = {}) const;
   [[nodiscard]] Bytes to_bytes() const;
   static PhaseMsg from_bytes(ByteSpan data);
   [[nodiscard]] const Bytes& content_digest() const;
@@ -102,7 +106,7 @@ struct NewLeaderMsg {
 
   void encode(Writer& w) const;
   static NewLeaderMsg decode(Reader& r);
-  [[nodiscard]] Bytes signing_bytes() const;
+  [[nodiscard]] Bytes signing_bytes(ByteSpan instance = {}) const;
   [[nodiscard]] Bytes to_bytes() const;
   static NewLeaderMsg from_bytes(ByteSpan data);
   [[nodiscard]] const Bytes& content_digest() const;
@@ -123,7 +127,7 @@ struct ProposeMsg {
 
   void encode(Writer& w) const;
   static ProposeMsg decode(Reader& r);
-  [[nodiscard]] Bytes signing_bytes() const;
+  [[nodiscard]] Bytes signing_bytes(ByteSpan instance = {}) const;
   [[nodiscard]] Bytes to_bytes() const;
   static ProposeMsg from_bytes(ByteSpan data);
 };
@@ -136,18 +140,22 @@ struct WishMsg {
 
   void encode(Writer& w) const;
   static WishMsg decode(Reader& r);
-  [[nodiscard]] Bytes signing_bytes() const;
+  [[nodiscard]] Bytes signing_bytes(ByteSpan instance = {}) const;
   [[nodiscard]] Bytes to_bytes() const;
   static WishMsg from_bytes(ByteSpan data);
 
   /// The wire bytes of `sender`'s Wish for `view`, signed with its key.
+  /// An SMR group's Wish names the group in `instance`.
   static Bytes sign(View view, ReplicaId sender,
-                    const crypto::CryptoSuite& suite, const Bytes& secret_key);
+                    const crypto::CryptoSuite& suite, const Bytes& secret_key,
+                    ByteSpan instance = {});
   /// The view a Wish frame asks for, when replica `from` (of `keys`)
-  /// signed it itself; nullopt otherwise. Throws CodecError.
+  /// signed it itself for `instance`; nullopt otherwise. Throws
+  /// CodecError.
   static std::optional<View> verify(ReplicaId from, ByteSpan raw,
                                     const crypto::CryptoSuite& suite,
-                                    const crypto::PublicKeyDir& keys);
+                                    const crypto::PublicKeyDir& keys,
+                                    ByteSpan instance = {});
 };
 
 }  // namespace probft::core

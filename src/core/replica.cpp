@@ -176,7 +176,8 @@ void Replica::send_new_leader() {
   msg.prepared_value = prepared_value_;
   msg.cert = prepared_cert_;
   msg.sender = cfg_.id;
-  msg.sender_sig = cfg_.suite->sign(cfg_.secret_key, msg.signing_bytes());
+  msg.sender_sig =
+      cfg_.suite->sign(cfg_.secret_key, msg.signing_bytes(cfg_.instance));
   // As the view's leader this replica receives its own report back.
   vouch_for([&] { return VC::digest_key(msg.content_digest(), 'N', 0); });
   host_.send(leader_for(cur_view_), tag_byte(MsgTag::kNewLeader),
@@ -188,7 +189,8 @@ void Replica::propose(const Bytes& value,
   SignedProposal prop;
   prop.view = cur_view_;
   prop.value = value;
-  const Bytes tuple = SignedProposal::signing_bytes(cur_view_, prop.value);
+  const Bytes tuple =
+      SignedProposal::signing_bytes(cur_view_, prop.value, cfg_.instance);
   prop.leader_sig = cfg_.suite->sign(cfg_.secret_key, tuple);
   // Every Prepare and Commit of the view carries this tuple back.
   vouch_for([&] { return VC::signed_key('L', tuple, prop.leader_sig); });
@@ -197,7 +199,7 @@ void Replica::propose(const Bytes& value,
   msg.proposal = std::move(prop);
   msg.justification = std::move(justification);
   msg.sender = cfg_.id;
-  const Bytes signing = msg.signing_bytes();
+  const Bytes signing = msg.signing_bytes(cfg_.instance);
   msg.sender_sig = cfg_.suite->sign(cfg_.secret_key, signing);
   // A peer that detects equivocation gossips this Propose back.
   vouch_for([&] { return VC::signed_key('R', signing, msg.sender_sig); });
@@ -420,7 +422,7 @@ void Replica::vouch_for(KeyFn&& key) const {
 }
 
 bool Replica::propose_sender_sig_ok(const ProposeMsg& m) const {
-  const Bytes msg = m.signing_bytes();
+  const Bytes msg = m.signing_bytes(cfg_.instance);
   if (!cfg_.fast_verify) {
     return cfg_.suite->verify(cfg_.public_keys[m.sender],
                               ByteSpan(msg.data(), msg.size()), m.sender_sig);
@@ -440,7 +442,8 @@ bool Replica::propose_sender_sig_ok(const ProposeMsg& m) const {
 
 bool Replica::verify_leader_sig(const SignedProposal& p) const {
   const ReplicaId leader = leader_for(p.view);
-  const Bytes msg = SignedProposal::signing_bytes(p.view, p.value);
+  const Bytes msg =
+      SignedProposal::signing_bytes(p.view, p.value, cfg_.instance);
   if (!cfg_.fast_verify) {
     return cfg_.suite->verify(cfg_.public_keys[leader],
                               ByteSpan(msg.data(), msg.size()), p.leader_sig);
@@ -480,7 +483,7 @@ crypto::SampleResult Replica::draw_sample(const char* phase) const {
 bool Replica::phase_full_ok(MsgTag tag, const PhaseMsg& m) const {
   const auto compute = [&] {
     if (!verify_leader_sig(m.proposal)) return false;
-    const Bytes msg = m.signing_bytes(tag);
+    const Bytes msg = m.signing_bytes(tag, cfg_.instance);
     return cfg_.suite->verify(cfg_.public_keys[m.sender],
                               ByteSpan(msg.data(), msg.size()),
                               m.sender_sig) &&
@@ -497,13 +500,13 @@ bool Replica::phase_full_ok(MsgTag tag, const PhaseMsg& m) const {
 
 bool Replica::new_leader_sig_ok(const NewLeaderMsg& m) const {
   if (!cfg_.fast_verify) {
-    const Bytes msg = m.signing_bytes();
+    const Bytes msg = m.signing_bytes(cfg_.instance);
     return cfg_.suite->verify(cfg_.public_keys[m.sender],
                               ByteSpan(msg.data(), msg.size()), m.sender_sig);
   }
   Bytes key = VC::digest_key(m.content_digest(), 'N', 0);
   if (const auto hit = cache_lookup(key)) return *hit;
-  const Bytes msg = m.signing_bytes();
+  const Bytes msg = m.signing_bytes(cfg_.instance);
   const bool ok = cfg_.suite->verify(
       cfg_.public_keys[m.sender], ByteSpan(msg.data(), msg.size()),
       m.sender_sig);
@@ -535,8 +538,9 @@ void Replica::prefetch_new_leaders(
     if (include_sender_sigs) {
       Bytes key = VC::digest_key(nl->content_digest(), 'N', 0);
       if (uncached(key)) {
-        pending.push_back({std::move(key), nl->sender, nl->signing_bytes(),
-                           &nl->sender_sig, nullptr, MsgTag::kPrepare});
+        pending.push_back({std::move(key), nl->sender,
+                           nl->signing_bytes(cfg_.instance), &nl->sender_sig,
+                           nullptr, MsgTag::kPrepare});
       }
     }
     for (const PhaseMsgPtr& pmp : nl->cert) {
@@ -546,7 +550,7 @@ void Replica::prefetch_new_leaders(
                              static_cast<std::uint8_t>(MsgTag::kPrepare));
       if (uncached(key)) {
         pending.push_back({std::move(key), pm.sender,
-                           pm.signing_bytes(MsgTag::kPrepare),
+                           pm.signing_bytes(MsgTag::kPrepare, cfg_.instance),
                            &pm.sender_sig, &pm, MsgTag::kPrepare});
       }
     }
@@ -662,7 +666,8 @@ void Replica::send_phase(MsgTag tag) {
   msg.sample = std::move(sampled.sample);
   msg.vrf_proof = std::move(sampled.proof);
   msg.sender = cfg_.id;
-  msg.sender_sig = cfg_.suite->sign(cfg_.secret_key, msg.signing_bytes(tag));
+  msg.sender_sig =
+      cfg_.suite->sign(cfg_.secret_key, msg.signing_bytes(tag, cfg_.instance));
   // The sample may include this replica, whose copy comes back through the
   // transport. The leader tuple was verified on accepting the proposal (or
   // signed here), the rest was just produced.

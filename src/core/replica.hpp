@@ -68,6 +68,12 @@ struct ReplicaConfig {
   /// the paper's schedule. Every replica of one instance must agree on
   /// the offset.
   View leader_offset = 0;
+  /// Names this instance in every signing string (see core/messages.hpp):
+  /// an SMR slot's is its (group, slot), so a message signed for one slot
+  /// cannot be replayed into another. Every replica of one instance must
+  /// agree on it. Empty (single-shot runs): the signed bytes are as if
+  /// there were no tag.
+  Bytes instance;
   Bytes my_value;  // myValue(): this replica's own proposal
   /// Application-level valid() predicate; default accepts non-empty values.
   std::function<bool(const Bytes&)> valid;

@@ -26,12 +26,16 @@ ShardedSmr::ShardedSmr(ShardedSmrConfig config, core::ProtocolHost host)
     // one drops them instead of committing to the wrong group's log. One
     // group keeps the single-group forward (kSmrForwardTag).
     if (shards > 1) {
-      gc.forward = [this, s](ReplicaId leader, const smr::Request& req) {
+      gc.forward = [this, s](ReplicaId to, const smr::Request& req) {
         Writer w;
         w.u32(cfg_.shard_count);
         w.u32(s);
         req.encode(w);
-        host_.send(leader, kShardForwardTag, std::move(w).take());
+        if (to == 0) {
+          host_.broadcast(kShardForwardTag, std::move(w).take());
+        } else {
+          host_.send(to, kShardForwardTag, std::move(w).take());
+        }
       };
     }
     gc.wal = cfg_.wals.empty() ? nullptr : cfg_.wals[s];
@@ -99,7 +103,6 @@ bool ShardedSmr::submit_to_shard(ShardId s, std::uint64_t client,
 }
 
 void ShardedSmr::handle_forward(ReplicaId from, const Bytes& payload) {
-  (void)from;  // any replica may forward; dedup makes replays harmless
   Reader r(payload);
   const std::uint32_t shards = r.u32();
   const ShardId s = r.u32();
@@ -109,8 +112,7 @@ void ShardedSmr::handle_forward(ReplicaId from, const Bytes& payload) {
   // committing its forward here could write the key to the wrong
   // group's log. Drop; the request's own enqueue at the sender stays.
   if (shards != shard_count() || s >= shard_count()) return;
-  (void)groups_[s]->submit_request(req.client, req.seq,
-                                   std::move(req.payload));
+  groups_[s]->on_forward(from, std::move(req));
 }
 
 void ShardedSmr::on_message(ReplicaId from, std::uint8_t tag,

@@ -21,12 +21,13 @@
 // and enqueues at the owning group. If this replica is not that group's
 // leader (smr::SmrReplica::leader: the leader of the group's view, which
 // its one synchronizer keeps, view 1 until a view change), the group
-// forwards the request — with S > 1 as
+// relays the request to every peer — with S > 1 as
 //
 //   kShardForwardTag (0x29): u32 shard_count ‖ u32 shard ‖ Request
 //
-// so it lands in the leader's next batch without waiting for a timeout;
-// the local enqueue stays as the liveness fallback. A receiver started
+// so it lands in the leader's next batch without waiting for a timeout
+// and every follower times it (smr::SmrReplica::on_forward); the local
+// enqueue stays as the liveness fallback. A receiver started
 // with another shard count places keys differently, so it drops the
 // frame instead of committing it to the wrong group's log. S = 1
 // forwards as the single-group engine does (kSmrForwardTag).
@@ -96,8 +97,8 @@ class ShardedSmr : public core::INode {
   void on_message(ReplicaId from, std::uint8_t tag,
                   const Bytes& payload) override;
 
-  /// Routes (client, seq, payload) to owner_of(payload) and forwards to
-  /// that group's leader when it is remote. Returns the local
+  /// Routes (client, seq, payload) to owner_of(payload) and relays it to
+  /// every peer when that group's leader is remote. Returns the local
   /// enqueue verdict — false for duplicates and unbatchable payloads,
   /// like the single-group engine, and for reserved client ids
   /// (kReservedClientBit).

@@ -83,13 +83,17 @@ struct CheckpointState {
   [[nodiscard]] Bytes digest() const;
 };
 
-/// Domain-separated signing bytes for a checkpoint vote.
-[[nodiscard]] Bytes checkpoint_signing_bytes(std::uint64_t slot,
+/// Domain-separated signing bytes for a checkpoint vote of SMR group
+/// `group` (SmrConfig::leader_offset names the group), so a vote for one
+/// group does not count in another.
+[[nodiscard]] Bytes checkpoint_signing_bytes(std::uint64_t group,
+                                             std::uint64_t slot,
                                              const Bytes& state_digest);
 
 /// Domain-separated signing bytes for a decided-value hint: the signer
-/// attests "slot `slot` decided the batch hashing to `value_digest`".
-[[nodiscard]] Bytes hint_signing_bytes(std::uint64_t slot,
+/// attests "slot `slot` of group `group` decided the batch hashing to
+/// `value_digest`".
+[[nodiscard]] Bytes hint_signing_bytes(std::uint64_t group, std::uint64_t slot,
                                        const Bytes& value_digest);
 
 struct CheckpointVote {
@@ -114,8 +118,9 @@ struct CheckpointCert {
 };
 
 /// True iff `cert` carries >= 2f+1 signatures from distinct in-range
-/// signers, each valid over checkpoint_signing_bytes(slot, digest).
-[[nodiscard]] bool verify_checkpoint_cert(const CheckpointCert& cert,
+/// signers, each valid over checkpoint_signing_bytes(group, slot, digest).
+[[nodiscard]] bool verify_checkpoint_cert(std::uint64_t group,
+                                          const CheckpointCert& cert,
                                           std::uint32_t n, std::uint32_t f,
                                           const crypto::CryptoSuite& suite,
                                           const crypto::PublicKeyDir& keys);

@@ -44,6 +44,10 @@ SmrReplica::SmrReplica(SmrConfig config, core::ProtocolHost host)
   }
   limits_.max_commands = cfg_.pipeline.batch_max_commands;
   limits_.max_bytes = cfg_.pipeline.batch_max_bytes;
+  Writer tag;
+  tag.u64(cfg_.leader_offset);
+  group_tag_ = std::move(tag).take();
+  peer_wishes_.resize(cfg_.n + 1);
   sample_memo_.emplace(*cfg_.suite, cfg_.secret_key,
                        cfg_.public_keys[cfg_.id]);
   catchup_.recover([this](std::uint64_t slot, Bytes value) {
@@ -82,15 +86,23 @@ void SmrReplica::submit(Bytes command) {
 bool SmrReplica::submit_request(std::uint64_t client, std::uint64_t seq,
                                 Bytes payload) {
   Request req{client, seq, std::move(payload)};
-  std::optional<Request> forward;
-  if (leader() != cfg_.id) forward = req;
+  std::optional<Request> relay;
+  if (leader() != cfg_.id) relay = req;
   if (!enqueue(std::move(req))) return false;
-  if (forward) forward_to_leader(*forward);
+  // Every peer queues it too and so times it: a dead leader then costs one
+  // view timeout, not two.
+  if (relay) send_forward(0, *relay);
   return true;
 }
 
-void SmrReplica::forward_to_leader(const Request& request) {
-  const ReplicaId to = leader();
+void SmrReplica::on_forward(ReplicaId from, Request request) {
+  // Any replica may forward; dedup makes replays harmless.
+  std::optional<Request> pass;
+  if (leader() != cfg_.id) pass = request;
+  if (enqueue(std::move(request), from) && pass) forward_to_leader(*pass);
+}
+
+void SmrReplica::send_forward(ReplicaId to, const Request& request) {
   if (to == cfg_.id) return;
   if (cfg_.forward) {
     cfg_.forward(to, request);
@@ -98,7 +110,11 @@ void SmrReplica::forward_to_leader(const Request& request) {
   }
   Writer w;
   request.encode(w);
-  host_.send(to, kSmrForwardTag, std::move(w).take());
+  if (to == 0) {
+    host_.broadcast(kSmrForwardTag, std::move(w).take());
+  } else {
+    host_.send(to, kSmrForwardTag, std::move(w).take());
+  }
 }
 
 void SmrReplica::enter_view(View view) {
@@ -107,21 +123,38 @@ void SmrReplica::enter_view(View view) {
     const auto it = instances_.find(slot);
     if (it != instances_.end()) it->second->move_to(view);
   }
+  if (leader() == cfg_.id) {
+    maybe_open_slots(/*pace_expired=*/true);  // the queue waited a timeout
+    return;
+  }
   // The queue was forwarded to the old leader (or is this replica's own
-  // from when it led): hand it to the new one, in order.
-  for (const Request& req : queue_) forward_to_leader(req);
-  for (const auto& [key, held] : held_) forward_to_leader(held.request);
+  // from when it led): hand it to the new one, in order, but for what the
+  // new leader relayed here itself.
+  const auto hand_over = [this](const Request& req) {
+    if (pending_keys_.at({req.client, req.seq}) != leader()) {
+      forward_to_leader(req);
+    }
+  };
+  for (const Request& req : queue_) hand_over(req);
+  for (const auto& [key, held] : held_) hand_over(held.request);
 }
 
 void SmrReplica::broadcast_wish(View view) {
   if (wish_view_ != view) {
     wish_view_ = view;
-    wish_ = core::WishMsg::sign(view, cfg_.id, *cfg_.suite, cfg_.secret_key);
+    wish_ = core::WishMsg::sign(view, cfg_.id, *cfg_.suite, cfg_.secret_key,
+                                group_tag_);
   }
   send_slot(0, exec_slots(), net::tags::kWish, wish_);
 }
 
-bool SmrReplica::enqueue(Request request) {
+bool SmrReplica::waiting() const {
+  return exec_slots() < next_open_ ||
+         ((!queue_.empty() || !held_.empty()) &&
+          next_open_ < cfg_.pipeline.max_slots);
+}
+
+bool SmrReplica::enqueue(Request request, ReplicaId origin) {
   if (request.payload.empty() ||
       4 + request_wire_size(request) > limits_.max_bytes) {
     return false;
@@ -132,7 +165,9 @@ bool SmrReplica::enqueue(Request request) {
   if (request.seq <= last_executed_seq(request.client)) {
     return false;  // already executed (or superseded): retry is a no-op
   }
-  if (!pending_keys_.insert({request.client, request.seq}).second) {
+  if (!pending_keys_.emplace(std::make_pair(request.client, request.seq),
+                             origin)
+           .second) {
     return false;  // already queued, held or assigned to an in-flight slot
   }
   const std::uint64_t client = request.client;
@@ -147,6 +182,7 @@ bool SmrReplica::enqueue(Request request) {
     held_.emplace(std::make_pair(client, seq),
                   HeldRequest{std::move(request)});
   }
+  wake_view_timer();
   maybe_open_slots(/*pace_expired=*/false);
   return true;
 }
@@ -163,7 +199,7 @@ void SmrReplica::admit(Request request) {
   // Keep each client's queued requests in seq order: a request released
   // late goes ahead of the client's later seqs already queued.
   const auto later = pending_keys_.upper_bound({request.client, request.seq});
-  if (later != pending_keys_.end() && later->first == request.client) {
+  if (later != pending_keys_.end() && later->first.first == request.client) {
     const auto pos = std::find_if(
         queue_.begin(), queue_.end(), [&request](const Request& queued) {
           return queued.client == request.client && queued.seq > request.seq;
@@ -251,12 +287,16 @@ void SmrReplica::maybe_open_slots(bool pace_expired) {
       ++next_open_;  // outcome already known (hints): no instance needed
       continue;
     }
-    if (queue_.empty()) break;
+    // A follower's queue waits for the leader's slots: its own batch
+    // would open a slot no leader fills.
+    if (queue_.empty() || leader() != cfg_.id) break;
     if (!full_batch_ready() && !pace_expired) break;
     pace_expired = false;  // one partial batch per pacing expiry
     open_next_slot();
   }
-  if ((!queue_.empty() || !held_.empty()) && next_open_ < open_limit() &&
+  // Pacing opens the leader's partial batch and ages held requests.
+  const bool opens = leader() == cfg_.id && !queue_.empty();
+  if ((opens || !held_.empty()) && next_open_ < open_limit() &&
       !pace_armed_) {
     arm_pacing();
   }
@@ -309,6 +349,10 @@ void SmrReplica::open_next_slot() {
   rc.o = cfg_.o;
   rc.l = cfg_.l;
   rc.leader_offset = cfg_.leader_offset;
+  Writer instance;  // (group, slot)
+  instance.raw(group_tag_);
+  instance.u64(slot);
+  rc.instance = std::move(instance).take();
   rc.my_value = encode_batch(batch);
   rc.valid = [limits = limits_](const Bytes& value) {
     return is_valid_batch(value, limits);
@@ -339,10 +383,19 @@ void SmrReplica::open_next_slot() {
   instances_.emplace(
       slot, std::make_unique<core::Replica>(std::move(rc), std::nullopt,
                                             slot_host));
-  if (slot == exec_slots()) sync_.restart_timer(true);  // was idle
-  // Past view 1 the group's Wish announces the slot: peers open it and
-  // send their NewLeader for it.
-  if (view() > 1) send_slot(0, slot, net::tags::kWish, wish_);
+  wake_view_timer();
+  // Past view 1 the leader's Wish announces the slot: peers open it and
+  // send their NewLeader for it. A peer not known to have wished for the
+  // view missed the view change and needs 2f + 1 Wishes to follow, so a
+  // follower passes its Wish on to such peers only.
+  if (view() > 1) {
+    const bool leads = leader() == cfg_.id;
+    for (ReplicaId to = 1; to <= cfg_.n; ++to) {
+      if (to != cfg_.id && (leads || sync_.latest_wish(to) < view())) {
+        send_slot(to, slot, net::tags::kWish, wish_);
+      }
+    }
+  }
   instances_.at(slot)->move_to(view());
 
   // Replay traffic that raced ahead of this slot.
@@ -528,11 +581,7 @@ void SmrReplica::handle_slot_envelope(ReplicaId from, const Bytes& payload) {
   if (slot >= cfg_.pipeline.max_slots) return;  // out of configured range
   // The group tallies a Wish whatever its slot; the slot's instance
   // ignores it, but the frame still opens or buffers the slot.
-  if (inner_tag == net::tags::kWish) {
-    const auto view =
-        core::WishMsg::verify(from, inner, *cfg_.suite, cfg_.public_keys);
-    if (view) sync_.on_wish(from, *view);
-  }
+  if (inner_tag == net::tags::kWish) on_wish_frame(from, inner);
   if (catchup_.on_slot_frame(from, slot, inner_tag)) return;  // executed
 
   auto it = instances_.find(slot);
@@ -555,12 +604,18 @@ void SmrReplica::handle_slot_envelope(ReplicaId from, const Bytes& payload) {
   }
 }
 
-void SmrReplica::handle_forward(ReplicaId from, const Bytes& payload) {
-  (void)from;  // any replica may forward; dedup makes replays harmless
-  Reader r(payload);
-  Request req = Request::decode(r);
-  r.expect_exhausted();
-  (void)enqueue(std::move(req));
+void SmrReplica::on_wish_frame(ReplicaId from, const Bytes& raw) {
+  if (from == 0 || from > cfg_.n) return;
+  // A Wish is re-sent in many slots' envelopes: verify its bytes once.
+  auto& [bytes, view] = peer_wishes_[from];
+  if (raw != bytes) {
+    const auto verified = core::WishMsg::verify(
+        from, raw, *cfg_.suite, cfg_.public_keys, group_tag_);
+    if (!verified) return;
+    bytes = raw;
+    view = *verified;
+  }
+  sync_.on_wish(from, view);
 }
 
 void SmrReplica::on_message(ReplicaId from, std::uint8_t tag,
@@ -571,9 +626,13 @@ void SmrReplica::on_message(ReplicaId from, std::uint8_t tag,
       case kSmrTag:
         handle_slot_envelope(from, payload);
         break;
-      case kSmrForwardTag:
-        handle_forward(from, payload);
+      case kSmrForwardTag: {
+        Reader r(payload);
+        Request req = Request::decode(r);
+        r.expect_exhausted();
+        on_forward(from, std::move(req));
         break;
+      }
       case kSmrLeaseTag:
         reads_.on_lease(from, payload);
         break;

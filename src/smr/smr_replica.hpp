@@ -14,29 +14,43 @@
 //  - Slots [exec, exec + window) run concurrently; execution is strictly
 //    in slot order. Decisions that land out of order buffer until the gap
 //    fills.
-//  - Slot opening is demand-driven: a slot opens when this replica has a
-//    full batch ready, when its pacing timer (batch_timeout) expires with
-//    requests queued, or when consensus traffic for the slot arrives from
-//    a peer (traffic that raced ahead of the window opens its slot once
-//    execution brings it inside). An idle system opens no slots and
-//    burns no no-op fillers.
+//  - Slot opening is demand-driven. Only the group view's leader opens
+//    slots from its own queue: when a full batch is ready, when its pacing
+//    timer (batch_timeout) expires with requests queued, and at once on
+//    entering a view it leads. Any replica opens a slot when consensus
+//    traffic for it arrives from a peer (traffic that raced ahead of the
+//    window opens its slot once execution brings it inside). An idle
+//    system opens no slots and burns no no-op fillers.
 //  - Group view: one sync::Synchronizer paces every slot (one PBFT view
 //    covers every sequence number); slot instances have no timers. Its
-//    timer runs only while an opened slot is unexecuted and restarts when
-//    execution advances; an idle group still follows peers' wishes. Its
-//    Wish rides the envelope of the lowest unexecuted slot. Entering a
-//    view moves every open unexecuted slot there, and new slots start in
-//    it (announced by the group's Wish past view 1). Each instance sends
-//    its own NewLeader, so safety rests on the leader's ⌈(n+f+1)/2⌉
-//    justification, not on where the slot started.
-//  - Submissions at a non-leader replica are forwarded to the group
-//    view's leader so they land in its next batch; the local copy is kept
-//    as a liveness fallback. On entering a view the queue is forwarded
-//    again, in order, and so is a non-leader's own batch that lost its
-//    slot. A pipelined client's request whose predecessor seq is
-//    neither executed nor queued here is held until it is, or for at most
-//    two pacing periods, so crossing forwards cannot batch a later seq
-//    ahead of an earlier one (highest-seq dedup would drop the earlier).
+//    timer runs while the group waits on something — an opened slot is
+//    unexecuted, or a request is queued or held (PBFT's backup "waiting
+//    for a request") — and restarts when execution advances; a request
+//    starts a stopped timer but never postpones a running one. An idle
+//    group still follows peers' wishes. Its Wish rides the envelope of
+//    the lowest unexecuted slot. Entering a view moves every open
+//    unexecuted slot there, and new slots start in it: past view 1 the
+//    leader announces each slot it opens with the group's Wish, and a
+//    follower that opens a slot passes its Wish only to peers not known
+//    to have wished for the view (they missed the view change). Each
+//    instance sends its own NewLeader, so safety rests on the leader's
+//    ⌈(n+f+1)/2⌉ justification, not on where the slot started.
+//  - A submission at a non-leader replica is relayed to every peer, so
+//    every correct replica times it and a dead leader costs one view
+//    timeout, not two. A replica that newly queues a peer's relay while
+//    it is not the leader passes it to the leader once, so a relay that
+//    skipped the leader cannot time out the followers. On entering a view
+//    a non-leader forwards its queue to the new leader, in order, but for
+//    what that leader relayed to it, and so is a non-leader's own batch
+//    that lost its slot. A pipelined client's request whose predecessor
+//    seq is neither executed nor queued here is held until it is, or for
+//    at most two pacing periods, so crossing forwards cannot batch a
+//    later seq ahead of an earlier one (highest-seq dedup would drop the
+//    earlier).
+//  - Signed messages name their group and slot: each slot instance signs
+//    under the instance tag (group, slot), the group's Wish, hints and
+//    checkpoint votes under the group, so no signature is valid in
+//    another slot or group.
 //  - Executed slots are retired: the per-slot core::Replica is destroyed
 //    once its slot executes, so memory is O(window) instead of O(log
 //    length). Frames for an executed slot never reach an instance.
@@ -58,7 +72,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -169,15 +182,17 @@ struct SmrConfig {
 
   /// Leader-rotation offset for every per-slot instance (see
   /// core::ReplicaConfig::leader_offset). Sharded SMR runs S engines with
-  /// offsets 0..S-1 so their view-1 leaders spread across the fleet.
+  /// offsets 0..S-1 so their view-1 leaders spread across the fleet. It
+  /// is also the group's name in signed messages.
   View leader_offset = 0;
 
-  /// Sends a submission at a non-leader to the group leader. Empty (the
-  /// single-group default): a kSmrForwardTag frame through the host.
+  /// Sends a request to peer `to` (0: to every peer): a relay of a
+  /// submission at a non-leader, or a forward to the group leader. Empty
+  /// (the single-group default): a kSmrForwardTag frame through the host.
   /// shard::ShardedSmr sends its own kShardForwardTag frame, which carries
-  /// the shard count. The local enqueue stays either way as the
-  /// liveness fallback.
-  std::function<void(ReplicaId leader, const Request& request)> forward;
+  /// the shard count. The receiver hands it to on_forward; the local
+  /// enqueue stays either way as the liveness fallback.
+  std::function<void(ReplicaId to, const Request& request)> forward;
 
   const crypto::CryptoSuite* suite = nullptr;
   Bytes secret_key;
@@ -223,6 +238,11 @@ class SmrReplica : public core::INode {
   /// the client's last executed or already pending) and for payloads that
   /// cannot fit a batch. Retries are therefore idempotent.
   bool submit_request(std::uint64_t client, std::uint64_t seq, Bytes payload);
+
+  /// A peer's relay or forward of a request: enqueued like a submission,
+  /// and passed to the leader once when it is new here and this replica
+  /// does not lead.
+  void on_forward(ReplicaId from, Request request);
 
   using ReadResult = smr::ReadResult;
   using ReadCallback = smr::ReadCallback;
@@ -322,7 +342,8 @@ class SmrReplica : public core::INode {
     return catchup_.exec_slots();
   }
 
-  [[nodiscard]] bool enqueue(Request request);
+  /// `origin`: the peer that relayed the request here; 0 for a submission.
+  [[nodiscard]] bool enqueue(Request request, ReplicaId origin = 0);
   /// Whether seq - 1 of `client` executed or is queued/assigned here.
   [[nodiscard]] bool predecessor_here(std::uint64_t client,
                                       std::uint64_t seq) const;
@@ -334,13 +355,25 @@ class SmrReplica : public core::INode {
   void release_all_held();
   /// Pacing expiry: a request held through two of them is admitted.
   void age_held();
-  void forward_to_leader(const Request& request);
+  /// `to` = 0 sends to every peer; a send to this replica is dropped.
+  void send_forward(ReplicaId to, const Request& request);
+  void forward_to_leader(const Request& request) {
+    send_forward(leader(), request);
+  }
   /// The group entered `view`: open unexecuted slots and the queue follow.
   void enter_view(View view);
   /// Signed once per view; rides the lowest unexecuted slot's envelope.
   void broadcast_wish(View view);
-  /// Execution advanced: the view timer runs on while a slot is open.
-  void restart_view_timer() { sync_.restart_timer(exec_slots() < next_open_); }
+  /// Whether a correct leader would make progress here: an opened slot is
+  /// unexecuted, or a request waits while slots can still open.
+  [[nodiscard]] bool waiting() const;
+  /// Execution advanced: the view timer restarts while the group waits.
+  void restart_view_timer() { sync_.restart_timer(waiting()); }
+  /// The group started waiting: starts a stopped view timer and never
+  /// postpones a running one.
+  void wake_view_timer() {
+    if (!sync_.timer_running()) sync_.restart_timer(true);
+  }
   /// This replica's batch for a slot that decided something else: its
   /// unexecuted requests go back to the queue head and to the leader.
   void requeue_lost(Batch mine);
@@ -352,7 +385,8 @@ class SmrReplica : public core::INode {
   void open_next_slot();
   void arm_pacing();
   void handle_slot_envelope(ReplicaId from, const Bytes& payload);
-  void handle_forward(ReplicaId from, const Bytes& payload);
+  /// A peer's Wish frame; each sender's last verified bytes skip verify.
+  void on_wish_frame(ReplicaId from, const Bytes& raw);
   /// `view` is the consensus view the slot decided in; 0 when unknown
   /// (hint adoption); the read path's lease watches it.
   void on_slot_decided(std::uint64_t slot, const Bytes& value, View view);
@@ -391,7 +425,9 @@ class SmrReplica : public core::INode {
   };
   std::map<std::pair<std::uint64_t, std::uint64_t>, HeldRequest> held_;
   std::size_t queue_bytes_ = 0; // encoded size the queue would batch to
-  std::set<std::pair<std::uint64_t, std::uint64_t>> pending_keys_;
+  /// Every queued, held or assigned (client, seq), with the peer that
+  /// relayed it here (0: submitted here).
+  std::map<std::pair<std::uint64_t, std::uint64_t>, ReplicaId> pending_keys_;
   std::map<std::uint64_t, Batch> assigned_;  // slot → this replica's batch
   std::size_t assigned_count_ = 0;
   std::uint64_t local_seq_ = 0;
@@ -403,6 +439,9 @@ class SmrReplica : public core::INode {
   sync::Synchronizer sync_;      // the group's view
   View wish_view_ = 0;           // the view wish_ asks for
   Bytes wish_;                   // this replica's signed WishMsg
+  Bytes group_tag_;  // u64 leader_offset: the group in signing strings
+  /// Per peer, the last Wish bytes that verified from it and their view.
+  std::vector<std::pair<Bytes, View>> peer_wishes_;
   /// VRF samples and sample verdicts, shared by every slot's instance:
   /// samples are per (view, phase), so the slots of one view prove and
   /// verify each one once (core::ReplicaConfig::sample_memo).

@@ -62,6 +62,12 @@ class Synchronizer {
 
   [[nodiscard]] View view() const { return current_; }
   [[nodiscard]] Duration timeout_for(View v) const;
+  /// Whether the view timer runs (not stopped by restart_timer(false)).
+  [[nodiscard]] bool timer_running() const { return timer_on_; }
+  /// The highest view replica `id` is known to have wished for; 0: none.
+  [[nodiscard]] View latest_wish(ReplicaId id) const {
+    return id < latest_wish_.size() ? latest_wish_[id] : 0;
+  }
 
  private:
   void wish_for(View v);

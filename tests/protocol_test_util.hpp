@@ -53,6 +53,10 @@ class TestBed {
     return public_keys_;
   }
 
+  /// The instance tag (core::ReplicaConfig::instance) of the replicas
+  /// make_replica builds and of the messages the helpers below sign.
+  Bytes instance;
+
   /// Builds a ProBFT replica whose sends land in `outbox` and whose timers
   /// land in `timers` (fire manually with fire_timers()). `suite` (null:
   /// the bed's own) must accept the bed's keys.
@@ -66,6 +70,7 @@ class TestBed {
     rc.o = o_;
     rc.l = l_;
     rc.fast_verify = fast_verify;
+    rc.instance = instance;
     rc.my_value = std::move(my_value);
     rc.suite = suite != nullptr ? suite : suite_.get();
     rc.secret_key = keys_[id].secret_key;
@@ -137,8 +142,9 @@ class TestBed {
     SignedProposal p;
     p.view = v;
     p.value = value;
-    p.leader_sig = suite_->sign(keys_[signer].secret_key,
-                                SignedProposal::signing_bytes(v, value));
+    p.leader_sig =
+        suite_->sign(keys_[signer].secret_key,
+                     SignedProposal::signing_bytes(v, value, instance));
     return p;
   }
 
@@ -150,7 +156,7 @@ class TestBed {
     m.justification = std::move(justification);
     m.sender = sender;
     m.sender_sig =
-        suite_->sign(keys_[sender].secret_key, m.signing_bytes());
+        suite_->sign(keys_[sender].secret_key, m.signing_bytes(instance));
     return m;
   }
 
@@ -167,8 +173,8 @@ class TestBed {
     m.sample = std::move(sampled.sample);
     m.vrf_proof = std::move(sampled.proof);
     m.sender = sender;
-    m.sender_sig =
-        suite_->sign(keys_[sender].secret_key, m.signing_bytes(tag));
+    m.sender_sig = suite_->sign(keys_[sender].secret_key,
+                                m.signing_bytes(tag, instance));
     return m;
   }
 
@@ -183,7 +189,7 @@ class TestBed {
     m.cert = std::move(cert);
     m.sender = sender;
     m.sender_sig =
-        suite_->sign(keys_[sender].secret_key, m.signing_bytes());
+        suite_->sign(keys_[sender].secret_key, m.signing_bytes(instance));
     return m;
   }
 

@@ -412,5 +412,24 @@ TEST_F(ByzantineUnitTest, WrongPhaseSeedRejected) {
   EXPECT_FALSE(replica_->decided());
 }
 
+TEST(InstanceTag, PrepareSignedForOneSlotFailsInAnother) {
+  // An SMR slot's instance signs under its (group, slot) tag, so a
+  // prepared certificate from slot 0 does not verify in slot 1's
+  // instance: a leader cannot replay one slot's votes into another.
+  TestBed bed(4, 1, 1.7, 1.5);  // q = 3, sample = all four
+  const Bytes value = to_bytes("x");
+  bed.instance = to_bytes("slot-0");
+  const auto cert = bed.make_cert(1, value, /*target=*/2, /*leader=*/1);
+  ASSERT_EQ(cert.size(), bed.q());
+  const auto slot0 = bed.make_replica(2);
+  EXPECT_TRUE(slot0->prepared_cert_valid(cert, 1, value, 2));
+  bed.instance = to_bytes("slot-1");
+  const auto slot1 = bed.make_replica(2);
+  EXPECT_FALSE(slot1->prepared_cert_valid(cert, 1, value, 2));
+  bed.instance.clear();  // single-shot: no tag
+  const auto plain = bed.make_replica(2);
+  EXPECT_FALSE(plain->prepared_cert_valid(cert, 1, value, 2));
+}
+
 }  // namespace
 }  // namespace probft::sim

@@ -316,6 +316,173 @@ TEST(Smr, IdleGroupIsQuietAfterAViewChange) {
   EXPECT_EQ(scheduled(), before);
 }
 
+TEST(Smr, FollowerHeldRequestFailsOverInOneTimeout) {
+  // A request submitted at a follower reaches every peer, and each one
+  // times the requests it holds (PBFT's backup "waiting for a request"),
+  // so the followers wish together after one view timeout. Before, only
+  // the submitting replica timed it; its peers started their own timers
+  // on its Wish, and the outage lasted two timeouts.
+  SmrOptions options;
+  Fleet fleet(4, options, /*seed=*/1, /*f=*/1, /*l=*/1.5);  // q = 3 of 4
+  const Duration base_timeout = 100'000;  // Fleet's sync.base_timeout
+  fleet.start();
+  fleet.kill(1);  // the view-1 leader
+  const TimePoint submitted = fleet.sim().now();
+  ASSERT_TRUE(fleet.replica(2).submit_request(77, 1, to_bytes("after")));
+  ASSERT_TRUE(fleet.run_until(
+      [&] { return fleet.replica(2).executed_commands() == 1; },
+      submitted + 60'000'000));
+  EXPECT_LE(fleet.sim().now() - submitted,
+            base_timeout + 2 * options.batch_timeout + 50'000);
+  ASSERT_TRUE(fleet.run_until_executed(1, submitted + 60'000'000));
+}
+
+TEST(Smr, FollowerTimesAQueuedRequestWithNoSlotOpen) {
+  // The followers hold the request but open no slot of their own (only
+  // the leader opens slots from its queue); their view timers run anyway
+  // and take them out of view 1 one timeout after the submission.
+  SmrOptions options;
+  Fleet fleet(4, options, /*seed=*/1, /*f=*/1, /*l=*/1.5);
+  const Duration base_timeout = 100'000;  // Fleet's sync.base_timeout
+  fleet.start();
+  fleet.kill(1);
+  const TimePoint submitted = fleet.sim().now();
+  ASSERT_TRUE(fleet.replica(2).submit_request(77, 1, to_bytes("held")));
+  fleet.sim().run_until(submitted + base_timeout - 10'000);
+  for (ReplicaId id = 2; id <= 4; ++id) {
+    EXPECT_EQ(fleet.replica(id).open_instances(), 0U) << "replica " << id;
+    EXPECT_EQ(fleet.replica(id).pending_commands(), 1U) << "replica " << id;
+    EXPECT_EQ(fleet.replica(id).view(), 1U) << "replica " << id;
+  }
+  fleet.sim().run_until(submitted + base_timeout + 20'000);
+  for (ReplicaId id = 2; id <= 4; ++id) {
+    EXPECT_EQ(fleet.replica(id).view(), 2U) << "replica " << id;
+  }
+}
+
+TEST(Smr, FollowerSubmissionsExecuteOnceInViewOne) {
+  // A client at each follower: every request is relayed to all peers and
+  // passed on to the leader, yet each executes exactly once, no view
+  // changes, and once they executed the fleet goes quiet.
+  SmrOptions options;
+  options.batch_max_commands = 4;
+  Fleet fleet(4, options, /*seed=*/1, /*f=*/1, /*l=*/1.5);
+  const Duration base_timeout = 100'000;  // Fleet's sync.base_timeout
+  fleet.start();
+  std::vector<Bytes> submitted;
+  for (std::uint64_t seq = 1; seq <= 6; ++seq) {
+    for (ReplicaId id = 2; id <= 4; ++id) {
+      submitted.push_back(to_bytes("c" + std::to_string(id) + "-" +
+                                   std::to_string(seq)));
+      ASSERT_TRUE(fleet.replica(id).submit_request(100 + id, seq,
+                                                   submitted.back()));
+    }
+  }
+  ASSERT_TRUE(fleet.run_until_executed(submitted.size(), 60'000'000));
+  std::sort(submitted.begin(), submitted.end());
+  for (ReplicaId id = 1; id <= 4; ++id) {
+    EXPECT_EQ(fleet.replica(id).view(), 1U) << "replica " << id;
+    EXPECT_EQ(fleet.replica(id).executed_commands(), submitted.size());
+    EXPECT_EQ(fleet.replica(id).pending_commands(), 0U) << "replica " << id;
+    std::vector<Bytes> executed = fleet.commits[id];
+    std::sort(executed.begin(), executed.end());
+    EXPECT_EQ(executed, submitted) << "replica " << id;
+    EXPECT_EQ(fleet.replica(id).log_digest(), fleet.replica(1).log_digest());
+  }
+  net::Simulator& sim = fleet.sim();
+  // As in IdleGroupIsQuietAfterAViewChange: an event scheduled in the
+  // quiet period raises fired + pending.
+  const auto scheduled = [&sim] { return sim.events_fired() + sim.pending(); };
+  fleet.sim().run_until(sim.now() + 1'000);  // deliveries already on the way
+  const std::uint64_t sends = fleet.network().stats().sends;
+  const std::uint64_t before = scheduled();
+  sim.run_until(sim.now() + 10 * base_timeout);
+  EXPECT_EQ(fleet.network().stats().sends, sends);
+  EXPECT_EQ(scheduled(), before);
+}
+
+TEST(Smr, RelayThatSkipsTheLeaderExecutesInViewOne) {
+  // A Byzantine replica 4 relays a request to the two correct followers
+  // but not to the leader. Each follower passes it on to the leader once,
+  // so it executes in view 1 instead of timing the followers out.
+  Fleet fleet(4, SmrOptions{}, /*seed=*/1, /*f=*/1, /*l=*/1.5);
+  fleet.start();
+  Writer w;
+  Request{/*client=*/9, /*seq=*/1, to_bytes("relayed")}.encode(w);
+  const Bytes relay = std::move(w).take();
+  fleet.replica(2).on_message(4, kSmrForwardTag, relay);
+  fleet.replica(3).on_message(4, kSmrForwardTag, relay);
+  ASSERT_TRUE(fleet.run_until(
+      [&] {
+        return fleet.replica(1).executed_commands() == 1 &&
+               fleet.replica(2).executed_commands() == 1 &&
+               fleet.replica(3).executed_commands() == 1;
+      },
+      60'000'000));
+  for (ReplicaId id = 1; id <= 4; ++id) {
+    EXPECT_EQ(fleet.replica(id).view(), 1U) << "replica " << id;
+  }
+  EXPECT_TRUE(fleet.replica(1).has_committed(to_bytes("relayed")));
+}
+
+TEST(Smr, CrossSlotReplayCannotSplitASlot) {
+  // A Byzantine view-1 leader (replica 1) replays slot 0's signed Propose,
+  // Prepares and Commits to replica 2 inside slot-1 envelopes, while it
+  // proposes y for slot 1 to replicas 3 and 4. Each slot instance signs
+  // under its own (group, slot) tag, so the replay verifies nowhere and
+  // replica 2 cannot decide slot 0's batch in slot 1. The adversary also
+  // holds back slot-1 traffic between replica 2 and the others until the
+  // end, as partial synchrony allows.
+  Fleet fleet(4, SmrOptions{}, /*seed=*/1, /*f=*/1, /*l=*/1.5);  // q = 3
+  struct Frame {
+    ReplicaId from;
+    Bytes payload;
+  };
+  std::vector<Frame> slot0_at_2;  // slot 0 as replica 2 received it
+  bool isolate = false;
+  fleet.network().set_payload_filter(
+      [&](ReplicaId from, ReplicaId to, std::uint8_t tag,
+          const Bytes& payload) {
+        if (tag != kSmrTag) return false;
+        Reader r(payload);
+        const std::uint64_t slot = r.u64();
+        if (slot == 0 && to == 2 && from != 2) {
+          slot0_at_2.push_back({from, payload});
+        }
+        return isolate && slot >= 1 && from != to && (from == 2 || to == 2);
+      });
+  fleet.start();
+  ASSERT_TRUE(fleet.replica(1).submit_request(7, 1, to_bytes("x")));
+  ASSERT_TRUE(fleet.run_until_executed(1));
+  ASSERT_FALSE(slot0_at_2.empty());
+
+  isolate = true;
+  ASSERT_TRUE(fleet.replica(1).submit_request(8, 1, to_bytes("y")));
+  for (const Frame& frame : slot0_at_2) {
+    Writer w;
+    w.u64(1);  // the same signed bytes, re-wrapped for slot 1
+    w.raw(ByteSpan(frame.payload.data() + 8, frame.payload.size() - 8));
+    fleet.replica(2).on_message(1, kSmrTag, std::move(w).take());
+  }
+  ASSERT_TRUE(fleet.run_until(
+      [&] {
+        return fleet.replica(1).executed_commands() == 2 &&
+               fleet.replica(3).executed_commands() == 2 &&
+               fleet.replica(4).executed_commands() == 2;
+      },
+      60'000'000));
+  // Replica 2 decided nothing in slot 1 from the replay.
+  EXPECT_EQ(fleet.replica(2).committed_slots(), 1U);
+
+  isolate = false;
+  ASSERT_TRUE(fleet.run_until_executed(2, fleet.sim().now() + 60'000'000));
+  for (ReplicaId id = 1; id <= 4; ++id) {
+    EXPECT_EQ(fleet.replica(id).log_digest(), fleet.replica(3).log_digest())
+        << "replica " << id;
+    EXPECT_TRUE(fleet.replica(id).has_committed(to_bytes("y")));
+  }
+}
+
 TEST(Smr, FaultFreeFleetSendsNoHints) {
   // A signed hint answers only a sender stuck on a slot (its Wish or
   // NewLeader). The Commits that arrive past a replica's quorum, after it

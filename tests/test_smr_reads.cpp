@@ -744,7 +744,7 @@ TEST(SmrReads, ParkedReadIsRejectedWhenStateTransferJumpsThePrefix) {
   state.exec_count = 8;
   state.log_digest = chain_digest(zero_digest(), to_bytes("k=v-skipped"));
   const Bytes digest = state.digest();
-  const Bytes msg = checkpoint_signing_bytes(state.slot, digest);
+  const Bytes msg = checkpoint_signing_bytes(0, state.slot, digest);
   CheckpointCert cert;
   cert.slot = state.slot;
   cert.state_digest = digest;
@@ -775,7 +775,7 @@ TEST(SmrReads, ParkedReadIsRejectedWhenStateTransferJumpsThePrefix) {
       encode_batch({Request{77, 1, to_bytes("other=x")}});
   const Bytes value_digest =
       crypto::sha256(ByteSpan(value.data(), value.size()));
-  const Bytes hint_msg = hint_signing_bytes(8, value_digest);
+  const Bytes hint_msg = hint_signing_bytes(0, 8, value_digest);
   for (ReplicaId id : {2, 3}) {
     const Bytes& sk = fleet.keys().pairs[id].secret_key;
     const Bytes sig = fleet.suite().sign(
