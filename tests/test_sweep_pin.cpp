@@ -112,18 +112,18 @@ TEST(SweepPin, SmrFleetTranscriptUnchanged) {
 }
 
 // The three shapes of SmrReadsScenario.NoStaleReadsUnderSupportedFaults.
-// All three re-captured when each SMR group got one view synchronizer
-// (slot instances set no timers; the group wishes only while an opened
-// slot is unexecuted) and an executed slot began drawing a hint only for
-// a Wish or NewLeader: late Commits no longer draw hints.
+// All three re-captured when every signed SMR message came to name its
+// group and slot (the signatures, so the frames, changed) and submissions
+// at a non-leader came to be relayed to every peer, whose group timers
+// now run while a request waits (the traffic changed).
 TEST(SweepPin, SmrReadsTranscriptUnchanged) {
   const std::pair<Fault, const char*> pins[] = {
       {Fault::kNone,
-       "427448e44700c7121e37056d70c9222d1e3058b3fbf9dd60aba67fab626059a4"},
+       "8d04e23cd0c207a595f9ce6992ef359d767d30a87fb611a3c1bd627004dd80e3"},
       {Fault::kPartitionUntilGst,
-       "afef64170f25a4d9a8db135986b31390a2dc81616a87d317d57ff312638c02c6"},
+       "d6607a0b05f2a9a69072174a7a32a109974928f9f2ab9a67dd4740dbd762e01c"},
       {Fault::kKillRestart,
-       "e001c1d81f4ccf12c510865e88c2e2a03a38d83e19d47cbfeb8d857a9060202c"},
+       "a2a22b35b99a2d069f61117e503d6270e5e5eeb8f4ad2accdee8b92f2d6a7f43"},
   };
   for (const auto& [fault, digest] : pins) {
     ScenarioSpec spec;
@@ -150,13 +150,13 @@ TEST(SweepPin, SmrCatchUpTranscriptUnchanged) {
     std::uint64_t checkpoint_interval;
     const char* digest;
   };
-  // Both re-captured with the group synchronizer and hints for stuck
-  // senders only (see SmrReadsTranscriptUnchanged).
+  // Both re-captured with the group and slot in every signing string and
+  // the relayed, timed submissions (see SmrReadsTranscriptUnchanged).
   const Shape pins[] = {
       {Fault::kChurnRecovery, 300, 4,
-       "c5ff22a700bec3dc77107dcc53dd36d2cd0b14d3fbd0a4f3f3505332d14093e7"},
+       "af8bc5e65947e3b3c277a37391c1e6dcd810e9b84a92d0222e0209495b2e9639"},
       {Fault::kKillRestart, 100, 16,
-       "058c16fe032d38a94c54ec2fd41c2f5804a1dcb93ecde71feb88a63f9501e82c"},
+       "95ab0ce9ea1869ac0837f918f5a309cd5940b6e856e760008039678145ab87e5"},
   };
   for (const Shape& pin : pins) {
     ScenarioSpec spec;
