@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 
 #include "counting_suite.hpp"
 #include "crypto/suite.hpp"
@@ -369,23 +371,25 @@ TEST(Smr, FollowerSubmissionsExecuteOnceInViewOne) {
   Fleet fleet(4, options, /*seed=*/1, /*f=*/1, /*l=*/1.5);
   const Duration base_timeout = 100'000;  // Fleet's sync.base_timeout
   fleet.start();
-  std::vector<Bytes> submitted;
+  std::multiset<std::string> submitted;
   for (std::uint64_t seq = 1; seq <= 6; ++seq) {
     for (ReplicaId id = 2; id <= 4; ++id) {
-      submitted.push_back(to_bytes("c" + std::to_string(id) + "-" +
-                                   std::to_string(seq)));
+      const std::string cmd =
+          "c" + std::to_string(id) + "-" + std::to_string(seq);
+      submitted.insert(cmd);
       ASSERT_TRUE(fleet.replica(id).submit_request(100 + id, seq,
-                                                   submitted.back()));
+                                                   to_bytes(cmd)));
     }
   }
   ASSERT_TRUE(fleet.run_until_executed(submitted.size(), 60'000'000));
-  std::sort(submitted.begin(), submitted.end());
   for (ReplicaId id = 1; id <= 4; ++id) {
     EXPECT_EQ(fleet.replica(id).view(), 1U) << "replica " << id;
     EXPECT_EQ(fleet.replica(id).executed_commands(), submitted.size());
     EXPECT_EQ(fleet.replica(id).pending_commands(), 0U) << "replica " << id;
-    std::vector<Bytes> executed = fleet.commits[id];
-    std::sort(executed.begin(), executed.end());
+    std::multiset<std::string> executed;
+    for (const Bytes& cmd : fleet.commits[id]) {
+      executed.emplace(cmd.begin(), cmd.end());
+    }
     EXPECT_EQ(executed, submitted) << "replica " << id;
     EXPECT_EQ(fleet.replica(id).log_digest(), fleet.replica(1).log_digest());
   }
