@@ -2,15 +2,14 @@
 // per simulated second as the read ratio grows, against the all-writes
 // baseline — the "reads skip the ordered log" claim, measured.
 //
-// An S = 1 sim::SmrFleet runs on the deterministic simulator in the
-// slot-rate-bound regime (window 4, one command per slot — the same
-// shape bench_sharding uses, so ordering cost is per-operation, not
-// amortized away by batching). The workload is `total` operations at a
+// A sim::SmrFleet runs on the deterministic simulator in the
+// slot-rate-bound regime (window 4, one command per slot, so ordering
+// cost is per-operation, not amortized away by batching). The workload is `total` operations at a
 // read ratio R: W = total·(1-R) writes from distinct clients preloaded
 // at the view-1 leader, and total - W reads of the first written key
 // submitted closed-loop at the leader once that key has executed.
 // Writes pay the full ordering pipeline; reads are answered through
-// ShardedSmr::submit_read at the selected consistency — under a held
+// SmrReplica::submit_read at the selected consistency — under a held
 // lease a linearizable read never touches the ordered log.
 //
 // Reported per row (ratio × consistency): served operations per virtual
@@ -77,7 +76,7 @@ ReadRun run_read_fleet(std::uint32_t n, std::uint32_t f, double ratio,
   cfg.n = n;
   cfg.f = f;
   cfg.seed = seed;
-  // Slot-rate-bound regime (bench_sharding's): ordering costs one slot
+  // Slot-rate-bound regime: ordering costs one slot
   // per write, so the read path's savings are visible per operation.
   cfg.smr.window = 4;
   cfg.smr.batch_max_commands = 1;
@@ -89,7 +88,7 @@ ReadRun run_read_fleet(std::uint32_t n, std::uint32_t f, double ratio,
   cfg.smr.lease_skew = 25'000;
   sim::SmrFleet fleet(std::move(cfg));
   net::Simulator& sim = fleet.sim();
-  shard::ShardedSmr& leader = fleet.node(1);
+  smr::SmrReplica& leader = fleet.node(1);
 
   // Distinct-client writes preloaded at the leader (one per slot).
   for (std::uint64_t i = 1; i <= run.writes; ++i) {
@@ -155,7 +154,7 @@ ReadRun run_read_fleet(std::uint32_t n, std::uint32_t f, double ratio,
                     std::chrono::steady_clock::now() - t0)
                     .count();
   run.agree = fleet.logs_identical();
-  run.digest = leader.log_digest(0);
+  run.digest = leader.log_digest();
   return run;
 }
 

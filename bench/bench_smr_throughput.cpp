@@ -3,7 +3,7 @@
 // serial single-command engine as the baseline row (W = 1, batch = 1
 // reproduces the old open-one-slot-at-a-time loop).
 //
-// An S = 1 sim::SmrFleet runs on the deterministic simulator network;
+// A sim::SmrFleet runs on the deterministic simulator network;
 // the workload (256 requests from one client) is preloaded at the
 // round-robin leader, so the measured time is the engine's, not the
 // arrival process's. Reported per row: virtual-time throughput, speedup
@@ -69,7 +69,7 @@ FleetRun run_fleet(std::uint32_t n, smr::SmrOptions options,
     cfg.wal_fsync = true;
   }
   cfg.on_execute = [&run](sim::SmrFleet& fleet, ReplicaId id,
-                          shard::ShardId, const smr::ExecutedCommand& cmd) {
+                          const smr::ExecutedCommand& cmd) {
     if (id == 1 && cmd.index < run.exec_at.size()) {
       run.exec_at[cmd.index] = fleet.sim().now();
     }
@@ -98,7 +98,7 @@ FleetRun run_fleet(std::uint32_t n, smr::SmrOptions options,
   // the truncation-invariant chain identifies "same history".
   run.identical = fleet.logs_identical();
   run.slots = fleet.node(1).committed_slots();
-  run.digest = fleet.node(1).log_digest(0);
+  run.digest = fleet.node(1).log_digest();
   return run;
 }
 

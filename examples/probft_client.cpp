@@ -22,22 +22,6 @@
 //   CLIENT ok requests=N replies=N retries=R duplicates=D wall_ms=...
 //   LATENCY p50_us=... p90_us=... p99_us=...
 //
-// --shards S (default 1) matches probft_node --shards S: the client
-// computes each payload's owning group through the same placement hash
-// the replicas use and targets that group's view-1 leader
-// (lead_replica(s, n)) — server 1 when S = 1. With S > 1, --servers must
-// list every replica's client port in replica order, and per-shard
-// accounting is printed in stable ascending shard order, one line per
-// shard:
-//   SHARD s=<s> requests=... replies=... retries=... p50_us=...
-//
-// --dtx D appends D cross-shard transactions after the ordinary
-// requests: each is a "DTX1" request carrying one key per shard (keys
-// are mined so placement scatters them across ALL S groups), sent to
-// the coordinator shard's leader, and counts as completed when the
-// cluster answers dtx-committed. Summary:
-//   DTXCLIENT requests=D committed=C
-//
 // --read-ratio R (0 ≤ R < 1, against probft_node --reads) interleaves
 // reads so that reads make up fraction R of all operations: after each
 // completed write the client accrues R/(1-R) of read debt (Bresenham —
@@ -76,8 +60,6 @@
 #include "common/codec.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
-#include "shard/dtx.hpp"
-#include "shard/placement.hpp"
 
 namespace {
 
@@ -91,9 +73,7 @@ struct Options {
   std::uint64_t retry_ms = 2'000;
   std::uint64_t timeout_ms = 30'000;
   bool force_retry = false;
-  std::uint32_t shards = 1;  // > 1 = route by placement hash
-  std::uint64_t dtx = 0;     // cross-shard transactions to append
-  double read_ratio = 0.0;   // fraction of ops that are reads
+  double read_ratio = 0.0;  // fraction of ops that are reads
   net::ReadConsistency consistency = net::ReadConsistency::kLinearizable;
 };
 
@@ -165,12 +145,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.timeout_ms = parse_u64(value);
     } else if (key == "--force-retry") {
       opt.force_retry = value == "1" || value == "true";
-    } else if (key == "--shards") {
-      const std::uint64_t shards = parse_u64(value);
-      if (shards < 1 || shards > probft::shard::kMaxShards) return false;
-      opt.shards = static_cast<std::uint32_t>(shards);
-    } else if (key == "--dtx") {
-      opt.dtx = parse_u64(value);
     } else if (key == "--read-ratio") {
       std::size_t consumed = 0;
       const double ratio = std::stod(value, &consumed);
@@ -192,7 +166,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
       return false;
     }
   }
-  return !opt.servers.empty() && opt.requests + opt.dtx >= 1;
+  return !opt.servers.empty() && opt.requests >= 1;
 }
 
 /// One connection per server; a dead connection stays closed (fd < 0) and
@@ -237,7 +211,7 @@ int main(int argc, char** argv) {
                    "usage: probft_client --servers host:port,... "
                    "[--requests N] [--client-id C] [--mode closed|open] "
                    "[--retry-ms R] [--timeout-ms T] [--force-retry 1] "
-                   "[--shards S] [--dtx D] [--read-ratio R] "
+                   "[--read-ratio R] "
                    "[--consistency linearizable|sequential|stale-ok]\n");
       return 2;
     }
@@ -262,44 +236,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Per-seq payload / routing tables. Ordinary requests (1..requests)
-  // hash to their owning shard via the placement layer; seqs past that
-  // are cross-shard dtx requests carrying one mined key per shard, sent
-  // to their coordinator shard's leader. With --shards 1 every primary
-  // is the one group's view-1 leader, server 0.
-  const std::uint64_t n_requests = opt.requests;
-  const std::uint64_t total = opt.requests + opt.dtx;
-  const auto n_replicas = static_cast<std::uint32_t>(servers.size());
-  const auto span = [](const Bytes& b) {
-    return ByteSpan(b.data(), b.size());
-  };
+  const std::uint64_t total = opt.requests;
   std::vector<Bytes> payloads(total + 1);
-  std::vector<shard::ShardId> shard_for(total + 1, 0);
-  std::vector<std::size_t> primary(total + 1, 0);
-  for (std::uint64_t seq = 1; seq <= n_requests; ++seq) {
+  for (std::uint64_t seq = 1; seq <= total; ++seq) {
     payloads[seq] = to_bytes("req-" + std::to_string(opt.client_id) + "-" +
                              std::to_string(seq));
-    shard_for[seq] = shard::shard_of(opt.shards, span(payloads[seq]));
-    primary[seq] = shard::lead_replica(shard_for[seq], n_replicas) - 1;
-  }
-  for (std::uint64_t j = 0; j < opt.dtx; ++j) {
-    const std::uint64_t seq = n_requests + 1 + j;
-    // One key per shard, mined by nonce, so every group participates and
-    // the transaction is genuinely cross-shard.
-    std::vector<Bytes> keys;
-    for (shard::ShardId s = 0; s < opt.shards; ++s) {
-      for (std::uint64_t nonce = 0;; ++nonce) {
-        Bytes key = to_bytes("dtx-" + std::to_string(opt.client_id) + "-" +
-                             std::to_string(j) + "-" + std::to_string(nonce));
-        if (shard::shard_of(opt.shards, span(key)) == s) {
-          keys.push_back(std::move(key));
-          break;
-        }
-      }
-    }
-    shard_for[seq] = shard::shard_of(opt.shards, span(keys.front()));
-    primary[seq] = shard::lead_replica(shard_for[seq], n_replicas) - 1;
-    payloads[seq] = shard::DtxCoordinator::encode_request(keys);
   }
 
   const auto send_frame = [&servers](std::size_t server, std::uint8_t tag,
@@ -348,7 +289,6 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> write_slot(total + 1, 0);
   std::vector<std::uint64_t> latencies;
   std::uint64_t replies = 0, retries = 0, duplicates = 0;
-  std::uint64_t dtx_committed = 0;
   // An explicit kRejected/kRedirect write reply pulls the retry timer
   // forward instead of waiting out --retry-ms; earliest_retry floors the
   // hinted retries at 100 ms so a rejecting server cannot spin the client.
@@ -362,11 +302,6 @@ int main(int argc, char** argv) {
   bool pending_read_done = false, pending_read_bounced = false;
   std::vector<std::uint64_t> read_latencies;
   double read_debt = 0.0;
-  struct ShardStats {
-    std::uint64_t requests = 0, replies = 0, retries = 0;
-    std::vector<std::uint64_t> latencies;
-  };
-  std::vector<ShardStats> per_shard(opt.shards);
   const std::uint64_t started = now_us();
 
   const auto drain_replies = [&](int wait_ms) {
@@ -414,7 +349,7 @@ int main(int argc, char** argv) {
                 read_latencies.push_back(now_us() - read_sent_at);
               }
             } else {
-              // Explicit refusal (no lease / no quorum / wrong shard):
+              // Explicit refusal (no lease / no quorum):
               // bounce to the next server right away.
               ++reads_rejected;
               pending_read_bounced = true;
@@ -445,15 +380,7 @@ int main(int argc, char** argv) {
           completed[reply.seq] = true;
           write_slot[reply.seq] = reply.slot;
           ++replies;
-          const std::uint64_t latency = now_us() - sent_at[reply.seq];
-          latencies.push_back(latency);
-          ShardStats& shard_stats = per_shard[shard_for[reply.seq]];
-          ++shard_stats.replies;
-          shard_stats.latencies.push_back(latency);
-          if (reply.seq > n_requests &&
-              reply.result == to_bytes("dtx-committed")) {
-            ++dtx_committed;
-          }
+          latencies.push_back(now_us() - sent_at[reply.seq]);
         } catch (const CodecError&) {
           // Hostile/garbled reply: ignore.
         }
@@ -469,7 +396,6 @@ int main(int argc, char** argv) {
     for (std::uint64_t seq = 1; seq <= upto; ++seq) {
       if (completed[seq]) continue;
       ++retries;
-      ++per_shard[shard_for[seq]].retries;
       for (std::size_t s = 0; s < servers.size(); ++s) {
         send_request(s, seq, payloads[seq]);
       }
@@ -477,14 +403,13 @@ int main(int argc, char** argv) {
   };
   const auto first_send = [&](std::uint64_t seq) {
     sent_at[seq] = now_us();
-    ++per_shard[shard_for[seq]].requests;
-    send_request(primary[seq], seq, payloads[seq]);
+    send_request(0, seq, payloads[seq]);
   };
 
   // One closed-loop read keyed by completed write `seq` — its payload is
   // the key and its own bytes are the expected value, so any server that
   // answers with something else would be visibly stale. Starts at the
-  // write's primary (the lease holder for linearizable reads in a fresh
+  // first server (the lease holder for linearizable reads in a fresh
   // cluster) and rotates to the next server on an explicit rejection or
   // after --retry-ms of silence.
   const auto run_read = [&](std::uint64_t seq) {
@@ -500,7 +425,7 @@ int main(int argc, char** argv) {
     pending_read_done = false;
     pending_read_bounced = false;
     ++reads_attempted;
-    std::size_t target = primary[seq];
+    std::size_t target = 0;
     read_sent_at = now_us();
     send_read(target, read_id, payloads[seq], min_index);
     std::uint64_t next_retry = now_us() + opt.retry_ms * 1000;
@@ -518,7 +443,7 @@ int main(int argc, char** argv) {
   // Bresenham read schedule: each completed write accrues R/(1-R) of
   // read debt; whole units become reads keyed by that write.
   const auto reads_after_write = [&](std::uint64_t seq) {
-    if (opt.read_ratio <= 0.0 || seq > n_requests) return;
+    if (opt.read_ratio <= 0.0) return;
     read_debt += opt.read_ratio / (1.0 - opt.read_ratio);
     while (read_debt >= 1.0 && now_us() < deadline) {
       read_debt -= 1.0;
@@ -530,9 +455,7 @@ int main(int argc, char** argv) {
     for (std::uint64_t seq = 1; seq <= total; ++seq) first_send(seq);
     if (opt.force_retry) {
       ++retries;
-      ++per_shard[shard_for[1]].retries;
-      send_request(servers.size() > 1 ? (primary[1] + 1) % servers.size() : 0,
-                   1, payloads[1]);
+      send_request(servers.size() > 1 ? 1 : 0, 1, payloads[1]);
     }
     std::uint64_t next_retry = now_us() + opt.retry_ms * 1000;
     while (replies < total && now_us() < deadline) {
@@ -547,7 +470,7 @@ int main(int argc, char** argv) {
     }
     // Open loop cannot interleave (a read's key must have executed), so
     // the read schedule trails the whole burst.
-    for (std::uint64_t seq = 1; seq <= n_requests; ++seq) {
+    for (std::uint64_t seq = 1; seq <= total; ++seq) {
       if (completed[seq]) reads_after_write(seq);
     }
   } else {
@@ -555,10 +478,7 @@ int main(int argc, char** argv) {
       first_send(seq);
       if (seq == 1 && opt.force_retry) {
         ++retries;
-        ++per_shard[shard_for[1]].retries;
-        send_request(
-            servers.size() > 1 ? (primary[1] + 1) % servers.size() : 0, 1,
-            payloads[1]);
+        send_request(servers.size() > 1 ? 1 : 0, 1, payloads[1]);
       }
       std::uint64_t next_retry = now_us() + opt.retry_ms * 1000;
       while (!completed[seq] && now_us() < deadline) {
@@ -598,20 +518,6 @@ int main(int argc, char** argv) {
                 quantile_of(latencies, 0.50), quantile_of(latencies, 0.90),
                 quantile_of(latencies, 0.99));
   }
-  if (opt.shards > 1) {
-    // Stable ascending shard order, one line per shard (empty included),
-    // so harnesses can diff runs textually.
-    for (std::uint32_t s = 0; s < opt.shards; ++s) {
-      ShardStats& shard_stats = per_shard[s];
-      std::sort(shard_stats.latencies.begin(), shard_stats.latencies.end());
-      std::printf("SHARD s=%u requests=%llu replies=%llu retries=%llu "
-                  "p50_us=%llu\n",
-                  s, static_cast<unsigned long long>(shard_stats.requests),
-                  static_cast<unsigned long long>(shard_stats.replies),
-                  static_cast<unsigned long long>(shard_stats.retries),
-                  quantile_of(shard_stats.latencies, 0.50));
-    }
-  }
   if (opt.read_ratio > 0.0) {
     std::sort(read_latencies.begin(), read_latencies.end());
     std::printf("READS %s consistency=%s attempted=%llu executed=%llu "
@@ -624,11 +530,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(reads_rejected),
                 static_cast<unsigned long long>(read_retries),
                 quantile_of(read_latencies, 0.50));
-  }
-  if (opt.dtx > 0) {
-    std::printf("DTXCLIENT requests=%llu committed=%llu\n",
-                static_cast<unsigned long long>(opt.dtx),
-                static_cast<unsigned long long>(dtx_committed));
   }
   for (auto& conn : servers) {
     if (conn.fd >= 0) ::close(conn.fd);

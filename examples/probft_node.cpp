@@ -18,47 +18,32 @@
 //    slower replicas can finish) and exits 0; exits 1 if --deadline-ms
 //    passes without a decision.
 //
-//  - SMR (--smr): a pipelined, batched replicated log (src/smr) serving
-//    real clients, run as a shard::ShardedSmr of --shards S consensus
-//    groups (default 1) over the same sockets. One group speaks the
-//    single-group wire (no shard envelope). --client-port opens the
-//    client listener (the wire format is net/client.hpp over
-//    net/frame.hpp). Requests route to the group that owns their key
-//    (the bytes before the first '='); replies are sent after in-order
+//  - SMR (--smr): a pipelined, batched replicated log (src/smr, one
+//    smr::SmrReplica) serving real clients over the same sockets.
+//    --client-port opens the client listener (the wire format is
+//    net/client.hpp over net/frame.hpp). Replies are sent after in-order
 //    execution, and duplicate (client, seq) retries are answered from the
-//    last-reply cache without re-executing. A "DTX1"-prefixed request
-//    runs the cross-shard transaction tracker and is answered with
-//    dtx-committed (at S = 1 it commits as a one-participant
-//    transaction). Client ids with bit 63 set are reserved for the
-//    tracker and answered kRejected. --reads serves kClientRead frames.
-//    The process runs until --run-ms elapses — or exits early once
-//    --expect-cmds entries executed across all groups (dtx bookkeeping
-//    included: a D-participant tx commits exactly 1 + D entries), plus
-//    --linger-ms for stragglers — and prints one line per group
+//    last-reply cache without re-executing. --reads serves kClientRead
+//    frames. The process runs until --run-ms elapses — or exits early
+//    once --expect-cmds commands executed, plus --linger-ms for
+//    stragglers — and prints
 //      SMRLOG id=<id> slots=<s> base=<b> cmds=<c> digest=<hex>
 //    (digest = the truncation-invariant chained log digest) so a harness
-//    can assert identical logs across the cluster, then
-//      DTX id=<id> committed=<c> in_flight=<i>
+//    can assert identical logs across the cluster.
 //
 //    --wal-dir DIR makes the log durable: decisions and stable
-//    checkpoints are written to an fsync'd write-ahead log, and a
+//    checkpoints are written to an fsync'd write-ahead log in DIR, and a
 //    restarted process recovers its executed prefix from it before
-//    rejoining, printing per group with recovered state
+//    rejoining, printing
 //      RECOVERED id=<id> base=<b> slots=<s>
 //    kill -9 + restart must converge to the same digest as the peers —
 //    scripts/run_tcp_cluster.sh's restart mode asserts it.
-//
-//    With S > 1 the WAL splits into per-group directories
-//    (DIR/shard-<s>) and SMRLOG/RECOVERED lines gain a shard=<s> field
-//    after id=<id>. With S = 1 the WAL lives in DIR itself and the lines
-//    carry no shard field.
 //
 // SIGTERM/SIGINT stop the event loop gracefully in both modes: the WAL
 // is flushed and the final SMRLOG/--stats lines are still printed.
 // --stats prints per-tag TransportStats on shutdown in both modes.
 // scripts/run_tcp_cluster.sh drives all modes: agreement smoke (default),
-// client mode (`client`), reads (`reads`) and crash-restart (`restart`;
-// with --shards S, the sharded crash-restart and dtx smoke).
+// client mode (`client`), reads (`reads`) and crash-restart (`restart`).
 #include <cctype>
 #include <cmath>
 #include <csignal>
@@ -74,8 +59,6 @@
 
 #include "net/client.hpp"
 #include "net/tcp_transport.hpp"
-#include "shard/dtx.hpp"
-#include "shard/sharded_smr.hpp"
 #include "sim/node_factory.hpp"
 #include "sim/scenario.hpp"
 #include "store/wal.hpp"
@@ -107,12 +90,6 @@ struct Options {
   std::string wal_dir;                      // empty = no durability
   std::uint64_t checkpoint_interval = 16;   // slots; 0 disables
   bool fsync = true;                        // fsync WAL writes
-  /// Consensus groups of the shard::ShardedSmr this process serves,
-  /// multiplexed over its one transport; requests route by key. 1 = one
-  /// group on the single-group wire, WAL in --wal-dir itself; > 1 =
-  /// shard-enveloped traffic and per-shard WAL namespaces under
-  /// --wal-dir/shard-<s>.
-  std::uint32_t shards = 1;
   /// Serve the linearizable read fast path (leader leases + quorum
   /// read-index, src/smr/reads.hpp) and answer kClientRead frames on the
   /// client port. Off by default: reads cost lease renewal broadcasts.
@@ -141,7 +118,7 @@ void usage() {
       "                   [--smr BOOL] [--client-port P] [--run-ms MS]\n"
       "                   [--expect-cmds N] [--window W] [--batch B]\n"
       "                   [--wal-dir DIR] [--checkpoint-interval SLOTS]\n"
-      "                   [--fsync BOOL] [--shards S] [--reads BOOL]\n");
+      "                   [--fsync BOOL] [--reads BOOL]\n");
 }
 
 std::uint64_t parse_u64(const std::string& text) {
@@ -260,11 +237,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (key == "--reads") {
       opt.reads = parse_bool(value);
       opt.smr = true;  // the read path answers against the replicated log
-    } else if (key == "--shards") {
-      const std::uint64_t shards = parse_u64(value);
-      if (shards < 1 || shards > shard::kMaxShards) return false;
-      opt.shards = static_cast<std::uint32_t>(shards);
-      opt.smr = true;  // groups are replicated logs
     } else {
       return false;
     }
@@ -289,11 +261,9 @@ void print_stats(const net::TransportStats& stats) {
   std::fflush(stdout);
 }
 
-/// --smr: one process serves the replicated log as shard::ShardedSmr
-/// with --shards S consensus groups (S = 1: one group, on the
-/// single-group wire) over the same transport. Wires WAL durability,
-/// client reply routing, the read path and the dtx coordinator for
-/// "DTX1" transactions; prints one SMRLOG line per group.
+/// --smr: one process serves the replicated log as one smr::SmrReplica.
+/// Wires WAL durability, client reply routing and the read path; prints
+/// the SMRLOG line.
 int run_smr_service(const Options& opt, net::TcpTransport& transport,
                     sim::NodeParams params) {
   params.smr.window = opt.window;
@@ -301,23 +271,20 @@ int run_smr_service(const Options& opt, net::TcpTransport& transport,
   params.smr.checkpoint_interval = opt.checkpoint_interval;
   params.smr.serve_reads = opt.reads;
 
-  // Durability: each group recovers from its WAL at construction and
+  // Durability: the replica recovers from its WAL at construction and
   // appends decisions / stable checkpoints to it while running.
-  shard::ShardedSmrConfig sc;
-  std::vector<std::unique_ptr<store::Wal>> wals;
+  std::unique_ptr<store::Wal> wal;
   if (!opt.wal_dir.empty()) {
     try {
-      wals = shard::open_group_wals(opt.wal_dir, opt.shards, opt.fsync);
+      wal = std::make_unique<store::Wal>(
+          store::WalOptions{opt.wal_dir, opt.fsync});
     } catch (const std::exception& e) {
       std::fprintf(stderr, "cannot open WAL under %s: %s\n",
                    opt.wal_dir.c_str(), e.what());
       return 1;
     }
-    for (const auto& wal : wals) sc.wals.push_back(wal.get());
+    params.wal = wal.get();
   }
-
-  std::unique_ptr<shard::ShardedSmr> node;
-  std::unique_ptr<shard::DtxCoordinator> dtx;
 
   // Reply routing: (client, seq) → the connection awaiting the reply,
   // plus a per-client last-reply cache so an already-executed retry is
@@ -325,8 +292,13 @@ int run_smr_service(const Options& opt, net::TcpTransport& transport,
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> waiting;
   std::map<std::uint64_t, net::ClientReply> last_reply;
 
-  const auto route_reply = [&transport, &waiting,
-                            &last_reply](net::ClientReply reply) {
+  params.on_execute = [&transport, &waiting,
+                       &last_reply](const smr::ExecutedCommand& cmd) {
+    net::ClientReply reply;
+    reply.client_id = cmd.client;
+    reply.seq = cmd.seq;
+    reply.slot = cmd.slot;
+    reply.result = cmd.payload;
     const auto it = waiting.find({reply.client_id, reply.seq});
     if (it != waiting.end()) {
       transport.send_to_client(it->second, net::kClientReplyTag,
@@ -335,59 +307,26 @@ int run_smr_service(const Options& opt, net::TcpTransport& transport,
     }
     last_reply[reply.client_id] = std::move(reply);
   };
-  const auto dtx_reply = [](std::uint64_t client, std::uint64_t seq) {
-    net::ClientReply reply;
-    reply.client_id = client;
-    reply.seq = seq;
-    reply.result = to_bytes("dtx-committed");
-    return reply;
-  };
 
-  sc.base = sim::smr_config(params);
-  sc.shard_count = opt.shards;
-  sc.on_execute = [&dtx, &route_reply](shard::ShardId s,
-                                       const smr::ExecutedCommand& cmd) {
-    if (dtx) dtx->on_execute(s, cmd);
-    // Dtx bookkeeping is protocol state, not a client command: the
-    // client's reply comes from the coordinator's on_complete instead.
-    if (shard::DtxCoordinator::is_bookkeeping(s, cmd.client, cmd.payload)) {
-      return;
-    }
-    net::ClientReply reply;
-    reply.client_id = cmd.client;
-    reply.seq = cmd.seq;
-    reply.slot = cmd.slot;
-    reply.result = cmd.payload;
-    route_reply(std::move(reply));
-  };
-
+  std::unique_ptr<smr::SmrReplica> node;
   try {
-    node = std::make_unique<shard::ShardedSmr>(
-        std::move(sc), sim::transport_host(transport, opt.id,
-                                           transport.timer_setter()));
+    node = sim::make_smr_node(
+        params, sim::transport_host(transport, opt.id,
+                                    transport.timer_setter()));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cannot start SMR service: %s\n", e.what());
     return 1;
   }
-  dtx = std::make_unique<shard::DtxCoordinator>(*node,
-                                                transport.timer_setter());
-  dtx->set_on_complete([&route_reply, &dtx_reply](
-                           std::uint64_t /*txid*/, std::uint64_t origin_client,
-                           std::uint64_t origin_seq) {
-    if (origin_client == 0) return;  // learned via BEGIN, no local client
-    route_reply(dtx_reply(origin_client, origin_seq));
-  });
 
   transport.register_handler(
       opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
         node->on_message(from, tag, m);
       });
-  transport.set_client_handler([&transport, &node, &dtx, &dtx_reply,
-                                &waiting, &last_reply](
+  transport.set_client_handler([&transport, &node, &waiting, &last_reply](
                                    std::uint64_t conn, std::uint8_t tag,
                                    const Bytes& payload) {
     if (tag == net::kClientReadTag) {
-      // Read path: the owning group answers through its own state machine
+      // Read path: the replica answers through its own state machine
       // (lease / read-index / parked min_index waits) and calls back on
       // the loop thread; with --reads off every mode answers kRejected,
       // which the reply carries back instead of leaving the client to
@@ -418,51 +357,25 @@ int run_smr_service(const Options& opt, net::TcpTransport& transport,
     try {
       const auto request =
           net::ClientRequest::decode(ByteSpan(payload.data(), payload.size()));
+      if (request.seq <= node->last_executed_seq(request.client_id)) {
+        // Already executed: answer the retry from the cache (only the
+        // client's latest request is cached, PBFT-style).
+        const auto cached = last_reply.find(request.client_id);
+        if (cached != last_reply.end() && cached->second.seq == request.seq) {
+          transport.send_to_client(conn, net::kClientReplyTag,
+                                   cached->second.encode());
+        }
+        return;
+      }
       // Live work routes its reply to this connection (a retry of
       // still-pending work redirects the route). Anything else is an
-      // outright rejection (malformed transaction, oversized payload,
-      // intake backpressure): it answers an explicit kRejected so the
-      // client backs off instead of waiting out its timeout, and leaves
-      // no route behind (the request will never execute, so a waiting
-      // entry would leak).
-      bool live = false;
-      if ((request.client_id & shard::kReservedClientBit) != 0) {
-        // A dtx tracker's id: rejected before any dedup state is read.
-      } else if (shard::DtxCoordinator::is_dtx_request(request.payload)) {
-        // Cross-shard transaction. A retry of a finished tx is answered
-        // from the coordinator's outcome table (the origin (client, seq)
-        // never enters any group's log, so the dedup tables can't).
-        const std::uint64_t txid = shard::DtxCoordinator::txid_of(
-            request.client_id, request.seq, request.payload);
-        if (dtx->completed_status(txid)) {
-          transport.send_to_client(
-              conn, net::kClientReplyTag,
-              dtx_reply(request.client_id, request.seq).encode());
-          return;
-        }
-        live = dtx->submit(request.client_id, request.seq, request.payload);
-      } else {
-        // Ordinary request: dedup against the tables of the group that
-        // orders it (each group has its own per-client last-executed
-        // map).
-        const smr::SmrReplica& group =
-            node->group(node->owner_of(request.payload));
-        if (request.seq <= group.last_executed_seq(request.client_id)) {
-          // Already executed: answer the retry from the cache (only the
-          // client's latest request is cached, PBFT-style).
-          const auto cached = last_reply.find(request.client_id);
-          if (cached != last_reply.end() &&
-              cached->second.seq == request.seq) {
-            transport.send_to_client(conn, net::kClientReplyTag,
-                                     cached->second.encode());
-          }
-          return;
-        }
-        live = node->submit_request(request.client_id, request.seq,
-                                    request.payload) ||
-               group.has_pending(request.client_id, request.seq);
-      }
-      if (live) {
+      // outright rejection (oversized payload, intake backpressure): it
+      // answers an explicit kRejected so the client backs off instead of
+      // waiting out its timeout, and leaves no route behind (the request
+      // will never execute, so a waiting entry would leak).
+      if (node->submit_request(request.client_id, request.seq,
+                               request.payload) ||
+          node->has_pending(request.client_id, request.seq)) {
         waiting[{request.client_id, request.seq}] = conn;
         return;
       }
@@ -477,33 +390,17 @@ int run_smr_service(const Options& opt, net::TcpTransport& transport,
     }
   });
 
-  // Per-group lines name their group only when there are several, so a
-  // one-group node prints the single-group formats.
-  const auto shard_field = [&opt](shard::ShardId s) {
-    return opt.shards > 1 ? " shard=" + std::to_string(s) : std::string();
-  };
-  bool recovered = false;
-  for (shard::ShardId s = 0; s < node->shard_count(); ++s) {
-    const smr::SmrReplica& group = node->group(s);
-    if (group.recovered_slots() == 0) continue;
-    recovered = true;
-    std::printf("RECOVERED id=%u%s base=%llu slots=%llu\n", opt.id,
-                shard_field(s).c_str(),
-                static_cast<unsigned long long>(group.log_base()),
-                static_cast<unsigned long long>(group.recovered_slots()));
+  if (node->recovered_slots() > 0) {
+    std::printf("RECOVERED id=%u base=%llu slots=%llu\n", opt.id,
+                static_cast<unsigned long long>(node->log_base()),
+                static_cast<unsigned long long>(node->recovered_slots()));
   }
   std::fflush(stdout);
 
   node->start();
-  // After the groups are live: re-derive in-flight dtx state from the
-  // recovered logs and resume driving (idempotent — the engines dedup
-  // re-submitted transitions).
-  if (recovered) dtx->rebuild_from_logs();
 
-  // --expect-cmds counts TOTAL executed entries across all groups,
-  // dtx bookkeeping included (every entry count is deterministic: a
-  // D-participant tx commits exactly 1 + D entries), because the
-  // aggregate survives recovery where a client-only counter would not.
+  // --expect-cmds counts executed commands, which survive recovery where
+  // a client-only counter would not.
   const std::uint64_t expect = opt.expect_cmds;
   const auto caught_up = [&node, expect] {
     return expect > 0 && node->executed_commands() >= expect;
@@ -515,24 +412,18 @@ int run_smr_service(const Options& opt, net::TcpTransport& transport,
   // (A stop signal makes both loops return immediately: stop() is sticky.)
   transport.run_until(nullptr, opt.linger_ms * 1000);
 
-  for (const auto& wal : wals) wal->sync();  // flush any buffered tail
-  for (shard::ShardId s = 0; s < node->shard_count(); ++s) {
-    const smr::SmrReplica& group = node->group(s);
-    std::printf("SMRLOG id=%u%s slots=%llu base=%llu cmds=%llu digest=%s\n",
-                opt.id, shard_field(s).c_str(),
-                static_cast<unsigned long long>(group.committed_slots()),
-                static_cast<unsigned long long>(group.log_base()),
-                static_cast<unsigned long long>(group.executed_commands()),
-                group.log_digest().c_str());
-  }
-  std::printf("DTX id=%u committed=%llu in_flight=%llu\n", opt.id,
-              static_cast<unsigned long long>(dtx->committed()),
-              static_cast<unsigned long long>(dtx->in_flight()));
+  if (wal) wal->sync();  // flush any buffered tail
+  std::printf("SMRLOG id=%u slots=%llu base=%llu cmds=%llu digest=%s\n",
+              opt.id,
+              static_cast<unsigned long long>(node->committed_slots()),
+              static_cast<unsigned long long>(node->log_base()),
+              static_cast<unsigned long long>(node->executed_commands()),
+              node->log_digest().c_str());
   std::fflush(stdout);
   if (opt.stats) print_stats(transport.stats());
   if (g_signaled) return 0;  // clean stop on request, not a failure
   if (expect > 0 && !reached) {
-    std::fprintf(stderr, "executed %llu/%llu entries within %llu ms\n",
+    std::fprintf(stderr, "executed %llu/%llu commands within %llu ms\n",
                  static_cast<unsigned long long>(node->executed_commands()),
                  static_cast<unsigned long long>(expect),
                  static_cast<unsigned long long>(opt.run_ms));

@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "shard/placement.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
 #include "sim/tcp_runner.hpp"
@@ -72,17 +71,11 @@ void usage() {
       "                       [--transport sim|tcp-loopback]\n"
       "                       [--workload single-shot|smr] "
       "[--smr-commands N]\n"
-      "                       [--shards S]\n"
       "\n"
       "--workload smr drives a pipelined SMR fleet through a client\n"
       "workload instead of one single-shot decision; outcomes assert\n"
       "identical logs. SMR runs ProBFT only and supports the crash/churn/\n"
       "partition/reorder faults (simulator transport only).\n"
-      "\n"
-      "--shards S (with --workload smr) multiplexes S consensus groups\n"
-      "per replica behind the placement layer; outcomes assert per-shard\n"
-      "log agreement. Adds the shard-silent-leader fault (shard 0's\n"
-      "leader goes quiet; sibling shards must keep committing).\n"
       "\n"
       "--transport tcp-loopback runs each scenario over real 127.0.0.1\n"
       "sockets (net::TcpTransport, one thread per replica) instead of the\n"
@@ -232,10 +225,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       const std::uint64_t commands = parse_u64(value);
       if (commands < 1 || commands > 100'000) return false;
       opt.spec.smr_commands = commands;
-    } else if (key == "--shards") {
-      const std::uint64_t shards = parse_u64(value);
-      if (shards < 1 || shards > shard::kMaxShards) return false;
-      opt.spec.shards = static_cast<std::uint32_t>(shards);
     } else {
       return false;
     }
@@ -303,10 +292,6 @@ int main(int argc, char** argv) {
        std::any_of(opt.protocols.begin(), opt.protocols.end(), not_probft))) {
     std::fprintf(stderr, "--workload %s runs ProBFT only\n",
                  sim::to_string(opt.spec.workload));
-    return 2;
-  }
-  if (opt.spec.shards > 1 && opt.spec.workload != sim::Workload::kSmr) {
-    std::fprintf(stderr, "--shards requires --workload smr\n");
     return 2;
   }
 

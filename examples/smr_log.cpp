@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   cfg.latency.max_delay_post = 6'000;
   cfg.smr.window = 4;
   cfg.smr.batch_max_commands = 2;
-  cfg.on_execute = [](sim::SmrFleet&, ReplicaId id, shard::ShardId,
+  cfg.on_execute = [](sim::SmrFleet&, ReplicaId id,
                       const smr::ExecutedCommand& cmd) {
     if (id == 1) {  // narrate once
       std::printf("  command %2llu executed: %s\n",

@@ -11,9 +11,7 @@
 # The manifest picks up every bench/bench_*.cpp binary automatically;
 # that includes bench_smr_throughput (SMR window × batch sweep — its
 # default run prints the table and JSON; the nightly smr-smoke job runs
-# it separately with --smoke-bound-x=5 as a regression gate) and
-# bench_sharding (S-group scaling sweep; CI's shard-smoke job runs it
-# with --smoke as the S=4 >= 2.5x S=1 regression gate).
+# it separately with --smoke-bound-x=5 as a regression gate).
 #
 # usage: scripts/run_benches.sh [outdir] [build-dir]
 set -euo pipefail
@@ -71,15 +69,11 @@ done
 # its root as a baseline, and CI's gcc leg checks they are current:
 #   BENCH_smr.json      committed-commands/sec plus checkpoint and
 #                       WAL-recovery timings (the durability baseline);
-#   BENCH_sharding.json aggregate throughput for S in {1,2,4,8} groups
-#                       plus cross-shard tx latency (CI gates S=4 >= 2.5x
-#                       S=1 via --smoke);
 #   BENCH_reads.json    served ops/sec across read ratio x consistency
 #                       for the n=4 and n=32 fleets, plus the write-path
 #                       digest pin (CI gates linearizable reads at ratio
 #                       0.99 >= 5x all-writes via --smoke).
-for summary in smr:bench_smr_throughput sharding:bench_sharding \
-               reads:bench_reads; do
+for summary in smr:bench_smr_throughput reads:bench_reads; do
   json="BENCH_${summary%%:*}.json"
   bin="${summary#*:}"
   [ -x "${builddir}/bench/${bin}" ] || continue

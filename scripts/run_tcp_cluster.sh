@@ -2,14 +2,12 @@
 # Launches an n-replica consensus cluster as real OS processes on
 # 127.0.0.1 and asserts cluster-wide agreement.
 #
-#   usage: scripts/run_tcp_cluster.sh [BUILD_DIR] [PROTOCOL] [N] [--shards S]
+#   usage: scripts/run_tcp_cluster.sh [BUILD_DIR] [PROTOCOL] [N]
 #
 #   BUILD_DIR  directory containing examples/probft_node (default: build)
 #   PROTOCOL   probft | pbft | hotstuff | client | restart | reads
 #              (default: probft)
 #   N          cluster size                                (default: 4)
-#   --shards S consensus groups per node for the restart smoke; anywhere
-#              on the command line (default: 1)
 #
 # The consensus protocols run the single-shot smoke: exits 0 iff all N
 # processes printed a DECIDED line with one common value within the
@@ -31,21 +29,11 @@
 # signal, because the point is surviving a crash with no shutdown path —
 # then restarted against the same WAL. All intentional stops elsewhere
 # use SIGTERM: probft_node flushes its WAL and prints its final
-# SMRLOG/STATS lines on the way out.
-#   S = 1: a client submits 192 requests; the script asserts the
-#   restarted process printed RECOVERED with a nonzero checkpoint base
-#   (it resumed from its last stable checkpoint, not genesis) and that
-#   all N replicas, the reborn one included, executed 192 commands and
-#   finish with identical chained log digests.
-#   S > 1: every node serves S consensus groups, a sharded client routes
-#   96 requests by placement hash and a second client submits 2
-#   cross-shard transactions around the kill; the victim restarts
-#   against its per-shard WALs. The script asserts (a) every client
-#   request and every dtx got its reply, with every dtx committed, (b)
-#   the restarted victim printed per-shard RECOVERED lines, (c) all N
-#   replicas agree per shard: for each s, the N "SMRLOG ... shard=s"
-#   digests are identical, and (d) every surviving dtx tracker reports
-#   every transaction committed with nothing in flight.
+# SMRLOG/STATS lines on the way out. A client submits 192 requests; the
+# script asserts the restarted process printed RECOVERED with a nonzero
+# checkpoint base (it resumed from its last stable checkpoint, not
+# genesis) and that all N replicas, the reborn one included, executed 192
+# commands and finish with identical chained log digests.
 #
 # PROTOCOL=reads runs the linearizable-read smoke: an SMR cluster with
 # the read fast path on (--reads 1, f=1 / l=1.5 so the leader needs real
@@ -63,25 +51,13 @@
 # with a wider pipeline.
 #
 # This is the CI smoke test for the TCP backend (.github/workflows/ci.yml
-# job `tcp-smoke`, nightly `smr-smoke` and `restart-smoke`; job
-# `shard-smoke` runs `restart 4 --shards 4`).
+# job `tcp-smoke`, nightly `smr-smoke` and `restart-smoke`; the sanitize
+# job runs `restart 4` under ASan/UBSan).
 set -u
 
-# --shards S may appear anywhere; the remaining args stay positional.
-SHARDS=1
-positional=()
-while (( $# )); do
-  if [[ "$1" == "--shards" && $# -ge 2 ]]; then
-    SHARDS=$2
-    shift 2
-  else
-    positional+=("$1")
-    shift
-  fi
-done
-BUILD_DIR=${positional[0]:-build}
-PROTOCOL=${positional[1]:-probft}
-N=${positional[2]:-4}
+BUILD_DIR=${1:-build}
+PROTOCOL=${2:-probft}
+N=${3:-4}
 NODE_BIN="$BUILD_DIR/examples/probft_node"
 CLIENT_BIN="$BUILD_DIR/examples/probft_client"
 DEADLINE_MS=${DEADLINE_MS:-30000}
@@ -214,23 +190,10 @@ run_restart_mode() {
   local peers=$2
   local victim=2
   local linger=8000  # survivors must outlive the victim's catch-up
-  # S = 1: enough closed-loop requests that the SIGKILL at ~t+5s lands
-  # mid-load, so the victim must catch up (state transfer + per-slot
-  # proofs) after recovery, not merely replay a finished log. S > 1: a
-  # second client keeps cross-shard transactions in flight around the
-  # kill. Every entry count is deterministic: the client mines one key
-  # per shard into each tx, so each tx commits exactly 1 + SHARDS
-  # entries (BEGIN + one APPLY per participant) on top of the ordinary
-  # requests. --expect-cmds counts total executed entries.
-  local reqs=192 dtx=0 shard_flags=()
-  if (( SHARDS > 1 )); then
-    reqs=96
-    dtx=2
-    shard_flags=(--shards "$SHARDS")
-  fi
-  local expect=$(( reqs + dtx * (1 + SHARDS) ))
-  local servers
-  servers=$(client_servers "$base_port")
+  # Enough closed-loop requests that the SIGKILL at ~t+5s lands mid-load,
+  # so the victim must catch up (state transfer + per-slot proofs) after
+  # recovery, not merely replay a finished log.
+  local reqs=192
   # A port-clash retry must not inherit the previous attempt's WALs or
   # stale stderr (the retryable-failure grep reads node-*.err).
   rm -rf "$workdir"/wal-* "$workdir"/node-*.out "$workdir"/node-*.err
@@ -238,11 +201,10 @@ run_restart_mode() {
   start_node() {  # id, outfile
     local id=$1 out=$2
     timeout $(( DEADLINE_MS / 1000 + linger / 1000 + 20 )) \
-      "$NODE_BIN" --id "$id" --peers "$peers" --smr 1 "${shard_flags[@]}" \
-        --f 1 --l 1.5 \
+      "$NODE_BIN" --id "$id" --peers "$peers" --smr 1 --f 1 --l 1.5 \
         --client-port $(( base_port + 100 + id - 1 )) \
         --wal-dir "$workdir/wal-$id" --checkpoint-interval 2 \
-        --expect-cmds "$expect" --run-ms "$DEADLINE_MS" \
+        --expect-cmds "$reqs" --run-ms "$DEADLINE_MS" \
         --linger-ms "$linger" --stats 1 $NODE_EXTRA_FLAGS \
         > "$workdir/$out" 2>> "$workdir/node-$id.err" &
     pids+=($!)
@@ -254,9 +216,8 @@ run_restart_mode() {
   done
 
   sleep 1
-  # Load client: closed-loop requests (routed by placement hash at S > 1).
   timeout $(( DEADLINE_MS / 1000 + 10 )) \
-    "$CLIENT_BIN" --servers "$servers" "${shard_flags[@]}" \
+    "$CLIENT_BIN" --servers "$(client_servers "$base_port")" \
       --requests "$reqs" --mode closed --retry-ms 2000 \
       --timeout-ms "$DEADLINE_MS" > "$workdir/client.out" 2>&1 &
   local client_pid=$!
@@ -264,24 +225,10 @@ run_restart_mode() {
 
   # Crash the victim mid-load with an uncatchable SIGKILL: no WAL flush,
   # no goodbye — recovery must work from whatever fsync'd state is on
-  # disk. Then restart it against the same WAL directory. At S = 1 the
-  # pause first lets several checkpoint intervals stabilize, so the
-  # recovery base must be past genesis; at S > 1 the dtx client starts
-  # first, so atomicity is exercised against a crashing replica.
-  local dtx_pid=""
-  if (( dtx > 0 )); then
-    sleep 2
-    timeout $(( DEADLINE_MS / 1000 + 10 )) \
-      "$CLIENT_BIN" --servers "$servers" "${shard_flags[@]}" \
-        --requests 0 --dtx "$dtx" --client-id 88001 --mode open \
-        --retry-ms 1000 --timeout-ms "$DEADLINE_MS" \
-        > "$workdir/dtx.out" 2>&1 &
-    dtx_pid=$!
-    pids+=("$dtx_pid")
-    sleep 1
-  else
-    sleep 4
-  fi
+  # disk. Then restart it against the same WAL directory. The pause first
+  # lets several checkpoint intervals stabilize, so the recovery base
+  # must be past genesis.
+  sleep 4
   # The tracked pid is the timeout(1) wrapper; SIGKILL is not forwarded
   # to children, so kill the probft_node child first or it would survive
   # as an orphan still holding the victim's ports.
@@ -292,18 +239,14 @@ run_restart_mode() {
   sleep 1
   start_node "$victim" "node-$victim-restart.out"
 
-  local client_ok=0
-  wait "$client_pid" || client_ok=1
-  if [[ -n "$dtx_pid" ]]; then wait "$dtx_pid" || client_ok=1; fi
-  if (( client_ok != 0 )); then
-    echo "FAIL: a client did not complete" >&2
+  if ! wait "$client_pid"; then
+    echo "FAIL: the client did not complete" >&2
     cat "$workdir/client.out" >&2
-    [[ -n "$dtx_pid" ]] && cat "$workdir/dtx.out" >&2
     return 1
   fi
   # The survivors and the restarted victim (the last pid).
   pids=("${pids[@]:0:victim-1}" "${pids[@]:victim:N-victim}" "${pids[-1]}")
-  wait_nodes "nodes did not reach $expect executed entries" || return $?
+  wait_nodes "nodes did not reach $reqs executed commands" || return $?
 
   # Final-state files: the survivors plus the victim's second life.
   # (The victim's first life was SIGKILLed and printed nothing.)
@@ -313,12 +256,6 @@ run_restart_mode() {
     finals+=("$workdir/node-$id.out")
   done
   finals+=("$workdir/node-$victim-restart.out")
-  if (( SHARDS > 1 )); then
-    check_sharded_restart "$victim" "$dtx" "${finals[@]}" || return 1
-    echo "OK: $N nodes x $SHARDS shards agreed per-shard through a SIGKILL" \
-         "restart; $dtx/$dtx cross-shard transactions committed atomically"
-    return 0
-  fi
 
   grep -h "^RECOVERED\|^SMRLOG" "$workdir/node-$victim-restart.out"
   if ! grep -q "^RECOVERED id=$victim base=[1-9]" \
@@ -335,53 +272,6 @@ run_restart_mode() {
   echo "OK: replica $victim died (SIGKILL), recovered from its WAL and" \
        "rejoined; $N/$N replicas ended with identical log digests"
   return 0
-}
-
-# The S > 1 restart assertions: every dtx committed, per-shard RECOVERED
-# lines, per-shard digest agreement and converged dtx trackers.
-check_sharded_restart() {
-  local victim=$1 dtx=$2
-  shift 2
-  local finals=("$@")
-  cat "$workdir/client.out" "$workdir/dtx.out"
-  if ! grep -q "^DTXCLIENT requests=$dtx committed=$dtx$" \
-      "$workdir/dtx.out"; then
-    echo "FAIL: not every cross-shard transaction committed" >&2
-    return 1
-  fi
-  if ! grep -q "^RECOVERED id=$victim shard=" \
-      "$workdir/node-$victim-restart.out"; then
-    echo "FAIL: victim did not recover its per-shard WALs" >&2
-    cat "$workdir/node-$victim-restart.out" >&2
-    return 1
-  fi
-  grep -h "^RECOVERED" "$workdir/node-$victim-restart.out"
-  grep -h "^SMRLOG\|^DTX " "${finals[@]}"
-  # Per-shard agreement: for each group, the N digests must be identical.
-  local s
-  for (( s = 0; s < SHARDS; s++ )); do
-    if ! logs_agree "^SMRLOG id=[0-9]* shard=$s " "${finals[@]}"; then
-      echo "FAIL: shard $s logs diverged across the fleet" >&2
-      return 1
-    fi
-  done
-  # Dtx atomicity: every survivor's tracker converged to all-committed,
-  # and no replica left a tx in flight. The restarted victim may
-  # legitimately report committed=0 — a transaction wholly below its
-  # adopted checkpoint is garbage-collected bookkeeping;
-  # the per-shard digest identity above already proves its logs carry the
-  # same APPLY entries as everyone else's.
-  local dtx_full dtx_clean
-  dtx_full=$(grep -h \
-      "^DTX id=[0-9]* committed=$dtx in_flight=0" \
-      "${finals[@]}" | wc -l)
-  dtx_clean=$(grep -h "^DTX id=[0-9]* committed=[0-9]* in_flight=0" \
-      "${finals[@]}" | wc -l)
-  if [[ "$dtx_full" -lt $(( N - 1 )) || "$dtx_clean" -ne "$N" ]]; then
-    echo "FAIL: dtx outcomes diverged across the fleet" >&2
-    grep -h "^DTX " "${finals[@]}" >&2
-    return 1
-  fi
 }
 
 run_single_shot_mode() {

@@ -155,7 +155,7 @@ void Replica::enter_view(View v) {
   std::erase_if(commits_, [v](const auto& kv) { return kv.first.first < v; });
 
   if (v == 1) {
-    if (leader_for(v) == cfg_.id) {
+    if (leader_of(v, cfg_.n) == cfg_.id) {
       // Lines 2-3: first-view leader proposes its own value directly.
       propose(cfg_.my_value, {});
     }
@@ -180,7 +180,7 @@ void Replica::send_new_leader() {
       cfg_.suite->sign(cfg_.secret_key, msg.signing_bytes(cfg_.instance));
   // As the view's leader this replica receives its own report back.
   vouch_for([&] { return VC::digest_key(msg.content_digest(), 'N', 0); });
-  host_.send(leader_for(cur_view_), tag_byte(MsgTag::kNewLeader),
+  host_.send(leader_of(cur_view_, cfg_.n), tag_byte(MsgTag::kNewLeader),
               msg.to_bytes());
 }
 
@@ -219,7 +219,7 @@ void Replica::handle_propose(const Bytes& raw) {
   // message per view: without it, any replica could send a garbage Propose
   // for a future view that shadows the honest leader's proposal out of the
   // buffer forever, stalling that view.
-  if (msg.sender != leader_for(v)) return;
+  if (msg.sender != leader_of(v, cfg_.n)) return;
   if (!propose_sender_sig_ok(msg)) return;
   if (check_equivocation(msg.proposal, tag_byte(MsgTag::kPropose), raw)) {
     return;
@@ -254,7 +254,7 @@ void Replica::handle_new_leader(const Bytes& raw) {
   NewLeaderMsg msg = NewLeaderMsg::from_bytes(raw);
   if (msg.sender == 0 || msg.sender > cfg_.n) return;
   if (msg.view < cur_view_) return;
-  if (leader_for(msg.view) != cfg_.id) return;
+  if (leader_of(msg.view, cfg_.n) != cfg_.id) return;
   const View view = msg.view;
   const ReplicaId sender = msg.sender;
   // One slot per sender; a re-sending replica can only RAISE its reported
@@ -278,7 +278,7 @@ void Replica::handle_new_leader(const Bytes& raw) {
 
 void Replica::try_lead() {
   if (cur_view_ <= 1 || proposed_this_view_ ||
-      leader_for(cur_view_) != cfg_.id) {
+      leader_of(cur_view_, cfg_.n) != cfg_.id) {
     return;
   }
   const auto it = new_leader_msgs_.find(cur_view_);
@@ -441,7 +441,7 @@ bool Replica::propose_sender_sig_ok(const ProposeMsg& m) const {
 }
 
 bool Replica::verify_leader_sig(const SignedProposal& p) const {
-  const ReplicaId leader = leader_for(p.view);
+  const ReplicaId leader = leader_of(p.view, cfg_.n);
   const Bytes msg =
       SignedProposal::signing_bytes(p.view, p.value, cfg_.instance);
   if (!cfg_.fast_verify) {
@@ -618,7 +618,7 @@ bool Replica::valid_new_leader(const NewLeaderMsg& m) const {
 bool Replica::safe_proposal(const ProposeMsg& m) const {
   const View v = m.proposal.view;
   if (v < 1) return false;
-  if (m.sender != leader_for(v)) return false;
+  if (m.sender != leader_of(v, cfg_.n)) return false;
   if (!verify_leader_sig(m.proposal)) return false;
   if (!cfg_.valid(m.proposal.value)) return false;
   if (v == 1) return true;

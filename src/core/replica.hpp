@@ -61,13 +61,6 @@ struct ReplicaConfig {
   std::uint32_t f = 0;
   double o = 1.7;  // sample size factor: s = ceil(o * q)
   double l = 2.0;  // quorum size factor: q = ceil(l * sqrt(n))
-  /// Leader-rotation offset: this instance's leader for view v is
-  /// leader_of(v + leader_offset, n). Sharded SMR gives each consensus
-  /// group a distinct offset so S groups spread their view-1 leaders
-  /// across the fleet instead of all landing on replica 1. Default 0 is
-  /// the paper's schedule. Every replica of one instance must agree on
-  /// the offset.
-  View leader_offset = 0;
   /// Names this instance in every signing string (see core/messages.hpp):
   /// an SMR slot's is its (group, slot), so a message signed for one slot
   /// cannot be replayed into another. Every replica of one instance must
@@ -157,10 +150,6 @@ class Replica : public INode {
   bool check_equivocation(const SignedProposal& p, std::uint8_t tag,
                           const Bytes& raw);
 
-  /// Rotation with cfg_.leader_offset applied (see ReplicaConfig).
-  [[nodiscard]] ReplicaId leader_for(View v) const {
-    return leader_of(v + cfg_.leader_offset, cfg_.n);
-  }
   [[nodiscard]] bool verify_leader_sig(const SignedProposal& p) const;
   /// The Propose sender signature, memoized under 'R' when fast_verify is
   /// on (the leader vouches for its own Propose there).

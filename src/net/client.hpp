@@ -23,8 +23,8 @@
 //
 // Reads carry a client-selectable consistency mode; replies carry an
 // explicit status byte so a rejected (backpressured, lease-lost,
-// timed-out) or wrong-shard request is distinguishable from success
-// without timeout inference.
+// timed-out) request is distinguishable from success without timeout
+// inference.
 //
 // Decoding is strict: truncated buffers, trailing bytes, unknown versions
 // and oversized payloads all throw CodecError, so a hostile client (or
@@ -52,8 +52,8 @@ inline constexpr std::uint8_t kClientReadReplyTag = tags::kClientReadReply;
 /// Reply disposition. kExecuted answers carry real results; kRejected
 /// means the replica refused (backpressure, read timeout, lease loss) and
 /// the client should back off and retry; kRedirect means this replica is
-/// the wrong place (wrong shard / not the lease holder) and the client
-/// should re-route.
+/// the wrong place (not the lease holder) and the client should
+/// re-route.
 enum class ReplyStatus : std::uint8_t {
   kExecuted = 0,
   kRejected = 1,

@@ -52,9 +52,8 @@ class Network final : public ITransport {
   using Filter =
       std::function<bool(ReplicaId from, ReplicaId to, std::uint8_t tag)>;
   /// Payload-aware variant for faults that target a slice of one tag's
-  /// traffic — e.g. silencing one shard's leader means dropping only the
-  /// kShardTag frames whose envelope names that shard. Checked after
-  /// `Filter`; either one returning true drops the message.
+  /// traffic — e.g. dropping only the kSmrTag frames of one slot. Checked
+  /// after `Filter`; either one returning true drops the message.
   using PayloadFilter = std::function<bool(
       ReplicaId from, ReplicaId to, std::uint8_t tag, const Bytes& payload)>;
 

@@ -17,7 +17,7 @@
 //   0x0b-0x0f  HotStuff (decimal 11-15, the historical values)
 //   0x20-0x27  single-group SMR (slot consensus, forwards, catch-up,
 //              checkpoints/state transfer, leases, read-index)
-//   0x28-0x2f  sharded service layer (0x2a-0x2f reserved)
+//   0x28-0x2f  free
 //   0x30-0x3f  client path (0x34-0x3f reserved)
 #pragma once
 
@@ -50,10 +50,6 @@ inline constexpr std::uint8_t kSmrState = 0x25;    // certified state transfer
 inline constexpr std::uint8_t kSmrLease = 0x26;    // read-lease request/grant
 inline constexpr std::uint8_t kSmrReadIndex = 0x27;  // watermark attestation
 
-// ---- sharded service layer (shard::) ----
-inline constexpr std::uint8_t kShard = 0x28;         // shard-prefixed consensus
-inline constexpr std::uint8_t kShardForward = 0x29;  // cross-shard forward
-
 // ---- client path (net::) ----
 inline constexpr std::uint8_t kClientRequest = 0x30;
 inline constexpr std::uint8_t kClientReply = 0x31;
@@ -67,7 +63,6 @@ inline constexpr std::uint8_t kAll[] = {
     kHsNewView, kHsProposal,  kHsVote,    kHsQc,          kHsWish,
     kSmr,       kSmrForward,  kSmrHint,   kSmrPull,       kSmrCkpt,
     kSmrState,  kSmrLease,    kSmrReadIndex,
-    kShard,     kShardForward,
     kClientRequest, kClientReply, kClientRead, kClientReadReply,
 };
 

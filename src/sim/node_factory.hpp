@@ -56,8 +56,7 @@ struct NodeParams {
 
 /// The SMR replica config for `params`: the same key/suite/sync plumbing
 /// as the single-shot factory — `params.protocol` and `params.my_value`
-/// are ignored. The serving paths (the node binary, the scenario runner)
-/// use it as shard::ShardedSmrConfig::base.
+/// are ignored.
 [[nodiscard]] smr::SmrConfig smr_config(const NodeParams& params);
 
 /// Builds a bare pipelined SMR replica (ProBFT-backed log) from

@@ -6,8 +6,6 @@
 #include <filesystem>
 #include <sstream>
 
-#include "common/codec.hpp"
-#include "shard/sharded_smr.hpp"
 #include "sim/smr_fleet.hpp"
 
 namespace probft::sim {
@@ -44,7 +42,6 @@ const char* to_string(Fault fault) {
     case Fault::kReorderAdversary: return "reorder";
     case Fault::kAdaptiveLeader: return "adaptive-leader";
     case Fault::kKillRestart: return "kill-restart";
-    case Fault::kShardSilentLeader: return "shard-silent-leader";
   }
   return "?";
 }
@@ -91,7 +88,7 @@ const std::vector<Fault>& all_faults() {
       Fault::kFlood,         Fault::kPartitionUntilGst,
       Fault::kChurnRecovery, Fault::kAsymmetricPartition,
       Fault::kReorderAdversary, Fault::kAdaptiveLeader,
-      Fault::kKillRestart,      Fault::kShardSilentLeader};
+      Fault::kKillRestart};
   return kFaults;
 }
 
@@ -121,7 +118,6 @@ std::string scenario_name(const ScenarioSpec& spec) {
        << to_string(spec.fault) << "/" << to_string(spec.latency);
   if (spec.workload != Workload::kSingleShot) {
     name << "/" << to_string(spec.workload);
-    if (spec.shards > 1) name << "/s" << spec.shards;
   }
   return name.str();
 }
@@ -146,7 +142,6 @@ bool smr_fault_supported(Fault fault) {
     case Fault::kAsymmetricPartition:
     case Fault::kReorderAdversary:
     case Fault::kKillRestart:
-    case Fault::kShardSilentLeader:
       return true;
     case Fault::kSilentLeader:  // group views rotate internally; the
                                 // "view-1 leader" crash is silent-followers
@@ -199,13 +194,6 @@ bool fault_applicable(const ScenarioSpec& spec) {
       // lives under the replicated log); single-shot runs have no
       // persistent state to recover.
       return spec.workload != Workload::kSingleShot && spec.n >= 2;
-    case Fault::kShardSilentLeader:
-      // Needs a multiplexed fleet (the fault names a shard envelope) and
-      // enough crash budget for group 0 to view-change past its leader.
-      // spec.shards defaults to 1, so default-expanded matrices — and
-      // with them every pinned transcript — never pick this fault up.
-      return spec.workload == Workload::kSmr && spec.shards > 1 &&
-             spec.f >= 1;
   }
   return false;
 }
@@ -260,7 +248,6 @@ ClusterConfig make_cluster_config(const ScenarioSpec& spec,
     case Fault::kAsymmetricPartition:  // realized as a network filter
     case Fault::kAdaptiveLeader:       // realized as a stateful filter
     case Fault::kKillRestart:          // realized in the SMR run path
-    case Fault::kShardSilentLeader:    // realized as a payload filter
       break;
     case Fault::kReorderAdversary:
       cfg.latency.reorder_prob = 0.3;
@@ -437,21 +424,12 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
       down[spec.n - i] = true;
     }
   }
-  // The shard-silenced leader keeps running (and its logs must still
-  // agree) but cannot push its own shard-0 votes or pulls out, so it is
-  // excused from the completion count — the regression this fault exists
-  // for is that the SIBLING shards and replicas finish regardless.
-  const ReplicaId silenced = spec.fault == Fault::kShardSilentLeader
-                                 ? shard::lead_replica(0, spec.n)
-                                 : 0;
-
   SmrFleetConfig fc;
   fc.n = spec.n;
   fc.f = spec.f;
   fc.o = spec.o;
   fc.l = spec.l;
   fc.seed = seed;
-  fc.shards = spec.shards;
   fc.smr = spec.smr;
   fc.latency = cfg.latency;
 
@@ -490,12 +468,11 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   std::size_t correct_total = 0;
   std::size_t done = 0;  // correct replicas that executed the full workload
   TimePoint last_execution_at = 0;
-  fc.on_execute = [&done, &down, &last_execution_at, target, silenced](
-                      SmrFleet& fleet, ReplicaId id, shard::ShardId,
+  fc.on_execute = [&done, &down, &last_execution_at, target](
+                      SmrFleet& fleet, ReplicaId id,
                       const smr::ExecutedCommand&) {
     last_execution_at = fleet.sim().now();
-    if (!down[id] && id != silenced &&
-        fleet.node(id).executed_commands() == target) {
+    if (!down[id] && fleet.node(id).executed_commands() == target) {
       ++done;
     }
   };
@@ -503,7 +480,7 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   net::Simulator& sim = fleet.sim();
   net::Network& network = fleet.network();
   for (ReplicaId id = 1; id <= spec.n; ++id) {
-    if (!down[id] && id != silenced) ++correct_total;
+    if (!down[id]) ++correct_total;
   }
 
   if (victim != 0) {
@@ -518,21 +495,6 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
     network.set_filter([&down](ReplicaId from, ReplicaId to, std::uint8_t) {
       return down[from] || down[to];
     });
-  } else if (spec.fault == Fault::kShardSilentLeader) {
-    // Drop only the kShardTag frames the silenced replica sends for
-    // shard 0: every other shard's traffic from the same replica flows,
-    // which is exactly what "one group's leader went quiet" looks like.
-    network.set_payload_filter(
-        [silenced](ReplicaId from, ReplicaId /*to*/, std::uint8_t tag,
-                   const Bytes& payload) {
-          if (from != silenced || tag != shard::kShardTag) return false;
-          try {
-            Reader r{ByteSpan(payload.data(), payload.size())};
-            return r.u32() == 0;
-          } catch (const CodecError&) {
-            return false;
-          }
-        });
   } else {
     apply_network_fault(network, sim, spec, cfg.latency.gst, seed);
   }
@@ -542,21 +504,16 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   // 400 ms), so replicas that missed wave 1 see fresh slot traffic, open
   // the missed slots and backfill them via decided-value hints/pulls.
   //
-  // Client shape: the historical one-group smr workload pipelines one
-  // client (9001) through consecutive seqs — every pinned transcript was
-  // captured against it. The reads workload and sharded fleets instead
-  // give each command its own client id. Under reads, lease promises
-  // legitimately delay view changes (a wish defers for up to duration +
-  // skew), so a stalled slot can resolve empty after later slots already
-  // executed — and a pipelined client's requeued low seqs would then be
-  // superseded by its executed high seq under highest-seq dedup. Across
-  // groups, per-client seq order is a per-group property, so one client
-  // spread over groups would hit the same supersession. Distinct clients
-  // make delayed commands re-proposable instead of droppable. The entry
-  // replica avoids the silenced shard-0 leader so wave requests keep a
-  // live proposer path (the group view-changes to the entry's queue).
-  const bool distinct_clients = with_reads || spec.shards > 1;
-  const ReplicaId entry1 = silenced == 1 && spec.n >= 2 ? 2 : 1;
+  // Client shape: the smr workload pipelines one client (9001) through
+  // consecutive seqs — every pinned transcript was captured against it.
+  // The reads workload instead gives each command its own client id:
+  // lease promises legitimately delay view changes (a wish defers for up
+  // to duration + skew), so a stalled slot can resolve empty after later
+  // slots already executed — and a pipelined client's requeued low seqs
+  // would then be superseded by its executed high seq under highest-seq
+  // dedup. Distinct clients make delayed commands re-proposable instead
+  // of droppable.
+  const bool distinct_clients = with_reads;
   const ReplicaId entry2 = spec.n >= 2 ? 2 : 1;
   const ReplicaId entry3 = spec.n >= 3 ? 3 : 1;
   const std::uint64_t wave1 = (target + 1) / 2;
@@ -566,13 +523,13 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   const auto wave_seq = [distinct_clients](std::uint64_t i) {
     return distinct_clients ? 1 : i;
   };
-  sim.schedule_after(1'000, [&fleet, wave1, entry1, wave_client, wave_seq] {
+  sim.schedule_after(1'000, [&fleet, wave1, wave_client, wave_seq] {
     for (std::uint64_t i = 1; i <= wave1; ++i) {
-      (void)fleet.node(entry1).submit_request(
+      (void)fleet.node(1).submit_request(
           wave_client(i), wave_seq(i), to_bytes("cmd-" + std::to_string(i)));
     }
   });
-  sim.schedule_after(500'000, [&fleet, wave1, target, entry1, entry2, entry3,
+  sim.schedule_after(500'000, [&fleet, wave1, target, entry2, entry3,
                                wave_client, wave_seq] {
     // A client retry of the first request against another replica: the
     // dedup table must keep it from executing twice.
@@ -585,7 +542,7 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
       ++next;
     }
     for (; next <= target; ++next) {
-      (void)fleet.node(entry1).submit_request(
+      (void)fleet.node(1).submit_request(
           wave_client(next - 1), wave_seq(next - 1),
           to_bytes("cmd-" + std::to_string(next - 1)));
     }
@@ -643,7 +600,7 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   // saw the final count even though it holds the full workload.
   done = 0;
   for (ReplicaId id = 1; id <= spec.n; ++id) {
-    if (down[id] || id == silenced || !fleet.alive(id)) continue;
+    if (down[id] || !fleet.alive(id)) continue;
     if (fleet.node(id).executed_commands() >= target) ++done;
   }
 

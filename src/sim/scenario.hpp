@@ -37,10 +37,6 @@ enum class Fault {
   kAdaptiveLeader,     // adversary corrupts each new view's leader (budget f)
   kKillRestart,        // SMR only: kill one replica mid-run, restart it from
                        // its write-ahead log (crash-restart durability)
-  kShardSilentLeader,  // sharded SMR only: shard 0's view-1 leader goes
-                       // silent for shard-0 traffic (its kShardTag frames
-                       // naming shard 0 are dropped); sibling shards must
-                       // keep committing while group 0 view-changes past it
 };
 
 /// Latency presets over net::LatencyConfig.
@@ -78,11 +74,6 @@ struct ScenarioSpec {
   /// partition or churn outage see fresh traffic after healing).
   smr::SmrOptions smr;
   std::uint64_t smr_commands = 12;
-  /// Consensus groups of each node's shard::ShardedSmr. 1 = one group on
-  /// the single-group wire (the shape every pinned transcript was
-  /// captured against); > 1 = requests routed by the placement layer and
-  /// per-shard log agreement asserted.
-  std::uint32_t shards = 1;
   std::vector<std::uint64_t> seeds = {1};
   TimePoint deadline = 120'000'000;      // virtual μs
   std::size_t max_events = 50'000'000;
@@ -192,14 +183,13 @@ bool workload_from_string(const std::string& text, Workload& out);
 [[nodiscard]] ScenarioOutcome run_scenario(const ScenarioSpec& spec,
                                            std::uint64_t seed);
 
-/// The SMR workload run path: n shard::ShardedSmr nodes of spec.shards
-/// groups each over the simulated network, a two-wave client workload of
-/// spec.smr_commands requests (including a cross-replica retry that must
-/// execute once), fault filters from the spec. `terminated` means every
-/// correct replica executed the full workload across its groups;
-/// `agreement` means correct replicas' slot logs are prefix-consistent
-/// group by group; the transcript is one log-digest line per replica and
-/// group.
+/// The SMR workload run path: n smr::SmrReplica nodes over the simulated
+/// network, a two-wave client workload of spec.smr_commands requests
+/// (including a cross-replica retry that must execute once), fault
+/// filters from the spec. `terminated` means every correct replica
+/// executed the full workload; `agreement` means correct replicas' slot
+/// logs are prefix-consistent; the transcript is one log-digest line per
+/// replica.
 [[nodiscard]] ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
                                                std::uint64_t seed);
 

@@ -12,10 +12,9 @@ SmrFleet::SmrFleet(SmrFleetConfig config)
       keys_(derive_keys(*suite_, cfg_.n, cfg_.seed)),
       epochs_(cfg_.n + 1, 0),
       wals_(cfg_.n + 1),
-      nodes_(cfg_.n + 1),
-      dtx_(cfg_.n + 1) {
+      nodes_(cfg_.n + 1) {
   for (ReplicaId id = 1; id <= cfg_.n; ++id) {
-    open_wals(id);
+    open_wal(id);
     build(id);
     network_.register_handler(
         id, [this, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
@@ -26,10 +25,10 @@ SmrFleet::SmrFleet(SmrFleetConfig config)
 
 SmrFleet::~SmrFleet() = default;
 
-void SmrFleet::open_wals(ReplicaId id) {
+void SmrFleet::open_wal(ReplicaId id) {
   if (id < cfg_.wal_dirs.size() && !cfg_.wal_dirs[id].empty()) {
-    wals_[id] =
-        shard::open_group_wals(cfg_.wal_dirs[id], cfg_.shards, cfg_.wal_fsync);
+    wals_[id] = std::make_unique<store::Wal>(
+        store::WalOptions{cfg_.wal_dirs[id], cfg_.wal_fsync});
   }
 }
 
@@ -53,19 +52,12 @@ void SmrFleet::build(ReplicaId id) {
   params.suite = suite_.get();
   params.secret_key = keys_.pairs[id].secret_key;
   params.public_keys = keys_.public_keys;
-  shard::ShardedSmrConfig sc;
-  sc.base = smr_config(params);
-  sc.shard_count = cfg_.shards;
-  for (const auto& wal : wals_[id]) sc.wals.push_back(wal.get());
-  sc.on_execute = [this, id](shard::ShardId s,
-                             const smr::ExecutedCommand& cmd) {
-    if (dtx_[id]) dtx_[id]->on_execute(s, cmd);
-    if (cfg_.on_execute) cfg_.on_execute(*this, id, s, cmd);
+  params.wal = wals_[id].get();
+  params.on_execute = [this, id](const smr::ExecutedCommand& cmd) {
+    if (cfg_.on_execute) cfg_.on_execute(*this, id, cmd);
   };
-  nodes_[id] = std::make_unique<shard::ShardedSmr>(
-      std::move(sc), transport_host(network_, id, timer_setter(id)));
-  dtx_[id] =
-      std::make_unique<shard::DtxCoordinator>(*nodes_[id], timer_setter(id));
+  nodes_[id] = make_smr_node(params,
+                             transport_host(network_, id, timer_setter(id)));
 }
 
 void SmrFleet::start() {
@@ -102,28 +94,22 @@ bool SmrFleet::run_until_executed(std::uint64_t commands,
 
 void SmrFleet::kill(ReplicaId id) {
   ++epochs_[id];
-  dtx_[id].reset();
   nodes_[id].reset();
-  wals_[id].clear();
+  wals_[id].reset();
 }
 
 void SmrFleet::restart(ReplicaId id) {
-  open_wals(id);
+  open_wal(id);
   build(id);
-  dtx_[id]->rebuild_from_logs();
   nodes_[id]->start();
 }
 
 bool SmrFleet::logs_identical() const {
-  const shard::ShardedSmr* reference = nullptr;
+  const smr::SmrReplica* reference = nullptr;
   for (ReplicaId id = 1; id <= cfg_.n; ++id) {
     if (!nodes_[id]) continue;
     if (reference == nullptr) reference = nodes_[id].get();
-    for (shard::ShardId s = 0; s < cfg_.shards; ++s) {
-      if (nodes_[id]->log_digest(s) != reference->log_digest(s)) {
-        return false;
-      }
-    }
+    if (nodes_[id]->log_digest() != reference->log_digest()) return false;
   }
   return true;
 }
@@ -135,48 +121,42 @@ FleetAgreement SmrFleet::check_agreement(
   };
   FleetAgreement result;
   std::ostringstream transcript;
-  for (shard::ShardId s = 0; s < cfg_.shards; ++s) {
-    // The reference is the node that executed furthest.
-    const smr::SmrReplica* longest = nullptr;
-    for (ReplicaId id = 1; id <= cfg_.n; ++id) {
-      if (!live(id)) continue;
-      const auto& g = nodes_[id]->group(s);
-      if (longest == nullptr ||
-          g.committed_slots() > longest->committed_slots()) {
-        longest = &g;
-      }
+  // The reference is the node that executed furthest.
+  const smr::SmrReplica* longest = nullptr;
+  for (ReplicaId id = 1; id <= cfg_.n; ++id) {
+    if (!live(id)) continue;
+    const auto& r = *nodes_[id];
+    if (longest == nullptr ||
+        r.committed_slots() > longest->committed_slots()) {
+      longest = &r;
     }
-    for (ReplicaId id = 1; id <= cfg_.n; ++id) {
-      if (!live(id)) {
-        if (s == 0) transcript << id << " down\n";
-        continue;
+  }
+  for (ReplicaId id = 1; id <= cfg_.n; ++id) {
+    if (!live(id)) {
+      transcript << id << " down\n";
+      continue;
+    }
+    const auto& r = *nodes_[id];
+    const auto& slot_log = r.slot_log();
+    const std::uint64_t base = r.log_base();
+    for (std::size_t i = 0; i < slot_log.size(); ++i) {
+      const std::uint64_t slot = base + i;
+      if (slot < longest->log_base() || slot >= longest->committed_slots()) {
+        continue;  // outside the reference's retained range
       }
-      const auto& g = nodes_[id]->group(s);
-      const auto& slot_log = g.slot_log();
-      const std::uint64_t base = g.log_base();
-      for (std::size_t i = 0; i < slot_log.size(); ++i) {
-        const std::uint64_t slot = base + i;
-        if (slot < longest->log_base() ||
-            slot >= longest->committed_slots()) {
-          continue;  // outside the reference's retained range
-        }
-        if (slot_log[i] !=
-            longest->slot_log()[slot - longest->log_base()]) {
-          result.ok = false;
-        }
-      }
-      // Equally far ⇒ bit-identical: the chained digest covers truncated
-      // slots too.
-      if (g.committed_slots() == longest->committed_slots() &&
-          g.log_digest() != longest->log_digest()) {
+      if (slot_log[i] != longest->slot_log()[slot - longest->log_base()]) {
         result.ok = false;
       }
-      transcript << id;
-      if (cfg_.shards > 1) transcript << " s" << s;
-      transcript << " " << g.executed_commands() << " "
-                 << g.committed_slots() << " " << g.log_base() << " "
-                 << g.log_digest() << "\n";
     }
+    // Equally far ⇒ bit-identical: the chained digest covers truncated
+    // slots too.
+    if (r.committed_slots() == longest->committed_slots() &&
+        r.log_digest() != longest->log_digest()) {
+      result.ok = false;
+    }
+    transcript << id << " " << r.executed_commands() << " "
+               << r.committed_slots() << " " << r.log_base() << " "
+               << r.log_digest() << "\n";
   }
   result.transcript = transcript.str();
   return result;

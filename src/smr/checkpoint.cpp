@@ -93,21 +93,20 @@ Bytes CheckpointState::digest() const {
   return crypto::sha256(ByteSpan(blob.data(), blob.size()));
 }
 
-Bytes checkpoint_signing_bytes(std::uint64_t group, std::uint64_t slot,
+Bytes checkpoint_signing_bytes(std::uint64_t slot,
                                const Bytes& state_digest) {
   Writer w;
   w.str(kCkptDomain);
-  w.u64(group);
+  w.u64(kGroupId);
   w.u64(slot);
   w.bytes(ByteSpan(state_digest.data(), state_digest.size()));
   return std::move(w).take();
 }
 
-Bytes hint_signing_bytes(std::uint64_t group, std::uint64_t slot,
-                         const Bytes& value_digest) {
+Bytes hint_signing_bytes(std::uint64_t slot, const Bytes& value_digest) {
   Writer w;
   w.str(kHintDomain);
-  w.u64(group);
+  w.u64(kGroupId);
   w.u64(slot);
   w.bytes(ByteSpan(value_digest.data(), value_digest.size()));
   return std::move(w).take();
@@ -157,14 +156,13 @@ CheckpointCert CheckpointCert::decode(Reader& r) {
   return cert;
 }
 
-bool verify_checkpoint_cert(std::uint64_t group, const CheckpointCert& cert,
-                            std::uint32_t n, std::uint32_t f,
-                            const crypto::CryptoSuite& suite,
+bool verify_checkpoint_cert(const CheckpointCert& cert, std::uint32_t n,
+                            std::uint32_t f, const crypto::CryptoSuite& suite,
                             const crypto::PublicKeyDir& keys) {
   const std::size_t quorum = 2 * static_cast<std::size_t>(f) + 1;
   if (cert.signatures.size() < quorum) return false;
   const Bytes msg =
-      checkpoint_signing_bytes(group, cert.slot, cert.state_digest);
+      checkpoint_signing_bytes(cert.slot, cert.state_digest);
   std::set<ReplicaId> seen;
   for (const auto& [signer, signature] : cert.signatures) {
     if (signer == 0 || signer > n) return false;
@@ -264,7 +262,7 @@ void CatchUp::on_executed(
   state.log_digest = chain_;
   state.last_exec.assign(last_exec.begin(), last_exec.end());
   Bytes digest = state.digest();
-  const Bytes msg = checkpoint_signing_bytes(cfg_.leader_offset, slot, digest);
+  const Bytes msg = checkpoint_signing_bytes(slot, digest);
   Bytes sig = cfg_.suite->sign(cfg_.secret_key, msg);
   if (pending_states_.size() >= kMaxTrackedCkpts) {
     pending_states_.erase(pending_states_.begin());
@@ -350,8 +348,7 @@ void CatchUp::send_hint(ReplicaId to, std::uint64_t slot) {
   auto it = hint_wire_.find(slot);
   if (it == hint_wire_.end()) {
     const Bytes& value = log_[slot - log_base_];
-    const Bytes msg =
-        hint_signing_bytes(cfg_.leader_offset, slot, crypto::sha256(value));
+    const Bytes msg = hint_signing_bytes(slot, crypto::sha256(value));
     Bytes sig = cfg_.suite->sign(cfg_.secret_key, msg);
     Writer w;
     w.u64(slot);
@@ -379,8 +376,7 @@ void CatchUp::handle_hint(ReplicaId from, const Bytes& payload) {
   // A voucher only counts if the hint verifies under the claimed sender's
   // key: a peer that forges f+1 sender ids still commands one keypair, so
   // it can never assemble f+1 valid vouchers for an undecided value.
-  const Bytes msg =
-      hint_signing_bytes(cfg_.leader_offset, slot, crypto::sha256(value));
+  const Bytes msg = hint_signing_bytes(slot, crypto::sha256(value));
   if (!cfg_.suite->verify(cfg_.public_keys[from], msg, signature)) return;
   const SignedTally::Entry* entry =
       hints_.add(slot, value, from, std::move(signature));
@@ -420,8 +416,7 @@ void CatchUp::handle_ckpt_vote(ReplicaId from, const Bytes& payload) {
   if (vote.slot <= stable_slot_ || vote.slot > cfg_.pipeline.max_slots) {
     return;
   }
-  const Bytes msg = checkpoint_signing_bytes(cfg_.leader_offset, vote.slot,
-                                             vote.state_digest);
+  const Bytes msg = checkpoint_signing_bytes(vote.slot, vote.state_digest);
   if (!cfg_.suite->verify(cfg_.public_keys[vote.signer], msg,
                           vote.signature)) {
     return;
@@ -503,8 +498,8 @@ void CatchUp::install(const CheckpointState& state,
 bool CatchUp::certifies(const CheckpointState& state,
                         const CheckpointCert& cert) const {
   return cert.slot == state.slot && cert.state_digest == state.digest() &&
-         verify_checkpoint_cert(cfg_.leader_offset, cert, cfg_.n, cfg_.f,
-                                *cfg_.suite, cfg_.public_keys);
+         verify_checkpoint_cert(cert, cfg_.n, cfg_.f, *cfg_.suite,
+                                cfg_.public_keys);
 }
 
 }  // namespace probft::smr

@@ -83,17 +83,20 @@ struct CheckpointState {
   [[nodiscard]] Bytes digest() const;
 };
 
-/// Domain-separated signing bytes for a checkpoint vote of SMR group
-/// `group` (SmrConfig::leader_offset names the group), so a vote for one
-/// group does not count in another.
-[[nodiscard]] Bytes checkpoint_signing_bytes(std::uint64_t group,
-                                             std::uint64_t slot,
+/// The group field of the SMR signing strings: the u64 after the domain
+/// of checkpoint votes and hints, the Wish tag, and the first half of
+/// every slot's (group, slot) instance tag. The service orders one log,
+/// so the field is the constant 0; it stays in the signed bytes so
+/// signatures, WALs and pinned transcripts keep their format.
+inline constexpr std::uint64_t kGroupId = 0;
+
+/// Domain-separated signing bytes for a checkpoint vote.
+[[nodiscard]] Bytes checkpoint_signing_bytes(std::uint64_t slot,
                                              const Bytes& state_digest);
 
 /// Domain-separated signing bytes for a decided-value hint: the signer
-/// attests "slot `slot` of group `group` decided the batch hashing to
-/// `value_digest`".
-[[nodiscard]] Bytes hint_signing_bytes(std::uint64_t group, std::uint64_t slot,
+/// attests "slot `slot` decided the batch hashing to `value_digest`".
+[[nodiscard]] Bytes hint_signing_bytes(std::uint64_t slot,
                                        const Bytes& value_digest);
 
 struct CheckpointVote {
@@ -118,9 +121,8 @@ struct CheckpointCert {
 };
 
 /// True iff `cert` carries >= 2f+1 signatures from distinct in-range
-/// signers, each valid over checkpoint_signing_bytes(group, slot, digest).
-[[nodiscard]] bool verify_checkpoint_cert(std::uint64_t group,
-                                          const CheckpointCert& cert,
+/// signers, each valid over checkpoint_signing_bytes(slot, digest).
+[[nodiscard]] bool verify_checkpoint_cert(const CheckpointCert& cert,
                                           std::uint32_t n, std::uint32_t f,
                                           const crypto::CryptoSuite& suite,
                                           const crypto::PublicKeyDir& keys);

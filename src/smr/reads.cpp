@@ -222,7 +222,7 @@ ReadPath::ReadPath(const SmrConfig& cfg, const core::ProtocolHost& host,
     : cfg_(cfg), host_(host), pull_(std::move(pull)) {}
 
 ReplicaId ReadPath::lease_leader() const {
-  return leader_of(1 + cfg_.leader_offset, cfg_.n);
+  return leader_of(1, cfg_.n);
 }
 
 void ReadPath::on_decide(View view) {

@@ -48,8 +48,7 @@
 namespace probft::smr {
 
 /// Key under which a payload is written: the bytes before the first '=',
-/// or the whole payload when it contains none. Shared by the read path
-/// and shard placement so reads route to the shard that owns the writes.
+/// or the whole payload when it contains none.
 [[nodiscard]] ByteSpan read_view_key(ByteSpan payload);
 
 /// Value a payload writes: the bytes after the first '=', or the whole

@@ -45,7 +45,7 @@ SmrReplica::SmrReplica(SmrConfig config, core::ProtocolHost host)
   limits_.max_commands = cfg_.pipeline.batch_max_commands;
   limits_.max_bytes = cfg_.pipeline.batch_max_bytes;
   Writer tag;
-  tag.u64(cfg_.leader_offset);
+  tag.u64(kGroupId);
   group_tag_ = std::move(tag).take();
   peer_wishes_.resize(cfg_.n + 1);
   sample_memo_.emplace(*cfg_.suite, cfg_.secret_key,
@@ -104,10 +104,6 @@ void SmrReplica::on_forward(ReplicaId from, Request request) {
 
 void SmrReplica::send_forward(ReplicaId to, const Request& request) {
   if (to == cfg_.id) return;
-  if (cfg_.forward) {
-    cfg_.forward(to, request);
-    return;
-  }
   Writer w;
   request.encode(w);
   if (to == 0) {
@@ -250,18 +246,9 @@ void SmrReplica::age_held() {
   release_all_held();
 }
 
-std::vector<Bytes> SmrReplica::log() const {
-  std::vector<Bytes> payloads;
-  payloads.reserve(exec_log_.size());
-  for (const LogEntry& e : exec_log_) payloads.push_back(e.payload);
-  return payloads;
-}
-
 bool SmrReplica::has_committed(const Bytes& payload) const {
-  return std::any_of(exec_log_.begin(), exec_log_.end(),
-                     [&payload](const LogEntry& e) {
-                       return e.payload == payload;
-                     });
+  return std::find(exec_log_.begin(), exec_log_.end(), payload) !=
+         exec_log_.end();
 }
 
 std::uint64_t SmrReplica::last_executed_seq(std::uint64_t client) const {
@@ -348,7 +335,6 @@ void SmrReplica::open_next_slot() {
   rc.f = cfg_.f;
   rc.o = cfg_.o;
   rc.l = cfg_.l;
-  rc.leader_offset = cfg_.leader_offset;
   Writer instance;  // (group, slot)
   instance.raw(group_tag_);
   instance.u64(slot);
@@ -463,7 +449,7 @@ void SmrReplica::execute_ready_slots() {
       exec.seq = req.seq;
       exec.payload = req.payload;
       ++exec_count_;
-      exec_log_.push_back({req.client, std::move(req.payload)});
+      exec_log_.push_back(std::move(req.payload));
       reads_.apply(exec.slot, exec.index, exec.payload);
       if (!catchup_.recovering() && cfg_.on_execute) cfg_.on_execute(exec);
     }

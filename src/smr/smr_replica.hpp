@@ -47,10 +47,10 @@
 //    at most two pacing periods, so crossing forwards cannot batch a
 //    later seq ahead of an earlier one (highest-seq dedup would drop the
 //    earlier).
-//  - Signed messages name their group and slot: each slot instance signs
-//    under the instance tag (group, slot), the group's Wish, hints and
-//    checkpoint votes under the group, so no signature is valid in
-//    another slot or group.
+//  - Signed messages name their slot: each slot instance signs under the
+//    instance tag (group, slot), so no signature is valid in another
+//    slot. The group field is the constant kGroupId (smr/checkpoint.hpp),
+//    as in the Wish, hint and checkpoint-vote signing strings.
 //  - Executed slots are retired: the per-slot core::Replica is destroyed
 //    once its slot executes, so memory is O(window) instead of O(log
 //    length). Frames for an executed slot never reach an instance.
@@ -160,14 +160,6 @@ struct ExecutedCommand {
   Bytes payload;
 };
 
-/// One locally executed request as the executed log keeps it: who asked,
-/// and what. The client id lets log readers (the dtx coordinator's
-/// recovery scan) tell protocol entries from client data.
-struct LogEntry {
-  std::uint64_t client = 0;
-  Bytes payload;
-};
-
 struct SmrConfig {
   ReplicaId id = 0;
   std::uint32_t n = 0;
@@ -179,20 +171,6 @@ struct SmrConfig {
 
   /// ProBFT verification fast path for the per-slot instances.
   bool fast_verify = true;
-
-  /// Leader-rotation offset for every per-slot instance (see
-  /// core::ReplicaConfig::leader_offset). Sharded SMR runs S engines with
-  /// offsets 0..S-1 so their view-1 leaders spread across the fleet. It
-  /// is also the group's name in signed messages.
-  View leader_offset = 0;
-
-  /// Sends a request to peer `to` (0: to every peer): a relay of a
-  /// submission at a non-leader, or a forward to the group leader. Empty
-  /// (the single-group default): a kSmrForwardTag frame through the host.
-  /// shard::ShardedSmr sends its own kShardForwardTag frame, which carries
-  /// the shard count. The receiver hands it to on_forward; the local
-  /// enqueue stays either way as the liveness fallback.
-  std::function<void(ReplicaId to, const Request& request)> forward;
 
   const crypto::CryptoSuite* suite = nullptr;
   Bytes secret_key;
@@ -239,11 +217,6 @@ class SmrReplica : public core::INode {
   /// cannot fit a batch. Retries are therefore idempotent.
   bool submit_request(std::uint64_t client, std::uint64_t seq, Bytes payload);
 
-  /// A peer's relay or forward of a request: enqueued like a submission,
-  /// and passed to the leader once when it is new here and this replica
-  /// does not lead.
-  void on_forward(ReplicaId from, Request request);
-
   using ReadResult = smr::ReadResult;
   using ReadCallback = smr::ReadCallback;
 
@@ -259,13 +232,10 @@ class SmrReplica : public core::INode {
                   const Bytes& payload) override;
 
   // ---- inspection ----
-  /// Executed requests, in execution order. Locally-executed only: a
-  /// replica that adopted a certified checkpoint has a gap below it.
-  [[nodiscard]] const std::vector<LogEntry>& entries() const {
-    return exec_log_;
-  }
-  /// The payloads of entries(), in the same order.
-  [[nodiscard]] std::vector<Bytes> log() const;
+  /// Executed request payloads, in execution order. Locally-executed
+  /// only: a replica that adopted a certified checkpoint has a gap below
+  /// it.
+  [[nodiscard]] const std::vector<Bytes>& log() const { return exec_log_; }
   /// Decided batch encodings for the RETAINED slots [log_base(), exec);
   /// index i holds slot log_base() + i. Slots below the stable checkpoint
   /// are truncated away.
@@ -305,7 +275,7 @@ class SmrReplica : public core::INode {
   [[nodiscard]] View view() const { return sync_.view(); }
   /// The group view's leader, where submissions at a non-leader go.
   [[nodiscard]] ReplicaId leader() const {
-    return leader_of(view() + cfg_.leader_offset, cfg_.n);
+    return leader_of(view(), cfg_.n);
   }
   /// Requests queued, held or assigned to an in-flight slot, not yet
   /// executed.
@@ -355,7 +325,13 @@ class SmrReplica : public core::INode {
   void release_all_held();
   /// Pacing expiry: a request held through two of them is admitted.
   void age_held();
-  /// `to` = 0 sends to every peer; a send to this replica is dropped.
+  /// A peer's relay or forward of a request (kSmrForwardTag): enqueued
+  /// like a submission, and passed to the leader once when it is new here
+  /// and this replica does not lead.
+  void on_forward(ReplicaId from, Request request);
+  /// Sends a kSmrForwardTag frame; `to` = 0 sends to every peer, a send
+  /// to this replica is dropped. The local enqueue stays as the liveness
+  /// fallback.
   void send_forward(ReplicaId to, const Request& request);
   void forward_to_leader(const Request& request) {
     send_forward(leader(), request);
@@ -412,7 +388,7 @@ class SmrReplica : public core::INode {
 
   // -- executed state (the decided log itself lives in catchup_) --
   std::uint64_t exec_count_ = 0;       // commands executed (incl. recovery)
-  std::vector<LogEntry> exec_log_;     // locally executed, in order
+  std::vector<Bytes> exec_log_;        // locally executed, in order
   std::map<std::uint64_t, std::uint64_t> last_exec_;  // client → seq
 
   // -- request intake --
@@ -439,7 +415,7 @@ class SmrReplica : public core::INode {
   sync::Synchronizer sync_;      // the group's view
   View wish_view_ = 0;           // the view wish_ asks for
   Bytes wish_;                   // this replica's signed WishMsg
-  Bytes group_tag_;  // u64 leader_offset: the group in signing strings
+  Bytes group_tag_;  // u64 kGroupId: the group in signing strings
   /// Per peer, the last Wish bytes that verified from it and their view.
   std::vector<std::pair<Bytes, View>> peer_wishes_;
   /// VRF samples and sample verdicts, shared by every slot's instance:

@@ -115,7 +115,7 @@ class CertTest : public ::testing::Test {
     CheckpointCert cert;
     cert.slot = state_.slot;
     cert.state_digest = digest_;
-    const Bytes msg = checkpoint_signing_bytes(0, cert.slot, digest_);
+    const Bytes msg = checkpoint_signing_bytes(cert.slot, digest_);
     for (ReplicaId id : signers) {
       cert.signatures.emplace_back(
           id, suite_->sign(span(keys_[id].secret_key), span(msg)));
@@ -132,50 +132,50 @@ class CertTest : public ::testing::Test {
 };
 
 TEST_F(CertTest, QuorumOfDistinctSignersVerifies) {
-  EXPECT_TRUE(verify_checkpoint_cert(0, make_cert({1, 2, 3}), n_, f_, *suite_,
-                                     dir_));
-  EXPECT_TRUE(verify_checkpoint_cert(0, make_cert({2, 3, 4}), n_, f_, *suite_,
-                                     dir_));
+  EXPECT_TRUE(
+      verify_checkpoint_cert(make_cert({1, 2, 3}), n_, f_, *suite_, dir_));
+  EXPECT_TRUE(
+      verify_checkpoint_cert(make_cert({2, 3, 4}), n_, f_, *suite_, dir_));
 }
 
 TEST_F(CertTest, TooFewSignersRejected) {
   EXPECT_FALSE(
-      verify_checkpoint_cert(0, make_cert({1, 2}), n_, f_, *suite_, dir_));
+      verify_checkpoint_cert(make_cert({1, 2}), n_, f_, *suite_, dir_));
 }
 
 TEST_F(CertTest, DuplicateSignersDoNotCount) {
   // One keypair signing thrice is still one voucher — the forged-voucher
   // attack shape, applied to certs.
   auto cert = make_cert({2, 2, 2});
-  EXPECT_FALSE(verify_checkpoint_cert(0, cert, n_, f_, *suite_, dir_));
+  EXPECT_FALSE(verify_checkpoint_cert(cert, n_, f_, *suite_, dir_));
 }
 
 TEST_F(CertTest, SignatureFromWrongKeyRejected) {
   auto cert = make_cert({1, 2, 3});
   // Replica 3's slot in the cert, signed by 4's key: claimed and actual
   // signer disagree.
-  const Bytes msg = checkpoint_signing_bytes(0, cert.slot, digest_);
+  const Bytes msg = checkpoint_signing_bytes(cert.slot, digest_);
   cert.signatures[2].second =
       suite_->sign(span(keys_[4].secret_key), span(msg));
-  EXPECT_FALSE(verify_checkpoint_cert(0, cert, n_, f_, *suite_, dir_));
+  EXPECT_FALSE(verify_checkpoint_cert(cert, n_, f_, *suite_, dir_));
 }
 
 TEST_F(CertTest, OutOfRangeSignerRejected) {
   auto cert = make_cert({1, 2, 3});
   cert.signatures[0].first = 9;  // no such replica
-  EXPECT_FALSE(verify_checkpoint_cert(0, cert, n_, f_, *suite_, dir_));
+  EXPECT_FALSE(verify_checkpoint_cert(cert, n_, f_, *suite_, dir_));
 }
 
 // ---- fleet tests ----
 
-/// An S = 1 sim::SmrFleet at l = 1.5 (q = 3 at n = 4: quorums survive
-/// one silent replica); tests drive each node's one group directly.
+/// A sim::SmrFleet at l = 1.5 (q = 3 at n = 4: quorums survive one
+/// silent replica); tests drive each node's replica directly.
 struct Fleet : sim::SmrFleet {
   explicit Fleet(std::uint32_t n, std::uint32_t f, SmrOptions options = {},
                  std::uint64_t seed = 1)
       : sim::SmrFleet(make_config(n, f, options, seed)) {}
 
-  SmrReplica& replica(ReplicaId id) { return node(id).group(0); }
+  SmrReplica& replica(ReplicaId id) { return node(id); }
 
   bool run_until_executed(std::uint64_t commands,
                           TimePoint deadline = 300'000'000) {
@@ -203,12 +203,11 @@ Bytes one_request_batch(const std::string& payload, std::uint64_t client,
   return encode_batch({Request{client, seq, to_bytes(payload)}});
 }
 
-/// A hint frame as send_hint produces it, signed with `key` for `group`.
+/// A hint frame as send_hint produces it, signed with `key`.
 Bytes forge_hint(const crypto::CryptoSuite& suite, const Bytes& secret_key,
-                 std::uint64_t slot, const Bytes& value,
-                 std::uint64_t group = 0) {
+                 std::uint64_t slot, const Bytes& value) {
   const Bytes digest = crypto::sha256(span(value));
-  const Bytes msg = hint_signing_bytes(group, slot, digest);
+  const Bytes msg = hint_signing_bytes(slot, digest);
   Bytes sig = suite.sign(span(secret_key), span(msg));
   Writer w;
   w.u64(slot);
@@ -267,35 +266,6 @@ TEST(CheckpointFleet, ProperlySignedVouchersFromDistinctPeersAdopt) {
   EXPECT_EQ(fleet.replica(1).last_executed_seq(7), 1u);
 }
 
-TEST(CheckpointFleet, HintSignedForOneGroupDoesNotAdoptInAnother) {
-  // Every group signs with the node's one key, so a hint names its group:
-  // group 0's vouchers for a slot cannot decide group 1's slot.
-  sim::SmrFleetConfig cfg;
-  cfg.n = 4;
-  cfg.f = 1;
-  cfg.l = 1.5;
-  cfg.shards = 2;
-  sim::SmrFleet fleet(cfg);
-  fleet.start();
-  SmrReplica& group1 = fleet.node(1).group(1);
-  const Bytes value = one_request_batch("decided-in-group-0", 7, 1);
-  for (ReplicaId from = 2; from <= 3; ++from) {
-    group1.on_message(from, kSmrHintTag,
-                      forge_hint(fleet.suite(),
-                                 fleet.keys().pairs[from].secret_key, 0, value,
-                                 /*group=*/0));
-  }
-  EXPECT_EQ(group1.committed_slots(), 0u);
-  // The same vouchers signed for group 1 adopt.
-  for (ReplicaId from = 2; from <= 3; ++from) {
-    group1.on_message(from, kSmrHintTag,
-                      forge_hint(fleet.suite(),
-                                 fleet.keys().pairs[from].secret_key, 0, value,
-                                 /*group=*/1));
-  }
-  EXPECT_EQ(group1.committed_slots(), 1u);
-}
-
 TEST(CheckpointFleet, MismatchedChannelSenderVoucherIsDiscarded) {
   // A hint signed by 4 but delivered as from = 2 must verify under 2's
   // key (and fail) — the signature cannot be "borrowed".
@@ -348,7 +318,7 @@ TEST(CheckpointFleet, CertifiedStateTransferJumpsAStraggler) {
   state.log_digest = chain_digest(zero_digest(), to_bytes("fake-history"));
   state.last_exec = {{3, 4}};
   const Bytes digest = state.digest();
-  const Bytes msg = checkpoint_signing_bytes(0, state.slot, digest);
+  const Bytes msg = checkpoint_signing_bytes(state.slot, digest);
   const auto cert_of = [&](std::vector<ReplicaId> signers) {
     CheckpointCert cert;
     cert.slot = state.slot;

@@ -120,46 +120,22 @@ TEST(ScenarioMatrix, SmrPartitionsTerminateWithDefaultOptions) {
   // repeating its wish at each timeout.
   for (const auto& [n, f] : {std::pair<std::uint32_t, std::uint32_t>{4, 1},
                              std::pair<std::uint32_t, std::uint32_t>{7, 2}}) {
-    for (const std::uint32_t shards : {1U, 4U}) {
-      ScenarioSpec base = matrix_base();
-      base.workload = Workload::kSmr;
-      base.n = n;
-      base.f = f;
-      base.shards = shards;
-      const auto specs = expand_matrix(
-          {Protocol::kProbft},
-          {Fault::kPartitionUntilGst, Fault::kAsymmetricPartition}, {1, 2, 3},
-          base);
-      ASSERT_EQ(specs.size(), 2U);
-      for (const auto& result : run_matrix(specs)) {
-        for (const auto& outcome : result.outcomes) {
-          EXPECT_TRUE(outcome.agreement && outcome.terminated)
-              << scenario_name(result.spec) << " seed " << outcome.seed
-              << ": " << outcome.decided << "/" << outcome.correct;
-        }
+    ScenarioSpec base = matrix_base();
+    base.workload = Workload::kSmr;
+    base.n = n;
+    base.f = f;
+    const auto specs = expand_matrix(
+        {Protocol::kProbft},
+        {Fault::kPartitionUntilGst, Fault::kAsymmetricPartition}, {1, 2, 3},
+        base);
+    ASSERT_EQ(specs.size(), 2U);
+    for (const auto& result : run_matrix(specs)) {
+      for (const auto& outcome : result.outcomes) {
+        EXPECT_TRUE(outcome.agreement && outcome.terminated)
+            << scenario_name(result.spec) << " seed " << outcome.seed << ": "
+            << outcome.decided << "/" << outcome.correct;
       }
     }
-  }
-}
-
-TEST(ScenarioMatrix, ShardedChurnHasNoWishStorm) {
-  // Seeds 3 and 10 of n = 4, S = 4 churn: a victim executed a slot from
-  // hints, so no instance of it ever decided. With one synchronizer per
-  // slot that instance wished at every timeout and each wish drew a hint
-  // from every peer (~72k frames per run). The group's view timer stops
-  // once every opened slot executed. Termination is not asserted: an
-  // idle group still never tells a straggler that it exists.
-  ScenarioSpec spec = matrix_base();
-  spec.workload = Workload::kSmr;
-  spec.fault = Fault::kChurnRecovery;
-  spec.n = 4;
-  spec.f = 1;
-  spec.l = 1.5;
-  spec.shards = 4;
-  for (const std::uint64_t seed : {3ULL, 10ULL}) {
-    const ScenarioOutcome out = run_scenario(spec, seed);
-    EXPECT_TRUE(out.agreement) << "seed " << seed;
-    EXPECT_LT(out.messages, 1'000U) << "seed " << seed;
   }
 }
 

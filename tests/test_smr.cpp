@@ -20,8 +20,8 @@
 namespace probft::smr {
 namespace {
 
-/// An S = 1 sim::SmrFleet; tests drive each node's one group directly
-/// and see every replica's executed payloads in order.
+/// A sim::SmrFleet; tests drive each node's replica directly and see
+/// every replica's executed payloads in order.
 struct Fleet : sim::SmrFleet {
   std::vector<std::vector<Bytes>> commits;  // per replica
 
@@ -31,7 +31,7 @@ struct Fleet : sim::SmrFleet {
       : sim::SmrFleet(make_config(this, n, options, seed, f, l)),
         commits(n + 1) {}
 
-  SmrReplica& replica(ReplicaId id) { return node(id).group(0); }
+  SmrReplica& replica(ReplicaId id) { return node(id); }
 
   bool run_until_executed(std::uint64_t commands,
                           TimePoint deadline = 300'000'000) {
@@ -50,7 +50,7 @@ struct Fleet : sim::SmrFleet {
     cfg.smr = options;
     cfg.latency.min_delay = 500;
     cfg.latency.max_delay_post = 4'000;
-    cfg.on_execute = [self](sim::SmrFleet&, ReplicaId id, shard::ShardId,
+    cfg.on_execute = [self](sim::SmrFleet&, ReplicaId id,
                             const ExecutedCommand& cmd) {
       self->commits[id].push_back(cmd.payload);
     };

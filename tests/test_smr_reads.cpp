@@ -66,7 +66,7 @@ TEST(ReadView, KeySplitsAtFirstEquals) {
                       .end()),
             to_bytes("a=b"));
   // No '=': the whole payload is both key and value — the historical
-  // opaque-payload workloads keep their digests and shard placement.
+  // opaque-payload workloads keep their digests.
   const Bytes opaque = to_bytes("req-9001-3");
   EXPECT_EQ(Bytes(read_view_key(ByteSpan(opaque.data(), opaque.size()))
                       .begin(),
@@ -384,7 +384,7 @@ TEST(ClientReadWire, ClientReplyStatusByteIsStrict) {
 
 // ---- fleet behavior on the simulated network ----
 
-/// An S = 1 sim::SmrFleet; tests drive each node's one group directly.
+/// A sim::SmrFleet; tests drive each node's replica directly.
 struct ReadFleet : sim::SmrFleet {
   ReadFleet(std::uint32_t n, std::uint32_t f, double l,
             SmrOptions options = {}, std::uint64_t seed = 1,
@@ -392,7 +392,7 @@ struct ReadFleet : sim::SmrFleet {
       : sim::SmrFleet(make_config(n, f, l, options, seed,
                                   std::move(wal_dirs))) {}
 
-  SmrReplica& replica(ReplicaId id) { return node(id).group(0); }
+  SmrReplica& replica(ReplicaId id) { return node(id); }
 
   /// Steps the simulation until `done()` (or deadline). Lease renewal
   /// timers re-arm forever, so every loop must be time-bounded.
@@ -744,7 +744,7 @@ TEST(SmrReads, ParkedReadIsRejectedWhenStateTransferJumpsThePrefix) {
   state.exec_count = 8;
   state.log_digest = chain_digest(zero_digest(), to_bytes("k=v-skipped"));
   const Bytes digest = state.digest();
-  const Bytes msg = checkpoint_signing_bytes(0, state.slot, digest);
+  const Bytes msg = checkpoint_signing_bytes(state.slot, digest);
   CheckpointCert cert;
   cert.slot = state.slot;
   cert.state_digest = digest;
@@ -775,7 +775,7 @@ TEST(SmrReads, ParkedReadIsRejectedWhenStateTransferJumpsThePrefix) {
       encode_batch({Request{77, 1, to_bytes("other=x")}});
   const Bytes value_digest =
       crypto::sha256(ByteSpan(value.data(), value.size()));
-  const Bytes hint_msg = hint_signing_bytes(0, 8, value_digest);
+  const Bytes hint_msg = hint_signing_bytes(8, value_digest);
   for (ReplicaId id : {2, 3}) {
     const Bytes& sk = fleet.keys().pairs[id].secret_key;
     const Bytes sig = fleet.suite().sign(
