@@ -2,7 +2,7 @@
 // and measures end-to-end (submit → executed reply) latency.
 //
 //   ./probft_client --servers 127.0.0.1:9101,127.0.0.1:9102,...
-//       [--requests N] [--client-id C] [--mode closed|open]
+//       [--requests N] [--client-id C]
 //       [--retry-ms R] [--timeout-ms T] [--force-retry 1]
 //
 // Requests are ClientRequest{client_id, seq, payload} frames
@@ -16,9 +16,8 @@
 // retries). A request counts as completed on its first reply; later
 // replies for the same seq are counted as duplicates, not completions.
 //
-// Closed-loop mode keeps one request outstanding (latency-oriented);
-// open-loop fires everything up front (throughput-oriented). Exit 0 iff
-// every request got a reply. Summary lines:
+// The client is closed-loop: one request outstanding at a time. Exit 0
+// iff every request got a reply. Summary lines:
 //   CLIENT ok requests=N replies=N retries=R duplicates=D wall_ms=...
 //   LATENCY p50_us=... p90_us=... p99_us=...
 //
@@ -31,9 +30,7 @@
 // stale-ok); sequential reads carry min_index = the write's reply slot
 // + 1, which is exactly the client's read-your-writes bound. A read is
 // retried against the next server on an explicit kRejected/kRedirect
-// reply or after --retry-ms of silence. In open-loop mode the reads
-// trail the write burst (a read's key must have executed) but follow the
-// same debt schedule. Summary line:
+// reply or after --retry-ms of silence. Summary line:
 //   READS ok consistency=... attempted=A executed=E rejected=J
 //       retries=T p50_us=...
 //
@@ -50,6 +47,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -69,7 +67,6 @@ struct Options {
   std::vector<std::pair<std::string, std::uint16_t>> servers;
   std::uint64_t requests = 16;
   std::uint64_t client_id = 77'001;
-  bool open_loop = false;
   std::uint64_t retry_ms = 2'000;
   std::uint64_t timeout_ms = 30'000;
   bool force_retry = false;
@@ -106,6 +103,12 @@ std::uint64_t parse_u64(const std::string& text) {
   return value;
 }
 
+bool parse_bool(const std::string& text) {
+  if (text == "1" || text == "true") return true;
+  if (text == "0" || text == "false") return false;
+  throw std::invalid_argument(text);
+}
+
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string key = argv[i];
@@ -131,25 +134,18 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.requests = parse_u64(value);
     } else if (key == "--client-id") {
       opt.client_id = parse_u64(value);
-    } else if (key == "--mode") {
-      if (value == "closed") {
-        opt.open_loop = false;
-      } else if (value == "open") {
-        opt.open_loop = true;
-      } else {
-        return false;
-      }
     } else if (key == "--retry-ms") {
       opt.retry_ms = parse_u64(value);
     } else if (key == "--timeout-ms") {
       opt.timeout_ms = parse_u64(value);
     } else if (key == "--force-retry") {
-      opt.force_retry = value == "1" || value == "true";
+      opt.force_retry = parse_bool(value);
     } else if (key == "--read-ratio") {
       std::size_t consumed = 0;
       const double ratio = std::stod(value, &consumed);
-      if (consumed != value.size() || ratio < 0.0 || ratio >= 1.0) {
-        return false;
+      if (consumed != value.size() || !std::isfinite(ratio) || ratio < 0.0 ||
+          ratio >= 1.0) {
+        throw std::invalid_argument("bad read ratio " + value);
       }
       opt.read_ratio = ratio;
     } else if (key == "--consistency") {
@@ -209,7 +205,7 @@ int main(int argc, char** argv) {
     if (!parse_args(argc, argv, opt)) {
       std::fprintf(stderr,
                    "usage: probft_client --servers host:port,... "
-                   "[--requests N] [--client-id C] [--mode closed|open] "
+                   "[--requests N] [--client-id C] "
                    "[--retry-ms R] [--timeout-ms T] [--force-retry 1] "
                    "[--read-ratio R] "
                    "[--consistency linearizable|sequential|stale-ok]\n");
@@ -451,48 +447,24 @@ int main(int argc, char** argv) {
     }
   };
 
-  if (opt.open_loop) {
-    for (std::uint64_t seq = 1; seq <= total; ++seq) first_send(seq);
-    if (opt.force_retry) {
+  for (std::uint64_t seq = 1; seq <= total && now_us() < deadline; ++seq) {
+    first_send(seq);
+    if (seq == 1 && opt.force_retry) {
       ++retries;
       send_request(servers.size() > 1 ? 1 : 0, 1, payloads[1]);
     }
     std::uint64_t next_retry = now_us() + opt.retry_ms * 1000;
-    while (replies < total && now_us() < deadline) {
+    while (!completed[seq] && now_us() < deadline) {
       drain_replies(/*wait_ms=*/20);
       if ((retry_hint && now_us() >= earliest_retry) ||
           now_us() >= next_retry) {
         retry_hint = false;
         earliest_retry = now_us() + 100'000;
-        retry_incomplete(total);
+        retry_incomplete(seq);
         next_retry = now_us() + opt.retry_ms * 1000;
       }
     }
-    // Open loop cannot interleave (a read's key must have executed), so
-    // the read schedule trails the whole burst.
-    for (std::uint64_t seq = 1; seq <= total; ++seq) {
-      if (completed[seq]) reads_after_write(seq);
-    }
-  } else {
-    for (std::uint64_t seq = 1; seq <= total && now_us() < deadline; ++seq) {
-      first_send(seq);
-      if (seq == 1 && opt.force_retry) {
-        ++retries;
-        send_request(servers.size() > 1 ? 1 : 0, 1, payloads[1]);
-      }
-      std::uint64_t next_retry = now_us() + opt.retry_ms * 1000;
-      while (!completed[seq] && now_us() < deadline) {
-        drain_replies(/*wait_ms=*/20);
-        if ((retry_hint && now_us() >= earliest_retry) ||
-            now_us() >= next_retry) {
-          retry_hint = false;
-          earliest_retry = now_us() + 100'000;
-          retry_incomplete(seq);
-          next_retry = now_us() + opt.retry_ms * 1000;
-        }
-      }
-      if (completed[seq]) reads_after_write(seq);
-    }
+    if (completed[seq]) reads_after_write(seq);
   }
   const double wall_ms =
       static_cast<double>(now_us() - started) / 1000.0;

@@ -89,7 +89,6 @@ struct Options {
   std::uint32_t batch = 64;
   std::string wal_dir;                      // empty = no durability
   std::uint64_t checkpoint_interval = 16;   // slots; 0 disables
-  bool fsync = true;                        // fsync WAL writes
   /// Serve the linearizable read fast path (leader leases + quorum
   /// read-index, src/smr/reads.hpp) and answer kClientRead frames on the
   /// client port. Off by default: reads cost lease renewal broadcasts.
@@ -118,7 +117,7 @@ void usage() {
       "                   [--smr BOOL] [--client-port P] [--run-ms MS]\n"
       "                   [--expect-cmds N] [--window W] [--batch B]\n"
       "                   [--wal-dir DIR] [--checkpoint-interval SLOTS]\n"
-      "                   [--fsync BOOL] [--reads BOOL]\n");
+      "                   [--reads BOOL]\n");
 }
 
 std::uint64_t parse_u64(const std::string& text) {
@@ -232,8 +231,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.smr = true;  // durability only applies to the log
     } else if (key == "--checkpoint-interval") {
       opt.checkpoint_interval = parse_u64(value);
-    } else if (key == "--fsync") {
-      opt.fsync = parse_bool(value);
     } else if (key == "--reads") {
       opt.reads = parse_bool(value);
       opt.smr = true;  // the read path answers against the replicated log
@@ -277,7 +274,7 @@ int run_smr_service(const Options& opt, net::TcpTransport& transport,
   if (!opt.wal_dir.empty()) {
     try {
       wal = std::make_unique<store::Wal>(
-          store::WalOptions{opt.wal_dir, opt.fsync});
+          store::WalOptions{opt.wal_dir, /*fsync=*/true});
     } catch (const std::exception& e) {
       std::fprintf(stderr, "cannot open WAL under %s: %s\n",
                    opt.wal_dir.c_str(), e.what());

@@ -23,6 +23,9 @@
 // runs are reported either way), and `--json FILE` writes the aggregate
 // stats report. Per-run RESULT lines print in deterministic (spec, seed)
 // order after the sweep finishes, so output is stable under any --jobs.
+//
+// Every run is simulated. Real sockets are exercised by real probft_node
+// processes: scripts/run_tcp_cluster.sh.
 #include <algorithm>
 #include <cctype>
 #include <cmath>
@@ -36,7 +39,6 @@
 
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
-#include "sim/tcp_runner.hpp"
 
 namespace {
 
@@ -46,7 +48,6 @@ struct Options {
   sim::ScenarioSpec spec = sim::conformance_base_spec();
   sim::SweepConfig sweep;
   bool matrix = false;
-  bool tcp = false;  // --transport tcp-loopback: real sockets, small n
   std::vector<sim::Protocol> protocols;  // empty = all (matrix mode)
   std::vector<sim::Fault> faults;        // empty = all (matrix mode)
   std::string json_path;
@@ -68,19 +69,13 @@ void usage() {
       "[--faults F1,F2]\n"
       "                       [--jobs N] [--budget-seconds S] "
       "[--json FILE]\n"
-      "                       [--transport sim|tcp-loopback]\n"
       "                       [--workload single-shot|smr] "
       "[--smr-commands N]\n"
       "\n"
       "--workload smr drives a pipelined SMR fleet through a client\n"
       "workload instead of one single-shot decision; outcomes assert\n"
       "identical logs. SMR runs ProBFT only and supports the crash/churn/\n"
-      "partition/reorder faults (simulator transport only).\n"
-      "\n"
-      "--transport tcp-loopback runs each scenario over real 127.0.0.1\n"
-      "sockets (net::TcpTransport, one thread per replica) instead of the\n"
-      "deterministic simulator: crash faults only, small n, wall-clock\n"
-      "bounded. Matrix mode skips simulator-only faults there.\n");
+      "partition/reorder faults.\n");
 }
 
 /// Strict full-string numeric parses: trailing garbage ("16abc") and
@@ -211,14 +206,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (key == "--json") {
       if (value.empty()) return false;
       opt.json_path = value;
-    } else if (key == "--transport") {
-      if (value == "sim") {
-        opt.tcp = false;
-      } else if (value == "tcp-loopback") {
-        opt.tcp = true;
-      } else {
-        return false;
-      }
     } else if (key == "--workload") {
       if (!sim::workload_from_string(value, opt.spec.workload)) return false;
     } else if (key == "--smr-commands") {
@@ -279,13 +266,6 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  // The TCP loopback runner realizes single-shot specs only; the SMR
-  // client path over real sockets lives in run_tcp_cluster.sh's client
-  // mode (probft_node --smr + probft_client).
-  if (opt.tcp && opt.spec.workload == sim::Workload::kSmr) {
-    std::fprintf(stderr, "--workload smr requires --transport sim\n");
-    return 2;
-  }
   auto not_probft = [](sim::Protocol p) { return p != sim::Protocol::kProbft; };
   if (opt.spec.workload != sim::Workload::kSingleShot &&
       (not_probft(opt.spec.protocol) ||
@@ -311,52 +291,6 @@ int main(int argc, char** argv) {
     opt.spec.expect_termination =
         sim::fault_expects_termination(opt.spec.fault);
     specs.push_back(opt.spec);
-  }
-
-  if (opt.tcp) {
-    // Real sockets: serial execution, one OS thread per replica inside
-    // each run. Simulator-only faults cannot be realized here — reject a
-    // single-spec request outright, skip them (visibly) in matrix mode.
-    if (opt.spec.n > 64) {
-      std::fprintf(stderr, "tcp-loopback supports n <= 64\n");
-      return 2;
-    }
-    if (!opt.json_path.empty() || opt.sweep.budget_seconds > 0 ||
-        opt.sweep.jobs != 1) {
-      std::fprintf(stderr,
-                   "--json/--budget-seconds/--jobs are sim-transport only "
-                   "(tcp-loopback runs serially, one thread per replica)\n");
-      return 2;
-    }
-    bool safe = true;
-    bool live = true;
-    std::size_t ran = 0;
-    for (const auto& spec : specs) {
-      if (!sim::tcp_fault_supported(spec.fault)) {
-        if (!opt.matrix) {
-          std::fprintf(stderr, "fault %s is simulator-only\n",
-                       sim::to_string(spec.fault));
-          return 2;
-        }
-        std::fprintf(stderr, "SKIP %s (simulator-only fault)\n",
-                     sim::scenario_name(spec).c_str());
-        continue;
-      }
-      for (const std::uint64_t seed : spec.seeds) {
-        const auto outcome = sim::run_scenario_tcp(spec, seed);
-        print_result(spec, outcome);
-        ++ran;
-        safe = safe && outcome.agreement;
-        if (spec.expect_termination) live = live && outcome.terminated;
-      }
-    }
-    if (!safe) std::fprintf(stderr, "AGREEMENT VIOLATED\n");
-    if (!live) std::fprintf(stderr, "termination expectation missed\n");
-    if (ran == 0) {
-      std::fprintf(stderr, "no tcp-loopback-capable scenarios selected\n");
-      return 2;
-    }
-    return safe && live ? 0 : 1;
   }
 
   const sim::SweepReport report = sim::run_sweep(specs, opt.sweep);

@@ -9,9 +9,12 @@
 #              (default: probft)
 #   N          cluster size                                (default: 4)
 #
-# The consensus protocols run the single-shot smoke: exits 0 iff all N
-# processes printed a DECIDED line with one common value within the
-# timeout.
+# The consensus protocols run the single-shot smoke in two phases. First
+# all N processes must print a DECIDED line with one common value within
+# the timeout. Then the same cluster runs with a silent leader: replica 1
+# never starts, replicas 2..N run with f = floor((N-1)/3) and l = 1.5,
+# and all N-1 must decide one value at view >= 2. The second phase is
+# skipped, with a note, when N < 4 (f = 0).
 #
 # PROTOCOL=client runs the SMR client-path smoke instead: every node runs
 # the pipelined replicated log (--smr) with a client port, a real
@@ -52,7 +55,8 @@
 #
 # This is the CI smoke test for the TCP backend (.github/workflows/ci.yml
 # job `tcp-smoke`, nightly `smr-smoke` and `restart-smoke`; the sanitize
-# job runs `restart 4` under ASan/UBSan).
+# job runs `restart 4` under ASan/UBSan), and ctest runs the protocol
+# modes at N = 4 as `tcp_cluster_probft|pbft|hotstuff`.
 set -u
 
 BUILD_DIR=${1:-build}
@@ -101,7 +105,7 @@ client_servers() {
 # exited 0, 2 on a port clash (retryable), else 1 after reporting WHAT
 # and the nodes' stderr.
 wait_nodes() {
-  local failures=0 pid
+  local failures=0 started=${#pids[@]} pid
   for pid in "${pids[@]}"; do
     wait "$pid" || failures=$((failures + 1))
   done
@@ -112,7 +116,7 @@ wait_nodes() {
   if grep -lq "cannot start transport" "$workdir"/node-*.err 2>/dev/null; then
     return 2
   fi
-  echo "FAIL: $failures/$N $1" >&2
+  echo "FAIL: $failures/$started $1" >&2
   cat "$workdir"/node-*.err >&2
   return 1
 }
@@ -153,7 +157,7 @@ run_serving_mode() {
   sleep 1
   if ! timeout $(( DEADLINE_MS / 1000 + 10 )) \
       "$CLIENT_BIN" --servers "$(client_servers "$base_port")" \
-        --requests "$REQUESTS" --mode closed "${client_flags[@]}" \
+        --requests "$REQUESTS" "${client_flags[@]}" \
         --retry-ms 3000 --timeout-ms "$DEADLINE_MS" \
         > "$workdir/client.out" 2>&1; then
     echo "FAIL: client did not complete" >&2
@@ -218,7 +222,7 @@ run_restart_mode() {
   sleep 1
   timeout $(( DEADLINE_MS / 1000 + 10 )) \
     "$CLIENT_BIN" --servers "$(client_servers "$base_port")" \
-      --requests "$reqs" --mode closed --retry-ms 2000 \
+      --requests "$reqs" --retry-ms 2000 \
       --timeout-ms "$DEADLINE_MS" > "$workdir/client.out" 2>&1 &
   local client_pid=$!
   pids+=("$client_pid")
@@ -274,12 +278,19 @@ run_restart_mode() {
   return 0
 }
 
-run_single_shot_mode() {
-  local peers=$1
+# decide_once FIRST MIN_VIEW [FLAG...]: starts replicas FIRST..N in
+# single-shot mode with FLAGs (replicas below FIRST never start) and
+# asserts one DECIDED line per started replica, one common value, and
+# view >= MIN_VIEW on every line.
+decide_once() {
+  local first=$1 min_view=$2
+  shift 2
+  local live=$(( N - first + 1 ))
+  rm -f "$workdir"/node-*.out "$workdir"/node-*.err
   pids=()
-  for (( id = 1; id <= N; id++ )); do
+  for (( id = first; id <= N; id++ )); do
     timeout $(( DEADLINE_MS / 1000 + LINGER_MS / 1000 + 15 )) \
-      "$NODE_BIN" --id "$id" --peers "$peers" --protocol "$PROTOCOL" \
+      "$NODE_BIN" --id "$id" --peers "$peers" --protocol "$PROTOCOL" "$@" \
         --deadline-ms "$DEADLINE_MS" --linger-ms "$LINGER_MS" \
         $NODE_EXTRA_FLAGS \
         > "$workdir/node-$id.out" 2> "$workdir/node-$id.err" &
@@ -287,18 +298,30 @@ run_single_shot_mode() {
   done
   wait_nodes "nodes did not decide" || return $?
 
-  local values count
-  values=$(grep -h "^DECIDED" "$workdir"/node-*.out \
-             | sed 's/.*value=//' | sort -u)
-  count=$(cat "$workdir"/node-*.out | grep -c "^DECIDED")
-  if [[ $(wc -l <<< "$values") -ne 1 || "$count" -ne "$N" ]]; then
-    echo "FAIL: agreement violated or missing decisions" >&2
-    grep -h "^DECIDED" "$workdir"/node-*.out >&2
+  local decided values low_views
+  decided=$(grep -h "^DECIDED" "$workdir"/node-*.out)
+  values=$(sed 's/.*value=//' <<< "$decided" | sort -u)
+  low_views=$(sed 's/.* view=\([0-9]*\) .*/\1/' <<< "$decided" \
+                | awk -v min="$min_view" '$1 < min' | wc -l)
+  if [[ $(grep -c . <<< "$decided") -ne "$live"
+        || $(wc -l <<< "$values") -ne 1 || "$low_views" -ne 0 ]]; then
+    echo "FAIL: agreement violated, decisions missing or view < $min_view" >&2
+    echo "$decided" >&2
     return 1
   fi
+  echo "OK: $live/$N replicas decided value=$values at view >= $min_view"
+}
 
-  echo "OK: $N/$N replicas decided value=$values"
-  return 0
+# The fault-free run, then the silent leader: replica 1 (view 1's
+# leader) never starts, so replicas 2..N must change view to decide.
+run_single_shot_mode() {
+  decide_once 1 1 || return $?
+  local f=$(( (N - 1) / 3 ))
+  if (( f == 0 )); then
+    echo "note: n=$N tolerates no fault; silent-leader phase skipped"
+    return 0
+  fi
+  decide_once 2 2 --f "$f" --l 1.5
 }
 
 attempt=0
@@ -318,7 +341,7 @@ while (( attempt < 3 )); do
   elif [[ "$PROTOCOL" == restart ]]; then
     run_restart_mode "$base_port" "$peers"
   else
-    run_single_shot_mode "$peers"
+    run_single_shot_mode
   fi
   rc=$?
   if (( rc == 0 )); then

@@ -5,7 +5,7 @@
 // against it is invisible to -Wthread-safety.
 //
 // Conventions used across the threaded surface (net/tcp_transport,
-// store/wal, sim/tcp_runner):
+// store/wal):
 //   - every mutex-protected member is PROBFT_GUARDED_BY its Mutex;
 //   - scopes hold locks via MutexLock (scoped capability), never bare
 //     lock()/unlock() pairs;

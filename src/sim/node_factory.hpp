@@ -2,10 +2,9 @@
 // (protocol, parameters, ProtocolHost) into a running replica.
 //
 // Both deployment worlds build their nodes here — sim::Cluster wires hosts
-// to the deterministic in-process network, and the TCP runners
-// (src/sim/tcp_runner.*, examples/probft_node.cpp) wire them to real
-// sockets — so protocol selection and config plumbing cannot drift between
-// the simulator and production-style deployments.
+// to the deterministic in-process network, and examples/probft_node.cpp
+// wires them to real sockets — so protocol selection and config plumbing
+// cannot drift between the simulator and production-style deployments.
 #pragma once
 
 #include <memory>

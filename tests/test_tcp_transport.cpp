@@ -1,7 +1,8 @@
 // TCP transport tests over real loopback sockets: basic delivery, late
-// peer startup (reconnect-on-failure), and full n=4 consensus runs through
-// the same run_scenario_tcp() harness `scenario_runner --transport
-// tcp-loopback` uses. All wall-clock bounded well below the ctest timeout.
+// peer startup (reconnect-on-failure), write batching and the client
+// port. Consensus over real sockets runs in real probft_node processes
+// (the tcp_cluster_* ctests, scripts/run_tcp_cluster.sh). All wall-clock
+// bounded well below the ctest timeout.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -20,7 +21,6 @@
 
 #include "net/frame.hpp"
 #include "net/tcp_transport.hpp"
-#include "sim/tcp_runner.hpp"
 
 namespace probft {
 namespace {
@@ -288,58 +288,6 @@ TEST(TcpTransport, TimersFireInOrder) {
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 2);
   EXPECT_EQ(order[2], 3);
-}
-
-// ---- full consensus over real sockets ----
-
-sim::ScenarioSpec loopback_spec(sim::Protocol protocol) {
-  sim::ScenarioSpec spec;
-  spec.protocol = protocol;
-  spec.n = 4;
-  spec.f = 0;
-  spec.l = 1.2;  // q = ceil(1.2·2) = 3 of 4: satisfiable sample
-  spec.fault = sim::Fault::kNone;
-  spec.deadline = 20'000'000;  // 20 s wall cap, typical run ≪ 1 s
-  return spec;
-}
-
-TEST(TcpCluster, FourNodeProbftDecidesOverRealSockets) {
-  const auto outcome = sim::run_scenario_tcp(loopback_spec(
-      sim::Protocol::kProbft), /*seed=*/1);
-  EXPECT_TRUE(outcome.terminated)
-      << outcome.decided << "/" << outcome.correct << " decided";
-  EXPECT_TRUE(outcome.agreement);
-  EXPECT_EQ(outcome.decided, 4U);
-  EXPECT_GT(outcome.messages, 0U);
-  EXPECT_GT(outcome.bytes, 0U);
-}
-
-TEST(TcpCluster, FourNodePbftAndHotstuffDecide) {
-  for (const auto protocol :
-       {sim::Protocol::kPbft, sim::Protocol::kHotStuff}) {
-    const auto outcome =
-        sim::run_scenario_tcp(loopback_spec(protocol), /*seed=*/1);
-    EXPECT_TRUE(outcome.terminated);
-    EXPECT_TRUE(outcome.agreement);
-  }
-}
-
-TEST(TcpCluster, SilentLeaderViewChangesOverRealSockets) {
-  sim::ScenarioSpec spec = loopback_spec(sim::Protocol::kProbft);
-  spec.f = 1;
-  spec.fault = sim::Fault::kSilentLeader;
-  const auto outcome = sim::run_scenario_tcp(spec, /*seed=*/1);
-  EXPECT_TRUE(outcome.terminated);
-  EXPECT_TRUE(outcome.agreement);
-  EXPECT_EQ(outcome.decided, 3U);  // the silent leader never decides
-  EXPECT_GE(outcome.max_view, 2U);  // a real view change happened
-}
-
-TEST(TcpRunner, RejectsSimulatorOnlyFaults) {
-  sim::ScenarioSpec spec = loopback_spec(sim::Protocol::kProbft);
-  spec.fault = sim::Fault::kEquivocate;
-  EXPECT_FALSE(sim::tcp_fault_supported(spec.fault));
-  EXPECT_THROW((void)sim::run_scenario_tcp(spec, 1), std::invalid_argument);
 }
 
 // ---- write batching (sendmsg/iovec coalescing) ----
