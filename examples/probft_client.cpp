@@ -6,11 +6,14 @@
 //       [--retry-ms R] [--timeout-ms T] [--force-retry 1]
 //
 // Requests are ClientRequest{client_id, seq, payload} frames
-// (net/client.hpp over net/frame.hpp). The client targets the first
-// server (the round-robin view-1 leader in a fresh cluster) and retries
-// unanswered requests against every server after --retry-ms — duplicate
-// submissions are safe because the SMR layer executes each (client, seq)
-// at most once and re-answers executed retries from its reply cache.
+// (net/client.hpp over net/frame.hpp). The client dials every server in
+// repeated passes and starts once any of them accepts; servers missing
+// then (still binding, or dead) are re-dialed at every retry round. It
+// targets the first connected server (the round-robin view-1 leader in a
+// fresh cluster) and retries unanswered requests against every server
+// after --retry-ms — duplicate submissions are safe because the SMR
+// layer executes each (client, seq) at most once and re-answers executed
+// retries from its reply cache.
 // --force-retry deterministically sends the first request twice (the
 // cluster harness uses it to assert exactly-once execution under client
 // retries). A request counts as completed on its first reply; later
@@ -29,15 +32,15 @@
 // value. --consistency picks the mode (linearizable | sequential |
 // stale-ok); sequential reads carry min_index = the write's reply slot
 // + 1, which is exactly the client's read-your-writes bound. A read is
-// retried against the next server on an explicit kRejected/kRedirect
-// reply or after --retry-ms of silence. Summary line:
+// retried against the next server on an explicit kRejected reply or
+// after --retry-ms of silence. Summary line:
 //   READS ok consistency=... attempted=A executed=E rejected=J
 //       retries=T p50_us=...
 //
 // Replies carry an explicit status byte (client wire v2): a write
-// answered kRejected/kRejected-redirect is NOT completed — it pulls the
-// retry timer forward (floored at 100 ms so a rejecting server cannot
-// make the client spin) and the request is re-sent to every server.
+// answered kRejected is NOT completed — it pulls the retry timer forward
+// (floored at 100 ms so a rejecting server cannot make the client spin)
+// and the request is re-sent to every server.
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -165,8 +168,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
   return !opt.servers.empty() && opt.requests >= 1;
 }
 
-/// One connection per server; a dead connection stays closed (fd < 0) and
-/// its server simply never answers — retries cover the rest.
+/// One connection per server; a missing or dead one (fd < 0) is re-dialed
+/// at every retry round, and until then its server simply never answers.
 struct ServerConn {
   int fd = -1;
   net::FrameDecoder decoder;
@@ -218,17 +221,28 @@ int main(int argc, char** argv) {
 
   const std::uint64_t deadline = now_us() + opt.timeout_ms * 1000;
 
-  // Dial every server (with retries — node processes may still be
-  // binding their client ports).
   std::vector<ServerConn> servers(opt.servers.size());
-  for (std::size_t i = 0; i < servers.size(); ++i) {
-    while (servers[i].fd < 0 && now_us() < deadline) {
+  const auto redial = [&opt, &servers] {
+    for (std::size_t i = 0; i < servers.size(); ++i) {
+      if (servers[i].fd >= 0) continue;
       servers[i].fd = dial(opt.servers[i].first, opt.servers[i].second);
-      if (servers[i].fd < 0) ::usleep(100'000);
+      servers[i].decoder = net::FrameDecoder();
     }
+  };
+  const auto first_connected = [&servers]() -> std::size_t {
+    std::size_t i = 0;
+    while (i < servers.size() && servers[i].fd < 0) ++i;
+    return i;
+  };
+  // Node processes may still be binding their client ports: dial in
+  // passes until any server accepts.
+  redial();
+  while (first_connected() == servers.size() && now_us() < deadline) {
+    ::usleep(100'000);
+    redial();
   }
-  if (servers[0].fd < 0) {
-    std::fprintf(stderr, "cannot reach primary server\n");
+  if (first_connected() == servers.size()) {
+    std::fprintf(stderr, "cannot reach any server\n");
     return 1;
   }
 
@@ -285,9 +299,9 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> write_slot(total + 1, 0);
   std::vector<std::uint64_t> latencies;
   std::uint64_t replies = 0, retries = 0, duplicates = 0;
-  // An explicit kRejected/kRedirect write reply pulls the retry timer
-  // forward instead of waiting out --retry-ms; earliest_retry floors the
-  // hinted retries at 100 ms so a rejecting server cannot spin the client.
+  // An explicit kRejected write reply pulls the retry timer forward
+  // instead of waiting out --retry-ms; earliest_retry floors the hinted
+  // retries at 100 ms so a rejecting server cannot spin the client.
   bool retry_hint = false;
   std::uint64_t earliest_retry = 0;
   // In-flight read state (reads are closed-loop: at most one pending).
@@ -368,7 +382,7 @@ int main(int argc, char** argv) {
             continue;
           }
           if (reply.status != net::ReplyStatus::kExecuted) {
-            // Backpressure or redirect: the request did NOT execute.
+            // Backpressure: the request did NOT execute.
             // Leave it incomplete and hint the retry loop.
             retry_hint = true;
             continue;
@@ -389,6 +403,7 @@ int main(int argc, char** argv) {
   };
 
   const auto retry_incomplete = [&](std::uint64_t upto) {
+    redial();
     for (std::uint64_t seq = 1; seq <= upto; ++seq) {
       if (completed[seq]) continue;
       ++retries;
@@ -399,15 +414,16 @@ int main(int argc, char** argv) {
   };
   const auto first_send = [&](std::uint64_t seq) {
     sent_at[seq] = now_us();
-    send_request(0, seq, payloads[seq]);
+    send_request(first_connected() % servers.size(), seq, payloads[seq]);
   };
 
   // One closed-loop read keyed by completed write `seq` — its payload is
   // the key and its own bytes are the expected value, so any server that
   // answers with something else would be visibly stale. Starts at the
-  // first server (the lease holder for linearizable reads in a fresh
-  // cluster) and rotates to the next server on an explicit rejection or
-  // after --retry-ms of silence.
+  // first connected server (the lease holder for linearizable reads in a
+  // fresh cluster) and rotates to the next server on an explicit
+  // rejection or after --retry-ms of silence, re-dialing missing servers
+  // first.
   const auto run_read = [&](std::uint64_t seq) {
     const std::uint64_t read_id = ++next_read_id;
     const std::uint64_t min_index =
@@ -421,7 +437,7 @@ int main(int argc, char** argv) {
     pending_read_done = false;
     pending_read_bounced = false;
     ++reads_attempted;
-    std::size_t target = 0;
+    std::size_t target = first_connected() % servers.size();
     read_sent_at = now_us();
     send_read(target, read_id, payloads[seq], min_index);
     std::uint64_t next_retry = now_us() + opt.retry_ms * 1000;
@@ -429,6 +445,7 @@ int main(int argc, char** argv) {
       drain_replies(/*wait_ms=*/5);
       if (pending_read_bounced || now_us() >= next_retry) {
         pending_read_bounced = false;
+        redial();
         target = (target + 1) % servers.size();
         ++read_retries;
         send_read(target, read_id, payloads[seq], min_index);

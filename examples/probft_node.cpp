@@ -76,7 +76,6 @@ struct Options {
   double l = 2.0;
   std::uint64_t seed = 1;
   std::string suite = "sim";
-  Bytes value;  // empty = the default per-replica value
   std::uint64_t deadline_ms = 30'000;
   std::uint64_t linger_ms = 2'000;
   bool stats = false;
@@ -85,8 +84,6 @@ struct Options {
   std::uint16_t client_port = 0;  // 0 = no client listener
   std::uint64_t run_ms = 30'000;
   std::uint64_t expect_cmds = 0;  // 0 = run the full --run-ms
-  std::uint32_t window = 8;
-  std::uint32_t batch = 64;
   std::string wal_dir;                      // empty = no durability
   std::uint64_t checkpoint_interval = 16;   // slots; 0 disables
   /// Serve the linearizable read fast path (leader leases + quorum
@@ -112,10 +109,9 @@ void usage() {
       "usage: probft_node --id I --peers host:port,host:port,...\n"
       "                   [--protocol probft|pbft|hotstuff] [--f F]\n"
       "                   [--o O] [--l L] [--seed S] [--suite sim|ed25519]\n"
-      "                   [--value STRING] [--deadline-ms MS]\n"
-      "                   [--linger-ms MS] [--stats BOOL]\n"
-      "                   [--smr BOOL] [--client-port P] [--run-ms MS]\n"
-      "                   [--expect-cmds N] [--window W] [--batch B]\n"
+      "                   [--deadline-ms MS] [--linger-ms MS]\n"
+      "                   [--stats BOOL] [--smr BOOL] [--client-port P]\n"
+      "                   [--run-ms MS] [--expect-cmds N]\n"
       "                   [--wal-dir DIR] [--checkpoint-interval SLOTS]\n"
       "                   [--reads BOOL]\n");
 }
@@ -205,8 +201,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (key == "--suite") {
       if (value != "sim" && value != "ed25519") return false;
       opt.suite = value;
-    } else if (key == "--value") {
-      opt.value = to_bytes(value);
     } else if (key == "--deadline-ms") {
       opt.deadline_ms = parse_u64(value);
     } else if (key == "--linger-ms") {
@@ -222,10 +216,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.run_ms = parse_u64(value);
     } else if (key == "--expect-cmds") {
       opt.expect_cmds = parse_u64(value);
-    } else if (key == "--window") {
-      opt.window = parse_u32(value);
-    } else if (key == "--batch") {
-      opt.batch = parse_u32(value);
     } else if (key == "--wal-dir") {
       opt.wal_dir = value;
       opt.smr = true;  // durability only applies to the log
@@ -263,8 +253,6 @@ void print_stats(const net::TransportStats& stats) {
 /// the SMRLOG line.
 int run_smr_service(const Options& opt, net::TcpTransport& transport,
                     sim::NodeParams params) {
-  params.smr.window = opt.window;
-  params.smr.batch_max_commands = opt.batch;
   params.smr.checkpoint_interval = opt.checkpoint_interval;
   params.smr.serve_reads = opt.reads;
 
@@ -521,9 +509,7 @@ int main(int argc, char** argv) {
   params.f = opt.f;
   params.o = opt.o;
   params.l = opt.l;
-  params.my_value = opt.value.empty()
-                        ? sim::default_node_value({}, opt.id)
-                        : opt.value;
+  params.my_value = sim::default_node_value({}, opt.id);
   params.suite = suite.get();
   params.secret_key = std::move(keys.pairs[opt.id].secret_key);
   params.public_keys = std::move(keys.public_keys);

@@ -22,7 +22,8 @@
 # first one), and the script asserts that the client got a reply for every
 # request, that every replica executed exactly $REQUESTS commands (the
 # retry must not double-execute), and that all replicas ended with
-# identical log digests.
+# identical log digests. The client's --servers list ends with one
+# address nothing listens on, so a dead server must not stall it.
 #
 # PROTOCOL=restart runs the crash-restart durability smoke: an SMR
 # cluster with per-node write-ahead logs (--wal-dir, checkpoint interval
@@ -50,13 +51,18 @@
 # identical log digests.
 #
 # NODE_EXTRA_FLAGS appends extra probft_node flags to every node in any
-# mode — e.g. NODE_EXTRA_FLAGS="--window 16 --batch 32" runs every node
-# with a wider pipeline.
+# mode — e.g. NODE_EXTRA_FLAGS="--checkpoint-interval 4" checkpoints
+# every 4 slots in the SMR modes.
+#
+# A node that cannot bind its ports prints "cannot start transport"; the
+# script then retries on a fresh port range, also when that shows first
+# as a failed client.
 #
 # This is the CI smoke test for the TCP backend (.github/workflows/ci.yml
 # job `tcp-smoke`, nightly `smr-smoke` and `restart-smoke`; the sanitize
 # job runs `restart 4` under ASan/UBSan), and ctest runs the protocol
-# modes at N = 4 as `tcp_cluster_probft|pbft|hotstuff`.
+# modes at N = 4 as `tcp_cluster_probft|pbft|hotstuff` and the client
+# mode as `tcp_cluster_client`.
 set -u
 
 BUILD_DIR=${1:-build}
@@ -92,13 +98,31 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# client_servers BASE_PORT: the nodes' client ports, comma-separated.
+# client_servers BASE_PORT [DEAD]: the nodes' client ports,
+# comma-separated; DEAD = 1 appends the next port, where nothing listens.
 client_servers() {
   local list="" i
-  for (( i = 0; i < N; i++ )); do
+  for (( i = 0; i < N + ${2:-0}; i++ )); do
     list+="${list:+,}127.0.0.1:$(( $1 + 100 + i ))"
   done
   echo "$list"
+}
+
+# port_clash: whether a node could not bind its ports (retryable).
+port_clash() {
+  grep -lq "cannot start transport" "$workdir"/node-*.err 2>/dev/null
+}
+
+# client_failed: the client exited nonzero. Stops the nodes; returns 2 on
+# a port clash, else 1 after printing the client's output.
+client_failed() {
+  (( ${#pids[@]} )) && kill -TERM "${pids[@]}" 2>/dev/null
+  wait "${pids[@]}" 2>/dev/null
+  pids=()
+  port_clash && return 2
+  echo "FAIL: the client did not complete" >&2
+  cat "$workdir/client.out" >&2
+  return 1
 }
 
 # wait_nodes WHAT: waits for every process in pids. Returns 0 when all
@@ -113,9 +137,7 @@ wait_nodes() {
   (( failures == 0 )) && return 0
   # A bind failure (port stolen between attempts) is retryable; anything
   # else is a real failure — tell them apart by stderr content.
-  if grep -lq "cannot start transport" "$workdir"/node-*.err 2>/dev/null; then
-    return 2
-  fi
+  port_clash && return 2
   echo "FAIL: $failures/$started $1" >&2
   cat "$workdir"/node-*.err >&2
   return 1
@@ -131,15 +153,17 @@ logs_agree() {
 }
 
 # The client path (READS=0: the first request is retried and must not
-# execute twice) and the read smoke (READS=1: reads on, f=1 / l=1.5).
+# execute twice, and the client also lists one dead server) and the read
+# smoke (READS=1: reads on, f=1 / l=1.5).
 run_serving_mode() {
   local base_port=$1 peers=$2 reads=$3
   local ratio=${READ_RATIO:-0.9}
   local consistency=${READ_CONSISTENCY:-linearizable}
-  local node_flags=() client_flags=(--force-retry 1)
+  local node_flags=() client_flags=(--force-retry 1) dead=1
   if (( reads )); then
     node_flags=(--f 1 --l 1.5 --reads 1)
     client_flags=(--read-ratio "$ratio" --consistency "$consistency")
+    dead=0
   fi
   rm -rf "$workdir"/node-*.out "$workdir"/node-*.err
 
@@ -156,13 +180,12 @@ run_serving_mode() {
 
   sleep 1
   if ! timeout $(( DEADLINE_MS / 1000 + 10 )) \
-      "$CLIENT_BIN" --servers "$(client_servers "$base_port")" \
+      "$CLIENT_BIN" --servers "$(client_servers "$base_port" "$dead")" \
         --requests "$REQUESTS" "${client_flags[@]}" \
         --retry-ms 3000 --timeout-ms "$DEADLINE_MS" \
         > "$workdir/client.out" 2>&1; then
-    echo "FAIL: client did not complete" >&2
-    cat "$workdir/client.out" >&2
-    return 1
+    client_failed
+    return $?
   fi
   wait_nodes "SMR nodes did not reach $REQUESTS commands" || return $?
 
@@ -244,9 +267,8 @@ run_restart_mode() {
   start_node "$victim" "node-$victim-restart.out"
 
   if ! wait "$client_pid"; then
-    echo "FAIL: the client did not complete" >&2
-    cat "$workdir/client.out" >&2
-    return 1
+    client_failed
+    return $?
   fi
   # The survivors and the restarted victim (the last pid).
   pids=("${pids[@]:0:victim-1}" "${pids[@]:victim:N-victim}" "${pids[-1]}")

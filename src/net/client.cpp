@@ -17,7 +17,7 @@ void check_payload_size(std::size_t size) {
 }
 
 ReplyStatus decode_status(std::uint8_t raw) {
-  if (raw > static_cast<std::uint8_t>(ReplyStatus::kRedirect)) {
+  if (raw > static_cast<std::uint8_t>(ReplyStatus::kRejected)) {
     throw CodecError("client wire: unknown reply status");
   }
   return static_cast<ReplyStatus>(raw);

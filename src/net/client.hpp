@@ -50,14 +50,12 @@ inline constexpr std::uint8_t kClientReadTag = tags::kClientRead;
 inline constexpr std::uint8_t kClientReadReplyTag = tags::kClientReadReply;
 
 /// Reply disposition. kExecuted answers carry real results; kRejected
-/// means the replica refused (backpressure, read timeout, lease loss) and
-/// the client should back off and retry; kRedirect means this replica is
-/// the wrong place (not the lease holder) and the client should
-/// re-route.
+/// means the replica refused (backpressure, read timeout, no lease or
+/// quorum) and the client should back off and retry, at any server. Any
+/// other status byte fails decode.
 enum class ReplyStatus : std::uint8_t {
   kExecuted = 0,
   kRejected = 1,
-  kRedirect = 2,
 };
 
 /// Client-selectable read consistency.

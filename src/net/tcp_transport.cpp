@@ -116,8 +116,7 @@ TcpTransport::TcpTransport(TcpTransportConfig config)
   }
   for (ReplicaId id = 1; id <= cfg_.n; ++id) {
     if (id == cfg_.self) continue;
-    conns_.push_back(std::make_unique<Conn>(Conn::Role::kDialed, -1,
-                                            cfg_.max_frame_payload));
+    conns_.push_back(std::make_unique<Conn>(Conn::Role::kDialed, -1));
     conns_.back()->peer = id;
   }
   listen_fd_ =
@@ -169,7 +168,7 @@ bool TcpTransport::count_send(std::uint8_t tag, std::size_t payload_size) {
   // A frame the receiver's decoder would reject as oversize must never hit
   // the wire: the receiver would poison the connection, we would rewind
   // and redial, and the identical frame would livelock the link forever.
-  if (payload_size > cfg_.max_frame_payload) {
+  if (payload_size > kDefaultMaxFramePayload) {
     ++stats_.dropped;
     return false;
   }
@@ -356,7 +355,7 @@ void TcpTransport::close_conn(Conn& conn) {
   // synchrony).
   conn.connecting = false;
   conn.front_off = 0;
-  conn.decoder = FrameDecoder(cfg_.max_frame_payload);
+  conn.decoder = FrameDecoder();
   fail_dial(conn);
 }
 
@@ -474,8 +473,7 @@ void TcpTransport::accept_all(int listen_fd, Conn::Role role) {
       continue;
     }
     set_stream_options(fd);
-    conns_.push_back(
-        std::make_unique<Conn>(role, fd, cfg_.max_frame_payload));
+    conns_.push_back(std::make_unique<Conn>(role, fd));
     if (role == Conn::Role::kClient) {
       conns_.back()->client_id = next_client_conn_++;
     }

@@ -85,8 +85,6 @@ struct TcpTransportConfig {
   /// Peer addresses, 1-based by replica id; the own entry may be empty.
   /// May be filled after construction with set_peer() (ephemeral ports).
   std::map<ReplicaId, PeerAddress> peers;
-  /// Per-frame payload cap fed to the decoder.
-  std::size_t max_frame_payload = kDefaultMaxFramePayload;
 
   /// Optional client-facing listener (the SMR service port). When
   /// enabled, the transport also accepts connections on this address;
@@ -206,8 +204,7 @@ class TcpTransport final : public ITransport {
       kAccepted,  // peer → this node; receive-only
       kClient,    // client port; requests in, replies out
     };
-    Conn(Role r, int socket, std::size_t max_frame_payload)
-        : role(r), fd(socket), decoder(max_frame_payload) {}
+    Conn(Role r, int socket) : role(r), fd(socket) {}
 
     Role role;
     int fd;

@@ -37,12 +37,16 @@ struct Request {
 /// The value a slot decides: zero or more requests, in execution order.
 using Batch = std::vector<Request>;
 
+/// Encoded size cap of a slot's batch: a proposal stops drawing requests
+/// before it, and a request that alone would pass it is refused at intake.
+inline constexpr std::size_t kBatchMaxBytes = 256 * 1024;
+
 /// Caps a batch must respect to be a valid proposal. `max_commands` bounds
-/// the request count, `max_bytes` the encoded size — both are protocol
-/// parameters (SmrOptions), shared by proposer and validity predicate.
+/// the request count (SmrOptions::batch_max_commands), `max_bytes` the
+/// encoded size — shared by proposer and validity predicate.
 struct BatchLimits {
   std::uint32_t max_commands = 64;
-  std::size_t max_bytes = 256 * 1024;
+  std::size_t max_bytes = kBatchMaxBytes;
 };
 
 [[nodiscard]] Bytes encode_batch(const Batch& batch);

@@ -34,6 +34,12 @@ constexpr std::size_t kMaxTrackedCkpts = 8;
 /// Distinct state digests tracked per boundary.
 constexpr std::size_t kMaxCkptDigests = 4;
 
+/// While execution trails slots known to exist (opened locally, or merely
+/// seen in peer traffic — the gap may exceed the window), a pull for the
+/// oldest unexecuted slot goes out at this period (µs); peers that
+/// executed it answer with signed hints for a window's worth of slots.
+constexpr Duration kCatchupTimeout = 250'000;
+
 Bytes encode_decide_record(std::uint64_t slot, const Bytes& value) {
   Writer w;
   w.u64(slot);
@@ -203,7 +209,7 @@ CatchUp::CatchUp(const SmrConfig& cfg, const core::ProtocolHost& host,
       host_(host),
       adopt_(std::move(adopt)),
       jump_(std::move(jump)),
-      limits_{cfg.pipeline.batch_max_commands, cfg.pipeline.batch_max_bytes},
+      limits_{cfg.pipeline.batch_max_commands, kBatchMaxBytes},
       chain_(zero_digest()),
       votes_{kMaxCkptDigests, kMaxTrackedCkpts, {}},
       hints_{kMaxHintValues, std::numeric_limits<std::size_t>::max(), {}} {}
@@ -298,7 +304,7 @@ void CatchUp::arm_pull() {
   if (pull_armed_ || exec_slots() >= max_seen_slot_) return;
   pull_armed_ = true;
   const std::uint64_t mark = exec_slots();
-  host_.set_timer(cfg_.pipeline.catchup_timeout, [this, mark] {
+  host_.set_timer(kCatchupTimeout, [this, mark] {
     pull_armed_ = false;
     if (exec_slots() >= max_seen_slot_) return;
     // Execution stuck on the same slot a full period later: ask peers

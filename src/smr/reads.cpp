@@ -292,7 +292,7 @@ void ReadPath::park_read(Bytes key, std::uint64_t wait_slots,
   parked_reads_.emplace(wait_slots,
                         ParkedRead{token, std::move(key), std::move(cb)});
   pull_();  // the wait point may already exist at peers
-  host_.set_timer(cfg_.pipeline.read_timeout, [this, token] {
+  host_.set_timer(kReadTimeout, [this, token] {
     for (auto it = parked_reads_.begin(); it != parked_reads_.end(); ++it) {
       if (it->second.token != token) continue;
       const ReadCallback cb = std::move(it->second.cb);
@@ -393,7 +393,7 @@ void ReadPath::begin_read_index(Bytes key, ReadCallback cb) {
   wait.cb = std::move(cb);
   wait.marks.emplace(cfg_.id, exec_slots());
   host_.broadcast(kSmrReadIndexTag, ReadIndexRequest{rid, cfg_.id}.encode());
-  host_.set_timer(cfg_.pipeline.read_timeout, [this, rid] {
+  host_.set_timer(kReadTimeout, [this, rid] {
     const auto it = read_index_waits_.find(rid);
     if (it == read_index_waits_.end()) return;
     const ReadCallback cb = std::move(it->second.cb);

@@ -101,6 +101,11 @@ inline constexpr std::uint8_t kReadIndexAttestKind = 3;
 /// Cap on signature bytes accepted off the wire (ed25519 uses 64).
 inline constexpr std::size_t kMaxReadSigBytes = 256;
 
+/// A read that cannot complete within this window (µs) — execution
+/// stalled below its read index, or no attestation quorum — answers
+/// kRejected instead of parking forever.
+inline constexpr Duration kReadTimeout = 1'000'000;
+
 /// Kind byte of a versioned read-path message, without consuming it.
 /// Throws CodecError on truncation or a version this build does not
 /// speak, so dispatchers fail closed.
@@ -270,7 +275,7 @@ class ReadPath {
   void answer_read(const Bytes& key, const ReadCallback& cb);
   void reject_read(const ReadCallback& cb);
   /// Park a read until exec_slots() >= wait_slots (answers immediately
-  /// when already satisfied); a read_timeout timer rejects stuck parks.
+  /// when already satisfied); a kReadTimeout timer rejects stuck parks.
   void park_read(Bytes key, std::uint64_t wait_slots, ReadCallback cb);
   /// Broadcast a lease request for the next epoch and arm validity +
   /// renewal timers (leader only; re-arms itself at duration/2).

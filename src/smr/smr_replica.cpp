@@ -38,12 +38,10 @@ SmrReplica::SmrReplica(SmrConfig config, core::ProtocolHost host)
   if (cfg_.id == 0 || cfg_.id > cfg_.n || cfg_.suite == nullptr ||
       cfg_.public_keys.size() != cfg_.n + 1 ||
       cfg_.pipeline.max_slots == 0 || cfg_.pipeline.window == 0 ||
-      cfg_.pipeline.batch_max_commands == 0 ||
-      cfg_.pipeline.batch_max_bytes < 64) {
+      cfg_.pipeline.batch_max_commands == 0) {
     throw std::invalid_argument("SmrReplica: bad configuration");
   }
   limits_.max_commands = cfg_.pipeline.batch_max_commands;
-  limits_.max_bytes = cfg_.pipeline.batch_max_bytes;
   Writer tag;
   tag.u64(kGroupId);
   group_tag_ = std::move(tag).take();
@@ -66,21 +64,6 @@ void SmrReplica::start() {
   catchup_.start();
   maybe_open_slots(/*pace_expired=*/false);
   reads_.start();
-}
-
-void SmrReplica::submit(Bytes command) {
-  if (command.empty()) {
-    throw std::invalid_argument("submit: command must be non-empty");
-  }
-  Request req{cfg_.id, local_seq_ + 1, std::move(command)};
-  if (4 + request_wire_size(req) > limits_.max_bytes) {
-    throw std::invalid_argument("submit: command exceeds the batch byte cap");
-  }
-  ++local_seq_;
-  if (!submit_request(req.client, req.seq, std::move(req.payload))) {
-    // Local seqs are unique, so the only rejection is the intake cap.
-    throw std::overflow_error("submit: request queue is full");
-  }
 }
 
 bool SmrReplica::submit_request(std::uint64_t client, std::uint64_t seq,
@@ -155,7 +138,7 @@ bool SmrReplica::enqueue(Request request, ReplicaId origin) {
       4 + request_wire_size(request) > limits_.max_bytes) {
     return false;
   }
-  if (queue_.size() + held_.size() >= cfg_.pipeline.max_pending_requests) {
+  if (queue_.size() + held_.size() >= kMaxPendingRequests) {
     return false;  // backpressure: a forward flood must not grow memory
   }
   if (request.seq <= last_executed_seq(request.client)) {
@@ -246,11 +229,6 @@ void SmrReplica::age_held() {
   release_all_held();
 }
 
-bool SmrReplica::has_committed(const Bytes& payload) const {
-  return std::find(exec_log_.begin(), exec_log_.end(), payload) !=
-         exec_log_.end();
-}
-
 std::uint64_t SmrReplica::last_executed_seq(std::uint64_t client) const {
   const auto it = last_exec_.find(client);
   return it == last_exec_.end() ? 0 : it->second;
@@ -305,7 +283,7 @@ void SmrReplica::open_slots_through(std::uint64_t slot) {
 
 void SmrReplica::arm_pacing() {
   pace_armed_ = true;
-  host_.set_timer(cfg_.pipeline.batch_timeout, [this] {
+  host_.set_timer(kBatchTimeout, [this] {
     collect_retired();
     pace_armed_ = false;
     age_held();
@@ -447,9 +425,8 @@ void SmrReplica::execute_ready_slots() {
       exec.index = exec_count_;
       exec.client = req.client;
       exec.seq = req.seq;
-      exec.payload = req.payload;
+      exec.payload = std::move(req.payload);
       ++exec_count_;
-      exec_log_.push_back(std::move(req.payload));
       reads_.apply(exec.slot, exec.index, exec.payload);
       if (!catchup_.recovering() && cfg_.on_execute) cfg_.on_execute(exec);
     }
@@ -538,8 +515,7 @@ void SmrReplica::on_prefix_jump(const CheckpointState& state) {
   }
   scrub_executed();
 
-  // exec_log_ keeps only locally-executed requests (documented gap), and
-  // the read path misses every write in the skipped stretch (the
+  // The read path misses every write in the skipped stretch (the
   // checkpoint carries the dedup table, not the KV image).
   reads_.on_prefix_jump(slot);
   exec_count_ = state.exec_count;

@@ -16,7 +16,7 @@
 //    fills.
 //  - Slot opening is demand-driven. Only the group view's leader opens
 //    slots from its own queue: when a full batch is ready, when its pacing
-//    timer (batch_timeout) expires with requests queued, and at once on
+//    timer (kBatchTimeout) expires with requests queued, and at once on
 //    entering a view it leads. Any replica opens a slot when consensus
 //    traffic for it arrives from a peer (traffic that raced ahead of the
 //    window opens its slot once execution brings it inside). An idle
@@ -52,8 +52,12 @@
 //    slot. The group field is the constant kGroupId (smr/checkpoint.hpp),
 //    as in the Wish, hint and checkpoint-vote signing strings.
 //  - Executed slots are retired: the per-slot core::Replica is destroyed
-//    once its slot executes, so memory is O(window) instead of O(log
-//    length). Frames for an executed slot never reach an instance.
+//    once its slot executes, so live instances are O(window). Frames for
+//    an executed slot never reach an instance. Executed payloads are not
+//    kept: they go to on_execute and the read view, and the decided log
+//    is retained only above the stable checkpoint, so memory is
+//    O(interval + window) slots plus the per-client dedup table and the
+//    read view's keys, not O(log length).
 //
 // Certified catch-up and durability (signed hints, pulls, checkpoint
 // votes, state transfer and the WAL) live in smr::CatchUp
@@ -96,33 +100,27 @@ inline constexpr std::uint8_t kSmrTag = net::tags::kSmr;
 inline constexpr std::uint8_t kSmrForwardTag = net::tags::kSmrForward;
 // Catch-up tags live in smr/checkpoint.hpp, read tags in smr/reads.hpp.
 
+/// Pacing: with a non-empty but not-full queue, the leader opens a slot
+/// after this long (µs) instead of waiting for the batch to fill.
+inline constexpr Duration kBatchTimeout = 20'000;
+/// Cap on requests in the intake queue plus those held for a missing
+/// predecessor seq (local submissions and peer forwards combined); beyond
+/// it, enqueue rejects — backpressure instead of unbounded memory under a
+/// forward flood.
+inline constexpr std::size_t kMaxPendingRequests = 8192;
+
 /// Pipeline shape: how many instances run in flight, how requests batch,
-/// and how long executed instances linger. Plumbed through
-/// sim::NodeParams / sim::ClusterConfig so the simulator, the TCP node
-/// binary and the benches configure the engine identically.
+/// and how often the log checkpoints. Plumbed through sim::NodeParams /
+/// sim::ClusterConfig so the simulator, the TCP node binary and the
+/// benches configure the engine identically.
 struct SmrOptions {
   /// In-flight window W: slots [exec, exec + window) may be open at once.
   /// window = 1 reproduces the old serial open-one-slot-at-a-time engine.
   std::uint32_t window = 8;
-  /// Batch caps: a slot proposal carries at most this many requests /
-  /// encoded bytes. batch_max_commands = 1 reproduces one-command slots.
+  /// Batch cap: a slot proposal carries at most this many requests (and
+  /// at most kBatchMaxBytes encoded bytes, smr/batch.hpp).
+  /// batch_max_commands = 1 reproduces one-command slots.
   std::uint32_t batch_max_commands = 64;
-  std::size_t batch_max_bytes = 256 * 1024;
-  /// Pacing: with a non-empty but not-full queue, a slot opens after this
-  /// long (µs) instead of waiting for the batch to fill.
-  Duration batch_timeout = 20'000;
-  /// While execution trails slots known to exist (opened locally, or
-  /// merely observed in peer traffic — the gap may exceed the window),
-  /// the replica broadcasts a pull for the oldest unexecuted slot at
-  /// this period (µs); peers that already executed answer with signed
-  /// decided-value hints for a window's worth of slots (and a certified
-  /// checkpoint when the asked slot is below their truncation point).
-  Duration catchup_timeout = 250'000;
-  /// Cap on requests in the intake queue plus those held for a missing
-  /// predecessor seq (local submissions and peer forwards combined);
-  /// beyond it, enqueue rejects — backpressure instead of unbounded
-  /// memory under a forward flood.
-  std::size_t max_pending_requests = 8192;
   /// Hard cap on the number of slots this replica will open (bounds the
   /// simulation; a production deployment would run unbounded).
   std::uint64_t max_slots = 1024;
@@ -145,10 +143,6 @@ struct SmrOptions {
   Duration lease_duration = 2'000'000;
   /// Extra granter-side margin absorbing clock-rate drift across nodes.
   Duration lease_skew = 500'000;
-  /// A read that cannot complete within this window (µs) — execution
-  /// stalled below its read index, or no attestation quorum — answers
-  /// kRejected instead of parking forever.
-  Duration read_timeout = 1'000'000;
 };
 
 /// One executed request, reported in execution order.
@@ -206,15 +200,11 @@ class SmrReplica : public core::INode {
   /// missed while down.
   void start() override;
 
-  /// Local convenience client: wraps `command` as a request from client
-  /// id `id()` with an auto-incremented seq. Throws on empty/oversized
-  /// commands (they could never be batched).
-  void submit(Bytes command);
-
   /// Client-path entry: enqueues (client, seq, payload) for ordering.
   /// Returns false — and enqueues nothing — for duplicates (seq not past
-  /// the client's last executed or already pending) and for payloads that
-  /// cannot fit a batch. Retries are therefore idempotent.
+  /// the client's last executed or already pending), for empty payloads
+  /// or ones that cannot fit a batch, and while kMaxPendingRequests are
+  /// queued or held. Retries are therefore idempotent.
   bool submit_request(std::uint64_t client, std::uint64_t seq, Bytes payload);
 
   using ReadResult = smr::ReadResult;
@@ -232,10 +222,6 @@ class SmrReplica : public core::INode {
                   const Bytes& payload) override;
 
   // ---- inspection ----
-  /// Executed request payloads, in execution order. Locally-executed
-  /// only: a replica that adopted a certified checkpoint has a gap below
-  /// it.
-  [[nodiscard]] const std::vector<Bytes>& log() const { return exec_log_; }
   /// Decided batch encodings for the RETAINED slots [log_base(), exec);
   /// index i holds slot log_base() + i. Slots below the stable checkpoint
   /// are truncated away.
@@ -282,7 +268,6 @@ class SmrReplica : public core::INode {
   [[nodiscard]] std::size_t pending_commands() const {
     return queue_.size() + held_.size() + assigned_count_;
   }
-  [[nodiscard]] bool has_committed(const Bytes& payload) const;
   /// Last executed seq for `client` (0 if none) — the dedup table.
   [[nodiscard]] std::uint64_t last_executed_seq(std::uint64_t client) const;
   /// Whether (client, seq) is queued, held or assigned to a slot —
@@ -387,8 +372,7 @@ class SmrReplica : public core::INode {
   BatchLimits limits_;
 
   // -- executed state (the decided log itself lives in catchup_) --
-  std::uint64_t exec_count_ = 0;       // commands executed (incl. recovery)
-  std::vector<Bytes> exec_log_;        // locally executed, in order
+  std::uint64_t exec_count_ = 0;  // commands executed (incl. recovery)
   std::map<std::uint64_t, std::uint64_t> last_exec_;  // client → seq
 
   // -- request intake --
@@ -406,7 +390,6 @@ class SmrReplica : public core::INode {
   std::map<std::pair<std::uint64_t, std::uint64_t>, ReplicaId> pending_keys_;
   std::map<std::uint64_t, Batch> assigned_;  // slot → this replica's batch
   std::size_t assigned_count_ = 0;
-  std::uint64_t local_seq_ = 0;
   bool pace_armed_ = false;
   bool started_ = false;
 

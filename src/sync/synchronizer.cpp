@@ -25,8 +25,8 @@ void Synchronizer::start() { enter(1); }
 
 Duration Synchronizer::timeout_for(View v) const {
   double timeout = static_cast<double>(cfg_.base_timeout) *
-                   std::pow(cfg_.backoff, static_cast<double>(v - 1));
-  timeout = std::min(timeout, static_cast<double>(cfg_.max_timeout));
+                   std::pow(kViewTimeoutBackoff, static_cast<double>(v - 1));
+  timeout = std::min(timeout, static_cast<double>(kMaxViewTimeout));
   return static_cast<Duration>(timeout);
 }
 

@@ -25,10 +25,13 @@
 
 namespace probft::sync {
 
+/// View v's timeout is base_timeout · kViewTimeoutBackoff^(v-1), capped
+/// at kMaxViewTimeout (µs).
+inline constexpr double kViewTimeoutBackoff = 1.5;
+inline constexpr Duration kMaxViewTimeout = 30'000'000;
+
 struct SyncConfig {
-  Duration base_timeout = 100'000;   // first view timeout (us)
-  double backoff = 1.5;              // multiplicative per-view growth
-  Duration max_timeout = 30'000'000; // cap
+  Duration base_timeout = 100'000;  // first view timeout (us)
 };
 
 class Synchronizer {

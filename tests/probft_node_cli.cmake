@@ -1,8 +1,12 @@
 # Runs NODE (probft_node or probft_client) with the arguments in ARGS (a
-# ;-list) and requires the usage exit: status 2 and "bad argument" on
-# stderr. Used by ctest to pin that malformed command lines are rejected
-# rather than silently adjusted.
-#   cmake -DNODE=path/to/probft_node -DARGS="--id;1;..." -P probft_node_cli.cmake
+# ;-list) and requires the usage exit: status 2 and a stderr matching
+# EXPECT (default "bad argument"). Used by ctest to pin that malformed
+# command lines are rejected rather than silently adjusted.
+#   cmake -DNODE=path/to/probft_node -DARGS="--id;1;..." [-DEXPECT=regex]
+#         -P probft_node_cli.cmake
+if(NOT DEFINED EXPECT)
+  set(EXPECT "bad argument")
+endif()
 execute_process(COMMAND ${NODE} ${ARGS}
   RESULT_VARIABLE status
   OUTPUT_QUIET
@@ -11,6 +15,6 @@ execute_process(COMMAND ${NODE} ${ARGS}
 if(NOT status EQUAL 2)
   message(FATAL_ERROR "expected exit status 2, got '${status}'\n${err}")
 endif()
-if(NOT err MATCHES "bad argument")
-  message(FATAL_ERROR "expected 'bad argument' on stderr, got:\n${err}")
+if(NOT err MATCHES "${EXPECT}")
+  message(FATAL_ERROR "expected '${EXPECT}' on stderr, got:\n${err}")
 endif()

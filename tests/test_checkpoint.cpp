@@ -13,9 +13,9 @@
 
 #include "crypto/sha256.hpp"
 #include "sim/scenario.hpp"
-#include "sim/smr_fleet.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/smr_replica.hpp"
+#include "smr_test_fleet.hpp"
 
 namespace probft::smr {
 namespace {
@@ -168,19 +168,12 @@ TEST_F(CertTest, OutOfRangeSignerRejected) {
 
 // ---- fleet tests ----
 
-/// A sim::SmrFleet at l = 1.5 (q = 3 at n = 4: quorums survive one
-/// silent replica); tests drive each node's replica directly.
-struct Fleet : sim::SmrFleet {
+/// A test fleet at l = 1.5 (q = 3 at n = 4: quorums survive one silent
+/// replica); tests drive each node's replica directly.
+struct Fleet : testutil::SmrTestFleet {
   explicit Fleet(std::uint32_t n, std::uint32_t f, SmrOptions options = {},
                  std::uint64_t seed = 1)
-      : sim::SmrFleet(make_config(n, f, options, seed)) {}
-
-  SmrReplica& replica(ReplicaId id) { return node(id); }
-
-  bool run_until_executed(std::uint64_t commands,
-                          TimePoint deadline = 300'000'000) {
-    return sim::SmrFleet::run_until_executed(commands, deadline);
-  }
+      : testutil::SmrTestFleet(make_config(n, f, options, seed)) {}
 
  private:
   static sim::SmrFleetConfig make_config(std::uint32_t n, std::uint32_t f,
@@ -237,13 +230,13 @@ TEST(CheckpointFleet, ForgedVoucherFloodCannotInjectUndecidedValue) {
   // claims from 2 and 3 are discarded and the voucher count stays 1.
   EXPECT_EQ(fleet.replica(1).committed_slots(), 0u);
   EXPECT_EQ(fleet.replica(1).executed_commands(), 0u);
-  EXPECT_FALSE(fleet.replica(1).has_committed(to_bytes("evil-undecided")));
+  EXPECT_FALSE(fleet.committed(1, "evil-undecided"));
 
   // The cluster must still be able to decide slot 0 normally afterwards.
-  fleet.replica(1).submit(to_bytes("legit"));
+  fleet.submit(1, "legit");
   ASSERT_TRUE(fleet.run_until_executed(1));
-  EXPECT_FALSE(fleet.replica(1).has_committed(to_bytes("evil-undecided")));
-  EXPECT_TRUE(fleet.replica(1).has_committed(to_bytes("legit")));
+  EXPECT_FALSE(fleet.committed(1, "evil-undecided"));
+  EXPECT_TRUE(fleet.committed(1, "legit"));
 }
 
 TEST(CheckpointFleet, ProperlySignedVouchersFromDistinctPeersAdopt) {
@@ -262,7 +255,7 @@ TEST(CheckpointFleet, ProperlySignedVouchersFromDistinctPeersAdopt) {
       forge_hint(fleet.suite(), fleet.keys().pairs[3].secret_key, 0,
                  value));
   EXPECT_EQ(fleet.replica(1).committed_slots(), 1u);
-  EXPECT_TRUE(fleet.replica(1).has_committed(to_bytes("decided-elsewhere")));
+  EXPECT_TRUE(fleet.committed(1, "decided-elsewhere"));
   EXPECT_EQ(fleet.replica(1).last_executed_seq(7), 1u);
 }
 
@@ -286,7 +279,7 @@ TEST(CheckpointFleet, CheckpointsStabilizeAndTruncateTheLog) {
   options.checkpoint_interval = 2;
   Fleet fleet(4, 1, options);
   for (int i = 0; i < 8; ++i) {
-    fleet.replica(1).submit(to_bytes("op-" + std::to_string(i)));
+    fleet.submit(1, "op-" + std::to_string(i));
   }
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(8));

@@ -14,34 +14,24 @@
 #include "net/network.hpp"
 #include "net/simulator.hpp"
 #include "sim/node_factory.hpp"
-#include "sim/smr_fleet.hpp"
 #include "smr/smr_replica.hpp"
+#include "smr_test_fleet.hpp"
 
 namespace probft::smr {
 namespace {
 
-/// A sim::SmrFleet; tests drive each node's replica directly and see
-/// every replica's executed payloads in order.
-struct Fleet : sim::SmrFleet {
-  std::vector<std::vector<Bytes>> commits;  // per replica
-
+/// A test fleet; tests drive each node's replica directly and see every
+/// replica's executed payloads in order.
+struct Fleet : testutil::SmrTestFleet {
   explicit Fleet(std::uint32_t n, SmrOptions options = {},
                  std::uint64_t seed = 1, std::uint32_t f = 0,
                  double l = 2.0)
-      : sim::SmrFleet(make_config(this, n, options, seed, f, l)),
-        commits(n + 1) {}
-
-  SmrReplica& replica(ReplicaId id) { return node(id); }
-
-  bool run_until_executed(std::uint64_t commands,
-                          TimePoint deadline = 300'000'000) {
-    return sim::SmrFleet::run_until_executed(commands, deadline);
-  }
+      : testutil::SmrTestFleet(make_config(n, options, seed, f, l)) {}
 
  private:
-  static sim::SmrFleetConfig make_config(Fleet* self, std::uint32_t n,
-                                         SmrOptions options, std::uint64_t seed,
-                                         std::uint32_t f, double l) {
+  static sim::SmrFleetConfig make_config(std::uint32_t n, SmrOptions options,
+                                         std::uint64_t seed, std::uint32_t f,
+                                         double l) {
     sim::SmrFleetConfig cfg;
     cfg.n = n;
     cfg.f = f;
@@ -50,22 +40,18 @@ struct Fleet : sim::SmrFleet {
     cfg.smr = options;
     cfg.latency.min_delay = 500;
     cfg.latency.max_delay_post = 4'000;
-    cfg.on_execute = [self](sim::SmrFleet&, ReplicaId id,
-                            const ExecutedCommand& cmd) {
-      self->commits[id].push_back(cmd.payload);
-    };
     return cfg;
   }
 };
 
 TEST(Smr, SingleCommandCommitsEverywhere) {
   Fleet fleet(6);
-  fleet.replica(1).submit(to_bytes("cmd-1"));
+  fleet.submit(1, "cmd-1");
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   for (ReplicaId id = 1; id <= 6; ++id) {
-    ASSERT_EQ(fleet.replica(id).log().size(), 1U);
-    EXPECT_EQ(fleet.replica(id).log()[0], to_bytes("cmd-1"));
+    ASSERT_EQ(fleet.commits[id].size(), 1U);
+    EXPECT_EQ(fleet.commits[id][0], to_bytes("cmd-1"));
   }
 }
 
@@ -73,19 +59,19 @@ TEST(Smr, LogsAreIdenticalAcrossReplicas) {
   Fleet fleet(6);
   // Several clients submit to different replicas; non-leader submissions
   // are forwarded to the round-robin view-1 leader.
-  fleet.replica(1).submit(to_bytes("a"));
-  fleet.replica(2).submit(to_bytes("b"));
-  fleet.replica(3).submit(to_bytes("c"));
+  fleet.submit(1, "a");
+  fleet.submit(2, "b");
+  fleet.submit(3, "c");
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(3));
-  const auto& reference = fleet.replica(1).log();
+  const auto& reference = fleet.commits[1];
   ASSERT_EQ(reference.size(), 3U);
   for (ReplicaId id = 2; id <= 6; ++id) {
-    EXPECT_EQ(fleet.replica(id).log(), reference) << "replica " << id;
+    EXPECT_EQ(fleet.commits[id], reference) << "replica " << id;
     EXPECT_EQ(fleet.replica(id).slot_log(), fleet.replica(1).slot_log())
         << "replica " << id;
   }
-  EXPECT_TRUE(fleet.replica(4).has_committed(to_bytes("b")));
+  EXPECT_TRUE(fleet.committed(4, "b"));
 }
 
 TEST(Smr, BatchingAmortizesSlots) {
@@ -94,13 +80,13 @@ TEST(Smr, BatchingAmortizesSlots) {
   options.window = 4;
   Fleet fleet(4, options);
   for (int i = 0; i < 32; ++i) {
-    fleet.replica(1).submit(to_bytes("op-" + std::to_string(i)));
+    fleet.submit(1, "op-" + std::to_string(i));
   }
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(32));
   // 32 commands in batches of 16: exactly 2 slots.
   EXPECT_EQ(fleet.replica(1).committed_slots(), 2U);
-  EXPECT_EQ(fleet.replica(1).log().size(), 32U);
+  EXPECT_EQ(fleet.commits[1].size(), 32U);
 }
 
 TEST(Smr, WindowRunsSlotsConcurrently) {
@@ -109,7 +95,7 @@ TEST(Smr, WindowRunsSlotsConcurrently) {
   options.batch_max_commands = 1;
   Fleet fleet(4, options);
   for (int i = 0; i < 8; ++i) {
-    fleet.replica(1).submit(to_bytes("op-" + std::to_string(i)));
+    fleet.submit(1, "op-" + std::to_string(i));
   }
   fleet.start();
   // The leader must have slots 0..3 in flight before anything executed.
@@ -137,7 +123,7 @@ TEST(Smr, SerialWindowMatchesPipelinedLog) {
     options.batch_max_commands = 4;
     Fleet fleet(5, options, /*seed=*/7);
     for (int i = 0; i < 16; ++i) {
-      fleet.replica(1).submit(to_bytes("cmd-" + std::to_string(i)));
+      fleet.submit(1, "cmd-" + std::to_string(i));
     }
     fleet.start();
     EXPECT_TRUE(fleet.run_until_executed(16));
@@ -164,12 +150,13 @@ TEST(Smr, IdleFleetOpensNoSlots) {
 TEST(Smr, PacingTimerFlushesPartialBatch) {
   SmrOptions options;
   options.batch_max_commands = 64;  // never fills
-  options.batch_timeout = 10'000;
   Fleet fleet(4, options);
-  fleet.replica(1).submit(to_bytes("lonely"));
+  fleet.submit(1, "lonely");
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
-  EXPECT_EQ(fleet.replica(2).log()[0], to_bytes("lonely"));
+  EXPECT_EQ(fleet.commits[2][0], to_bytes("lonely"));
+  // The slot opened when the pacing timer fired, not before.
+  EXPECT_GE(fleet.sim().now(), kBatchTimeout);
 }
 
 TEST(Smr, RetriedRequestExecutesExactlyOnce) {
@@ -335,7 +322,7 @@ TEST(Smr, FollowerHeldRequestFailsOverInOneTimeout) {
       [&] { return fleet.replica(2).executed_commands() == 1; },
       submitted + 60'000'000));
   EXPECT_LE(fleet.sim().now() - submitted,
-            base_timeout + 2 * options.batch_timeout + 50'000);
+            base_timeout + 2 * kBatchTimeout + 50'000);
   ASSERT_TRUE(fleet.run_until_executed(1, submitted + 60'000'000));
 }
 
@@ -426,7 +413,7 @@ TEST(Smr, RelayThatSkipsTheLeaderExecutesInViewOne) {
   for (ReplicaId id = 1; id <= 4; ++id) {
     EXPECT_EQ(fleet.replica(id).view(), 1U) << "replica " << id;
   }
-  EXPECT_TRUE(fleet.replica(1).has_committed(to_bytes("relayed")));
+  EXPECT_TRUE(fleet.committed(1, "relayed"));
 }
 
 TEST(Smr, CrossSlotReplayCannotSplitASlot) {
@@ -483,7 +470,7 @@ TEST(Smr, CrossSlotReplayCannotSplitASlot) {
   for (ReplicaId id = 1; id <= 4; ++id) {
     EXPECT_EQ(fleet.replica(id).log_digest(), fleet.replica(3).log_digest())
         << "replica " << id;
-    EXPECT_TRUE(fleet.replica(id).has_committed(to_bytes("y")));
+    EXPECT_TRUE(fleet.committed(id, "y"));
   }
 }
 
@@ -495,7 +482,7 @@ TEST(Smr, FaultFreeFleetSendsNoHints) {
   options.batch_max_commands = 2;
   Fleet fleet(4, options, /*seed=*/1, /*f=*/1, /*l=*/1.5);  // q = 3 of 4
   for (int i = 0; i < 24; ++i) {
-    fleet.replica(1 + i % 4).submit(to_bytes("op-" + std::to_string(i)));
+    fleet.submit(1 + i % 4, "op-" + std::to_string(i));
   }
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(24));
@@ -512,7 +499,7 @@ TEST(Smr, RetirementBoundsLiveInstances) {
   options.max_slots = 1024;
   Fleet fleet(4, options);
   for (int i = 0; i < 48; ++i) {
-    fleet.replica(1).submit(to_bytes("op-" + std::to_string(i)));
+    fleet.submit(1, "op-" + std::to_string(i));
   }
   fleet.start();
   const std::size_t bound = options.window;
@@ -545,7 +532,7 @@ TEST(Smr, StragglerCatchesUpViaHints) {
   fleet.network().set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
     return from == 6 || to == 6;
   });
-  fleet.replica(1).submit(to_bytes("first"));
+  fleet.submit(1, "first");
   fleet.start();
   while (fleet.sim().now() < 100'000'000 &&
          (fleet.replica(1).executed_commands() < 1 ||
@@ -557,9 +544,9 @@ TEST(Smr, StragglerCatchesUpViaHints) {
   ASSERT_EQ(fleet.replica(6).executed_commands(), 0U);
 
   fleet.network().clear_filter();
-  fleet.replica(1).submit(to_bytes("second"));
+  fleet.submit(1, "second");
   ASSERT_TRUE(fleet.run_until_executed(2));
-  EXPECT_EQ(fleet.replica(6).log(), fleet.replica(1).log());
+  EXPECT_EQ(fleet.commits[6], fleet.commits[1]);
 }
 
 TEST(Smr, StragglerCatchesUpFromBeyondTheWindow) {
@@ -570,13 +557,12 @@ TEST(Smr, StragglerCatchesUpFromBeyondTheWindow) {
   SmrOptions options;
   options.window = 2;
   options.batch_max_commands = 1;
-  options.catchup_timeout = 50'000;
   Fleet fleet(6, options);
   fleet.network().set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
     return from == 6 || to == 6;
   });
   for (int i = 0; i < 8; ++i) {
-    fleet.replica(1).submit(to_bytes("op-" + std::to_string(i)));
+    fleet.submit(1, "op-" + std::to_string(i));
   }
   fleet.start();
   while (fleet.sim().now() < 150'000'000 &&
@@ -587,42 +573,38 @@ TEST(Smr, StragglerCatchesUpFromBeyondTheWindow) {
   ASSERT_EQ(fleet.replica(6).executed_commands(), 0U);
 
   fleet.network().clear_filter();
-  fleet.replica(1).submit(to_bytes("after-heal"));
+  fleet.submit(1, "after-heal");
   ASSERT_TRUE(fleet.run_until_executed(9));
-  EXPECT_EQ(fleet.replica(6).log(), fleet.replica(1).log());
+  EXPECT_EQ(fleet.commits[6], fleet.commits[1]);
   EXPECT_EQ(fleet.replica(6).committed_slots(), 9U);
 }
 
 TEST(Smr, ForwardFloodIsBounded) {
   // Regression: a Byzantine peer spamming unique forwarded requests must
   // hit the intake cap, not grow the queue without bound.
-  SmrOptions options;
-  options.max_pending_requests = 16;
-  Fleet fleet(4, options);
-  for (std::uint64_t i = 0; i < 200; ++i) {
+  Fleet fleet(4);
+  for (std::uint64_t i = 0; i < kMaxPendingRequests + 200; ++i) {
     Writer w;
     Request{/*client=*/100'000 + i, /*seq=*/1, to_bytes("flood")}.encode(w);
     fleet.replica(1).on_message(2, kSmrForwardTag, std::move(w).take());
   }
-  EXPECT_LE(fleet.replica(1).pending_commands(), 16U);
-  // Local submissions see the same backpressure, loudly.
-  Fleet small(4, options);
-  for (int i = 0; i < 16; ++i) {
-    small.replica(1).submit(to_bytes("fill-" + std::to_string(i)));
+  EXPECT_EQ(fleet.replica(1).pending_commands(), kMaxPendingRequests);
+  // Local submissions see the same backpressure.
+  Fleet local(4);
+  for (std::size_t i = 0; i < kMaxPendingRequests; ++i) {
+    ASSERT_TRUE(local.submit(1, "fill-" + std::to_string(i)));
   }
-  EXPECT_THROW(small.replica(1).submit(to_bytes("one-too-many")),
-               std::overflow_error);
+  EXPECT_FALSE(local.submit(1, "one-too-many"));
+  EXPECT_EQ(local.replica(1).pending_commands(), kMaxPendingRequests);
 }
 
 TEST(Smr, RejectsEmptyAndOversizedCommands) {
-  SmrOptions options;
-  options.batch_max_bytes = 256;
-  Fleet fleet(4, options);
-  EXPECT_THROW(fleet.replica(1).submit(Bytes{}), std::invalid_argument);
-  EXPECT_THROW(fleet.replica(1).submit(Bytes(512, 0xaa)),
-               std::invalid_argument);
+  Fleet fleet(4);
   EXPECT_FALSE(fleet.replica(1).submit_request(1, 1, Bytes{}));
-  EXPECT_FALSE(fleet.replica(1).submit_request(1, 1, Bytes(512, 0xaa)));
+  // A batch of one request: count (4) + client, seq, length (20) + payload.
+  const std::size_t fits = kBatchMaxBytes - 4 - 20;
+  EXPECT_FALSE(fleet.replica(1).submit_request(1, 1, Bytes(fits + 1, 0xaa)));
+  EXPECT_TRUE(fleet.replica(1).submit_request(1, 1, Bytes(fits, 0xaa)));
 }
 
 TEST(Smr, RejectsBadConfig) {
@@ -658,12 +640,12 @@ TEST(Smr, DeterministicAcrossRuns) {
     options.window = 4;
     options.batch_max_commands = 2;
     Fleet fleet(5, options, seed);
-    fleet.replica(1).submit(to_bytes("p"));
-    fleet.replica(2).submit(to_bytes("q"));
-    fleet.replica(1).submit(to_bytes("r"));
+    fleet.submit(1, "p");
+    fleet.submit(2, "q");
+    fleet.submit(1, "r");
     fleet.start();
     fleet.run_until_executed(3);
-    return fleet.replica(1).log();
+    return fleet.commits[1];
   };
   EXPECT_EQ(run_once(42), run_once(42));
 }
@@ -678,11 +660,13 @@ struct CountedRun {
   net::Network network;
   std::vector<std::unique_ptr<testutil::CountingSuite>> suites;
   std::vector<std::unique_ptr<SmrReplica>> nodes;
+  std::vector<std::vector<Bytes>> commits;  // per node, executed payloads
 
   explicit CountedRun(bool fast_verify)
       : network(sim, kN, /*seed=*/3, latency()),
         suites(kN + 1),
-        nodes(kN + 1) {
+        nodes(kN + 1),
+        commits(kN + 1) {
     const auto keys = sim::derive_keys(*crypto::make_sim_suite(), kN, 3);
     for (ReplicaId id = 1; id <= kN; ++id) {
       suites[id] = std::make_unique<testutil::CountingSuite>(
@@ -696,6 +680,9 @@ struct CountedRun {
       params.suite = suites[id].get();
       params.secret_key = keys.pairs[id].secret_key;
       params.public_keys = keys.public_keys;
+      params.on_execute = [this, id](const ExecutedCommand& cmd) {
+        commits[id].push_back(cmd.payload);
+      };
       nodes[id] = sim::make_smr_node(
           params, sim::transport_host(
                       network, id, [this](Duration d, std::function<void()> fn) {
@@ -707,7 +694,7 @@ struct CountedRun {
           });
     }
     for (std::uint64_t i = 0; i < kCommands; ++i) {
-      nodes[1]->submit(to_bytes("op-" + std::to_string(i)));
+      nodes[1]->submit_request(1, i + 1, to_bytes("op-" + std::to_string(i)));
     }
     for (ReplicaId id = 1; id <= kN; ++id) nodes[id]->start();
     const auto done = [this] {
@@ -755,7 +742,7 @@ TEST(Smr, VrfSamplesProvedAndVerifiedOncePerView) {
     EXPECT_GE(slow.suites[id]->vrf_proves, CountedRun::kCommands);
     // ...and executes the byte-identical log.
     const SmrReplica& naive = *slow.nodes[id];
-    EXPECT_EQ(naive.log(), node.log()) << "replica " << id;
+    EXPECT_EQ(slow.commits[id], fast.commits[id]) << "replica " << id;
     EXPECT_EQ(naive.slot_log(), node.slot_log()) << "replica " << id;
     EXPECT_EQ(naive.log_digest(), node.log_digest()) << "replica " << id;
   }

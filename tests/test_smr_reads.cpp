@@ -39,11 +39,11 @@
 #include "net/client.hpp"
 #include "net/tcp_transport.hpp"
 #include "sim/scenario.hpp"
-#include "sim/smr_fleet.hpp"
 #include "smr/batch.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/reads.hpp"
 #include "smr/smr_replica.hpp"
+#include "smr_test_fleet.hpp"
 
 namespace probft::smr {
 namespace {
@@ -368,15 +368,15 @@ TEST(ClientReadWire, ClientReplyStatusByteIsStrict) {
   net::ClientReply reply;
   reply.client_id = 7;
   reply.seq = 2;
-  reply.status = net::ReplyStatus::kRedirect;
+  reply.status = net::ReplyStatus::kRejected;
   reply.slot = 1;
   reply.result = to_bytes("x");
   const Bytes wire = reply.encode();
   EXPECT_EQ(net::ClientReply::decode(ByteSpan(wire.data(), wire.size()))
                 .status,
-            net::ReplyStatus::kRedirect);
+            net::ReplyStatus::kRejected);
   Bytes corrupt = wire;
-  corrupt[17] = 0x03;  // first value past the ReplyStatus range
+  corrupt[17] = 0x02;  // first value past the ReplyStatus range
   EXPECT_THROW((void)net::ClientReply::decode(
                    ByteSpan(corrupt.data(), corrupt.size())),
                CodecError);
@@ -384,26 +384,19 @@ TEST(ClientReadWire, ClientReplyStatusByteIsStrict) {
 
 // ---- fleet behavior on the simulated network ----
 
-/// A sim::SmrFleet; tests drive each node's replica directly.
-struct ReadFleet : sim::SmrFleet {
+/// A test fleet; tests drive each node's replica directly.
+struct ReadFleet : testutil::SmrTestFleet {
   ReadFleet(std::uint32_t n, std::uint32_t f, double l,
             SmrOptions options = {}, std::uint64_t seed = 1,
             std::vector<std::string> wal_dirs = {})
-      : sim::SmrFleet(make_config(n, f, l, options, seed,
-                                  std::move(wal_dirs))) {}
-
-  SmrReplica& replica(ReplicaId id) { return node(id); }
+      : testutil::SmrTestFleet(make_config(n, f, l, options, seed,
+                                           std::move(wal_dirs))) {}
 
   /// Steps the simulation until `done()` (or deadline). Lease renewal
   /// timers re-arm forever, so every loop must be time-bounded.
   bool run_until(const std::function<bool()>& done,
                  TimePoint deadline = 300'000'000) {
     return sim::SmrFleet::run_until(done, deadline);
-  }
-
-  bool run_until_executed(std::uint64_t commands,
-                          TimePoint deadline = 300'000'000) {
-    return sim::SmrFleet::run_until_executed(commands, deadline);
   }
 
  private:
@@ -429,7 +422,6 @@ SmrOptions read_options() {
   options.serve_reads = true;
   options.lease_duration = 400'000;
   options.lease_skew = 100'000;
-  options.read_timeout = 1'000'000;
   return options;
 }
 
@@ -437,7 +429,7 @@ using ReadResult = SmrReplica::ReadResult;
 
 TEST(SmrReads, DisabledConfigRejectsEveryRead) {
   ReadFleet fleet(4, 0, 2.0);  // default SmrOptions: serve_reads = false
-  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.submit(1, "k=v1");
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   for (const auto mode :
@@ -458,7 +450,7 @@ TEST(SmrReads, DisabledConfigRejectsEveryRead) {
 
 TEST(SmrReads, StaleOkServesTheLocalView) {
   ReadFleet fleet(4, 0, 2.0, read_options());
-  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.submit(1, "k=v1");
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   // Every replica — leader or not — answers stale-ok immediately.
@@ -487,7 +479,7 @@ TEST(SmrReads, SequentialReadParksUntilMinIndex) {
   SmrOptions options = read_options();
   options.batch_max_commands = 1;
   ReadFleet fleet(4, 0, 2.0, options);
-  fleet.replica(1).submit(to_bytes("a=1"));
+  fleet.submit(1, "a=1");
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
 
@@ -498,7 +490,7 @@ TEST(SmrReads, SequentialReadParksUntilMinIndex) {
                                  [&](const ReadResult& r) { result = r; });
   EXPECT_FALSE(result.has_value());
   // The second write releases it — and the read observes that write.
-  fleet.replica(1).submit(to_bytes("b=2"));
+  fleet.submit(1, "b=2");
   ASSERT_TRUE(fleet.run_until([&] { return result.has_value(); }));
   EXPECT_EQ(result->status, net::ReplyStatus::kExecuted);
   EXPECT_EQ(result->value, to_bytes("2"));
@@ -515,7 +507,7 @@ TEST(SmrReads, SequentialReadParksUntilMinIndex) {
 
 TEST(SmrReads, LeaseLeaderServesLinearizableReadsLocally) {
   ReadFleet fleet(4, 1, 1.5, read_options());
-  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.submit(1, "k=v1");
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   ASSERT_TRUE(
@@ -535,7 +527,7 @@ TEST(SmrReads, LeaseLeaderServesLinearizableReadsLocally) {
   EXPECT_EQ(fleet.network().stats().sends_for(kSmrReadIndexTag), 0U);
 
   // Read-your-writes across a second write.
-  fleet.replica(1).submit(to_bytes("k=v2"));
+  fleet.submit(1, "k=v2");
   ASSERT_TRUE(fleet.run_until_executed(2));
   std::optional<ReadResult> second;
   fleet.replica(1).submit_read(to_bytes("k"),
@@ -549,7 +541,7 @@ TEST(SmrReads, LeaseLeaderServesLinearizableReadsLocally) {
 
 TEST(SmrReads, FollowerUsesQuorumReadIndex) {
   ReadFleet fleet(4, 1, 1.5, read_options());
-  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.submit(1, "k=v1");
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
 
@@ -568,7 +560,7 @@ TEST(SmrReads, FollowerUsesQuorumReadIndex) {
 
 TEST(SmrReads, LinearizableReadTimesOutWithoutAQuorum) {
   ReadFleet fleet(4, 1, 1.5, read_options());
-  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.submit(1, "k=v1");
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
 
@@ -582,7 +574,7 @@ TEST(SmrReads, LinearizableReadTimesOutWithoutAQuorum) {
   fleet.replica(3).submit_read(to_bytes("k"),
                                  net::ReadConsistency::kLinearizable, 0,
                                  [&](const ReadResult& r) { result = r; });
-  const TimePoint probe_deadline = fleet.sim().now() + 3'000'000;
+  const TimePoint probe_deadline = fleet.sim().now() + 3 * kReadTimeout;
   fleet.run_until([&] { return result.has_value(); }, probe_deadline);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->status, net::ReplyStatus::kRejected);
@@ -617,7 +609,7 @@ TEST(SmrReads, MalformedReadFramesAreDropped) {
   EXPECT_NO_THROW(
       fleet.replica(1).on_message(2, kSmrReadIndexTag, stray.encode()));
   // The fleet still makes progress afterwards.
-  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.submit(1, "k=v1");
   ASSERT_TRUE(fleet.run_until_executed(1));
 }
 
@@ -647,7 +639,7 @@ TEST(SmrReads, LeaseNeverServesStaleReadAcrossViewChange) {
   // l = 1.5 at n = 6 gives q = 4: one replica of slack among the 5 still
   // connected, so consensus proceeds behind the partition.
   ReadFleet fleet(6, 1, 1.5, read_options(), /*seed=*/7);
-  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.submit(1, "k=v1");
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   ASSERT_TRUE(
@@ -666,7 +658,7 @@ TEST(SmrReads, LeaseNeverServesStaleReadAcrossViewChange) {
   fleet.network().set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
     return from == 1 || to == 1;
   });
-  fleet.replica(2).submit(to_bytes("k=v2"));
+  fleet.submit(2, "k=v2");
   ASSERT_TRUE(fleet.run_until([&] {
     for (ReplicaId id = 2; id <= 6; ++id) {
       if (fleet.replica(id).executed_commands() < 2) return false;
@@ -689,7 +681,7 @@ TEST(SmrReads, LeaseNeverServesStaleReadAcrossViewChange) {
   fleet.replica(1).submit_read(
       to_bytes("k"), net::ReadConsistency::kLinearizable, 0,
       [&](const ReadResult& r) { stale_probe = r; });
-  const TimePoint probe_deadline = fleet.sim().now() + 3'000'000;
+  const TimePoint probe_deadline = fleet.sim().now() + 3 * kReadTimeout;
   fleet.run_until([&] { return stale_probe.has_value(); }, probe_deadline);
   ASSERT_TRUE(stale_probe.has_value());
   EXPECT_EQ(stale_probe->status, net::ReplyStatus::kRejected);
@@ -697,7 +689,7 @@ TEST(SmrReads, LeaseNeverServesStaleReadAcrossViewChange) {
   // Heal. Fresh traffic catches the old leader up via signed hints — a
   // decide with unknown view, which poisons its lease serving for good.
   fleet.network().clear_filter();
-  fleet.replica(2).submit(to_bytes("k2=v3"));
+  fleet.submit(2, "k2=v3");
   ASSERT_TRUE(fleet.run_until_executed(3));
   EXPECT_TRUE(fleet.replica(1).reads().lease_poisoned());
   EXPECT_FALSE(fleet.replica(1).reads().lease_held());
@@ -826,7 +818,7 @@ TEST(SmrReads, GranterWithDeferredWishRefusesRenewalUntilItsPromiseLapses) {
     }
     return deaf && tag == kSmrTag && to == kGranter;
   });
-  fleet.replica(1).submit(to_bytes("k=v1"));
+  fleet.submit(1, "k=v1");
   fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   ASSERT_TRUE(
@@ -834,7 +826,7 @@ TEST(SmrReads, GranterWithDeferredWishRefusesRenewalUntilItsPromiseLapses) {
   ASSERT_FALSE(grants.empty());
 
   deaf = true;
-  fleet.replica(kGranter).submit(to_bytes("k=v2"));
+  fleet.submit(kGranter, "k=v2");
   ASSERT_TRUE(fleet.run_until([&] { return first_wish != 0; },
                               fleet.sim().now() + 5'000'000));
 
@@ -866,7 +858,7 @@ TEST(SmrReads, WalRestartedLeaseLeaderReadsThroughReadIndex) {
   options.checkpoint_interval = 0;  // no snapshot: the view rebuilds whole
   {
     ReadFleet fleet(4, 1, 1.5, options, /*seed=*/1, {"", root.string()});
-    fleet.replica(1).submit(to_bytes("k=v1"));
+    fleet.submit(1, "k=v1");
     fleet.start();
     ASSERT_TRUE(fleet.run_until_executed(1));
     ASSERT_TRUE(
@@ -950,6 +942,7 @@ struct TcpReadCluster {
   std::atomic<bool> partitioned{false};
   std::atomic<bool> stop{false};
   std::array<std::atomic<std::uint64_t>, kN + 1> executed{};
+  std::array<std::uint64_t, kN + 1> seqs{};  // per replica's client
   std::vector<std::thread> threads;
 
   TcpReadCluster() {
@@ -1052,9 +1045,11 @@ struct TcpReadCluster {
     });
   }
 
+  /// Submits `command` at replica `id` as client `id`'s next request.
   void submit(ReplicaId id, const std::string& command) {
-    transports[id]->post(
-        [this, id, command] { replicas[id]->submit(to_bytes(command)); });
+    transports[id]->post([this, id, seq = ++seqs[id], command] {
+      replicas[id]->submit_request(id, seq, to_bytes(command));
+    });
   }
 
   /// Runs `probe` against replica `id` on its loop thread; returns the

@@ -24,7 +24,7 @@ struct Fleet {
   std::vector<bool> silent;
 
   Fleet(std::uint32_t n, std::uint32_t f, SyncConfig base = {}) {
-    if (base.base_timeout == 100'000 && base.backoff == 1.5) {
+    if (base.base_timeout == 100'000) {
       base.base_timeout = 50'000;
     }
     entered.assign(n + 1, 0);
@@ -204,13 +204,24 @@ TEST(Synchronizer, SilentMinorityDoesNotBlockProgress) {
 TEST(Synchronizer, TimeoutsGrowExponentially) {
   SyncConfig cfg;
   cfg.base_timeout = 1000;
-  cfg.backoff = 2.0;
-  cfg.max_timeout = 100'000;
   Fleet fleet(4, 1, cfg);
-  EXPECT_EQ(fleet.nodes[1]->timeout_for(1), 1000U);
-  EXPECT_EQ(fleet.nodes[1]->timeout_for(2), 2000U);
-  EXPECT_EQ(fleet.nodes[1]->timeout_for(5), 16000U);
-  EXPECT_EQ(fleet.nodes[1]->timeout_for(50), 100'000U);  // capped
+  const Synchronizer& node = *fleet.nodes[1];
+  EXPECT_EQ(node.timeout_for(1), 1000U);
+  EXPECT_EQ(node.timeout_for(2), 1500U);
+  EXPECT_EQ(node.timeout_for(3), 2250U);
+  // Each view multiplies the timeout by kViewTimeoutBackoff until it
+  // reaches kMaxViewTimeout, and stays there.
+  View v = 1;
+  while (node.timeout_for(v + 1) < kMaxViewTimeout) {
+    EXPECT_NEAR(static_cast<double>(node.timeout_for(v + 1)),
+                static_cast<double>(node.timeout_for(v)) * kViewTimeoutBackoff,
+                2.0)
+        << "view " << v + 1;
+    ++v;
+  }
+  EXPECT_EQ(v + 1, 27U);  // 1000 µs · 1.5^26 ≈ 38 s: the first capped view
+  EXPECT_EQ(node.timeout_for(v + 1), kMaxViewTimeout);
+  EXPECT_EQ(node.timeout_for(1'000), kMaxViewTimeout);
 }
 
 TEST(Synchronizer, WishesFromUnknownRepilcasIgnored) {

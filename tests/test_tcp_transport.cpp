@@ -167,13 +167,13 @@ TEST(TcpTransport, OversizePayloadIsDroppedAtTheSender) {
   cfg.self = 1;
   cfg.n = 2;
   cfg.listen_host = "127.0.0.1";
-  cfg.max_frame_payload = 1024;
   TcpTransport node(std::move(cfg));
   node.set_peer(2, PeerAddress{"127.0.0.1", 1});
-  node.send(1, 2, 1, Bytes(2048, 0xaa));
+  node.send(1, 2, 1, Bytes(net::kDefaultMaxFramePayload + 1, 0xaa));
   EXPECT_EQ(node.stats().sends, 1U);  // the logical send was attempted
   EXPECT_EQ(node.stats().dropped, 1U);
-  node.send(1, 2, 1, Bytes(512, 0xbb));  // within the cap: queues fine
+  // At the cap: queues fine.
+  node.send(1, 2, 1, Bytes(net::kDefaultMaxFramePayload, 0xbb));
   EXPECT_EQ(node.stats().dropped, 1U);
 }
 
