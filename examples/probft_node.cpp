@@ -509,7 +509,7 @@ int main(int argc, char** argv) {
   params.f = opt.f;
   params.o = opt.o;
   params.l = opt.l;
-  params.my_value = sim::default_node_value({}, opt.id);
+  params.my_value = sim::default_node_value(opt.id);
   params.suite = suite.get();
   params.secret_key = std::move(keys.pairs[opt.id].secret_key);
   params.public_keys = std::move(keys.public_keys);

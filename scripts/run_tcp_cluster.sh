@@ -58,11 +58,14 @@
 # script then retries on a fresh port range, also when that shows first
 # as a failed client.
 #
-# This is the CI smoke test for the TCP backend (.github/workflows/ci.yml
-# job `tcp-smoke`, nightly `smr-smoke` and `restart-smoke`; the sanitize
-# job runs `restart 4` under ASan/UBSan), and ctest runs the protocol
+# This is the CI smoke test for the TCP backend. ctest runs the protocol
 # modes at N = 4 as `tcp_cluster_probft|pbft|hotstuff` and the client
-# mode as `tcp_cluster_client`.
+# mode as `tcp_cluster_client`, so every job that runs ctest (the
+# sanitize job under ASan/UBSan too) runs them. Beyond ctest,
+# .github/workflows/ci.yml job `tcp-smoke` runs the protocol modes,
+# `restart` and `reads`; the sanitize job runs `restart 4`; the tsan
+# job runs `client 4`; nightly `smr-smoke`, `read-smoke` and
+# `restart-smoke` run `client`, `reads` and `restart`.
 set -u
 
 BUILD_DIR=${1:-build}

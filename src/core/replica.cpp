@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "common/codec.hpp"
-#include "common/log.hpp"
 #include "crypto/sha256.hpp"
 
 namespace probft::core {
@@ -366,8 +365,6 @@ void Replica::try_commit_quorum() {
 void Replica::decide(const Bytes& value) {
   if (decided_) return;
   decided_ = Decision{cur_view_, value};
-  log::debug("replica %u decided in view %llu", cfg_.id,
-             static_cast<unsigned long long>(cur_view_));
   if (host_.on_decide) host_.on_decide(cur_view_, value);
 }
 
@@ -389,8 +386,6 @@ bool Replica::check_equivocation(const SignedProposal& p, std::uint8_t tag,
   // and gossip both leader-signed tuples (the offending message plus our
   // own accepted proposal).
   block_view_ = true;
-  log::debug("replica %u blocked view %llu (leader equivocation)", cfg_.id,
-             static_cast<unsigned long long>(cur_view_));
   host_.broadcast(tag, raw);
   if (proposal_) {
     host_.broadcast(tag_byte(MsgTag::kPropose), proposal_->to_bytes());

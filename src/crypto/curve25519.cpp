@@ -312,7 +312,6 @@ Fe fe_invert(const Fe& a) {
 
 const Fe& fe_sqrt_m1() { return kSqrtM1; }
 const Fe& fe_d() { return kD; }
-const Fe& fe_2d() { return kD2; }
 
 Point point_identity() {
   return Point{fe_zero(), fe_one(), fe_one(), fe_zero()};

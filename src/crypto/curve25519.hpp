@@ -163,9 +163,8 @@ inline Fe fe_sq(const Fe& f) {
 Fe fe_invert(const Fe& a);
 /// sqrt(-1) mod p, i.e. 2^((p-1)/4).
 const Fe& fe_sqrt_m1();
-/// Curve constant d = -121665/121666 mod p, and 2d.
+/// Curve constant d = -121665/121666 mod p.
 const Fe& fe_d();
-const Fe& fe_2d();
 
 // ---- Group element operations (extended coordinates, a = -1) ----
 

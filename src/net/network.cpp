@@ -102,20 +102,10 @@ void Network::send_shared(ReplicaId from, ReplicaId to, std::uint8_t tag,
 }
 
 void Network::broadcast(ReplicaId from, std::uint8_t tag,
-                        const Bytes& payload, bool include_self) {
+                        const Bytes& payload) {
   const auto shared = std::make_shared<const Bytes>(payload);
   for (ReplicaId to = 1; to <= n_; ++to) {
-    if (to == from && !include_self) continue;
-    send_shared(from, to, tag, shared);
-  }
-}
-
-void Network::multicast(ReplicaId from,
-                        const std::vector<ReplicaId>& recipients,
-                        std::uint8_t tag, const Bytes& payload) {
-  const auto shared = std::make_shared<const Bytes>(payload);
-  for (ReplicaId to : recipients) {
-    send_shared(from, to, tag, shared);
+    if (to != from) send_shared(from, to, tag, shared);
   }
 }
 

@@ -72,29 +72,22 @@ class Network final : public ITransport {
   void send(ReplicaId from, ReplicaId to, std::uint8_t tag,
             Bytes payload) override;
 
-  /// Sends to every replica except (optionally) the sender itself.
-  void broadcast(ReplicaId from, std::uint8_t tag, const Bytes& payload,
-                 bool include_self = false) override;
-
-  /// Sends to an explicit recipient list (the VRF sample).
-  void multicast(ReplicaId from, const std::vector<ReplicaId>& recipients,
-                 std::uint8_t tag, const Bytes& payload) override;
+  /// Sends to every replica except the sender itself.
+  void broadcast(ReplicaId from, std::uint8_t tag,
+                 const Bytes& payload) override;
 
   [[nodiscard]] const Stats& stats() const override { return stats_; }
-  void reset_stats() { stats_ = Stats{}; }
 
   void set_filter(Filter filter) { filter_ = std::move(filter); }
   void clear_filter() { filter_ = nullptr; }
   void set_payload_filter(PayloadFilter filter) {
     payload_filter_ = std::move(filter);
   }
-  void clear_payload_filter() { payload_filter_ = nullptr; }
 
-  [[nodiscard]] std::uint32_t size() const override { return n_; }
   [[nodiscard]] const LatencyConfig& config() const { return config_; }
 
  private:
-  /// Broadcast/multicast share one immutable heap buffer across the whole
+  /// A broadcast shares one immutable heap buffer across the whole
   /// fan-out instead of copying the payload per recipient — at n = 2000 a
   /// broadcast used to clone the payload 1999 times.
   using SharedPayload = std::shared_ptr<const Bytes>;

@@ -221,27 +221,15 @@ void TcpTransport::send(ReplicaId from, ReplicaId to, std::uint8_t tag,
 }
 
 void TcpTransport::broadcast(ReplicaId from, std::uint8_t tag,
-                             const Bytes& payload, bool include_self) {
+                             const Bytes& payload) {
   loop_thread_.assert_held();
   if (from != cfg_.self) {
     throw std::invalid_argument("TcpTransport: send from foreign id");
   }
   std::shared_ptr<const Bytes> frame;
   for (ReplicaId to = 1; to <= cfg_.n; ++to) {
-    if (to == from && !include_self) continue;
-    send_one(to, tag, payload, frame);
+    if (to != from) send_one(to, tag, payload, frame);
   }
-}
-
-void TcpTransport::multicast(ReplicaId from,
-                             const std::vector<ReplicaId>& recipients,
-                             std::uint8_t tag, const Bytes& payload) {
-  loop_thread_.assert_held();
-  if (from != cfg_.self) {
-    throw std::invalid_argument("TcpTransport: send from foreign id");
-  }
-  std::shared_ptr<const Bytes> frame;
-  for (const ReplicaId to : recipients) send_one(to, tag, payload, frame);
 }
 
 void TcpTransport::send_to_client(std::uint64_t conn_id, std::uint8_t tag,

@@ -114,15 +114,12 @@ class TcpTransport final : public ITransport {
   void register_handler(ReplicaId id, Handler handler) override;
   void send(ReplicaId from, ReplicaId to, std::uint8_t tag,
             Bytes payload) override;
-  void broadcast(ReplicaId from, std::uint8_t tag, const Bytes& payload,
-                 bool include_self = false) override;
-  void multicast(ReplicaId from, const std::vector<ReplicaId>& recipients,
-                 std::uint8_t tag, const Bytes& payload) override;
+  void broadcast(ReplicaId from, std::uint8_t tag,
+                 const Bytes& payload) override;
   [[nodiscard]] const TransportStats& stats() const override {
     loop_thread_.assert_held();
     return stats_;
   }
-  [[nodiscard]] std::uint32_t size() const override { return cfg_.n; }
 
   // ---- wiring ----
   /// The actually-bound listen port (after ephemeral bind).
@@ -270,7 +267,7 @@ class TcpTransport final : public ITransport {
   void run_posted() PROBFT_REQUIRES(loop_thread_) PROBFT_EXCLUDES(posted_mu_);
   /// One recipient of a (possibly fanned-out) send: stats, self-delivery,
   /// oversize drop, lazy shared encoding, queueing. `frame` caches the
-  /// encoded bytes across a broadcast/multicast loop.
+  /// encoded bytes across a broadcast loop.
   void send_one(ReplicaId to, std::uint8_t tag, const Bytes& payload,
                 std::shared_ptr<const Bytes>& frame)
       PROBFT_REQUIRES(loop_thread_);

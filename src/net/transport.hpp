@@ -2,7 +2,7 @@
 //
 // Everything above this interface (protocol replicas, the cluster harness,
 // the scenario matrix) is transport-agnostic: it registers a receive
-// handler and emits sends/broadcasts/multicasts, nothing more. Two
+// handler and emits sends and broadcasts, nothing more. Two
 // implementations exist:
 //
 //  - net::Network       — the deterministic in-process simulator network
@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/types.hpp"
@@ -68,19 +67,11 @@ class ITransport {
   virtual void send(ReplicaId from, ReplicaId to, std::uint8_t tag,
                     Bytes payload) = 0;
 
-  /// Sends to every replica except (optionally) the sender itself.
+  /// Sends to every replica except the sender itself.
   virtual void broadcast(ReplicaId from, std::uint8_t tag,
-                         const Bytes& payload, bool include_self = false) = 0;
-
-  /// Sends to an explicit recipient list (the VRF sample).
-  virtual void multicast(ReplicaId from,
-                         const std::vector<ReplicaId>& recipients,
-                         std::uint8_t tag, const Bytes& payload) = 0;
+                         const Bytes& payload) = 0;
 
   [[nodiscard]] virtual const TransportStats& stats() const = 0;
-
-  /// Cluster size n.
-  [[nodiscard]] virtual std::uint32_t size() const = 0;
 };
 
 }  // namespace probft::net

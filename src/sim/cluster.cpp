@@ -4,17 +4,6 @@
 
 namespace probft::sim {
 
-namespace {
-
-Bytes default_value_for(const ClusterConfig& cfg, ReplicaId id) {
-  if (id <= cfg.my_values.size() && !cfg.my_values[id - 1].empty()) {
-    return cfg.my_values[id - 1];
-  }
-  return default_node_value(cfg.value_prefix, id);
-}
-
-}  // namespace
-
 Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
   if (cfg_.n == 0) throw std::invalid_argument("Cluster: n must be > 0");
   if (cfg_.suite == nullptr) {
@@ -87,7 +76,7 @@ void Cluster::build_nodes() {
       params.f = cfg_.f;
       params.o = cfg_.o;
       params.l = cfg_.l;
-      params.my_value = default_value_for(cfg_, id);
+      params.my_value = default_node_value(id);
       params.fast_verify = cfg_.fast_verify;
       params.suite = suite_;
       params.secret_key = keys_.pairs[id].secret_key;

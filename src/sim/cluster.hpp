@@ -55,12 +55,6 @@ struct ClusterConfig {
   SplitStrategy split = SplitStrategy::kOptimal;
   Bytes attack_value_a;
   Bytes attack_value_b;
-  /// Value proposed by honest replica `i` is value_prefix || i ...
-  Bytes value_prefix;
-  /// ... unless an explicit per-replica value is given here (1-based index
-  /// i-1; empty entries fall back to the prefix scheme). Used by SMR-style
-  /// applications that inject client commands via the leader.
-  std::vector<Bytes> my_values;
 };
 
 struct DecisionRecord {
@@ -89,10 +83,6 @@ class Cluster {
   // ---- accessors ----
   [[nodiscard]] net::Simulator& simulator() { return sim_; }
   [[nodiscard]] net::Network& network() { return *network_; }
-  /// The replica-facing view of the network; nodes are built against this
-  /// interface only (the concrete Network accessor above exists for
-  /// sim-specific features: fault filters, latency config, stats reset).
-  [[nodiscard]] net::ITransport& transport() { return *network_; }
   [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
 
   [[nodiscard]] std::vector<ReplicaId> correct_ids() const;

@@ -76,8 +76,8 @@ std::unique_ptr<smr::SmrReplica> make_smr_node(const NodeParams& params,
                                            std::move(host));
 }
 
-Bytes default_node_value(const Bytes& prefix, ReplicaId id) {
-  Bytes value = prefix.empty() ? to_bytes("value-") : prefix;
+Bytes default_node_value(ReplicaId id) {
+  Bytes value = to_bytes("value-");
   value.push_back(static_cast<std::uint8_t>('0' + (id % 10)));
   value.push_back(static_cast<std::uint8_t>(id >> 8));
   value.push_back(static_cast<std::uint8_t>(id & 0xff));

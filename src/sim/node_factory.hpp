@@ -63,10 +63,10 @@ struct NodeParams {
 [[nodiscard]] std::unique_ptr<smr::SmrReplica> make_smr_node(
     const NodeParams& params, core::ProtocolHost host);
 
-/// The default per-replica proposal value: `prefix` (or "value-") plus an
-/// id suffix. Shared by the simulator cluster and the TCP runners so both
-/// worlds propose identical values for identical configurations.
-[[nodiscard]] Bytes default_node_value(const Bytes& prefix, ReplicaId id);
+/// The default per-replica proposal value: "value-" plus an id suffix.
+/// Shared by the simulator cluster and `probft_node` so both propose
+/// identical values for identical configurations.
+[[nodiscard]] Bytes default_node_value(ReplicaId id);
 
 /// One cluster's key material: the keypairs (1-based; index 0 unused) and
 /// the public-key directory every replica verifies against.

@@ -10,16 +10,6 @@
 
 namespace probft::sim {
 
-bool ScenarioResult::all_agreement() const {
-  return std::all_of(outcomes.begin(), outcomes.end(),
-                     [](const ScenarioOutcome& o) { return o.agreement; });
-}
-
-bool ScenarioResult::all_terminated() const {
-  return std::all_of(outcomes.begin(), outcomes.end(),
-                     [](const ScenarioOutcome& o) { return o.terminated; });
-}
-
 const char* to_string(Protocol protocol) {
   switch (protocol) {
     case Protocol::kProbft: return "probft";
@@ -293,6 +283,9 @@ ClusterConfig make_cluster_config(const ScenarioSpec& spec,
 
 namespace {
 
+/// Simulator events one run may fire before it counts as not terminated.
+constexpr std::size_t kMaxEvents = 50'000'000;
+
 /// Removes its directory (if set) when it goes out of scope — declared
 /// before whatever holds files open inside it.
 struct TempDir {
@@ -392,7 +385,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, std::uint64_t seed) {
                       cluster.config().latency.gst, seed);
 
   cluster.start();
-  const bool done = cluster.run_to_completion(spec.deadline, spec.max_events);
+  const bool done = cluster.run_to_completion(spec.deadline, kMaxEvents);
 
   ScenarioOutcome outcome;
   outcome.seed = seed;
@@ -552,7 +545,7 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
     if (!down[id]) fleet.node(id).start();
   }
   (void)fleet.run_until([&] { return done >= correct_total; },
-                        spec.deadline, spec.max_events);
+                        spec.deadline, kMaxEvents);
 
   // Read phase (Workload::kSmrReads): once the write workload completed,
   // every up replica answers the known first write at all three
@@ -591,7 +584,7 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
     }
     (void)fleet.run_until(
         [&] { return reads_fired >= outcome.reads_attempted; },
-        sim.now() + 5'000'000, spec.max_events);
+        sim.now() + 5'000'000, kMaxEvents);
   }
 
   // Recount completion from replica state rather than trusting the

@@ -76,7 +76,6 @@ struct ScenarioSpec {
   std::uint64_t smr_commands = 12;
   std::vector<std::uint64_t> seeds = {1};
   TimePoint deadline = 120'000'000;      // virtual μs
-  std::size_t max_events = 50'000'000;
   /// Whether the spec expects every correct replica to decide. Faults that
   /// exceed the protocol's tolerance can set this to false and the matrix
   /// will only assert agreement (safety), not termination.
@@ -113,9 +112,6 @@ struct ScenarioOutcome {
 struct ScenarioResult {
   ScenarioSpec spec;
   std::vector<ScenarioOutcome> outcomes;  // parallel to spec.seeds
-
-  [[nodiscard]] bool all_agreement() const;
-  [[nodiscard]] bool all_terminated() const;
 };
 
 [[nodiscard]] const char* to_string(Protocol protocol);

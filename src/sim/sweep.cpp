@@ -171,7 +171,7 @@ SweepReport run_sweep(const std::vector<ScenarioSpec>& specs,
       stats.messages += outcome.messages;
       stats.bytes += outcome.bytes;
       stats.events += outcome.events;
-      if (config.keep_outcomes) stats.outcomes.push_back(outcome);
+      stats.outcomes.push_back(outcome);
     }
     std::sort(latencies.begin(), latencies.end());
     stats.latency_p50 = nearest_rank(latencies, 0.50);

@@ -33,9 +33,6 @@ struct SweepConfig {
   unsigned jobs = 1;
   /// Wall-clock budget in seconds; 0 (or negative) means unlimited.
   double budget_seconds = 0.0;
-  /// Keep per-run ScenarioOutcomes in the report (the determinism test and
-  /// the CLI's RESULT lines need them; large sweeps can drop them).
-  bool keep_outcomes = true;
 };
 
 /// Aggregate statistics for one spec over the runs that completed within
@@ -55,7 +52,7 @@ struct SpecStats {
   TimePoint latency_p90 = 0;
   TimePoint latency_p99 = 0;
   TimePoint latency_max = 0;
-  /// Per completed run, in seed order (empty when !keep_outcomes).
+  /// Per completed run, in seed order.
   std::vector<ScenarioOutcome> outcomes;
 
   [[nodiscard]] double termination_rate() const {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace probft::quorum {
 namespace {
@@ -89,6 +90,39 @@ TEST(QuorumFormation, BoundRequiresPrecondition) {
   EXPECT_EQ(quorum_formation_bound(p), 0.0);
 }
 
+TEST(QuorumFormation, Theorem11BoundBelowExactOnFigure5Points) {
+  // Theorem 11 with every correct replica sending (r = n - f) lower-bounds
+  // the exact binomial tail at every Figure 5 point: n in [100, 300] at
+  // f/n = 0.2, and f/n in [0.10, 0.30] at n = 100.
+  std::vector<Params> points;
+  for (double o : {1.6, 1.7, 1.8}) {
+    for (std::int64_t n = 100; n <= 300; n += 50) {
+      points.push_back(paper_point(n, 0.2, o));
+    }
+    for (double f_ratio : {0.10, 0.15, 0.20, 0.25, 0.30}) {
+      points.push_back(paper_point(100, f_ratio, o));
+    }
+  }
+  int non_vacuous = 0;
+  for (const Params& p : points) {
+    const std::int64_t r = p.n - p.f;
+    const double bound = quorum_formation_bound_r(p, r);
+    EXPECT_GE(bound, 0.0);
+    EXPECT_LE(bound, 1.0);
+    EXPECT_LE(bound, quorum_formation_exact_r(p, r) + 1e-12)
+        << "n=" << p.n << " f=" << p.f << " o=" << p.o;
+    if (bound > 0.0) ++non_vacuous;
+  }
+  EXPECT_GT(non_vacuous, 0);
+}
+
+TEST(QuorumFormation, Theorem11BoundRequiresPrecondition) {
+  // n >= o r makes the Theorem 11 bound vacuous: it must return 0.
+  const Params p = paper_point(100, 0.2, 1.7);
+  EXPECT_EQ(quorum_formation_bound_r(p, 50), 0.0);  // o r = 85 <= n
+  EXPECT_GT(quorum_formation_bound_r(p, 80), 0.0);  // o r = 136 > n
+}
+
 TEST(Termination, ExactRatesAreProbabilities) {
   for (std::int64_t n : {100, 200, 300}) {
     Params p = paper_point(n, 0.2, 1.7);
@@ -120,6 +154,36 @@ TEST(Termination, BoundBelowExactWhenMeaningful) {
   if (bound > 0.0) {
     EXPECT_LE(bound, replica_termination_exact(p) + 0.05);
   }
+}
+
+TEST(Termination, Theorem15BoundBelowExactWhereNonVacuous) {
+  // Theorem 15 (every correct replica decides) is a union bound over the
+  // n - f correct replicas; wherever it says more than 0 it must not
+  // exceed the exact-model union bound.
+  int non_vacuous = 0;
+  for (std::int64_t n = 100; n <= 1000; n += 100) {
+    for (double f_ratio : {0.0, 0.1, 0.2, 0.3}) {
+      for (double o : {1.5, 2.0, 2.5, 3.0}) {
+        for (double l : {1.5, 2.0, 2.5}) {
+          Params p = paper_point(n, f_ratio, o);
+          p.l = l;
+          if (!p.valid()) continue;
+          const double bound = all_termination_bound(p);
+          EXPECT_GE(bound, 0.0);
+          EXPECT_LE(bound, 1.0);
+          if (bound == 0.0) continue;
+          ++non_vacuous;
+          EXPECT_LE(bound, all_termination_exact(p) + 1e-12)
+              << "n=" << n << " f=" << p.f << " o=" << o << " l=" << l;
+        }
+      }
+    }
+  }
+  EXPECT_GT(non_vacuous, 0);
+
+  Params p = paper_point(100, 0.0, 2.5);
+  EXPECT_GT(all_termination_bound(p), 0.98);
+  EXPECT_LE(all_termination_bound(p), all_termination_exact(p));
 }
 
 TEST(Agreement, ViolationRatesAreTiny) {
@@ -161,6 +225,19 @@ TEST(CrossView, BoundIsAProbabilityAndShrinksWithN) {
   EXPECT_GE(b_small, 0.0);
   EXPECT_LE(b_small, 1.0);
   EXPECT_LE(b_large, b_small + 1e-12);
+}
+
+TEST(CrossView, SafetyBoundIsTheComplementOfTheViolationBound) {
+  for (std::int64_t n : {100, 200, 400, 1000}) {
+    for (double o : {1.2, 1.4, 1.7}) {
+      const Params p = paper_point(n, 0.2, o);
+      const double safety = cross_view_safety_bound(p);
+      EXPECT_GE(safety, 0.0);
+      EXPECT_LE(safety, 1.0);
+      EXPECT_NEAR(safety, 1.0 - cross_view_violation_bound(p), 1e-12)
+          << "n=" << n << " o=" << o;
+    }
+  }
 }
 
 TEST(CrossView, DecideWithFewPreparersIsUnlikely) {

@@ -88,32 +88,6 @@ TEST(Cluster, DecisionsRecordTimeAndView) {
   }
 }
 
-TEST(Cluster, MyValuesOverrideProposals) {
-  ClusterConfig cfg;
-  cfg.n = 4;
-  cfg.my_values.assign(4, Bytes{});
-  cfg.my_values[0] = to_bytes("CUSTOM-COMMAND");
-  Cluster cluster(cfg);
-  cluster.start();
-  ASSERT_TRUE(cluster.run_to_completion());
-  const auto values = cluster.decided_values();
-  ASSERT_EQ(values.size(), 1U);
-  EXPECT_EQ(*values.begin(), to_bytes("CUSTOM-COMMAND"));
-}
-
-TEST(Cluster, ValuePrefixShapesDefaults) {
-  ClusterConfig cfg;
-  cfg.n = 4;
-  cfg.value_prefix = to_bytes("xyz-");
-  Cluster cluster(cfg);
-  cluster.start();
-  ASSERT_TRUE(cluster.run_to_completion());
-  const auto values = cluster.decided_values();
-  ASSERT_EQ(values.size(), 1U);
-  const Bytes& v = *values.begin();
-  EXPECT_EQ(std::string(v.begin(), v.begin() + 4), "xyz-");
-}
-
 TEST(Cluster, AgreementOkOnEmptyDecisions) {
   ClusterConfig cfg;
   cfg.n = 4;

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.hpp"
-#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha512.hpp"
 
@@ -94,37 +93,6 @@ TEST(Sha512, BoundaryLengths) {
     }
     EXPECT_EQ(incremental.finalize(), Sha512::hash(msg)) << "len=" << len;
   }
-}
-
-// RFC 4231 test case 2 (short key, short message).
-TEST(Hmac, Rfc4231Case2) {
-  const Bytes key = to_bytes("Jefe");
-  const Bytes msg = to_bytes("what do ya want for nothing?");
-  EXPECT_EQ(to_hex(hmac_sha256(key, msg)),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-}
-
-// RFC 4231 test case 1.
-TEST(Hmac, Rfc4231Case1) {
-  const Bytes key(20, 0x0b);
-  const Bytes msg = to_bytes("Hi There");
-  EXPECT_EQ(to_hex(hmac_sha256(key, msg)),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-}
-
-// RFC 4231 test case 3 (key = 20 x 0xaa, data = 50 x 0xdd).
-TEST(Hmac, Rfc4231Case3) {
-  const Bytes key(20, 0xaa);
-  const Bytes msg(50, 0xdd);
-  EXPECT_EQ(to_hex(hmac_sha256(key, msg)),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
-}
-
-TEST(Hmac, LongKeyIsHashedFirst) {
-  const Bytes key(131, 0xaa);
-  const Bytes msg = to_bytes("Test Using Larger Than Block-Size Key - Hash Key First");
-  EXPECT_EQ(to_hex(hmac_sha256(key, msg)),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
 }  // namespace

@@ -17,27 +17,18 @@
 //  - The rules around it: a state transfer rejects parked reads, a
 //    granter holding a Wish refuses renewals until its promise lapses,
 //    and a WAL-restarted leader reads through read-index.
-//  - The same regression over real TCP sockets (thread-per-transport
-//    loopback cluster, sender/receiver-side partition filter).
 #include <gtest/gtest.h>
 
-#include <array>
-#include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
 
 #include "crypto/sha256.hpp"
 #include "net/client.hpp"
-#include "net/tcp_transport.hpp"
 #include "sim/scenario.hpp"
 #include "smr/batch.hpp"
 #include "smr/checkpoint.hpp"
@@ -925,221 +916,6 @@ TEST(SmrReadsScenario, WorkloadNameRoundTrips) {
   sim::Workload workload = sim::Workload::kSingleShot;
   ASSERT_TRUE(sim::workload_from_string("smr-reads", workload));
   EXPECT_EQ(workload, sim::Workload::kSmrReads);
-}
-
-// ---- the same regression over real TCP sockets ----
-
-/// Thread-per-transport loopback cluster with a flippable partition
-/// around replica 1 (applied symmetrically at every sender AND receiver,
-/// so in-flight frames cannot leak through the flip).
-struct TcpReadCluster {
-  static constexpr std::uint32_t kN = 6;
-  static constexpr Duration kWallBudget = 120'000'000;  // 120 s cap
-
-  std::vector<std::unique_ptr<net::TcpTransport>> transports;  // 1-based
-  std::vector<std::unique_ptr<SmrReplica>> replicas;           // 1-based
-  std::unique_ptr<crypto::CryptoSuite> suite;
-  std::atomic<bool> partitioned{false};
-  std::atomic<bool> stop{false};
-  std::array<std::atomic<std::uint64_t>, kN + 1> executed{};
-  std::array<std::uint64_t, kN + 1> seqs{};  // per replica's client
-  std::vector<std::thread> threads;
-
-  TcpReadCluster() {
-    transports.resize(kN + 1);
-    replicas.resize(kN + 1);
-    for (ReplicaId id = 1; id <= kN; ++id) {
-      net::TcpTransportConfig tcfg;
-      tcfg.self = id;
-      tcfg.n = kN;
-      transports[id] = std::make_unique<net::TcpTransport>(tcfg);
-    }
-    for (ReplicaId id = 1; id <= kN; ++id) {
-      for (ReplicaId peer = 1; peer <= kN; ++peer) {
-        if (peer == id) continue;
-        transports[id]->set_peer(
-            peer,
-            net::PeerAddress{"127.0.0.1", transports[peer]->listen_port()});
-      }
-    }
-    suite = crypto::make_sim_suite();
-    const sim::FleetKeys keys = sim::derive_keys(*suite, kN, 17);
-    for (ReplicaId id = 1; id <= kN; ++id) {
-      SmrConfig cfg;
-      cfg.id = id;
-      cfg.n = kN;
-      cfg.f = 1;
-      cfg.l = 1.5;
-      cfg.pipeline = read_options();
-      cfg.suite = suite.get();
-      cfg.secret_key = keys.pairs[id].secret_key;
-      cfg.public_keys = keys.public_keys;
-      cfg.sync.base_timeout = 100'000;
-      cfg.on_execute = [this, id](const ExecutedCommand&) {
-        executed[id].fetch_add(1, std::memory_order_relaxed);
-      };
-      net::TcpTransport* transport = transports[id].get();
-      core::ProtocolHost hooks;
-      // Sender-side partition filter; broadcast fans out through the
-      // same per-link check so the to == 1 leg can be dropped alone.
-      hooks.send = [this, transport, id](ReplicaId to, std::uint8_t tag,
-                                         const Bytes& m) {
-        if (partitioned.load() && (id == 1 || to == 1)) return;
-        transport->send(id, to, tag, Bytes(m));
-      };
-      hooks.broadcast = [this, transport, id](std::uint8_t tag,
-                                              const Bytes& m) {
-        for (ReplicaId to = 1; to <= kN; ++to) {
-          if (to == id) continue;
-          if (partitioned.load() && (id == 1 || to == 1)) continue;
-          transport->send(id, to, tag, Bytes(m));
-        }
-      };
-      hooks.set_timer = transport->timer_setter();
-      replicas[id] = std::make_unique<SmrReplica>(std::move(cfg), hooks);
-      transports[id]->register_handler(
-          id, [this, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-            if (partitioned.load() && (id == 1 || from == 1)) return;
-            replicas[id]->on_message(from, tag, m);
-          });
-      transports[id]->post([this, id] { replicas[id]->start(); });
-    }
-    for (ReplicaId id = 1; id <= kN; ++id) {
-      threads.emplace_back([this, id] {
-        transports[id]->run_until([this] { return stop.load(); },
-                                  kWallBudget);
-      });
-    }
-  }
-
-  ~TcpReadCluster() { shutdown(); }
-
-  void shutdown() {
-    stop.store(true);
-    for (ReplicaId id = 1; id <= kN; ++id) transports[id]->stop();
-    for (auto& thread : threads) {
-      if (thread.joinable()) thread.join();
-    }
-    threads.clear();
-  }
-
-  /// Polls `done()` from the test thread (loop threads keep running).
-  static bool wait_wall(const std::function<bool()>& done,
-                        int timeout_ms = 60'000) {
-    for (int waited = 0; waited < timeout_ms; waited += 20) {
-      if (done()) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    return done();
-  }
-
-  bool wait_executed(std::uint64_t commands, ReplicaId first = 1,
-                     ReplicaId last = kN) {
-    return wait_wall([this, commands, first, last] {
-      for (ReplicaId id = first; id <= last; ++id) {
-        if (executed[id].load(std::memory_order_relaxed) < commands) {
-          return false;
-        }
-      }
-      return true;
-    });
-  }
-
-  /// Submits `command` at replica `id` as client `id`'s next request.
-  void submit(ReplicaId id, const std::string& command) {
-    transports[id]->post([this, id, seq = ++seqs[id], command] {
-      replicas[id]->submit_request(id, seq, to_bytes(command));
-    });
-  }
-
-  /// Runs `probe` against replica `id` on its loop thread; returns the
-  /// probed value once the loop has executed it.
-  bool probe_flag(ReplicaId id,
-                  const std::function<bool(const SmrReplica&)>& probe) {
-    auto state = std::make_shared<std::atomic<int>>(-1);
-    transports[id]->post([this, id, probe, state] {
-      state->store(probe(*replicas[id]) ? 1 : 0);
-    });
-    wait_wall([state] { return state->load() >= 0; });
-    return state->load() == 1;
-  }
-
-  /// Issues a read on replica `id`'s loop thread; the outcome lands in a
-  /// mutex-guarded slot the test thread polls.
-  struct ReadProbe {
-    std::mutex mu;
-    std::optional<ReadResult> result;
-    bool ready() {
-      const std::lock_guard<std::mutex> lock(mu);
-      return result.has_value();
-    }
-    ReadResult get() {
-      const std::lock_guard<std::mutex> lock(mu);
-      return *result;
-    }
-  };
-  std::shared_ptr<ReadProbe> read(ReplicaId id, const std::string& key,
-                                  net::ReadConsistency mode) {
-    auto probe = std::make_shared<ReadProbe>();
-    transports[id]->post([this, id, key, mode, probe] {
-      replicas[id]->submit_read(to_bytes(key), mode, 0,
-                                [probe](const ReadResult& r) {
-                                  const std::lock_guard<std::mutex> lock(
-                                      probe->mu);
-                                  probe->result = r;
-                                });
-    });
-    return probe;
-  }
-};
-
-TEST(TcpSmrReads, LeaseNeverServesStaleReadAcrossViewChangeOverTcp) {
-  TcpReadCluster cluster;
-
-  cluster.submit(1, "k=v1");
-  ASSERT_TRUE(cluster.wait_executed(1));
-  ASSERT_TRUE(TcpReadCluster::wait_wall([&] {
-    return cluster.probe_flag(
-        1, [](const SmrReplica& r) { return r.reads().lease_held(); });
-  }));
-
-  auto before = cluster.read(1, "k", net::ReadConsistency::kLinearizable);
-  ASSERT_TRUE(TcpReadCluster::wait_wall([&] { return before->ready(); }));
-  EXPECT_EQ(before->get().status, net::ReplyStatus::kExecuted);
-  EXPECT_EQ(before->get().value, to_bytes("v1"));
-
-  // Partition the lease holder; decide a conflicting write without it.
-  cluster.partitioned.store(true);
-  cluster.submit(2, "k=v2");
-  ASSERT_TRUE(cluster.wait_executed(2, /*first=*/2));
-
-  // Real time passed the 400ms validity bound long ago; the deposed
-  // leader must reject — not serve the stale "v1".
-  EXPECT_FALSE(cluster.probe_flag(
-      1, [](const SmrReplica& r) { return r.reads().lease_held(); }));
-  auto stale = cluster.read(1, "k", net::ReadConsistency::kLinearizable);
-  ASSERT_TRUE(TcpReadCluster::wait_wall([&] { return stale->ready(); }));
-  EXPECT_EQ(stale->get().status, net::ReplyStatus::kRejected);
-
-  // Heal; the old leader catches up from signed hints (poisoning its
-  // lease) and its next linearizable read sees the new value.
-  cluster.partitioned.store(false);
-  cluster.submit(2, "k2=v3");
-  ASSERT_TRUE(cluster.wait_executed(3));
-  EXPECT_TRUE(cluster.probe_flag(
-      1, [](const SmrReplica& r) { return r.reads().lease_poisoned(); }));
-  auto fresh = cluster.read(1, "k", net::ReadConsistency::kLinearizable);
-  ASSERT_TRUE(TcpReadCluster::wait_wall([&] { return fresh->ready(); }));
-  EXPECT_EQ(fresh->get().status, net::ReplyStatus::kExecuted);
-  EXPECT_EQ(fresh->get().value, to_bytes("v2"));
-
-  // Loop threads are down after shutdown(): direct state access is safe.
-  cluster.shutdown();
-  for (ReplicaId id = 2; id <= TcpReadCluster::kN; ++id) {
-    EXPECT_EQ(cluster.replicas[id]->log_digest(),
-              cluster.replicas[1]->log_digest())
-        << "replica " << id;
-  }
 }
 
 }  // namespace

@@ -147,20 +147,6 @@ TEST(SweepParallel, ZeroJobsResolvesToHardwareConcurrency) {
   EXPECT_EQ(report.items_run, 1U);
 }
 
-TEST(SweepParallel, DropOutcomesKeepsAggregates) {
-  ScenarioSpec spec = conformance_base_spec();
-  spec.n = 8;
-  spec.f = 1;
-  spec.seeds = {1, 2};
-
-  SweepConfig config;
-  config.keep_outcomes = false;
-  const SweepReport report = run_sweep({spec}, config);
-  EXPECT_TRUE(report.stats[0].outcomes.empty());
-  EXPECT_EQ(report.stats[0].runs, 2U);
-  EXPECT_GT(report.stats[0].messages, 0U);
-}
-
 TEST(SweepParallel, JsonReportCarriesSchema) {
   ScenarioSpec spec = conformance_base_spec();
   spec.n = 8;
