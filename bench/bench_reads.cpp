@@ -80,7 +80,6 @@ ReadRun run_read_fleet(std::uint32_t n, std::uint32_t f, double ratio,
   // per write, so the read path's savings are visible per operation.
   cfg.smr.window = 4;
   cfg.smr.batch_max_commands = 1;
-  cfg.smr.max_slots = 1u << 20;
   cfg.smr.serve_reads = serve_reads;
   // Lease validity must be of the same order as the 100 ms sync timeout
   // (the defaults are wall-clock knobs); see src/sim/scenario.cpp.

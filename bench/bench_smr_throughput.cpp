@@ -130,7 +130,6 @@ void print_table(std::uint32_t n, std::uint64_t commands) {
     smr::SmrOptions options;
     options.window = row.window;
     options.batch_max_commands = row.batch;
-    options.max_slots = 1u << 20;
     const FleetRun run = run_fleet(n, options, commands, /*seed=*/1);
     const double throughput =
         run.all_done > 0
@@ -152,7 +151,6 @@ void print_table(std::uint32_t n, std::uint64_t commands) {
   smr::SmrOptions serial;
   serial.window = 1;
   serial.batch_max_commands = 16;
-  serial.max_slots = 1u << 20;
   smr::SmrOptions pipelined = serial;
   pipelined.window = 8;
   const auto a = run_fleet(n, serial, commands, /*seed=*/1);
@@ -167,13 +165,11 @@ int run_smoke(std::uint32_t n, std::uint64_t commands, double bound_x) {
   smr::SmrOptions serial;
   serial.window = 1;
   serial.batch_max_commands = 1;
-  serial.max_slots = 1u << 20;
   const FleetRun base = run_fleet(n, serial, commands, /*seed=*/1);
 
   smr::SmrOptions pipelined;
   pipelined.window = 8;
   pipelined.batch_max_commands = 16;
-  pipelined.max_slots = 1u << 20;
   const FleetRun fast = run_fleet(n, pipelined, commands, /*seed=*/1);
 
   // Same batch as the pipelined row, serial window: content must match.
@@ -228,11 +224,9 @@ int emit_json(const std::string& path, std::uint32_t n,
   smr::SmrOptions serial;
   serial.window = 1;
   serial.batch_max_commands = 1;
-  serial.max_slots = 1u << 20;
   smr::SmrOptions pipelined;
   pipelined.window = 8;
   pipelined.batch_max_commands = 16;
-  pipelined.max_slots = 1u << 20;
   const FleetRun base = run_fleet(n, serial, commands, /*seed=*/1);
   const FleetRun fast = run_fleet(n, pipelined, commands, /*seed=*/1);
 
@@ -366,7 +360,6 @@ void BM_SmrThroughput(benchmark::State& state) {
   smr::SmrOptions options;
   options.window = window;
   options.batch_max_commands = batch;
-  options.max_slots = 1u << 20;
   double kcmd_per_vsec = 0.0;
   for (auto _ : state) {
     const FleetRun run = run_fleet(/*n=*/16, options, /*commands=*/128,

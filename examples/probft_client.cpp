@@ -49,8 +49,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -58,6 +56,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "common/codec.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
@@ -67,7 +66,7 @@ namespace {
 using namespace probft;
 
 struct Options {
-  std::vector<std::pair<std::string, std::uint16_t>> servers;
+  std::vector<net::PeerAddress> servers;
   std::uint64_t requests = 16;
   std::uint64_t client_id = 77'001;
   std::uint64_t retry_ms = 2'000;
@@ -96,61 +95,28 @@ std::uint64_t now_us() {
          static_cast<std::uint64_t>(ts.tv_nsec) / 1'000;
 }
 
-std::uint64_t parse_u64(const std::string& text) {
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-    throw std::invalid_argument(text);
-  }
-  std::size_t consumed = 0;
-  const std::uint64_t value = std::stoull(text, &consumed);
-  if (consumed != text.size()) throw std::invalid_argument(text);
-  return value;
-}
-
-bool parse_bool(const std::string& text) {
-  if (text == "1" || text == "true") return true;
-  if (text == "0" || text == "false") return false;
-  throw std::invalid_argument(text);
-}
-
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string key = argv[i];
     if (i + 1 >= argc) return false;
     const std::string value = argv[++i];
     if (key == "--servers") {
-      std::size_t pos = 0;
-      while (pos < value.size()) {
-        const std::size_t comma = value.find(',', pos);
-        const std::string entry = value.substr(pos, comma - pos);
-        const std::size_t colon = entry.rfind(':');
-        if (colon == std::string::npos || colon == 0) return false;
-        const std::uint64_t port = parse_u64(entry.substr(colon + 1));
-        if (port == 0 || port > 65535) {
-          throw std::invalid_argument("bad port in " + entry);
-        }
-        opt.servers.emplace_back(entry.substr(0, colon),
-                                 static_cast<std::uint16_t>(port));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
+      opt.servers = cli::parse_host_ports(value);
     } else if (key == "--requests") {
-      opt.requests = parse_u64(value);
+      opt.requests = cli::parse_u64(value);
     } else if (key == "--client-id") {
-      opt.client_id = parse_u64(value);
+      opt.client_id = cli::parse_u64(value);
     } else if (key == "--retry-ms") {
-      opt.retry_ms = parse_u64(value);
+      opt.retry_ms = cli::parse_u64(value);
     } else if (key == "--timeout-ms") {
-      opt.timeout_ms = parse_u64(value);
+      opt.timeout_ms = cli::parse_u64(value);
     } else if (key == "--force-retry") {
-      opt.force_retry = parse_bool(value);
+      opt.force_retry = cli::parse_bool(value);
     } else if (key == "--read-ratio") {
-      std::size_t consumed = 0;
-      const double ratio = std::stod(value, &consumed);
-      if (consumed != value.size() || !std::isfinite(ratio) || ratio < 0.0 ||
-          ratio >= 1.0) {
+      opt.read_ratio = cli::parse_double(value);
+      if (opt.read_ratio < 0.0 || opt.read_ratio >= 1.0) {
         throw std::invalid_argument("bad read ratio " + value);
       }
-      opt.read_ratio = ratio;
     } else if (key == "--consistency") {
       if (value == "linearizable") {
         opt.consistency = net::ReadConsistency::kLinearizable;
@@ -225,7 +191,7 @@ int main(int argc, char** argv) {
   const auto redial = [&opt, &servers] {
     for (std::size_t i = 0; i < servers.size(); ++i) {
       if (servers[i].fd >= 0) continue;
-      servers[i].fd = dial(opt.servers[i].first, opt.servers[i].second);
+      servers[i].fd = dial(opt.servers[i].host, opt.servers[i].port);
       servers[i].decoder = net::FrameDecoder();
     }
   };

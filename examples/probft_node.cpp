@@ -44,8 +44,6 @@
 // --stats prints per-tag TransportStats on shutdown in both modes.
 // scripts/run_tcp_cluster.sh drives all modes: agreement smoke (default),
 // client mode (`client`), reads (`reads`) and crash-restart (`restart`).
-#include <cctype>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -57,6 +55,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "net/client.hpp"
 #include "net/tcp_transport.hpp"
 #include "sim/node_factory.hpp"
@@ -116,113 +115,50 @@ void usage() {
       "                   [--reads BOOL]\n");
 }
 
-std::uint64_t parse_u64(const std::string& text) {
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-    throw std::invalid_argument(text);
-  }
-  std::size_t consumed = 0;
-  const std::uint64_t value = std::stoull(text, &consumed);
-  if (consumed != text.size()) throw std::invalid_argument(text);
-  return value;
-}
-
-/// A 32-bit count or id; values above 2^32 - 1 are rejected, not
-/// truncated.
-std::uint32_t parse_u32(const std::string& text) {
-  const std::uint64_t value = parse_u64(text);
-  if (value > UINT32_MAX) throw std::invalid_argument("out of range " + text);
-  return static_cast<std::uint32_t>(value);
-}
-
-/// A ProBFT factor (--o, --l): finite, positive, no trailing characters.
-double parse_factor(const std::string& text) {
-  std::size_t consumed = 0;
-  const double value = std::stod(text, &consumed);
-  if (consumed != text.size() || !std::isfinite(value) || value <= 0) {
-    throw std::invalid_argument("bad factor " + text);
-  }
-  return value;
-}
-
-bool parse_bool(const std::string& text) {
-  if (text == "1" || text == "true" || text == "yes") return true;
-  if (text == "0" || text == "false" || text == "no") return false;
-  throw std::invalid_argument(text);
-}
-
-/// A TCP port, 0..65535; out-of-range values are rejected, not wrapped.
-std::uint16_t parse_port(const std::string& text) {
-  const std::uint64_t port = parse_u64(text);
-  if (port > 65535) throw std::invalid_argument("bad port " + text);
-  return static_cast<std::uint16_t>(port);
-}
-
-net::PeerAddress parse_host_port(const std::string& text) {
-  const std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0) {
-    throw std::invalid_argument("peer must be host:port: " + text);
-  }
-  const std::uint16_t port = parse_port(text.substr(colon + 1));
-  if (port == 0) throw std::invalid_argument("bad port in " + text);
-  return net::PeerAddress{text.substr(0, colon), port};
-}
-
-std::vector<net::PeerAddress> parse_peers(const std::string& csv) {
-  std::vector<net::PeerAddress> peers;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    peers.push_back(parse_host_port(csv.substr(pos, comma - pos)));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return peers;
-}
-
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string key = argv[i];
     if (i + 1 >= argc) return false;
     const std::string value = argv[++i];
     if (key == "--id") {
-      opt.id = parse_u32(value);
+      opt.id = cli::parse_u32(value);
     } else if (key == "--peers") {
-      opt.peers = parse_peers(value);
+      opt.peers = cli::parse_host_ports(value);
     } else if (key == "--protocol") {
       if (!sim::protocol_from_string(value, opt.protocol)) return false;
     } else if (key == "--f") {
-      opt.f = parse_u32(value);
+      opt.f = cli::parse_u32(value);
     } else if (key == "--o") {
-      opt.o = parse_factor(value);
+      opt.o = cli::parse_factor(value);
     } else if (key == "--l") {
-      opt.l = parse_factor(value);
+      opt.l = cli::parse_factor(value);
     } else if (key == "--seed") {
-      opt.seed = parse_u64(value);
+      opt.seed = cli::parse_u64(value);
     } else if (key == "--suite") {
       if (value != "sim" && value != "ed25519") return false;
       opt.suite = value;
     } else if (key == "--deadline-ms") {
-      opt.deadline_ms = parse_u64(value);
+      opt.deadline_ms = cli::parse_u64(value);
     } else if (key == "--linger-ms") {
-      opt.linger_ms = parse_u64(value);
+      opt.linger_ms = cli::parse_u64(value);
     } else if (key == "--stats") {
-      opt.stats = parse_bool(value);
+      opt.stats = cli::parse_bool(value);
     } else if (key == "--smr") {
-      opt.smr = parse_bool(value);
+      opt.smr = cli::parse_bool(value);
     } else if (key == "--client-port") {
-      opt.client_port = parse_port(value);
+      opt.client_port = cli::parse_port(value);
       opt.smr = true;  // a client port only makes sense with the log
     } else if (key == "--run-ms") {
-      opt.run_ms = parse_u64(value);
+      opt.run_ms = cli::parse_u64(value);
     } else if (key == "--expect-cmds") {
-      opt.expect_cmds = parse_u64(value);
+      opt.expect_cmds = cli::parse_u64(value);
     } else if (key == "--wal-dir") {
       opt.wal_dir = value;
       opt.smr = true;  // durability only applies to the log
     } else if (key == "--checkpoint-interval") {
-      opt.checkpoint_interval = parse_u64(value);
+      opt.checkpoint_interval = cli::parse_u64(value);
     } else if (key == "--reads") {
-      opt.reads = parse_bool(value);
+      opt.reads = cli::parse_bool(value);
       opt.smr = true;  // the read path answers against the replicated log
     } else {
       return false;

@@ -27,8 +27,6 @@
 // Every run is simulated. Real sockets are exercised by real probft_node
 // processes: scripts/run_tcp_cluster.sh.
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -37,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
 
@@ -78,56 +77,11 @@ void usage() {
       "partition/reorder faults.\n");
 }
 
-/// Strict full-string numeric parses: trailing garbage ("16abc") and
-/// negative values must fail, not silently run the wrong experiment.
-std::uint64_t parse_u64(const std::string& text) {
-  // Leading whitespace would let stoull skip to a sign and wrap negatives.
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-    throw std::invalid_argument(text);
-  }
-  std::size_t consumed = 0;
-  const std::uint64_t value = std::stoull(text, &consumed);
-  if (consumed != text.size()) throw std::invalid_argument(text);
-  return value;
-}
-
-/// The o/l factors must be positive, finite and sane — NaN or a negative
-/// factor would silently run a nonsense experiment.
-double parse_factor(const std::string& text) {
-  std::size_t consumed = 0;
-  const double value = std::stod(text, &consumed);
-  if (consumed != text.size() || !std::isfinite(value) || value <= 0.0 ||
-      value > 100.0) {
-    throw std::invalid_argument(text);
-  }
-  return value;
-}
-
-/// Non-negative seconds (fractions allowed); 0 disables the budget.
-double parse_seconds(const std::string& text) {
-  std::size_t consumed = 0;
-  const double value = std::stod(text, &consumed);
-  if (consumed != text.size() || !std::isfinite(value) || value < 0.0) {
-    throw std::invalid_argument(text);
-  }
-  return value;
-}
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> items;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    items.push_back(csv.substr(pos, comma - pos));  // npos clamps
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return items;
-}
-
 std::vector<std::uint64_t> parse_seeds(const std::string& csv) {
   std::vector<std::uint64_t> seeds;
-  for (const auto& item : split_csv(csv)) seeds.push_back(parse_u64(item));
+  for (const auto& item : cli::split_csv(csv)) {
+    seeds.push_back(cli::parse_u64(item));
+  }
   return seeds;
 }
 
@@ -157,13 +111,13 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (key == "--fault" || key == "--scenario") {
       if (!sim::fault_from_string(value, opt.spec.fault)) return false;
     } else if (key == "--protocols") {
-      for (const auto& name : split_csv(value)) {
+      for (const auto& name : cli::split_csv(value)) {
         sim::Protocol protocol{};
         if (!sim::protocol_from_string(name, protocol)) return false;
         opt.protocols.push_back(protocol);
       }
     } else if (key == "--faults") {
-      for (const auto& name : split_csv(value)) {
+      for (const auto& name : cli::split_csv(value)) {
         sim::Fault fault{};
         if (!sim::fault_from_string(name, fault)) return false;
         opt.faults.push_back(fault);
@@ -179,39 +133,34 @@ bool parse_args(int argc, char** argv, Options& opt) {
         return false;
       }
     } else if (key == "--n") {
-      const std::uint64_t n = parse_u64(value);
-      if (n < 1 || n > 1'000'000) return false;
-      opt.spec.n = static_cast<std::uint32_t>(n);
+      opt.spec.n = static_cast<std::uint32_t>(cli::parse_u64(value, 1'000'000));
+      if (opt.spec.n < 1) return false;
     } else if (key == "--f") {
-      const std::uint64_t f = parse_u64(value);
-      if (f > 1'000'000) return false;
-      opt.spec.f = static_cast<std::uint32_t>(f);
+      opt.spec.f = static_cast<std::uint32_t>(cli::parse_u64(value, 1'000'000));
     } else if (key == "--o") {
-      opt.spec.o = parse_factor(value);
+      opt.spec.o = cli::parse_factor(value);
     } else if (key == "--l") {
-      opt.spec.l = parse_factor(value);
+      opt.spec.l = cli::parse_factor(value);
     } else if (key == "--seed" || key == "--seeds") {
       opt.spec.seeds = parse_seeds(value);
       if (opt.spec.seeds.empty()) return false;
     } else if (key == "--deadline-ms") {
-      const std::uint64_t ms = parse_u64(value);
-      if (ms > std::numeric_limits<std::uint64_t>::max() / 1000) return false;
-      opt.spec.deadline = ms * 1000;
+      constexpr std::uint64_t kMaxMs =
+          std::numeric_limits<std::uint64_t>::max() / 1000;
+      opt.spec.deadline = cli::parse_u64(value, kMaxMs) * 1000;
     } else if (key == "--jobs") {
-      const std::uint64_t jobs = parse_u64(value);
-      if (jobs > 4096) return false;
-      opt.sweep.jobs = static_cast<unsigned>(jobs);
+      opt.sweep.jobs = static_cast<unsigned>(cli::parse_u64(value, 4096));
     } else if (key == "--budget-seconds") {
-      opt.sweep.budget_seconds = parse_seconds(value);
+      opt.sweep.budget_seconds = cli::parse_double(value);
+      if (opt.sweep.budget_seconds < 0.0) return false;  // 0 = no budget
     } else if (key == "--json") {
       if (value.empty()) return false;
       opt.json_path = value;
     } else if (key == "--workload") {
       if (!sim::workload_from_string(value, opt.spec.workload)) return false;
     } else if (key == "--smr-commands") {
-      const std::uint64_t commands = parse_u64(value);
-      if (commands < 1 || commands > 100'000) return false;
-      opt.spec.smr_commands = commands;
+      opt.spec.smr_commands = cli::parse_u64(value, 100'000);
+      if (opt.spec.smr_commands < 1) return false;
     } else {
       return false;
     }
@@ -295,15 +244,9 @@ int main(int argc, char** argv) {
 
   const sim::SweepReport report = sim::run_sweep(specs, opt.sweep);
 
-  bool safe = true;
-  bool live = true;
   for (const auto& stats : report.stats) {
     for (const auto& outcome : stats.outcomes) {
       print_result(stats.spec, outcome);
-      safe = safe && outcome.agreement;
-      if (stats.spec.expect_termination) {
-        live = live && outcome.terminated;
-      }
     }
   }
   for (const auto& stats : report.stats) {
@@ -325,6 +268,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wrote %s\n", opt.json_path.c_str());
   }
 
+  const bool safe = report.all_agreement();
+  const bool live = report.termination_expectations_met();
   if (!safe) std::fprintf(stderr, "AGREEMENT VIOLATED\n");
   if (!live) std::fprintf(stderr, "termination expectation missed\n");
   // A sweep that completed nothing proves nothing — a too-tight budget

@@ -62,10 +62,10 @@
 # modes at N = 4 as `tcp_cluster_probft|pbft|hotstuff` and the client
 # mode as `tcp_cluster_client`, so every job that runs ctest (the
 # sanitize job under ASan/UBSan too) runs them. Beyond ctest,
-# .github/workflows/ci.yml job `tcp-smoke` runs the protocol modes,
-# `restart` and `reads`; the sanitize job runs `restart 4`; the tsan
-# job runs `client 4`; nightly `smr-smoke`, `read-smoke` and
-# `restart-smoke` run `client`, `reads` and `restart`.
+# .github/workflows/ci.yml job `tcp-smoke` runs `restart` and `reads`;
+# the sanitize job runs `restart 4`; the tsan job runs `client 4`;
+# nightly `smr-smoke`, `read-smoke` and `restart-smoke` run `client`,
+# `reads` and `restart`.
 set -u
 
 BUILD_DIR=${1:-build}

@@ -341,9 +341,7 @@ void CatchUp::on_message(ReplicaId from, std::uint8_t tag,
 }
 
 std::uint64_t CatchUp::horizon() const {
-  return std::min<std::uint64_t>(
-      cfg_.pipeline.max_slots,
-      exec_slots() + 2 * static_cast<std::uint64_t>(cfg_.pipeline.window));
+  return exec_slots() + 2 * static_cast<std::uint64_t>(cfg_.pipeline.window);
 }
 
 void CatchUp::send_hint(ReplicaId to, std::uint64_t slot) {
@@ -375,7 +373,6 @@ void CatchUp::handle_hint(ReplicaId from, const Bytes& payload) {
   Bytes value = r.bytes();
   Bytes signature = r.bytes();
   r.expect_exhausted();
-  if (slot >= cfg_.pipeline.max_slots) return;
   max_seen_slot_ = std::max(max_seen_slot_, slot + 1);
   if (slot < exec_slots() || slot >= horizon()) return;
   if (!is_valid_batch(value, limits_)) return;
@@ -419,9 +416,7 @@ void CatchUp::handle_ckpt_vote(ReplicaId from, const Bytes& payload) {
   const std::uint64_t interval = cfg_.pipeline.checkpoint_interval;
   if (vote.signer != from) return;  // channel and signature must agree
   if (interval == 0 || vote.slot % interval != 0) return;
-  if (vote.slot <= stable_slot_ || vote.slot > cfg_.pipeline.max_slots) {
-    return;
-  }
+  if (vote.slot <= stable_slot_) return;
   const Bytes msg = checkpoint_signing_bytes(vote.slot, vote.state_digest);
   if (!cfg_.suite->verify(cfg_.public_keys[vote.signer], msg,
                           vote.signature)) {
@@ -441,7 +436,6 @@ void CatchUp::handle_state(const Bytes& payload) {
   CheckpointCert cert = CheckpointCert::decode(r);
   r.expect_exhausted();
   if (state.slot <= exec_slots()) return;  // not ahead of us
-  if (state.slot > cfg_.pipeline.max_slots) return;
   if (certifies(state, cert)) install(state, cert);
 }
 

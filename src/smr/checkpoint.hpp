@@ -199,7 +199,8 @@ class CatchUp {
   [[nodiscard]] std::uint64_t recovered_slots() const {
     return recovered_slots_;
   }
-  /// Hints and buffered slot traffic at or past this slot are dropped.
+  /// Hints and buffered slot traffic at or past this slot are dropped:
+  /// two windows above this replica's execution point.
   [[nodiscard]] std::uint64_t horizon() const;
 
  private:

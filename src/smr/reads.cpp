@@ -431,10 +431,6 @@ void ReadPath::on_read_index(ReplicaId from, const Bytes& payload) {
   } else if (kind == kReadIndexAttestKind) {
     const ReadIndexAttest attest = ReadIndexAttest::decode(payload);
     if (attest.requester != cfg_.id || attest.signer != from) return;
-    // Byzantine inflation bound: a watermark beyond the configured slot
-    // range could park the read forever; the timeout would clean it up,
-    // but there is no reason to even count it.
-    if (attest.watermark > cfg_.pipeline.max_slots) return;
     if (read_index_waits_.count(attest.rid) == 0) return;
     if (!attest.verify(*cfg_.suite, cfg_.public_keys, cfg_.n)) return;
     read_index_waits_[attest.rid].marks.emplace(attest.signer,

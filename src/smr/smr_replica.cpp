@@ -36,8 +36,7 @@ SmrReplica::SmrReplica(SmrConfig config, core::ProtocolHost host)
           [this](View view) { broadcast_wish(view); },
           [this](View view) { enter_view(view); }, host_.set_timer) {
   if (cfg_.id == 0 || cfg_.id > cfg_.n || cfg_.suite == nullptr ||
-      cfg_.public_keys.size() != cfg_.n + 1 ||
-      cfg_.pipeline.max_slots == 0 || cfg_.pipeline.window == 0 ||
+      cfg_.public_keys.size() != cfg_.n + 1 || cfg_.pipeline.window == 0 ||
       cfg_.pipeline.batch_max_commands == 0) {
     throw std::invalid_argument("SmrReplica: bad configuration");
   }
@@ -125,12 +124,6 @@ void SmrReplica::broadcast_wish(View view) {
                                 group_tag_);
   }
   send_slot(0, exec_slots(), net::tags::kWish, wish_);
-}
-
-bool SmrReplica::waiting() const {
-  return exec_slots() < next_open_ ||
-         ((!queue_.empty() || !held_.empty()) &&
-          next_open_ < cfg_.pipeline.max_slots);
 }
 
 bool SmrReplica::enqueue(Request request, ReplicaId origin) {
@@ -232,11 +225,6 @@ void SmrReplica::age_held() {
 std::uint64_t SmrReplica::last_executed_seq(std::uint64_t client) const {
   const auto it = last_exec_.find(client);
   return it == last_exec_.end() ? 0 : it->second;
-}
-
-std::uint64_t SmrReplica::open_limit() const {
-  return std::min<std::uint64_t>(cfg_.pipeline.max_slots,
-                                 exec_slots() + cfg_.pipeline.window);
 }
 
 bool SmrReplica::full_batch_ready() const {
@@ -540,7 +528,6 @@ void SmrReplica::handle_slot_envelope(ReplicaId from, const Bytes& payload) {
   const std::uint64_t slot = r.u64();
   const std::uint8_t inner_tag = r.u8();
   Bytes inner = r.raw(r.remaining());
-  if (slot >= cfg_.pipeline.max_slots) return;  // out of configured range
   // The group tallies a Wish whatever its slot; the slot's instance
   // ignores it, but the frame still opens or buffers the slot.
   if (inner_tag == net::tags::kWish) on_wish_frame(from, inner);

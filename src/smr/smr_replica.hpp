@@ -13,7 +13,10 @@
 //    requests are deduplicated via a per-client last-executed table.
 //  - Slots [exec, exec + window) run concurrently; execution is strictly
 //    in slot order. Decisions that land out of order buffer until the gap
-//    fills.
+//    fills. There is no slot limit: like PBFT's water marks, every bound
+//    follows this replica's own execution point — the window, the
+//    catch-up horizon exec + 2 * window (smr/checkpoint.hpp) and
+//    kMaxBufferedPerSlot frames per slot not yet open.
 //  - Slot opening is demand-driven. Only the group view's leader opens
 //    slots from its own queue: when a full batch is ready, when its pacing
 //    timer (kBatchTimeout) expires with requests queued, and at once on
@@ -112,7 +115,8 @@ inline constexpr std::size_t kMaxPendingRequests = 8192;
 /// Pipeline shape: how many instances run in flight, how requests batch,
 /// and how often the log checkpoints. Plumbed through sim::NodeParams /
 /// sim::ClusterConfig so the simulator, the TCP node binary and the
-/// benches configure the engine identically.
+/// benches configure the engine identically. Nothing here caps the log's
+/// length: slot numbers are bounded relative to execution (the window).
 struct SmrOptions {
   /// In-flight window W: slots [exec, exec + window) may be open at once.
   /// window = 1 reproduces the old serial open-one-slot-at-a-time engine.
@@ -121,9 +125,6 @@ struct SmrOptions {
   /// at most kBatchMaxBytes encoded bytes, smr/batch.hpp).
   /// batch_max_commands = 1 reproduces one-command slots.
   std::uint32_t batch_max_commands = 64;
-  /// Hard cap on the number of slots this replica will open (bounds the
-  /// simulation; a production deployment would run unbounded).
-  std::uint64_t max_slots = 1024;
   /// Checkpoint every this many executed slots (0 disables). A stable
   /// checkpoint (2f + 1 matching votes) truncates the retained slot log
   /// below it, in memory and in the WAL.
@@ -326,8 +327,10 @@ class SmrReplica : public core::INode {
   /// Signed once per view; rides the lowest unexecuted slot's envelope.
   void broadcast_wish(View view);
   /// Whether a correct leader would make progress here: an opened slot is
-  /// unexecuted, or a request waits while slots can still open.
-  [[nodiscard]] bool waiting() const;
+  /// unexecuted, or a request is queued or held.
+  [[nodiscard]] bool waiting() const {
+    return exec_slots() < next_open_ || !queue_.empty() || !held_.empty();
+  }
   /// Execution advanced: the view timer restarts while the group waits.
   void restart_view_timer() { sync_.restart_timer(waiting()); }
   /// The group started waiting: starts a stopped view timer and never
@@ -357,8 +360,11 @@ class SmrReplica : public core::INode {
                  const Bytes& m);
   void retire_executed_slots();
   void collect_retired() { retired_.clear(); }
-  /// Upper bound (exclusive) on slots that may be open right now.
-  [[nodiscard]] std::uint64_t open_limit() const;
+  /// Upper bound (exclusive) on slots that may be open right now: the
+  /// window above this replica's execution point, never an absolute cap.
+  [[nodiscard]] std::uint64_t open_limit() const {
+    return exec_slots() + cfg_.pipeline.window;
+  }
 
   /// CatchUp's jump hook: the executed prefix moved to `state`. Replaces
   /// the dedup table, requeues own still-unexecuted assignments from

@@ -491,12 +491,11 @@ TEST(Smr, FaultFreeFleetSendsNoHints) {
 }
 
 TEST(Smr, RetirementBoundsLiveInstances) {
-  // Regression for the unbounded instances_ map: a long log (max_slots ≫
-  // window) must not keep every decided core::Replica alive.
+  // Regression for the unbounded instances_ map: a log much longer than
+  // the window must not keep every decided core::Replica alive.
   SmrOptions options;
   options.window = 4;
   options.batch_max_commands = 1;
-  options.max_slots = 1024;
   Fleet fleet(4, options);
   for (int i = 0; i < 48; ++i) {
     fleet.submit(1, "op-" + std::to_string(i));
@@ -518,6 +517,26 @@ TEST(Smr, RetirementBoundsLiveInstances) {
     EXPECT_EQ(fleet.replica(id).committed_slots(), 48U);
     EXPECT_LE(fleet.replica(id).open_instances(), bound);
   }
+}
+
+TEST(Smr, OrdersPastOneThousandTwentyFourSlots) {
+  // No absolute slot cap: every slot bound follows the replica's own
+  // execution point (the window, the catch-up horizon), so one client's
+  // one-command slots keep ordering past slot 1,024.
+  SmrOptions options;
+  options.batch_max_commands = 1;
+  Fleet fleet(4, options, /*seed=*/1, /*f=*/1, /*l=*/1.5);
+  constexpr int kCommands = 1100;
+  for (int i = 0; i < kCommands; ++i) {
+    ASSERT_TRUE(fleet.submit(1, "op-" + std::to_string(i)));
+  }
+  fleet.start();
+  ASSERT_TRUE(fleet.run_until_executed(kCommands));
+  for (ReplicaId id = 1; id <= 4; ++id) {
+    EXPECT_EQ(fleet.replica(id).executed_commands(), 1100U);
+    EXPECT_EQ(fleet.replica(id).committed_slots(), 1100U);
+  }
+  EXPECT_TRUE(fleet.logs_identical());
 }
 
 TEST(Smr, StragglerCatchesUpViaHints) {
